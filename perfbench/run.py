@@ -33,8 +33,9 @@ HERE = ROOT / "perfbench"
 BUILD = ROOT / ".bench_build" / "perfbench"
 HARNESS_TIMEOUT_S = 170
 UNGATED_SUMMARY = (
-    "serving.capacity_qps", "serving.latency_p50_ms",
-    "serving.latency_tail_ms", "serving.latency_tail_pct",
+    "serving.capacity_qps", "serving.latency_p10_ms",
+    "serving.latency_p50_ms", "serving.latency_tail_ms",
+    "serving.latency_tail_pct",
     "serving.read_latency_p50_ms", "serving.read_latency_tail_ms",
     "serving.read_latency_tail_pct", "setup.wall_s",
 )
