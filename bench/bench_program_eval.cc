@@ -2,11 +2,21 @@
 // versus the interpreted Figure 5 program (Section II-B language). The
 // interpreter's per-auction cost motivates both Section IV (evaluate fewer
 // programs) and compiling hot strategies natively.
+//
+// BM_HarnessShapedPrograms mirrors the capture step of a serving auction
+// over 1,000 program bidders: 10 keywords whose formulas cycle Click /
+// Click & Slot1 / Purchase, every strategy bidding on each query in turn
+// (so each MakeBids touches a cold strategy, as in a real capture).
+// BM_ProgramCreate is the one-off set-up cost per program: parse, compile
+// and private-table construction.
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "auction/workload.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 #include "util/rng.h"
@@ -88,6 +98,57 @@ void BM_InterpretedRoiProgram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterpretedRoiProgram);
+
+std::vector<ProgramStrategy::KeywordSpec> HarnessKeywords() {
+  std::vector<ProgramStrategy::KeywordSpec> specs;
+  for (int kw = 0; kw < kKeywords; ++kw) {
+    const Formula f = kw % 3 == 0   ? Formula::Click()
+                      : kw % 3 == 1 ? Formula::Click() && Formula::Slot(0)
+                                    : Formula::Purchase();
+    specs.push_back({"kw" + std::to_string(kw), f});
+  }
+  return specs;
+}
+
+void BM_HarnessShapedPrograms(benchmark::State& state) {
+  constexpr int kStrategies = 1000;
+  WorkloadConfig wc;
+  wc.num_advertisers = kStrategies;
+  wc.num_keywords = kKeywords;
+  const Workload workload = MakePaperWorkload(wc);
+  const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();
+  std::vector<std::unique_ptr<ProgramStrategy>> strategies;
+  for (int i = 0; i < kStrategies; ++i) {
+    auto strategy = ProgramStrategy::Create(kEqualizeRoi, specs);
+    SSA_CHECK(strategy.ok());
+    strategies.push_back(*std::move(strategy));
+  }
+  Rng rng(1);
+  BidsTable bids;
+  int64_t t = 0;
+  Query query = MakeQuery(rng, t);
+  int next = 0;
+  for (auto _ : state) {
+    if (next == kStrategies) {  // every strategy has bid: next auction
+      next = 0;
+      query = MakeQuery(rng, ++t);
+    }
+    bids.Clear();
+    strategies[next]->MakeBids(query, workload.accounts[next], &bids);
+    benchmark::DoNotOptimize(bids);
+    ++next;
+  }
+}
+BENCHMARK(BM_HarnessShapedPrograms);
+
+void BM_ProgramCreate(benchmark::State& state) {
+  const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();
+  for (auto _ : state) {
+    auto strategy = ProgramStrategy::Create(kEqualizeRoi, specs);
+    benchmark::DoNotOptimize(strategy);
+  }
+}
+BENCHMARK(BM_ProgramCreate);
 
 void BM_ProgramParseOnly(benchmark::State& state) {
   for (auto _ : state) {

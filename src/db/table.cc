@@ -1,5 +1,6 @@
 #include "db/table.h"
 
+#include <iterator>
 #include <utility>
 
 namespace ssa {
@@ -25,36 +26,47 @@ int Table::MustColumn(const std::string& column) const {
 
 void Table::InsertRow(std::vector<Value> values) {
   SSA_CHECK(values.size() == column_names_.size());
-  rows_.push_back(std::move(values));
+  cells_.insert(cells_.end(), std::make_move_iterator(values.begin()),
+                std::make_move_iterator(values.end()));
 }
 
 const Value& Table::At(int row, int col) const {
-  SSA_CHECK(row >= 0 && row < num_rows() && col >= 0 && col < num_columns());
-  return rows_[row][col];
+  SSA_CHECK(col >= 0 && col < num_columns());
+  return Row(row)[col];
 }
 
 void Table::Set(int row, int col, Value v) {
-  SSA_CHECK(row >= 0 && row < num_rows() && col >= 0 && col < num_columns());
-  rows_[row][col] = std::move(v);
+  SSA_CHECK(col >= 0 && col < num_columns());
+  MutableRow(row)[col] = std::move(v);
+}
+
+const Value* Table::Row(int row) const {
+  SSA_CHECK(row >= 0 && row < num_rows());
+  return cells_.data() + static_cast<size_t>(row) * column_names_.size();
+}
+
+Value* Table::MutableRow(int row) {
+  SSA_CHECK(row >= 0 && row < num_rows());
+  return cells_.data() + static_cast<size_t>(row) * column_names_.size();
 }
 
 Table* Database::AddTable(std::string name,
                           std::vector<std::string> column_names) {
-  SSA_CHECK_MSG(tables_.find(name) == tables_.end(), "duplicate table");
-  auto table = std::make_unique<Table>(name, std::move(column_names));
-  Table* raw = table.get();
-  tables_.emplace(raw->name(), std::move(table));
-  return raw;
+  SSA_CHECK_MSG(GetTable(name) == nullptr, "duplicate table");
+  tables_.push_back(
+      std::make_unique<Table>(std::move(name), std::move(column_names)));
+  return tables_.back().get();
 }
 
 Table* Database::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  for (const auto& table : tables_) {
+    if (table->name() == name) return table.get();
+  }
+  return nullptr;
 }
 
 const Table* Database::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return const_cast<Database*>(this)->GetTable(name);
 }
 
 }  // namespace ssa

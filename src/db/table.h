@@ -1,7 +1,6 @@
 #ifndef SSA_DB_TABLE_H_
 #define SSA_DB_TABLE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +21,9 @@ class Table {
 
   const std::string& name() const { return name_; }
   int num_columns() const { return static_cast<int>(column_names_.size()); }
-  int num_rows() const { return static_cast<int>(rows_.size()); }
+  int num_rows() const {
+    return static_cast<int>(cells_.size() / column_names_.size());
+  }
   const std::vector<std::string>& column_names() const {
     return column_names_;
   }
@@ -36,10 +37,15 @@ class Table {
   /// Appends a row; the value count must match the schema.
   void InsertRow(std::vector<Value> values);
   /// Deletes all rows.
-  void Clear() { rows_.clear(); }
+  void Clear() { cells_.clear(); }
 
   const Value& At(int row, int col) const;
   void Set(int row, int col, Value v);
+
+  /// The `num_columns()` cells of one row, contiguous. The pointer stays
+  /// valid until the next InsertRow or Clear.
+  const Value* Row(int row) const;
+  Value* MutableRow(int row);
 
   const Value& At(int row, const std::string& column) const {
     return At(row, MustColumn(column));
@@ -53,12 +59,14 @@ class Table {
 
   std::string name_;
   std::vector<std::string> column_names_;
-  std::vector<std::vector<Value>> rows_;
+  std::vector<Value> cells_;  // row-major, num_columns() per row
 };
 
 /// Named-table catalog: one per bidding program (its private tables) plus
 /// engine-level shared tables. Lookup is case-sensitive, matching the
-/// paper's examples (Keywords, Bids, Query).
+/// paper's examples (Keywords, Bids, Query). Tables are also numbered in
+/// the order they were added; a compiled program refers to them by that
+/// number.
 class Database {
  public:
   /// Creates and owns a table; the name must be unused.
@@ -67,8 +75,12 @@ class Database {
   Table* GetTable(const std::string& name);
   const Table* GetTable(const std::string& name) const;
 
+  int num_tables() const { return static_cast<int>(tables_.size()); }
+  Table* table(int index) { return tables_[index].get(); }
+  const Table* table(int index) const { return tables_[index].get(); }
+
  private:
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Table>> tables_;  // in AddTable order
 };
 
 }  // namespace ssa

@@ -14,23 +14,25 @@ const char* const kKeywords[] = {
     "COUNT",  "AVG",
 };
 
-std::string Upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(c));
-  return out;
+/// The keyword `ident` spells in any case, or nullptr. Compares in place:
+/// most identifiers differ from every keyword in length or first letter.
+const char* MatchKeyword(std::string_view ident) {
+  for (const char* kw : kKeywords) {
+    size_t i = 0;
+    while (i < ident.size() && kw[i] != '\0' &&
+           std::toupper(static_cast<unsigned char>(ident[i])) == kw[i]) {
+      ++i;
+    }
+    if (i == ident.size() && kw[i] == '\0') return kw;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-bool IsKeyword(const std::string& ident_upper) {
-  for (const char* kw : kKeywords) {
-    if (ident_upper == kw) return true;
-  }
-  return false;
-}
-
 StatusOr<std::vector<Token>> Tokenize(std::string_view source) {
   std::vector<Token> tokens;
+  tokens.reserve(source.size() / 4);
   size_t pos = 0;
   int line = 1;
   auto push = [&](TokenKind kind, std::string text = "", double num = 0) {
@@ -58,12 +60,11 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view source) {
               source[pos] == '_')) {
         ++pos;
       }
-      std::string ident(source.substr(start, pos - start));
-      std::string upper = Upper(ident);
-      if (IsKeyword(upper)) {
-        push(TokenKind::kKeyword, upper);
+      const std::string_view ident = source.substr(start, pos - start);
+      if (const char* kw = MatchKeyword(ident)) {
+        push(TokenKind::kKeyword, kw);
       } else {
-        push(TokenKind::kIdentifier, ident);
+        push(TokenKind::kIdentifier, std::string(ident));
       }
       continue;
     }

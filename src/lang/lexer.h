@@ -52,9 +52,6 @@ struct Token {
 /// their case. `--` starts a comment to end of line.
 StatusOr<std::vector<Token>> Tokenize(std::string_view source);
 
-/// True if `ident_upper` (already upper-cased) is a language keyword.
-bool IsKeyword(const std::string& ident_upper);
-
 }  // namespace lang
 }  // namespace ssa
 

@@ -1,5 +1,6 @@
 #include "strategy/program_strategy.h"
 
+#include <iterator>
 #include <utility>
 
 #include "core/formula_parser.h"
@@ -7,6 +8,24 @@
 
 namespace ssa {
 namespace {
+
+// The private tables' schemas (Figure 4) and the scalar slots of the
+// compiled program. Each enum indexes the name list below it.
+enum KeywordsColumn { kText, kFormula, kMaxBid, kRoi, kBid, kRelevance };
+const char* const kKeywordsColumns[] = {"text", "formula", "maxbid",
+                                        "roi",  "bid",     "relevance"};
+enum BidsColumn { kBidsFormula, kBidsValue };
+const char* const kBidsColumns[] = {"formula", "value"};
+enum ScalarSlot {
+  kAmtSpent,
+  kTime,
+  kTargetSpendRate,
+  kQueryKeyword,
+  kWonSlot,
+  kNumScalars
+};
+const char* const kScalarNames[kNumScalars] = {
+    "amtSpent", "time", "targetSpendRate", "queryKeyword", "wonSlot"};
 
 void EncodeTable(const Table& table, WireWriter* w) {
   w->PutU32(static_cast<uint32_t>(table.num_rows()));
@@ -68,15 +87,16 @@ StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
   StatusOr<lang::ParsedProgram> program = lang::ParseProgram(source);
   if (!program.ok()) return program.status();
   return std::unique_ptr<ProgramStrategy>(
-      new ProgramStrategy(*std::move(program), std::move(keywords)));
+      new ProgramStrategy(*program, std::move(keywords)));
 }
 
-ProgramStrategy::ProgramStrategy(lang::ParsedProgram program,
+ProgramStrategy::ProgramStrategy(const lang::ParsedProgram& program,
                                  std::vector<KeywordSpec> keywords)
-    : program_(std::move(program)), keywords_(std::move(keywords)) {
+    : keywords_(std::move(keywords)) {
   // Keywords table, one row per keyword (Figure 4 schema).
-  keywords_table_ = db_.AddTable(
-      "Keywords", {"text", "formula", "maxbid", "roi", "bid", "relevance"});
+  keywords_table_ =
+      db_.AddTable("Keywords", {std::begin(kKeywordsColumns),
+                                std::end(kKeywordsColumns)});
   for (const KeywordSpec& spec : keywords_) {
     keywords_table_->InsertRow({
         Value::String(spec.text),
@@ -88,15 +108,38 @@ ProgramStrategy::ProgramStrategy(lang::ParsedProgram program,
     });
   }
   // Bids table: one row per distinct formula, value rewritten per auction.
-  bids_table_ = db_.AddTable("Bids", {"formula", "value"});
-  for (const KeywordSpec& spec : keywords_) {
-    const std::string text = spec.formula.ToString();
+  bids_table_ = db_.AddTable(
+      "Bids", {std::begin(kBidsColumns), std::end(kBidsColumns)});
+  for (int kw = 0; kw < keywords_table_->num_rows(); ++kw) {
+    const std::string& text = keywords_table_->At(kw, kFormula).str();
     if (formula_rows_.find(text) == formula_rows_.end()) {
       formula_rows_[text] = bids_table_->num_rows();
       bids_table_->InsertRow({Value::String(text), Value::Number(0)});
-      row_formulas_.push_back(spec.formula);
+      row_formulas_.push_back(keywords_[kw].formula);
     }
   }
+  plan_ = lang::CompileProgram(
+      program, db_, {std::begin(kScalarNames), std::end(kScalarNames)});
+  query_event_ = plan_.FindEvent("Query");
+  slot_event_ = plan_.FindEvent("Slot");
+  click_event_ = plan_.FindEvent("Click");
+  purchase_event_ = plan_.FindEvent("Purchase");
+}
+
+void ProgramStrategy::Fire(int event, const Query& query,
+                           const AdvertiserAccount& account,
+                           std::optional<double> won_slot) {
+  // Section II-B: the provider automatically maintains commonly used
+  // variables. `wonSlot` exists only for the outcome triggers.
+  std::optional<double> scalars[kNumScalars];
+  scalars[kAmtSpent] = account.amount_spent;
+  scalars[kTime] = static_cast<double>(query.time);
+  scalars[kTargetSpendRate] = account.target_spend_rate;
+  scalars[kQueryKeyword] = static_cast<double>(query.keyword);
+  scalars[kWonSlot] = won_slot;
+  const Status status =
+      lang::Interpreter::Fire(plan_, event, &db_, scalars, kNumScalars);
+  SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
 
 void ProgramStrategy::MakeBids(const Query& query,
@@ -106,32 +149,20 @@ void ProgramStrategy::MakeBids(const Query& query,
   SSA_CHECK(account.num_keywords() == num_keywords);
   SSA_CHECK(static_cast<int>(query.relevance.size()) == num_keywords);
 
-  // Refresh the provider-maintained columns and scalars (Section II-B: the
-  // provider automatically maintains commonly used variables).
-  const int col_maxbid = keywords_table_->ColumnIndex("maxbid");
-  const int col_roi = keywords_table_->ColumnIndex("roi");
-  const int col_relevance = keywords_table_->ColumnIndex("relevance");
+  // Refresh the provider-maintained columns.
   for (int kw = 0; kw < num_keywords; ++kw) {
-    keywords_table_->Set(kw, col_maxbid, Value::Number(account.max_bid[kw]));
-    keywords_table_->Set(kw, col_roi, Value::Number(account.Roi(kw)));
-    keywords_table_->Set(kw, col_relevance,
-                         Value::Number(query.relevance[kw]));
+    Value* row = keywords_table_->MutableRow(kw);
+    row[kMaxBid] = Value::Number(account.max_bid[kw]);
+    row[kRoi] = Value::Number(account.Roi(kw));
+    row[kRelevance] = Value::Number(query.relevance[kw]);
   }
-  lang::ScalarEnv scalars;
-  scalars.Set("amtSpent", account.amount_spent);
-  scalars.Set("time", static_cast<double>(query.time));
-  scalars.Set("targetSpendRate", account.target_spend_rate);
-  scalars.Set("queryKeyword", static_cast<double>(query.keyword));
 
   // The engine "inserts" the query; AFTER INSERT ON Query triggers fire.
-  Status status =
-      lang::Interpreter::FireTriggers(program_, "Query", &db_, scalars);
-  SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
+  Fire(query_event_, query, account, std::nullopt);
 
   // Read the program's Bids table back out.
-  const int col_value = bids_table_->ColumnIndex("value");
   for (int row = 0; row < bids_table_->num_rows(); ++row) {
-    const Value& v = bids_table_->At(row, col_value);
+    const Value& v = bids_table_->Row(row)[kBidsValue];
     const Money value = v.is_number() ? v.number() : 0.0;
     bids->AddBid(row_formulas_[row], value < 0 ? 0 : value);
   }
@@ -140,25 +171,10 @@ void ProgramStrategy::MakeBids(const Query& query,
 void ProgramStrategy::OnOutcome(const Query& query,
                                 const AdvertiserAccount& account,
                                 SlotIndex slot, bool clicked, bool purchased) {
-  lang::ScalarEnv scalars;
-  scalars.Set("amtSpent", account.amount_spent);
-  scalars.Set("time", static_cast<double>(query.time));
-  scalars.Set("targetSpendRate", account.target_spend_rate);
-  scalars.Set("queryKeyword", static_cast<double>(query.keyword));
-  scalars.Set("wonSlot", static_cast<double>(slot + 1));
-
-  Status status =
-      lang::Interpreter::FireTriggers(program_, "Slot", &db_, scalars);
-  SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
-  if (clicked) {
-    status = lang::Interpreter::FireTriggers(program_, "Click", &db_, scalars);
-    SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
-  }
-  if (purchased) {
-    status =
-        lang::Interpreter::FireTriggers(program_, "Purchase", &db_, scalars);
-    SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
-  }
+  const double won_slot = static_cast<double>(slot + 1);
+  Fire(slot_event_, query, account, won_slot);
+  if (clicked) Fire(click_event_, query, account, won_slot);
+  if (purchased) Fire(purchase_event_, query, account, won_slot);
 }
 
 void ProgramStrategy::SaveState(std::string* out) const {
@@ -180,9 +196,8 @@ Status ProgramStrategy::RestoreState(std::string_view blob) {
   }
   formula_rows_.clear();
   row_formulas_.clear();
-  const int col_formula = bids_table_->ColumnIndex("formula");
   for (int row = 0; row < bids_table_->num_rows(); ++row) {
-    const Value& cell = bids_table_->At(row, col_formula);
+    const Value& cell = bids_table_->At(row, kBidsFormula);
     if (!cell.is_string()) {
       return Status::InvalidArgument("Bids formula cell is not a string");
     }
@@ -196,7 +211,7 @@ Status ProgramStrategy::RestoreState(std::string_view blob) {
 
 Money ProgramStrategy::TentativeBid(int kw) const {
   SSA_CHECK(kw >= 0 && kw < static_cast<int>(keywords_.size()));
-  return keywords_table_->At(kw, "bid").number();
+  return keywords_table_->At(kw, kBid).number();
 }
 
 }  // namespace ssa

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,18 @@ namespace ssa {
 /// Running the verbatim Figure 5 Equalize-ROI program through this class is
 /// behaviorally identical to the native RoiStrategy — the
 /// `lang_equivalence_test` locks that in.
+///
+/// The program is compiled once, in Create(), against the two tables and
+/// the scalars above; the strategy keeps only the compiled plan. Syntax
+/// errors fail Create(). Name errors do not: an unknown table, column or
+/// variable compiles into a node that fails when it is first evaluated
+/// (MakeBids / OnOutcome then abort with the language's error message), so
+/// a bad name in a branch that never runs is harmless, as it always was.
+/// Type errors (arithmetic on strings, aggregates over a string column)
+/// likewise surface only when executed. The plan is never written after
+/// Create(), so running one strategy on different threads from one auction
+/// to the next needs no more than the happens-before edge the engine
+/// already provides between its captures.
 class ProgramStrategy : public BiddingStrategy {
  public:
   /// Keyword metadata: display text and the bid formula per keyword.
@@ -36,9 +49,9 @@ class ProgramStrategy : public BiddingStrategy {
     Formula formula;
   };
 
-  /// Parses `source` and sets up the private tables. Returns an error on
-  /// parse failure or if the program references unknown tables/columns at
-  /// first execution.
+  /// Parses and compiles `source` and sets up the private tables. Returns
+  /// an error on parse failure; name and type errors surface at first
+  /// execution (see above).
   static StatusOr<std::unique_ptr<ProgramStrategy>> Create(
       std::string_view source, std::vector<KeywordSpec> keywords);
 
@@ -64,10 +77,14 @@ class ProgramStrategy : public BiddingStrategy {
   Money TentativeBid(int kw) const;
 
  private:
-  ProgramStrategy(lang::ParsedProgram program,
+  ProgramStrategy(const lang::ParsedProgram& program,
                   std::vector<KeywordSpec> keywords);
 
-  lang::ParsedProgram program_;
+  /// Fires the plan's triggers on `event` (an index from FindEvent),
+  /// aborting on a program error.
+  void Fire(int event, const Query& query, const AdvertiserAccount& account,
+            std::optional<double> won_slot);
+
   std::vector<KeywordSpec> keywords_;
   Database db_;
   Table* keywords_table_ = nullptr;
@@ -76,6 +93,12 @@ class ProgramStrategy : public BiddingStrategy {
   std::map<std::string, int> formula_rows_;
   /// Parsed Formula per bids_table_ row.
   std::vector<Formula> row_formulas_;
+  lang::CompiledProgram plan_;
+  /// FindEvent results for the Query, Slot, Click and Purchase triggers.
+  int query_event_ = -1;
+  int slot_event_ = -1;
+  int click_event_ = -1;
+  int purchase_event_ = -1;
 };
 
 }  // namespace ssa

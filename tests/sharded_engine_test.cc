@@ -11,6 +11,7 @@
 
 #include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
+#include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 #include "util/thread_pool.h"
 
@@ -171,6 +172,74 @@ TEST(ShardedEngineTest, PurchaseWorkloadMatchesBitwise) {
     }
     EXPECT_GT(purchases, 0);
   }
+}
+
+// Figure 5's Equalize-ROI program (the lang_equivalence_test form).
+constexpr const char kEqualizeRoi[] = R"sql(
+CREATE TRIGGER bid AFTER INSERT ON Query
+{
+  IF amtSpent < targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid + 1
+    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid < maxbid;
+  ELSEIF amtSpent > targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid - 1
+    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid > 0;
+  ENDIF;
+  UPDATE Bids SET value =
+    ( SELECT SUM( K.bid ) FROM Keywords K
+      WHERE K.relevance > 0.7 AND K.formula = Bids.formula );
+}
+)sql";
+
+/// One compiled Figure 5 program per advertiser, with keyword formulas
+/// cycling Click / Click & Slot1 / Purchase (written into the workload).
+std::vector<std::unique_ptr<BiddingStrategy>> ProgramStrategies(
+    Workload* workload) {
+  std::vector<ProgramStrategy::KeywordSpec> keywords;
+  workload->keyword_formulas.clear();
+  for (int kw = 0; kw < workload->config.num_keywords; ++kw) {
+    const Formula f = kw % 3 == 0   ? Formula::Click()
+                      : kw % 3 == 1 ? Formula::Click() && Formula::Slot(0)
+                                    : Formula::Purchase();
+    keywords.push_back({"kw" + std::to_string(kw), f});
+    workload->keyword_formulas.push_back(f);
+  }
+  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
+  for (int i = 0; i < workload->config.num_advertisers; ++i) {
+    auto program = ProgramStrategy::Create(kEqualizeRoi, keywords);
+    SSA_CHECK(program.ok());
+    strategies.push_back(*std::move(program));
+  }
+  return strategies;
+}
+
+TEST(ShardedEngineTest, PooledProgramStrategiesMatchSerialBitwise) {
+  // Interpreted programs captured by 2 shards on a 2-thread pool: a
+  // strategy's MakeBids runs on whichever pool thread picks up its shard,
+  // so from one auction to the next it moves between threads. Its compiled
+  // plan must hold no run state, or values go stale (and TSan, which runs
+  // this suite, flags the race).
+  WorkloadConfig wc = SmallConfig(67);
+  wc.num_keywords = 6;
+  wc.purchase_given_click = 0.5;
+  Workload w1 = MakePaperWorkload(wc);
+  Workload w2 = MakePaperWorkload(wc);
+  auto serial_strategies = ProgramStrategies(&w1);
+  auto pooled_strategies = ProgramStrategies(&w2);
+  EngineConfig engine_config;
+  engine_config.seed = 71;
+  ThreadPool pool(2);
+  ShardedEngineConfig sharded_config;
+  sharded_config.engine = engine_config;
+  sharded_config.num_shards = 2;
+  sharded_config.pool = &pool;
+  AuctionEngine single(engine_config, w1, std::move(serial_strategies));
+  ShardedAuctionEngine sharded(sharded_config, w2,
+                               std::move(pooled_strategies));
+  ExpectBitwiseEquivalent(&single, &sharded, 150);
+  EXPECT_GT(single.total_revenue(), 0.0);
 }
 
 TEST(ShardedEngineTest, ShardPartitionCoversPopulationOnce) {
