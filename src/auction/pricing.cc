@@ -33,6 +33,24 @@ std::vector<Money> PerClickPrices(PricingRule rule,
     if (a >= 0) is_winner[a] = 1;
   }
 
+  // GSP's reference point per slot: the largest marginal weight among the
+  // advertisers left without a slot, floored at +0.0. One unchecked
+  // row-major pass fills every slot's maximum; each slot still sees the
+  // advertisers in ascending order, and max is exact, so the values are
+  // those of a per-slot column scan bit for bit.
+  std::vector<double> r_next;
+  if (rule == PricingRule::kGeneralizedSecondPrice) {
+    r_next.assign(k, 0.0);
+    const double* unassigned = revenue.UnassignedData();
+    for (AdvertiserId other = 0; other < n; ++other) {
+      if (is_winner[other]) continue;
+      const double* row = revenue.Row(other);
+      for (SlotIndex j = 0; j < k; ++j) {
+        r_next[j] = std::max(r_next[j], row[j] - unassigned[other]);
+      }
+    }
+  }
+
   std::vector<Money> prices(k, 0.0);
   for (SlotIndex j = 0; j < k; ++j) {
     const AdvertiserId i = allocation.slot_to_advertiser[j];
@@ -44,13 +62,7 @@ std::vector<Money> PerClickPrices(PricingRule rule,
       prices[j] = std::max(0.0, own_bid);
       continue;
     }
-    // GSP: expected revenue of the best advertiser who received no slot.
-    double r_next = 0.0;
-    for (AdvertiserId other = 0; other < n; ++other) {
-      if (is_winner[other]) continue;
-      r_next = std::max(r_next, revenue.MarginalWeight(other, j));
-    }
-    prices[j] = std::max(0.0, std::min(own_bid, r_next / ctr));
+    prices[j] = std::max(0.0, std::min(own_bid, r_next[j] / ctr));
   }
   return prices;
 }

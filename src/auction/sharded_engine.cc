@@ -104,21 +104,16 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   WallTimer phase_timer;
   const int k = workload_.config.num_slots;
   const ClickModel& model = *workload_.click_model;
+  // Local per-slot top-k over the shard's rows — the leaf step of the
+  // Section III-E aggregation, with global advertiser ids so the merge is a
+  // plain re-offer. Each row is offered right after it is filled, while it
+  // is still in L1.
+  if (collect_topk) scratch->topk.Reset(k, std::max(k, 1));
+  const double* base = revenue->UnassignedData();
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     const CompiledBids& compiled = cache->Get(i, bids[i], k);
     FillRevenueRow(compiled, model, revenue, i);
-  }
-  if (!collect_topk) {
-    scratch->phase_ns +=
-        static_cast<int64_t>(phase_timer.ElapsedSeconds() * 1e9);
-    return;
-  }
-  // Local per-slot top-k over the shard's rows — the leaf step of the
-  // Section III-E aggregation, with global advertiser ids so the merge is a
-  // plain re-offer.
-  scratch->topk.Reset(k, std::max(k, 1));
-  const double* base = revenue->UnassignedData();
-  for (AdvertiserId i = range.begin; i < range.end; ++i) {
+    if (!collect_topk) continue;
     const double* row = revenue->Row(i);
     for (SlotIndex j = 0; j < k; ++j) {
       const double w = row[j] - base[i];

@@ -4,6 +4,19 @@
 #include <utility>
 
 namespace ssa {
+namespace {
+
+/// The (click, purchase) distribution from its three conditional
+/// probabilities — the one formula every model's distribution goes through.
+inline void ComposeDistribution(double pc, double ppc, double ppn,
+                                double prob[4]) {
+  prob[0] = (1.0 - pc) * (1.0 - ppn);
+  prob[1] = (1.0 - pc) * ppn;
+  prob[2] = pc * (1.0 - ppc);
+  prob[3] = pc * ppc;
+}
+
+}  // namespace
 
 void ClickModel::OutcomeDistribution(AdvertiserId i, SlotIndex slot,
                                      double prob[4]) const {
@@ -11,10 +24,13 @@ void ClickModel::OutcomeDistribution(AdvertiserId i, SlotIndex slot,
   const double pc = assigned ? ClickProbability(i, slot) : 0.0;
   const double ppc = assigned ? PurchaseProbabilityGivenClick(i, slot) : 0.0;
   const double ppn = assigned ? PurchaseProbabilityGivenNoClick(i, slot) : 0.0;
-  prob[0] = (1.0 - pc) * (1.0 - ppn);
-  prob[1] = (1.0 - pc) * ppn;
-  prob[2] = pc * (1.0 - ppc);
-  prob[3] = pc * ppc;
+  ComposeDistribution(pc, ppc, ppn, prob);
+}
+
+void ClickModel::OutcomeDistributions(AdvertiserId i, double* prob) const {
+  const int k = num_slots();
+  for (SlotIndex j = 0; j < k; ++j) OutcomeDistribution(i, j, prob + 4 * j);
+  OutcomeDistribution(i, kNoSlot, prob + 4 * k);
 }
 
 MatrixClickModel::MatrixClickModel(int num_advertisers, int num_slots,
@@ -61,10 +77,24 @@ void MatrixClickModel::OutcomeDistribution(AdvertiserId i, SlotIndex slot,
       assigned && !purchase_given_click_.empty() ? purchase_given_click_[idx]
                                                  : 0.0;
   // PurchaseProbabilityGivenNoClick is not overridden by this model: 0.
-  prob[0] = (1.0 - pc) * (1.0 - 0.0);
-  prob[1] = (1.0 - pc) * 0.0;
-  prob[2] = pc * (1.0 - ppc);
-  prob[3] = pc * ppc;
+  ComposeDistribution(pc, ppc, 0.0, prob);
+}
+
+void MatrixClickModel::OutcomeDistributions(AdvertiserId i,
+                                            double* prob) const {
+  // The revenue-row kernel's input: the advertiser's contiguous click and
+  // purchase rows read straight through, one bounds check per advertiser.
+  SSA_CHECK(i >= 0 && i < n_);
+  const size_t base = static_cast<size_t>(i) * k_;
+  const double* click = click_.data() + base;
+  const double* purchase = purchase_given_click_.empty()
+                               ? nullptr
+                               : purchase_given_click_.data() + base;
+  for (SlotIndex j = 0; j < k_; ++j) {
+    ComposeDistribution(click[j], purchase != nullptr ? purchase[j] : 0.0,
+                        0.0, prob + 4 * j);
+  }
+  ComposeDistribution(0.0, 0.0, 0.0, prob + 4 * k_);
 }
 
 SeparableClickModel::SeparableClickModel(std::vector<double> advertiser_factors,

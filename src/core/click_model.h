@@ -46,6 +46,13 @@ class ClickModel {
   /// revenue-matrix path is asserted bitwise-equal to the tree walk).
   virtual void OutcomeDistribution(AdvertiserId i, SlotIndex slot,
                                    double prob[4]) const;
+
+  /// All num_slots() + 1 distributions of advertiser i in one call:
+  /// prob[4 * j .. 4 * j + 3] is OutcomeDistribution(i, j) for slot j, and
+  /// the last four entries are the unassigned (kNoSlot) state — the layout
+  /// CompiledBids::ExpectedPayments consumes. The default loops
+  /// OutcomeDistribution; overrides must be bitwise equal to it.
+  virtual void OutcomeDistributions(AdvertiserId i, double* prob) const;
 };
 
 /// Click model backed by explicit per-(advertiser, slot) probability tables —
@@ -66,6 +73,7 @@ class MatrixClickModel : public ClickModel {
                                        SlotIndex j) const override;
   void OutcomeDistribution(AdvertiserId i, SlotIndex slot,
                            double prob[4]) const override;
+  void OutcomeDistributions(AdvertiserId i, double* prob) const override;
 
  private:
   int n_;

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace ssa {
 namespace {
 
@@ -118,14 +114,22 @@ class TruthCompiler {
 };
 
 // ---------------------------------------------------------------------------
-// The 4-bit mask kernel: acc[b] += value * ((mask >> b) & 1) for b in 0..3,
-// accumulated strictly in row order per lane. The four lanes are independent,
-// so the vector dimension is the *outcome* axis (4 doubles = one 256-bit
-// register), never the row axis — each lane still sums rows in order, which
-// keeps the result bitwise equal to the original scalar loop.
+// The 4-bit mask kernel. For every slot state s, lane b accumulates
+// value * ((mask >> b) & 1) over the rows strictly in row order, starting at
+// 0.0; the lanes are then combined as sum_b prob[b] * lane[b] in b order
+// over the terms with prob[b] != 0. That is exactly the tree walk's
+// arithmetic (value * 1.0 == value, value * 0.0 == +0.0), so every state's
+// result is bitwise ExpectedPayment's. The four lanes are independent, so
+// they travel as two packed pairs: SIMD over the outcome axis, never
+// reassociating any lane's sum.
 // ---------------------------------------------------------------------------
 
-#if defined(__AVX2__)
+/// Outcome lanes {b, b + 1} of one state, as a GCC/Clang vector: packed
+/// where the target has 128-bit SIMD, lowered to scalar code otherwise.
+/// Either way each element is a plain IEEE mul or add.
+typedef double LanePair __attribute__((vector_size(16)));
+/// The element-wise comparison result: all-ones where true, zero where not.
+using LaneMask = decltype(LanePair{} != LanePair{});
 
 /// 16-entry weight LUT: entry m is the (click, purchase) mask m expanded to
 /// four {0.0, 1.0} lanes.
@@ -141,63 +145,78 @@ constexpr LaneLut MakeLaneLut() {
 }
 constexpr LaneLut kLaneLut = MakeLaneLut();
 
-void AccumulateOutcomeLanes(const double* v, const uint8_t* m, size_t rows,
-                            double acc[4]) {
-  __m256d vacc = _mm256_setzero_pd();
-  for (size_t r = 0; r < rows; ++r) {
-    const __m256d w = _mm256_load_pd(kLaneLut.w[m[r] & 0xF]);
-    const __m256d value = _mm256_set1_pd(v[r]);
-    // Explicit mul + add (no fused multiply-add): matches the scalar path's
-    // two roundings, so the lanes stay bitwise identical across builds.
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(value, w));
+inline LanePair LoadPair(const double* p) {
+  LanePair v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// `x` where `keep` is all-ones, +0.0 (all bits clear) where it is zero.
+inline LanePair KeepLanes(LanePair x, LaneMask keep) {
+  LaneMask bits;
+  __builtin_memcpy(&bits, &x, sizeof bits);
+  bits &= keep;
+  __builtin_memcpy(&x, &bits, sizeof x);
+  return x;
+}
+
+/// States accumulated per walk of the rows: 16 covers a 15-slot page (plus
+/// unassigned) in one walk; longer pages take one walk per block.
+constexpr int kStateBlock = 16;
+
+/// One state's expected payment from its lanes: sum_b p[b] * lane[b] in b
+/// order over the terms with p[b] != 0. A skipped term enters as an exact
+/// +0.0 instead of a branch: the sum starts at +0.0 and, under
+/// round-to-nearest, x + y is -0.0 only if both are -0.0, so the sum is
+/// never -0.0 and adding +0.0 leaves it unchanged bit for bit.
+inline Money CombineLanes(const double* p, LanePair lane01, LanePair lane23) {
+  const LanePair zero = {0.0, 0.0};
+  const LanePair p01 = LoadPair(p);
+  const LanePair p23 = LoadPair(p + 2);
+  const LanePair t01 = KeepLanes(p01 * lane01, p01 != zero);
+  const LanePair t23 = KeepLanes(p23 * lane23, p23 != zero);
+  Money expected = 0;
+  expected += t01[0];
+  expected += t01[1];
+  expected += t23[0];
+  expected += t23[1];
+  return expected;
+}
+
+/// Expected payments of `count` (<= kStateBlock) consecutive states. `m` is
+/// the first state's mask column (state s's masks start at m + s * rows),
+/// `prob` holds 4 entries per state, and emit(s, payment) receives state
+/// s's result. Forced inline so each caller's emit folds into the loop.
+template <typename Emit>
+__attribute__((always_inline)) inline void ExpectedPaymentBlock(
+    const double* v, const uint8_t* m, size_t rows, int count,
+    const double* prob, Emit emit) {
+  const LanePair zero = {0.0, 0.0};
+  if (rows == 1) {
+    // One-row tables (a plain Click bid): each lane is 0.0 + value * w,
+    // combined straight away.
+    const LanePair value = {v[0], v[0]};
+    for (int s = 0; s < count; ++s) {
+      const double* w = kLaneLut.w[m[s] & 0xF];
+      emit(s, CombineLanes(prob + 4 * s, zero + value * LoadPair(w),
+                           zero + value * LoadPair(w + 2)));
+    }
+    return;
   }
-  _mm256_storeu_pd(acc, vacc);
-}
-
-#else  // portable SWAR path
-
-/// Spreads the 4 mask bits into the four 16-bit lanes of one 64-bit word:
-/// bit b of `mask` lands at bit 16*b. The multiplier places copies of the
-/// mask at shifts {0, 15, 30, 45}; the contribution ranges (0-3, 15-18,
-/// 30-33, 45-48) are disjoint, so there are no carries to mask off.
-inline uint64_t SpreadMaskLanes(uint64_t mask) {
-  return (mask * 0x0000200040008001ULL) & 0x0001000100010001ULL;
-}
-
-void AccumulateOutcomeLanes(const double* v, const uint8_t* m, size_t rows,
-                            double acc[4]) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  LanePair acc[kStateBlock][2];
+  for (int s = 0; s < count; ++s) acc[s][0] = acc[s][1] = zero;
   for (size_t r = 0; r < rows; ++r) {
-    const double value = v[r];
-    const uint64_t lanes = SpreadMaskLanes(m[r] & 0xF);
-    // Materialize each lane's {0.0, 1.0} weight branch-free as an IEEE-754
-    // bit pattern (0 - bit is all-ones or zero; AND keeps the exponent of
-    // 1.0). value * 1.0 == value and value * 0.0 == +0.0 exactly, so the
-    // accumulation is bit-for-bit the original conditional sum. The fixed
-    // 4-wide pattern below is a single independent mul+add per lane, which
-    // compilers turn into packed SIMD without reassociating any lane's sum.
-    const uint64_t kOne = 0x3FF0000000000000ULL;  // bits of 1.0
-    double w0, w1, w2, w3;
-    uint64_t b0 = (0 - ((lanes >> 0) & 1u)) & kOne;
-    uint64_t b1 = (0 - ((lanes >> 16) & 1u)) & kOne;
-    uint64_t b2 = (0 - ((lanes >> 32) & 1u)) & kOne;
-    uint64_t b3 = (0 - ((lanes >> 48) & 1u)) & kOne;
-    __builtin_memcpy(&w0, &b0, sizeof w0);
-    __builtin_memcpy(&w1, &b1, sizeof w1);
-    __builtin_memcpy(&w2, &b2, sizeof w2);
-    __builtin_memcpy(&w3, &b3, sizeof w3);
-    a0 += value * w0;
-    a1 += value * w1;
-    a2 += value * w2;
-    a3 += value * w3;
+    const LanePair value = {v[r], v[r]};
+    for (int s = 0; s < count; ++s) {
+      const double* w = kLaneLut.w[m[s * rows + r] & 0xF];
+      acc[s][0] += value * LoadPair(w);
+      acc[s][1] += value * LoadPair(w + 2);
+    }
   }
-  acc[0] = a0;
-  acc[1] = a1;
-  acc[2] = a2;
-  acc[3] = a3;
+  for (int s = 0; s < count; ++s) {
+    emit(s, CombineLanes(prob + 4 * s, acc[s][0], acc[s][1]));
+  }
 }
-
-#endif  // __AVX2__
 
 uint64_t HashCombine(uint64_t seed, uint64_t v) {
   // splitmix64-style mix of the incoming value, folded into the seed.
@@ -296,19 +315,25 @@ Money CompiledBids::Payment(const AdvertiserOutcome& outcome) const {
 
 Money CompiledBids::ExpectedPayment(SlotIndex slot,
                                     const double prob[4]) const {
-  // Four per-outcome payment accumulators filled in one branch-free SIMD
-  // pass over the contiguous rows; each equals Payment() for that outcome.
-  double acc[4];
-  AccumulateOutcomeLanes(values_.data(), MasksForSlot(slot), values_.size(),
-                         acc);
-  // Same zero-skip and accumulation order as the tree-walking
-  // ExpectedPayment's (click, purchase) loop => bitwise-equal results.
   Money expected = 0;
-  for (int b = 0; b < 4; ++b) {
-    if (prob[b] == 0.0) continue;
-    expected += prob[b] * acc[b];
-  }
+  ExpectedPaymentBlock(values_.data(), MasksForSlot(slot), values_.size(), 1,
+                       prob, [&](int, Money x) { expected = x; });
   return expected;
+}
+
+void CompiledBids::ExpectedPayments(const double* prob, double* slot_out,
+                                    double* unassigned_out) const {
+  const size_t rows = values_.size();
+  const int states = k_ + 1;
+  for (int first = 0; first < states; first += kStateBlock) {
+    ExpectedPaymentBlock(
+        values_.data(), masks_.data() + static_cast<size_t>(first) * rows,
+        rows, std::min(kStateBlock, states - first), prob + 4 * first,
+        [first, k = k_, slot_out, unassigned_out](int s, Money x) {
+          const int state = first + s;
+          *(state < k ? slot_out + state : unassigned_out) = x;
+        });
+  }
 }
 
 uint64_t FingerprintBids(const BidsTable& bids) {

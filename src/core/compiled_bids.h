@@ -23,12 +23,11 @@ namespace ssa {
 /// is a single bottom-up walk per row (each node costs O(k) byte ops), so it
 /// amortizes after roughly one ExpectedPayment call.
 ///
-/// The four outcome accumulators are the kernel's vector dimension: the
-/// portable build packs the 4 mask bits into 64-bit SWAR lanes and expands
-/// them to {0.0, 1.0} weights branch-free (compilers vectorize the fixed
-/// 4-wide mul+add), and AVX2 builds (-mavx2 / SSA_NATIVE) use a 256-bit
-/// specialization. Rows are never reassociated across lanes, so every build
-/// flavor produces identical bits.
+/// The four outcome accumulators are the kernel's vector dimension: each
+/// 4-bit mask indexes a 16-entry LUT of {0.0, 1.0} lane weights, and the
+/// fixed 4-wide mul + add per row vectorizes without reassociating any
+/// lane, so every build flavor produces identical bits. ExpectedPayments
+/// fills all k + 1 slot states of an advertiser in one walk of its rows.
 ///
 /// Numerical contract: the compiled evaluators reproduce the tree-walking
 /// `BidsTable::Payment` / `ExpectedPayment` results *bit for bit* — values
@@ -73,6 +72,15 @@ class CompiledBids {
   /// ExpectedPayment when `prob` comes from OutcomeProbabilities /
   /// HeavyOutcomeProbabilities.
   Money ExpectedPayment(SlotIndex slot, const double prob[4]) const;
+
+  /// ExpectedPayment for every slot state at once, in one walk of the rows
+  /// per 16 states: `prob` holds num_slots() + 1 distributions of 4 entries
+  /// in ClickModel::OutcomeDistributions order (slots, then unassigned);
+  /// slot_out[j] receives slot j's payment and *unassigned_out the
+  /// unassigned state's. Each result is bitwise ExpectedPayment's — both
+  /// run the same accumulation routine.
+  void ExpectedPayments(const double* prob, double* slot_out,
+                        double* unassigned_out) const;
 
   /// Dense-kernel access: row values and the per-slot mask column
   /// (`slot == kNoSlot` selects the unassigned state). One byte per row.

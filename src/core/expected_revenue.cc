@@ -55,19 +55,19 @@ Money ExpectedPayment(const BidsTable& bids, const ClickModel& model,
   return expected;
 }
 
-/// Per slot, one branch-free pass over the advertiser's contiguous
-/// values/masks.
+/// All k + 1 distributions in one model call, then all k + 1 expected
+/// payments in one walk of the advertiser's compiled rows.
 void FillRevenueRow(const CompiledBids& compiled, const ClickModel& model,
                     RevenueMatrix* matrix, AdvertiserId i) {
   const int k = matrix->num_slots();
-  double prob[4];
-  double* row = matrix->MutableRow(i);
-  for (SlotIndex j = 0; j < k; ++j) {
-    OutcomeProbabilities(model, i, j, prob);
-    row[j] = compiled.ExpectedPayment(j, prob);
-  }
-  OutcomeProbabilities(model, i, kNoSlot, prob);
-  matrix->MutableUnassignedData()[i] = compiled.ExpectedPayment(kNoSlot, prob);
+  SSA_CHECK(compiled.num_slots() == k && model.num_slots() == k);
+  SSA_CHECK(i >= 0 && i < matrix->num_advertisers());
+  // Per-thread scratch, sized once per page length.
+  thread_local std::vector<double> prob;
+  prob.resize(4 * static_cast<size_t>(k + 1));
+  model.OutcomeDistributions(i, prob.data());
+  compiled.ExpectedPayments(prob.data(), matrix->MutableRow(i),
+                            matrix->MutableUnassignedData() + i);
 }
 
 RevenueMatrix BuildRevenueMatrix(const std::vector<BidsTable>& bids,

@@ -137,8 +137,12 @@ RevenueMatrix BuildRevenueMatrixCompiled(
 /// Fills advertiser i's row of `matrix` (its k assigned entries plus the
 /// unassigned baseline) from its compiled rows — the per-advertiser unit of
 /// BuildRevenueMatrixCompiled, exported so sharded engines can stream rows
-/// straight out of per-shard compiled-bids caches. Touches only row i, so
-/// disjoint advertisers fill concurrently with bitwise-deterministic output.
+/// straight out of per-shard compiled-bids caches. One
+/// ClickModel::OutcomeDistributions call, then one walk of the compiled
+/// rows for every slot state (CompiledBids::ExpectedPayments). Touches only
+/// row i, so disjoint advertisers fill concurrently with
+/// bitwise-deterministic output. `compiled` and `model` must both be for
+/// matrix->num_slots() slots.
 void FillRevenueRow(const CompiledBids& compiled, const ClickModel& model,
                     RevenueMatrix* matrix, AdvertiserId i);
 

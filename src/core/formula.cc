@@ -13,18 +13,39 @@ Formula Formula::Make(Op op, SlotIndex slot, std::vector<Formula> children) {
   return Formula(std::move(node));
 }
 
-Formula::Formula() : node_(nullptr) { *this = True(); }
+Formula Formula::Immortal(const Node* node) {
+  return Formula(std::shared_ptr<const Node>(std::shared_ptr<const Node>(),
+                                             node));
+}
 
-Formula Formula::True() { return Make(Op::kTrue, kNoSlot, {}); }
-Formula Formula::False() { return Make(Op::kFalse, kNoSlot, {}); }
+Formula::Formula() : Formula(True()) {}
+
+// The leaf nodes are leaked on purpose: a function-local pointer keeps them
+// reachable (so leak checkers stay quiet) and nothing ever frees them.
+Formula Formula::True() {
+  static const Node* const node = new Node{Op::kTrue};
+  return Immortal(node);
+}
+
+Formula Formula::False() {
+  static const Node* const node = new Node{Op::kFalse};
+  return Immortal(node);
+}
 
 Formula Formula::Slot(SlotIndex j) {
   SSA_CHECK(j >= 0);
   return Make(Op::kSlot, j, {});
 }
 
-Formula Formula::Click() { return Make(Op::kClick, kNoSlot, {}); }
-Formula Formula::Purchase() { return Make(Op::kPurchase, kNoSlot, {}); }
+Formula Formula::Click() {
+  static const Node* const node = new Node{Op::kClick};
+  return Immortal(node);
+}
+
+Formula Formula::Purchase() {
+  static const Node* const node = new Node{Op::kPurchase};
+  return Immortal(node);
+}
 
 Formula Formula::HeavyInSlot(SlotIndex j) {
   SSA_CHECK(j >= 0);

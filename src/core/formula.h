@@ -21,7 +21,11 @@ namespace ssa {
 ///                       (Section III-F extension).
 ///
 /// Formulas are immutable trees shared by value (shallow copies share
-/// subtree nodes). All formulas over these predicates are 1-dependent in the
+/// subtree nodes). The argument-free leaves (True, False, Click, Purchase)
+/// are process-lifetime singletons held without a reference count, so
+/// copying or destroying one does no atomic read-modify-write — strategies
+/// on different threads copy the same Click() leaf into their bid tables
+/// every auction. All formulas over these predicates are 1-dependent in the
 /// sense of Definition 1, which is what makes winner determination reduce to
 /// bipartite matching (Theorem 2); `DependsOnlyOnOwnPlacement()` reports
 /// whether a formula avoids the heavyweight predicates and hence fits the
@@ -41,9 +45,12 @@ class Formula {
   };
 
   /// Constructs the constant-true formula (default so containers work).
+  /// Allocation-free: it shares the True() singleton.
   Formula();
 
   // -- Leaf constructors -----------------------------------------------------
+  // True/False/Click/Purchase return the same immortal node on every call
+  // (pointer-equal); Slot and HeavyInSlot allocate.
 
   static Formula True();
   static Formula False();
@@ -109,6 +116,10 @@ class Formula {
   explicit Formula(std::shared_ptr<const Node> node)
       : node_(std::move(node)) {}
   static Formula Make(Op op, SlotIndex slot, std::vector<Formula> children);
+  /// Wraps a never-destroyed node in an aliasing shared_ptr with an empty
+  /// owner: no control block, so copies and destructions touch no counter,
+  /// and copies made during static destruction stay valid.
+  static Formula Immortal(const Node* node);
 
   std::shared_ptr<const Node> node_;
 };

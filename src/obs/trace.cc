@@ -86,12 +86,20 @@ void Tracer::RecordSpan(uint64_t trace_seq, TraceStage stage, int32_t track,
   const uint64_t slot =
       cursor_.fetch_add(1, std::memory_order_relaxed) & (capacity_ - 1);
   TraceSpan& cell = ring_[slot];
-  // Per-cell seqlock: bump to odd, publish fields, bump to even. A reader
-  // that observes an odd or changed version discards the cell; a second
-  // writer lapping the ring onto this cell while we are mid-write simply
-  // loses one span — acceptable for a best-effort overwriting ring.
-  const uint64_t v0 = cell.version.load(std::memory_order_relaxed);
-  cell.version.store(v0 + 1, std::memory_order_release);
+  // Per-cell seqlock. The writer claims the cell with a CAS from an even
+  // version to the next odd one; if the cell is mid-write (odd) or another
+  // writer lapping the ring claims it first (CAS fails), this span is
+  // dropped — two writers never publish into one cell, so Drain can never
+  // accept a torn span. The release fence orders the odd version before the
+  // field stores (pairs with Drain's acquire fence); the final release
+  // store publishes the fields with the next even version.
+  uint64_t v0 = cell.version.load(std::memory_order_relaxed);
+  if ((v0 & 1) != 0 ||
+      !cell.version.compare_exchange_strong(v0, v0 + 1,
+                                            std::memory_order_relaxed)) {
+    return;
+  }
+  std::atomic_thread_fence(std::memory_order_release);
   cell.seq.store(trace_seq, std::memory_order_relaxed);
   cell.start_ns.store(start_ns, std::memory_order_relaxed);
   cell.end_ns.store(end_ns, std::memory_order_relaxed);

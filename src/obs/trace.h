@@ -65,14 +65,16 @@ struct TraceEvent {
 /// Fixed-size lock-free overwriting span ring with deterministic 1-in-N
 /// sampling.
 ///
-/// Write path: one relaxed fetch_add on the ring cursor plus six relaxed
-/// stores behind a per-cell seqlock version — wait-free, allocation-free,
-/// safe from the executor, the planning lanes, and producer threads
-/// concurrently. When the ring wraps, old spans are overwritten; if two
-/// writers ever collide on the same cell a full wrap apart, the seqlock
-/// keeps the data race benign (readers discard cells whose version is odd
-/// or changed mid-read) at the cost of dropping that cell. Tracing is
-/// best-effort by design: it must never block or perturb the pipeline.
+/// Write path: one relaxed fetch_add on the ring cursor, a CAS claiming
+/// the cell's seqlock version (even -> odd), and relaxed field stores —
+/// wait-free, allocation-free, safe from the executor, the planning lanes,
+/// and producer threads concurrently. When the ring wraps, old spans are
+/// overwritten. Two writers a full wrap apart can land on the same cell:
+/// only the one whose CAS succeeds writes it, and the other drops its span
+/// (it never retries or waits). Readers discard cells whose version is odd
+/// or changed mid-read, so a drained span is never a mix of two writes.
+/// Tracing is best-effort by design: it must never block or perturb the
+/// pipeline.
 ///
 /// Track-id scheme (rendered as Chrome trace tids):
 ///   0            executor thread
@@ -109,8 +111,8 @@ class Tracer {
   void RecordSpan(uint64_t trace_seq, TraceStage stage, int32_t track,
                   uint64_t start_ns, uint64_t end_ns);
 
-  /// Number of spans dropped to cell contention plus spans overwritten by
-  /// ring wrap-around (approximate).
+  /// Spans offered to the ring (its cursor), including those since
+  /// overwritten by wrap-around or dropped on a lost cell claim.
   uint64_t spans_recorded() const {
     return cursor_.load(std::memory_order_relaxed);
   }

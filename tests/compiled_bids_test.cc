@@ -4,6 +4,8 @@
 // representation change), and the engine's fingerprint cache must
 // invalidate exactly when table content changes.
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,9 +117,9 @@ TEST(CompiledBidsTest, ExpectedPaymentMatchesTreeWalkExactly) {
 
 /// The pre-SIMD scalar mask kernel, reimplemented over the public dense
 /// accessors: four row-order accumulators with (mask >> b) & 1 weights,
-/// then the zero-skipping probability combine. The production kernel (SWAR
-/// lane packing, or the AVX2 specialization when built with -mavx2) must
-/// reproduce it bit for bit — the SIMD path may never reassociate a lane.
+/// then the zero-skipping probability combine. The production kernel
+/// (packed lane pairs, branch-free combine) must reproduce it bit for bit —
+/// the SIMD path may never reassociate a lane.
 Money ScalarReferenceExpectedPayment(const CompiledBids& compiled,
                                      SlotIndex slot, const double prob[4]) {
   const double* v = compiled.values();
@@ -200,29 +202,156 @@ TEST(CompiledBidsTest, CompileRejectsHeavyFormulas) {
   EXPECT_DEATH(CompiledBids::Compile(bids, 3), "CompileHeavy");
 }
 
-TEST(BuildRevenueMatrixTest, CompiledMatchesBaselineBitForBit) {
-  Rng rng(99);
-  const int n = 40;
-  const int k = 7;
-  const MatrixClickModel model = RandomModel(rng, n, k);
-  std::vector<BidsTable> bids;
-  bids.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    bids.push_back(RandomTable(rng, k, /*allow_heavy=*/false));
+/// Multi-row tables built to hit the row kernel's corners: 2..8 rows,
+/// zero values, and `!Slot` rows (true in every state but one, including
+/// unassigned).
+BidsTable MultiRowTable(Rng& rng, int num_slots) {
+  BidsTable bids;
+  const int rows = 2 + static_cast<int>(rng.NextBounded(7));
+  for (int r = 0; r < rows; ++r) {
+    const SlotIndex j = static_cast<SlotIndex>(rng.NextBounded(num_slots));
+    Formula f;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        f = !Formula::Slot(j);
+        break;
+      case 1:
+        f = !Formula::Slot(j) && Formula::Click();
+        break;
+      case 2:
+        f = Formula::Purchase();
+        break;
+      default:
+        f = RandomFormula(rng, 3, num_slots, /*allow_heavy=*/false);
+        break;
+    }
+    const Money value =
+        rng.Bernoulli(0.3) ? 0.0 : static_cast<Money>(rng.UniformInt(1, 50));
+    bids.AddBid(f, value);
+  }
+  return bids;
+}
+
+/// Purchases after no click: overrides only the per-quantity virtuals, so
+/// both distribution fetches take the ClickModel defaults.
+class NoClickPurchaseModel : public ClickModel {
+ public:
+  NoClickPurchaseModel(MatrixClickModel base, std::vector<double> no_click)
+      : base_(std::move(base)), no_click_(std::move(no_click)) {}
+  int num_advertisers() const override { return base_.num_advertisers(); }
+  int num_slots() const override { return base_.num_slots(); }
+  double ClickProbability(AdvertiserId i, SlotIndex j) const override {
+    return base_.ClickProbability(i, j);
+  }
+  double PurchaseProbabilityGivenClick(AdvertiserId i,
+                                       SlotIndex j) const override {
+    return base_.PurchaseProbabilityGivenClick(i, j);
+  }
+  double PurchaseProbabilityGivenNoClick(AdvertiserId i,
+                                         SlotIndex j) const override {
+    return no_click_[static_cast<size_t>(i) * num_slots() + j];
   }
 
-  const RevenueMatrix baseline = BuildRevenueMatrixBaseline(bids, model);
-  const RevenueMatrix compiled = BuildRevenueMatrix(bids, model);
-  ThreadPool pool(3);
-  const RevenueMatrix parallel = BuildRevenueMatrix(bids, model, &pool);
+ private:
+  MatrixClickModel base_;
+  std::vector<double> no_click_;
+};
 
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(compiled.AtUnassigned(i), baseline.AtUnassigned(i));
-    EXPECT_EQ(parallel.AtUnassigned(i), baseline.AtUnassigned(i));
-    for (int j = 0; j < k; ++j) {
-      EXPECT_EQ(compiled.At(i, j), baseline.At(i, j)) << i << "," << j;
-      EXPECT_EQ(parallel.At(i, j), baseline.At(i, j)) << i << "," << j;
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// Every build path — serial, pooled, and over pre-compiled rows — must
+/// reproduce the tree-walking baseline bit for bit.
+void ExpectBuildsMatchBaseline(const std::vector<BidsTable>& bids,
+                               const ClickModel& model) {
+  const int n = static_cast<int>(bids.size());
+  const int k = model.num_slots();
+  std::vector<CompiledBids> compiled;
+  std::vector<const CompiledBids*> view;
+  compiled.reserve(n);
+  for (const BidsTable& table : bids) {
+    compiled.push_back(CompiledBids::Compile(table, k));
+    view.push_back(&compiled.back());
+  }
+  ThreadPool pool(3);
+  const RevenueMatrix baseline = BuildRevenueMatrixBaseline(bids, model);
+  const RevenueMatrix builds[] = {
+      BuildRevenueMatrix(bids, model),
+      BuildRevenueMatrix(bids, model, &pool),
+      BuildRevenueMatrixCompiled(view, model),
+  };
+  for (const RevenueMatrix& built : builds) {
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(built.AtUnassigned(i)), Bits(baseline.AtUnassigned(i)))
+          << bids[i].ToString();
+      for (int j = 0; j < k; ++j) {
+        EXPECT_EQ(Bits(built.At(i, j)), Bits(baseline.At(i, j)))
+            << i << "," << j << " " << bids[i].ToString();
+      }
     }
+  }
+}
+
+TEST(BuildRevenueMatrixTest, CompiledMatchesBaselineBitForBit) {
+  Rng rng(99);
+  {
+    SCOPED_TRACE("random tables, matrix model");
+    const int n = 40, k = 7;
+    std::vector<BidsTable> bids;
+    for (int i = 0; i < n; ++i) {
+      bids.push_back(RandomTable(rng, k, /*allow_heavy=*/false));
+    }
+    ExpectBuildsMatchBaseline(bids, RandomModel(rng, n, k));
+  }
+  {
+    SCOPED_TRACE("purchase without a click: default ClickModel path");
+    const int n = 30, k = 6;
+    std::vector<double> no_click(static_cast<size_t>(n) * k);
+    for (double& p : no_click) {
+      p = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.0, 0.2);
+    }
+    const NoClickPurchaseModel model(RandomModel(rng, n, k), no_click);
+    std::vector<BidsTable> bids;
+    for (int i = 0; i < n; ++i) {
+      bids.push_back(i % 2 == 0 ? RandomTable(rng, k, false)
+                                : MultiRowTable(rng, k));
+    }
+    ExpectBuildsMatchBaseline(bids, model);
+  }
+  {
+    SCOPED_TRACE("separable model");
+    const int n = 30, k = 9;
+    std::vector<double> advertiser(n), slot(k);
+    for (double& f : advertiser) f = rng.Uniform(0.2, 1.0);
+    for (int j = 0; j < k; ++j) slot[j] = 0.9 * (k - j) / k;
+    const SeparableClickModel model(advertiser, slot,
+                                    /*purchase_given_click=*/0.3);
+    std::vector<BidsTable> bids;
+    for (int i = 0; i < n; ++i) bids.push_back(MultiRowTable(rng, k));
+    ExpectBuildsMatchBaseline(bids, model);
+  }
+  {
+    SCOPED_TRACE("multi-row tables with zero values and !Slot rows");
+    const int n = 50, k = 15;
+    std::vector<BidsTable> bids;
+    for (int i = 0; i < n; ++i) bids.push_back(MultiRowTable(rng, k));
+    ExpectBuildsMatchBaseline(bids, RandomModel(rng, n, k));
+  }
+  {
+    SCOPED_TRACE("k = 70: more slot states than one kernel block");
+    const int n = 20, k = 70;
+    std::vector<BidsTable> bids;
+    for (int i = 0; i < n; ++i) {
+      BidsTable one_row;
+      one_row.AddBid(Formula::Click(), 1 + i);
+      bids.push_back(i % 3 == 0   ? one_row
+                     : i % 3 == 1 ? MultiRowTable(rng, k)
+                                  : RandomTable(rng, k, false));
+    }
+    ExpectBuildsMatchBaseline(bids, RandomModel(rng, n, k));
   }
 }
 

@@ -1,4 +1,5 @@
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +97,80 @@ TEST(FormulaTest, StructuralEquality) {
   const Formula c = Formula::Slot(0) && Formula::Click();
   EXPECT_TRUE(a.StructurallyEquals(b));
   EXPECT_FALSE(a.StructurallyEquals(c));  // structural, not semantic
+}
+
+// The argument-free leaves are process-lifetime singletons: every call (and
+// the default constructor) hands out the same node — observable through the
+// address of the node's children vector — while Slot still allocates.
+TEST(FormulaTest, LeafSingletonsArePointerEqual) {
+  EXPECT_EQ(&Formula::True().children(), &Formula::True().children());
+  EXPECT_EQ(&Formula::False().children(), &Formula::False().children());
+  EXPECT_EQ(&Formula::Click().children(), &Formula::Click().children());
+  EXPECT_EQ(&Formula::Purchase().children(), &Formula::Purchase().children());
+  EXPECT_EQ(&Formula().children(), &Formula::True().children());
+  EXPECT_NE(&Formula::Click().children(), &Formula::Purchase().children());
+  EXPECT_NE(&Formula::Slot(0).children(), &Formula::Slot(0).children());
+  auto parsed = ParseFormula("Click");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(&parsed->children(), &Formula::Click().children());
+}
+
+// Sharing one node changes nothing observable about the leaves.
+TEST(FormulaTest, LeafSingletonsBehaveAsBefore) {
+  const Formula leaves[] = {Formula::True(), Formula::False(),
+                            Formula::Click(), Formula::Purchase()};
+  const char* names[] = {"True", "False", "Click", "Purchase"};
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_EQ(leaves[l].ToString(), names[l]);
+    EXPECT_TRUE(leaves[l].children().empty());
+    EXPECT_EQ(leaves[l].MaxSlotIndex(), kNoSlot);
+    EXPECT_TRUE(leaves[l].DependsOnlyOnOwnPlacement());
+    for (int m = 0; m < 4; ++m) {
+      EXPECT_EQ(leaves[l].StructurallyEquals(leaves[m]), l == m);
+    }
+    for (SlotIndex slot : {kNoSlot, 0, 3}) {
+      for (int c = 0; c < 2; ++c) {
+        for (int p = 0; p < 2; ++p) {
+          const bool want = l == 0 ? true : l == 1 ? false : l == 2 ? c : p;
+          EXPECT_EQ(leaves[l].Evaluate(Outcome(slot, c, p)), want);
+        }
+      }
+    }
+  }
+  // Composites over the shared leaves still compare structurally.
+  EXPECT_TRUE((Formula::Click() && Formula::Slot(0))
+                  .StructurallyEquals(Formula::Click() && Formula::Slot(0)));
+  EXPECT_FALSE(Formula::Click().StructurallyEquals(Formula::Slot(0)));
+}
+
+// Strategies on different threads copy the same Click() leaf into their bid
+// tables every auction; concurrent copies and destructions must be safe
+// (the TSan job runs this test).
+TEST(FormulaTest, ConcurrentLeafCopiesAreSafe) {
+  constexpr int kThreads = 4;
+  constexpr int kCopies = 20000;
+  std::vector<std::thread> threads;
+  std::vector<int> clicked(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &clicked] {
+      std::vector<Formula> copies;
+      copies.reserve(64);
+      for (int c = 0; c < kCopies; ++c) {
+        copies.push_back(Formula::Click());
+        if (copies.size() == 64) {
+          for (const Formula& f : copies) {
+            clicked[t] += f.Evaluate(Outcome(0, true, false)) ? 1 : 0;
+          }
+          copies.clear();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(clicked[t], kCopies / 64 * 64);
+  }
+  EXPECT_EQ(Formula::Click().ToString(), "Click");
 }
 
 // --- Parser -----------------------------------------------------------------

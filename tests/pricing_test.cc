@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "auction/pricing.h"
@@ -80,6 +85,91 @@ TEST(PricingTest, GspBoundedByOwnBid) {
                          model.ClickProbability(i, j);
       EXPECT_GE(prices[j], 0.0);
       EXPECT_LE(prices[j], own + 1e-9);
+    }
+  }
+}
+
+/// GSP the way it was first written: for each filled slot, one column scan
+/// over every advertiser through the checked MarginalWeight.
+std::vector<Money> ColumnScanGspPrices(const RevenueMatrix& revenue,
+                                       const ClickModel& model,
+                                       const Allocation& allocation) {
+  const int n = revenue.num_advertisers();
+  const int k = revenue.num_slots();
+  std::vector<char> is_winner(n, 0);
+  for (AdvertiserId a : allocation.slot_to_advertiser) {
+    if (a >= 0) is_winner[a] = 1;
+  }
+  std::vector<Money> prices(k, 0.0);
+  for (SlotIndex j = 0; j < k; ++j) {
+    const AdvertiserId i = allocation.slot_to_advertiser[j];
+    if (i < 0) continue;
+    const double ctr = model.ClickProbability(i, j);
+    if (ctr <= 0.0) continue;
+    const double own_bid = revenue.MarginalWeight(i, j) / ctr;
+    double r_next = 0.0;
+    for (AdvertiserId other = 0; other < n; ++other) {
+      if (is_winner[other]) continue;
+      r_next = std::max(r_next, revenue.MarginalWeight(other, j));
+    }
+    prices[j] = std::max(0.0, std::min(own_bid, r_next / ctr));
+  }
+  return prices;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// The one-pass GSP must price every slot bit for bit like the column scan:
+// ties (values on a coarse grid), all marginal weights <= 0, empty slots,
+// zero click probabilities, and fewer advertisers than slots.
+TEST(PricingTest, OnePassGspMatchesColumnScanBitwise) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng.NextBounded(12));
+    const int k = 1 + static_cast<int>(rng.NextBounded(8));
+    const bool all_nonpositive = trial % 4 == 0;
+    RevenueMatrix revenue(n, k);
+    std::vector<double> click(static_cast<size_t>(n) * k);
+    for (AdvertiserId i = 0; i < n; ++i) {
+      // Half-unit grid: many exact ties between advertisers and slots.
+      const double base = 0.5 * static_cast<double>(rng.NextBounded(8));
+      revenue.SetUnassigned(i, all_nonpositive ? base + 4.0 : base);
+      for (SlotIndex j = 0; j < k; ++j) {
+        revenue.Set(i, j, 0.5 * static_cast<double>(rng.NextBounded(8)));
+        click[static_cast<size_t>(i) * k + j] =
+            rng.Bernoulli(0.1) ? 0.0 : 0.25 * (1 + rng.NextBounded(4));
+      }
+    }
+    const MatrixClickModel model(n, k, click);
+    // The optimal allocation, plus a random partial one whose winners need
+    // not have positive weight (and whose empty slots must price at 0).
+    Allocation random_alloc = Allocation::Empty(n, k);
+    for (SlotIndex j = 0; j < k; ++j) {
+      const AdvertiserId i = static_cast<AdvertiserId>(rng.NextBounded(n));
+      if (random_alloc.advertiser_to_slot[i] == kNoSlot && rng.Bernoulli(0.6)) {
+        random_alloc.advertiser_to_slot[i] = j;
+        random_alloc.slot_to_advertiser[j] = i;
+      }
+    }
+    const Allocation allocations[] = {
+        DetermineWinners(revenue, WdMethod::kHungarian).allocation,
+        random_alloc};
+    for (const Allocation& allocation : allocations) {
+      const std::vector<Money> got =
+          PerClickPrices(PricingRule::kGeneralizedSecondPrice, revenue, model,
+                         allocation);
+      const std::vector<Money> want =
+          ColumnScanGspPrices(revenue, model, allocation);
+      ASSERT_EQ(got.size(), want.size());
+      for (SlotIndex j = 0; j < k; ++j) {
+        EXPECT_EQ(Bits(got[j]), Bits(want[j]))
+            << "trial " << trial << " slot " << j;
+        if (allocation.slot_to_advertiser[j] < 0) EXPECT_EQ(Bits(got[j]), 0u);
+      }
     }
   }
 }

@@ -759,11 +759,24 @@ TEST(FollowerEngineTest, KillRestartSweepIsBitwise) {
     ASSERT_TRUE(a->WriteCheckpoint(ckpt).ok());
     a->Stop();
 
+    // Bootstrapped at the kill point. The probe is held there by its apply
+    // limit, so its applied_seq() cannot have moved past the checkpoint by
+    // the time it is read (an unlimited follower's apply thread may already
+    // be replaying the tail).
     FollowerConfig config_b = MakeFollowerConfig(leader, /*num_shards=*/2);
     config_b.checkpoint_path = ckpt;
+    {
+      FollowerConfig config_probe = config_b;
+      config_probe.apply_limit_seq = kill_seq;
+      std::unique_ptr<FollowerEngine> probe = MakeFollower(config_probe);
+      ASSERT_TRUE(probe->Start().ok());
+      EXPECT_EQ(probe->applied_seq(), kill_seq);
+      probe->Stop();
+    }
+
+    // The successor, same checkpoint and no limit, replays the tail.
     std::unique_ptr<FollowerEngine> b = MakeFollower(config_b);
     ASSERT_TRUE(b->Start().ok());
-    EXPECT_EQ(b->applied_seq(), kill_seq);  // bootstrapped at the kill point
     ASSERT_TRUE(b->WaitForSeq(kTotalAuctions, milliseconds(10000)));
     EXPECT_EQ(b->records_applied(),
               static_cast<int64_t>(kTotalAuctions - kill_seq));
@@ -804,6 +817,12 @@ TEST(ReadReplicaSetTest, RoutesByConsistency) {
       replicas.EstimatePrices(at_least, gen.Next(), &prices, &applied_at).ok());
   EXPECT_GE(applied_at, static_cast<uint64_t>(kTotalAuctions));
 
+  // The routed read waited out only the follower it used; the other may
+  // still be catching up, so wait for both before checking the extremes.
+  for (int f = 0; f < 2; ++f) {
+    ASSERT_TRUE(replicas.follower(f)->WaitForSeq(kTotalAuctions,
+                                                 milliseconds(10000)));
+  }
   EXPECT_EQ(replicas.min_applied_seq(), static_cast<uint64_t>(kTotalAuctions));
   EXPECT_EQ(replicas.max_applied_seq(), static_cast<uint64_t>(kTotalAuctions));
 

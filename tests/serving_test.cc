@@ -334,8 +334,27 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
     EXPECT_TRUE(stages.count(want)) << TraceStageName(want);
   }
   // kPlan spans land on the lane tracks (1 + e), not the executor track.
-  EXPECT_TRUE(plan_tracks.count(1));
-  EXPECT_TRUE(plan_tracks.count(2));
+  // LanePool hands each slot to whichever lane is free, so one lane may
+  // plan every query; what holds for every schedule is that the tracks
+  // seen are exactly the lanes whose plan counters moved, and the counters
+  // account for all 80 queries.
+  for (int32_t track : plan_tracks) {
+    EXPECT_GE(track, 1);
+    EXPECT_LE(track, config.num_plan_lanes);
+  }
+  std::set<int32_t> busy_lane_tracks;
+  int64_t lane_plans = 0;
+  for (int e = 0; e < config.num_plan_lanes; ++e) {
+    const int64_t plans =
+        server.mutable_metrics()
+            ->GetCounter("serving_lane_plans_total",
+                         "lane=\"" + std::to_string(e) + "\"")
+            ->value();
+    if (plans > 0) busy_lane_tracks.insert(1 + e);
+    lane_plans += plans;
+  }
+  EXPECT_EQ(plan_tracks, busy_lane_tracks);
+  EXPECT_EQ(lane_plans, 80);
   const std::string chrome = Tracer::ExportChromeTrace(events);
   EXPECT_NE(chrome.find("\"barrier_wait\""), std::string::npos);
   EXPECT_NE(chrome.find("\"shard_plan\""), std::string::npos);
