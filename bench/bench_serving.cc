@@ -1,12 +1,13 @@
 // Serving-layer load generator: drives the AuctionServer (bounded ingestion
-// queue -> micro-batched sharded auctions -> batched settlement) with
-// closed- and open-loop traffic and reports sustained throughput plus
+// queue -> micro-batched sharded auctions -> replay or batched settlement)
+// with closed- and open-loop traffic and reports sustained throughput plus
 // queue-wait and end-to-end latency percentiles from the server's own
 // log-bucketed histograms.
 //
 //   * Closed loop: P producers submit back-to-back under the kBlock policy —
 //     measures the engine-bound ceiling (sustained qps) per shard count x
-//     batch size x settlement mode.
+//     batch size x settlement mode, plus a planning-lane sweep (batched
+//     settlement always plans on E >= 1 lanes; replay ignores E).
 //   * Open loop: one producer with Poisson arrivals (exponential
 //     inter-arrival times from util/rng.h) at a sweep of offered rates
 //     around the measured ceiling, kReject policy — measures how the
@@ -60,7 +61,7 @@ struct ServeSetup {
 
 ServeSetup MakeServer(int n, int shards, int batch, ServingMode mode,
                       BackpressurePolicy policy, uint64_t seed,
-                      int lanes = 0, bool metrics = true,
+                      int lanes = 1, bool metrics = true,
                       uint32_t trace_every = 0) {
   ServeSetup setup;
   if (shards > 1) setup.pool = std::make_unique<ThreadPool>(shards);
@@ -104,7 +105,7 @@ void FillPercentiles(const AuctionServer& server, LoadResult* r) {
 
 LoadResult RunClosedLoop(int n, int shards, int batch, ServingMode mode,
                          int producers, int warmup, int auctions,
-                         uint64_t seed, int lanes = 0, bool metrics = true,
+                         uint64_t seed, int lanes = 1, bool metrics = true,
                          uint32_t trace_every = 0,
                          std::string* metrics_json = nullptr) {
   ServeSetup setup =
@@ -146,8 +147,7 @@ LoadResult RunClosedLoop(int n, int shards, int batch, ServingMode mode,
 }
 
 LoadResult RunOpenLoop(int n, int shards, int batch, double rate_qps,
-                       int warmup, int auctions, uint64_t seed,
-                       int lanes = 0) {
+                       int warmup, int auctions, uint64_t seed, int lanes) {
   ServeSetup setup =
       MakeServer(n, shards, batch, ServingMode::kBatchedSettlement,
                  BackpressurePolicy::kReject, seed, lanes);
@@ -205,11 +205,13 @@ struct JsonRow {
 };
 
 void WriteJson(std::FILE* f, int n, int auctions, int producers,
-               const std::vector<JsonRow>& rows,
+               unsigned cores, const std::vector<JsonRow>& rows,
                const std::string& metrics_json) {
   std::fprintf(f, "{\n  \"bench\": \"bench_serving\",\n");
-  std::fprintf(f, "  \"n\": %d,\n  \"auctions\": %d,\n  \"producers\": %d,\n",
-               n, auctions, producers);
+  std::fprintf(f,
+               "  \"n\": %d,\n  \"auctions\": %d,\n  \"producers\": %d,\n"
+               "  \"cores\": %u,\n",
+               n, auctions, producers, cores);
   if (!metrics_json.empty()) {
     // Unified registry snapshot (serving + engine + durability telemetry)
     // from the fully-instrumented obs_overhead run.
@@ -277,10 +279,13 @@ int Main(int argc, char** argv) {
       static_cast<int>(EnvInt("SSA_SERVE_WARMUP", quick ? 20 : 50));
   const int producers = static_cast<int>(EnvInt("SSA_SERVE_PRODUCERS", 2));
   const uint64_t seed = static_cast<uint64_t>(EnvInt("SSA_SEED", 1));
+  const unsigned cores = std::thread::hardware_concurrency();
+  // Width of the batched rows outside the lane sweep.
+  const int batched_lanes = quick ? 2 : 4;
 
   std::printf("# Serving load: n=%d advertisers, %d measured auctions per "
-              "config, %d warmup, %d producers\n",
-              n, auctions, warmup, producers);
+              "config, %d warmup, %d producers, %u cores\n",
+              n, auctions, warmup, producers, cores);
   std::printf("# latencies in microseconds (log-bucketed histogram, <=6.25%% "
               "relative error)\n\n");
 
@@ -311,19 +316,18 @@ int Main(int argc, char** argv) {
     const int batch = quick ? 8 : 16;
     const LoadResult r =
         RunClosedLoop(n, shards, batch, ServingMode::kBatchedSettlement,
-                      producers, warmup, auctions, seed);
+                      producers, warmup, auctions, seed, batched_lanes);
     PrintRow(ModeName(ServingMode::kBatchedSettlement), shards, batch, r);
     json_rows.push_back({"closed_loop",
-                         ModeName(ServingMode::kBatchedSettlement), 0, shards,
-                         batch, r});
+                         ModeName(ServingMode::kBatchedSettlement),
+                         batched_lanes, shards, batch, r});
     reference_qps = std::max(reference_qps, r.qps);
   }
 
   // --- Planning-lane sweep: replicate the pure planning half across E lane
-  // workers (batched settlement, fixed shards/batch). E=0 is the in-thread
-  // executor baseline. On a single-core host this measures the pipeline's
-  // coordination overhead, not its speedup — the lane scaling is designed
-  // for multi-core hosts; values are E-invariant either way.
+  // workers (batched settlement, fixed shards/batch). Values are
+  // E-invariant; what moves is how much planning overlaps capture and
+  // settlement, bounded by the host's cores.
   std::printf("\n## Planning-lane sweep (closed loop, batched settlement)\n");
   std::printf("%-10s %6s %6s %6s %9s %8s %8s %8s %8s %8s %8s\n", "mode",
               "lanes", "shards", "batch", "qps", "qw_p50", "qw_p95",
@@ -331,8 +335,8 @@ int Main(int argc, char** argv) {
   const int lane_shards = 1;  // isolate lanes from shard-pool effects
   const int lane_batch = quick ? 8 : 16;
   const std::vector<int> lane_sweep =
-      quick ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 4, 8};
-  int best_lanes = 0;
+      quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
+  int best_lanes = 1;
   double best_lane_qps = 0;
   for (int lanes : lane_sweep) {
     const LoadResult r = RunClosedLoop(
@@ -355,14 +359,14 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // --- Observability overhead: the same closed-loop replay config with
+  // --- Observability overhead: one closed-loop batched config with
   // instrumentation off, metrics only, and metrics + tracing at 1-in-64 and
-  // full sampling. Lanes are on so the barrier-wait and per-shard span
-  // instrumentation is actually exercised. The contract: metrics + 1-in-64
-  // tracing must be cheap enough to leave on in production (~2% of the
-  // uninstrumented ceiling; single-run qps noise on a shared host can
+  // full sampling. Batched settlement on 2 lanes, so the barrier-wait and
+  // per-lane instrumentation is actually exercised. The contract: metrics +
+  // 1-in-64 tracing must be cheap enough to leave on in production (~2% of
+  // the uninstrumented ceiling; single-run qps noise on a shared host can
   // exceed that, which is why the row reports the measured delta).
-  std::printf("\n## Observability overhead (closed loop, replay)\n");
+  std::printf("\n## Observability overhead (closed loop, batched)\n");
   std::printf("%-12s %6s %6s %6s %9s %9s %8s %8s\n", "obs", "lanes",
               "shards", "batch", "qps", "delta%", "e2e_p50", "e2e_p99");
   const int obs_shards = quick ? 1 : 4;
@@ -394,7 +398,7 @@ int Main(int argc, char** argv) {
       std::string* sink =
           std::strcmp(c.label, "trace_1in64") == 0 ? &metrics_json : nullptr;
       const LoadResult r = RunClosedLoop(
-          n, obs_shards, obs_batch, ServingMode::kDeterministicReplay,
+          n, obs_shards, obs_batch, ServingMode::kBatchedSettlement,
           producers, warmup, auctions, seed, obs_lanes, c.metrics,
           c.trace_every, sink);
       if (r.qps > obs_best[i].qps) obs_best[i] = r;
@@ -438,12 +442,12 @@ int Main(int argc, char** argv) {
   };
   for (double factor : load_factors) {
     const double rate = std::max(1.0, factor * reference_qps);
-    const LoadResult r =
-        RunOpenLoop(n, shards, batch, rate, warmup, auctions, seed);
+    const LoadResult r = RunOpenLoop(n, shards, batch, rate, warmup, auctions,
+                                     seed, batched_lanes);
     char label[32];
     std::snprintf(label, sizeof(label), "%.1fx", factor);
-    print_open(label, 0, shards, r);
-    json_rows.push_back({"open_loop", label, 0, shards, batch, r});
+    print_open(label, batched_lanes, shards, r);
+    json_rows.push_back({"open_loop", label, batched_lanes, shards, batch, r});
   }
   // The best lane count from the sweep under the same near-saturation load:
   // does pipelined planning move the open-loop tail?
@@ -470,7 +474,7 @@ int Main(int argc, char** argv) {
     } else {
       std::printf("\n");
     }
-    WriteJson(f, n, auctions, producers, json_rows, metrics_json);
+    WriteJson(f, n, auctions, producers, cores, json_rows, metrics_json);
     if (!json_path.empty()) std::fclose(f);
   }
   return 0;

@@ -128,6 +128,13 @@ class ShardedAuctionEngine {
     /// caches are scratch and never checkpointed).
     int64_t cache_hits() const { return cache.hits(); }
     int64_t cache_misses() const { return cache.misses(); }
+    /// Shard-phase wall time this lane accumulated for `shard` (0 for a
+    /// shard the lane has not planned under the current shard count).
+    int64_t phase_ns(int shard) const {
+      return shard < static_cast<int>(shards.size())
+                 ? shards[static_cast<size_t>(shard)].phase_ns
+                 : 0;
+    }
 
     /// Trace track base for kShardPlan spans planned on this lane (shard s
     /// renders on track `base + s`). The serving executor assigns each
@@ -275,7 +282,7 @@ class ShardedAuctionEngine {
   /// performance over that range on the engine's internal lane, accumulated
   /// shard-phase time on the internal lane, and the cost model's predicted
   /// per-auction cost for the range (external PlanLanes report through
-  /// PlanLane::cache_hits()).
+  /// PlanLane::cache_hits() and PlanLane::phase_ns()).
   struct ShardStats {
     AdvertiserId begin = 0;
     AdvertiserId end = 0;

@@ -30,10 +30,6 @@ struct RecoveryOptions {
   std::string checkpoint_path;
   std::string log_path;
   QueryStream stream = QueryStream::kInternal;
-  /// Compare every replayed auction bitwise against its logged record
-  /// (allocation, prices, events, revenue). Leave on wherever the engine is
-  /// deterministic — it turns silent divergence into a hard error.
-  bool verify_outcomes = true;
   /// Truncate the log file to its last intact record when the tail is torn
   /// or corrupt, so the next writer appends after clean frames.
   bool truncate_corrupt_tail = true;
@@ -52,17 +48,19 @@ struct RecoveryReport {
   /// Engine position after recovery == last durable auction.
   uint64_t recovered_seq = 0;
   /// Replayed auctions whose outcome differed from the logged record
-  /// (always 0 when recovery succeeds with verify_outcomes on).
+  /// (always 0 when recovery succeeds).
   int64_t verify_mismatches = 0;
 };
 
 /// Restore-then-replay: rewinds `engine` to the checkpoint (if one exists),
-/// then re-executes the settlement log's suffix. Because engines are
-/// bitwise-deterministic, re-execution reconstructs accounts, RNG streams,
-/// revenue, and strategy state exactly — the engine ends bitwise-identical
-/// to the uninterrupted run at the last durable record, losing only the
-/// unsynced suffix a crash destroyed. Works for AuctionEngine and
-/// ShardedAuctionEngine (any shard count).
+/// then re-executes the settlement log's suffix, comparing every replayed
+/// auction bitwise against its logged record (allocation, prices, events,
+/// revenue) so divergence is a hard DataLoss error, never silent drift.
+/// Because engines are bitwise-deterministic, re-execution reconstructs
+/// accounts, RNG streams, revenue, and strategy state exactly — the engine
+/// ends bitwise-identical to the uninterrupted run at the last durable
+/// record, losing only the unsynced suffix a crash destroyed. Works for
+/// AuctionEngine and ShardedAuctionEngine (any shard count).
 ///
 /// Single-threaded by contract: the caller must be the only party touching
 /// `engine` for the duration (the serving path runs it inside Start(),
@@ -117,7 +115,7 @@ Status RecoverEngine(Engine* engine, const RecoveryOptions& options,
     }
     position = record.seq;
     ++report->records_replayed;
-    if (options.verify_outcomes && !record.MatchesOutcome(*outcome)) {
+    if (!record.MatchesOutcome(*outcome)) {
       ++report->verify_mismatches;
       return Status::DataLoss(
           "replayed auction " + std::to_string(record.seq) +

@@ -33,20 +33,6 @@ std::string ShardLabel(int shard) {
   return "shard=\"" + std::to_string(shard) + "\"";
 }
 
-/// Executor-side poll backoff for the lock-free queue: stay hot for a few
-/// rounds, then yield the core, then sleep — bounds idle burn at ~20 wakeups
-/// per millisecond without adding more than ~50us of pop latency.
-void Backoff(int* round) {
-  if (*round < 64) {
-    // hot spin: the producer is probably mid-push
-  } else if (*round < 256) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  ++*round;
-}
-
 }  // namespace
 
 AuctionServer::AuctionServer(
@@ -54,21 +40,11 @@ AuctionServer::AuctionServer(
     std::vector<std::unique_ptr<BiddingStrategy>> strategies)
     : config_(config),
       engine_(config.engine, std::move(workload), std::move(strategies)),
-      rebalancer_(config.rebalance) {
-  SSA_CHECK(config_.queue_capacity >= 1);
+      rebalancer_(config.rebalance),
+      queue_(config.queue_capacity, config.backpressure) {
   SSA_CHECK(config_.max_batch_size >= 1);
-  if (config_.queue_impl == QueueImpl::kLockFree) {
-    // A lock-free ring can neither block a producer nor atomically evict
-    // its oldest element; reject is the only expressible policy.
-    SSA_CHECK(config_.backpressure == BackpressurePolicy::kReject);
-    ring_ = std::make_unique<MpmcRingQueue<ServingRequest>>(
-        config_.queue_capacity);
-  } else {
-    locking_queue_ = std::make_unique<BoundedQueue<ServingRequest>>(
-        config_.queue_capacity, config_.backpressure);
-  }
-  SSA_CHECK(config_.num_plan_lanes >= 0);
-  if (config_.num_plan_lanes >= 1) {
+  SSA_CHECK(config_.num_plan_lanes >= 1);
+  if (config_.mode == ServingMode::kBatchedSettlement) {
     lanes_.reserve(static_cast<size_t>(config_.num_plan_lanes));
     for (int e = 0; e < config_.num_plan_lanes; ++e) {
       lanes_.push_back(engine_.NewPlanLane());
@@ -110,7 +86,7 @@ void AuctionServer::SetupObservability() {
                              &end_to_end_us_);
   batch_size_hist_ = registry_.GetHistogram(
       "serving_batch_queries", "", "Micro-batch size in queries");
-  for (int e = 0; e < config_.num_plan_lanes; ++e) {
+  for (int e = 0; e < static_cast<int>(lanes_.size()); ++e) {
     lane_barrier_wait_us_.push_back(registry_.GetHistogram(
         "serving_barrier_wait_us", LaneLabel(e),
         "Executor wait at the ordered commit barrier, by the lane that "
@@ -142,10 +118,8 @@ void AuctionServer::SetupObservability() {
         static_cast<double>(batches()));
     add("serving_rebalances_total", MetricSample::kCounter,
         static_cast<double>(rebalances()));
-    const size_t depth = locking_queue_ != nullptr ? locking_queue_->size()
-                                                   : ring_->SizeApprox();
     add("serving_queue_depth", MetricSample::kGauge,
-        static_cast<double>(depth));
+        static_cast<double>(queue_.size()));
     if (tracer_ != nullptr) {
       add("trace_spans_recorded_total", MetricSample::kCounter,
           static_cast<double>(tracer_->spans_recorded()));
@@ -164,15 +138,19 @@ Status AuctionServer::Start() {
   SSA_CHECK(!started_);
   const DurabilityConfig& durability = config_.durability;
   if (!durability.log_path.empty()) {
+    if (config_.mode == ServingMode::kBatchedSettlement) {
+      // Recovery and followers re-execute the log one auction at a time;
+      // batched boundaries are timing-dependent, so a batched log would
+      // replay onto a different trajectory.
+      return Status::FailedPrecondition(
+          "batched settlement cannot write a settlement log: serial replay "
+          "of the log would not reproduce its batch boundaries");
+    }
     if (durability.recover_on_start) {
       RecoveryOptions options;
       options.checkpoint_path = durability.checkpoint_path;
       options.log_path = durability.log_path;
       options.stream = QueryStream::kExternal;
-      // Replay-verification demands bitwise re-execution; batched
-      // settlement's batch boundaries are timing-dependent, so only the
-      // deterministic-replay mode can promise the log matches a re-run.
-      options.verify_outcomes = config_.mode == ServingMode::kDeterministicReplay;
       SSA_RETURN_IF_ERROR(RecoverEngine(&engine_, options, &recovery_));
     }
     LogWriterOptions writer_options = durability.writer;
@@ -244,11 +222,7 @@ Status AuctionServer::Start() {
 void AuctionServer::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  if (locking_queue_ != nullptr) {
-    locking_queue_->Close();
-  } else {
-    ring_closed_.store(true, std::memory_order_release);
-  }
+  queue_.Close();
   executor_.join();
   // The executor has settled (and staged) everything admitted; push the
   // staged suffix to the OS so a clean shutdown loses nothing.
@@ -267,9 +241,14 @@ void AuctionServer::Stop() {
 
 void AuctionServer::PublishEngineGauges() {
   if (!config_.obs.metrics) return;
+  // The internal lane plans only replay; batched settlement plans on the
+  // server's lanes. Shard-phase time and cache totals are their sum, so
+  // they read true in either mode.
   const int num_shards = engine_.num_shards();
   for (int s = 0; s < num_shards; ++s) {
     const ShardedAuctionEngine::ShardStats stats = engine_.shard_stats(s);
+    int64_t phase_ns = stats.phase_ns;
+    for (const auto& lane : lanes_) phase_ns += lane->phase_ns(s);
     const std::string label = ShardLabel(s);
     registry_
         .GetGauge("engine_shard_capture_ns", label,
@@ -278,9 +257,9 @@ void AuctionServer::PublishEngineGauges() {
         ->Set(stats.capture_ns);
     registry_
         .GetGauge("engine_shard_phase_ns", label,
-                  "Internal-lane shard-phase wall time since the last "
-                  "repartition, ns")
-        ->Set(stats.phase_ns);
+                  "Shard-phase wall time per shard, internal lane plus "
+                  "planning lanes, ns")
+        ->Set(phase_ns);
     registry_
         .GetGauge("engine_shard_model_cost", label,
                   "Cost model's predicted per-auction cost for the shard's "
@@ -291,14 +270,21 @@ void AuctionServer::PublishEngineGauges() {
                   "Advertisers currently owned by the shard")
         ->Set(static_cast<int64_t>(stats.end - stats.begin));
   }
+  int64_t cache_hits = engine_.cache_hits();
+  int64_t cache_misses = engine_.cache_misses();
+  for (const auto& lane : lanes_) {
+    cache_hits += lane->cache_hits();
+    cache_misses += lane->cache_misses();
+  }
   registry_
       .GetGauge("engine_cache_hits_total", "",
-                "Internal-lane compiled-bids cache hits")
-      ->Set(engine_.cache_hits());
+                "Compiled-bids cache hits, internal lane plus planning lanes")
+      ->Set(cache_hits);
   registry_
       .GetGauge("engine_cache_misses_total", "",
-                "Internal-lane compiled-bids cache misses")
-      ->Set(engine_.cache_misses());
+                "Compiled-bids cache misses, internal lane plus planning "
+                "lanes")
+      ->Set(cache_misses);
   for (size_t e = 0; e < lanes_.size(); ++e) {
     const std::string label = LaneLabel(static_cast<int>(e));
     registry_
@@ -385,86 +371,17 @@ QueuePushResult AuctionServer::Submit(Query query) {
     request.trace_seq = tracer_->Sample(
         admissions_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
-  if (locking_queue_ != nullptr) {
-    return locking_queue_->Push(std::move(request));
-  }
-  // The in-flight window covers the closed-check through the TryPush
-  // return: the executor will not exit while any Submit is inside it, so a
-  // push that races with Stop() is still drained.
-  submits_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  if (ring_closed_.load(std::memory_order_acquire)) {
-    submits_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    return QueuePushResult::kClosed;
-  }
-  const bool pushed = ring_->TryPush(std::move(request));
-  submits_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (pushed) {
-    ring_accepted_.fetch_add(1, std::memory_order_relaxed);
-    return QueuePushResult::kAccepted;
-  }
-  ring_rejected_.fetch_add(1, std::memory_order_relaxed);
-  return QueuePushResult::kRejected;
-}
-
-int64_t AuctionServer::accepted() const {
-  return locking_queue_ != nullptr
-             ? locking_queue_->accepted()
-             : ring_accepted_.load(std::memory_order_relaxed);
-}
-
-int64_t AuctionServer::rejected() const {
-  return locking_queue_ != nullptr
-             ? locking_queue_->rejected()
-             : ring_rejected_.load(std::memory_order_relaxed);
-}
-
-int64_t AuctionServer::dropped_oldest() const {
-  return locking_queue_ != nullptr ? locking_queue_->dropped_oldest() : 0;
-}
-
-bool AuctionServer::PopBatchLockFree(std::vector<ServingRequest>* out) {
-  ServingRequest request;
-  int round = 0;
-  // Wait (poll) for the batch's first request.
-  while (!ring_->TryPop(&request)) {
-    if (ring_closed_.load(std::memory_order_acquire) &&
-        submits_in_flight_.load(std::memory_order_acquire) == 0) {
-      // Closed with no Submit mid-push: every accepted request is fully
-      // published, so one final failed pop means drained-and-done.
-      if (ring_->TryPop(&request)) break;
-      return false;
-    }
-    Backoff(&round);
-  }
-  out->push_back(std::move(request));
-  // Size-or-deadline collection, mirroring BoundedQueue::PopBatch.
-  const auto deadline = SteadyClock::now() + config_.batch_deadline;
-  while (static_cast<int>(out->size()) < config_.max_batch_size) {
-    if (ring_->TryPop(&request)) {
-      out->push_back(std::move(request));
-      continue;
-    }
-    if (ring_closed_.load(std::memory_order_acquire) ||
-        SteadyClock::now() >= deadline) {
-      break;
-    }
-    std::this_thread::yield();
-  }
-  return true;
+  return queue_.Push(std::move(request));
 }
 
 void AuctionServer::ExecutorLoop() {
   std::vector<ServingRequest> batch;
   for (;;) {
     batch.clear();
-    const bool alive =
-        locking_queue_ != nullptr
-            ? locking_queue_->PopBatch(&batch,
-                                       static_cast<size_t>(
-                                           config_.max_batch_size),
-                                       config_.batch_deadline)
-            : PopBatchLockFree(&batch);
-    if (!alive) return;  // closed and drained
+    if (!queue_.PopBatch(&batch, static_cast<size_t>(config_.max_batch_size),
+                         config_.batch_deadline)) {
+      return;  // closed and drained
+    }
     // Batch envelope span, stamped with the batch's first sampled query (a
     // batch with no sampled query records no envelope).
     uint64_t batch_trace_seq = 0;
@@ -513,91 +430,37 @@ void AuctionServer::RunBatch(std::vector<ServingRequest>* batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (batch_size_hist_ != nullptr) batch_size_hist_->Record(batch->size());
 
-  if (lane_pool_ != nullptr) {
+  if (config_.mode == ServingMode::kBatchedSettlement) {
     RunBatchWithLanes(batch);
     return;
   }
-
+  // Replay: plan+settle interleaved per query on this thread. Batch
+  // boundaries group work but never reorder it, so the trajectory equals
+  // the serial engine loop.
+  plans_.resize(1);
   WallTimer timer;
-  if (config_.mode == ServingMode::kDeterministicReplay) {
-    // Plan+settle interleaved per query: batch boundaries group work but
-    // never reorder it, so the trajectory equals the serial engine loop.
-    for (ServingRequest& r : *batch) {
-      const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-      plans_.resize(1);
-      timer.Reset();
-      uint64_t t0 = traced ? Tracer::NowNs() : 0;
-      engine_.PlanAuction(r.query, &plans_[0], r.trace_seq);
-      if (traced) {
-        tracer_->RecordSpan(r.trace_seq, TraceStage::kPlan, /*track=*/0, t0,
-                            Tracer::NowNs());
-      }
-      auction_us_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
-      timer.Reset();
-      t0 = traced ? Tracer::NowNs() : 0;
-      const AuctionOutcome& outcome = engine_.SettlePlanned(&plans_[0]);
-      LogSettlement(outcome, r.trace_seq);
-      settlement_us_.Record(
-          static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
-      const auto settled_at = SteadyClock::now();
-      if (traced) {
-        tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0,
-                            t0, ToNs(settled_at));
-        tracer_->RecordSpan(r.trace_seq, TraceStage::kQuery, /*track=*/0,
-                            ToNs(r.admitted_at), ToNs(settled_at));
-      }
-      end_to_end_us_.Record(ElapsedUs(r.admitted_at, settled_at));
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (on_complete_) on_complete_(outcome);
-    }
-    return;
-  }
-
-  // Batched settlement: plan the whole batch against batch-start account
-  // state, then settle in arrival order in one pass.
-  plans_.resize(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    const ServingRequest& r = (*batch)[i];
+  for (const ServingRequest& r : *batch) {
     const bool traced = tracer_ != nullptr && r.trace_seq != 0;
     timer.Reset();
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-    engine_.PlanAuction(r.query, &plans_[i], r.trace_seq);
+    engine_.PlanAuction(r.query, &plans_[0], r.trace_seq);
     if (traced) {
       tracer_->RecordSpan(r.trace_seq, TraceStage::kPlan, /*track=*/0, t0,
                           Tracer::NowNs());
     }
-    auction_us_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
-  }
-  for (size_t i = 0; i < batch->size(); ++i) {
-    const ServingRequest& r = (*batch)[i];
-    const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-    timer.Reset();
-    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-    const AuctionOutcome& outcome = engine_.SettlePlanned(&plans_[i]);
-    LogSettlement(outcome, r.trace_seq);
-    settlement_us_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
-    const auto settled_at = SteadyClock::now();
-    if (traced) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0, t0,
-                          ToNs(settled_at));
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kQuery, /*track=*/0,
-                          ToNs(r.admitted_at), ToNs(settled_at));
-    }
-    end_to_end_us_.Record(ElapsedUs(r.admitted_at, settled_at));
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (on_complete_) on_complete_(outcome);
+    SettleSlot(r, &plans_[0],
+               static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
   }
 }
 
-void AuctionServer::SettleSlot(std::vector<ServingRequest>* batch, size_t i) {
-  const ServingRequest& r = (*batch)[i];
+void AuctionServer::SettleSlot(const ServingRequest& r,
+                               ShardedAuctionEngine::PlannedAuction* plan,
+                               uint64_t plan_us) {
   const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-  // auction_us spans both planning halves: the executor's capture plus the
-  // lane's pure plan — the same work the in-thread path times as one span.
-  auction_us_.Record(capture_us_[i] + plan_us_[i]);
+  auction_us_.Record(plan_us);
   WallTimer timer;
   const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-  const AuctionOutcome& outcome = engine_.SettlePlanned(&plans_[i]);
+  const AuctionOutcome& outcome = engine_.SettlePlanned(plan);
   LogSettlement(outcome, r.trace_seq);
   settlement_us_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
   const auto settled_at = SteadyClock::now();
@@ -648,11 +511,11 @@ void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
   epoch_batch_ = batch;
   settle_barrier_.Reset(static_cast<int64_t>(b));
 
-  // Capture instrumentation (executor track) and per-lane barrier-wait
-  // attribution: AwaitReady's blocked time is charged to the lane that
-  // planned the slot (slot_lane_, published by MarkReady) — the exact
-  // signal ROADMAP item 2 wants rebalancing to consume.
-  auto capture_slot = [&](size_t i) {
+  // Every capture reads batch-start account state, so all captures precede
+  // the first settlement. The overlap is everything else: capture i+1
+  // proceeds while lanes plan earlier slots, and the settler drains slot i
+  // while lanes still plan slots j > i.
+  for (size_t i = 0; i < b; ++i) {
     const ServingRequest& r = (*batch)[i];
     const bool traced = tracer_ != nullptr && r.trace_seq != 0;
     WallTimer timer;
@@ -663,10 +526,13 @@ void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
                           Tracer::NowNs());
     }
     capture_us_[i] = static_cast<uint64_t>(timer.ElapsedMillis() * 1e3);
-  };
-  auto await_slot = [&](size_t i) {
+    lane_pool_->Dispatch(static_cast<int64_t>(i));
+  }
+  for (size_t i = 0; i < b; ++i) {
     const ServingRequest& r = (*batch)[i];
     const bool traced = tracer_ != nullptr && r.trace_seq != 0;
+    // AwaitReady's blocked time is charged to the lane that planned the
+    // slot (slot_lane_, published by MarkReady).
     const bool timed = traced || !lane_barrier_wait_us_.empty();
     const uint64_t t0 = timed ? Tracer::NowNs() : 0;
     settle_barrier_.AwaitReady(static_cast<int64_t>(i));
@@ -676,40 +542,14 @@ void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
         tracer_->RecordSpan(r.trace_seq, TraceStage::kBarrierWait,
                             /*track=*/0, t0, t1);
       }
-      const int lane = slot_lane_[i];  // valid after AwaitReady
-      if (!lane_barrier_wait_us_.empty() && lane >= 0) {
-        lane_barrier_wait_us_[static_cast<size_t>(lane)]->Record(
+      if (!lane_barrier_wait_us_.empty()) {
+        lane_barrier_wait_us_[static_cast<size_t>(slot_lane_[i])]->Record(
             (t1 - t0) / 1000);
       }
     }
-  };
-
-  if (config_.mode == ServingMode::kDeterministicReplay) {
-    // Replay demands capture i+1 see slot i fully settled (bidding programs
-    // read accounts and their own outcome-updated state), so each slot makes
-    // a full capture -> plan-on-lane -> settle round trip. Values are
-    // bitwise-equal to the serial loop for any lane count; per-lane cache
-    // divergence affects timing only.
-    for (size_t i = 0; i < b; ++i) {
-      capture_slot(i);
-      lane_pool_->Dispatch(static_cast<int64_t>(i));
-      await_slot(i);
-      SettleSlot(batch, i);
-    }
-  } else {
-    // Batched settlement: every capture reads batch-start account state, so
-    // all captures precede the first settlement — same semantics as the
-    // in-thread batched path. The overlap is everything else: capture i+1
-    // proceeds while lanes plan earlier slots, and the settler drains slot i
-    // while lanes still plan slots j > i.
-    for (size_t i = 0; i < b; ++i) {
-      capture_slot(i);
-      lane_pool_->Dispatch(static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < b; ++i) {
-      await_slot(i);
-      SettleSlot(batch, i);
-    }
+    // auction_us spans both planning halves: the executor's capture plus
+    // the lane's pure plan.
+    SettleSlot(r, &plans_[i], capture_us_[i] + plan_us_[i]);
   }
   epoch_batch_ = nullptr;
 }

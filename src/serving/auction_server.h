@@ -23,33 +23,24 @@
 namespace ssa {
 
 /// How the executor orders planning vs settlement inside a micro-batch.
+/// Each mode has exactly one executor path.
 enum class ServingMode {
-  /// Plan and settle each query before planning the next. Given a fixed
-  /// arrival order this reproduces the serial engine loop *bitwise* — for
-  /// any batch size, batch deadline, shard count, or pool — because batch
-  /// boundaries only group work, never reorder it (serving_test pins this
-  /// against AuctionEngine::RunAuctionOn).
+  /// Plan and settle each query before planning the next, all on the
+  /// executor thread. Given a fixed arrival order this reproduces the serial
+  /// engine loop *bitwise* — for any batch size, batch deadline, shard
+  /// count, or pool — because batch boundaries only group work, never
+  /// reorder it (serving_test pins this against AuctionEngine::RunAuctionOn).
   kDeterministicReplay,
   /// Plan the whole batch against batch-start account state, then settle in
-  /// arrival order in one pass. Settlement (user simulation, charging,
-  /// accounting, outcome notifications, revenue accumulation) amortizes
-  /// across the batch, and planning stops waiting on per-query settlement.
-  /// Still deterministic given the arrival order, but bids inside a batch
-  /// no longer see intra-batch settlements — the documented freshness trade
-  /// (equal to replay when the batch size is 1).
+  /// arrival order. Planning runs on the planning-lane pipeline
+  /// (ServerConfig::num_plan_lanes wide), so lanes plan later slots while
+  /// the executor settles earlier ones. Still deterministic given the batch
+  /// composition, but bids inside a batch no longer see intra-batch
+  /// settlements — the documented freshness trade (equal to replay when the
+  /// batch size is 1). Batch boundaries are timing-dependent, so a serial
+  /// re-execution of the settlement log cannot reproduce them: Start()
+  /// refuses this mode when a settlement log is configured.
   kBatchedSettlement,
-};
-
-/// Which ingestion queue the server runs on.
-enum class QueueImpl {
-  /// BoundedQueue: mutex + condvars, supports every backpressure policy.
-  kLocking,
-  /// MpmcRingQueue: lock-free Vyukov ring; producers never touch a mutex.
-  /// Supports only BackpressurePolicy::kReject (a lock-free ring can
-  /// neither block a producer nor atomically evict its oldest element);
-  /// the executor polls with a yield-then-sleep backoff instead of waiting
-  /// on a condvar.
-  kLockFree,
 };
 
 /// One admitted query: what travels through the ingestion queue.
@@ -109,33 +100,26 @@ struct ServerConfig {
   /// `engine.pool` is the same pool the shard phase of every planned
   /// auction runs on — the server adds no pool of its own.
   ShardedEngineConfig engine;
-  /// Ingestion bound. Exact under QueueImpl::kLocking; under kLockFree the
-  /// ring rounds it *up to the next power of two*, so the reject threshold
-  /// can admit up to ~2x this value — size it as a power of two when the
-  /// bound matters.
+  /// Ingestion bound (one mutex-guarded BoundedQueue).
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  QueueImpl queue_impl = QueueImpl::kLocking;
   /// Micro-batch triggers: a batch closes when it holds `max_batch_size`
   /// requests or `batch_deadline` has elapsed since its first request was
   /// popped, whichever comes first.
   int max_batch_size = 16;
   std::chrono::microseconds batch_deadline{200};
   ServingMode mode = ServingMode::kDeterministicReplay;
-  /// Planning lanes E. 0 = the executor plans in-thread (the pre-lane
-  /// executor, byte for byte). E >= 1 replicates the *pure* half of planning
-  /// across E worker threads, each owning a private PlanLane scratch arena
-  /// (compiled-bids caches, revenue matrix, top-k heaps): the executor
-  /// captures bids strictly in arrival order (bidding programs may mutate
-  /// their private state, so capture cannot parallelize), hands each
-  /// captured slot to any idle lane, and settles through an ordered commit
-  /// barrier strictly in arrival order. Values and the settlement trajectory
-  /// are identical for every E in both modes — under kDeterministicReplay
-  /// bitwise-equal to the serial engine loop (serving_test pins E in
-  /// {1,2,4,8}); under kBatchedSettlement lanes plan slots while the
-  /// executor settles earlier slots of the same batch, which is where the
-  /// throughput shows up on multi-core hosts.
-  int num_plan_lanes = 0;
+  /// Width E >= 1 of the kBatchedSettlement pipeline; unused by
+  /// kDeterministicReplay, which always plans on the executor thread. The
+  /// pipeline replicates the *pure* half of planning across E worker
+  /// threads, each owning a private PlanLane scratch arena (compiled-bids
+  /// caches, revenue matrix, top-k heaps): the executor captures bids
+  /// strictly in arrival order (bidding programs may mutate their private
+  /// state, so capture cannot parallelize), hands each captured slot to any
+  /// idle lane, and settles through an ordered commit barrier strictly in
+  /// arrival order. Values are identical for every E (serving_test pins
+  /// E in {1,2,4,8} against a serial batched oracle).
+  int num_plan_lanes = 1;
   /// Cost-model-driven shard rebalancing, honored only at epoch boundaries:
   /// after a micro-batch fully settles and before the next batch's first
   /// capture — the only points where no plan is in flight on any lane, which
@@ -150,21 +134,23 @@ struct ServerConfig {
 };
 
 /// Asynchronous serving front-end for the sharded auction engine: producers
-/// Submit() queries into a bounded ingestion queue (block / reject /
-/// drop-oldest backpressure); a single executor thread pulls size- or
-/// deadline-triggered micro-batches and drives them through the
+/// Submit() queries into one bounded, mutex-guarded ingestion queue (block /
+/// reject / drop-oldest backpressure); a single executor thread pulls size-
+/// or deadline-triggered micro-batches and drives them through the
 /// ShardedAuctionEngine (whose shard phase fans out on the configured
-/// ThreadPool). Per-stage latencies — queue wait, auction (plan),
-/// settlement, end-to-end — are recorded into log-bucketed histograms, and
-/// admission verdicts are counted, so tail latency under load is a measured
-/// quantity rather than an offline extrapolation.
+/// ThreadPool). Replay plans and settles each query in-thread; batched
+/// settlement plans on the lane pipeline and settles in arrival order.
+/// Per-stage latencies — queue wait, auction (plan), settlement,
+/// end-to-end — are recorded into log-bucketed histograms, and admission
+/// verdicts are counted, so tail latency under load is a measured quantity
+/// rather than an offline extrapolation.
 ///
 /// Threading contract: Submit() is safe from any number of producer
 /// threads; the engine's mutable state (accounts, strategies, user RNG) is
 /// touched only by the executor; telemetry accessors are safe any time
 /// (relaxed atomics) but meaningfully consistent after Stop(). The
 /// completion hook runs on the executor thread, in settlement (arrival)
-/// order. With num_plan_lanes >= 1 the lane workers run only the const,
+/// order. Under kBatchedSettlement the lane workers run only the const,
 /// side-effect-free PlanCaptured half on private scratch — capture and
 /// settlement stay on the executor, so the single-writer contract above is
 /// unchanged (serving_stress_test runs this under TSan).
@@ -184,10 +170,11 @@ class AuctionServer {
 
   /// Launches the executor thread. Must be called at most once. With
   /// durability configured, first runs restore-then-replay recovery
-  /// (checkpoint, then the settlement log's intact suffix; a torn tail is
-  /// truncated) and opens the log sink at the recovered sequence — a
-  /// recovery error leaves the server unstarted. Without durability, never
-  /// fails.
+  /// (checkpoint, then the settlement log's intact suffix, every record
+  /// verified; a torn tail is truncated) and opens the log sink at the
+  /// recovered sequence — a recovery error leaves the server unstarted.
+  /// Returns FailedPrecondition for kBatchedSettlement with a log path (see
+  /// ServingMode). Without durability, never fails.
   Status Start();
 
   /// Closes the ingestion queue, lets the executor drain every admitted
@@ -223,9 +210,9 @@ class AuctionServer {
   }
 
   /// Admission / completion counters.
-  int64_t accepted() const;
-  int64_t rejected() const;
-  int64_t dropped_oldest() const;
+  int64_t accepted() const { return queue_.accepted(); }
+  int64_t rejected() const { return queue_.rejected(); }
+  int64_t dropped_oldest() const { return queue_.dropped_oldest(); }
   int64_t completed() const {
     return completed_.load(std::memory_order_relaxed);
   }
@@ -285,19 +272,23 @@ class AuctionServer {
 
  private:
   void ExecutorLoop();
-  /// Lock-free analogue of BoundedQueue::PopBatch: poll with backoff for
-  /// the first request, then drain until full batch, deadline, or closed.
-  bool PopBatchLockFree(std::vector<ServingRequest>* out);
+  /// Records queue waits, then runs the batch on its mode's one path:
+  /// replay plans and settles each query in-thread; batched settlement goes
+  /// through RunBatchWithLanes.
   void RunBatch(std::vector<ServingRequest>* batch);
-  /// The lane-pool epoch pipeline (num_plan_lanes >= 1): capture in arrival
-  /// order, plan on any idle lane, settle through the commit barrier in
-  /// arrival order.
+  /// The lane-pool epoch pipeline (kBatchedSettlement): capture every slot
+  /// in arrival order, plan on any idle lane, settle through the commit
+  /// barrier in arrival order.
   void RunBatchWithLanes(std::vector<ServingRequest>* batch);
   /// Lane worker body: plans epoch slot `slot` on lane `lane`'s scratch,
   /// then marks the slot ready for the settler.
   void RunLane(int lane, int64_t slot);
-  /// Settles epoch slot `i` of `batch` (histograms, log, completion hook).
-  void SettleSlot(std::vector<ServingRequest>* batch, size_t i);
+  /// Settles `plan` for request `r` — the one settle path of both modes:
+  /// records `plan_us` as the request's auction time, then settlement,
+  /// log append, spans, end-to-end latency, completion count and hook.
+  void SettleSlot(const ServingRequest& r,
+                  ShardedAuctionEngine::PlannedAuction* plan,
+                  uint64_t plan_us);
   /// Epoch-boundary rebalance check: runs between RunBatch calls (batch
   /// fully settled, every lane idle), asks the rebalancer whether a check is
   /// due, and applies RebalanceShards under config.rebalance.min_imbalance.
@@ -315,16 +306,7 @@ class AuctionServer {
   ServerConfig config_;
   ShardedAuctionEngine engine_;
   ShardRebalancer rebalancer_;
-  std::unique_ptr<BoundedQueue<ServingRequest>> locking_queue_;
-  std::unique_ptr<MpmcRingQueue<ServingRequest>> ring_;
-  std::atomic<bool> ring_closed_{false};
-  /// Lock-free Submits currently between their closed-check and their
-  /// TryPush return. The executor exits only once this is zero *and* the
-  /// ring is drained, so a producer that raced past the closed-check cannot
-  /// strand an accepted request (Stop()'s drain contract).
-  std::atomic<int64_t> submits_in_flight_{0};
-  std::atomic<int64_t> ring_accepted_{0};
-  std::atomic<int64_t> ring_rejected_{0};
+  BoundedQueue<ServingRequest> queue_;
 
   /// Appends the settled outcome to the log sink (no-op when off); records
   /// the first failure in log_status_. Executor thread only.
@@ -365,10 +347,11 @@ class AuctionServer {
   std::vector<LatencyHistogram*> lane_barrier_wait_us_;
   std::vector<Counter*> lane_plans_total_;
 
-  /// Batched-settlement scratch: one plan per in-flight batch slot.
+  /// Plan scratch: slot 0 under replay, one plan per batch slot under
+  /// batched settlement.
   std::vector<ShardedAuctionEngine::PlannedAuction> plans_;
 
-  // --- Planning-lane epoch state (num_plan_lanes >= 1 only) ----------------
+  // --- Planning-lane epoch state (kBatchedSettlement only) -----------------
   // One epoch == one micro-batch. Per-slot state is written by exactly one
   // party at a time: the executor fills captures_[i]/capture_us_[i] before
   // Dispatch(i) (publication via the lane pool's queue mutex); the owning

@@ -190,77 +190,5 @@ TEST(BoundedQueueTest, MpmcStressNothingLostOrDuplicated) {
   EXPECT_EQ(all.size(), total) << "duplicated elements";
 }
 
-TEST(MpmcRingQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpmcRingQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(MpmcRingQueue<int>(8).capacity(), 8u);
-  EXPECT_EQ(MpmcRingQueue<int>(9).capacity(), 16u);
-  EXPECT_EQ(MpmcRingQueue<int>(1000).capacity(), 1024u);
-}
-
-TEST(MpmcRingQueueTest, FifoAndFullEmptySingleThread) {
-  MpmcRingQueue<int> q(4);
-  int v;
-  EXPECT_FALSE(q.TryPop(&v));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(i));
-  EXPECT_FALSE(q.TryPush(99)) << "full ring must reject";
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.TryPop(&v));
-  // Wrap-around: reuse after a full drain.
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(round * 10 + i));
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(q.TryPop(&v));
-      EXPECT_EQ(v, round * 10 + i);
-    }
-  }
-}
-
-TEST(MpmcRingQueueTest, MpmcStressNothingLostOrDuplicated) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 5000;
-  MpmcRingQueue<int> q(64);
-  std::atomic<bool> done{false};
-  std::vector<std::vector<int>> consumed(kConsumers);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      int v;
-      for (;;) {
-        if (q.TryPop(&v)) {
-          consumed[c].push_back(v);
-        } else if (done.load(std::memory_order_acquire)) {
-          if (!q.TryPop(&v)) break;  // drained after done
-          consumed[c].push_back(v);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (!q.TryPush(p * kPerProducer + i)) std::this_thread::yield();
-      }
-    });
-  }
-  for (size_t t = kConsumers; t < threads.size(); ++t) threads[t].join();
-  done.store(true, std::memory_order_release);
-  for (int c = 0; c < kConsumers; ++c) threads[c].join();
-
-  std::set<int> all;
-  size_t total = 0;
-  for (const auto& vec : consumed) {
-    total += vec.size();
-    all.insert(vec.begin(), vec.end());
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(all.size(), total) << "duplicated elements";
-}
-
 }  // namespace
 }  // namespace ssa

@@ -104,7 +104,7 @@ SubmitTally HammerSubmit(AuctionServer* server, int producers,
 /// Stop() must let the executor settle every admitted request before it
 /// joins: completed == admitted, and the engine ran exactly that many
 /// auctions — nothing stranded in the queue, nothing settled twice.
-TEST(ServingDrainTest, StopDrainsEveryAdmittedRequestLockingQueue) {
+TEST(ServingDrainTest, StopDrainsEveryAdmittedRequest) {
   ServerConfig config;
   config.engine.num_shards = 2;
   config.queue_capacity = 64;
@@ -129,75 +129,49 @@ TEST(ServingDrainTest, StopDrainsEveryAdmittedRequestLockingQueue) {
   EXPECT_EQ(server->engine().auctions_run(), admitted);
 }
 
-TEST(ServingDrainTest, StopDrainsEveryAdmittedRequestLockFreeQueue) {
-  ServerConfig config;
-  config.engine.num_shards = 2;
-  config.queue_capacity = 64;
-  config.backpressure = BackpressurePolicy::kReject;
-  config.queue_impl = QueueImpl::kLockFree;
-  config.max_batch_size = 8;
-  auto server = MakeServer(config);
-  ASSERT_TRUE(server->Start().ok());
-
-  const int kProducers = 4;
-  const int kPerProducer = 2000;
-  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-  server->Stop();
-
-  ASSERT_EQ(tally.total(), kProducers * kPerProducer);
-  const int64_t admitted = tally.accepted;
-  EXPECT_EQ(server->accepted(), admitted);
-  EXPECT_EQ(server->rejected(), tally.rejected);
-  EXPECT_EQ(server->completed(), admitted);
-  EXPECT_EQ(server->engine().auctions_run(), admitted);
-}
-
 /// The lane pipeline under full producer pressure: 4 lane workers planning
-/// concurrently with the executor capturing/settling, both serving modes,
+/// concurrently with the executor capturing/settling (batched settlement),
 /// every admitted request settled exactly once. This is the TSan target for
 /// the lane pool's happens-before edges (dispatch-queue mutex for captures,
 /// barrier mutex for plans).
 TEST(ServingLaneStressTest, LanePipelineDrainsUnderProducerPressure) {
-  for (ServingMode mode :
-       {ServingMode::kDeterministicReplay, ServingMode::kBatchedSettlement}) {
-    ServerConfig config;
-    config.engine.num_shards = 2;
-    config.queue_capacity = 64;
-    config.backpressure = BackpressurePolicy::kBlock;
-    config.max_batch_size = 8;
-    config.mode = mode;
-    config.num_plan_lanes = 4;
-    auto server = MakeServer(config);
-    ASSERT_TRUE(server->Start().ok());
+  ServerConfig config;
+  config.engine.num_shards = 2;
+  config.queue_capacity = 64;
+  config.backpressure = BackpressurePolicy::kBlock;
+  config.max_batch_size = 8;
+  config.mode = ServingMode::kBatchedSettlement;
+  config.num_plan_lanes = 4;
+  auto server = MakeServer(config);
+  ASSERT_TRUE(server->Start().ok());
 
-    const int kProducers = 4;
-    const int kPerProducer = 500;
-    SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-    server->Stop();
+  const int kProducers = 4;
+  const int kPerProducer = 500;
+  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
+  server->Stop();
 
-    ASSERT_EQ(tally.total(), kProducers * kPerProducer);
-    EXPECT_EQ(tally.rejected, 0);
-    EXPECT_EQ(tally.closed, 0);
-    EXPECT_EQ(server->accepted(), tally.accepted);
-    EXPECT_EQ(server->completed(), tally.accepted);
-    EXPECT_EQ(server->engine().auctions_run(), tally.accepted);
-  }
+  ASSERT_EQ(tally.total(), kProducers * kPerProducer);
+  EXPECT_EQ(tally.rejected, 0);
+  EXPECT_EQ(tally.closed, 0);
+  EXPECT_EQ(server->accepted(), tally.accepted);
+  EXPECT_EQ(server->completed(), tally.accepted);
+  EXPECT_EQ(server->engine().auctions_run(), tally.accepted);
 }
 
 /// Producers racing Stop() itself: whatever a producer saw admitted must
-/// still be settled, even if its push interleaved with the close. Trials
-/// sweep the lane count 0..3 so the shutdown race also covers the lane
-/// pipeline's epoch drain.
+/// still be settled, even if its push interleaved with the close. Even
+/// trials run replay; odd trials run batched settlement on 1..4 lanes, so
+/// the shutdown race also covers the lane pipeline's epoch drain.
 TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
   for (int trial = 0; trial < 8; ++trial) {
     ServerConfig config;
     config.engine.num_shards = 2;
     config.queue_capacity = 32;
     config.backpressure = BackpressurePolicy::kReject;
-    config.queue_impl =
-        trial % 2 == 0 ? QueueImpl::kLocking : QueueImpl::kLockFree;
+    config.mode = trial % 2 == 0 ? ServingMode::kDeterministicReplay
+                                 : ServingMode::kBatchedSettlement;
     config.max_batch_size = 4;
-    config.num_plan_lanes = trial / 2;  // 0, 0, 1, 1, 2, 2, 3, 3
+    config.num_plan_lanes = 1 + trial / 2;  // batched: 1, 2, 3, 4
     auto server = MakeServer(config);
     ASSERT_TRUE(server->Start().ok());
 
@@ -223,8 +197,7 @@ TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
     for (const SubmitTally& t : tallies) {
       admitted += t.accepted + t.dropped_oldest;
     }
-    // Every admission either pre-dates the close (drained) or is the
-    // lock-free in-flight race Stop() explicitly waits out. Either way:
+    // Every admission pre-dates the close, so Stop() drained it:
     EXPECT_EQ(server->completed(), admitted - server->dropped_oldest());
     EXPECT_EQ(server->engine().auctions_run(), server->completed());
   }
@@ -266,32 +239,29 @@ TEST(ServingBackpressureTest, ConcurrentDropOldestConservesRequests) {
 /// kReject under producer pressure: accepted + rejected == submitted, and
 /// every accepted request is settled.
 TEST(ServingBackpressureTest, ConcurrentRejectConservesRequests) {
-  for (QueueImpl impl : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-    ServerConfig config;
-    config.engine.num_shards = 2;
-    config.queue_capacity = 4;
-    config.backpressure = BackpressurePolicy::kReject;
-    config.queue_impl = impl;
-    config.max_batch_size = 2;
-    auto server = MakeServer(config);
-    ASSERT_TRUE(server->Start().ok());
+  ServerConfig config;
+  config.engine.num_shards = 2;
+  config.queue_capacity = 4;
+  config.backpressure = BackpressurePolicy::kReject;
+  config.max_batch_size = 2;
+  auto server = MakeServer(config);
+  ASSERT_TRUE(server->Start().ok());
 
-    const int kProducers = 4;
-    const int kPerProducer = 1500;
-    SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-    server->Stop();
+  const int kProducers = 4;
+  const int kPerProducer = 1500;
+  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
+  server->Stop();
 
-    const int64_t submitted = kProducers * kPerProducer;
-    ASSERT_EQ(tally.total(), submitted);
-    EXPECT_EQ(tally.dropped_oldest, 0);
-    EXPECT_EQ(tally.closed, 0);
-    EXPECT_EQ(tally.accepted + tally.rejected, submitted);
-    EXPECT_EQ(server->accepted(), tally.accepted);
-    EXPECT_EQ(server->rejected(), tally.rejected);
-    EXPECT_GT(server->rejected(), 0);
-    EXPECT_EQ(server->completed(), tally.accepted);
-    EXPECT_EQ(server->engine().auctions_run(), server->completed());
-  }
+  const int64_t submitted = kProducers * kPerProducer;
+  ASSERT_EQ(tally.total(), submitted);
+  EXPECT_EQ(tally.dropped_oldest, 0);
+  EXPECT_EQ(tally.closed, 0);
+  EXPECT_EQ(tally.accepted + tally.rejected, submitted);
+  EXPECT_EQ(server->accepted(), tally.accepted);
+  EXPECT_EQ(server->rejected(), tally.rejected);
+  EXPECT_GT(server->rejected(), 0);
+  EXPECT_EQ(server->completed(), tally.accepted);
+  EXPECT_EQ(server->engine().auctions_run(), server->completed());
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // AuctionServer contract tests. The load-bearing one is deterministic
 // replay: a fixed query sequence served through the async subsystem — any
-// batch size, any shard count, any pool, either queue implementation — must
-// settle bitwise-identically to the serial AuctionEngine loop. Batching and
-// queuing may only change *when* work happens, never *what* it computes.
+// batch size, any shard count, any pool, with rebalancing and full tracing —
+// must settle bitwise-identically to the serial AuctionEngine loop. Batching
+// and queuing may only change *when* work happens, never *what* it computes.
+// Batched settlement, which always plans on the lane pipeline, is pinned for
+// every lane count against a serial batched oracle.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -110,9 +114,6 @@ struct ReplayParam {
   int max_batch = 1;
   int num_shards = 1;
   int pool_threads = 0;  // 0 = no pool
-  QueueImpl queue_impl = QueueImpl::kLocking;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  int num_plan_lanes = 0;  // 0 = in-thread planning
   int64_t rebalance_every = 0;  // 0 = epoch-boundary rebalancing off
   bool full_tracing = false;  // trace every query (sample_every = 1)
 };
@@ -141,12 +142,9 @@ void RunReplayEquivalence(const ReplayParam& param) {
   config.engine.num_shards = param.num_shards;
   config.engine.pool = pool.get();
   config.queue_capacity = 256;
-  config.backpressure = param.backpressure;
-  config.queue_impl = param.queue_impl;
   config.max_batch_size = param.max_batch;
   config.batch_deadline = microseconds(100);
   config.mode = ServingMode::kDeterministicReplay;
-  config.num_plan_lanes = param.num_plan_lanes;
   if (param.full_tracing) config.obs.trace.sample_every = 1;
   config.rebalance.every = param.rebalance_every;
   // Move boundaries on any measured imbalance: maximal churn, so the
@@ -166,14 +164,6 @@ void RunReplayEquivalence(const ReplayParam& param) {
   ASSERT_EQ(serial.total_revenue(), total_revenue);
 }
 
-TEST(ServingReplayTest, BatchSizeOneSingleShard) {
-  RunReplayEquivalence({/*max_batch=*/1, /*num_shards=*/1});
-}
-
-TEST(ServingReplayTest, MicroBatchesSingleShard) {
-  RunReplayEquivalence({/*max_batch=*/8, /*num_shards=*/1});
-}
-
 TEST(ServingReplayTest, MicroBatchesShardedOnPool) {
   RunReplayEquivalence(
       {/*max_batch=*/16, /*num_shards=*/3, /*pool_threads=*/3});
@@ -186,73 +176,34 @@ TEST(ServingReplayTest, LargeBatchManyShardsTreeMerge) {
       {/*max_batch=*/64, /*num_shards=*/8, /*pool_threads=*/4});
 }
 
-TEST(ServingReplayTest, LockFreeQueueReplay) {
-  ReplayParam param;
-  param.max_batch = 8;
-  param.num_shards = 2;
-  param.pool_threads = 2;
-  param.queue_impl = QueueImpl::kLockFree;
-  param.backpressure = BackpressurePolicy::kReject;  // ring is reject-only
-  RunReplayEquivalence(param);
-}
-
-TEST(ServingLaneReplayTest, MatrixMatchesSerialEngineBitwise) {
-  // The lane-count half of the determinism contract: replaying through E
-  // planning lanes — every lane with its own caches, heaps, and matrix
-  // arena — must reproduce the serial engine loop bitwise, for every
-  // E x shard-count x queue-implementation combination. Per-lane cache
-  // divergence (different lanes see different slots) may only move time,
-  // never values.
-  for (int lanes : {1, 2, 4, 8}) {
-    for (int shards : {1, 4}) {
-      for (QueueImpl queue : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-        SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                     " shards=" + std::to_string(shards) + " queue=" +
-                     (queue == QueueImpl::kLocking ? "locking" : "lockfree"));
-        ReplayParam param;
-        param.max_batch = 8;
-        param.num_shards = shards;
-        param.queue_impl = queue;
-        param.backpressure = queue == QueueImpl::kLockFree
-                                 ? BackpressurePolicy::kReject
-                                 : BackpressurePolicy::kBlock;
-        param.num_plan_lanes = lanes;
-        RunReplayEquivalence(param);
-      }
+TEST(ServingReplayTest, MatrixMatchesSerialEngineBitwise) {
+  // Shard count x batch size: replay always plans on the executor thread,
+  // so the only knobs left that could move a value are the shard layout
+  // and the batch grouping — neither may.
+  for (int shards : {1, 4}) {
+    for (int batch : {1, 8, 32}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " batch=" + std::to_string(batch));
+      ReplayParam param;
+      param.max_batch = batch;
+      param.num_shards = shards;
+      RunReplayEquivalence(param);
     }
   }
-}
-
-TEST(ServingLaneReplayTest, LanesComposeWithCapturePoolAndTreeMerge) {
-  // Lanes on top of everything else at once: the capture fans out across 8
-  // shards on a pool, the lane-side merge takes the tree path (8 >=
-  // kTreeMergeMinShards), and 4 lanes race over the plans.
-  ReplayParam param;
-  param.max_batch = 32;
-  param.num_shards = 8;
-  param.pool_threads = 3;
-  param.num_plan_lanes = 4;
-  RunReplayEquivalence(param);
 }
 
 TEST(ServingRebalanceTest, ReplayMatrixStaysBitwiseWithRebalancingEnabled) {
   // The serving half of the rebalancing contract: with epoch-boundary
   // rebalancing churning the shard layout mid-stream (every 8 auctions, any
   // imbalance), deterministic replay must stay bitwise-equal to the serial
-  // engine — across lane counts and both queue implementations. Rebalancing
-  // may move work between shards, never values.
-  for (int lanes : {0, 2, 4}) {
-    for (QueueImpl queue : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) + " queue=" +
-                   (queue == QueueImpl::kLocking ? "locking" : "lockfree"));
+  // engine. Rebalancing may move work between shards, never values.
+  for (int shards : {2, 4}) {
+    for (int batch : {1, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " batch=" + std::to_string(batch));
       ReplayParam param;
-      param.max_batch = 8;
-      param.num_shards = 4;
-      param.queue_impl = queue;
-      param.backpressure = queue == QueueImpl::kLockFree
-                               ? BackpressurePolicy::kReject
-                               : BackpressurePolicy::kBlock;
-      param.num_plan_lanes = lanes;
+      param.max_batch = batch;
+      param.num_shards = shards;
       param.rebalance_every = 8;
       RunReplayEquivalence(param);
     }
@@ -262,16 +213,16 @@ TEST(ServingRebalanceTest, ReplayMatrixStaysBitwiseWithRebalancingEnabled) {
 TEST(ServingObservabilityTest, ReplayStaysBitwiseUnderFullTracing) {
   // The observability half of the determinism contract: with every query
   // traced (sample_every = 1) and metrics on, replay must still reproduce
-  // the serial engine bitwise across lane and shard counts. Instrumentation
-  // reads clocks and writes side state; it must never move an auction value.
-  for (int lanes : {1, 4}) {
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                   " shards=" + std::to_string(shards));
+  // the serial engine bitwise across shard counts and batch sizes.
+  // Instrumentation reads clocks and writes side state; it must never move
+  // an auction value.
+  for (int shards : {1, 4}) {
+    for (int batch : {1, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " batch=" + std::to_string(batch));
       ReplayParam param;
-      param.max_batch = 8;
+      param.max_batch = batch;
       param.num_shards = shards;
-      param.num_plan_lanes = lanes;
       param.full_tracing = true;
       RunReplayEquivalence(param);
     }
@@ -281,7 +232,8 @@ TEST(ServingObservabilityTest, ReplayStaysBitwiseUnderFullTracing) {
 TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   // Acceptance check for the pipeline signals ROADMAP item 2 asks for: the
   // per-lane merge-barrier wait and the per-shard capture/plan slices must
-  // be visible in the Prometheus snapshot and in the Perfetto trace.
+  // be visible in the Prometheus snapshot and in the Perfetto trace. Lanes
+  // and the barrier exist only under batched settlement.
   const uint64_t workload_seed = 41;
   Workload w = MakePaperWorkload(SmallConfig(workload_seed));
   const std::vector<Query> queries =
@@ -291,7 +243,7 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   config.engine.num_shards = 2;
   config.max_batch_size = 8;
   config.num_plan_lanes = 2;
-  config.mode = ServingMode::kDeterministicReplay;
+  config.mode = ServingMode::kBatchedSettlement;
   config.obs.trace.sample_every = 1;
   auto strategies = RoiStrategies(w);
   AuctionServer server(config, std::move(w), std::move(strategies));
@@ -315,6 +267,17 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
             std::string::npos);
   EXPECT_NE(prom.find("trace_spans_recorded_total"), std::string::npos);
+  // Planning ran only on the server's lanes, never on the engine's internal
+  // lane: the per-shard phase time and the engine cache totals must still
+  // count it.
+  MetricsRegistry* registry = server.mutable_metrics();
+  for (int s = 0; s < config.engine.num_shards; ++s) {
+    const std::string shard = "shard=\"" + std::to_string(s) + "\"";
+    EXPECT_GT(registry->GetGauge("engine_shard_phase_ns", shard)->value(), 0)
+        << shard;
+  }
+  EXPECT_GT(registry->GetGauge("engine_cache_hits_total")->value(), 0);
+  EXPECT_GT(registry->GetGauge("engine_cache_misses_total")->value(), 0);
 
   // Trace side: every pipeline stage appears, including the per-shard
   // capture/plan slices and the per-slot barrier wait.
@@ -424,13 +387,42 @@ std::vector<AuctionOutcome> ServePreloaded(
   return outcomes;
 }
 
-TEST(ServingLaneBatchedTest, LanesMatchInThreadBatchedPathBitwise) {
-  // kBatchedSettlement is where lanes overlap settlement with planning —
-  // but with identical batch composition the *values* must not move: the
-  // lane pipeline and the in-thread batched loop both plan every slot
-  // against batch-start state and settle in arrival order. Preloading the
-  // queue pins the batch boundaries, so E=0 vs E=4 (and E=4 vs itself)
-  // compare bitwise.
+/// Test-local batched-settlement oracle: chunks `queries` exactly as a
+/// preloaded queue pops them (max_batch_size at a time), plans the whole
+/// chunk on a serial ShardedAuctionEngine, then settles it in order.
+std::vector<AuctionOutcome> SerialBatchedOracle(
+    const ServerConfig& config, uint64_t workload_seed,
+    const std::vector<Query>& queries,
+    std::vector<AdvertiserAccount>* accounts, Money* total_revenue) {
+  Workload workload = MakePaperWorkload(SmallConfig(workload_seed));
+  auto strategies = RoiStrategies(workload);
+  ShardedAuctionEngine engine(config.engine, std::move(workload),
+                              std::move(strategies));
+  const size_t batch = static_cast<size_t>(config.max_batch_size);
+  std::vector<AuctionOutcome> outcomes;
+  std::vector<ShardedAuctionEngine::PlannedAuction> plans;
+  for (size_t begin = 0; begin < queries.size(); begin += batch) {
+    const size_t end = std::min(queries.size(), begin + batch);
+    plans.resize(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      engine.PlanAuction(queries[i], &plans[i - begin]);
+    }
+    for (ShardedAuctionEngine::PlannedAuction& plan : plans) {
+      outcomes.push_back(engine.SettlePlanned(&plan));
+    }
+  }
+  *accounts = engine.accounts();
+  *total_revenue = engine.total_revenue();
+  return outcomes;
+}
+
+TEST(ServingLaneBatchedTest, LanesMatchSerialBatchedOracleBitwise) {
+  // Batched settlement always plans on the lane pipeline, where lanes
+  // overlap settlement with planning — but with identical batch composition
+  // the *values* must not move for any lane count or shard layout: every
+  // slot is planned against batch-start state and settled in arrival order,
+  // exactly as the single-shard serial oracle does. Preloading the queue
+  // pins the batch boundaries.
   const uint64_t workload_seed = 89;
   Workload w = MakePaperWorkload(SmallConfig(workload_seed));
   const std::vector<Query> queries =
@@ -442,26 +434,33 @@ TEST(ServingLaneBatchedTest, LanesMatchInThreadBatchedPathBitwise) {
   config.max_batch_size = 16;
   config.mode = ServingMode::kBatchedSettlement;
 
-  std::vector<AdvertiserAccount> accounts_base, accounts_lanes, accounts_rerun;
-  Money revenue_base = 0, revenue_lanes = 0, revenue_rerun = 0;
-  const auto base = ServePreloaded(config, workload_seed, queries,
-                                   &accounts_base, &revenue_base);
-  config.num_plan_lanes = 4;
-  const auto lanes = ServePreloaded(config, workload_seed, queries,
-                                    &accounts_lanes, &revenue_lanes);
-  const auto rerun = ServePreloaded(config, workload_seed, queries,
-                                    &accounts_rerun, &revenue_rerun);
-
-  ASSERT_EQ(base.size(), queries.size());
-  ASSERT_EQ(lanes.size(), queries.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    ExpectOutcomeBitwiseEq(base[i], lanes[i]);
-    ExpectOutcomeBitwiseEq(lanes[i], rerun[i]);
+  std::vector<AdvertiserAccount> accounts_oracle;
+  Money revenue_oracle = 0;
+  const auto oracle = SerialBatchedOracle(config, workload_seed, queries,
+                                          &accounts_oracle, &revenue_oracle);
+  ASSERT_EQ(oracle.size(), queries.size());
+  for (int lanes : {1, 2, 4, 8}) {
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                   " shards=" + std::to_string(shards));
+      config.num_plan_lanes = lanes;
+      config.engine.num_shards = shards;
+      // With 4 shards, rebalance at every due epoch boundary: lane scratch
+      // follows the layout without moving a value.
+      config.rebalance.every = shards > 1 ? 8 : 0;
+      config.rebalance.min_imbalance = 1.0;
+      std::vector<AdvertiserAccount> accounts;
+      Money revenue = 0;
+      const auto got =
+          ServePreloaded(config, workload_seed, queries, &accounts, &revenue);
+      ASSERT_EQ(got.size(), queries.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ExpectOutcomeBitwiseEq(oracle[i], got[i]);
+      }
+      ExpectAccountsBitwiseEq(accounts_oracle, accounts);
+      ASSERT_EQ(revenue_oracle, revenue);
+    }
   }
-  ExpectAccountsBitwiseEq(accounts_base, accounts_lanes);
-  ExpectAccountsBitwiseEq(accounts_lanes, accounts_rerun);
-  ASSERT_EQ(revenue_base, revenue_lanes);
-  ASSERT_EQ(revenue_lanes, revenue_rerun);
 }
 
 TEST(ServingBatchedSettlementTest, EqualsReplayAtBatchSizeOne) {
@@ -482,15 +481,19 @@ TEST(ServingBatchedSettlementTest, EqualsReplayAtBatchSizeOne) {
   config.engine.engine = engine_config;
   config.max_batch_size = 1;
   config.mode = ServingMode::kBatchedSettlement;
-  std::vector<AdvertiserAccount> accounts;
-  Money total_revenue = 0;
-  const std::vector<AuctionOutcome> got =
-      ServeAll(config, workload_seed, queries, &accounts, &total_revenue);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ExpectOutcomeBitwiseEq(expected[i], got[i]);
+  for (int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    config.num_plan_lanes = lanes;
+    std::vector<AdvertiserAccount> accounts;
+    Money total_revenue = 0;
+    const std::vector<AuctionOutcome> got =
+        ServeAll(config, workload_seed, queries, &accounts, &total_revenue);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectOutcomeBitwiseEq(expected[i], got[i]);
+    }
+    ExpectAccountsBitwiseEq(serial.accounts(), accounts);
   }
-  ExpectAccountsBitwiseEq(serial.accounts(), accounts);
 }
 
 TEST(ServingBatchedSettlementTest, DeterministicGivenArrivalOrder) {
@@ -529,6 +532,29 @@ TEST(ServingBatchedSettlementTest, DeterministicGivenArrivalOrder) {
   Money spent = 0;
   for (const auto& account : accounts_a) spent += account.amount_spent;
   EXPECT_NEAR(spent, revenue_a, 1e-9);
+}
+
+TEST(ServingBatchedSettlementTest, RefusesToWriteASettlementLog) {
+  // Recovery and followers re-execute a settlement log one auction at a
+  // time; batched boundaries are timing-dependent, so a batched log would
+  // replay onto a different trajectory. Start() must refuse the pairing
+  // before it recovers, opens the log, or launches the executor.
+  const std::string log_path =
+      testing::TempDir() + "/ssa_serving_batched_refuses.log";
+  std::remove(log_path.c_str());
+  Workload w = MakePaperWorkload(SmallConfig(59));
+  ServerConfig config;
+  config.mode = ServingMode::kBatchedSettlement;
+  config.durability.log_path = log_path;
+  AuctionServer server(config, std::move(w), [] {
+    Workload tmp = MakePaperWorkload(SmallConfig(59));
+    return RoiStrategies(tmp);
+  }());
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition)
+      << started.ToString();
+  EXPECT_EQ(server.log_writer(), nullptr);
+  EXPECT_FALSE(FileExists(log_path));
 }
 
 TEST(ServingBackpressureTest, RejectShedsDeterministicallyBeforeStart) {
@@ -585,27 +611,6 @@ TEST(ServingBackpressureTest, DropOldestKeepsFreshest) {
   server.Stop();
   // The six oldest were evicted; queries 7..10 (1-based times) survive.
   EXPECT_EQ(served_times, (std::vector<int64_t>{7, 8, 9, 10}));
-}
-
-TEST(ServingBackpressureTest, LockFreeRejectCountsDeterministically) {
-  Workload w = MakePaperWorkload(SmallConfig(47));
-  const std::vector<Query> queries =
-      MakeQuerySequence(11, w.config.num_keywords, 53);
-  ServerConfig config;
-  config.engine.engine.seed = 53;
-  config.queue_capacity = 8;  // ring capacity is exact at powers of two
-  config.queue_impl = QueueImpl::kLockFree;
-  config.backpressure = BackpressurePolicy::kReject;
-  AuctionServer server(config, std::move(w), [] {
-    Workload tmp = MakePaperWorkload(SmallConfig(47));
-    return RoiStrategies(tmp);
-  }());
-  for (const Query& q : queries) server.Submit(q);
-  EXPECT_EQ(server.accepted(), 8);
-  EXPECT_EQ(server.rejected(), 3);
-  server.Start();
-  server.Stop();
-  EXPECT_EQ(server.completed(), 8);
 }
 
 TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {
