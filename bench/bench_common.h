@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "strategy/roi_strategy.h"
 
 namespace ssa {
@@ -41,7 +41,7 @@ inline Workload PaperWorkload(int n, uint64_t seed) {
 /// Average provider-side processing time per auction over `measured`
 /// auctions after `warmup` unmeasured ones (the bid dynamics need to ramp
 /// before timings are representative).
-inline double AverageAuctionMs(AuctionEngine& engine, int warmup,
+inline double AverageAuctionMs(ShardedAuctionEngine& engine, int warmup,
                                int measured) {
   for (int t = 0; t < warmup; ++t) engine.RunAuction();
   double total = 0;

@@ -34,18 +34,18 @@ std::string TempPath(const std::string& name) {
   return "/tmp/ssa_bench_durability_" + name;
 }
 
-std::unique_ptr<AuctionEngine> MakeEngine(int n, uint64_t seed) {
-  EngineConfig config;
-  config.seed = seed + 1;
+std::unique_ptr<ShardedAuctionEngine> MakeEngine(int n, uint64_t seed) {
+  ShardedEngineConfig config;
+  config.engine.seed = seed + 1;
   Workload workload = PaperWorkload(n, seed);
   auto strategies = RoiStrategies(workload);
-  return std::make_unique<AuctionEngine>(config, std::move(workload),
-                                         std::move(strategies));
+  return std::make_unique<ShardedAuctionEngine>(config, std::move(workload),
+                                                std::move(strategies));
 }
 
 /// Runs warmup+measured auctions, appending each settlement to `writer`
 /// (nullptr = log off). Returns measured auctions per second.
-double MeasureQps(AuctionEngine* engine, SettlementLogWriter* writer,
+double MeasureQps(ShardedAuctionEngine* engine, SettlementLogWriter* writer,
                   int warmup, int measured) {
   for (int t = 0; t < warmup; ++t) {
     const AuctionOutcome& outcome = engine->RunAuction();

@@ -24,11 +24,12 @@ namespace {
 double MeasureEager(int n, WdMethod method, int warmup, int measured,
                     uint64_t seed) {
   Workload workload = PaperWorkload(n, seed);
-  EngineConfig config;
-  config.wd_method = method;
-  config.seed = seed + 1;
+  ShardedEngineConfig config;
+  config.engine.wd_method = method;
+  config.engine.seed = seed + 1;
   auto strategies = RoiStrategies(workload);
-  AuctionEngine engine(config, std::move(workload), std::move(strategies));
+  ShardedAuctionEngine engine(config, std::move(workload),
+                              std::move(strategies));
   return AverageAuctionMs(engine, warmup, measured);
 }
 

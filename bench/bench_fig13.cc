@@ -35,16 +35,17 @@ int Main() {
   const int sweep[] = {2000, 4000, 6000, 8000, 10000,
                        12000, 14000, 16000, 18000, 20000};
   for (int n : sweep) {
-    // Eager RH engine.
+    // Eager RH engine (one shard).
     Workload w_eager = PaperWorkload(n, seed);
-    EngineConfig config;
-    config.seed = seed + 1;
+    ShardedEngineConfig config;
+    config.engine.seed = seed + 1;
     auto strategies = RoiStrategies(w_eager);
-    AuctionEngine eager(config, std::move(w_eager), std::move(strategies));
+    ShardedAuctionEngine eager(config, std::move(w_eager),
+                               std::move(strategies));
     const double rh_ms = AverageAuctionMs(eager, warmup, measured);
 
     // RHTALU engine, with work counters sampled over the measured window.
-    LogicalRoiEngine logical(config, PaperWorkload(n, seed));
+    LogicalRoiEngine logical(config.engine, PaperWorkload(n, seed));
     for (int t = 0; t < warmup; ++t) logical.RunAuction();
     const auto before = logical.stats();
     double talu_total = 0;

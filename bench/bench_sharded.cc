@@ -3,9 +3,9 @@
 //   1. Throughput: the full RunAuction() lifecycle (program evaluation,
 //      compiled-bids lookups, revenue matrix, reduced-Hungarian winner
 //      determination, pricing, settlement) on the Section V paper workload —
-//      AuctionEngine vs ShardedAuctionEngine at K ∈ {2, 4, 8}. All engines
-//      produce bitwise-identical trajectories for equal seeds (asserted by
-//      sharded_engine_test), so the comparison is pure scheduling.
+//      ShardedAuctionEngine at K ∈ {1, 2, 4, 8}. Every K produces the same
+//      bitwise trajectory for equal seeds (asserted by sharded_engine_test),
+//      so the comparison is pure scheduling.
 //
 //   2. Zipf skew ablation: a population where advertiser i emits
 //      1 + 63·(400·(i+1)/n)^(−s) bid rows per auction, s ∈ {0, 0.8, 1.2}
@@ -23,17 +23,17 @@
 // SSA_SHARD_AUCTIONS (measured per config, default 200), SSA_SHARD_WARMUP
 // (default 30), SSA_SEED, SSA_SHARD_QUICK=1 (CI smoke: tiny counts).
 // Flags: --json[=path] appends a machine-readable report (to stdout or
-// `path`) after the human-readable tables.
+// `path`) after the human-readable tables; it records the host's core count.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
 #include "util/timer.h"
 
@@ -91,9 +91,9 @@ std::vector<std::unique_ptr<BiddingStrategy>> ZipfStrategies(
 }
 
 /// Average ms/auction over `measured` auctions after `warmup` unmeasured
-/// ones, by wall clock (works for either engine type).
-template <typename Engine>
-double MeasureMsPerAuction(Engine& engine, int warmup, int measured) {
+/// ones, by wall clock.
+double MeasureMsPerAuction(ShardedAuctionEngine& engine, int warmup,
+                           int measured) {
   for (int t = 0; t < warmup; ++t) engine.RunAuction();
   WallTimer timer;
   for (int t = 0; t < measured; ++t) engine.RunAuction();
@@ -101,7 +101,6 @@ double MeasureMsPerAuction(Engine& engine, int warmup, int measured) {
 }
 
 struct ThroughputRow {
-  std::string engine;
   int shards = 1;
   double ms_per_auction = 0;
 };
@@ -209,18 +208,17 @@ std::string JsonDoubleArray(const std::vector<double>& values) {
   return out + "]";
 }
 
-void WriteJson(std::FILE* f, int n, int auctions,
+void WriteJson(std::FILE* f, int n, int auctions, unsigned cores,
                const std::vector<ThroughputRow>& throughput,
                const std::vector<SkewResult>& skew) {
   std::fprintf(f, "{\n  \"bench\": \"bench_sharded\",\n");
-  std::fprintf(f, "  \"n\": %d,\n  \"auctions\": %d,\n", n, auctions);
+  std::fprintf(f, "  \"n\": %d,\n  \"auctions\": %d,\n  \"cores\": %u,\n",
+               n, auctions, cores);
   std::fprintf(f, "  \"throughput\": [\n");
   for (size_t i = 0; i < throughput.size(); ++i) {
     const ThroughputRow& row = throughput[i];
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"shards\": %d, "
-                 "\"ms_per_auction\": %.4f}%s\n",
-                 row.engine.c_str(), row.shards, row.ms_per_auction,
+    std::fprintf(f, "    {\"shards\": %d, \"ms_per_auction\": %.4f}%s\n",
+                 row.shards, row.ms_per_auction,
                  i + 1 < throughput.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"zipf\": [\n");
@@ -271,40 +269,27 @@ int Main(int argc, char** argv) {
   const int warmup =
       static_cast<int>(EnvInt("SSA_SHARD_WARMUP", quick ? 10 : 30));
   const uint64_t seed = static_cast<uint64_t>(EnvInt("SSA_SEED", 12345));
+  const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("# Sharded engine bench: n=%d advertisers, %d measured "
-              "auctions per config, %d warmup\n\n",
-              n, auctions, warmup);
+              "auctions per config, %d warmup, %u cores\n\n",
+              n, auctions, warmup, cores);
 
-  // --- Throughput: single vs sharded on the ROI paper workload. The shard
-  // phase runs sequentially (pool-free) so the numbers compare partition
+  // --- Throughput: K shards on the ROI paper workload. The shard phase
+  // runs sequentially (pool-free) so the numbers compare partition
   // overhead, not host parallelism — identical work, different layout.
   std::printf("## Throughput (paper workload, ROI strategies)\n");
-  std::printf("%-10s %6s %14s\n", "engine", "shards", "ms/auction");
+  std::printf("%6s %14s\n", "shards", "ms/auction");
   std::vector<ThroughputRow> throughput;
-  {
-    Workload w = PaperWorkload(n, seed);
-    auto strategies = RoiStrategies(w);
-    EngineConfig config;
-    config.seed = seed + 1;
-    AuctionEngine engine(config, std::move(w), std::move(strategies));
-    ThroughputRow row{"single", 1,
-                      MeasureMsPerAuction(engine, warmup, auctions)};
-    std::printf("%-10s %6d %14.3f\n", row.engine.c_str(), row.shards,
-                row.ms_per_auction);
-    throughput.push_back(row);
-  }
-  for (int shards : {2, 4, 8}) {
+  for (int shards : {1, 2, 4, 8}) {
     Workload w = PaperWorkload(n, seed);
     auto strategies = RoiStrategies(w);
     ShardedEngineConfig config;
     config.engine.seed = seed + 1;
     config.num_shards = shards;
     ShardedAuctionEngine engine(config, std::move(w), std::move(strategies));
-    ThroughputRow row{"sharded", shards,
-                      MeasureMsPerAuction(engine, warmup, auctions)};
-    std::printf("%-10s %6d %14.3f\n", row.engine.c_str(), row.shards,
-                row.ms_per_auction);
+    ThroughputRow row{shards, MeasureMsPerAuction(engine, warmup, auctions)};
+    std::printf("%6d %14.3f\n", row.shards, row.ms_per_auction);
     throughput.push_back(row);
   }
 
@@ -345,7 +330,7 @@ int Main(int argc, char** argv) {
     } else {
       std::printf("\n");
     }
-    WriteJson(f, n, auctions, throughput, skew);
+    WriteJson(f, n, auctions, cores, throughput, skew);
     if (!json_path.empty()) std::fclose(f);
   }
 

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 
@@ -76,9 +76,10 @@ int main() {
         std::make_unique<RoiStrategy>(workload.keyword_formulas));
   }
 
-  EngineConfig ec;
-  ec.seed = 13;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 13;
+  ShardedAuctionEngine engine(config, std::move(workload),
+                              std::move(strategies));
 
   std::printf("Advertiser 0 runs the Figure 5 Equalize-ROI program over "
               "keywords {boot: Click & Slot1, shoe: Click}.\n\n");

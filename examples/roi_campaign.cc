@@ -1,16 +1,16 @@
 // ROI campaign: the full Section V pipeline, both engines.
 //
 // Runs the paper's workload (15 slots, 10 keywords, ROI-equalizing bidders,
-// generalized second pricing) through the eager engine (every program runs
-// every auction, reduced-Hungarian winner determination) and through the
-// RHTALU engine (Threshold Algorithm + logical updates + triggers), then
-// shows that the two are observably identical while RHTALU does a fraction
-// of the work.
+// generalized second pricing) through the eager engine (ShardedAuctionEngine
+// at one shard: every program runs every auction, reduced-Hungarian winner
+// determination) and through the RHTALU engine (Threshold Algorithm +
+// logical updates + triggers), then shows that the two are observably
+// identical while RHTALU does a fraction of the work.
 
 #include <cstdio>
 #include <memory>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "strategy/logical_roi.h"
 #include "strategy/roi_strategy.h"
 #include "util/timer.h"
@@ -32,7 +32,10 @@ int main() {
     strategies.push_back(
         std::make_unique<RoiStrategy>(w_eager.keyword_formulas));
   }
-  AuctionEngine eager(ec, std::move(w_eager), std::move(strategies));
+  ShardedEngineConfig eager_config;
+  eager_config.engine = ec;
+  ShardedAuctionEngine eager(eager_config, std::move(w_eager),
+                             std::move(strategies));
   WallTimer timer;
   for (int t = 0; t < kAuctions; ++t) eager.RunAuction();
   const double eager_s = timer.ElapsedSeconds();

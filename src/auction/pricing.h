@@ -51,7 +51,7 @@ std::vector<Money> VcgExpectedCharges(const RevenueMatrix& revenue,
                                       const Allocation& allocation);
 
 /// Dispatches to VcgExpectedCharges or PerClickPrices by rule — the single
-/// Step 6 entry point shared by AuctionEngine and ShardedAuctionEngine.
+/// Step 6 entry point of ShardedAuctionEngine.
 std::vector<Money> ComputePrices(PricingRule rule, const RevenueMatrix& revenue,
                                  const ClickModel& model,
                                  const Allocation& allocation);

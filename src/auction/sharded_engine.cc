@@ -21,12 +21,6 @@ ShardedAuctionEngine::ShardedAuctionEngine(
       user_rng_(config.engine.seed ^ 0x5eed0f0e125eedULL),
       cost_model_(static_cast<int>(strategies_.size()), config.cost_model) {
   SSA_CHECK(strategies_.size() == workload_.accounts.size());
-  // The sharded engine replaces row-block matrix parallelism with
-  // whole-shard tasks; a configured matrix_pool would be silently dropped,
-  // so reject the misconfiguration instead (use ShardedEngineConfig::pool).
-  SSA_CHECK_MSG(config_.engine.matrix_pool == nullptr,
-                "ShardedEngineConfig: engine.matrix_pool is not used by the "
-                "sharded engine; set ShardedEngineConfig::pool instead");
   const int n = static_cast<int>(strategies_.size());
   SSA_CHECK(config_.num_shards >= 1);
   const int num_shards = std::min(config_.num_shards, std::max(1, n));

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "auction/auction_engine.h"
 #include "auction/cost_model.h"
+#include "auction/outcome.h"
 #include "auction/pricing.h"
 #include "auction/query_gen.h"
 #include "auction/workload.h"
@@ -25,10 +25,7 @@ struct EngineCheckpoint;
 
 /// Configuration of the sharded engine: the base engine knobs (winner
 /// determination, pricing, seed) plus the shard count and the pool the
-/// shards run on. `engine.matrix_pool` must be null — sharding replaces the
-/// row-block parallelism with whole-shard tasks, and a configured pool that
-/// silently did nothing would misrepresent the measured setup, so
-/// construction rejects it loudly.
+/// shards run on.
 struct ShardedEngineConfig {
   EngineConfig engine;
   /// Number of shards K the advertiser population is partitioned into
@@ -54,15 +51,19 @@ struct ShardedEngineConfig {
 /// and selects its local per-slot top-k candidates into a TopKHeapSet. The
 /// coordinator merges the K partial top-k sets (top-k of a union equals the
 /// top-k of the per-part top-k's under the strict (weight, id) order), runs
-/// the reduced matching, and settles the auction exactly like AuctionEngine.
+/// the reduced matching, and settles the auction (SettleAuction). It is the
+/// library's only auction engine; K = 1 is the unsharded configuration.
 ///
 /// Determinism contract: with equal seeds and workloads, every auction's
 /// allocation, prices, user events, and account balances are bitwise
-/// identical to the single-engine path, for any K, any pool, and any shard
-/// *partition* — including partitions changed mid-stream by Repartition /
-/// RebalanceShards — asserted by sharded_engine_test. Strategies of
-/// different advertisers never share mutable state (Section II-B), which is
-/// what makes the shard phase embarrassingly parallel.
+/// identical to the paper's serial eager loop (every program, the full
+/// n x k matrix compiled fresh, then WD, pricing and settlement — the
+/// test-only reference engine in tests/reference_engine.h), for any K, any
+/// pool, and any shard *partition* — including partitions changed
+/// mid-stream by Repartition / RebalanceShards — asserted by
+/// sharded_engine_test. Strategies of different advertisers never share
+/// mutable state (Section II-B), which is what makes the shard phase
+/// embarrassingly parallel.
 ///
 /// Skew: the merge is a barrier, so the slowest shard sets auction latency.
 /// The engine keeps a per-advertiser CostModel (EWMA of measured capture
@@ -88,7 +89,7 @@ class ShardedAuctionEngine {
 
   /// Runs one complete auction and returns its record. The fused shard
   /// phase (program evaluation + compile + matrix rows + local top-k) is
-  /// reported as program_eval_ms; matrix_ms stays 0.
+  /// reported as program_eval_ms.
   const AuctionOutcome& RunAuction();
 
   /// Runs one complete auction on an externally supplied query (the serving
@@ -298,19 +299,26 @@ class ShardedAuctionEngine {
     double model_cost = 0;
   };
   ShardStats shard_stats(int shard) const;
-  /// Internal-lane cache hits/misses summed over all shards (comparable to
-  /// AuctionEngine::bid_cache() totals).
+  /// Internal-lane cache hits/misses summed over all shards: one lookup per
+  /// advertiser per auction, a hit whenever the table is unchanged.
   int64_t cache_hits() const;
   int64_t cache_misses() const;
   /// Post-restore recompilations whose fingerprint matched the checkpointed
   /// key, summed over all shards.
   int64_t verified_recompiles() const;
 
-  /// Durability hooks — same contract and file format as AuctionEngine's:
-  /// the checkpoint is shard-layout-independent (cache keys are stored by
-  /// global advertiser id), so a K-shard engine restores a checkpoint taken
-  /// by a single engine or any other shard count, and vice versa. External
-  /// PlanLane caches are scratch: never checkpointed, rebuilt on demand.
+  /// Durability hooks (src/durability/): snapshot / rewind the complete
+  /// trajectory state — accounts, both RNG streams, auction counter, revenue
+  /// accumulator, strategy blobs, compiled-bids cache keys. An engine
+  /// restored from a checkpoint continues bitwise-identically to the
+  /// uninterrupted run. Restore requires the same workload shape and
+  /// strategy lineup and fails without partial effects on shape mismatches
+  /// (strategy-blob errors surface per strategy). The checkpoint is
+  /// shard-layout-independent (cache keys are stored by global advertiser
+  /// id), so an engine of any shard count restores one taken at any other.
+  /// External PlanLane caches are scratch: never checkpointed, rebuilt on
+  /// demand. The file forms are versioned, CRC-guarded, and atomically
+  /// replaced on write.
   void CaptureCheckpoint(EngineCheckpoint* ckpt) const;
   Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
   Status WriteCheckpoint(const std::string& path) const;
@@ -327,10 +335,10 @@ class ShardedAuctionEngine {
                      RevenueMatrix* revenue, bool collect_topk) const;
 
   /// Merges the lane's per-shard top-k heaps into the global per-slot top-k
-  /// and extracts the candidate union — identical to the single-engine
-  /// SelectTopPerSlotCandidates(revenue, k) output. With fewer than
-  /// kTreeMergeMinShards shards the coordinator re-offers every retained
-  /// entry into one flat heap set (O(K k^2 log k)); at K >=
+  /// and extracts the candidate union — identical to
+  /// SelectTopPerSlotCandidates(revenue, k) over the full matrix. With
+  /// fewer than kTreeMergeMinShards shards the coordinator re-offers every
+  /// retained entry into one flat heap set (O(K k^2 log k)); at K >=
   /// kTreeMergeMinShards it routes the partials through the Section III-E
   /// binary merge tree (parallel_topk, ceil(log2 K) levels of O(k) list
   /// merges on the lane's pool) — same strict (weight, id) order, so the

@@ -115,9 +115,9 @@ class CompiledBids {
 uint64_t FingerprintBids(const BidsTable& bids);
 
 /// Per-advertiser cache of compiled bids keyed on content fingerprint —
-/// AuctionEngine keeps one across auctions so unchanged tables are never
-/// recompiled. Entries are keyed by *global* advertiser id: a sharded
-/// engine's planning lane shares one cache across its shards, so moving a
+/// each ShardedAuctionEngine planning lane keeps one across auctions so
+/// unchanged tables are never recompiled. Entries are keyed by *global*
+/// advertiser id: a lane shares one cache across its shards, so moving a
 /// shard boundary (Repartition) never invalidates a compilation — the entry
 /// simply gets probed by a different shard's task.
 ///

@@ -3,14 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "durability/checkpoint.h"
-#include "durability/settlement_log.h"
-#include "durability/wire.h"
 #include "util/status.h"
 
 namespace ssa {
+
+class ShardedAuctionEngine;
 
 /// How the recovering engine obtains replay queries.
 enum class QueryStream {
@@ -59,72 +57,15 @@ struct RecoveryReport {
 /// Because engines are bitwise-deterministic, re-execution reconstructs
 /// accounts, RNG streams, revenue, and strategy state exactly — the engine
 /// ends bitwise-identical to the uninterrupted run at the last durable
-/// record, losing only the unsynced suffix a crash destroyed. Works for
-/// AuctionEngine and ShardedAuctionEngine (any shard count).
+/// record, losing only the unsynced suffix a crash destroyed, at any shard
+/// count.
 ///
 /// Single-threaded by contract: the caller must be the only party touching
 /// `engine` for the duration (the serving path runs it inside Start(),
 /// before the executor launches). Replay re-executes records strictly in
 /// log-sequence order — the same arrival order the executor settled in.
-template <typename Engine>
-Status RecoverEngine(Engine* engine, const RecoveryOptions& options,
-                     RecoveryReport* report) {
-  *report = RecoveryReport{};
-
-  if (!options.checkpoint_path.empty() &&
-      FileExists(options.checkpoint_path)) {
-    EngineCheckpoint ckpt;
-    SSA_RETURN_IF_ERROR(ReadCheckpointFile(options.checkpoint_path, &ckpt));
-    SSA_RETURN_IF_ERROR(engine->RestoreCheckpoint(ckpt));
-    report->checkpoint_seq = ckpt.seq;
-  }
-
-  std::vector<SettlementRecord> records;
-  LogReadStats stats;
-  SSA_RETURN_IF_ERROR(ReadSettlementLog(options.log_path, &records, &stats));
-  report->tail_truncated = stats.tail_truncated();
-  report->truncated_bytes = stats.corrupt_bytes;
-  if (stats.tail_truncated() && options.truncate_corrupt_tail) {
-    SSA_RETURN_IF_ERROR(TruncateFile(options.log_path, stats.valid_bytes));
-  }
-
-  uint64_t position = static_cast<uint64_t>(engine->auctions_run());
-  for (const SettlementRecord& record : records) {
-    if (record.seq <= position) {
-      // Already folded into the checkpoint (checkpoints may trail or lead
-      // individual log group commits).
-      ++report->records_skipped;
-      continue;
-    }
-    if (record.seq != position + 1) {
-      return Status::DataLoss(
-          "settlement log gap: engine at auction " + std::to_string(position) +
-          ", next record is " + std::to_string(record.seq));
-    }
-    const AuctionOutcome* outcome = nullptr;
-    if (options.stream == QueryStream::kInternal) {
-      outcome = &engine->RunAuction();
-      if (outcome->query.keyword != record.query.keyword ||
-          outcome->query.time != record.query.time) {
-        return Status::DataLoss(
-            "replayed query diverges from log at auction " +
-            std::to_string(record.seq));
-      }
-    } else {
-      outcome = &engine->RunAuctionOn(record.query);
-    }
-    position = record.seq;
-    ++report->records_replayed;
-    if (!record.MatchesOutcome(*outcome)) {
-      ++report->verify_mismatches;
-      return Status::DataLoss(
-          "replayed auction " + std::to_string(record.seq) +
-          " diverges from its logged settlement");
-    }
-  }
-  report->recovered_seq = position;
-  return Status::Ok();
-}
+Status RecoverEngine(ShardedAuctionEngine* engine,
+                     const RecoveryOptions& options, RecoveryReport* report);
 
 }  // namespace ssa
 

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "auction/auction_engine.h"
+#include "auction/outcome.h"
 #include "obs/trace.h"
 #include "util/histogram.h"
 #include "util/status.h"

@@ -29,7 +29,8 @@ enum class ServingMode {
   /// executor thread. Given a fixed arrival order this reproduces the serial
   /// engine loop *bitwise* — for any batch size, batch deadline, shard
   /// count, or pool — because batch boundaries only group work, never
-  /// reorder it (serving_test pins this against AuctionEngine::RunAuctionOn).
+  /// reorder it (serving_test pins this against the test-only serial
+  /// reference engine).
   kDeterministicReplay,
   /// Plan the whole batch against batch-start account state, then settle in
   /// arrival order. Planning runs on the planning-lane pipeline

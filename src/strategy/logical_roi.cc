@@ -362,7 +362,7 @@ const AuctionOutcome& LogicalRoiEngine::RunAuction() {
   outcome_.pricing_ms = timer.ElapsedMillis();
 
   // --- User action, charging, accounting — identical arithmetic to
-  // AuctionEngine::RunAuction so the equivalence is exact.
+  // SettleAuction so the equivalence is exact.
   std::vector<AdvertiserId> changed;
   for (SlotIndex j = 0; j < k_; ++j) {
     const AdvertiserId i = outcome_.wd.allocation.slot_to_advertiser[j];

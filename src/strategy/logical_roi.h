@@ -5,7 +5,7 @@
 #include <queue>
 #include <vector>
 
-#include "auction/auction_engine.h"
+#include "auction/outcome.h"
 #include "auction/workload.h"
 #include "util/common.h"
 #include "util/sorted_list.h"
@@ -13,10 +13,11 @@
 namespace ssa {
 
 /// The RHTALU engine (Section IV + Section III-E): the same observable
-/// auction as `AuctionEngine` running `RoiStrategy` for every bidder with
-/// WdMethod::kReducedHungarian — same winners, same charges, same account
-/// trajectories given equal seeds (asserted by the equivalence tests) — but
-/// with per-auction work that avoids touching every advertiser:
+/// auction as `ShardedAuctionEngine` running `RoiStrategy` for every bidder
+/// with WdMethod::kReducedHungarian — same winners, same charges, same
+/// account trajectories given equal seeds, bit for bit (asserted by
+/// logical_roi_test) — but with per-auction work that avoids touching every
+/// advertiser:
 ///
 ///  * **Logical updates** (Section IV-B): for each keyword, bidders are
 ///    partitioned into an increment list, a decrement list and a constant
@@ -51,7 +52,8 @@ class LogicalRoiEngine {
   /// experiments use the GSP generalization).
   LogicalRoiEngine(const EngineConfig& config, Workload workload);
 
-  /// Runs one complete auction (identical lifecycle to AuctionEngine).
+  /// Runs one complete auction (identical lifecycle to
+  /// ShardedAuctionEngine::RunAuction).
   const AuctionOutcome& RunAuction();
 
   const std::vector<AdvertiserAccount>& accounts() const {

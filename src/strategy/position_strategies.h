@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "auction/auction_engine.h"
+#include "auction/outcome.h"
 #include "strategy/strategy.h"
 #include "util/common.h"
 

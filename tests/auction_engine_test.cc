@@ -4,9 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
+#include "reference_engine.h"
 #include "strategy/roi_strategy.h"
-#include "util/thread_pool.h"
 
 namespace ssa {
 namespace {
@@ -50,11 +49,11 @@ TEST(WorkloadTest, PaperDistributions) {
   }
 }
 
-TEST(AuctionEngineTest, RunsAndMaintainsInvariants) {
+TEST(ReferenceEngineTest, RunsAndMaintainsInvariants) {
   Workload workload = MakePaperWorkload(SmallConfig());
   EngineConfig config;
   config.seed = 7;
-  AuctionEngine engine(config, workload, RoiStrategies(workload));
+  ReferenceEngine engine(config, workload, RoiStrategies(workload));
 
   Money revenue = 0;
   for (int t = 0; t < 200; ++t) {
@@ -83,13 +82,13 @@ TEST(AuctionEngineTest, RunsAndMaintainsInvariants) {
   }
 }
 
-TEST(AuctionEngineTest, DeterministicGivenSeeds) {
+TEST(ReferenceEngineTest, DeterministicGivenSeeds) {
   Workload w1 = MakePaperWorkload(SmallConfig(11));
   Workload w2 = MakePaperWorkload(SmallConfig(11));
   EngineConfig config;
   config.seed = 13;
-  AuctionEngine e1(config, w1, RoiStrategies(w1));
-  AuctionEngine e2(config, w2, RoiStrategies(w2));
+  ReferenceEngine e1(config, w1, RoiStrategies(w1));
+  ReferenceEngine e2(config, w2, RoiStrategies(w2));
   for (int t = 0; t < 100; ++t) {
     const AuctionOutcome& o1 = e1.RunAuction();
     const AuctionOutcome& o2 = e2.RunAuction();
@@ -103,12 +102,12 @@ TEST(AuctionEngineTest, DeterministicGivenSeeds) {
   }
 }
 
-TEST(AuctionEngineTest, DifferentSeedsDiverge) {
+TEST(ReferenceEngineTest, DifferentSeedsDiverge) {
   Workload w1 = MakePaperWorkload(SmallConfig(11));
   Workload w2 = MakePaperWorkload(SmallConfig(12));
   EngineConfig config;
-  AuctionEngine e1(config, w1, RoiStrategies(w1));
-  AuctionEngine e2(config, w2, RoiStrategies(w2));
+  ReferenceEngine e1(config, w1, RoiStrategies(w1));
+  ReferenceEngine e2(config, w2, RoiStrategies(w2));
   int diffs = 0;
   for (int t = 0; t < 50; ++t) {
     const AuctionOutcome o1 = e1.RunAuction();
@@ -118,7 +117,7 @@ TEST(AuctionEngineTest, DifferentSeedsDiverge) {
   EXPECT_GT(diffs, 0);
 }
 
-TEST(AuctionEngineTest, WdMethodsProduceSameRevenueTrajectory) {
+TEST(ReferenceEngineTest, WdMethodsProduceSameRevenueTrajectory) {
   // LP, H and RH are interchangeable winner-determination subroutines: the
   // whole auction trajectory (winners, clicks, charges) must match.
   std::vector<EngineConfig> configs(3);
@@ -130,12 +129,12 @@ TEST(AuctionEngineTest, WdMethodsProduceSameRevenueTrajectory) {
   wc.num_advertisers = 15;  // keep the LP small
   wc.num_slots = 4;
 
-  std::vector<std::unique_ptr<AuctionEngine>> engines;
+  std::vector<std::unique_ptr<ReferenceEngine>> engines;
   for (const EngineConfig& config : configs) {
     Workload w = MakePaperWorkload(wc);
     auto strategies = RoiStrategies(w);
-    engines.push_back(std::make_unique<AuctionEngine>(config, std::move(w),
-                                                      std::move(strategies)));
+    engines.push_back(std::make_unique<ReferenceEngine>(config, std::move(w),
+                                                        std::move(strategies)));
   }
   for (int t = 0; t < 150; ++t) {
     const AuctionOutcome& lp = engines[0]->RunAuction();
@@ -150,83 +149,7 @@ TEST(AuctionEngineTest, WdMethodsProduceSameRevenueTrajectory) {
   }
 }
 
-/// Emits the same one-row table every auction (value configurable at
-/// construction) — the cache-friendly extreme of a bidding program.
-class FixedBidStrategy : public BiddingStrategy {
- public:
-  explicit FixedBidStrategy(Money value) : value_(value) {}
-  void MakeBids(const Query&, const AdvertiserAccount&,
-                BidsTable* bids) override {
-    bids->AddBid(Formula::Click(), value_);
-  }
-
- private:
-  Money value_;
-};
-
-TEST(AuctionEngineTest, CompiledBidsCacheHitsOnStableTables) {
-  Workload workload = MakePaperWorkload(SmallConfig(41));
-  const int n = workload.config.num_advertisers;
-  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
-  for (int i = 0; i < n; ++i) {
-    strategies.push_back(
-        std::make_unique<FixedBidStrategy>(static_cast<Money>(1 + i % 7)));
-  }
-  EngineConfig config;
-  AuctionEngine engine(config, workload, std::move(strategies));
-
-  engine.RunAuction();
-  EXPECT_EQ(engine.bid_cache().misses(), n);
-  EXPECT_EQ(engine.bid_cache().hits(), 0);
-
-  const int extra = 20;
-  for (int t = 0; t < extra; ++t) engine.RunAuction();
-  // Fixed strategies re-emit identical tables: every later auction hits.
-  EXPECT_EQ(engine.bid_cache().misses(), n);
-  EXPECT_EQ(engine.bid_cache().hits(), static_cast<int64_t>(n) * extra);
-}
-
-TEST(AuctionEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
-  // ROI bidders move their bids between auctions; the fingerprint cache
-  // must recompile exactly those tables (and the trajectory must match the
-  // always-recompile behavior, which DeterministicGivenSeeds covers).
-  Workload workload = MakePaperWorkload(SmallConfig(43));
-  EngineConfig config;
-  AuctionEngine engine(config, workload, RoiStrategies(workload));
-  for (int t = 0; t < 50; ++t) engine.RunAuction();
-  const int64_t lookups = engine.bid_cache().hits() + engine.bid_cache().misses();
-  EXPECT_EQ(lookups, static_cast<int64_t>(workload.config.num_advertisers) * 50);
-  // Bids change over time, so there must be recompilations beyond auction
-  // one — but unchanged tables must still hit.
-  EXPECT_GT(engine.bid_cache().misses(), workload.config.num_advertisers);
-  EXPECT_GT(engine.bid_cache().hits(), 0);
-}
-
-TEST(AuctionEngineTest, ParallelMatrixBuildMatchesSerial) {
-  Workload w1 = MakePaperWorkload(SmallConfig(17));
-  Workload w2 = MakePaperWorkload(SmallConfig(17));
-  EngineConfig serial_config;
-  serial_config.seed = 5;
-  EngineConfig parallel_config;
-  parallel_config.seed = 5;
-  ThreadPool pool(3);
-  parallel_config.matrix_pool = &pool;
-  AuctionEngine serial(serial_config, w1, RoiStrategies(w1));
-  AuctionEngine parallel(parallel_config, w2, RoiStrategies(w2));
-  for (int t = 0; t < 100; ++t) {
-    const AuctionOutcome& a = serial.RunAuction();
-    const AuctionOutcome& b = parallel.RunAuction();
-    EXPECT_EQ(a.revenue_charged, b.revenue_charged);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (size_t e = 0; e < a.events.size(); ++e) {
-      EXPECT_EQ(a.events[e].advertiser, b.events[e].advertiser);
-      EXPECT_EQ(a.events[e].slot, b.events[e].slot);
-      EXPECT_EQ(a.events[e].charged, b.events[e].charged);
-    }
-  }
-}
-
-TEST(AuctionEngineTest, PurchasePathEndToEnd) {
+TEST(ReferenceEngineTest, PurchasePathEndToEnd) {
   // MakePaperWorkload with purchase_given_click > 0 must drive the full
   // purchase pipeline through the engine: purchases happen, only on clicked
   // slots, at roughly the configured conditional rate, and the second RNG
@@ -237,8 +160,8 @@ TEST(AuctionEngineTest, PurchasePathEndToEnd) {
   Workload w2 = MakePaperWorkload(wc);
   EngineConfig config;
   config.seed = 53;
-  AuctionEngine engine(config, w1, RoiStrategies(w1));
-  AuctionEngine twin(config, w2, RoiStrategies(w2));
+  ReferenceEngine engine(config, w1, RoiStrategies(w1));
+  ReferenceEngine twin(config, w2, RoiStrategies(w2));
 
   int64_t clicks = 0, purchases = 0;
   for (int t = 0; t < 300; ++t) {
@@ -263,13 +186,13 @@ TEST(AuctionEngineTest, PurchasePathEndToEnd) {
   EXPECT_NEAR(static_cast<double>(purchases), expected, 5.0 * sigma + 1.0);
 }
 
-TEST(AuctionEngineTest, ZeroPurchaseRateNeverPurchases) {
+TEST(ReferenceEngineTest, ZeroPurchaseRateNeverPurchases) {
   // The paper default (purchase_given_click = 0) must not even draw from
   // the RNG for purchases — asserted indirectly: no event ever purchases.
   Workload w = MakePaperWorkload(SmallConfig(55));
   EngineConfig config;
   config.seed = 57;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ReferenceEngine engine(config, w, RoiStrategies(w));
   for (int t = 0; t < 100; ++t) {
     for (const UserEvent& e : engine.RunAuction().events) {
       EXPECT_FALSE(e.purchased);
@@ -277,12 +200,12 @@ TEST(AuctionEngineTest, ZeroPurchaseRateNeverPurchases) {
   }
 }
 
-TEST(AuctionEngineTest, VcgPricingRuns) {
+TEST(ReferenceEngineTest, VcgPricingRuns) {
   WorkloadConfig wc = SmallConfig(31);
   Workload w = MakePaperWorkload(wc);
   EngineConfig config;
   config.pricing = PricingRule::kVcg;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ReferenceEngine engine(config, w, RoiStrategies(w));
   for (int t = 0; t < 50; ++t) {
     const AuctionOutcome& out = engine.RunAuction();
     for (const UserEvent& e : out.events) EXPECT_GE(e.charged, -1e-9);

@@ -1,6 +1,6 @@
 // Durability subsystem tests: wire-format round trips, CRC corruption
 // detection, settlement-log write/read in every sync mode, torn-tail
-// truncation, checkpoint/restore for both engines, and restore-then-replay
+// truncation, checkpoint/restore across shard counts, and restore-then-replay
 // recovery arriving bitwise at the uninterrupted trajectory. Crash-shaped
 // fault schedules (random kill points, bit flips under a live server) live
 // in fault_injection_test.cc; this file covers the building blocks.
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
 #include "durability/checkpoint.h"
 #include "durability/recovery.h"
@@ -158,8 +157,8 @@ TEST(StatusMacroTest, AssignOrReturnMovesValueOrPropagates) {
 }
 
 /// Runs `count` auctions on `engine`, appending each settlement to `writer`.
-template <typename Engine>
-void RunAndLog(Engine* engine, SettlementLogWriter* writer, int count) {
+void RunAndLog(ShardedAuctionEngine* engine, SettlementLogWriter* writer,
+               int count) {
   for (int i = 0; i < count; ++i) {
     const AuctionOutcome& outcome = engine->RunAuction();
     ASSERT_TRUE(writer
@@ -177,9 +176,9 @@ TEST_P(SettlementLogTest, WriteReadRoundTrip) {
   std::remove(path.c_str());
 
   Workload w = MakePaperWorkload(SmallConfig(3));
-  EngineConfig config;
-  config.seed = 5;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 5;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
 
   LogWriterOptions options;
   options.sync = GetParam();
@@ -218,9 +217,9 @@ TEST(SettlementLogReaderTest, TornTailIsReportedAndTruncatable) {
   std::remove(path.c_str());
 
   Workload w = MakePaperWorkload(SmallConfig(7));
-  EngineConfig config;
-  config.seed = 11;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 11;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   {
     auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
@@ -258,9 +257,9 @@ TEST(SettlementLogReaderTest, MidLogBitFlipEndsScanAtCorruption) {
   const std::string path = TempPath("log_bitflip");
   std::remove(path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(13));
-  EngineConfig config;
-  config.seed = 17;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 17;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   {
     auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
@@ -285,9 +284,9 @@ TEST(SettlementLogWriterTest, RejectsOutOfSequenceRecords) {
   const std::string path = TempPath("log_seq");
   std::remove(path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(19));
-  EngineConfig config;
-  config.seed = 23;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 23;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
   ASSERT_TRUE(writer.ok());
   const AuctionOutcome& outcome = engine.RunAuction();
@@ -298,15 +297,21 @@ TEST(SettlementLogWriterTest, RejectsOutOfSequenceRecords) {
   std::remove(path.c_str());
 }
 
-/// Checkpoint round trip: run, checkpoint, keep running (the oracle
-/// trajectory); then restore a fresh engine and verify it reproduces the
-/// post-checkpoint trajectory bitwise.
-template <typename Engine, typename MakeEngine>
-void CheckpointRoundTrip(MakeEngine make_engine) {
+/// Checkpoint round trip at `num_shards`: run, checkpoint, keep running (the
+/// oracle trajectory); then restore a fresh engine and verify it reproduces
+/// the post-checkpoint trajectory bitwise.
+void CheckpointRoundTrip(int num_shards) {
   const std::string path = TempPath("ckpt_roundtrip");
   std::remove(path.c_str());
+  auto make_engine = [num_shards] {
+    Workload w = MakePaperWorkload(SmallConfig(29));
+    ShardedEngineConfig config;
+    config.engine.seed = 31;
+    config.num_shards = num_shards;
+    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
+  };
 
-  std::unique_ptr<Engine> original = make_engine();
+  auto original = make_engine();
   for (int i = 0; i < 40; ++i) original->RunAuction();
   ASSERT_TRUE(original->WriteCheckpoint(path).ok());
   const Money revenue_at_checkpoint = original->total_revenue();
@@ -314,7 +319,7 @@ void CheckpointRoundTrip(MakeEngine make_engine) {
   std::vector<AuctionOutcome> expected;
   for (int i = 0; i < 25; ++i) expected.push_back(original->RunAuction());
 
-  std::unique_ptr<Engine> restored = make_engine();
+  auto restored = make_engine();
   ASSERT_TRUE(restored->RestoreFromCheckpoint(path).ok());
   EXPECT_EQ(restored->auctions_run(), 40);
   EXPECT_EQ(restored->total_revenue(), revenue_at_checkpoint);
@@ -334,56 +339,53 @@ void CheckpointRoundTrip(MakeEngine make_engine) {
 }
 
 TEST(CheckpointTest, SingleEngineRoundTripIsBitwise) {
-  CheckpointRoundTrip<AuctionEngine>([] {
-    Workload w = MakePaperWorkload(SmallConfig(29));
-    EngineConfig config;
-    config.seed = 31;
-    return std::make_unique<AuctionEngine>(config, w, RoiStrategies(w));
-  });
+  CheckpointRoundTrip(1);
 }
 
 TEST(CheckpointTest, ShardedEngineRoundTripIsBitwise) {
-  CheckpointRoundTrip<ShardedAuctionEngine>([] {
-    Workload w = MakePaperWorkload(SmallConfig(29));
-    ShardedEngineConfig config;
-    config.engine.seed = 31;
-    config.num_shards = 3;
-    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
-  });
+  CheckpointRoundTrip(3);
 }
 
 TEST(CheckpointTest, CheckpointIsPortableAcrossShardLayouts) {
-  // A checkpoint taken by the single engine restores into a sharded engine
-  // (cache keys are stored by global advertiser id) and the trajectories
-  // stay bitwise-equal — the same determinism contract the engines already
-  // share, now across a persistence boundary.
+  // A checkpoint taken at one shard count restores at any other (cache keys
+  // are stored by global advertiser id): K = 1 -> 4 -> 7 -> 1, each reader
+  // continuing bitwise-equal to the writer it restored from — the
+  // determinism contract across shard counts, now across a persistence
+  // boundary.
   const std::string path = TempPath("ckpt_portable");
   std::remove(path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(37));
-  EngineConfig config;
-  config.seed = 41;
-  AuctionEngine single(config, w, RoiStrategies(w));
-  for (int i = 0; i < 30; ++i) single.RunAuction();
-  ASSERT_TRUE(single.WriteCheckpoint(path).ok());
+  auto make_engine = [&w](int num_shards) {
+    ShardedEngineConfig config;
+    config.engine.seed = 41;
+    config.num_shards = num_shards;
+    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
+  };
+  auto writer = make_engine(1);
+  for (int i = 0; i < 30; ++i) writer->RunAuction();
 
-  ShardedEngineConfig sharded_config;
-  sharded_config.engine = config;
-  sharded_config.num_shards = 4;
-  ShardedAuctionEngine sharded(sharded_config, w, RoiStrategies(w));
-  ASSERT_TRUE(sharded.RestoreFromCheckpoint(path).ok());
-
-  for (int i = 0; i < 20; ++i) {
-    const AuctionOutcome& want = single.RunAuction();
-    const AuctionOutcome& got = sharded.RunAuction();
-    ASSERT_EQ(got.query.keyword, want.query.keyword);
-    ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
-              want.wd.allocation.slot_to_advertiser);
-    ASSERT_EQ(got.revenue_charged, want.revenue_charged);
+  for (const int num_shards : {4, 7, 1}) {
+    SCOPED_TRACE("K " + std::to_string(writer->num_shards()) + " -> " +
+                 std::to_string(num_shards));
+    ASSERT_TRUE(writer->WriteCheckpoint(path).ok());
+    auto reader = make_engine(num_shards);
+    ASSERT_TRUE(reader->RestoreFromCheckpoint(path).ok());
+    ASSERT_EQ(reader->auctions_run(), writer->auctions_run());
+    for (int i = 0; i < 20; ++i) {
+      const AuctionOutcome& want = writer->RunAuction();
+      const AuctionOutcome& got = reader->RunAuction();
+      ASSERT_EQ(got.query.keyword, want.query.keyword);
+      ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
+                want.wd.allocation.slot_to_advertiser);
+      ASSERT_EQ(got.revenue_charged, want.revenue_charged);
+    }
+    ExpectAccountsBitwiseEq(writer->accounts(), reader->accounts());
+    ASSERT_EQ(writer->total_revenue(), reader->total_revenue());
+    // Restored strategies re-emitted the checkpointed tables:
+    // recompilations verified against the primed fingerprints.
+    EXPECT_GT(reader->verified_recompiles(), 0);
+    writer = std::move(reader);
   }
-  ExpectAccountsBitwiseEq(single.accounts(), sharded.accounts());
-  // Restored strategies re-emitted the checkpointed tables: recompilations
-  // verified against the primed fingerprints.
-  EXPECT_GT(sharded.verified_recompiles(), 0);
   std::remove(path.c_str());
 }
 
@@ -438,9 +440,9 @@ TEST(CheckpointTest, RestoreRejectsShapeMismatchAndCorruption) {
   const std::string path = TempPath("ckpt_reject");
   std::remove(path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(43));
-  EngineConfig config;
-  config.seed = 47;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 47;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   for (int i = 0; i < 5; ++i) engine.RunAuction();
   ASSERT_TRUE(engine.WriteCheckpoint(path).ok());
 
@@ -448,7 +450,7 @@ TEST(CheckpointTest, RestoreRejectsShapeMismatchAndCorruption) {
   WorkloadConfig other_config = SmallConfig(43);
   other_config.num_advertisers = 12;
   Workload other = MakePaperWorkload(other_config);
-  AuctionEngine mismatched(config, other, RoiStrategies(other));
+  ShardedAuctionEngine mismatched(config, other, RoiStrategies(other));
   EXPECT_EQ(mismatched.RestoreFromCheckpoint(path).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(mismatched.auctions_run(), 0);
@@ -458,7 +460,7 @@ TEST(CheckpointTest, RestoreRejectsShapeMismatchAndCorruption) {
   ASSERT_TRUE(ReadFileToString(path, &data).ok());
   data[data.size() - 3] ^= 0x40;
   ASSERT_TRUE(AtomicWriteFile(path, data).ok());
-  AuctionEngine fresh(config, w, RoiStrategies(w));
+  ShardedAuctionEngine fresh(config, w, RoiStrategies(w));
   EXPECT_FALSE(fresh.RestoreFromCheckpoint(path).ok());
 
   // Missing file is NotFound, not a crash.
@@ -474,9 +476,9 @@ TEST(RecoveryTest, RestoreThenReplayReachesUninterruptedState) {
 
   auto make_engine = [] {
     Workload w = MakePaperWorkload(SmallConfig(53));
-    EngineConfig config;
-    config.seed = 59;
-    return std::make_unique<AuctionEngine>(config, w, RoiStrategies(w));
+    ShardedEngineConfig config;
+    config.engine.seed = 59;
+    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
   };
 
   // Uninterrupted oracle: 70 auctions, checkpoint at 40, logging all along.
@@ -525,9 +527,9 @@ TEST(RecoveryTest, NoCheckpointReplaysWholeLogFromScratch) {
   std::remove(log_path.c_str());
   auto make_engine = [] {
     Workload w = MakePaperWorkload(SmallConfig(61));
-    EngineConfig config;
-    config.seed = 67;
-    return std::make_unique<AuctionEngine>(config, w, RoiStrategies(w));
+    ShardedEngineConfig config;
+    config.engine.seed = 67;
+    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
   };
   auto oracle = make_engine();
   {
@@ -551,9 +553,9 @@ TEST(RecoveryTest, SequenceGapIsDataLoss) {
   const std::string log_path = TempPath("recover_gap");
   std::remove(log_path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(71));
-  EngineConfig config;
-  config.seed = 73;
-  AuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedEngineConfig config;
+  config.engine.seed = 73;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   // Hand-craft a log starting at seq 5: a fresh engine (position 0) cannot
   // bridge the gap and must refuse rather than replay a wrong suffix.
   std::string frames;
@@ -561,7 +563,7 @@ TEST(RecoveryTest, SequenceGapIsDataLoss) {
                  &frames);
   ASSERT_TRUE(AtomicWriteFile(log_path, frames).ok());
 
-  AuctionEngine fresh(config, w, RoiStrategies(w));
+  ShardedAuctionEngine fresh(config, w, RoiStrategies(w));
   RecoveryOptions options;
   options.log_path = log_path;
   RecoveryReport report;

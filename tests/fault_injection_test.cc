@@ -2,7 +2,7 @@
 // auction index, corrupt whatever had not been committed (clean kill, torn
 // write, bit flip), recover by restore-then-replay, and assert the remaining
 // trajectory is bitwise identical to a run that never crashed — for the
-// single engine, the sharded engine, and the serving subsystem. Loss is
+// engine at K = 1 and K > 1 shards, and the serving subsystem. Loss is
 // asserted to be bounded by the unsynced group-commit suffix.
 //
 // Schedules derive from SSA_FAULT_SEED (default 12345) so CI can sweep many
@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
 #include "durability/recovery.h"
 #include "durability/settlement_log.h"
+#include "reference_engine.h"
 #include "serving/auction_server.h"
 #include "strategy/roi_strategy.h"
 #include "util/rng.h"
@@ -142,6 +142,17 @@ void ExpectAccountsBitwiseEq(const std::vector<AdvertiserAccount>& a,
   }
 }
 
+/// A fresh engine over SmallConfig(workload_seed) with `num_shards` shards.
+std::unique_ptr<ShardedAuctionEngine> MakeEngine(uint64_t workload_seed,
+                                                 uint64_t engine_seed,
+                                                 int num_shards) {
+  Workload w = MakePaperWorkload(SmallConfig(workload_seed));
+  ShardedEngineConfig config;
+  config.engine.seed = engine_seed;
+  config.num_shards = num_shards;
+  return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
+}
+
 /// Engine-level kill/recover cycle over the internal query stream:
 ///   1. oracle runs all N auctions, never crashing;
 ///   2. a victim runs with a logging writer that dies at kill_seq
@@ -150,8 +161,8 @@ void ExpectAccountsBitwiseEq(const std::vector<AdvertiserAccount>& a,
 ///   4. the recovered engine finishes the remaining auctions.
 /// Final accounts, revenue, and the post-recovery trajectory must be
 /// bitwise-equal to the oracle's.
-template <typename Engine, typename MakeEngine>
-void RunEngineKillCycle(MakeEngine make_engine, const FaultSchedule& schedule,
+void RunEngineKillCycle(uint64_t workload_seed, uint64_t engine_seed,
+                        int num_shards, const FaultSchedule& schedule,
                         const std::string& tag) {
   SCOPED_TRACE(schedule.Describe());
   const std::string log_path = TempPath(tag + "_log");
@@ -160,12 +171,12 @@ void RunEngineKillCycle(MakeEngine make_engine, const FaultSchedule& schedule,
   std::remove(ckpt_path.c_str());
 
   // Oracle: uninterrupted.
-  std::unique_ptr<Engine> oracle = make_engine();
+  auto oracle = MakeEngine(workload_seed, engine_seed, num_shards);
   for (int i = 0; i < kTotalAuctions; ++i) oracle->RunAuction();
 
   // Victim: logs every settlement; the writer dies at kill_seq.
   ScriptedFaultInjector injector(schedule.kill_seq, schedule.mode);
-  std::unique_ptr<Engine> victim = make_engine();
+  auto victim = MakeEngine(workload_seed, engine_seed, num_shards);
   {
     LogWriterOptions options;
     options.sync = LogSyncMode::kBuffered;
@@ -189,7 +200,7 @@ void RunEngineKillCycle(MakeEngine make_engine, const FaultSchedule& schedule,
   }
 
   // Recover a fresh engine.
-  std::unique_ptr<Engine> recovered = make_engine();
+  auto recovered = MakeEngine(workload_seed, engine_seed, num_shards);
   RecoveryOptions options;
   options.checkpoint_path = ckpt_path;
   options.log_path = log_path;
@@ -227,29 +238,15 @@ void RunEngineKillCycle(MakeEngine make_engine, const FaultSchedule& schedule,
 
 TEST(FaultInjectionTest, SingleEngineSurvivesRandomKills) {
   for (int i = 0; i < 4; ++i) {
-    RunEngineKillCycle<AuctionEngine>(
-        [] {
-          Workload w = MakePaperWorkload(SmallConfig(101));
-          EngineConfig config;
-          config.seed = 103;
-          return std::make_unique<AuctionEngine>(config, w, RoiStrategies(w));
-        },
-        MakeSchedule(i), "single" + std::to_string(i));
+    RunEngineKillCycle(101, 103, /*num_shards=*/1, MakeSchedule(i),
+                       "single" + std::to_string(i));
   }
 }
 
 TEST(FaultInjectionTest, ShardedEngineSurvivesRandomKills) {
   for (int i = 0; i < 4; ++i) {
-    RunEngineKillCycle<ShardedAuctionEngine>(
-        [] {
-          Workload w = MakePaperWorkload(SmallConfig(107));
-          ShardedEngineConfig config;
-          config.engine.seed = 109;
-          config.num_shards = 3;
-          return std::make_unique<ShardedAuctionEngine>(config, w,
-                                                        RoiStrategies(w));
-        },
-        MakeSchedule(100 + i), "sharded" + std::to_string(i));
+    RunEngineKillCycle(107, 109, /*num_shards=*/3, MakeSchedule(100 + i),
+                       "sharded" + std::to_string(i));
   }
 }
 
@@ -272,11 +269,11 @@ void RunServingKillCycle(const FaultSchedule& schedule,
   std::vector<Query> queries;
   for (int i = 0; i < kTotalAuctions; ++i) queries.push_back(gen.Next());
 
-  // Serial oracle over the same arrival sequence.
+  // Serial reference oracle over the same arrival sequence.
   EngineConfig engine_config;
   engine_config.seed = engine_seed;
-  AuctionEngine oracle(engine_config, oracle_workload,
-                       RoiStrategies(oracle_workload));
+  ReferenceEngine oracle(engine_config, oracle_workload,
+                         RoiStrategies(oracle_workload));
   for (const Query& q : queries) oracle.RunAuctionOn(q);
 
   auto make_server = [&](FaultInjector* injector) {
@@ -373,15 +370,8 @@ TEST(FaultInjectionTest, EveryKillModeExercisedAtGroupBoundaryAndMidGroup) {
       schedule.seed = 0;
       schedule.kill_seq = kill;
       schedule.mode = mode;
-      RunEngineKillCycle<AuctionEngine>(
-          [] {
-            Workload w = MakePaperWorkload(SmallConfig(227));
-            EngineConfig config;
-            config.seed = 229;
-            return std::make_unique<AuctionEngine>(config, w,
-                                                   RoiStrategies(w));
-          },
-          schedule, "pinned" + std::to_string(index++));
+      RunEngineKillCycle(227, 229, /*num_shards=*/1, schedule,
+                         "pinned" + std::to_string(index++));
     }
   }
 }

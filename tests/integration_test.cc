@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "core/heavyweight.h"
 #include "core/winner_determination.h"
 #include "strategy/roi_strategy.h"
@@ -65,9 +65,9 @@ TEST(IntegrationTest, MultiFeatureAuctionMatchesBruteForce) {
     strategies.push_back(std::make_unique<FixedBidsStrategy>(b5));
   }
 
-  EngineConfig config;
-  config.seed = 42;
-  AuctionEngine engine(config, workload, std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 42;
+  ShardedAuctionEngine engine(config, workload, std::move(strategies));
   for (int t = 0; t < 100; ++t) {
     const AuctionOutcome& out = engine.RunAuction();
     // Recompute the optimum exhaustively from the same revenue matrix.
@@ -109,9 +109,9 @@ TEST(IntegrationTest, MixedStrategyCampaign) {
           std::make_unique<RoiStrategy>(workload.keyword_formulas));
     }
   }
-  EngineConfig config;
-  config.seed = 52;
-  AuctionEngine engine(config, workload, std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 52;
+  ShardedAuctionEngine engine(config, workload, std::move(strategies));
   Money last_spent_total = 0;
   for (int t = 0; t < 500; ++t) {
     engine.RunAuction();

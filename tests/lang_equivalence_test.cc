@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 
@@ -63,8 +63,8 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
   wc.num_slots = 4;
   wc.num_keywords = 3;
   wc.seed = 77;
-  EngineConfig ec;
-  ec.seed = 78;
+  ShardedEngineConfig config;
+  config.engine.seed = 78;
 
   Workload w_native = MakePaperWorkload(wc);
   Workload w_interp = MakePaperWorkload(wc);
@@ -83,8 +83,9 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
     interpreted.push_back(*std::move(p));
   }
 
-  AuctionEngine eager(ec, std::move(w_native), std::move(native));
-  AuctionEngine interp(ec, std::move(w_interp), std::move(interpreted));
+  ShardedAuctionEngine eager(config, std::move(w_native), std::move(native));
+  ShardedAuctionEngine interp(config, std::move(w_interp),
+                              std::move(interpreted));
 
   for (int t = 0; t < 600; ++t) {
     const AuctionOutcome on = eager.RunAuction();

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
+#include "auction/sharded_engine.h"
 #include "strategy/logical_roi.h"
 #include "strategy/roi_strategy.h"
 
@@ -12,8 +12,9 @@ namespace {
 /// The central Section IV claim, as an executable property: the RHTALU
 /// engine (Threshold Algorithm + logical updates + triggers) is observably
 /// identical to eagerly evaluating every bidder's ROI program and running
-/// RH — same winners, same clicks, same charges, same account balances and
-/// same tentative bids, auction by auction.
+/// RH (ShardedAuctionEngine at K = 1) — same winners, same clicks, same
+/// charges, same account balances and same tentative bids, auction by
+/// auction, bit for bit.
 class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void RunEquivalence(const WorkloadConfig& wc, const EngineConfig& ec,
@@ -28,7 +29,10 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
       raw.push_back(s.get());
       strategies.push_back(std::move(s));
     }
-    AuctionEngine eager(ec, std::move(w_eager), std::move(strategies));
+    ShardedEngineConfig sharded_config;
+    sharded_config.engine = ec;
+    ShardedAuctionEngine eager(sharded_config, std::move(w_eager),
+                               std::move(strategies));
     LogicalRoiEngine logical(ec, std::move(w_logical));
 
     for (int t = 0; t < num_auctions; ++t) {
@@ -39,22 +43,21 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
       ASSERT_EQ(oe.wd.allocation.slot_to_advertiser,
                 ol.wd.allocation.slot_to_advertiser)
           << "winner divergence at auction " << t;
-      ASSERT_NEAR(oe.wd.expected_revenue, ol.wd.expected_revenue, 1e-9);
+      ASSERT_EQ(oe.wd.expected_revenue, ol.wd.expected_revenue);
       ASSERT_EQ(oe.events.size(), ol.events.size());
       for (size_t i = 0; i < oe.events.size(); ++i) {
         ASSERT_EQ(oe.events[i].advertiser, ol.events[i].advertiser);
         ASSERT_EQ(oe.events[i].clicked, ol.events[i].clicked);
         ASSERT_EQ(oe.events[i].purchased, ol.events[i].purchased);
-        ASSERT_DOUBLE_EQ(oe.events[i].charged, ol.events[i].charged)
+        ASSERT_EQ(oe.events[i].charged, ol.events[i].charged)
             << "charge divergence at auction " << t << " slot " << i;
       }
-      ASSERT_DOUBLE_EQ(oe.revenue_charged, ol.revenue_charged);
+      ASSERT_EQ(oe.revenue_charged, ol.revenue_charged);
 
       // Tentative bids: every bidder, every keyword, bit for bit.
       for (int i = 0; i < wc.num_advertisers; ++i) {
         for (int kw = 0; kw < wc.num_keywords; ++kw) {
-          ASSERT_DOUBLE_EQ(raw[i]->tentative_bids()[kw],
-                           logical.EffectiveBid(i, kw))
+          ASSERT_EQ(raw[i]->tentative_bids()[kw], logical.EffectiveBid(i, kw))
               << "bid divergence at auction " << t << " advertiser " << i
               << " keyword " << kw;
         }
@@ -65,11 +68,9 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     for (int i = 0; i < wc.num_advertisers; ++i) {
       const AdvertiserAccount& ae = eager.accounts()[i];
       const AdvertiserAccount& al = logical.accounts()[i];
-      EXPECT_DOUBLE_EQ(ae.amount_spent, al.amount_spent);
-      for (int kw = 0; kw < wc.num_keywords; ++kw) {
-        EXPECT_DOUBLE_EQ(ae.value_gained[kw], al.value_gained[kw]);
-        EXPECT_DOUBLE_EQ(ae.spent_per_keyword[kw], al.spent_per_keyword[kw]);
-      }
+      EXPECT_EQ(ae.amount_spent, al.amount_spent);
+      EXPECT_EQ(ae.value_gained, al.value_gained);
+      EXPECT_EQ(ae.spent_per_keyword, al.spent_per_keyword);
     }
   }
 };
@@ -106,7 +107,9 @@ TEST_P(EquivalenceTest, PayYourBidPricing) {
   RunEquivalence(wc, ec, 800);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest, ::testing::Values(1u, 2u, 3u));
+// 1009 is a held-out seed: never used while tuning the engine.
+INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
+                         ::testing::Values(1u, 2u, 3u, 1009u));
 
 TEST(LogicalRoiEngineTest, StatsAccumulate) {
   WorkloadConfig wc;
@@ -139,7 +142,7 @@ TEST(LogicalRoiEngineTest, DeterministicGivenSeeds) {
     const AuctionOutcome& ob = b.RunAuction();
     ASSERT_EQ(oa.wd.allocation.slot_to_advertiser,
               ob.wd.allocation.slot_to_advertiser);
-    ASSERT_DOUBLE_EQ(oa.revenue_charged, ob.revenue_charged);
+    ASSERT_EQ(oa.revenue_charged, ob.revenue_charged);
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/metrics.h"
+#include "auction/sharded_engine.h"
 #include "strategy/position_strategies.h"
 #include "strategy/roi_strategy.h"
 #include "strategy/program_strategy.h"
@@ -34,9 +34,10 @@ TEST(PositionTargetStrategyTest, ConvergesNearTargetSlot) {
   PositionTargetStrategy* raw = target.get();
   strategies.insert(strategies.begin(), std::move(target));
 
-  EngineConfig ec;
-  ec.seed = 4;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 4;
+  ShardedAuctionEngine engine(config, std::move(workload),
+                              std::move(strategies));
   int hits = 0, wins = 0;
   for (int t = 0; t < 800; ++t) {
     const AuctionOutcome& out = engine.RunAuction();
@@ -69,9 +70,10 @@ TEST(AboveCompetitorStrategyTest, StaysAboveRival) {
     strategies.push_back(std::move(s));
   }
 
-  EngineConfig ec;
-  ec.seed = 10;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 10;
+  ShardedAuctionEngine engine(config, std::move(workload),
+                              std::move(strategies));
   int rival_displayed = 0, above = 0;
   for (int t = 0; t < 800; ++t) {
     const AuctionOutcome& out = engine.RunAuction();
@@ -104,9 +106,10 @@ TEST(BudgetedStrategyTest, StopsAtBudget) {
   for (auto& s : RoiStrategies(workload, 1, wc.num_advertisers)) {
     strategies.push_back(std::move(s));
   }
-  EngineConfig ec;
-  ec.seed = 22;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
+  ShardedEngineConfig config;
+  config.engine.seed = 22;
+  ShardedAuctionEngine engine(config, std::move(workload),
+                              std::move(strategies));
   for (int t = 0; t < 1500; ++t) engine.RunAuction();
   const Money spent = engine.accounts()[0].amount_spent;
   // One overshooting click is possible (budget checked pre-auction), but the
@@ -116,39 +119,6 @@ TEST(BudgetedStrategyTest, StopsAtBudget) {
     max_click_price = std::max(max_click_price, v);
   }
   EXPECT_LE(spent, kBudget + max_click_price);
-}
-
-TEST(MetricsTest, AggregatesCampaign) {
-  WorkloadConfig wc;
-  wc.num_advertisers = 20;
-  wc.num_slots = 4;
-  wc.num_keywords = 3;
-  wc.seed = 31;
-  Workload workload = MakePaperWorkload(wc);
-  auto strategies = RoiStrategies(workload, 0, wc.num_advertisers);
-  EngineConfig ec;
-  ec.seed = 32;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
-
-  CampaignMetrics metrics;
-  Money revenue = 0;
-  for (int t = 0; t < 300; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
-    metrics.Record(out);
-    revenue += out.revenue_charged;
-  }
-  EXPECT_EQ(metrics.auctions(), 300);
-  EXPECT_DOUBLE_EQ(metrics.revenue(), revenue);
-  EXPECT_GT(metrics.impressions(), 0);
-  EXPECT_GE(metrics.impressions(), metrics.clicks());
-  EXPECT_GE(metrics.ClickThroughRate(), 0.0);
-  EXPECT_LE(metrics.ClickThroughRate(), 1.0);
-  EXPECT_LE(metrics.FillRate(wc.num_slots), 1.0);
-  EXPECT_FALSE(metrics.Report(wc.num_slots).empty());
-  // Slot CTR should decrease with slot position (the slot-interval model).
-  const auto& imp = metrics.slot_impressions();
-  ASSERT_GE(imp.size(), 2u);
-  EXPECT_GT(imp[0], 0);
 }
 
 // Section II-B notification triggers: a program reacts to clicks by

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
 #include "auction/workload.h"
 #include "durability/settlement_log.h"
@@ -462,45 +461,8 @@ TEST(PeekBidsTest, RoiPeekMatchesMakeAndNeverPerturbs) {
 }
 
 // ---------------------------------------------------------------------------
-// Const what-if paths on both engines
+// Const what-if path
 // ---------------------------------------------------------------------------
-
-TEST(WhatIfAuctionTest, SingleEngineWhatIfIsPure) {
-  const WorkloadConfig wc = SmallConfig(kWorkloadSeed);
-  EngineConfig config;
-  config.seed = kEngineSeed;
-  Workload w1 = MakePaperWorkload(wc);
-  Workload w2 = MakePaperWorkload(wc);
-  AuctionEngine probed(config, w1, RoiStrategies(w1));
-  AuctionEngine control(config, w2, RoiStrategies(w2));
-
-  QueryGenerator gen(wc.num_keywords, kEngineSeed);
-  for (int i = 0; i < 40; ++i) {
-    const Query query = gen.Next();
-    AuctionOutcome what_if;
-    probed.WhatIfAuction(query, &what_if);
-    EXPECT_TRUE(what_if.events.empty());
-    EXPECT_EQ(what_if.revenue_charged, 0);
-
-    const AuctionOutcome& real = control.RunAuctionOn(query);
-    // The what-if predicted the allocation and prices the control engine
-    // (same state) actually cleared at.
-    EXPECT_EQ(what_if.wd.allocation.slot_to_advertiser,
-              real.wd.allocation.slot_to_advertiser)
-        << "auction " << i;
-    EXPECT_EQ(what_if.prices, real.prices) << "auction " << i;
-
-    // And the what-if did not perturb the probed engine: its own real
-    // auction still matches the control bitwise.
-    const AuctionOutcome& mine = probed.RunAuctionOn(query);
-    EXPECT_EQ(mine.wd.allocation.slot_to_advertiser,
-              real.wd.allocation.slot_to_advertiser);
-    EXPECT_EQ(mine.prices, real.prices);
-    EXPECT_EQ(mine.revenue_charged, real.revenue_charged);
-  }
-  ExpectAccountsBitwiseEq(probed.accounts(), control.accounts());
-  EXPECT_EQ(probed.total_revenue(), control.total_revenue());
-}
 
 TEST(WhatIfAuctionTest, ShardedEngineWhatIfIsPure) {
   const WorkloadConfig wc = SmallConfig(kWorkloadSeed);

@@ -1,7 +1,8 @@
 // AuctionServer contract tests. The load-bearing one is deterministic
 // replay: a fixed query sequence served through the async subsystem — any
 // batch size, any shard count, any pool, with rebalancing and full tracing —
-// must settle bitwise-identically to the serial AuctionEngine loop. Batching
+// must settle bitwise-identically to the serial reference engine loop
+// (tests/reference_engine.h). Batching
 // and queuing may only change *when* work happens, never *what* it computes.
 // Batched settlement, which always plans on the lane pipeline, is pinned for
 // every lane count against a serial batched oracle.
@@ -17,7 +18,8 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
+#include "durability/wire.h"
+#include "reference_engine.h"
 #include "serving/auction_server.h"
 #include "strategy/roi_strategy.h"
 #include "util/thread_pool.h"
@@ -123,13 +125,13 @@ void RunReplayEquivalence(const ReplayParam& param) {
   const uint64_t engine_seed = 13;
   const int num_queries = 120;
 
-  // Serial oracle: the plain AuctionEngine fed the same arrival sequence.
+  // Serial oracle: the reference engine fed the same arrival sequence.
   Workload w = MakePaperWorkload(SmallConfig(workload_seed));
   const std::vector<Query> queries =
       MakeQuerySequence(num_queries, w.config.num_keywords, engine_seed);
   EngineConfig engine_config;
   engine_config.seed = engine_seed;
-  AuctionEngine serial(engine_config, w, RoiStrategies(w));
+  ReferenceEngine serial(engine_config, w, RoiStrategies(w));
   std::vector<AuctionOutcome> expected;
   for (const Query& q : queries) expected.push_back(serial.RunAuctionOn(q));
 
@@ -473,7 +475,7 @@ TEST(ServingBatchedSettlementTest, EqualsReplayAtBatchSizeOne) {
       MakeQuerySequence(80, w.config.num_keywords, engine_seed);
   EngineConfig engine_config;
   engine_config.seed = engine_seed;
-  AuctionEngine serial(engine_config, w, RoiStrategies(w));
+  ReferenceEngine serial(engine_config, w, RoiStrategies(w));
   std::vector<AuctionOutcome> expected;
   for (const Query& q : queries) expected.push_back(serial.RunAuctionOn(q));
 

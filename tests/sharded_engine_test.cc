@@ -1,16 +1,17 @@
 // ShardedAuctionEngine equivalence: for any shard count K and any pool, the
-// sharded engine must reproduce the single-engine auction trajectory
-// *bitwise* — allocations, prices, user events, revenue, and account
-// balances. The shard phase only re-partitions share-nothing work and the
-// top-k merge preserves the exact candidate set, so nothing may drift.
+// sharded engine must reproduce the serial reference engine's auction
+// trajectory (tests/reference_engine.h) *bitwise* — allocations, prices,
+// user events, revenue, and account balances. The shard phase only
+// re-partitions share-nothing work and the top-k merge preserves the exact
+// candidate set, so nothing may drift.
 
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "auction/auction_engine.h"
 #include "auction/sharded_engine.h"
+#include "reference_engine.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 #include "util/thread_pool.h"
@@ -38,10 +39,10 @@ WorkloadConfig SmallConfig(uint64_t seed = 1) {
 }
 
 /// Runs both engines in lockstep and asserts bitwise-equal trajectories.
-void ExpectBitwiseEquivalent(AuctionEngine* single,
+void ExpectBitwiseEquivalent(ReferenceEngine* reference,
                              ShardedAuctionEngine* sharded, int auctions) {
   for (int t = 0; t < auctions; ++t) {
-    const AuctionOutcome& a = single->RunAuction();
+    const AuctionOutcome& a = reference->RunAuction();
     const AuctionOutcome& b = sharded->RunAuction();
     ASSERT_EQ(a.query.keyword, b.query.keyword);
     ASSERT_EQ(a.wd.allocation.slot_to_advertiser,
@@ -58,10 +59,10 @@ void ExpectBitwiseEquivalent(AuctionEngine* single,
     }
     ASSERT_EQ(a.revenue_charged, b.revenue_charged);
   }
-  ASSERT_EQ(single->total_revenue(), sharded->total_revenue());
+  ASSERT_EQ(reference->total_revenue(), sharded->total_revenue());
   // Account state must have evolved identically (ROI inputs feed future
   // bids, so any divergence here would compound).
-  const auto& accounts_a = single->accounts();
+  const auto& accounts_a = reference->accounts();
   const auto& accounts_b = sharded->accounts();
   ASSERT_EQ(accounts_a.size(), accounts_b.size());
   for (size_t i = 0; i < accounts_a.size(); ++i) {
@@ -73,7 +74,7 @@ void ExpectBitwiseEquivalent(AuctionEngine* single,
 
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ShardedEquivalenceTest, MatchesSingleEngineBitwise) {
+TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwise) {
   const int num_shards = GetParam();
   Workload w1 = MakePaperWorkload(SmallConfig(11));
   Workload w2 = MakePaperWorkload(SmallConfig(11));
@@ -82,13 +83,13 @@ TEST_P(ShardedEquivalenceTest, MatchesSingleEngineBitwise) {
   ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config;
   sharded_config.num_shards = num_shards;
-  AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
   ASSERT_EQ(sharded.num_shards(), num_shards);
-  ExpectBitwiseEquivalent(&single, &sharded, 150);
+  ExpectBitwiseEquivalent(&reference, &sharded, 150);
 }
 
-TEST_P(ShardedEquivalenceTest, MatchesSingleEngineBitwiseOnPool) {
+TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwiseOnPool) {
   const int num_shards = GetParam();
   Workload w1 = MakePaperWorkload(SmallConfig(23));
   Workload w2 = MakePaperWorkload(SmallConfig(23));
@@ -99,9 +100,9 @@ TEST_P(ShardedEquivalenceTest, MatchesSingleEngineBitwiseOnPool) {
   sharded_config.engine = engine_config;
   sharded_config.num_shards = num_shards;
   sharded_config.pool = &pool;
-  AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-  ExpectBitwiseEquivalent(&single, &sharded, 100);
+  ExpectBitwiseEquivalent(&reference, &sharded, 100);
 }
 
 // 8 and 12 cross ShardedAuctionEngine::kTreeMergeMinShards: those instances
@@ -113,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedEquivalenceTest,
 
 TEST(ShardedEngineTest, DenseWdMethodsAlsoMatch) {
   // The non-reduced methods skip the top-k merge and run on the full
-  // matrix; they must match the single engine too.
+  // matrix; they must match the reference too.
   for (const WdMethod method : {WdMethod::kLp, WdMethod::kHungarian}) {
     WorkloadConfig wc = SmallConfig(21);
     wc.num_advertisers = 15;  // keep the LP small
@@ -125,9 +126,9 @@ TEST(ShardedEngineTest, DenseWdMethodsAlsoMatch) {
     ShardedEngineConfig sharded_config;
     sharded_config.engine = engine_config;
     sharded_config.num_shards = 3;
-    AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+    ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
     ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-    ExpectBitwiseEquivalent(&single, &sharded, 60);
+    ExpectBitwiseEquivalent(&reference, &sharded, 60);
   }
 }
 
@@ -139,9 +140,9 @@ TEST(ShardedEngineTest, VcgPricingMatches) {
   ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config;
   sharded_config.num_shards = 2;
-  AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-  ExpectBitwiseEquivalent(&single, &sharded, 50);
+  ExpectBitwiseEquivalent(&reference, &sharded, 50);
 }
 
 TEST(ShardedEngineTest, PurchaseWorkloadMatchesBitwise) {
@@ -159,9 +160,9 @@ TEST(ShardedEngineTest, PurchaseWorkloadMatchesBitwise) {
     ShardedEngineConfig sharded_config;
     sharded_config.engine = engine_config;
     sharded_config.num_shards = num_shards;
-    AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+    ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
     ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-    ExpectBitwiseEquivalent(&single, &sharded, 120);
+    ExpectBitwiseEquivalent(&reference, &sharded, 120);
     // The purchase path must actually fire for the equivalence to mean
     // anything.
     int purchases = 0;
@@ -235,11 +236,11 @@ TEST(ShardedEngineTest, PooledProgramStrategiesMatchSerialBitwise) {
   sharded_config.engine = engine_config;
   sharded_config.num_shards = 2;
   sharded_config.pool = &pool;
-  AuctionEngine single(engine_config, w1, std::move(serial_strategies));
+  ReferenceEngine reference(engine_config, w1, std::move(serial_strategies));
   ShardedAuctionEngine sharded(sharded_config, w2,
                                std::move(pooled_strategies));
-  ExpectBitwiseEquivalent(&single, &sharded, 150);
-  EXPECT_GT(single.total_revenue(), 0.0);
+  ExpectBitwiseEquivalent(&reference, &sharded, 150);
+  EXPECT_GT(reference.total_revenue(), 0.0);
 }
 
 TEST(ShardedEngineTest, ShardPartitionCoversPopulationOnce) {
@@ -276,6 +277,59 @@ TEST(ShardedEngineTest, PerShardCachesHitOnStableBids) {
   }
 }
 
+/// Emits the same one-row table every auction (value configurable at
+/// construction) — the cache-friendly extreme of a bidding program.
+class FixedBidStrategy : public BiddingStrategy {
+ public:
+  explicit FixedBidStrategy(Money value) : value_(value) {}
+  void MakeBids(const Query&, const AdvertiserAccount&,
+                BidsTable* bids) override {
+    bids->AddBid(Formula::Click(), value_);
+  }
+
+ private:
+  Money value_;
+};
+
+TEST(ShardedEngineTest, CompiledBidsCacheHitsOnStableTables) {
+  Workload workload = MakePaperWorkload(SmallConfig(41));
+  const int n = workload.config.num_advertisers;
+  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
+  for (int i = 0; i < n; ++i) {
+    strategies.push_back(
+        std::make_unique<FixedBidStrategy>(static_cast<Money>(1 + i % 7)));
+  }
+  ShardedEngineConfig config;
+  ShardedAuctionEngine engine(config, workload, std::move(strategies));
+
+  engine.RunAuction();
+  EXPECT_EQ(engine.cache_misses(), n);
+  EXPECT_EQ(engine.cache_hits(), 0);
+
+  const int extra = 20;
+  for (int t = 0; t < extra; ++t) engine.RunAuction();
+  // Fixed strategies re-emit identical tables: every later auction hits.
+  EXPECT_EQ(engine.cache_misses(), n);
+  EXPECT_EQ(engine.cache_hits(), static_cast<int64_t>(n) * extra);
+}
+
+TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
+  // ROI bidders move their bids between auctions; the fingerprint cache
+  // must recompile exactly those tables (and the trajectory must match the
+  // always-recompile reference, which ShardedEquivalenceTest covers).
+  Workload workload = MakePaperWorkload(SmallConfig(43));
+  ShardedEngineConfig config;
+  ShardedAuctionEngine engine(config, workload, RoiStrategies(workload));
+  for (int t = 0; t < 50; ++t) engine.RunAuction();
+  const int64_t lookups = engine.cache_hits() + engine.cache_misses();
+  const int n = workload.config.num_advertisers;
+  EXPECT_EQ(lookups, static_cast<int64_t>(n) * 50);
+  // Bids change over time, so there must be recompilations beyond auction
+  // one — but unchanged tables must still hit.
+  EXPECT_GT(engine.cache_misses(), n);
+  EXPECT_GT(engine.cache_hits(), 0);
+}
+
 TEST(ShardedEngineTest, ArbitraryUnequalPartitionsMatchBitwise) {
   // Determinism may not depend on *where* the boundaries sit: wildly
   // unequal contiguous partitions must reproduce the serial trajectory.
@@ -292,11 +346,11 @@ TEST(ShardedEngineTest, ArbitraryUnequalPartitionsMatchBitwise) {
     ShardedEngineConfig sharded_config;
     sharded_config.engine = engine_config;
     sharded_config.num_shards = static_cast<int>(layout.size());
-    AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+    ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
     ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
     ASSERT_TRUE(sharded.Repartition(layout).ok());
     ASSERT_EQ(sharded.shard_ranges(), layout);
-    ExpectBitwiseEquivalent(&single, &sharded, 80);
+    ExpectBitwiseEquivalent(&reference, &sharded, 80);
   }
 }
 
@@ -310,25 +364,25 @@ TEST(ShardedEngineTest, MidStreamRepartitionKeepsBitwiseIdentity) {
   ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config;
   sharded_config.num_shards = 4;
-  AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
 
-  ExpectBitwiseEquivalent(&single, &sharded, 40);
+  ExpectBitwiseEquivalent(&reference, &sharded, 40);
   ASSERT_TRUE(sharded.Repartition({{0, 30}, {30, 35}, {35, 40}}).ok());
-  ExpectBitwiseEquivalent(&single, &sharded, 40);
+  ExpectBitwiseEquivalent(&reference, &sharded, 40);
   ASSERT_TRUE(
       sharded.Repartition({{0, 5}, {5, 10}, {10, 20}, {20, 32}, {32, 40}})
           .ok());
-  ExpectBitwiseEquivalent(&single, &sharded, 40);
+  ExpectBitwiseEquivalent(&reference, &sharded, 40);
   // Collapse to one shard and back out to the tree-merge regime.
   ASSERT_TRUE(sharded.Repartition({{0, 40}}).ok());
-  ExpectBitwiseEquivalent(&single, &sharded, 20);
+  ExpectBitwiseEquivalent(&reference, &sharded, 20);
   std::vector<ShardRange> eight;
   for (AdvertiserId s = 0; s < 8; ++s) {
     eight.push_back(ShardRange{s * 5, (s + 1) * 5});
   }
   ASSERT_TRUE(sharded.Repartition(eight).ok());
-  ExpectBitwiseEquivalent(&single, &sharded, 40);
+  ExpectBitwiseEquivalent(&reference, &sharded, 40);
 }
 
 TEST(ShardedEngineTest, RepartitionPreservesCompiledBids) {
@@ -384,13 +438,13 @@ TEST(ShardedEngineTest, RebalanceShardsEqualizesSkewedCost) {
   ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config;
   sharded_config.num_shards = 4;
-  AuctionEngine single(engine_config, w1, RoiStrategies(w1));
+  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
 
   // A pathological layout: one shard owns nearly everything.
   ASSERT_TRUE(
       sharded.Repartition({{0, 37}, {37, 38}, {38, 39}, {39, 40}}).ok());
-  ExpectBitwiseEquivalent(&single, &sharded, 60);
+  ExpectBitwiseEquivalent(&reference, &sharded, 60);
   ASSERT_GT(sharded.cost_model().auctions_sampled(), 0);
   const double before = ShardRebalancer::PredictedImbalance(
       sharded.cost_model().costs(), sharded.shard_ranges());
@@ -404,7 +458,7 @@ TEST(ShardedEngineTest, RebalanceShardsEqualizesSkewedCost) {
   // Repeating immediately is a no-op: the layout is already balanced.
   EXPECT_FALSE(sharded.RebalanceShards(1.05));
   // And the trajectory is still bitwise after the move.
-  ExpectBitwiseEquivalent(&single, &sharded, 60);
+  ExpectBitwiseEquivalent(&reference, &sharded, 60);
 }
 
 TEST(ShardedEngineTest, ShardStatsExposeCostAndPhaseTime) {
@@ -430,20 +484,6 @@ TEST(ShardedEngineTest, ShardStatsExposeCostAndPhaseTime) {
   const double flat_total = engine.cost_model().TotalCost();
   EXPECT_NEAR(total_cost, flat_total, 1e-9 * flat_total);
   EXPECT_EQ(engine.cost_model().auctions_sampled(), 20);
-}
-
-TEST(ShardedEngineTest, RejectsMatrixPoolConfiguration) {
-  // engine.matrix_pool is the single-engine row-block knob; the sharded
-  // engine replaces it with whole-shard tasks and must fail loudly rather
-  // than silently ignore it.
-  Workload w = MakePaperWorkload(SmallConfig(109));
-  ThreadPool pool(2);
-  ShardedEngineConfig config;
-  config.engine.matrix_pool = &pool;
-  config.num_shards = 2;
-  auto strategies = RoiStrategies(w);
-  EXPECT_DEATH(ShardedAuctionEngine(config, w, std::move(strategies)),
-               "matrix_pool");
 }
 
 TEST(ShardedEngineTest, ClampsShardCountToPopulation) {
