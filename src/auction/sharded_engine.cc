@@ -5,7 +5,6 @@
 
 #include "core/expected_revenue.h"
 #include "durability/checkpoint.h"
-#include "core/parallel_topk.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -18,8 +17,7 @@ ShardedAuctionEngine::ShardedAuctionEngine(
       workload_(std::move(workload)),
       strategies_(std::move(strategies)),
       query_gen_(workload_.config.num_keywords, config.engine.seed),
-      user_rng_(config.engine.seed ^ 0x5eed0f0e125eedULL),
-      cost_model_(static_cast<int>(strategies_.size()), config.cost_model) {
+      user_rng_(config.engine.seed ^ 0x5eed0f0e125eedULL) {
   SSA_CHECK(strategies_.size() == workload_.accounts.size());
   const int n = static_cast<int>(strategies_.size());
   SSA_CHECK(config_.num_shards >= 1);
@@ -65,13 +63,10 @@ void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
       table.Clear();
       strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
     }
-    // One timer per shard per auction, attributed per advertiser by rows
-    // emitted — the cost feedback RebalanceShards partitions on. Ranges are
-    // disjoint, so the fan-out writes disjoint cost entries (and disjoint
-    // capture_ns_ slots).
-    const double span_ns = timer.ElapsedSeconds() * 1e9;
-    cost_model_.RecordRangeSample(range.begin, range.end, *bids, span_ns);
-    capture_ns_[static_cast<size_t>(s)] += static_cast<int64_t>(span_ns);
+    // One timer per shard per auction; the fan-out writes disjoint
+    // capture_ns_ slots.
+    capture_ns_[static_cast<size_t>(s)] +=
+        static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
     if (traced) {
       tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
                           Tracer::NowNs());
@@ -86,7 +81,6 @@ void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
   } else {
     for (int s = 0; s < num_shards; ++s) capture_range(s);
   }
-  cost_model_.NoteAuction();
 }
 
 void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
@@ -121,26 +115,6 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
 
 std::vector<AdvertiserId> ShardedAuctionEngine::MergeShardCandidates(
     PlanLane* lane, int num_advertisers, int num_slots) const {
-  // At K >= kTreeMergeMinShards, route the per-shard partials through the
-  // Section III-E binary merge tree instead of one flat re-offer: each
-  // shard's heaps become sorted per-slot top-k lists (the tree's leaf
-  // aggregates), merged pairwise in ceil(log2 K) levels on the lane's pool.
-  // Top-k-of-union is associative under the strict (weight, id) order, so
-  // the retained set — and the sorted candidate vector — is bitwise
-  // identical to the flat path (sharded_engine_test pins K in {8, 12}).
-  const size_t num_shards = lane->shards.size();
-  if (static_cast<int>(num_shards) >= kTreeMergeMinShards) {
-    std::vector<SlotTopK> partials(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      partials[s].per_slot.resize(num_slots);
-      for (SlotIndex j = 0; j < num_slots; ++j) {
-        lane->shards[s].topk.ExtractDescending(j, &partials[s].per_slot[j]);
-      }
-    }
-    return TreeMergeToCandidates(std::move(partials), num_slots,
-                                 num_advertisers, lane->pool);
-  }
-
   // Re-offer every shard's retained entries into one global heap set. The
   // (weight, id) order is strict and insertion-order independent, and every
   // globally top-k entry is top-k within its own shard, so the merged heaps
@@ -192,13 +166,6 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   const int k = workload_.config.num_slots;
   const ClickModel& model = *workload_.click_model;
   SSA_CHECK(static_cast<int>(bids.size()) == n);
-  // A Repartition since this lane was created may have changed the shard
-  // count; scratch adapts lazily (the compiled-bids cache is keyed by global
-  // advertiser id, so it carries over untouched).
-  if (lane->shards.size() != ranges_.size()) {
-    lane->shards.clear();
-    lane->shards.resize(ranges_.size());
-  }
   plan->outcome = AuctionOutcome{};
   plan->outcome.query = query;
 
@@ -305,62 +272,8 @@ ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
   stats.cache_hits = cache.HitsInRange(range.begin, range.end);
   stats.cache_misses = cache.MissesInRange(range.begin, range.end);
   stats.capture_ns = capture_ns_[static_cast<size_t>(shard)];
-  if (shard < static_cast<int>(internal_lane_->shards.size())) {
-    stats.phase_ns = internal_lane_->shards[shard].phase_ns;
-  }
-  stats.model_cost = cost_model_.RangeCost(range.begin, range.end);
+  stats.phase_ns = internal_lane_->phase_ns(shard);
   return stats;
-}
-
-Status ShardedAuctionEngine::Repartition(
-    const std::vector<ShardRange>& ranges) {
-  const AdvertiserId n = static_cast<AdvertiserId>(strategies_.size());
-  if (ranges.empty()) {
-    return Status::InvalidArgument("Repartition: empty range list");
-  }
-  if (ranges.front().begin != 0 || ranges.back().end != n) {
-    return Status::InvalidArgument(
-        "Repartition: ranges must cover [0, num_advertisers)");
-  }
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    if (ranges[s].begin >= ranges[s].end) {
-      return Status::InvalidArgument("Repartition: empty or inverted shard");
-    }
-    if (s > 0 && ranges[s].begin != ranges[s - 1].end) {
-      return Status::InvalidArgument("Repartition: ranges must be contiguous");
-    }
-  }
-  ranges_ = ranges;
-  // The internal lane's shard scratch is layout-specific (per-shard heaps and
-  // phase timers), as are the capture clocks; the compiled-bids cache is
-  // keyed by global advertiser id and survives untouched. External lanes
-  // resize lazily in PlanCaptured.
-  capture_ns_.assign(ranges_.size(), 0);
-  internal_lane_->shards.clear();
-  internal_lane_->shards.resize(ranges_.size());
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // Instant repartition marker on the executor track (rebalances run only
-    // between epochs, so this never races a plan's shard spans). Sequenced
-    // by auction count so successive layout changes stay distinguishable.
-    const uint64_t now = Tracer::NowNs();
-    tracer_->RecordSpan(static_cast<uint64_t>(auctions_run_) + 1,
-                        TraceStage::kRepartition, 0, now, now);
-  }
-  return Status::Ok();
-}
-
-bool ShardedAuctionEngine::RebalanceShards(double min_imbalance) {
-  if (num_shards() <= 1) return false;
-  if (cost_model_.TotalCost() <= 0.0) return false;  // no signal yet
-  const double imbalance =
-      ShardRebalancer::PredictedImbalance(cost_model_.costs(), ranges_);
-  if (imbalance < min_imbalance) return false;
-  std::vector<ShardRange> balanced = ShardRebalancer::ComputeBalancedRanges(
-      cost_model_.costs(), num_shards());
-  if (balanced == ranges_) return false;
-  const Status status = Repartition(balanced);
-  SSA_CHECK_MSG(status.ok(), "RebalanceShards produced invalid ranges");
-  return true;
 }
 
 int64_t ShardedAuctionEngine::cache_hits() const {

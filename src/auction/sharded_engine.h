@@ -5,11 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "auction/cost_model.h"
 #include "auction/outcome.h"
 #include "auction/pricing.h"
 #include "auction/query_gen.h"
 #include "auction/workload.h"
+#include "core/bids_table.h"
 #include "core/compiled_bids.h"
 #include "core/expected_revenue.h"
 #include "core/winner_determination.h"
@@ -23,24 +23,32 @@ namespace ssa {
 class ThreadPool;
 struct EngineCheckpoint;
 
+/// Contiguous advertiser range [begin, end) owned by one shard.
+struct ShardRange {
+  AdvertiserId begin = 0;
+  AdvertiserId end = 0;
+};
+
+inline bool operator==(const ShardRange& a, const ShardRange& b) {
+  return a.begin == b.begin && a.end == b.end;
+}
+inline bool operator!=(const ShardRange& a, const ShardRange& b) {
+  return !(a == b);
+}
+
 /// Configuration of the sharded engine: the base engine knobs (winner
 /// determination, pricing, seed) plus the shard count and the pool the
 /// shards run on.
 struct ShardedEngineConfig {
   EngineConfig engine;
-  /// Number of shards K the advertiser population is partitioned into
-  /// (initially contiguous ranges of ~n/K advertisers; Repartition /
-  /// RebalanceShards may move the boundaries later). Clamped to
-  /// [1, max(1, n)].
+  /// Number of shards K the advertiser population is partitioned into:
+  /// contiguous ranges of ~n/K advertisers, fixed at construction. Clamped
+  /// to [1, max(1, n)].
   int num_shards = 1;
   /// Optional (non-owning) pool: shard tasks run concurrently on it. With
   /// nullptr the shards execute sequentially — the output is identical
   /// either way (shards share nothing until the merge).
   ThreadPool* pool = nullptr;
-  /// Per-advertiser cost feedback knobs (decay, attribution weights). The
-  /// model is always maintained — its per-auction overhead is one timer per
-  /// shard plus an O(n) EWMA fold inside the capture fan-out.
-  CostModelOptions cost_model;
 };
 
 /// Horizontally partitioned auction engine: the advertiser population is
@@ -58,18 +66,12 @@ struct ShardedEngineConfig {
 /// allocation, prices, user events, and account balances are bitwise
 /// identical to the paper's serial eager loop (every program, the full
 /// n x k matrix compiled fresh, then WD, pricing and settlement — the
-/// test-only reference engine in tests/reference_engine.h), for any K, any
-/// pool, and any shard *partition* — including partitions changed
-/// mid-stream by Repartition / RebalanceShards — asserted by
-/// sharded_engine_test. Strategies of different advertisers never share
-/// mutable state (Section II-B), which is what makes the shard phase
-/// embarrassingly parallel.
-///
-/// Skew: the merge is a barrier, so the slowest shard sets auction latency.
-/// The engine keeps a per-advertiser CostModel (EWMA of measured capture
-/// nanoseconds attributed by rows emitted) and RebalanceShards moves the
-/// contiguous boundaries to equalize predicted shard cost — see
-/// docs/ARCHITECTURE.md §"Cost-model-driven shard rebalancing".
+/// test-only reference engine in tests/reference_engine.h), for any K and
+/// any pool — asserted by sharded_engine_test. Strategies of different
+/// advertisers never share mutable state (Section II-B), which is what
+/// makes the shard phase embarrassingly parallel. The shard layout is fixed
+/// at construction; checkpoints are layout-independent, so a different K
+/// is a restore into a new engine.
 ///
 /// Planning lanes: one auction's plan splits into a *sequential* half that
 /// runs the bidding programs (CaptureBids — strategies may mutate private
@@ -120,21 +122,17 @@ class ShardedAuctionEngine {
   /// threads at once; distinct lanes are fully independent.
   ///
   /// The cache is keyed by *global* advertiser id and pre-sized to the
-  /// population, so (a) parallel shard tasks of one lane touch disjoint
-  /// entries race-free, and (b) Repartition invalidates nothing — an
-  /// advertiser's compilation survives any boundary move.
+  /// population, so parallel shard tasks of one lane touch disjoint entries
+  /// race-free, and its keys checkpoint independently of the shard layout.
   class PlanLane {
    public:
     /// Compiled-bids cache totals for this lane (per-lane telemetry; lane
     /// caches are scratch and never checkpointed).
     int64_t cache_hits() const { return cache.hits(); }
     int64_t cache_misses() const { return cache.misses(); }
-    /// Shard-phase wall time this lane accumulated for `shard` (0 for a
-    /// shard the lane has not planned under the current shard count).
+    /// Shard-phase wall time this lane accumulated for `shard`.
     int64_t phase_ns(int shard) const {
-      return shard < static_cast<int>(shards.size())
-                 ? shards[static_cast<size_t>(shard)].phase_ns
-                 : 0;
+      return shards[static_cast<size_t>(shard)].phase_ns;
     }
 
     /// Trace track base for kShardPlan spans planned on this lane (shard s
@@ -147,10 +145,8 @@ class ShardedAuctionEngine {
     friend class ShardedAuctionEngine;
     struct ShardScratch {
       TopKHeapSet topk;  // local per-slot top-k, reused
-      /// Accumulated RunShardPhase wall time for this shard on this lane —
-      /// the slowest-shard/mean gap bench_sharded reports. Reset by
-      /// Repartition (old per-shard spans are not comparable across
-      /// layouts).
+      /// Accumulated RunShardPhase wall time for this shard on this lane
+      /// (exported as engine_shard_phase_ns).
       int64_t phase_ns = 0;
     };
     /// Population-wide, global-id-keyed compiled-bids cache (see above).
@@ -213,7 +209,7 @@ class ShardedAuctionEngine {
 
   /// The capture half as a *pure read*: every advertiser's program runs via
   /// PeekBids against the current account state, so no strategy-private
-  /// state advances and the cost model / capture clocks stay untouched.
+  /// state advances and the capture clocks stay untouched.
   /// Const on the engine, but NOT safe concurrently with CaptureBids /
   /// SettlePlanned on the same engine (PeekBids' default transiently
   /// mutates strategy state, and accounts are read mid-update otherwise);
@@ -246,57 +242,29 @@ class ShardedAuctionEngine {
   int64_t auctions_run() const { return auctions_run_; }
   Money total_revenue() const { return total_revenue_; }
   int num_shards() const { return static_cast<int>(ranges_.size()); }
-  const std::vector<ShardRange>& shard_ranges() const { return ranges_; }
-
-  /// The per-advertiser cost feedback (EWMA nanoseconds per auction) the
-  /// rebalancer partitions on. Fed by every CaptureBids call — the serving
-  /// path included — so it tracks the live query mix in any mode. Read only
-  /// while no capture is in flight.
-  const CostModel& cost_model() const { return cost_model_; }
 
   /// Attaches a span tracer (not owned; null detaches). Per-shard capture
   /// and plan slices of queries with a nonzero trace_seq are recorded into
-  /// it, as are Repartition events. Set before any capture/plan is in
-  /// flight; the tracer must outlive the engine's use of it.
+  /// it. Set before any capture/plan is in flight; the tracer must outlive
+  /// the engine's use of it.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Replaces the shard layout with `ranges` — contiguous, non-empty,
-  /// covering exactly [0, n) in order (the shard *count* may change).
-  /// Results are bitwise-identical under any valid partition: the merge is
-  /// an order-independent top-k-of-union, and lane caches are keyed by
-  /// global advertiser id, so no compilation is lost. Per-shard scratch
-  /// (top-k heaps, phase timers) is rebuilt; external PlanLanes re-size
-  /// their scratch lazily on their next PlanCaptured. Must not run
-  /// concurrently with CaptureBids / PlanCaptured / SettlePlanned on any
-  /// lane — the serving executor calls it only between epochs.
-  Status Repartition(const std::vector<ShardRange>& ranges);
-
-  /// Cost-model-driven rebalance: computes the equal-predicted-cost
-  /// contiguous partition (ShardRebalancer::ComputeBalancedRanges over the
-  /// cost model) and applies it when the *current* layout's predicted
-  /// imbalance (max shard cost / mean) is at least `min_imbalance` and the
-  /// boundaries actually move. Returns true iff the layout changed. Same
-  /// concurrency contract as Repartition.
-  bool RebalanceShards(double min_imbalance = 1.0);
-
   /// Per-shard observability: advertiser range, compiled-bids cache
-  /// performance over that range on the engine's internal lane, accumulated
-  /// shard-phase time on the internal lane, and the cost model's predicted
-  /// per-auction cost for the range (external PlanLanes report through
-  /// PlanLane::cache_hits() and PlanLane::phase_ns()).
+  /// performance over that range on the engine's internal lane, capture
+  /// time, and accumulated shard-phase time on the internal lane (external
+  /// PlanLanes report through PlanLane::cache_hits() and
+  /// PlanLane::phase_ns()).
   struct ShardStats {
     AdvertiserId begin = 0;
     AdvertiserId end = 0;
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
     /// Bid-capture wall time for the shard's range (every query, internal
-    /// or lane-planned) since construction or the last Repartition.
+    /// or lane-planned) since construction.
     int64_t capture_ns = 0;
     /// RunShardPhase wall time accumulated on the internal lane since
-    /// construction or the last Repartition.
+    /// construction.
     int64_t phase_ns = 0;
-    /// Predicted per-auction cost (sum of the range's EWMAs, ns).
-    double model_cost = 0;
   };
   ShardStats shard_stats(int shard) const;
   /// Internal-lane cache hits/misses summed over all shards: one lookup per
@@ -336,20 +304,12 @@ class ShardedAuctionEngine {
 
   /// Merges the lane's per-shard top-k heaps into the global per-slot top-k
   /// and extracts the candidate union — identical to
-  /// SelectTopPerSlotCandidates(revenue, k) over the full matrix. With
-  /// fewer than kTreeMergeMinShards shards the coordinator re-offers every
-  /// retained entry into one flat heap set (O(K k^2 log k)); at K >=
-  /// kTreeMergeMinShards it routes the partials through the Section III-E
-  /// binary merge tree (parallel_topk, ceil(log2 K) levels of O(k) list
-  /// merges on the lane's pool) — same strict (weight, id) order, so the
-  /// candidate vector is bitwise identical either way.
+  /// SelectTopPerSlotCandidates(revenue, k) over the full matrix. The
+  /// coordinator re-offers every retained entry into one flat heap set:
+  /// O(K k^2 log k), at most 1,800 offers at K = 8, k = 15.
   std::vector<AdvertiserId> MergeShardCandidates(PlanLane* lane,
                                                  int num_advertisers,
                                                  int num_slots) const;
-
-  /// Shard count at or above which the coordinator merge switches from the
-  /// flat re-offer to the tree network.
-  static constexpr int kTreeMergeMinShards = 8;
 
   ShardedEngineConfig config_;
   Workload workload_;
@@ -358,16 +318,11 @@ class ShardedAuctionEngine {
   std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
   QueryGenerator query_gen_;
   Rng user_rng_;
-  /// Advertisers [begin, end) per shard — shared read-only by every lane
-  /// while any plan is in flight; rewritten only by Repartition.
+  /// Advertisers [begin, end) per shard, fixed at construction and shared
+  /// read-only by every lane.
   std::vector<ShardRange> ranges_;
-  /// Per-advertiser EWMA cost, fed by the capture fan-out (shards write
-  /// disjoint ranges). Deliberately *not* checkpointed: it is a performance
-  /// hint, and a restored engine re-learns it within ~1/(1-decay) auctions.
-  CostModel cost_model_;
-  /// Per-shard capture wall time, the observable twin of the cost model's
-  /// input. Indexed like ranges_; the capture fan-out writes disjoint
-  /// entries, and Repartition (which owns the layout) resets it.
+  /// Per-shard capture wall time, indexed like ranges_; the capture fan-out
+  /// writes disjoint entries.
   std::vector<int64_t> capture_ns_;
   /// The engine's own lane (PlanAuction / RunAuctionOn path); its caches
   /// are the ones checkpoints persist and shard_stats reports.

@@ -117,9 +117,8 @@ uint64_t FingerprintBids(const BidsTable& bids);
 /// Per-advertiser cache of compiled bids keyed on content fingerprint —
 /// each ShardedAuctionEngine planning lane keeps one across auctions so
 /// unchanged tables are never recompiled. Entries are keyed by *global*
-/// advertiser id: a lane shares one cache across its shards, so moving a
-/// shard boundary (Repartition) never invalidates a compilation — the entry
-/// simply gets probed by a different shard's task.
+/// advertiser id: a lane shares one cache across its shards, and the keys
+/// export and checkpoint independently of the shard layout.
 ///
 /// Threading: Get(i, ...) mutates only entry i (hit/miss counters included —
 /// there is deliberately no cache-wide mutable state on the Get path), so

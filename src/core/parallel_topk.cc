@@ -37,9 +37,8 @@ SlotTopK ComputeLeaf(const RevenueMatrix& revenue, AdvertiserId lo,
   return state;
 }
 
-/// Root extraction shared by both tree paths: union of the per-slot lists,
-/// deduplicated, sorted ascending (canonical — heap and merge order are
-/// immaterial).
+/// Root extraction: union of the per-slot lists, deduplicated, sorted
+/// ascending (canonical — heap and merge order are immaterial).
 std::vector<AdvertiserId> ExtractCandidates(const SlotTopK& root,
                                             int num_advertisers) {
   std::vector<char> seen(num_advertisers, 0);
@@ -81,29 +80,6 @@ SlotTopK MergeSlotTopK(const SlotTopK& a, const SlotTopK& b, int k) {
   return out;
 }
 
-std::vector<AdvertiserId> TreeMergeToCandidates(std::vector<SlotTopK> partials,
-                                                int k, int num_advertisers,
-                                                ThreadPool* pool) {
-  SSA_CHECK(!partials.empty());
-  std::vector<SlotTopK> level = std::move(partials);
-  while (level.size() > 1) {
-    const int pairs = static_cast<int>(level.size()) / 2;
-    const bool odd = (level.size() % 2) != 0;
-    std::vector<SlotTopK> next(pairs + (odd ? 1 : 0));
-    auto merge_task = [&](int p) {
-      next[p] = MergeSlotTopK(level[2 * p], level[2 * p + 1], k);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(pairs, merge_task);
-    } else {
-      for (int p = 0; p < pairs; ++p) merge_task(p);
-    }
-    if (odd) next.back() = std::move(level.back());
-    level = std::move(next);
-  }
-  return ExtractCandidates(level[0], num_advertisers);
-}
-
 TreeAggregationResult TreeTopKAggregate(const RevenueMatrix& revenue,
                                         int num_blocks, ThreadPool* pool) {
   const int n = revenue.num_advertisers();
@@ -135,8 +111,7 @@ TreeAggregationResult TreeTopKAggregate(const RevenueMatrix& revenue,
   result.critical_path_ms = result.leaf_critical_ms;
 
   // --- Merge levels: pairwise, with a barrier per level (the synchronous
-  // tree network of Section III-E). Duplicates TreeMergeToCandidates's loop
-  // only to time each level — the candidate output is identical.
+  // tree network of Section III-E), each level timed.
   while (level.size() > 1) {
     const int pairs = static_cast<int>(level.size()) / 2;
     const bool odd = (level.size() % 2) != 0;

@@ -34,7 +34,7 @@ struct TreeAggregationResult {
 /// for each slot, the top-k (weight, advertiser) pairs seen in its subtree,
 /// sorted descending by the strict (weight, id) order (ties listed with ids
 /// descending — the TopKHeapSet order). Leaves produce these from advertiser
-/// ranges; the sharded engine produces them from per-shard heaps.
+/// ranges.
 struct SlotTopK {
   // per-slot sorted lists, each of size <= k.
   std::vector<std::vector<std::pair<double, AdvertiserId>>> per_slot;
@@ -45,17 +45,6 @@ struct SlotTopK {
 /// Associative over the strict (weight, id) order: any merge tree over the
 /// same leaves retains exactly the top-k of the union.
 SlotTopK MergeSlotTopK(const SlotTopK& a, const SlotTopK& b, int k);
-
-/// Runs the pairwise merge tree over `partials` (ceil(log2 p) levels, one
-/// barrier per level; tasks of a level run concurrently when `pool` is
-/// non-null) and extracts the root's candidate union: per-slot top-k lists
-/// unioned across slots, deduplicated, sorted ascending. With partials
-/// produced by per-range leaves this equals SelectTopPerSlotCandidates(·, k)
-/// on the whole matrix — the property the sharded coordinator's K >= 8
-/// merge path relies on.
-std::vector<AdvertiserId> TreeMergeToCandidates(std::vector<SlotTopK> partials,
-                                                int k, int num_advertisers,
-                                                ThreadPool* pool = nullptr);
 
 /// Simulates the paper's k binary-tree aggregation networks on a thread
 /// pool: advertisers are split into `num_blocks` leaf blocks; each leaf

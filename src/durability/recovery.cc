@@ -26,7 +26,7 @@ Status RecoverEngine(ShardedAuctionEngine* engine,
   SSA_RETURN_IF_ERROR(ReadSettlementLog(options.log_path, &records, &stats));
   report->tail_truncated = stats.tail_truncated();
   report->truncated_bytes = stats.corrupt_bytes;
-  if (stats.tail_truncated() && options.truncate_corrupt_tail) {
+  if (stats.tail_truncated()) {
     SSA_RETURN_IF_ERROR(TruncateFile(options.log_path, stats.valid_bytes));
   }
 

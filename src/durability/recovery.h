@@ -28,9 +28,6 @@ struct RecoveryOptions {
   std::string checkpoint_path;
   std::string log_path;
   QueryStream stream = QueryStream::kInternal;
-  /// Truncate the log file to its last intact record when the tail is torn
-  /// or corrupt, so the next writer appends after clean frames.
-  bool truncate_corrupt_tail = true;
 };
 
 struct RecoveryReport {
@@ -54,6 +51,8 @@ struct RecoveryReport {
 /// then re-executes the settlement log's suffix, comparing every replayed
 /// auction bitwise against its logged record (allocation, prices, events,
 /// revenue) so divergence is a hard DataLoss error, never silent drift.
+/// A torn or corrupt log tail is truncated to the last intact record, so
+/// the next writer appends after clean frames.
 /// Because engines are bitwise-deterministic, re-execution reconstructs
 /// accounts, RNG streams, revenue, and strategy state exactly — the engine
 /// ends bitwise-identical to the uninterrupted run at the last durable

@@ -32,8 +32,6 @@ const char* TraceStageName(TraceStage stage) {
       return "shard_plan";
     case TraceStage::kBatch:
       return "batch";
-    case TraceStage::kRepartition:
-      return "repartition";
     case TraceStage::kFollowerApply:
       return "follower_apply";
   }

@@ -25,7 +25,6 @@ enum class TraceStage : uint8_t {
   kShardCapture = 8,  // per-shard slice of capture (shard track)
   kShardPlan = 9,     // per-shard slice of planning (lane x shard track)
   kBatch = 10,        // executor micro-batch envelope
-  kRepartition = 11,  // shard rebalance event
   kFollowerApply = 12,  // follower replays one settlement record
 };
 

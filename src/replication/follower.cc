@@ -120,9 +120,9 @@ bool FollowerEngine::ApplyRecord(const SettlementRecord& record) {
     std::lock_guard<std::mutex> guard(lock_);
     // Replay-as-apply: re-executing the logged query IS the state
     // transition. Same seed + same account state -> the user RNG reproduces
-    // the leader's events bitwise, which verify_applies pins per record.
+    // the leader's events bitwise, which the check below pins per record.
     const AuctionOutcome& outcome = engine_.RunAuctionOn(record.query);
-    if (config_.verify_applies && !record.MatchesOutcome(outcome)) {
+    if (!record.MatchesOutcome(outcome)) {
       err_ = Status::DataLoss(
           "follower diverged from the settlement log at seq " +
           std::to_string(record.seq) +

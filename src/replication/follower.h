@@ -34,10 +34,6 @@ struct FollowerConfig {
   std::string log_path;
   /// Apply-thread sleep between polls that found nothing.
   std::chrono::milliseconds poll_interval{2};
-  /// Verify every applied record bitwise against the replayed outcome
-  /// (SettlementRecord::MatchesOutcome). A mismatch is sticky kDataLoss —
-  /// a diverged follower must never serve reads.
-  bool verify_applies = true;
   /// Test knob: stop applying past this sequence (0 = no limit). The apply
   /// thread idles there — the kill point of the restart sweep.
   uint64_t apply_limit_seq = 0;
@@ -65,9 +61,10 @@ struct FollowerConfig {
 /// equal seed, workload, and strategies — reproduces the leader's
 /// settlement bitwise (same user-RNG draws, same account deltas, same
 /// revenue; fault_injection_test pins the same property for recovery).
-/// verify_applies checks every record against its replayed outcome, so a
-/// configuration mismatch surfaces as kDataLoss at the first divergent
-/// record instead of silently wrong reads.
+/// Every applied record is verified bitwise against its replayed outcome
+/// (SettlementRecord::MatchesOutcome); a mismatch is sticky kDataLoss, so a
+/// configuration mismatch surfaces at the first divergent record instead of
+/// silently wrong reads — a diverged follower never serves reads.
 ///
 /// Threading: one internal apply thread owns the tailer; a mutex serializes
 /// applies against reads, so every read sees a frame-complete state at some

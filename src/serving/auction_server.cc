@@ -33,6 +33,13 @@ std::string ShardLabel(int shard) {
   return "shard=\"" + std::to_string(shard) + "\"";
 }
 
+/// Mirrors a monotone total kept in plain (non-atomic) state into a
+/// registry counter by advancing it by the change since the last publish.
+/// Single writer (the executor), so the read-then-add cannot race.
+void AdvanceCounter(Counter* counter, int64_t total) {
+  counter->Increment(total - counter->value());
+}
+
 }  // namespace
 
 AuctionServer::AuctionServer(
@@ -40,7 +47,6 @@ AuctionServer::AuctionServer(
     std::vector<std::unique_ptr<BiddingStrategy>> strategies)
     : config_(config),
       engine_(config.engine, std::move(workload), std::move(strategies)),
-      rebalancer_(config.rebalance),
       queue_(config.queue_capacity, config.backpressure) {
   SSA_CHECK(config_.max_batch_size >= 1);
   SSA_CHECK(config_.num_plan_lanes >= 1);
@@ -116,8 +122,6 @@ void AuctionServer::SetupObservability() {
         static_cast<double>(completed()));
     add("serving_batches_total", MetricSample::kCounter,
         static_cast<double>(batches()));
-    add("serving_rebalances_total", MetricSample::kCounter,
-        static_cast<double>(rebalances()));
     add("serving_queue_depth", MetricSample::kGauge,
         static_cast<double>(queue_.size()));
     if (tracer_ != nullptr) {
@@ -173,8 +177,9 @@ Status AuctionServer::Start() {
   // on the recovered position.
   settled_seq_.store(static_cast<uint64_t>(engine_.auctions_run()),
                      std::memory_order_release);
-  if (config_.obs.metrics) {
-    // Recovery is done and final; publish it once as gauges.
+  if (config_.obs.metrics && !durability.log_path.empty()) {
+    // Recovery is done and final; publish it once as gauges (only a server
+    // with a settlement log has anything to recover).
     registry_
         .GetGauge("recovery_checkpoint_seq", "",
                    "Checkpoint sequence recovery restored from")
@@ -203,17 +208,8 @@ Status AuctionServer::Start() {
         .GetGauge("recovery_tail_truncated", "",
                    "1 when recovery discarded a torn/corrupt log tail")
         ->Set(static_cast<int64_t>(recovery_.tail_truncated ? 1 : 0));
-    PublishEngineGauges();
   }
-  if (config_.obs.report_interval.count() > 0) {
-    MetricsReporter::Options reporter_options;
-    reporter_options.interval = config_.obs.report_interval;
-    reporter_options.output_path = config_.obs.report_path;
-    reporter_options.on_snapshot = config_.obs.report_callback;
-    reporter_ =
-        std::make_unique<MetricsReporter>(&registry_, reporter_options);
-    reporter_->Start();
-  }
+  PublishEngineGauges();
   started_ = true;
   executor_ = std::thread([this] { ExecutorLoop(); });
   return Status::Ok();
@@ -233,10 +229,8 @@ void AuctionServer::Stop() {
       if (log_status_.ok()) log_status_ = status;
     }
   }
-  // Executor joined: publishing the final engine/log state is race-free,
-  // and the reporter's terminal snapshot (inside Stop) sees it.
-  if (config_.obs.metrics) PublishEngineGauges();
-  if (reporter_ != nullptr) reporter_->Stop();
+  // Executor joined: publishing the final engine/log state is race-free.
+  PublishEngineGauges();
 }
 
 void AuctionServer::PublishEngineGauges() {
@@ -252,8 +246,7 @@ void AuctionServer::PublishEngineGauges() {
     const std::string label = ShardLabel(s);
     registry_
         .GetGauge("engine_shard_capture_ns", label,
-                  "Bid-capture wall time per shard since the last "
-                  "repartition, ns")
+                  "Bid-capture wall time per shard, ns")
         ->Set(stats.capture_ns);
     registry_
         .GetGauge("engine_shard_phase_ns", label,
@@ -261,13 +254,8 @@ void AuctionServer::PublishEngineGauges() {
                   "planning lanes, ns")
         ->Set(phase_ns);
     registry_
-        .GetGauge("engine_shard_model_cost", label,
-                  "Cost model's predicted per-auction cost for the shard's "
-                  "range, ns")
-        ->Set(stats.model_cost);
-    registry_
         .GetGauge("engine_shard_advertisers", label,
-                  "Advertisers currently owned by the shard")
+                  "Advertisers owned by the shard")
         ->Set(static_cast<int64_t>(stats.end - stats.begin));
   }
   int64_t cache_hits = engine_.cache_hits();
@@ -276,40 +264,41 @@ void AuctionServer::PublishEngineGauges() {
     cache_hits += lane->cache_hits();
     cache_misses += lane->cache_misses();
   }
-  registry_
-      .GetGauge("engine_cache_hits_total", "",
-                "Compiled-bids cache hits, internal lane plus planning lanes")
-      ->Set(cache_hits);
-  registry_
-      .GetGauge("engine_cache_misses_total", "",
-                "Compiled-bids cache misses, internal lane plus planning "
-                "lanes")
-      ->Set(cache_misses);
+  AdvanceCounter(
+      registry_.GetCounter(
+          "engine_cache_hits_total", "",
+          "Compiled-bids cache hits, internal lane plus planning lanes"),
+      cache_hits);
+  AdvanceCounter(
+      registry_.GetCounter(
+          "engine_cache_misses_total", "",
+          "Compiled-bids cache misses, internal lane plus planning lanes"),
+      cache_misses);
   for (size_t e = 0; e < lanes_.size(); ++e) {
     const std::string label = LaneLabel(static_cast<int>(e));
-    registry_
-        .GetGauge("lane_cache_hits_total", label,
-                  "Per-lane compiled-bids cache hits")
-        ->Set(lanes_[e]->cache_hits());
-    registry_
-        .GetGauge("lane_cache_misses_total", label,
-                  "Per-lane compiled-bids cache misses")
-        ->Set(lanes_[e]->cache_misses());
+    AdvanceCounter(registry_.GetCounter("lane_cache_hits_total", label,
+                                        "Per-lane compiled-bids cache hits"),
+                   lanes_[e]->cache_hits());
+    AdvanceCounter(
+        registry_.GetCounter("lane_cache_misses_total", label,
+                             "Per-lane compiled-bids cache misses"),
+        lanes_[e]->cache_misses());
   }
   if (log_writer_ != nullptr) {
-    registry_
-        .GetGauge("durability_records_appended_total", "",
-                  "Settlement records appended to the log")
-        ->Set(log_writer_->records_appended());
-    registry_
-        .GetGauge("durability_commits_total", "", "Log group commits")
-        ->Set(log_writer_->commits());
-    registry_
-        .GetGauge("durability_syncs_total", "", "Log fsyncs")
-        ->Set(log_writer_->syncs());
-    registry_
-        .GetGauge("durability_bytes_written_total", "", "Log bytes written")
-        ->Set(static_cast<int64_t>(log_writer_->bytes_written()));
+    AdvanceCounter(
+        registry_.GetCounter("durability_records_appended_total", "",
+                             "Settlement records appended to the log"),
+        log_writer_->records_appended());
+    AdvanceCounter(
+        registry_.GetCounter("durability_commits_total", "",
+                             "Log group commits"),
+        log_writer_->commits());
+    AdvanceCounter(
+        registry_.GetCounter("durability_syncs_total", "", "Log fsyncs"),
+        log_writer_->syncs());
+    AdvanceCounter(registry_.GetCounter("durability_bytes_written_total", "",
+                                        "Log bytes written"),
+                   static_cast<int64_t>(log_writer_->bytes_written()));
     registry_
         .GetGauge("durability_checkpoint_age", "",
                   "Auctions settled since the recovered checkpoint (crash "
@@ -399,22 +388,10 @@ void AuctionServer::ExecutorLoop() {
       tracer_->RecordSpan(batch_trace_seq, TraceStage::kBatch, /*track=*/0,
                           batch_t0, Tracer::NowNs());
     }
-    // Epoch boundary: the batch is fully settled and every lane is idle (the
-    // settler awaited each slot), so no plan or capture is in flight —
-    // exactly Repartition's precondition. Never inside a batch.
-    MaybeRebalance();
     // Per-batch gauge refresh: shard stats, lane caches, log counters. Off
     // the per-query path; plain engine state is only ever read here, on the
     // executor, which is what keeps registry snapshots race-free.
     PublishEngineGauges();
-  }
-}
-
-void AuctionServer::MaybeRebalance() {
-  if (config_.rebalance.every <= 0) return;
-  if (!rebalancer_.Due(engine_.auctions_run())) return;
-  if (engine_.RebalanceShards(config_.rebalance.min_imbalance)) {
-    rebalances_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -14,7 +14,6 @@
 #include "durability/recovery.h"
 #include "durability/settlement_log.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "util/bounded_queue.h"
 #include "util/epoch.h"
@@ -55,11 +54,12 @@ struct ServingRequest {
 };
 
 /// Observability knobs. Metrics default on (wait-free instruments; the
-/// executor additionally publishes engine/log gauges once per batch);
-/// tracing defaults off. Neither path touches auction values —
+/// executor additionally publishes engine/log gauges and totals once per
+/// batch); tracing defaults off. Neither path touches auction values —
 /// instrumentation only reads clocks and writes side state — so
 /// kDeterministicReplay stays bitwise-identical at any sampling rate
-/// (serving_test pins this at full sampling).
+/// (serving_test pins this at full sampling). For periodic export, run a
+/// MetricsReporter over metrics().
 struct ObsConfig {
   /// Register instruments and publish per-batch gauges. false = the
   /// registry stays empty and the serving path records only the four
@@ -68,14 +68,6 @@ struct ObsConfig {
   /// sample_every = 0 disables tracing; the hot path then pays one null
   /// check per stage.
   TraceConfig trace;
-  /// > 0 runs a background MetricsReporter at this interval (plus one
-  /// terminal snapshot at Stop()).
-  std::chrono::milliseconds report_interval{0};
-  /// Reporter target (Prometheus text, atomically replaced per snapshot).
-  /// Empty = reporter publishes through `report_callback` only.
-  std::string report_path;
-  /// Optional per-snapshot callback (reporter thread).
-  std::function<void(const MetricsSnapshot&)> report_callback;
 };
 
 /// Durability knobs for the serving path. All off by default — the server
@@ -121,15 +113,6 @@ struct ServerConfig {
   /// arrival order. Values are identical for every E (serving_test pins
   /// E in {1,2,4,8} against a serial batched oracle).
   int num_plan_lanes = 1;
-  /// Cost-model-driven shard rebalancing, honored only at epoch boundaries:
-  /// after a micro-batch fully settles and before the next batch's first
-  /// capture — the only points where no plan is in flight on any lane, which
-  /// is Repartition's concurrency precondition. Off by default (`every` is
-  /// overridden to 0 here); set `every` > 0 to rebalance when due and the
-  /// predicted imbalance is at least `min_imbalance`. Rebalancing moves
-  /// shard boundaries only — under kDeterministicReplay the trajectory stays
-  /// bitwise-equal to the serial engine (serving_test pins this).
-  ShardRebalancerOptions rebalance{/*every=*/0};
   DurabilityConfig durability;
   ObsConfig obs;
 };
@@ -218,10 +201,6 @@ class AuctionServer {
     return completed_.load(std::memory_order_relaxed);
   }
   int64_t batches() const { return batches_.load(std::memory_order_relaxed); }
-  /// Epoch-boundary rebalances that actually moved a shard boundary.
-  int64_t rebalances() const {
-    return rebalances_.load(std::memory_order_relaxed);
-  }
 
   /// The served engine (read after Stop() for settled accounts/revenue).
   const ShardedAuctionEngine& engine() const { return engine_; }
@@ -290,23 +269,19 @@ class AuctionServer {
   void SettleSlot(const ServingRequest& r,
                   ShardedAuctionEngine::PlannedAuction* plan,
                   uint64_t plan_us);
-  /// Epoch-boundary rebalance check: runs between RunBatch calls (batch
-  /// fully settled, every lane idle), asks the rebalancer whether a check is
-  /// due, and applies RebalanceShards under config.rebalance.min_imbalance.
-  void MaybeRebalance();
   /// Registers instruments/collectors and constructs the tracer (called from
   /// the constructor; no-ops per ObsConfig).
   void SetupObservability();
-  /// Pushes plain (non-atomic) engine and log-writer state — shard stats,
-  /// per-lane cache totals, log counters, checkpoint age — into registry
-  /// gauges. Executor thread only (batch boundaries + Stop), which is what
-  /// keeps the reporter/snapshot side race-free: snapshots read only atomic
-  /// gauge words, never the engine's plain state.
+  /// Pushes plain (non-atomic) engine and log-writer state into the
+  /// registry: shard stats and checkpoint age as gauges, cache and log
+  /// totals as counters (advanced by the change since the last publish).
+  /// Executor thread only (batch boundaries + Stop), which is what keeps
+  /// the reporter/snapshot side race-free: snapshots read only atomic
+  /// instrument words, never the engine's plain state.
   void PublishEngineGauges();
 
   ServerConfig config_;
   ShardedAuctionEngine engine_;
-  ShardRebalancer rebalancer_;
   BoundedQueue<ServingRequest> queue_;
 
   /// Appends the settled outcome to the log sink (no-op when off); records
@@ -332,12 +307,10 @@ class AuctionServer {
   LatencyHistogram end_to_end_us_;
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> batches_{0};
-  std::atomic<int64_t> rebalances_{0};
 
   // --- Observability state --------------------------------------------------
   MetricsRegistry registry_;
   std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<MetricsReporter> reporter_;
   /// Admission sequence feeding the deterministic trace sampler (counted
   /// only when tracing is configured).
   std::atomic<uint64_t> admissions_{0};

@@ -389,53 +389,6 @@ TEST(CheckpointTest, CheckpointIsPortableAcrossShardLayouts) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, CheckpointIsPortableAcrossRepartitionedLayouts) {
-  // Shard-layout independence end to end: the writer runs on a *rebalanced*
-  // (unequal) layout, the reader restores onto a different unequal layout
-  // and keeps repartitioning afterwards — trajectories stay bitwise and
-  // every recompilation still verifies against the checkpointed keys
-  // (cache keys are global-advertiser-id indexed on both sides).
-  const std::string path = TempPath("ckpt_repartitioned");
-  std::remove(path.c_str());
-  Workload w = MakePaperWorkload(SmallConfig(59));
-  ShardedEngineConfig config;
-  config.engine.seed = 61;
-  config.num_shards = 4;
-
-  ShardedAuctionEngine writer(config, w, RoiStrategies(w));
-  ASSERT_TRUE(writer.Repartition({{0, 3}, {3, 7}, {7, 25}, {25, 30}}).ok());
-  for (int i = 0; i < 30; ++i) writer.RunAuction();
-  ASSERT_TRUE(writer.WriteCheckpoint(path).ok());
-
-  ShardedAuctionEngine reader(config, w, RoiStrategies(w));
-  ASSERT_TRUE(
-      reader.Repartition({{0, 15}, {15, 28}, {28, 29}, {29, 30}}).ok());
-  ASSERT_TRUE(reader.RestoreFromCheckpoint(path).ok());
-  EXPECT_EQ(reader.auctions_run(), 30);
-
-  for (int i = 0; i < 30; ++i) {
-    const AuctionOutcome& want = writer.RunAuction();
-    const AuctionOutcome& got = reader.RunAuction();
-    ASSERT_EQ(got.query.keyword, want.query.keyword);
-    ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
-              want.wd.allocation.slot_to_advertiser);
-    ASSERT_EQ(got.revenue_charged, want.revenue_charged);
-    if (i == 10) {
-      // Keep moving boundaries after the restore: still bitwise.
-      ASSERT_TRUE(reader.Repartition({{0, 10}, {10, 30}}).ok());
-    }
-    if (i == 20) {
-      reader.RebalanceShards();
-    }
-  }
-  ExpectAccountsBitwiseEq(writer.accounts(), reader.accounts());
-  ASSERT_EQ(writer.total_revenue(), reader.total_revenue());
-  // The restored strategies re-emitted the checkpointed tables, and the
-  // fingerprint verification survived the layout changes.
-  EXPECT_GT(reader.verified_recompiles(), 0);
-  std::remove(path.c_str());
-}
-
 TEST(CheckpointTest, RestoreRejectsShapeMismatchAndCorruption) {
   const std::string path = TempPath("ckpt_reject");
   std::remove(path.c_str());

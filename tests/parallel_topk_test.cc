@@ -6,7 +6,6 @@
 #include "core/winner_determination.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/topk_heap.h"
 
 namespace ssa {
 namespace {
@@ -110,50 +109,6 @@ TEST(TreeTopKTest, TiedRevenuesStableAcrossPartitionings) {
   for (int blocks : {1, 2, 5, 16, 30}) {
     EXPECT_EQ(TreeTopKAggregate(m, blocks).candidates, sequential)
         << "blocks=" << blocks;
-  }
-}
-
-TEST(TreeTopKTest, TreeMergeToCandidatesMatchesFlatSelection) {
-  // The exposed partial-merge entry (what the sharded coordinator feeds):
-  // leaves built from disjoint advertiser ranges, merged by the tree, must
-  // reproduce SelectTopPerSlotCandidates — including duplicate weights
-  // across partials.
-  Rng rng(59);
-  RevenueMatrix m(200, 5);
-  for (AdvertiserId i = 0; i < 200; ++i) {
-    for (SlotIndex j = 0; j < 5; ++j) {
-      // Coarse weights: plenty of cross-leaf ties.
-      m.Set(i, j, static_cast<double>(rng.NextBounded(8)));
-    }
-  }
-  const std::vector<AdvertiserId> sequential = SelectTopPerSlotCandidates(m, 5);
-  for (int parts : {2, 7, 16}) {
-    std::vector<SlotTopK> partials(parts);
-    for (int p = 0; p < parts; ++p) {
-      const AdvertiserId lo = static_cast<AdvertiserId>(200 * p / parts);
-      const AdvertiserId hi = static_cast<AdvertiserId>(200 * (p + 1) / parts);
-      partials[p].per_slot.resize(5);
-      TopKHeapSet heaps;
-      heaps.Reset(5, 5);
-      const double* base = m.UnassignedData();
-      for (AdvertiserId i = lo; i < hi; ++i) {
-        for (SlotIndex j = 0; j < 5; ++j) {
-          const double w = m.Row(i)[j] - base[i];
-          if (w > 0.0) heaps.Offer(j, w, i);
-        }
-      }
-      for (SlotIndex j = 0; j < 5; ++j) {
-        heaps.ExtractDescending(j, &partials[p].per_slot[j]);
-      }
-    }
-    ThreadPool pool(3);
-    std::vector<SlotTopK> copy = partials;
-    EXPECT_EQ(TreeMergeToCandidates(std::move(partials), 5, 200, nullptr),
-              sequential)
-        << "serial merge, parts=" << parts;
-    EXPECT_EQ(TreeMergeToCandidates(std::move(copy), 5, 200, &pool),
-              sequential)
-        << "pooled merge, parts=" << parts;
   }
 }
 

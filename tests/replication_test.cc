@@ -911,7 +911,7 @@ TEST(LeaderIntegrationTest, SettledSeqTokenAndDurabilityGauges) {
 }
 
 /// End-to-end: a serving leader with followers tailing its live log — the
-/// deployment shape docs/ARCHITECTURE.md §5 describes. Submits in waves,
+/// deployment shape docs/ARCHITECTURE.md §4 describes. Submits in waves,
 /// uses the settled_seq token for read-your-writes, and pins the follower
 /// snapshot bitwise against the leader engine after the drain.
 TEST(LeaderIntegrationTest, ServerPlusFollowersEndToEnd) {

@@ -1,7 +1,7 @@
 // AuctionServer contract tests. The load-bearing one is deterministic
 // replay: a fixed query sequence served through the async subsystem — any
-// batch size, any shard count, any pool, with rebalancing and full tracing —
-// must settle bitwise-identically to the serial reference engine loop
+// batch size, any shard count, any pool, with full tracing — must settle
+// bitwise-identically to the serial reference engine loop
 // (tests/reference_engine.h). Batching
 // and queuing may only change *when* work happens, never *what* it computes.
 // Batched settlement, which always plans on the lane pipeline, is pinned for
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -116,7 +117,6 @@ struct ReplayParam {
   int max_batch = 1;
   int num_shards = 1;
   int pool_threads = 0;  // 0 = no pool
-  int64_t rebalance_every = 0;  // 0 = epoch-boundary rebalancing off
   bool full_tracing = false;  // trace every query (sample_every = 1)
 };
 
@@ -148,10 +148,6 @@ void RunReplayEquivalence(const ReplayParam& param) {
   config.batch_deadline = microseconds(100);
   config.mode = ServingMode::kDeterministicReplay;
   if (param.full_tracing) config.obs.trace.sample_every = 1;
-  config.rebalance.every = param.rebalance_every;
-  // Move boundaries on any measured imbalance: maximal churn, so the
-  // equivalence check exercises as many repartitions as possible.
-  config.rebalance.min_imbalance = 1.0;
 
   std::vector<AdvertiserAccount> accounts;
   Money total_revenue = 0;
@@ -171,9 +167,9 @@ TEST(ServingReplayTest, MicroBatchesShardedOnPool) {
       {/*max_batch=*/16, /*num_shards=*/3, /*pool_threads=*/3});
 }
 
-TEST(ServingReplayTest, LargeBatchManyShardsTreeMerge) {
-  // 8 shards crosses kTreeMergeMinShards: the coordinator merge goes
-  // through the parallel_topk tree network and must stay bitwise.
+TEST(ServingReplayTest, LargeBatchManyShards) {
+  // 8 shards of 5 advertisers each: the coordinator merge re-offers eight
+  // partial top-k sets and must stay bitwise.
   RunReplayEquivalence(
       {/*max_batch=*/64, /*num_shards=*/8, /*pool_threads=*/4});
 }
@@ -189,24 +185,6 @@ TEST(ServingReplayTest, MatrixMatchesSerialEngineBitwise) {
       ReplayParam param;
       param.max_batch = batch;
       param.num_shards = shards;
-      RunReplayEquivalence(param);
-    }
-  }
-}
-
-TEST(ServingRebalanceTest, ReplayMatrixStaysBitwiseWithRebalancingEnabled) {
-  // The serving half of the rebalancing contract: with epoch-boundary
-  // rebalancing churning the shard layout mid-stream (every 8 auctions, any
-  // imbalance), deterministic replay must stay bitwise-equal to the serial
-  // engine. Rebalancing may move work between shards, never values.
-  for (int shards : {2, 4}) {
-    for (int batch : {1, 8}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " batch=" + std::to_string(batch));
-      ReplayParam param;
-      param.max_batch = batch;
-      param.num_shards = shards;
-      param.rebalance_every = 8;
       RunReplayEquivalence(param);
     }
   }
@@ -278,8 +256,8 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
     EXPECT_GT(registry->GetGauge("engine_shard_phase_ns", shard)->value(), 0)
         << shard;
   }
-  EXPECT_GT(registry->GetGauge("engine_cache_hits_total")->value(), 0);
-  EXPECT_GT(registry->GetGauge("engine_cache_misses_total")->value(), 0);
+  EXPECT_GT(registry->GetCounter("engine_cache_hits_total")->value(), 0);
+  EXPECT_GT(registry->GetCounter("engine_cache_misses_total")->value(), 0);
 
   // Trace side: every pipeline stage appears, including the per-shard
   // capture/plan slices and the per-slot barrier wait.
@@ -326,43 +304,98 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   EXPECT_NE(chrome.find("shard 1 capture"), std::string::npos);
 }
 
-TEST(ServingRebalanceTest, RebalanceKeepsValidPartitionAndFeedsCostModel) {
-  Workload w = MakePaperWorkload(SmallConfig(113));
-  const int num_queries = 100;
-  const std::vector<Query> queries =
-      MakeQuerySequence(num_queries, w.config.num_keywords, 127);
+TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
+  // No dead metrics: a server without a settlement log has nothing to
+  // recover or persist, so it exports no recovery_* or durability_* sample
+  // (and no rebalance counter). Every exported *_total sample — engine and
+  // lane caches, durability totals, admission counters — is a counter, so
+  // Prometheus sees TYPE counter for each.
+  auto served_snapshot = [](const ServerConfig& config) {
+    Workload w = MakePaperWorkload(SmallConfig(131));
+    const std::vector<Query> queries =
+        MakeQuerySequence(40, w.config.num_keywords, 137);
+    auto strategies = RoiStrategies(w);
+    AuctionServer server(config, std::move(w), std::move(strategies));
+    EXPECT_TRUE(server.Start().ok());
+    for (const Query& q : queries) {
+      EXPECT_EQ(server.Submit(q), QueuePushResult::kAccepted);
+    }
+    server.Stop();
+    return server.metrics().Snapshot();
+  };
+  auto has_prefix = [](const std::string& name, const char* prefix) {
+    return name.rfind(prefix, 0) == 0;
+  };
+  auto value_of = [](const MetricsSnapshot& snap, const std::string& name) {
+    double sum = 0;  // summed over label sets
+    for (const MetricSample& s : snap.samples) {
+      if (s.name == name) sum += s.value;
+    }
+    return sum;
+  };
+  auto kinds_by_name = [](const MetricsSnapshot& snap) {
+    std::map<std::string, MetricSample::Kind> kinds;
+    for (const MetricSample& s : snap.samples) {
+      const bool total = s.name.size() > 6 &&
+                         s.name.compare(s.name.size() - 6, 6, "_total") == 0;
+      if (total) {
+        EXPECT_EQ(s.kind, MetricSample::kCounter) << s.name << s.labels;
+      }
+      kinds[s.name] = s.kind;
+    }
+    return kinds;
+  };
+
   ServerConfig config;
-  config.engine.engine.seed = 127;
-  config.engine.num_shards = 4;
-  config.max_batch_size = 4;
-  config.rebalance.every = 4;
-  config.rebalance.min_imbalance = 1.0;
-  AuctionServer server(config, std::move(w), [] {
-    Workload tmp = MakePaperWorkload(SmallConfig(113));
-    return RoiStrategies(tmp);
-  }());
-  server.Start();
-  for (const Query& q : queries) {
-    ASSERT_EQ(server.Submit(q), QueuePushResult::kAccepted);
+  config.engine.engine.seed = 137;
+  config.engine.num_shards = 2;
+  config.max_batch_size = 8;
+  config.num_plan_lanes = 2;
+  config.mode = ServingMode::kBatchedSettlement;
+  const MetricsSnapshot no_log = served_snapshot(config);
+  const auto kinds = kinds_by_name(no_log);
+  for (const auto& [name, kind] : kinds) {
+    EXPECT_FALSE(has_prefix(name, "recovery_")) << name;
+    EXPECT_FALSE(has_prefix(name, "durability_")) << name;
+    EXPECT_NE(name, "serving_rebalances_total");
   }
-  server.Stop();
-  EXPECT_EQ(server.completed(), num_queries);
-  // Whatever the rebalancer did, the layout must still be a contiguous
-  // cover of the population with the configured shard count.
-  const auto& ranges = server.engine().shard_ranges();
-  ASSERT_EQ(ranges.size(), 4u);
-  AdvertiserId next = 0;
-  for (const ShardRange& range : ranges) {
-    EXPECT_EQ(range.begin, next);
-    EXPECT_LT(range.begin, range.end);
-    next = range.end;
+  for (const char* name : {"engine_cache_hits_total",
+                           "engine_cache_misses_total",
+                           "lane_cache_hits_total", "lane_cache_misses_total",
+                           "serving_completed_total"}) {
+    ASSERT_TRUE(kinds.count(name)) << name;
   }
-  EXPECT_EQ(next, 40);
-  // The cost model saw every served auction, and the rebalance counter
-  // never exceeds the number of due checks.
-  EXPECT_EQ(server.engine().cost_model().auctions_sampled(), num_queries);
-  EXPECT_LE(server.rebalances(), num_queries / 4);
-  EXPECT_GE(server.rebalances(), 0);
+  // One cache lookup per advertiser per auction, all on the two lanes.
+  EXPECT_EQ(value_of(no_log, "engine_cache_hits_total") +
+                value_of(no_log, "engine_cache_misses_total"),
+            40.0 * 40.0);
+  EXPECT_EQ(value_of(no_log, "lane_cache_hits_total") +
+                value_of(no_log, "lane_cache_misses_total"),
+            40.0 * 40.0);
+  for (const HistogramSample& h : no_log.histograms) {
+    EXPECT_FALSE(has_prefix(h.name, "durability_")) << h.name;
+  }
+  const std::string prom = ExportPrometheus(no_log);
+  EXPECT_NE(prom.find("# TYPE engine_cache_hits_total counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE lane_cache_misses_total counter"),
+            std::string::npos);
+
+  // With a log, the durability totals and recovery gauges appear, and the
+  // totals are still counters.
+  const std::string log_path =
+      testing::TempDir() + "/ssa_serving_metric_kinds.log";
+  std::remove(log_path.c_str());
+  config.mode = ServingMode::kDeterministicReplay;
+  config.durability.log_path = log_path;
+  const MetricsSnapshot with_log = served_snapshot(config);
+  const auto logged = kinds_by_name(with_log);
+  ASSERT_TRUE(logged.count("durability_records_appended_total"));
+  EXPECT_EQ(value_of(with_log, "durability_records_appended_total"), 40.0);
+  ASSERT_TRUE(logged.count("durability_bytes_written_total"));
+  ASSERT_TRUE(logged.count("recovery_records_replayed"));
+  EXPECT_EQ(logged.at("recovery_records_replayed"), MetricSample::kGauge);
+  std::remove(log_path.c_str());
 }
 
 /// Serves `queries` with every submission admitted *before* Start(): batch
@@ -447,10 +480,6 @@ TEST(ServingLaneBatchedTest, LanesMatchSerialBatchedOracleBitwise) {
                    " shards=" + std::to_string(shards));
       config.num_plan_lanes = lanes;
       config.engine.num_shards = shards;
-      // With 4 shards, rebalance at every due epoch boundary: lane scratch
-      // follows the layout without moving a value.
-      config.rebalance.every = shards > 1 ? 8 : 0;
-      config.rebalance.min_imbalance = 1.0;
       std::vector<AdvertiserAccount> accounts;
       Money revenue = 0;
       const auto got =

@@ -105,10 +105,8 @@ TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwiseOnPool) {
   ExpectBitwiseEquivalent(&reference, &sharded, 100);
 }
 
-// 8 and 12 cross ShardedAuctionEngine::kTreeMergeMinShards: those instances
-// run the coordinator merge through the Section III-E parallel_topk tree
-// network (12 also exercises the odd-node promotion), and must stay as
-// bitwise as the flat re-offer path below the threshold.
+// 7 over 40 advertisers gives unequal shards (5 and 6 advertisers); 8 and
+// 12 put many small partials through the flat coordinator merge.
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedEquivalenceTest,
                          ::testing::Values(1, 2, 7, 8, 12));
 
@@ -330,160 +328,27 @@ TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
   EXPECT_GT(engine.cache_hits(), 0);
 }
 
-TEST(ShardedEngineTest, ArbitraryUnequalPartitionsMatchBitwise) {
-  // Determinism may not depend on *where* the boundaries sit: wildly
-  // unequal contiguous partitions must reproduce the serial trajectory.
-  const std::vector<std::vector<ShardRange>> layouts = {
-      {{0, 1}, {1, 39}, {39, 40}},
-      {{0, 37}, {37, 38}, {38, 39}, {39, 40}},
-      {{0, 2}, {2, 4}, {4, 8}, {8, 16}, {16, 40}},
-  };
-  for (const auto& layout : layouts) {
-    Workload w1 = MakePaperWorkload(SmallConfig(67));
-    Workload w2 = MakePaperWorkload(SmallConfig(67));
-    EngineConfig engine_config;
-    engine_config.seed = 71;
-    ShardedEngineConfig sharded_config;
-    sharded_config.engine = engine_config;
-    sharded_config.num_shards = static_cast<int>(layout.size());
-    ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
-    ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-    ASSERT_TRUE(sharded.Repartition(layout).ok());
-    ASSERT_EQ(sharded.shard_ranges(), layout);
-    ExpectBitwiseEquivalent(&reference, &sharded, 80);
-  }
-}
-
-TEST(ShardedEngineTest, MidStreamRepartitionKeepsBitwiseIdentity) {
-  // Boundaries move *between* auctions while strategy/account state is live
-  // — including a change of shard count — and nothing may drift.
-  Workload w1 = MakePaperWorkload(SmallConfig(73));
-  Workload w2 = MakePaperWorkload(SmallConfig(73));
-  EngineConfig engine_config;
-  engine_config.seed = 79;
-  ShardedEngineConfig sharded_config;
-  sharded_config.engine = engine_config;
-  sharded_config.num_shards = 4;
-  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
-  ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-
-  ExpectBitwiseEquivalent(&reference, &sharded, 40);
-  ASSERT_TRUE(sharded.Repartition({{0, 30}, {30, 35}, {35, 40}}).ok());
-  ExpectBitwiseEquivalent(&reference, &sharded, 40);
-  ASSERT_TRUE(
-      sharded.Repartition({{0, 5}, {5, 10}, {10, 20}, {20, 32}, {32, 40}})
-          .ok());
-  ExpectBitwiseEquivalent(&reference, &sharded, 40);
-  // Collapse to one shard and back out to the tree-merge regime.
-  ASSERT_TRUE(sharded.Repartition({{0, 40}}).ok());
-  ExpectBitwiseEquivalent(&reference, &sharded, 20);
-  std::vector<ShardRange> eight;
-  for (AdvertiserId s = 0; s < 8; ++s) {
-    eight.push_back(ShardRange{s * 5, (s + 1) * 5});
-  }
-  ASSERT_TRUE(sharded.Repartition(eight).ok());
-  ExpectBitwiseEquivalent(&reference, &sharded, 40);
-}
-
-TEST(ShardedEngineTest, RepartitionPreservesCompiledBids) {
-  // Global-id cache keying: moving a boundary must not recompile anything a
-  // twin engine with a fixed layout would not also recompile.
-  Workload w1 = MakePaperWorkload(SmallConfig(83));
-  Workload w2 = MakePaperWorkload(SmallConfig(83));
-  ShardedEngineConfig config;
-  config.engine.seed = 89;
-  config.num_shards = 4;
-  ShardedAuctionEngine fixed(config, w1, RoiStrategies(w1));
-  ShardedAuctionEngine moving(config, w2, RoiStrategies(w2));
-  for (int t = 0; t < 30; ++t) {
-    fixed.RunAuction();
-    moving.RunAuction();
-    if (t % 10 == 9) {
-      const AdvertiserId cut = 5 + t % 13;  // 14, 5, 11 over the run
-      ASSERT_TRUE(
-          moving.Repartition({{0, cut}, {cut, 20}, {20, 40}}).ok());
-    }
-  }
-  // Identical trajectories produce identical table churn; with nothing
-  // invalidated by the boundary moves, miss counts must agree exactly.
-  EXPECT_EQ(moving.cache_misses(), fixed.cache_misses());
-  EXPECT_EQ(moving.cache_hits(), fixed.cache_hits());
-}
-
-TEST(ShardedEngineTest, RepartitionRejectsInvalidLayouts) {
-  Workload w = MakePaperWorkload(SmallConfig(97));
-  ShardedEngineConfig config;
-  config.num_shards = 2;
-  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
-  EXPECT_FALSE(engine.Repartition({}).ok());                       // empty
-  EXPECT_FALSE(engine.Repartition({{0, 20}}).ok());                // short
-  EXPECT_FALSE(engine.Repartition({{5, 20}, {20, 40}}).ok());      // gap head
-  EXPECT_FALSE(engine.Repartition({{0, 20}, {21, 40}}).ok());      // gap mid
-  EXPECT_FALSE(engine.Repartition({{0, 20}, {20, 20}, {20, 40}}).ok());
-  EXPECT_FALSE(engine.Repartition({{0, 20}, {20, 41}}).ok());      // overrun
-  // The failed attempts left the engine usable on its original layout.
-  engine.RunAuction();
-  EXPECT_EQ(engine.auctions_run(), 1);
-}
-
-TEST(ShardedEngineTest, RebalanceShardsEqualizesSkewedCost) {
-  // ROI strategies emit roughly uniform work, so seed the skew directly:
-  // after enough auctions the cost model has a signal, and a rebalance from
-  // a deliberately terrible layout must (a) move boundaries, (b) reduce
-  // predicted imbalance, and (c) keep the trajectory bitwise.
-  Workload w1 = MakePaperWorkload(SmallConfig(101));
-  Workload w2 = MakePaperWorkload(SmallConfig(101));
-  EngineConfig engine_config;
-  engine_config.seed = 103;
-  ShardedEngineConfig sharded_config;
-  sharded_config.engine = engine_config;
-  sharded_config.num_shards = 4;
-  ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
-  ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-
-  // A pathological layout: one shard owns nearly everything.
-  ASSERT_TRUE(
-      sharded.Repartition({{0, 37}, {37, 38}, {38, 39}, {39, 40}}).ok());
-  ExpectBitwiseEquivalent(&reference, &sharded, 60);
-  ASSERT_GT(sharded.cost_model().auctions_sampled(), 0);
-  const double before = ShardRebalancer::PredictedImbalance(
-      sharded.cost_model().costs(), sharded.shard_ranges());
-  ASSERT_GT(before, 1.5);  // the bad layout must actually look bad
-
-  ASSERT_TRUE(sharded.RebalanceShards());
-  const double after = ShardRebalancer::PredictedImbalance(
-      sharded.cost_model().costs(), sharded.shard_ranges());
-  EXPECT_LT(after, before);
-  EXPECT_EQ(sharded.num_shards(), 4);
-  // Repeating immediately is a no-op: the layout is already balanced.
-  EXPECT_FALSE(sharded.RebalanceShards(1.05));
-  // And the trajectory is still bitwise after the move.
-  ExpectBitwiseEquivalent(&reference, &sharded, 60);
-}
-
-TEST(ShardedEngineTest, ShardStatsExposeCostAndPhaseTime) {
+TEST(ShardedEngineTest, ShardStatsExposeCaptureAndPhaseTime) {
   Workload w = MakePaperWorkload(SmallConfig(107));
   ShardedEngineConfig config;
   config.num_shards = 4;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   for (int t = 0; t < 20; ++t) engine.RunAuction();
-  double total_cost = 0.0;
+  // The layout is the uniform split fixed at construction, and the
+  // per-shard clocks have counted every auction since.
+  int64_t capture_ns = 0;
+  int64_t phase_ns = 0;
   for (int s = 0; s < engine.num_shards(); ++s) {
     const auto stats = engine.shard_stats(s);
+    EXPECT_EQ(stats.begin, s * 10);
+    EXPECT_EQ(stats.end, (s + 1) * 10);
     EXPECT_GE(stats.capture_ns, 0);
     EXPECT_GE(stats.phase_ns, 0);
-    EXPECT_GT(stats.model_cost, 0.0);
-    total_cost += stats.model_cost;
+    capture_ns += stats.capture_ns;
+    phase_ns += stats.phase_ns;
   }
-  // Repartition owns the layout and restarts the per-shard work clocks.
-  ASSERT_TRUE(engine.Repartition({{0, 5}, {5, 40}}).ok());
-  EXPECT_EQ(engine.shard_stats(0).capture_ns, 0);
-  EXPECT_EQ(engine.shard_stats(1).phase_ns, 0);
-  // Per-range partial sums vs one flat pass: same values, different
-  // association — equal only up to rounding.
-  const double flat_total = engine.cost_model().TotalCost();
-  EXPECT_NEAR(total_cost, flat_total, 1e-9 * flat_total);
-  EXPECT_EQ(engine.cost_model().auctions_sampled(), 20);
+  EXPECT_GT(capture_ns, 0);
+  EXPECT_GT(phase_ns, 0);
 }
 
 TEST(ShardedEngineTest, ClampsShardCountToPopulation) {
