@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "auction/sharded_engine.h"
@@ -18,7 +20,8 @@ inline int64_t EnvInt(const char* name, int64_t default_value) {
   return v == nullptr ? default_value : std::atoll(v);
 }
 
-/// The Section V population: every advertiser runs the ROI heuristic.
+/// The Section V population: every advertiser runs the ROI heuristic (on
+/// reduced-Hungarian engines its shards plan with the RHTALU planner).
 inline std::vector<std::unique_ptr<BiddingStrategy>> RoiStrategies(
     const Workload& workload) {
   std::vector<std::unique_ptr<BiddingStrategy>> strategies;
@@ -26,6 +29,43 @@ inline std::vector<std::unique_ptr<BiddingStrategy>> RoiStrategies(
   for (int i = 0; i < workload.config.num_advertisers; ++i) {
     strategies.push_back(
         std::make_unique<RoiStrategy>(workload.keyword_formulas));
+  }
+  return strategies;
+}
+
+/// Forwards every call to an owned RoiStrategy. The engine's RHTALU planner
+/// recognizes native RoiStrategy bidders by type, so a population of these
+/// bids identically but plans every auction by brute force (capture,
+/// compile, matrix fill): the RH baseline of Figures 12 and 13.
+class BruteForceRoiStrategy : public BiddingStrategy {
+ public:
+  explicit BruteForceRoiStrategy(const std::vector<Formula>& keyword_formulas)
+      : inner_(keyword_formulas) {}
+  void MakeBids(const Query& query, const AdvertiserAccount& account,
+                BidsTable* bids) override {
+    inner_.MakeBids(query, account, bids);
+  }
+  void PeekBids(const Query& query, const AdvertiserAccount& account,
+                BidsTable* bids) const override {
+    inner_.PeekBids(query, account, bids);
+  }
+  void SaveState(std::string* out) const override { inner_.SaveState(out); }
+  Status RestoreState(std::string_view blob) override {
+    return inner_.RestoreState(blob);
+  }
+
+ private:
+  RoiStrategy inner_;
+};
+
+/// The Section V population on the brute-force shard path.
+inline std::vector<std::unique_ptr<BiddingStrategy>> BruteForceRoiStrategies(
+    const Workload& workload) {
+  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
+  strategies.reserve(workload.config.num_advertisers);
+  for (int i = 0; i < workload.config.num_advertisers; ++i) {
+    strategies.push_back(
+        std::make_unique<BruteForceRoiStrategy>(workload.keyword_formulas));
   }
   return strategies;
 }

@@ -9,40 +9,35 @@
 // fewer measured auctions per point. The ordering LP >> H >> RH > RHTALU —
 // the figure's point — holds throughout.
 //
+// LP, H and RH run every bidder's program each auction (RH's bidders sit
+// behind BruteForceRoiStrategy, which keeps the engine on the brute-force
+// shard path); RHTALU is the same engine on native RoiStrategy bidders,
+// whose shard plans with the logical-update planner.
+//
 // Output: one row per population size, one column per method, plus the
 // speedup columns EXPERIMENTS.md quotes.
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "strategy/logical_roi.h"
 
 namespace ssa {
 namespace bench {
 namespace {
 
-double MeasureEager(int n, WdMethod method, int warmup, int measured,
-                    uint64_t seed) {
+/// `logical` = native RoiStrategy bidders (RHTALU under RH); otherwise the
+/// bidders are wrapped and every auction runs them all.
+double Measure(int n, WdMethod method, bool logical, int warmup,
+               int measured, uint64_t seed) {
   Workload workload = PaperWorkload(n, seed);
   ShardedEngineConfig config;
   config.engine.wd_method = method;
   config.engine.seed = seed + 1;
-  auto strategies = RoiStrategies(workload);
+  auto strategies = logical ? RoiStrategies(workload)
+                            : BruteForceRoiStrategies(workload);
   ShardedAuctionEngine engine(config, std::move(workload),
                               std::move(strategies));
   return AverageAuctionMs(engine, warmup, measured);
-}
-
-double MeasureRhtalu(int n, int warmup, int measured, uint64_t seed) {
-  EngineConfig config;
-  config.seed = seed + 1;
-  LogicalRoiEngine engine(config, PaperWorkload(n, seed));
-  for (int t = 0; t < warmup; ++t) engine.RunAuction();
-  double total = 0;
-  for (int t = 0; t < measured; ++t) {
-    total += engine.RunAuction().ProcessingMs();
-  }
-  return total / measured;
 }
 
 int Main() {
@@ -70,13 +65,15 @@ int Main() {
   for (int n : sweep) {
     double lp_ms = -1;
     if (n <= lp_max_n) {
-      lp_ms = MeasureEager(n, WdMethod::kLp, /*warmup=*/5, lp_measured, seed);
+      lp_ms = Measure(n, WdMethod::kLp, false, /*warmup=*/5, lp_measured,
+                      seed);
     }
     const double h_ms =
-        MeasureEager(n, WdMethod::kHungarian, warmup, measured, seed);
-    const double rh_ms =
-        MeasureEager(n, WdMethod::kReducedHungarian, warmup, measured, seed);
-    const double talu_ms = MeasureRhtalu(n, warmup, measured, seed);
+        Measure(n, WdMethod::kHungarian, false, warmup, measured, seed);
+    const double rh_ms = Measure(n, WdMethod::kReducedHungarian, false,
+                                 warmup, measured, seed);
+    const double talu_ms = Measure(n, WdMethod::kReducedHungarian, true,
+                                   warmup, measured, seed);
 
     char lp_buf[32];
     if (lp_ms >= 0) {

@@ -6,13 +6,18 @@
 // per-keyword adjustment variables, fired triggers, clicked winners and the
 // advertisers the TA probes.
 //
-// Also prints the RHTALU work counters (TA sorted accesses per auction,
-// triggers fired, list moves) to substantiate the sublinearity claim.
+// Both columns run ShardedAuctionEngine at one shard. RH's bidders sit
+// behind BruteForceRoiStrategy, which keeps the engine on the brute-force
+// shard path; RHTALU's are native RoiStrategy, whose shard plans with the
+// logical-update planner (auction/roi_planner.h).
+//
+// Also prints the RHTALU work counters (TA sorted accesses per slot, list
+// moves per auction) to substantiate the sublinearity claim, and exits 1 if
+// the two columns' trajectories (revenue, accounts) differ.
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "strategy/logical_roi.h"
 
 namespace ssa {
 namespace bench {
@@ -35,28 +40,31 @@ int Main() {
   const int sweep[] = {2000, 4000, 6000, 8000, 10000,
                        12000, 14000, 16000, 18000, 20000};
   for (int n : sweep) {
-    // Eager RH engine (one shard).
+    // Eager RH (one shard, brute-force path).
     Workload w_eager = PaperWorkload(n, seed);
     ShardedEngineConfig config;
     config.engine.seed = seed + 1;
-    auto strategies = RoiStrategies(w_eager);
+    auto strategies = BruteForceRoiStrategies(w_eager);
     ShardedAuctionEngine eager(config, std::move(w_eager),
                                std::move(strategies));
     const double rh_ms = AverageAuctionMs(eager, warmup, measured);
 
-    // RHTALU engine, with work counters sampled over the measured window.
-    LogicalRoiEngine logical(config.engine, PaperWorkload(n, seed));
+    // RHTALU (one logical shard), with work counters sampled over the
+    // measured window.
+    Workload w_logical = PaperWorkload(n, seed);
+    auto roi = RoiStrategies(w_logical);
+    ShardedAuctionEngine logical(config, std::move(w_logical),
+                                 std::move(roi));
     for (int t = 0; t < warmup; ++t) logical.RunAuction();
-    const auto before = logical.stats();
+    const RoiPlannerStats before = logical.planner_stats();
     double talu_total = 0;
     for (int t = 0; t < measured; ++t) {
       talu_total += logical.RunAuction().ProcessingMs();
     }
     const double talu_ms = talu_total / measured;
-    const auto after = logical.stats();
+    const RoiPlannerStats after = logical.planner_stats();
     const double probes_per_slot =
-        static_cast<double>(after.ta_sorted_accesses -
-                            before.ta_sorted_accesses) /
+        static_cast<double>(after.probes - before.probes) /
         (static_cast<double>(measured) * 15);
     const double moves_per_auction =
         static_cast<double>(after.list_moves - before.list_moves) / measured;
@@ -64,6 +72,20 @@ int Main() {
     std::printf("%8d %12.3f %12.3f %12.1f %16.1f %12.1f\n", n, rh_ms, talu_ms,
                 rh_ms / talu_ms, probes_per_slot, moves_per_auction);
     std::fflush(stdout);
+
+    // The two columns time one auction trajectory, so a zero exit is also a
+    // bitwise check of the planner against brute force.
+    bool same = eager.total_revenue() == logical.total_revenue();
+    for (int i = 0; i < n && same; ++i) {
+      same = eager.accounts()[i].amount_spent ==
+                 logical.accounts()[i].amount_spent &&
+             eager.accounts()[i].value_gained ==
+                 logical.accounts()[i].value_gained;
+    }
+    if (!same) {
+      std::fprintf(stderr, "n = %d: RHTALU diverged from RH\n", n);
+      return 1;
+    }
   }
   return 0;
 }

@@ -1,47 +1,79 @@
-// ROI campaign: the full Section V pipeline, both engines.
+// ROI campaign: the full Section V pipeline, both shard paths.
 //
 // Runs the paper's workload (15 slots, 10 keywords, ROI-equalizing bidders,
-// generalized second pricing) through the eager engine (ShardedAuctionEngine
-// at one shard: every program runs every auction, reduced-Hungarian winner
-// determination) and through the RHTALU engine (Threshold Algorithm +
-// logical updates + triggers), then shows that the two are observably
-// identical while RHTALU does a fraction of the work.
+// generalized second pricing) through ShardedAuctionEngine twice at one
+// shard: once with every bidder behind a forwarding wrapper, so each auction
+// runs every program and fills the whole revenue matrix (eager RH), and once
+// with native RoiStrategy bidders, whose shard plans with RHTALU (Threshold
+// Algorithm + logical updates + triggers). The two are observably identical
+// while RHTALU does a fraction of the work.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "auction/sharded_engine.h"
-#include "strategy/logical_roi.h"
 #include "strategy/roi_strategy.h"
 #include "util/timer.h"
 
 using namespace ssa;
 
+namespace {
+
+/// Forwards to an owned RoiStrategy. The engine's planner recognizes native
+/// RoiStrategy bidders by type, so these bid identically but keep every
+/// auction on the eager path.
+class EagerRoiStrategy : public BiddingStrategy {
+ public:
+  explicit EagerRoiStrategy(const std::vector<Formula>& keyword_formulas)
+      : inner_(keyword_formulas) {}
+  void MakeBids(const Query& query, const AdvertiserAccount& account,
+                BidsTable* bids) override {
+    inner_.MakeBids(query, account, bids);
+  }
+  void SaveState(std::string* out) const override { inner_.SaveState(out); }
+  Status RestoreState(std::string_view blob) override {
+    return inner_.RestoreState(blob);
+  }
+
+ private:
+  RoiStrategy inner_;
+};
+
+}  // namespace
+
 int main() {
   WorkloadConfig wc;
   wc.num_advertisers = 2000;
   wc.seed = 7;
-  EngineConfig ec;
-  ec.seed = 8;
+  ShardedEngineConfig config;
+  config.engine.seed = 8;
   const int kAuctions = 2000;
 
   // --- Eager engine.
   Workload w_eager = MakePaperWorkload(wc);
-  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
+  std::vector<std::unique_ptr<BiddingStrategy>> eager_bidders;
   for (int i = 0; i < wc.num_advertisers; ++i) {
-    strategies.push_back(
-        std::make_unique<RoiStrategy>(w_eager.keyword_formulas));
+    eager_bidders.push_back(
+        std::make_unique<EagerRoiStrategy>(w_eager.keyword_formulas));
   }
-  ShardedEngineConfig eager_config;
-  eager_config.engine = ec;
-  ShardedAuctionEngine eager(eager_config, std::move(w_eager),
-                             std::move(strategies));
+  ShardedAuctionEngine eager(config, std::move(w_eager),
+                             std::move(eager_bidders));
   WallTimer timer;
   for (int t = 0; t < kAuctions; ++t) eager.RunAuction();
   const double eager_s = timer.ElapsedSeconds();
 
-  // --- RHTALU engine on an identical world.
-  LogicalRoiEngine logical(ec, MakePaperWorkload(wc));
+  // --- RHTALU on an identical world.
+  Workload w_logical = MakePaperWorkload(wc);
+  std::vector<std::unique_ptr<BiddingStrategy>> roi_bidders;
+  for (int i = 0; i < wc.num_advertisers; ++i) {
+    roi_bidders.push_back(
+        std::make_unique<RoiStrategy>(w_logical.keyword_formulas));
+  }
+  ShardedAuctionEngine logical(config, std::move(w_logical),
+                               std::move(roi_bidders));
   timer.Reset();
   for (int t = 0; t < kAuctions; ++t) logical.RunAuction();
   const double logical_s = timer.ElapsedSeconds();
@@ -56,20 +88,19 @@ int main() {
               eager.total_revenue() == logical.total_revenue() ? "yes" : "NO",
               eager_s / logical_s);
 
-  const auto& stats = logical.stats();
+  const RoiPlannerStats stats = logical.planner_stats();
   std::printf("\nRHTALU work counters over the campaign:\n");
   std::printf("  TA sorted accesses : %lld (%.1f per slot-auction; n = %d)\n",
-              static_cast<long long>(stats.ta_sorted_accesses),
-              static_cast<double>(stats.ta_sorted_accesses) /
-                  (15.0 * kAuctions),
+              static_cast<long long>(stats.probes),
+              static_cast<double>(stats.probes) / (15.0 * kAuctions),
               wc.num_advertisers);
   std::printf("  time triggers fired: %lld\n",
               static_cast<long long>(stats.triggers_fired));
   std::printf("  list moves         : %lld (%.2f per auction)\n",
               static_cast<long long>(stats.list_moves),
               static_cast<double>(stats.list_moves) / kAuctions);
-  std::printf("  boundary moves     : %lld\n",
-              static_cast<long long>(stats.boundary_moves));
+  std::printf("  list rebuilds      : %lld\n",
+              static_cast<long long>(stats.rebuilds));
 
   // A peek at campaign economics: top spenders and their ROI.
   std::printf("\nTop spenders:\n");

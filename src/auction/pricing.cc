@@ -28,19 +28,20 @@ std::vector<Money> PerClickPrices(PricingRule rule,
   SSA_CHECK(allocation.num_slots() == k);
   SSA_CHECK(rule != PricingRule::kVcg);  // VCG uses VcgExpectedCharges
 
+  std::vector<double> own_weight(k, 0.0);
   std::vector<char> is_winner(n, 0);
-  for (AdvertiserId a : allocation.slot_to_advertiser) {
-    if (a >= 0) is_winner[a] = 1;
+  for (SlotIndex j = 0; j < k; ++j) {
+    const AdvertiserId a = allocation.slot_to_advertiser[j];
+    if (a < 0) continue;
+    is_winner[a] = 1;
+    own_weight[j] = revenue.MarginalWeight(a, j);
   }
 
-  // GSP's reference point per slot: the largest marginal weight among the
-  // advertisers left without a slot, floored at +0.0. One unchecked
-  // row-major pass fills every slot's maximum; each slot still sees the
-  // advertisers in ascending order, and max is exact, so the values are
-  // those of a per-slot column scan bit for bit.
-  std::vector<double> r_next;
+  // GSP's reference point per slot, floored at +0.0. One unchecked
+  // row-major pass fills every slot's maximum; max is exact, so the values
+  // are those of a per-slot column scan bit for bit.
+  std::vector<double> r_next(k, 0.0);
   if (rule == PricingRule::kGeneralizedSecondPrice) {
-    r_next.assign(k, 0.0);
     const double* unassigned = revenue.UnassignedData();
     for (AdvertiserId other = 0; other < n; ++other) {
       if (is_winner[other]) continue;
@@ -50,14 +51,25 @@ std::vector<Money> PerClickPrices(PricingRule rule,
       }
     }
   }
+  return PerClickPricesFrom(rule, model, allocation, own_weight, r_next);
+}
 
+std::vector<Money> PerClickPricesFrom(PricingRule rule,
+                                      const ClickModel& model,
+                                      const Allocation& allocation,
+                                      const std::vector<double>& own_weight,
+                                      const std::vector<double>& r_next) {
+  const int k = allocation.num_slots();
+  SSA_CHECK(rule != PricingRule::kVcg);
+  SSA_CHECK(static_cast<int>(own_weight.size()) == k &&
+            static_cast<int>(r_next.size()) == k);
   std::vector<Money> prices(k, 0.0);
   for (SlotIndex j = 0; j < k; ++j) {
     const AdvertiserId i = allocation.slot_to_advertiser[j];
     if (i < 0) continue;
     const double ctr = model.ClickProbability(i, j);
     if (ctr <= 0.0) continue;  // never clicked, never charged
-    const double own_bid = revenue.MarginalWeight(i, j) / ctr;
+    const double own_bid = own_weight[j] / ctr;
     if (rule == PricingRule::kPayYourBid) {
       prices[j] = std::max(0.0, own_bid);
       continue;

@@ -39,10 +39,26 @@ std::string PricingRuleName(PricingRule rule);
 /// r_i(j) / P(click | i, j) — for a plain Click bid this is exactly the bid
 /// value; for multi-feature bids it is the expected payment per expected
 /// click.
+///
+/// This matrix entry point finds GSP's reference point with an O(n·k) scan;
+/// the engine takes it from its merged per-slot top-(k+1) instead and calls
+/// PerClickPricesFrom directly.
 std::vector<Money> PerClickPrices(PricingRule rule,
                                   const RevenueMatrix& revenue,
                                   const ClickModel& model,
                                   const Allocation& allocation);
+
+/// The per-click pricing kernel. `own_weight[j]` is the marginal weight
+/// r_i(j) - r_i(⊥) of slot j's winner i. `r_next[j]` is GSP's reference
+/// point: the largest marginal weight in slot j among the advertisers left
+/// without a slot, floored at +0.0 (unread under pay-your-bid). With at
+/// most k winners, the best loser of a slot is always in that slot's
+/// top-(k+1), so the heaps the engine already merges yield r_next exactly.
+std::vector<Money> PerClickPricesFrom(PricingRule rule,
+                                      const ClickModel& model,
+                                      const Allocation& allocation,
+                                      const std::vector<double>& own_weight,
+                                      const std::vector<double>& r_next);
 
 /// Expected VCG charge per slot: (optimum without winner i) - (optimum's
 /// weight excluding i's own edge). Individually rational (charge <= r_i(j))
@@ -50,8 +66,8 @@ std::vector<Money> PerClickPrices(PricingRule rule,
 std::vector<Money> VcgExpectedCharges(const RevenueMatrix& revenue,
                                       const Allocation& allocation);
 
-/// Dispatches to VcgExpectedCharges or PerClickPrices by rule — the single
-/// Step 6 entry point of ShardedAuctionEngine.
+/// Dispatches to VcgExpectedCharges or PerClickPrices by rule — Step 6 on a
+/// full revenue matrix.
 std::vector<Money> ComputePrices(PricingRule rule, const RevenueMatrix& revenue,
                                  const ClickModel& model,
                                  const Allocation& allocation);

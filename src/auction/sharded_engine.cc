@@ -32,6 +32,18 @@ ShardedAuctionEngine::ShardedAuctionEngine(
                                   num_shards);
   }
   capture_ns_.assign(ranges_.size(), 0);
+  // RHTALU plans only reduced-Hungarian auctions priced per click (VCG's
+  // charges re-solve the matching on the full matrix).
+  planners_.resize(ranges_.size());
+  const EngineConfig& engine = config_.engine;
+  if (engine.wd_method == WdMethod::kReducedHungarian &&
+      engine.pricing != PricingRule::kVcg) {
+    for (int s = 0; s < num_shards; ++s) {
+      planners_[s] = RoiShardPlanner::Create(
+          ranges_[s].begin, ranges_[s].end, strategies_,
+          *workload_.click_model, workload_.config.num_keywords);
+    }
+  }
   internal_lane_ = NewPlanLane();
   // The internal lane is the engine's only lane on the RunAuctionOn path, so
   // intra-query shard parallelism is the right use of the pool there.
@@ -40,46 +52,51 @@ ShardedAuctionEngine::ShardedAuctionEngine(
 
 std::unique_ptr<ShardedAuctionEngine::PlanLane>
 ShardedAuctionEngine::NewPlanLane() const {
+  // The compiled-bids cache is sized at the lane's first brute-force plan,
+  // so an engine whose shards all plan logically never allocates it.
   auto lane = std::make_unique<PlanLane>();
-  // Pre-sized so parallel shard tasks only ever touch existing, disjoint
-  // entries (CompiledBidsCache's concurrency precondition).
-  lane->cache.Reserve(strategies_.size());
   lane->shards.resize(ranges_.size());
   lane->pool = nullptr;
   return lane;
 }
 
+void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
+                                        CapturedBids* bids,
+                                        uint64_t trace_seq) {
+  const ShardRange& range = ranges_[static_cast<size_t>(s)];
+  RoiShardPlanner* planner = planners_[static_cast<size_t>(s)].get();
+  const bool traced = tracer_ != nullptr && trace_seq != 0;
+  const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+  WallTimer timer;
+  if (planner != nullptr) planner->WriteBack();
+  for (AdvertiserId i = range.begin; i < range.end; ++i) {
+    BidsTable& table = (*bids)[i];
+    table.Clear();
+    strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
+  }
+  if (planner != nullptr) planner->Invalidate();
+  // One timer per shard per auction; the fan-out writes disjoint
+  // capture_ns_ slots.
+  capture_ns_[static_cast<size_t>(s)] +=
+      static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+  if (traced) {
+    tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
+                        Tracer::NowNs());
+  }
+}
+
 void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
                                        uint64_t trace_seq) {
-  const int n = static_cast<int>(strategies_.size());
-  bids->resize(n);
-  const bool traced = tracer_ != nullptr && trace_seq != 0;
-  auto capture_range = [&](int s) {
-    const ShardRange& range = ranges_[static_cast<size_t>(s)];
-    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-    WallTimer timer;
-    for (AdvertiserId i = range.begin; i < range.end; ++i) {
-      BidsTable& table = (*bids)[i];
-      table.Clear();
-      strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
-    }
-    // One timer per shard per auction; the fan-out writes disjoint
-    // capture_ns_ slots.
-    capture_ns_[static_cast<size_t>(s)] +=
-        static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
-    if (traced) {
-      tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
-                          Tracer::NowNs());
-    }
-  };
+  bids->resize(strategies_.size());
+  auto capture = [&](int s) { CaptureShard(s, query, bids, trace_seq); };
   const int num_shards = static_cast<int>(ranges_.size());
   if (config_.pool != nullptr && num_shards > 1) {
     // Strategies of different advertisers share no state (Section II-B), so
     // the capture fans out across shards; only captures of *distinct
     // queries* must serialize.
-    config_.pool->ParallelFor(num_shards, capture_range);
+    config_.pool->ParallelFor(num_shards, capture);
   } else {
-    for (int s = 0; s < num_shards; ++s) capture_range(s);
+    for (int s = 0; s < num_shards; ++s) capture(s);
   }
 }
 
@@ -92,11 +109,12 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   WallTimer phase_timer;
   const int k = workload_.config.num_slots;
   const ClickModel& model = *workload_.click_model;
-  // Local per-slot top-k over the shard's rows — the leaf step of the
+  // Local per-slot top-(k+1) over the shard's rows — the leaf step of the
   // Section III-E aggregation, with global advertiser ids so the merge is a
   // plain re-offer. Each row is offered right after it is filled, while it
   // is still in L1.
-  if (collect_topk) scratch->topk.Reset(k, std::max(k, 1));
+  scratch->logical = false;
+  if (collect_topk) scratch->topk.Reset(k, k + 1);
   const double* base = revenue->UnassignedData();
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     const CompiledBids& compiled = cache->Get(i, bids[i], k);
@@ -113,40 +131,136 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
       static_cast<int64_t>(phase_timer.ElapsedSeconds() * 1e9);
 }
 
-std::vector<AdvertiserId> ShardedAuctionEngine::MergeShardCandidates(
-    PlanLane* lane, int num_advertisers, int num_slots) const {
-  // Re-offer every shard's retained entries into one global heap set. The
-  // (weight, id) order is strict and insertion-order independent, and every
-  // globally top-k entry is top-k within its own shard, so the merged heaps
-  // hold exactly the entries SelectTopPerSlotCandidates(revenue, k) keeps.
+bool ShardedAuctionEngine::CollectsTopK() const {
+  return config_.engine.wd_method == WdMethod::kReducedHungarian ||
+         config_.engine.pricing == PricingRule::kGeneralizedSecondPrice;
+}
+
+int ShardedAuctionEngine::ShardOf(AdvertiserId i) const {
+  const auto it = std::upper_bound(
+      ranges_.begin(), ranges_.end(), i,
+      [](AdvertiserId id, const ShardRange& r) { return id < r.begin; });
+  return static_cast<int>(it - ranges_.begin()) - 1;
+}
+
+void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
+                                      const RevenueMatrix* revenue, int kw,
+                                      PlannedAuction* plan) const {
+  const int n = static_cast<int>(strategies_.size());
+  const int k = workload_.config.num_slots;
+  const ClickModel& model = *workload_.click_model;
+  const PricingRule pricing = config_.engine.pricing;
+  const bool reduced =
+      config_.engine.wd_method == WdMethod::kReducedHungarian;
+
+  // --- Merge: re-offer every shard's retained entries into one global heap
+  // set. The (weight, id) order is strict and insertion-order independent,
+  // and every globally top-(k+1) entry is top-(k+1) within its own shard, so
+  // the merged heaps hold exactly the per-slot top-(k+1) of the population.
+  WallTimer timer;  // the merge counts toward winner determination
   TopKHeapSet& merged = lane->merged_topk;
-  merged.Reset(num_slots, std::max(num_slots, 1));
-  for (const PlanLane::ShardScratch& shard : lane->shards) {
-    for (SlotIndex j = 0; j < num_slots; ++j) {
-      const TopKHeapSet::Entry* entries = shard.topk.entries(j);
-      for (int e = 0; e < shard.topk.size(j); ++e) {
-        merged.Offer(j, entries[e].weight, entries[e].id);
+  if (CollectsTopK()) {
+    merged.Reset(k, k + 1);
+    for (const PlanLane::ShardScratch& shard : lane->shards) {
+      for (SlotIndex j = 0; j < k; ++j) {
+        const TopKHeapSet::Entry* entries = shard.topk.entries(j);
+        for (int e = 0; e < shard.topk.size(j); ++e) {
+          merged.Offer(j, entries[e].weight, entries[e].id);
+        }
       }
     }
   }
-  // Candidate extraction mirrors SelectTopPerSlotCandidates: union across
-  // slots, deduplicated, sorted ascending (the sort makes the vector
-  // canonical, so heap iteration order is immaterial).
-  std::vector<char> seen(num_advertisers, 0);
+
+  // --- Step 4: winner determination.
   std::vector<AdvertiserId> candidates;
-  candidates.reserve(static_cast<size_t>(num_slots) * num_slots);
-  for (SlotIndex j = 0; j < num_slots; ++j) {
-    const TopKHeapSet::Entry* entries = merged.entries(j);
-    for (int e = 0; e < merged.size(j); ++e) {
-      const AdvertiserId i = entries[e].id;
-      if (!seen[i]) {
-        seen[i] = 1;
-        candidates.push_back(i);
+  std::vector<double>& rows = lane->candidate_rows;
+  if (reduced) {
+    // Candidates: the union of every slot's top k — the merged top-(k+1)
+    // minus its minimum, the heap root — deduplicated and sorted ascending,
+    // exactly SelectTopPerSlotCandidates(revenue, k).
+    candidates.reserve(static_cast<size_t>(k) * k);
+    for (SlotIndex j = 0; j < k; ++j) {
+      const TopKHeapSet::Entry* entries = merged.entries(j);
+      const int first = merged.size(j) == k + 1 ? 1 : 0;
+      for (int e = first; e < merged.size(j); ++e) {
+        candidates.push_back(entries[e].id);
       }
     }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    // Candidate rows of marginal weights: a logical shard's bidders bid
+    // plain Click, so r_i(j) = ctr(i, j) * bid and r_i(⊥) = 0 — exactly the
+    // value the compiled kernel computes for that table.
+    rows.resize(candidates.size() * static_cast<size_t>(k));
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const AdvertiserId i = candidates[c];
+      const int s = ShardOf(i);
+      double* out = rows.data() + c * k;
+      if (lane->shards[s].logical) {
+        const double bid = planners_[s]->EffectiveBid(i, kw);
+        for (SlotIndex j = 0; j < k; ++j) {
+          out[j] = model.ClickProbability(i, j) * bid;
+        }
+      } else {
+        const double* row = revenue->Row(i);
+        const double base = revenue->UnassignedData()[i];
+        for (SlotIndex j = 0; j < k; ++j) out[j] = row[j] - base;
+      }
+    }
+    // sum_i r_i(⊥) in id order. Logical rows contribute +0.0, which never
+    // changes a sum that starts at +0.0, so they are skipped.
+    double unassigned = 0.0;
+    for (size_t s = 0; s < ranges_.size(); ++s) {
+      if (lane->shards[s].logical) continue;
+      const double* base = revenue->UnassignedData();
+      for (AdvertiserId i = ranges_[s].begin; i < ranges_[s].end; ++i) {
+        unassigned += base[i];
+      }
+    }
+    plan->outcome.wd = SolveCandidateRows(rows, candidates, n, k, unassigned);
+  } else {
+    plan->outcome.wd = DetermineWinners(*revenue, config_.engine.wd_method);
   }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
+  plan->outcome.wd_ms = timer.ElapsedMillis();
+
+  // --- Step 6 prep: prices.
+  timer.Reset();
+  const Allocation& allocation = plan->outcome.wd.allocation;
+  if (pricing == PricingRule::kVcg) {
+    plan->prices = VcgExpectedCharges(*revenue, allocation);
+  } else {
+    std::vector<double> own_weight(k, 0.0);
+    for (SlotIndex j = 0; j < k; ++j) {
+      const AdvertiserId i = allocation.slot_to_advertiser[j];
+      if (i < 0) continue;
+      if (reduced) {
+        const size_t c = static_cast<size_t>(
+            std::lower_bound(candidates.begin(), candidates.end(), i) -
+            candidates.begin());
+        own_weight[j] = rows[c * k + j];
+      } else {
+        own_weight[j] = revenue->MarginalWeight(i, j);
+      }
+    }
+    // GSP's reference point: the best loser of each slot is in the slot's
+    // merged top-(k+1), since at most k advertisers won; positive weights
+    // only, floored at +0.0 — the full-population scan's value exactly.
+    std::vector<double> r_next(k, 0.0);
+    if (pricing == PricingRule::kGeneralizedSecondPrice) {
+      for (SlotIndex j = 0; j < k; ++j) {
+        const TopKHeapSet::Entry* entries = merged.entries(j);
+        for (int e = 0; e < merged.size(j); ++e) {
+          if (allocation.advertiser_to_slot[entries[e].id] == kNoSlot) {
+            r_next[j] = std::max(r_next[j], entries[e].weight);
+          }
+        }
+      }
+    }
+    plan->prices =
+        PerClickPricesFrom(pricing, model, allocation, own_weight, r_next);
+  }
+  plan->outcome.pricing_ms = timer.ElapsedMillis();
 }
 
 const AuctionOutcome& ShardedAuctionEngine::RunAuction() {
@@ -164,7 +278,6 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
                                         uint64_t trace_seq) const {
   const int n = static_cast<int>(strategies_.size());
   const int k = workload_.config.num_slots;
-  const ClickModel& model = *workload_.click_model;
   SSA_CHECK(static_cast<int>(bids.size()) == n);
   plan->outcome = AuctionOutcome{};
   plan->outcome.query = query;
@@ -175,14 +288,16 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   WallTimer timer;
   RevenueMatrix& revenue = lane->revenue;
   revenue.Reset(n, k);
-  const bool reduced =
-      config_.engine.wd_method == WdMethod::kReducedHungarian;
+  // Pre-sized so parallel shard tasks only ever touch existing, disjoint
+  // entries (CompiledBidsCache's concurrency precondition).
+  lane->cache.Reserve(strategies_.size());
+  const bool collect = CollectsTopK();
   const int num_shards = static_cast<int>(ranges_.size());
   const bool traced = tracer_ != nullptr && trace_seq != 0;
   auto plan_shard = [&](int s) {
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], bids, &revenue,
-                  reduced);
+                  collect);
     if (traced) {
       tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
                           lane->trace_track_base + s, t0, Tracer::NowNs());
@@ -194,41 +309,108 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
     for (int s = 0; s < num_shards; ++s) plan_shard(s);
   }
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
-
-  // --- Step 4: winner determination. The reduced method consumes the
-  // merged shard candidates; the dense methods see the full matrix.
-  timer.Reset();
-  if (reduced) {
-    plan->outcome.wd = SolveOnCandidates(revenue,
-                                         MergeShardCandidates(lane, n, k));
-  } else {
-    plan->outcome.wd = DetermineWinners(revenue, config_.engine.wd_method);
-  }
-  plan->outcome.wd_ms = timer.ElapsedMillis();
-
-  // --- Step 6 prep: prices.
-  timer.Reset();
-  plan->prices = ComputePrices(config_.engine.pricing, revenue, model,
-                               plan->outcome.wd.allocation);
-  plan->outcome.pricing_ms = timer.ElapsedMillis();
+  FinishPlan(lane, &revenue, /*kw=*/-1, plan);
 }
 
 void ShardedAuctionEngine::PlanAuction(const Query& query,
                                        PlannedAuction* plan,
                                        uint64_t trace_seq) {
-  // Capture (Step 3, order-dependent) then plan on the internal lane. The
-  // reported program_eval_ms spans both halves, matching the fused phase the
-  // pre-lane engine timed.
+  const int n = static_cast<int>(strategies_.size());
+  const int k = workload_.config.num_slots;
+  PlanLane* lane = internal_lane_.get();
+  plan->outcome = AuctionOutcome{};
+  plan->outcome.query = query;
   WallTimer timer;
-  CaptureBids(query, &capture_scratch_, trace_seq);
-  const double capture_ms = timer.ElapsedMillis();
-  PlanCaptured(query, capture_scratch_, internal_lane_.get(), plan,
-               trace_seq);
-  plan->outcome.program_eval_ms += capture_ms;
+
+  // Which shards plan logically. Prepare may rebuild a shard's lists (after
+  // a capture or restore moved its strategies); that is rare and runs here,
+  // before the fan-out, so the matrix is shaped only when some shard needs
+  // it.
+  const int num_shards = static_cast<int>(ranges_.size());
+  int kw = -1;
+  bool any_brute = false;
+  for (int s = 0; s < num_shards; ++s) {
+    RoiShardPlanner* planner = planners_[s].get();
+    const int shard_kw =
+        planner != nullptr ? planner->PlannableKeyword(query) : -1;
+    WallTimer prepare_timer;
+    const bool logical =
+        shard_kw >= 0 && planner->Prepare(query, workload_.accounts);
+    if (shard_kw >= 0) {
+      capture_ns_[s] +=
+          static_cast<int64_t>(prepare_timer.ElapsedSeconds() * 1e9);
+    }
+    lane->shards[s].logical = logical;
+    if (logical) kw = shard_kw;
+    any_brute |= !logical;
+  }
+  RevenueMatrix* revenue = nullptr;
+  if (any_brute) {
+    revenue = &lane->revenue;
+    revenue->Reset(n, k);
+    lane->cache.Reserve(strategies_.size());
+    capture_scratch_.resize(strategies_.size());
+  }
+
+  // --- Shard phase. A logical shard's bid step (triggers + logical update)
+  // is its capture, and the Threshold Algorithm its plan; a brute shard
+  // captures its programs and runs the compile + fill phase.
+  const bool collect = CollectsTopK();
+  const bool traced = tracer_ != nullptr && trace_seq != 0;
+  auto plan_shard = [&](int s) {
+    PlanLane::ShardScratch& scratch = lane->shards[s];
+    if (!scratch.logical) {
+      CaptureShard(s, query, &capture_scratch_, trace_seq);
+      const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+      RunShardPhase(ranges_[s], &lane->cache, &scratch, capture_scratch_,
+                    revenue, collect);
+      if (traced) {
+        tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
+                            lane->trace_track_base + s, t0, Tracer::NowNs());
+      }
+      return;
+    }
+    RoiShardPlanner* planner = planners_[s].get();
+    uint64_t t0 = traced ? Tracer::NowNs() : 0;
+    WallTimer shard_timer;
+    planner->Advance(query, kw, workload_.accounts);
+    capture_ns_[s] += static_cast<int64_t>(shard_timer.ElapsedSeconds() * 1e9);
+    if (traced) {
+      const uint64_t t1 = Tracer::NowNs();
+      tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
+                          t1);
+      t0 = t1;
+    }
+    shard_timer.Reset();
+    scratch.topk.Reset(k, k + 1);
+    planner->SelectTop(kw, &scratch.topk);
+    scratch.phase_ns +=
+        static_cast<int64_t>(shard_timer.ElapsedSeconds() * 1e9);
+    if (traced) {
+      tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
+                          lane->trace_track_base + s, t0, Tracer::NowNs());
+    }
+  };
+  if (lane->pool != nullptr && num_shards > 1) {
+    lane->pool->ParallelFor(num_shards, plan_shard);
+  } else {
+    for (int s = 0; s < num_shards; ++s) plan_shard(s);
+  }
+  plan->outcome.program_eval_ms = timer.ElapsedMillis();
+  FinishPlan(lane, revenue, kw, plan);
+}
+
+void ShardedAuctionEngine::SyncStrategies() const {
+  // Logically const: the strategies receive the bids they already stand
+  // for. Callers hold the engine exclusively (see CaptureBidsForRead).
+  for (const auto& planner : planners_) {
+    if (planner != nullptr) planner->WriteBack();
+  }
 }
 
 void ShardedAuctionEngine::CaptureBidsForRead(const Query& query,
                                               CapturedBids* bids) const {
+  SyncStrategies();
   const int n = static_cast<int>(strategies_.size());
   bids->resize(n);
   for (AdvertiserId i = 0; i < n; ++i) {
@@ -258,6 +440,15 @@ const AuctionOutcome& ShardedAuctionEngine::SettlePlanned(
   SettleAuction(config_.engine.pricing, model, outcome_.prices,
                 &workload_.accounts, strategies_, &user_rng_, &outcome_);
   total_revenue_ += outcome_.revenue_charged;
+  // Settlement touched only the winners' accounts: their list memberships
+  // and triggers are the planners' only per-bidder work outside the TA.
+  for (const UserEvent& event : outcome_.events) {
+    RoiShardPlanner* planner = planners_[ShardOf(event.advertiser)].get();
+    if (planner != nullptr) {
+      planner->OnSettled(event.advertiser, outcome_.query.time,
+                         workload_.accounts);
+    }
+  }
   return outcome_;
 }
 
@@ -273,7 +464,32 @@ ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
   stats.cache_misses = cache.MissesInRange(range.begin, range.end);
   stats.capture_ns = capture_ns_[static_cast<size_t>(shard)];
   stats.phase_ns = internal_lane_->phase_ns(shard);
+  if (const RoiShardPlanner* planner = planners_[shard].get()) {
+    stats.roi_planner = true;
+    stats.planner = planner->stats();
+  }
   return stats;
+}
+
+bool ShardedAuctionEngine::has_roi_planner() const {
+  for (const auto& planner : planners_) {
+    if (planner != nullptr) return true;
+  }
+  return false;
+}
+
+RoiPlannerStats ShardedAuctionEngine::planner_stats() const {
+  RoiPlannerStats total;
+  for (const auto& planner : planners_) {
+    if (planner == nullptr) continue;
+    const RoiPlannerStats& s = planner->stats();
+    total.logical_plans += s.logical_plans;
+    total.probes += s.probes;
+    total.list_moves += s.list_moves;
+    total.triggers_fired += s.triggers_fired;
+    total.rebuilds += s.rebuilds;
+  }
+  return total;
 }
 
 int64_t ShardedAuctionEngine::cache_hits() const {
@@ -298,6 +514,7 @@ void ShardedAuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   ckpt->num_slots = workload_.config.num_slots;
   ckpt->num_keywords = workload_.config.num_keywords;
   ckpt->accounts = workload_.accounts;
+  SyncStrategies();
   ckpt->strategy_state.resize(strategies_.size());
   for (size_t i = 0; i < strategies_.size(); ++i) {
     strategies_[i]->SaveState(&ckpt->strategy_state[i]);
@@ -319,6 +536,12 @@ Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   }
   if (ckpt.accounts.size() != n || ckpt.strategy_state.size() != n) {
     return Status::InvalidArgument("checkpoint population size mismatch");
+  }
+  // Strategies not restored by a failing blob must hold their current bids,
+  // and the planners' lists are stale afterwards either way.
+  SyncStrategies();
+  for (const auto& planner : planners_) {
+    if (planner != nullptr) planner->Invalidate();
   }
   for (size_t i = 0; i < n; ++i) {
     SSA_RETURN_IF_ERROR(strategies_[i]->RestoreState(ckpt.strategy_state[i]));

@@ -8,6 +8,7 @@
 #include "auction/outcome.h"
 #include "auction/pricing.h"
 #include "auction/query_gen.h"
+#include "auction/roi_planner.h"
 #include "auction/workload.h"
 #include "core/bids_table.h"
 #include "core/compiled_bids.h"
@@ -54,24 +55,45 @@ struct ShardedEngineConfig {
 /// Horizontally partitioned auction engine: the advertiser population is
 /// split across K shards, each owning its advertisers' bid tables and its
 /// own compiled-bids cache. Per auction, every shard — share-nothing, in
-/// parallel on the configured pool — runs its bidding programs, compiles or
-/// reuses their truth tables, fills its rows of the expected-revenue matrix,
-/// and selects its local per-slot top-k candidates into a TopKHeapSet. The
-/// coordinator merges the K partial top-k sets (top-k of a union equals the
-/// top-k of the per-part top-k's under the strict (weight, id) order), runs
-/// the reduced matching, and settles the auction (SettleAuction). It is the
-/// library's only auction engine; K = 1 is the unsharded configuration.
+/// parallel on the configured pool — emits its local per-slot top-(k+1)
+/// candidates into a TopKHeapSet, by one of two paths:
+///
+///  * **brute force**: run the bidding programs, compile or reuse their
+///    truth tables, fill the shard's rows of the expected-revenue matrix and
+///    offer every row;
+///  * **logical** (the paper's RHTALU, auction/roi_planner.h): when every
+///    bidder of the shard runs the native ROI heuristic on plain Click bids,
+///    the query has one relevant keyword, and the engine runs reduced-
+///    Hungarian winner determination with GSP or pay-your-bid pricing, the
+///    shard fires its due triggers, applies the O(1) logical bid update and
+///    selects its top entries with the Threshold Algorithm — no capture,
+///    compile or matrix fill.
+///
+/// One coordinator serves both: it merges the K partial top-(k+1) sets (the
+/// top of a union equals the top of the per-part tops under the strict
+/// (weight, id) order), runs winner determination on the candidates' rows,
+/// takes GSP's reference price from the merged top-(k+1), and settles the
+/// auction (SettleAuction). It is the library's only auction engine; K = 1
+/// is the unsharded configuration.
 ///
 /// Determinism contract: with equal seeds and workloads, every auction's
 /// allocation, prices, user events, and account balances are bitwise
 /// identical to the paper's serial eager loop (every program, the full
 /// n x k matrix compiled fresh, then WD, pricing and settlement — the
-/// test-only reference engine in tests/reference_engine.h), for any K and
-/// any pool — asserted by sharded_engine_test. Strategies of different
-/// advertisers never share mutable state (Section II-B), which is what
-/// makes the shard phase embarrassingly parallel. The shard layout is fixed
-/// at construction; checkpoints are layout-independent, so a different K
-/// is a restore into a new engine.
+/// test-only reference engine in tests/reference_engine.h), for any K, any
+/// pool and either shard path — asserted by sharded_engine_test and
+/// roi_planner_test. Strategies of different advertisers never share
+/// mutable state (Section II-B), which is what makes the shard phase
+/// embarrassingly parallel. The shard layout is fixed at construction;
+/// checkpoints are layout-independent, so a different K is a restore into a
+/// new engine.
+///
+/// The strategies stay the source of truth for checkpoints: a logical shard
+/// writes its effective bids back into its RoiStrategy objects before any
+/// path reads them (CaptureBids, CaptureBidsForRead / WhatIfAuction,
+/// CaptureCheckpoint, RestoreCheckpoint) and rebuilds its lists from them,
+/// at its next logical plan, after any path moved them (CaptureBids,
+/// RestoreCheckpoint).
 ///
 /// Planning lanes: one auction's plan splits into a *sequential* half that
 /// runs the bidding programs (CaptureBids — strategies may mutate private
@@ -80,18 +102,20 @@ struct ShardedEngineConfig {
 /// determination, pricing) that is const on the engine and reads only the
 /// captured bids plus per-lane scratch. Distinct PlanLanes may therefore
 /// plan different queries concurrently; the serving executor exploits this
-/// with an E-lane pool. Per-lane compiled-bids caches see different hit
-/// patterns under different schedules, but compilation is a pure function
-/// of (table, num_slots), so plans are bitwise-identical for any lane
-/// count, assignment, or cache history (serving_test pins this).
+/// with an E-lane pool. The split halves always take the brute-force path.
+/// Per-lane compiled-bids caches see different hit patterns under different
+/// schedules, but compilation is a pure function of (table, num_slots), so
+/// plans are bitwise-identical for any lane count, assignment, or cache
+/// history (serving_test pins this).
 class ShardedAuctionEngine {
  public:
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
                        std::vector<std::unique_ptr<BiddingStrategy>> strategies);
 
   /// Runs one complete auction and returns its record. The fused shard
-  /// phase (program evaluation + compile + matrix rows + local top-k) is
-  /// reported as program_eval_ms.
+  /// phase (program evaluation + compile + matrix rows + local top-k, or a
+  /// logical shard's bid step + Threshold Algorithm) is reported as
+  /// program_eval_ms.
   const AuctionOutcome& RunAuction();
 
   /// Runs one complete auction on an externally supplied query (the serving
@@ -121,9 +145,10 @@ class ShardedAuctionEngine {
   /// NewPlanLane(), hand to PlanCaptured. A lane must not be used by two
   /// threads at once; distinct lanes are fully independent.
   ///
-  /// The cache is keyed by *global* advertiser id and pre-sized to the
-  /// population, so parallel shard tasks of one lane touch disjoint entries
-  /// race-free, and its keys checkpoint independently of the shard layout.
+  /// The cache is keyed by *global* advertiser id and sized to the
+  /// population before the lane's first brute-force shard phase, so
+  /// parallel shard tasks of one lane touch disjoint entries race-free, and
+  /// its keys checkpoint independently of the shard layout.
   class PlanLane {
    public:
     /// Compiled-bids cache totals for this lane (per-lane telemetry; lane
@@ -144,7 +169,10 @@ class ShardedAuctionEngine {
    private:
     friend class ShardedAuctionEngine;
     struct ShardScratch {
-      TopKHeapSet topk;  // local per-slot top-k, reused
+      TopKHeapSet topk;  // local per-slot top-(k+1), reused
+      /// Whether the shard planned this lane's last auction logically (its
+      /// candidate rows then come from the planner, not the matrix).
+      bool logical = false;
       /// Accumulated RunShardPhase wall time for this shard on this lane
       /// (exported as engine_shard_phase_ns).
       int64_t phase_ns = 0;
@@ -156,6 +184,7 @@ class ShardedAuctionEngine {
     /// PeekBids fills, reused across reads on this lane.
     std::vector<BidsTable> peek_capture;
     TopKHeapSet merged_topk;     // coordinator scratch, reused
+    std::vector<double> candidate_rows;  // coordinator scratch, reused
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
     /// Pool the shard phase of *this lane* fans out on. The engine's own
     /// internal lane uses config.pool; lanes created by NewPlanLane() run
@@ -197,13 +226,13 @@ class ShardedAuctionEngine {
                     PlanLane* lane, PlannedAuction* plan,
                     uint64_t trace_seq = 0) const;
 
-  /// Phases 3/4/6-prep on `query` against the *current* account state:
-  /// CaptureBids + PlanCaptured on the engine's internal lane (whose shard
-  /// phase fans out on the configured pool). Mutates only engine scratch
-  /// (captured tables, compiled-bids caches, heaps) — accounts, strategies'
-  /// outcome state and the user RNG are untouched, so planning is
-  /// side-effect-free w.r.t. the auction trajectory until the plan is
-  /// settled.
+  /// Phases 3/4/6-prep on `query` against the *current* account state, on
+  /// the engine's internal lane (whose shard phase fans out on the
+  /// configured pool): each shard plans logically when it can and captures
+  /// and fills otherwise. Advances the strategies' bids (directly or through
+  /// the planners' lists) and engine scratch; accounts, strategies' outcome
+  /// state and the user RNG are untouched until the plan is settled. The
+  /// plan equals CaptureBids + PlanCaptured bit for bit.
   void PlanAuction(const Query& query, PlannedAuction* plan,
                    uint64_t trace_seq = 0);
 
@@ -227,7 +256,8 @@ class ShardedAuctionEngine {
 
   /// Step 5/6 for a planned auction: simulates user actions (advancing the
   /// user RNG in plan order), charges winners, updates accounts, delivers
-  /// outcome notifications, and folds revenue into the engine totals.
+  /// outcome notifications, folds revenue into the engine totals, and lets
+  /// the ROI planners reclassify the settled winners.
   /// Settling plans strictly in arrival order, each planned after its
   /// predecessor settled, reproduces the serial RunAuctionOn loop bitwise;
   /// planning a batch ahead of settlement trades that equivalence for
@@ -242,6 +272,8 @@ class ShardedAuctionEngine {
   int64_t auctions_run() const { return auctions_run_; }
   Money total_revenue() const { return total_revenue_; }
   int num_shards() const { return static_cast<int>(ranges_.size()); }
+  /// Whether any shard can plan logically (an RHTALU planner exists).
+  bool has_roi_planner() const;
 
   /// Attaches a span tracer (not owned; null detaches). Per-shard capture
   /// and plan slices of queries with a nonzero trace_seq are recorded into
@@ -263,12 +295,20 @@ class ShardedAuctionEngine {
     /// or lane-planned) since construction.
     int64_t capture_ns = 0;
     /// RunShardPhase wall time accumulated on the internal lane since
-    /// construction.
+    /// construction. On a logical auction the bid step (triggers and logical
+    /// update) counts as capture and the Threshold Algorithm as phase.
     int64_t phase_ns = 0;
+    /// Whether the shard has an RHTALU planner, and its work totals
+    /// (planner.logical_plans counts the auctions it planned logically).
+    bool roi_planner = false;
+    RoiPlannerStats planner;
   };
   ShardStats shard_stats(int shard) const;
+  /// Planner work totals summed over all shards.
+  RoiPlannerStats planner_stats() const;
   /// Internal-lane cache hits/misses summed over all shards: one lookup per
-  /// advertiser per auction, a hit whenever the table is unchanged.
+  /// advertiser per brute-force auction (logical shards make none), a hit
+  /// whenever the table is unchanged.
   int64_t cache_hits() const;
   int64_t cache_misses() const;
   /// Post-restore recompilations whose fingerprint matched the checkpointed
@@ -285,31 +325,49 @@ class ShardedAuctionEngine {
   /// shard-layout-independent (cache keys are stored by global advertiser
   /// id), so an engine of any shard count restores one taken at any other.
   /// External PlanLane caches are scratch: never checkpointed, rebuilt on
-  /// demand. The file forms are versioned, CRC-guarded, and atomically
-  /// replaced on write.
+  /// demand. The RHTALU planners' lists are not checkpointed either: a
+  /// capture writes their bids back into the strategies first (logically
+  /// const, so it must not overlap planning), and a restore leaves them to
+  /// be rebuilt from the restored strategies. The file forms are versioned,
+  /// CRC-guarded, and atomically replaced on write.
   void CaptureCheckpoint(EngineCheckpoint* ckpt) const;
   Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
   Status WriteCheckpoint(const std::string& path) const;
   Status RestoreFromCheckpoint(const std::string& path);
 
  private:
+  /// Runs shard s's bidding programs for `query` into its range of `*bids`,
+  /// syncing its planner around the strategies (write back before, stale
+  /// after).
+  void CaptureShard(int s, const Query& query, CapturedBids* bids,
+                    uint64_t trace_seq);
+
   /// The share-nothing per-shard unit of the pure planning half: compiled-
   /// bids lookups (disjoint entries of the lane's shared cache),
-  /// revenue-matrix rows, and (for the reduced method) the local per-slot
-  /// top-k. Reads the captured tables; writes only the lane's shard
+  /// revenue-matrix rows, and (when collecting) the local per-slot
+  /// top-(k+1). Reads the captured tables; writes only the lane's shard
   /// scratch, the shard's cache entries, and its disjoint matrix rows.
   void RunShardPhase(const ShardRange& range, CompiledBidsCache* cache,
                      PlanLane::ShardScratch* scratch, const CapturedBids& bids,
                      RevenueMatrix* revenue, bool collect_topk) const;
 
-  /// Merges the lane's per-shard top-k heaps into the global per-slot top-k
-  /// and extracts the candidate union — identical to
-  /// SelectTopPerSlotCandidates(revenue, k) over the full matrix. The
-  /// coordinator re-offers every retained entry into one flat heap set:
-  /// O(K k^2 log k), at most 1,800 offers at K = 8, k = 15.
-  std::vector<AdvertiserId> MergeShardCandidates(PlanLane* lane,
-                                                 int num_advertisers,
-                                                 int num_slots) const;
+  /// Whether the shard phase collects per-slot top-(k+1) heaps: the reduced
+  /// method takes its candidates from them and GSP its reference prices.
+  bool CollectsTopK() const;
+
+  /// The coordinator shared by both shard paths: merges the lane's
+  /// per-shard heaps, solves winner determination on the candidates' rows
+  /// (from `revenue` for brute shards, from the planner for logical ones on
+  /// keyword `kw`), and prices the allocation. `revenue` may be null only
+  /// when every shard planned logically.
+  void FinishPlan(PlanLane* lane, const RevenueMatrix* revenue, int kw,
+                  PlannedAuction* plan) const;
+
+  /// Index of the shard owning advertiser i.
+  int ShardOf(AdvertiserId i) const;
+
+  /// Writes every planner's effective bids back into its strategies.
+  void SyncStrategies() const;
 
   ShardedEngineConfig config_;
   Workload workload_;
@@ -324,6 +382,9 @@ class ShardedAuctionEngine {
   /// Per-shard capture wall time, indexed like ranges_; the capture fan-out
   /// writes disjoint entries.
   std::vector<int64_t> capture_ns_;
+  /// RHTALU planner per shard, indexed like ranges_; null where the shard
+  /// always plans by brute force.
+  std::vector<std::unique_ptr<RoiShardPlanner>> planners_;
   /// The engine's own lane (PlanAuction / RunAuctionOn path); its caches
   /// are the ones checkpoints persist and shard_stats reports.
   std::unique_ptr<PlanLane> internal_lane_;

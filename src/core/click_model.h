@@ -75,6 +75,20 @@ class MatrixClickModel : public ClickModel {
                            double prob[4]) const override;
   void OutcomeDistributions(AdvertiserId i, double* prob) const override;
 
+  /// Advertiser i's k click probabilities, contiguous.
+  const double* ClickRow(AdvertiserId i) const {
+    SSA_CHECK(i >= 0 && i < n_);
+    return click_.data() + static_cast<size_t>(i) * k_;
+  }
+  /// Advertiser i's k purchase-given-click probabilities, or nullptr when
+  /// the model has none (all zero).
+  const double* PurchaseRow(AdvertiserId i) const {
+    SSA_CHECK(i >= 0 && i < n_);
+    return purchase_given_click_.empty()
+               ? nullptr
+               : purchase_given_click_.data() + static_cast<size_t>(i) * k_;
+  }
+
  private:
   int n_;
   int k_;

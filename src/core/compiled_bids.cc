@@ -388,8 +388,8 @@ int64_t CompiledBidsCache::misses() const {
 
 int64_t CompiledBidsCache::HitsInRange(AdvertiserId begin,
                                        AdvertiserId end) const {
-  SSA_CHECK(begin >= 0 && begin <= end &&
-            static_cast<size_t>(end) <= entries_.size());
+  SSA_CHECK(begin >= 0 && begin <= end);
+  end = std::min(end, static_cast<AdvertiserId>(entries_.size()));
   int64_t total = 0;
   for (AdvertiserId i = begin; i < end; ++i) total += entries_[i].hits;
   return total;
@@ -397,8 +397,8 @@ int64_t CompiledBidsCache::HitsInRange(AdvertiserId begin,
 
 int64_t CompiledBidsCache::MissesInRange(AdvertiserId begin,
                                          AdvertiserId end) const {
-  SSA_CHECK(begin >= 0 && begin <= end &&
-            static_cast<size_t>(end) <= entries_.size());
+  SSA_CHECK(begin >= 0 && begin <= end);
+  end = std::min(end, static_cast<AdvertiserId>(entries_.size()));
   int64_t total = 0;
   for (AdvertiserId i = begin; i < end; ++i) total += entries_[i].misses;
   return total;
@@ -423,8 +423,12 @@ std::vector<CompiledBidsCache::KeySnapshot> CompiledBidsCache::ExportKeys()
 
 void CompiledBidsCache::PrimeExpectedKeys(
     const std::vector<KeySnapshot>& keys) {
-  if (entries_.size() < keys.size()) entries_.resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
+  // Entries past the last valid key need not exist: a missing entry and an
+  // invalid, unexpected one behave alike (a lookup misses and compiles).
+  size_t needed = keys.size();
+  while (needed > 0 && !keys[needed - 1].valid) --needed;
+  if (entries_.size() < needed) entries_.resize(needed);
+  for (size_t i = 0; i < std::min(keys.size(), entries_.size()); ++i) {
     Entry& entry = entries_[i];
     // Invalidate any live compilation: the engine is being rewound to the
     // checkpoint, so cached tables from beyond it must not be served.

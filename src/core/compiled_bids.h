@@ -144,7 +144,8 @@ class CompiledBidsCache {
   /// telemetry).
   int64_t hits() const;
   int64_t misses() const;
-  /// Per-range sums — per-shard observability under global keying.
+  /// Per-range sums — per-shard observability under global keying. Ids past
+  /// the cache's current size have had no lookups.
   int64_t HitsInRange(AdvertiserId begin, AdvertiserId end) const;
   int64_t MissesInRange(AdvertiserId begin, AdvertiserId end) const;
 

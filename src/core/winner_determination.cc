@@ -82,12 +82,37 @@ std::vector<AdvertiserId> SelectTopPerSlotCandidates(
 
 WdResult SolveOnCandidates(const RevenueMatrix& revenue,
                            const std::vector<AdvertiserId>& candidates) {
-  const std::vector<double> w = MarginalWeights(revenue);
+  const int k = revenue.num_slots();
+  const double* base = revenue.UnassignedData();
+  std::vector<double> rows(candidates.size() * static_cast<size_t>(k));
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const AdvertiserId i = candidates[c];
+    const double* row = revenue.Row(i);
+    for (SlotIndex j = 0; j < k; ++j) rows[c * k + j] = row[j] - base[i];
+  }
+  return SolveCandidateRows(rows, candidates, revenue.num_advertisers(), k,
+                            revenue.UnassignedTotal());
+}
+
+WdResult SolveCandidateRows(const std::vector<double>& rows,
+                            const std::vector<AdvertiserId>& candidates,
+                            int num_advertisers, int num_slots,
+                            double unassigned_total) {
+  const int m = static_cast<int>(candidates.size());
+  // The kernel sums the chosen edges in candidate order whichever layout it
+  // reads, so the compact block gives the full-matrix total bit for bit.
+  const Allocation reduced = MaxWeightMatchingDense(rows, m, num_slots);
   WdResult result;
-  result.allocation = MaxWeightMatchingSubset(w, revenue.num_advertisers(),
-                                              revenue.num_slots(), candidates);
-  result.matching_weight = result.allocation.total_weight;
-  result.expected_revenue = result.matching_weight + revenue.UnassignedTotal();
+  result.allocation = Allocation::Empty(num_advertisers, num_slots);
+  for (SlotIndex j = 0; j < num_slots; ++j) {
+    const int c = reduced.slot_to_advertiser[j];
+    if (c < 0) continue;
+    result.allocation.slot_to_advertiser[j] = candidates[c];
+    result.allocation.advertiser_to_slot[candidates[c]] = j;
+  }
+  result.allocation.total_weight = reduced.total_weight;
+  result.matching_weight = reduced.total_weight;
+  result.expected_revenue = result.matching_weight + unassigned_total;
   return result;
 }
 

@@ -54,11 +54,22 @@ WdResult DetermineWinners(const RevenueMatrix& revenue, WdMethod method);
 std::vector<AdvertiserId> SelectTopPerSlotCandidates(
     const RevenueMatrix& revenue, int per_slot);
 
-/// Solves the reduced problem on an explicit candidate set (used by RH, by
-/// the RHTALU pipeline — whose candidates come from the Threshold Algorithm —
-/// and by the parallel tree aggregation).
+/// Solves the reduced problem on an explicit candidate set (used by RH and
+/// by the parallel tree aggregation).
 WdResult SolveOnCandidates(const RevenueMatrix& revenue,
                            const std::vector<AdvertiserId>& candidates);
+
+/// SolveOnCandidates on rows already gathered: `rows` holds the marginal
+/// weights of `candidates` (ascending ids), m x k advertiser-major in
+/// candidate order, and `unassigned_total` is sum_i r_i(⊥) over the whole
+/// population. The matching runs on the m x k block alone; the allocation
+/// is over all `num_advertisers`. Bitwise-identical to SolveOnCandidates
+/// on a matrix holding those rows (the sharded engine's coordinator, whose
+/// candidate rows may come from the RHTALU planner instead of a matrix).
+WdResult SolveCandidateRows(const std::vector<double>& rows,
+                            const std::vector<AdvertiserId>& candidates,
+                            int num_advertisers, int num_slots,
+                            double unassigned_total);
 
 /// Marginal weights in the advertiser-major layout the matching kernels use.
 std::vector<double> MarginalWeights(const RevenueMatrix& revenue);

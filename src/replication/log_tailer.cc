@@ -64,11 +64,14 @@ Status LogTailer::Poll(std::vector<SettlementRecord>* records) {
         std::to_string(size) + " < " + std::to_string(file_offset_) + ")"));
   }
 
-  // Pull everything new into the carry buffer.
-  while (file_offset_ < size) {
+  // Pull what is new into the carry buffer, at most kPollBytes per poll:
+  // a follower far behind a fast leader takes the backlog in bounded
+  // batches instead of holding all of it, raw and decoded, at once.
+  uint64_t budget = kPollBytes;
+  while (file_offset_ < size && budget > 0) {
     char buf[64 << 10];
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(sizeof(buf), size - file_offset_));
+    const size_t want = static_cast<size_t>(std::min<uint64_t>(
+        std::min<uint64_t>(sizeof(buf), budget), size - file_offset_));
     const ssize_t n =
         ::pread(fd_, buf, want, static_cast<off_t>(file_offset_));
     if (n < 0) {
@@ -79,6 +82,7 @@ Status LogTailer::Poll(std::vector<SettlementRecord>* records) {
     if (n == 0) break;  // raced a truncation check; next poll re-stats
     carry_.append(buf, static_cast<size_t>(n));
     file_offset_ += static_cast<uint64_t>(n);
+    budget -= static_cast<uint64_t>(n);
   }
 
   // Parse complete frames off the front of the carry buffer.
@@ -119,7 +123,7 @@ Status LogTailer::Poll(std::vector<SettlementRecord>* records) {
     }
   }
   carry_.erase(0, pos);
-  bytes_behind_ = carry_.size();
+  bytes_behind_ = carry_.size() + (size - file_offset_);
   return Status::Ok();
 }
 

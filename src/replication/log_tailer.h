@@ -44,22 +44,27 @@ class LogTailer {
   LogTailer(const LogTailer&) = delete;
   LogTailer& operator=(const LogTailer&) = delete;
 
-  /// Reads whatever the leader has written since the last poll and appends
-  /// every newly complete record with seq > start_after_seq to `*records`
-  /// (which is NOT cleared), in sequence order. Returning OK with nothing
-  /// appended means "clean live tail — nothing new yet"; wait and poll
-  /// again. The in-progress tail of a buffered/group-commit write is
-  /// carried, not consumed, so a frame split across two polls is delivered
-  /// exactly once, whole.
+  /// Bytes one poll reads at most (about 400 records of the paper
+  /// workload).
+  static constexpr uint64_t kPollBytes = 256 << 10;
+
+  /// Reads up to kPollBytes of what the leader has written since the last
+  /// poll and appends every newly complete record with seq >
+  /// start_after_seq to `*records` (which is NOT cleared), in sequence
+  /// order. Returning OK with nothing appended means "no complete record
+  /// yet" (a clean live tail, or a frame longer than one poll's read);
+  /// wait and poll again. The in-progress tail of a buffered/group-commit
+  /// write is carried, not consumed, so a frame split across two polls is
+  /// delivered exactly once, whole.
   Status Poll(std::vector<SettlementRecord>* records);
 
   /// Highest sequence delivered so far (start_after_seq until the first
   /// delivery).
   uint64_t last_seq() const { return last_seq_; }
 
-  /// Bytes the file held past the last fully consumed frame at the end of
-  /// the last poll — the replication byte lag as seen from this side (an
-  /// in-progress frame tail counts until it completes).
+  /// Bytes the file held past the last fully consumed frame at the last
+  /// poll, read or not yet read — the replication byte lag as seen from
+  /// this side (an in-progress frame tail counts until it completes).
   uint64_t bytes_behind() const { return bytes_behind_; }
 
   int64_t records_delivered() const { return records_delivered_; }

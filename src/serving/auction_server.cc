@@ -238,6 +238,10 @@ void AuctionServer::PublishEngineGauges() {
   // The internal lane plans only replay; batched settlement plans on the
   // server's lanes. Shard-phase time and cache totals are their sum, so
   // they read true in either mode.
+  // Only replay plans on the engine's internal lane, so only a replay server
+  // with an RHTALU-capable shard exports the planner's work.
+  const bool logical = config_.mode == ServingMode::kDeterministicReplay &&
+                       engine_.has_roi_planner();
   const int num_shards = engine_.num_shards();
   for (int s = 0; s < num_shards; ++s) {
     const ShardedAuctionEngine::ShardStats stats = engine_.shard_stats(s);
@@ -257,6 +261,31 @@ void AuctionServer::PublishEngineGauges() {
         .GetGauge("engine_shard_advertisers", label,
                   "Advertisers owned by the shard")
         ->Set(static_cast<int64_t>(stats.end - stats.begin));
+    if (logical && stats.roi_planner) {
+      AdvanceCounter(
+          registry_.GetCounter("engine_shard_logical_plans_total", label,
+                               "Auctions the shard planned with the RHTALU "
+                               "planner instead of capture + fill"),
+          stats.planner.logical_plans);
+    }
+  }
+  if (logical) {
+    const RoiPlannerStats planner = engine_.planner_stats();
+    AdvanceCounter(registry_.GetCounter("engine_roi_planner_probes_total", "",
+                                        "Threshold Algorithm sorted accesses"),
+                   planner.probes);
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_list_moves_total", "",
+                             "Logical-update list membership moves"),
+        planner.list_moves);
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_triggers_fired_total", "",
+                             "Spend-rate triggers fired"),
+        planner.triggers_fired);
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_rebuilds_total", "",
+                             "Planner list rebuilds from the strategies"),
+        planner.rebuilds);
   }
   int64_t cache_hits = engine_.cache_hits();
   int64_t cache_misses = engine_.cache_misses();

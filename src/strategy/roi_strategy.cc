@@ -6,11 +6,30 @@
 #include "durability/wire.h"
 
 namespace ssa {
+namespace {
 
-RoiStrategy::RoiStrategy(std::vector<Formula> keyword_formulas)
-    : keyword_formulas_(std::move(keyword_formulas)),
-      bids_(keyword_formulas_.size(), 0.0) {
-  SSA_CHECK(!keyword_formulas_.empty());
+/// The formulas of the last strategy this thread constructed, shared with
+/// the next one when equal: a population of n ROI bidders holds one copy
+/// instead of n (about 180 bytes each at 10 keywords).
+std::shared_ptr<const std::vector<Formula>> SharedFormulas(
+    const std::vector<Formula>& formulas) {
+  thread_local std::shared_ptr<const std::vector<Formula>> last;
+  const bool same =
+      last != nullptr && last->size() == formulas.size() &&
+      std::equal(formulas.begin(), formulas.end(), last->begin(),
+                 [](const Formula& a, const Formula& b) {
+                   return a.StructurallyEquals(b);
+                 });
+  if (!same) last = std::make_shared<const std::vector<Formula>>(formulas);
+  return last;
+}
+
+}  // namespace
+
+RoiStrategy::RoiStrategy(const std::vector<Formula>& keyword_formulas)
+    : keyword_formulas_(SharedFormulas(keyword_formulas)),
+      bids_(keyword_formulas_->size(), 0.0) {
+  SSA_CHECK(!keyword_formulas_->empty());
 }
 
 void RoiStrategy::MakeBids(const Query& query,
@@ -67,7 +86,7 @@ void RoiStrategy::StepOn(const Query& query, const AdvertiserAccount& account,
     bool merged = false;
     for (size_t row = 0; row < bids->rows().size(); ++row) {
       if (bids->rows()[row].formula.StructurallyEquals(
-              keyword_formulas_[kw])) {
+              (*keyword_formulas_)[kw])) {
         // Rebuild the row with the summed value (BidsTable rows are
         // immutable by design; re-adding keeps the interface minimal).
         BidsTable updated;
@@ -81,7 +100,7 @@ void RoiStrategy::StepOn(const Query& query, const AdvertiserAccount& account,
         break;
       }
     }
-    if (!merged) bids->AddBid(keyword_formulas_[kw], tb[kw]);
+    if (!merged) bids->AddBid((*keyword_formulas_)[kw], tb[kw]);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef SSA_STRATEGY_ROI_STRATEGY_H_
 #define SSA_STRATEGY_ROI_STRATEGY_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/formula.h"
@@ -27,14 +28,17 @@ namespace ssa {
 /// `Click -> bid[kw]` row.
 ///
 /// Tentative bids are integral cents, so all boundary comparisons
-/// (bid < max_bid, bid > 0) are exact; the logical-update engine
-/// (strategy/logical_roi.h) replicates these semantics bit-for-bit, which
-/// the equivalence tests assert.
-class RoiStrategy : public BiddingStrategy {
+/// (bid < max_bid, bid > 0) are exact; the engine's logical-update planner
+/// (auction/roi_planner.h) replicates these semantics bit-for-bit, which
+/// the equivalence tests assert. The class is final: the planner recognizes
+/// its bidders by type, and a subclass could change what MakeBids does.
+class RoiStrategy final : public BiddingStrategy {
  public:
   /// `keyword_formulas[kw]` is the formula keyword kw's bid attaches to
   /// (plain Click in the Section V workload). Tentative bids start at 0.
-  explicit RoiStrategy(std::vector<Formula> keyword_formulas);
+  /// Strategies constructed one after another from equal formulas (a
+  /// population built from its workload's) share one immutable copy.
+  explicit RoiStrategy(const std::vector<Formula>& keyword_formulas);
 
   void MakeBids(const Query& query, const AdvertiserAccount& account,
                 BidsTable* bids) override;
@@ -50,8 +54,13 @@ class RoiStrategy : public BiddingStrategy {
   void SaveState(std::string* out) const override;
   Status RestoreState(std::string_view blob) override;
 
-  /// Current tentative bid per keyword (exposed for the equivalence tests).
+  /// Current tentative bid per keyword.
   const std::vector<Money>& tentative_bids() const { return bids_; }
+  /// The planner's write-back of a bid it advanced logically.
+  void set_tentative_bid(int kw, Money bid) { bids_[kw] = bid; }
+  const std::vector<Formula>& keyword_formulas() const {
+    return *keyword_formulas_;
+  }
 
  private:
   /// The full Figure 5 step — tentative-bid adjustment applied to
@@ -61,7 +70,7 @@ class RoiStrategy : public BiddingStrategy {
   void StepOn(const Query& query, const AdvertiserAccount& account,
               std::vector<Money>* tentative, BidsTable* bids) const;
 
-  std::vector<Formula> keyword_formulas_;
+  std::shared_ptr<const std::vector<Formula>> keyword_formulas_;
   std::vector<Money> bids_;
 };
 

@@ -43,6 +43,7 @@ class TopKHeapSet {
   }
 
   int num_heaps() const { return num_heaps_; }
+  int capacity() const { return capacity_; }
   int size(int heap) const { return sizes_[heap]; }
   /// Heap-ordered (not sorted) view of a heap's current entries.
   const Entry* entries(int heap) const {

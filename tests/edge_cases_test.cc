@@ -2,8 +2,6 @@
 // populations, degenerate dimensions, deep formulas, and cross-checks under
 // deliberately hostile weight matrices.
 
-#include <set>
-
 #include <gtest/gtest.h>
 
 #include "auction/query_gen.h"
@@ -14,7 +12,6 @@
 #include "matching/hungarian.h"
 #include "matching/munkres.h"
 #include "strategy/threshold_algorithm.h"
-#include "util/sorted_list.h"
 
 namespace ssa {
 namespace {
@@ -85,34 +82,6 @@ TEST(EdgeCaseTest, DeepFormulaNesting) {
   EXPECT_TRUE(reparsed->Evaluate(o));
   o.slot = 100;
   EXPECT_FALSE(reparsed->Evaluate(o));
-}
-
-TEST(EdgeCaseTest, SortedKeyListMatchesMultisetReference) {
-  Rng rng(55);
-  SortedKeyList list;
-  std::multiset<std::pair<double, int32_t>> reference;  // (-key, id) mirror
-  std::vector<std::pair<int32_t, double>> live;
-  for (int step = 0; step < 2000; ++step) {
-    if (!live.empty() && rng.Bernoulli(0.4)) {
-      const size_t pick = rng.NextBounded(live.size());
-      auto [id, key] = live[pick];
-      list.Erase(id, key);
-      reference.erase(reference.find({-key, id}));
-      live.erase(live.begin() + pick);
-    } else {
-      const int32_t id = static_cast<int32_t>(step);
-      const double key = static_cast<double>(rng.UniformInt(0, 50));
-      list.Insert(id, key);
-      reference.emplace(-key, id);
-      live.emplace_back(id, key);
-    }
-    ASSERT_EQ(list.size(), reference.size());
-    if (!reference.empty()) {
-      const auto& top = *reference.begin();
-      ASSERT_EQ(list.Top().id, top.second);
-      ASSERT_EQ(list.Top().key, -top.first);
-    }
-  }
 }
 
 TEST(EdgeCaseTest, QueryGeneratorUniformAndSequential) {

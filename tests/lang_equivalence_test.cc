@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "auction/sharded_engine.h"
+#include "durability/checkpoint.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 
@@ -96,6 +97,11 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
         << "winner divergence at auction " << t;
     ASSERT_DOUBLE_EQ(on.revenue_charged, oi.revenue_charged)
         << "revenue divergence at auction " << t;
+    // The native bidders' shard plans with the RHTALU planner, which holds
+    // the current bids in its lists; a checkpoint capture writes them back
+    // into the strategies.
+    EngineCheckpoint synced;
+    eager.CaptureCheckpoint(&synced);
     for (int i = 0; i < wc.num_advertisers; ++i) {
       for (int kw = 0; kw < wc.num_keywords; ++kw) {
         ASSERT_DOUBLE_EQ(native_raw[i]->tentative_bids()[kw],

@@ -306,6 +306,38 @@ TEST(LogTailerTest, StartAfterSeqSkipsWithoutDelivering) {
   EXPECT_EQ(records.back().seq, 30u);
 }
 
+TEST(LogTailerTest, BacklogArrivesInBoundedPolls) {
+  // A follower far behind takes the backlog in polls of at most
+  // kPollBytes, each delivering whole records in sequence, while
+  // bytes_behind counts what is still unread.
+  const std::string path = FreshPath("tailer_backlog");
+  std::string bytes;
+  uint64_t seq = 0;
+  while (bytes.size() < 3 * LogTailer::kPollBytes) {
+    EncodeLogFrame(TinyRecord(++seq), &bytes);
+  }
+  AppendRaw(path, bytes);
+
+  auto tailer = LogTailer::Open(path);
+  ASSERT_TRUE(tailer.ok());
+  std::vector<SettlementRecord> records;
+  int polls = 0;
+  while (records.size() < seq) {
+    const size_t before = records.size();
+    ASSERT_TRUE((*tailer)->Poll(&records).ok());
+    ++polls;
+    ASSERT_GT(records.size(), before);
+    if (records.size() < seq) {
+      EXPECT_GT((*tailer)->bytes_behind(), 0u);
+    }
+  }
+  EXPECT_GE(polls, 3);
+  EXPECT_EQ((*tailer)->bytes_behind(), 0u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].seq, i + 1);
+  }
+}
+
 TEST(LogTailerTest, CorruptionIsSticky) {
   const std::string path = FreshPath("tailer_corrupt");
   std::string bytes, frame2;

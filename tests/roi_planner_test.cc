@@ -1,0 +1,539 @@
+// The RHTALU planner gate. Shards of ShardedAuctionEngine that plan
+// logically (auction/roi_planner.h: logical updates, triggers, Threshold
+// Algorithm) must reproduce the serial reference engine
+// (tests/reference_engine.h) exactly, auction by auction: allocation,
+// prices, user events, revenue, accounts and every tentative bid. Covered:
+// shard counts with and without a pool, GSP and pay-your-bid, several seeds
+// and a tie-heavy population, checkpoints restored into another shard count,
+// log recovery, follower replay, what-if reads, the batched-lane entry
+// points, and each fallback to the brute-force shard path.
+
+#include <chrono>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "auction/sharded_engine.h"
+#include "durability/checkpoint.h"
+#include "durability/recovery.h"
+#include "durability/settlement_log.h"
+#include "forwarding_strategy.h"
+#include "reference_engine.h"
+#include "replication/follower.h"
+#include "strategy/roi_strategy.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace ssa {
+namespace {
+
+using std::chrono::milliseconds;
+
+/// ROI bidders plus typed views of them. Bidders marked in `wrapped` sit
+/// behind a ForwardingStrategy, which keeps their shard on brute force.
+struct Bidders {
+  std::vector<std::unique_ptr<BiddingStrategy>> strategies;
+  std::vector<const RoiStrategy*> roi;
+};
+
+Bidders MakeBidders(const Workload& w, const std::vector<char>& wrapped = {}) {
+  Bidders b;
+  for (int i = 0; i < w.config.num_advertisers; ++i) {
+    auto s = std::make_unique<RoiStrategy>(w.keyword_formulas);
+    b.roi.push_back(s.get());
+    if (!wrapped.empty() && wrapped[static_cast<size_t>(i)]) {
+      b.strategies.push_back(
+          std::make_unique<ForwardingStrategy>(std::move(s)));
+    } else {
+      b.strategies.push_back(std::move(s));
+    }
+  }
+  return b;
+}
+
+/// Population variants of the Section V workload.
+enum class Shape {
+  kPaper,
+  /// Every advertiser has ctr 0.9 - 0.05 j in slot j, so equal bids give
+  /// exactly equal scores and the Threshold Algorithm's stopping rule meets
+  /// ties at every step.
+  kTiedCtr,
+  /// Target spend rates of at most 0.6 cents per auction: winners overspend,
+  /// so decrement lists and spend-rate triggers carry the trajectory.
+  kLowTargets,
+};
+
+Workload MakeWorkload(const WorkloadConfig& wc, Shape shape = Shape::kPaper) {
+  Workload w = MakePaperWorkload(wc);
+  const int n = wc.num_advertisers;
+  const int k = wc.num_slots;
+  if (shape == Shape::kTiedCtr) {
+    std::vector<double> click(static_cast<size_t>(n) * k);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < k; ++j) {
+        click[static_cast<size_t>(i) * k + j] = 0.9 - 0.05 * j;
+      }
+    }
+    w.click_model = std::make_shared<MatrixClickModel>(n, k, std::move(click));
+  } else if (shape == Shape::kLowTargets) {
+    for (int i = 0; i < n; ++i) {
+      w.accounts[i].target_spend_rate = 0.1 * (1 + i % 6);
+    }
+  }
+  return w;
+}
+
+WorkloadConfig SmallConfig(uint64_t seed) {
+  WorkloadConfig wc;
+  wc.num_advertisers = 40;
+  wc.num_slots = 5;
+  wc.num_keywords = 4;
+  wc.seed = seed;
+  return wc;
+}
+
+WorkloadConfig PaperConfig(int n, uint64_t seed) {
+  WorkloadConfig wc;  // 15 slots, 10 keywords
+  wc.num_advertisers = n;
+  wc.seed = seed;
+  return wc;
+}
+
+void ExpectSameOutcome(const AuctionOutcome& want, const AuctionOutcome& got) {
+  ASSERT_EQ(want.query.time, got.query.time);
+  ASSERT_EQ(want.wd.allocation.slot_to_advertiser,
+            got.wd.allocation.slot_to_advertiser)
+      << "auction " << want.query.time;
+  ASSERT_EQ(want.wd.matching_weight, got.wd.matching_weight);
+  ASSERT_EQ(want.wd.expected_revenue, got.wd.expected_revenue);
+  ASSERT_EQ(want.prices, got.prices) << "auction " << want.query.time;
+  ASSERT_EQ(want.events.size(), got.events.size());
+  for (size_t e = 0; e < want.events.size(); ++e) {
+    ASSERT_EQ(want.events[e].advertiser, got.events[e].advertiser);
+    ASSERT_EQ(want.events[e].slot, got.events[e].slot);
+    ASSERT_EQ(want.events[e].clicked, got.events[e].clicked);
+    ASSERT_EQ(want.events[e].purchased, got.events[e].purchased);
+    ASSERT_EQ(want.events[e].charged, got.events[e].charged);
+  }
+  ASSERT_EQ(want.revenue_charged, got.revenue_charged);
+}
+
+void ExpectSameAccounts(const std::vector<AdvertiserAccount>& want,
+                        const std::vector<AdvertiserAccount>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].amount_spent, got[i].amount_spent) << "advertiser " << i;
+    ASSERT_EQ(want[i].spent_per_keyword, got[i].spent_per_keyword);
+    ASSERT_EQ(want[i].value_gained, got[i].value_gained);
+  }
+}
+
+/// Accounts, revenue and every tentative bid. Capturing a checkpoint makes
+/// the planners write their bids back, so the engine's strategies are
+/// compared as they stand logically.
+void ExpectSameState(const ReferenceEngine& ref, const Bidders& ref_bidders,
+                     const ShardedAuctionEngine& engine,
+                     const Bidders& bidders) {
+  EngineCheckpoint ckpt;
+  engine.CaptureCheckpoint(&ckpt);
+  ASSERT_EQ(ref.total_revenue(), engine.total_revenue());
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAccounts(ref.accounts(), engine.accounts()));
+  for (size_t i = 0; i < bidders.roi.size(); ++i) {
+    ASSERT_EQ(ref_bidders.roi[i]->tentative_bids(),
+              bidders.roi[i]->tentative_bids())
+        << "tentative bids of advertiser " << i << " after auction "
+        << engine.auctions_run();
+  }
+}
+
+/// A reference engine and a sharded engine on identical worlds and seeds.
+struct Lockstep {
+  Lockstep(const WorkloadConfig& wc, Shape shape, const EngineConfig& ec,
+           int num_shards, ThreadPool* pool,
+           const std::vector<char>& wrapped = {}) {
+    Workload w_ref = MakeWorkload(wc, shape);
+    Workload w_engine = MakeWorkload(wc, shape);
+    ref_bidders = MakeBidders(w_ref);
+    bidders = MakeBidders(w_engine, wrapped);
+    ref = std::make_unique<ReferenceEngine>(
+        ec, std::move(w_ref), std::move(ref_bidders.strategies));
+    ShardedEngineConfig config;
+    config.engine = ec;
+    config.num_shards = num_shards;
+    config.pool = pool;
+    engine = std::make_unique<ShardedAuctionEngine>(
+        config, std::move(w_engine), std::move(bidders.strategies));
+  }
+
+  /// Runs `auctions` auctions from both engines' query generators, checking
+  /// full state every `state_every` auctions and at the end.
+  void Run(int auctions, int state_every) {
+    for (int t = 0; t < auctions; ++t) {
+      const AuctionOutcome& want = ref->RunAuction();
+      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, engine->RunAuction()));
+      if ((t + 1) % state_every == 0) {
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameState(*ref, ref_bidders, *engine, bidders));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameState(*ref, ref_bidders, *engine, bidders));
+  }
+
+  Bidders ref_bidders;
+  Bidders bidders;
+  std::unique_ptr<ReferenceEngine> ref;
+  std::unique_ptr<ShardedAuctionEngine> engine;
+};
+
+struct GateParam {
+  int num_shards;
+  bool pool;
+  PricingRule pricing;
+};
+
+class RoiPlannerGateTest : public ::testing::TestWithParam<GateParam> {
+ protected:
+  void RunGate(const WorkloadConfig& wc, Shape shape, uint64_t seed,
+               int auctions) {
+    const GateParam p = GetParam();
+    std::unique_ptr<ThreadPool> pool;
+    if (p.pool) pool = std::make_unique<ThreadPool>(3);
+    EngineConfig ec;
+    ec.pricing = p.pricing;
+    ec.seed = seed * 31 + 7;
+    Lockstep run(wc, shape, ec, p.num_shards, pool.get());
+    ASSERT_TRUE(run.engine->has_roi_planner());
+    ASSERT_NO_FATAL_FAILURE(run.Run(auctions, /*state_every=*/10));
+    // Every shard planned every auction logically.
+    const RoiPlannerStats stats = run.engine->planner_stats();
+    EXPECT_EQ(stats.logical_plans,
+              static_cast<int64_t>(auctions) * run.engine->num_shards());
+    EXPECT_GT(stats.probes, 0);
+    EXPECT_GT(stats.list_moves, 0);
+    if (shape == Shape::kLowTargets) {
+      EXPECT_GT(stats.triggers_fired, 0);
+    }
+    EXPECT_GT(run.ref->total_revenue(), 0.0);
+  }
+};
+
+TEST_P(RoiPlannerGateTest, MatchesReferenceAcrossSeeds) {
+  // 1009 is a held-out seed: never used while tuning the planner.
+  for (const uint64_t seed : {1u, 2u, 3u, 1009u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_NO_FATAL_FAILURE(RunGate(SmallConfig(seed), Shape::kPaper, seed, 400));
+    ASSERT_NO_FATAL_FAILURE(
+        RunGate(PaperConfig(120, seed + 100), Shape::kPaper, seed, 200));
+    ASSERT_NO_FATAL_FAILURE(
+        RunGate(PaperConfig(120, seed + 200), Shape::kLowTargets, seed, 200));
+  }
+}
+
+TEST_P(RoiPlannerGateTest, MatchesReferenceOnTiedScores) {
+  // Equal bids tie exactly on this population. A Threshold Algorithm that
+  // stops when the (k+1)-th score merely equals the bound drops an unseen
+  // bidder with the same score and a larger id (the strict (weight, id)
+  // order ranks it higher); the gate requires the strict stop.
+  for (const uint64_t seed : {1u, 2u, 3u, 1009u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_NO_FATAL_FAILURE(
+        RunGate(PaperConfig(200, seed), Shape::kTiedCtr, seed, 250));
+  }
+}
+
+/// Every shard count under both pricing rules without a pool, and every
+/// shard count on a pool under GSP.
+std::vector<GateParam> GateParams() {
+  std::vector<GateParam> params;
+  for (const int k : {1, 2, 4, 7}) {
+    params.push_back({k, false, PricingRule::kGeneralizedSecondPrice});
+    params.push_back({k, false, PricingRule::kPayYourBid});
+    params.push_back({k, true, PricingRule::kGeneralizedSecondPrice});
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsPoolsPricing, RoiPlannerGateTest, ::testing::ValuesIn(GateParams()),
+    [](const ::testing::TestParamInfo<GateParam>& info) {
+      return "K" + std::to_string(info.param.num_shards) +
+             (info.param.pool ? "Pool" : "NoPool") +
+             (info.param.pricing == PricingRule::kPayYourBid ? "PayYourBid"
+                                                             : "Gsp");
+    });
+
+TEST(RoiPlannerTest, CheckpointRestoresIntoAnotherShardCount) {
+  // The lists are not checkpointed: a restore rebuilds them from the
+  // strategies' bids, under any shard layout.
+  const WorkloadConfig wc = PaperConfig(120, 17);
+  EngineConfig ec;
+  ec.seed = 19;
+  Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+  ASSERT_NO_FATAL_FAILURE(run.Run(150, 50));
+  for (const int num_shards : {4, 7, 1}) {
+    SCOPED_TRACE("restore into K " + std::to_string(num_shards));
+    EngineCheckpoint ckpt;
+    run.engine->CaptureCheckpoint(&ckpt);
+    Workload w = MakeWorkload(wc);
+    Bidders bidders = MakeBidders(w);
+    ShardedEngineConfig config;
+    config.engine = ec;
+    config.num_shards = num_shards;
+    auto restored = std::make_unique<ShardedAuctionEngine>(
+        config, std::move(w), std::move(bidders.strategies));
+    ASSERT_TRUE(restored->RestoreCheckpoint(ckpt).ok());
+    run.engine = std::move(restored);
+    run.bidders = std::move(bidders);
+    ASSERT_NO_FATAL_FAILURE(run.Run(100, 25));
+    EXPECT_EQ(run.engine->planner_stats().rebuilds, run.engine->num_shards());
+  }
+}
+
+/// Query stream shared by the log-driven tests.
+std::vector<Query> Queries(int count, int num_keywords, uint64_t seed) {
+  QueryGenerator gen(num_keywords, seed);
+  std::vector<Query> queries;
+  for (int i = 0; i < count; ++i) queries.push_back(gen.Next());
+  return queries;
+}
+
+struct LoggedRun {
+  std::string log_path;
+  std::string ckpt_path;
+  std::vector<Query> queries;
+  std::unique_ptr<ReferenceEngine> ref;
+  Bidders ref_bidders;
+};
+
+/// A leader at K = 2 serves `queries`, logging every settlement and
+/// checkpointing after `checkpoint_at`; the reference serves the same
+/// queries.
+LoggedRun RunLoggedLeader(const std::string& name, const WorkloadConfig& wc,
+                          const EngineConfig& ec, int count,
+                          int checkpoint_at) {
+  LoggedRun run;
+  run.log_path = testing::TempDir() + "/ssa_roi_planner_" + name + ".log";
+  run.ckpt_path = testing::TempDir() + "/ssa_roi_planner_" + name + ".ckpt";
+  std::remove(run.log_path.c_str());
+  std::remove(run.ckpt_path.c_str());
+  run.queries = Queries(count, wc.num_keywords, ec.seed + 1);
+  Lockstep leader(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+  auto writer = SettlementLogWriter::Open(run.log_path, LogWriterOptions{});
+  SSA_CHECK(writer.ok());
+  for (const Query& q : run.queries) {
+    const AuctionOutcome& want = leader.ref->RunAuctionOn(q);
+    const AuctionOutcome& got = leader.engine->RunAuctionOn(q);
+    ExpectSameOutcome(want, got);
+    SSA_CHECK((*writer)
+                  ->Append(SettlementRecord::FromOutcome(
+                      static_cast<uint64_t>(leader.engine->auctions_run()),
+                      got))
+                  .ok());
+    if (leader.engine->auctions_run() == checkpoint_at) {
+      SSA_CHECK(leader.engine->WriteCheckpoint(run.ckpt_path).ok());
+    }
+  }
+  SSA_CHECK((*writer)->Flush().ok());
+  run.ref = std::move(leader.ref);
+  run.ref_bidders = std::move(leader.ref_bidders);
+  return run;
+}
+
+TEST(RoiPlannerTest, RecoveryReplaysTheLogLogically) {
+  const WorkloadConfig wc = PaperConfig(100, 23);
+  EngineConfig ec;
+  ec.seed = 29;
+  LoggedRun leader = RunLoggedLeader("recover", wc, ec, 240, 90);
+  ASSERT_FALSE(testing::Test::HasFailure());
+
+  Workload w = MakeWorkload(wc);
+  Bidders bidders = MakeBidders(w);
+  ShardedEngineConfig config;
+  config.engine = ec;
+  config.num_shards = 3;
+  ShardedAuctionEngine engine(config, std::move(w),
+                              std::move(bidders.strategies));
+  RecoveryOptions options;
+  options.checkpoint_path = leader.ckpt_path;
+  options.log_path = leader.log_path;
+  options.stream = QueryStream::kExternal;
+  RecoveryReport report;
+  ASSERT_TRUE(RecoverEngine(&engine, options, &report).ok());
+  EXPECT_EQ(report.records_replayed, 240 - 90);
+  EXPECT_EQ(report.verify_mismatches, 0);
+  EXPECT_EQ(engine.planner_stats().logical_plans, (240 - 90) * 3);
+  ExpectSameState(*leader.ref, leader.ref_bidders, engine, bidders);
+  std::remove(leader.log_path.c_str());
+  std::remove(leader.ckpt_path.c_str());
+}
+
+TEST(RoiPlannerTest, FollowerReplaysTheLogLogically) {
+  const WorkloadConfig wc = PaperConfig(100, 31);
+  EngineConfig ec;
+  ec.seed = 37;
+  LoggedRun leader = RunLoggedLeader("follower", wc, ec, 200, 60);
+  ASSERT_FALSE(testing::Test::HasFailure());
+
+  FollowerConfig config;
+  config.engine.engine = ec;
+  config.engine.num_shards = 4;
+  config.checkpoint_path = leader.ckpt_path;
+  config.log_path = leader.log_path;
+  Workload w = MakeWorkload(wc);
+  FollowerEngine follower(config, w, MakeBidders(w).strategies);
+  ASSERT_TRUE(follower.Start().ok());
+  // Every applied record is verified bitwise against the log.
+  ASSERT_TRUE(follower.WaitForSeq(200, milliseconds(20000)));
+  EXPECT_TRUE(follower.status().ok());
+  std::vector<AdvertiserAccount> accounts;
+  ASSERT_TRUE(follower.AccountsSnapshot(&accounts, nullptr).ok());
+  ExpectSameAccounts(leader.ref->accounts(), accounts);
+
+  // A follower read (write-back, then a brute what-if) predicts the next
+  // auction exactly.
+  const Query next = Queries(201, wc.num_keywords, ec.seed + 1).back();
+  ShardedAuctionEngine::PlannedAuction plan;
+  ASSERT_TRUE(follower.WhatIf(next, &plan, nullptr).ok());
+  follower.Stop();
+  const AuctionOutcome& want = leader.ref->RunAuctionOn(next);
+  EXPECT_EQ(plan.outcome.wd.allocation.slot_to_advertiser,
+            want.wd.allocation.slot_to_advertiser);
+  EXPECT_EQ(plan.prices, want.prices);
+  std::remove(leader.log_path.c_str());
+  std::remove(leader.ckpt_path.c_str());
+}
+
+TEST(RoiPlannerTest, WhatIfMatchesTheAuctionItPredicts) {
+  const WorkloadConfig wc = PaperConfig(120, 41);
+  EngineConfig ec;
+  ec.seed = 43;
+  Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+  auto lane = run.engine->NewPlanLane();
+  const std::vector<Query> queries = Queries(240, wc.num_keywords, 47);
+  for (size_t t = 0; t < queries.size(); ++t) {
+    ShardedAuctionEngine::PlannedAuction plan;
+    const bool probe = t % 3 == 0;
+    if (probe) run.engine->WhatIfAuction(queries[t], lane.get(), &plan);
+    const AuctionOutcome& want = run.ref->RunAuctionOn(queries[t]);
+    const AuctionOutcome& got = run.engine->RunAuctionOn(queries[t]);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, got));
+    if (probe) {
+      ASSERT_EQ(plan.outcome.wd.allocation.slot_to_advertiser,
+                got.wd.allocation.slot_to_advertiser);
+      ASSERT_EQ(plan.outcome.wd.expected_revenue, got.wd.expected_revenue);
+      ASSERT_EQ(plan.prices, got.prices);
+    }
+  }
+  ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
+  // Reads write back but never invalidate: one rebuild per shard, at start.
+  EXPECT_EQ(run.engine->planner_stats().rebuilds, 2);
+}
+
+TEST(RoiPlannerTest, InterleavesWithBatchedLaneEntryPoints) {
+  // CaptureBids moves the strategies themselves, so the planners write back
+  // before it and rebuild after it; the trajectory must not notice.
+  const WorkloadConfig wc = PaperConfig(120, 53);
+  EngineConfig ec;
+  ec.seed = 59;
+  ThreadPool pool(2);
+  Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, &pool);
+  auto lane = run.engine->NewPlanLane();
+  ShardedAuctionEngine::CapturedBids bids;
+  Rng coin(61);
+  const std::vector<Query> queries = Queries(300, wc.num_keywords, 67);
+  int captured = 0;
+  for (const Query& q : queries) {
+    const AuctionOutcome& want = run.ref->RunAuctionOn(q);
+    if (coin.Bernoulli(0.3)) {
+      ++captured;
+      ShardedAuctionEngine::PlannedAuction plan;
+      run.engine->CaptureBids(q, &bids);
+      run.engine->PlanCaptured(q, bids, lane.get(), &plan);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameOutcome(want, run.engine->SettlePlanned(&plan)));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameOutcome(want, run.engine->RunAuctionOn(q)));
+    }
+  }
+  ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
+  const RoiPlannerStats stats = run.engine->planner_stats();
+  EXPECT_GT(captured, 0);
+  EXPECT_EQ(stats.logical_plans,
+            2 * (static_cast<int64_t>(queries.size()) - captured));
+  EXPECT_GT(stats.rebuilds, 2);
+}
+
+TEST(RoiPlannerTest, NonRoiStrategyKeepsItsShardOnBruteForce) {
+  // One wrapped bidder in shard 1: shard 0 plans logically, shard 1 by brute
+  // force, and the coordinator mixes planner rows with matrix rows.
+  for (const int num_shards : {2, 4}) {
+    SCOPED_TRACE("K " + std::to_string(num_shards));
+    const WorkloadConfig wc = PaperConfig(80, 71);
+    std::vector<char> wrapped(80, 0);
+    wrapped[75] = 1;
+    EngineConfig ec;
+    ec.seed = 73;
+    Lockstep run(wc, Shape::kPaper, ec, num_shards, nullptr, wrapped);
+    ASSERT_NO_FATAL_FAILURE(run.Run(300, 10));
+    const int last = run.engine->num_shards() - 1;
+    EXPECT_TRUE(run.engine->shard_stats(0).roi_planner);
+    EXPECT_EQ(run.engine->shard_stats(0).planner.logical_plans, 300);
+    EXPECT_FALSE(run.engine->shard_stats(last).roi_planner);
+    EXPECT_GT(run.engine->shard_stats(last).cache_misses, 0);
+  }
+}
+
+TEST(RoiPlannerTest, MultiKeywordAndBackwardQueriesFallBack) {
+  // A query relevant to two keywords is not the Section V shape, and a query
+  // whose time runs backwards breaks the triggers' monotonicity: both plan by
+  // brute force (or resync first), and logical planning resumes after.
+  const WorkloadConfig wc = PaperConfig(100, 79);
+  EngineConfig ec;
+  ec.seed = 83;
+  Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+  std::vector<Query> queries = Queries(300, wc.num_keywords, 89);
+  int two_keyword = 0;
+  for (size_t t = 0; t < queries.size(); ++t) {
+    if (t % 25 == 10) {
+      Query& q = queries[t];
+      q.relevance[(q.keyword + 1) % wc.num_keywords] = 0.9;
+      ++two_keyword;
+    }
+    if (t % 50 == 30) queries[t].time -= 5;
+  }
+  for (const Query& q : queries) {
+    const AuctionOutcome& want = run.ref->RunAuctionOn(q);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameOutcome(want, run.engine->RunAuctionOn(q)));
+  }
+  ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
+  const RoiPlannerStats stats = run.engine->planner_stats();
+  EXPECT_EQ(stats.logical_plans,
+            2 * (static_cast<int64_t>(queries.size()) - two_keyword));
+  EXPECT_GT(stats.rebuilds, 2 * two_keyword);
+}
+
+TEST(RoiPlannerTest, VcgAndDenseMethodsStayOnBruteForce) {
+  for (const bool vcg : {true, false}) {
+    SCOPED_TRACE(vcg ? "VCG" : "Hungarian");
+    EngineConfig ec;
+    ec.seed = 97;
+    if (vcg) {
+      ec.pricing = PricingRule::kVcg;
+    } else {
+      ec.wd_method = WdMethod::kHungarian;
+    }
+    Lockstep run(SmallConfig(101), Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+    EXPECT_FALSE(run.engine->has_roi_planner());
+    ASSERT_NO_FATAL_FAILURE(run.Run(80, 20));
+  }
+}
+
+}  // namespace
+}  // namespace ssa

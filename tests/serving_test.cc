@@ -307,11 +307,18 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
 TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   // No dead metrics: a server without a settlement log has nothing to
   // recover or persist, so it exports no recovery_* or durability_* sample
-  // (and no rebalance counter). Every exported *_total sample — engine and
-  // lane caches, durability totals, admission counters — is a counter, so
-  // Prometheus sees TYPE counter for each.
-  auto served_snapshot = [](const ServerConfig& config) {
+  // (and no rebalance counter), and a batched server never plans with the
+  // RHTALU planner, so it exports none of its counters. Every exported
+  // *_total sample — engine and lane caches, durability totals, admission
+  // counters, planner work — is a counter, so Prometheus sees TYPE counter
+  // for each.
+  // `target_rate` > 0 overrides every advertiser's target spend rate.
+  auto served_snapshot = [](const ServerConfig& config,
+                            double target_rate = 0) {
     Workload w = MakePaperWorkload(SmallConfig(131));
+    if (target_rate > 0) {
+      for (AdvertiserAccount& a : w.accounts) a.target_spend_rate = target_rate;
+    }
     const std::vector<Query> queries =
         MakeQuerySequence(40, w.config.num_keywords, 137);
     auto strategies = RoiStrategies(w);
@@ -358,6 +365,9 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
     EXPECT_FALSE(has_prefix(name, "recovery_")) << name;
     EXPECT_FALSE(has_prefix(name, "durability_")) << name;
     EXPECT_NE(name, "serving_rebalances_total");
+    // Batched settlement plans on lanes, by brute force: no planner metrics.
+    EXPECT_FALSE(has_prefix(name, "engine_roi_planner_")) << name;
+    EXPECT_NE(name, "engine_shard_logical_plans_total");
   }
   for (const char* name : {"engine_cache_hits_total",
                            "engine_cache_misses_total",
@@ -382,19 +392,33 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
             std::string::npos);
 
   // With a log, the durability totals and recovery gauges appear, and the
-  // totals are still counters.
+  // totals are still counters. Low target spend rates make winners
+  // overspend, so the planner's spend-rate triggers fire in this short run.
   const std::string log_path =
       testing::TempDir() + "/ssa_serving_metric_kinds.log";
   std::remove(log_path.c_str());
   config.mode = ServingMode::kDeterministicReplay;
   config.durability.log_path = log_path;
-  const MetricsSnapshot with_log = served_snapshot(config);
+  const MetricsSnapshot with_log = served_snapshot(config, 0.2);
   const auto logged = kinds_by_name(with_log);
   ASSERT_TRUE(logged.count("durability_records_appended_total"));
   EXPECT_EQ(value_of(with_log, "durability_records_appended_total"), 40.0);
   ASSERT_TRUE(logged.count("durability_bytes_written_total"));
   ASSERT_TRUE(logged.count("recovery_records_replayed"));
   EXPECT_EQ(logged.at("recovery_records_replayed"), MetricSample::kGauge);
+  // Replay on native ROI bidders plans every shard with the RHTALU planner:
+  // its work totals are live counters, and both shards say they planned
+  // logically.
+  for (const char* name : {"engine_roi_planner_probes_total",
+                           "engine_roi_planner_list_moves_total",
+                           "engine_roi_planner_triggers_fired_total",
+                           "engine_roi_planner_rebuilds_total",
+                           "engine_shard_logical_plans_total"}) {
+    ASSERT_TRUE(logged.count(name)) << name;
+    EXPECT_EQ(logged.at(name), MetricSample::kCounter) << name;
+    EXPECT_GT(value_of(with_log, name), 0.0) << name;
+  }
+  EXPECT_EQ(value_of(with_log, "engine_shard_logical_plans_total"), 2 * 40.0);
   std::remove(log_path.c_str());
 }
 

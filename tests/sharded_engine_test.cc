@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "auction/sharded_engine.h"
+#include "forwarding_strategy.h"
 #include "reference_engine.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
@@ -258,11 +259,13 @@ TEST(ShardedEngineTest, ShardPartitionCoversPopulationOnce) {
 
 TEST(ShardedEngineTest, PerShardCachesHitOnStableBids) {
   // ROI strategies mostly re-emit unchanged tables; each shard's private
-  // cache must absorb its own population's lookups.
+  // cache must absorb its own population's lookups. Native ROI shards plan
+  // logically and never look the cache up, so the bidders run behind the
+  // forwarding wrapper, which keeps them on the brute-force path.
   Workload w = MakePaperWorkload(SmallConfig(43));
   ShardedEngineConfig config;
   config.num_shards = 4;
-  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
+  ShardedAuctionEngine engine(config, w, Forwarded(RoiStrategies(w)));
   const int auctions = 30;
   for (int t = 0; t < auctions; ++t) engine.RunAuction();
   EXPECT_EQ(engine.cache_hits() + engine.cache_misses(),
@@ -314,10 +317,12 @@ TEST(ShardedEngineTest, CompiledBidsCacheHitsOnStableTables) {
 TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
   // ROI bidders move their bids between auctions; the fingerprint cache
   // must recompile exactly those tables (and the trajectory must match the
-  // always-recompile reference, which ShardedEquivalenceTest covers).
+  // always-recompile reference, which ShardedEquivalenceTest covers). The
+  // forwarding wrapper keeps the bidders on the brute-force path.
   Workload workload = MakePaperWorkload(SmallConfig(43));
   ShardedEngineConfig config;
-  ShardedAuctionEngine engine(config, workload, RoiStrategies(workload));
+  ShardedAuctionEngine engine(config, workload,
+                              Forwarded(RoiStrategies(workload)));
   for (int t = 0; t < 50; ++t) engine.RunAuction();
   const int64_t lookups = engine.cache_hits() + engine.cache_misses();
   const int n = workload.config.num_advertisers;

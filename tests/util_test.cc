@@ -9,7 +9,6 @@
 
 #include "util/epoch.h"
 #include "util/rng.h"
-#include "util/sorted_list.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -97,36 +96,6 @@ TEST(StatusOrTest, ValueAndStatus) {
   StatusOr<int> bad(Status::NotFound("nope"));
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
-}
-
-TEST(SortedKeyListTest, KeepsDescendingOrder) {
-  SortedKeyList list;
-  list.Insert(1, 5.0);
-  list.Insert(2, 9.0);
-  list.Insert(3, 7.0);
-  list.Insert(4, 7.0);  // tie: id ascending
-  ASSERT_EQ(list.size(), 4u);
-  EXPECT_EQ(list.At(0).id, 2);
-  EXPECT_EQ(list.At(1).id, 3);
-  EXPECT_EQ(list.At(2).id, 4);
-  EXPECT_EQ(list.At(3).id, 1);
-}
-
-TEST(SortedKeyListTest, EraseExactEntry) {
-  SortedKeyList list;
-  list.Insert(1, 5.0);
-  list.Insert(2, 5.0);
-  list.Erase(1, 5.0);
-  ASSERT_EQ(list.size(), 1u);
-  EXPECT_EQ(list.Top().id, 2);
-}
-
-TEST(SortedKeyListTest, AssignSortedBulk) {
-  SortedKeyList list;
-  list.AssignSorted({{3.0, 7}, {2.0, 1}, {2.0, 5}});
-  EXPECT_EQ(list.size(), 3u);
-  EXPECT_EQ(list.Top().id, 7);
-  EXPECT_EQ(list.Bottom().id, 5);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
