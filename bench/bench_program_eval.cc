@@ -7,9 +7,15 @@
 // over 1,000 program bidders: 10 keywords whose formulas cycle Click /
 // Click & Slot1 / Purchase, every strategy bidding on each query in turn
 // (so each MakeBids touches a cold strategy, as in a real capture).
-// BM_ProgramCreate is the one-off set-up cost per program: parse, compile
-// and private-table construction.
+// It also reports the heap bytes each of those strategies holds (glibc
+// only). BM_ProgramCreate is the one-off set-up cost per program in such a
+// population: strategies of one source share one compiled plan, so a
+// Create() finds the plan and only builds the private tables.
+// BM_ProgramParseOnly is what a source seen for the first time adds.
+// BM_ProgramPeekBids is the read-only bid computation follower reads and
+// what-if auctions use.
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,8 +27,23 @@
 #include "strategy/roi_strategy.h"
 #include "util/rng.h"
 
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define SSA_HAVE_MALLINFO2 1
+#endif
+
 namespace ssa {
 namespace {
+
+/// Bytes currently allocated on the heap; 0 where glibc cannot say.
+size_t HeapInUse() {
+#ifdef SSA_HAVE_MALLINFO2
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
 
 constexpr const char kEqualizeRoi[] = R"sql(
 CREATE TRIGGER bid AFTER INSERT ON Query
@@ -118,11 +139,15 @@ void BM_HarnessShapedPrograms(benchmark::State& state) {
   const Workload workload = MakePaperWorkload(wc);
   const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();
   std::vector<std::unique_ptr<ProgramStrategy>> strategies;
+  strategies.reserve(kStrategies);
+  const size_t heap_before = HeapInUse();
   for (int i = 0; i < kStrategies; ++i) {
     auto strategy = ProgramStrategy::Create(kEqualizeRoi, specs);
     SSA_CHECK(strategy.ok());
     strategies.push_back(*std::move(strategy));
   }
+  state.counters["heap_bytes_per_strategy"] =
+      static_cast<double>(HeapInUse() - heap_before) / kStrategies;
   Rng rng(1);
   BidsTable bids;
   int64_t t = 0;
@@ -143,12 +168,30 @@ BENCHMARK(BM_HarnessShapedPrograms);
 
 void BM_ProgramCreate(benchmark::State& state) {
   const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();
+  // A live strategy of the same source, as in a population.
+  auto resident = ProgramStrategy::Create(kEqualizeRoi, specs);
+  SSA_CHECK(resident.ok());
   for (auto _ : state) {
     auto strategy = ProgramStrategy::Create(kEqualizeRoi, specs);
     benchmark::DoNotOptimize(strategy);
   }
 }
 BENCHMARK(BM_ProgramCreate);
+
+void BM_ProgramPeekBids(benchmark::State& state) {
+  Rng rng(1);
+  const AdvertiserAccount account = MakeAccount(rng);
+  auto strategy = ProgramStrategy::Create(kEqualizeRoi, HarnessKeywords());
+  SSA_CHECK(strategy.ok());
+  BidsTable bids;
+  int64_t t = 0;
+  for (auto _ : state) {
+    bids.Clear();
+    (*strategy)->PeekBids(MakeQuery(rng, ++t), account, &bids);
+    benchmark::DoNotOptimize(bids);
+  }
+}
+BENCHMARK(BM_ProgramPeekBids);
 
 void BM_ProgramParseOnly(benchmark::State& state) {
   for (auto _ : state) {

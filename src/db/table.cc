@@ -6,8 +6,10 @@
 namespace ssa {
 
 Table::Table(std::string name, std::vector<std::string> column_names)
-    : name_(std::move(name)), column_names_(std::move(column_names)) {
-  SSA_CHECK(!column_names_.empty());
+    : name_(std::move(name)),
+      column_names_(std::move(column_names)),
+      num_columns_(static_cast<int>(column_names_.size())) {
+  SSA_CHECK(num_columns_ > 0);
 }
 
 int Table::ColumnIndex(const std::string& column) const {
@@ -28,6 +30,7 @@ void Table::InsertRow(std::vector<Value> values) {
   SSA_CHECK(values.size() == column_names_.size());
   cells_.insert(cells_.end(), std::make_move_iterator(values.begin()),
                 std::make_move_iterator(values.end()));
+  ++num_rows_;
 }
 
 const Value& Table::At(int row, int col) const {
@@ -38,16 +41,6 @@ const Value& Table::At(int row, int col) const {
 void Table::Set(int row, int col, Value v) {
   SSA_CHECK(col >= 0 && col < num_columns());
   MutableRow(row)[col] = std::move(v);
-}
-
-const Value* Table::Row(int row) const {
-  SSA_CHECK(row >= 0 && row < num_rows());
-  return cells_.data() + static_cast<size_t>(row) * column_names_.size();
-}
-
-Value* Table::MutableRow(int row) {
-  SSA_CHECK(row >= 0 && row < num_rows());
-  return cells_.data() + static_cast<size_t>(row) * column_names_.size();
 }
 
 Table* Database::AddTable(std::string name,

@@ -20,10 +20,8 @@ class Table {
   Table(std::string name, std::vector<std::string> column_names);
 
   const std::string& name() const { return name_; }
-  int num_columns() const { return static_cast<int>(column_names_.size()); }
-  int num_rows() const {
-    return static_cast<int>(cells_.size() / column_names_.size());
-  }
+  int num_columns() const { return num_columns_; }
+  int num_rows() const { return num_rows_; }
   const std::vector<std::string>& column_names() const {
     return column_names_;
   }
@@ -37,15 +35,24 @@ class Table {
   /// Appends a row; the value count must match the schema.
   void InsertRow(std::vector<Value> values);
   /// Deletes all rows.
-  void Clear() { cells_.clear(); }
+  void Clear() {
+    cells_.clear();
+    num_rows_ = 0;
+  }
 
   const Value& At(int row, int col) const;
   void Set(int row, int col, Value v);
 
   /// The `num_columns()` cells of one row, contiguous. The pointer stays
   /// valid until the next InsertRow or Clear.
-  const Value* Row(int row) const;
-  Value* MutableRow(int row);
+  const Value* Row(int row) const {
+    SSA_CHECK(row >= 0 && row < num_rows_);
+    return cells_.data() + static_cast<size_t>(row) * num_columns_;
+  }
+  Value* MutableRow(int row) {
+    SSA_CHECK(row >= 0 && row < num_rows_);
+    return cells_.data() + static_cast<size_t>(row) * num_columns_;
+  }
 
   const Value& At(int row, const std::string& column) const {
     return At(row, MustColumn(column));
@@ -59,7 +66,9 @@ class Table {
 
   std::string name_;
   std::vector<std::string> column_names_;
-  std::vector<Value> cells_;  // row-major, num_columns() per row
+  int num_columns_;
+  int num_rows_ = 0;
+  std::vector<Value> cells_;  // row-major, num_columns_ per row
 };
 
 /// Named-table catalog: one per bidding program (its private tables) plus

@@ -10,16 +10,17 @@ std::string Value::ToString() const {
     case Type::kNull:
       return "NULL";
     case Type::kString:
-      return "'" + string_ + "'";
+      return "'" + str() + "'";
     case Type::kNumber: {
-      if (number_ == std::floor(number_) && std::abs(number_) < 1e15) {
+      const double v = payload_.number;
+      if (v == std::floor(v) && std::abs(v) < 1e15) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
+                      static_cast<long long>(v));
         return buf;
       }
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", number_);
+      std::snprintf(buf, sizeof(buf), "%g", v);
       return buf;
     }
   }

@@ -1,7 +1,10 @@
 #ifndef SSA_DB_VALUE_H_
 #define SSA_DB_VALUE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "util/common.h"
 
@@ -9,23 +12,52 @@ namespace ssa {
 
 /// A scalar cell value in the bidding-program tables: a number, a string
 /// (keyword text, bid-formula text) or NULL (empty-set aggregates).
+///
+/// 16 bytes: a type tag and a union of the number and a handle to an
+/// immutable, reference-counted string. Number and NULL values copy as
+/// plain bytes, without touching the heap. Copying a string value shares
+/// its text and bumps an atomic count; the text is freed with its last
+/// value. Strings compare by content, never by handle.
 class Value {
  public:
-  enum class Type { kNull, kNumber, kString };
+  enum class Type : uint8_t { kNull, kNumber, kString };
 
-  Value() : type_(Type::kNull) {}
+  Value() { payload_.number = 0.0; }
+  Value(const Value& o) : type_(o.type_), payload_(o.payload_) {
+    if (is_string()) payload_.string->Ref();
+  }
+  Value(Value&& o) noexcept : type_(o.type_), payload_(o.payload_) {
+    o.type_ = Type::kNull;
+  }
+  Value& operator=(const Value& o) {
+    if (o.is_string()) o.payload_.string->Ref();
+    Release();
+    type_ = o.type_;
+    payload_ = o.payload_;
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this != &o) {
+      Release();
+      type_ = o.type_;
+      payload_ = o.payload_;
+      o.type_ = Type::kNull;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null() { return Value(); }
   static Value Number(double v) {
     Value x;
     x.type_ = Type::kNumber;
-    x.number_ = v;
+    x.payload_.number = v;
     return x;
   }
   static Value String(std::string s) {
     Value x;
     x.type_ = Type::kString;
-    x.string_ = std::move(s);
+    x.payload_.string = new StringRep(std::move(s));
     return x;
   }
   static Value Bool(bool b) { return Number(b ? 1.0 : 0.0); }
@@ -37,30 +69,53 @@ class Value {
 
   double number() const {
     SSA_CHECK_MSG(is_number(), "Value is not a number");
-    return number_;
+    return payload_.number;
   }
+  /// The text; valid while any Value holding it lives.
   const std::string& str() const {
     SSA_CHECK_MSG(is_string(), "Value is not a string");
-    return string_;
+    return payload_.string->text;
   }
 
   /// SQL-ish truthiness: non-zero number; NULL and strings are not truthy.
-  bool Truthy() const { return is_number() && number_ != 0.0; }
+  bool Truthy() const { return is_number() && payload_.number != 0.0; }
 
   /// Equality per SQL semantics-lite: NULL equals nothing (including NULL).
   bool EqualsValue(const Value& o) const {
     if (is_null() || o.is_null()) return false;
     if (type_ != o.type_) return false;
-    return is_number() ? number_ == o.number_ : string_ == o.string_;
+    return is_number() ? payload_.number == o.payload_.number
+                       : str() == o.str();
   }
 
   std::string ToString() const;
 
  private:
-  Type type_;
-  double number_ = 0.0;
-  std::string string_;
+  /// Immutable text shared by every copy of one string value.
+  struct StringRep {
+    explicit StringRep(std::string s) : text(std::move(s)) {}
+    void Ref() { refs.fetch_add(1, std::memory_order_relaxed); }
+    std::atomic<uint32_t> refs{1};
+    const std::string text;
+  };
+  union Payload {
+    double number;
+    StringRep* string;
+  };
+
+  /// Drops this value's reference to its string, if it holds one.
+  void Release() {
+    if (is_string() &&
+        payload_.string->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete payload_.string;
+    }
+  }
+
+  Type type_ = Type::kNull;
+  Payload payload_;
 };
+
+static_assert(sizeof(Value) == 16, "a table cell is a tag plus 8 bytes");
 
 }  // namespace ssa
 

@@ -1,6 +1,9 @@
 #include "strategy/program_strategy.h"
 
+#include <functional>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "core/formula_parser.h"
@@ -42,10 +45,10 @@ void EncodeTable(const Table& table, WireWriter* w) {
   }
 }
 
+/// Appends the rows of `r`'s next table to the empty `table`.
 Status DecodeTable(WireReader* r, Table* table) {
   uint32_t num_rows = 0;
   SSA_RETURN_IF_ERROR(r->GetU32(&num_rows));
-  table->Clear();
   for (uint32_t row = 0; row < num_rows; ++row) {
     std::vector<Value> values;
     values.reserve(table->num_columns());
@@ -77,6 +80,66 @@ Status DecodeTable(WireReader* r, Table* table) {
   return Status::Ok();
 }
 
+/// Adds the empty Keywords and Bids tables, in that order, to `db`.
+void AddPrivateTables(Database* db) {
+  db->AddTable("Keywords",
+               {std::begin(kKeywordsColumns), std::end(kKeywordsColumns)});
+  db->AddTable("Bids", {std::begin(kBidsColumns), std::end(kBidsColumns)});
+}
+
+using PlanPtr = std::shared_ptr<const lang::CompiledProgram>;
+
+/// The plans of live strategies, keyed by program source. Entries are weak,
+/// so a plan dies with its last strategy, and its deleter then drops the
+/// entry. The map is only touched by Create() and by those deleters; the
+/// interpreter never takes the lock.
+struct PlanRegistry {
+  std::mutex mu;
+  std::map<std::string, std::weak_ptr<const lang::CompiledProgram>,
+           std::less<>>
+      plans;
+};
+
+/// Shared ownership lets a plan outlive the registry's static (a strategy
+/// destroyed during static destruction): its deleter holds only a weak
+/// reference to the registry.
+const std::shared_ptr<PlanRegistry>& Registry() {
+  static const std::shared_ptr<PlanRegistry> registry =
+      std::make_shared<PlanRegistry>();
+  return registry;
+}
+
+PlanPtr FindPlan(std::string_view source) {
+  PlanRegistry& registry = *Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  const auto it = registry.plans.find(source);
+  return it == registry.plans.end() ? nullptr : it->second.lock();
+}
+
+/// Registers `plan` as the plan of `source`, unless another thread got
+/// there first; either way returns the registered plan.
+PlanPtr InternPlan(std::string_view source, lang::CompiledProgram plan) {
+  const std::shared_ptr<PlanRegistry>& registry = Registry();
+  std::weak_ptr<PlanRegistry> weak_registry = registry;
+  std::lock_guard<std::mutex> lock(registry->mu);
+  std::weak_ptr<const lang::CompiledProgram>& entry =
+      registry->plans[std::string(source)];
+  if (PlanPtr live = entry.lock()) return live;
+  PlanPtr interned(
+      new lang::CompiledProgram(std::move(plan)),
+      [weak_registry](const lang::CompiledProgram* dead) {
+        if (std::shared_ptr<PlanRegistry> r = weak_registry.lock()) {
+          std::lock_guard<std::mutex> lock(r->mu);
+          for (auto it = r->plans.begin(); it != r->plans.end();) {
+            it = it->second.expired() ? r->plans.erase(it) : std::next(it);
+          }
+        }
+        delete dead;
+      });
+  entry = interned;
+  return interned;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
@@ -84,46 +147,52 @@ StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
   if (keywords.empty()) {
     return Status::InvalidArgument("at least one keyword required");
   }
-  StatusOr<lang::ParsedProgram> program = lang::ParseProgram(source);
-  if (!program.ok()) return program.status();
+  PlanPtr plan = FindPlan(source);
+  if (plan == nullptr) {
+    StatusOr<lang::ParsedProgram> program = lang::ParseProgram(source);
+    if (!program.ok()) return program.status();
+    Database schema;
+    AddPrivateTables(&schema);
+    std::vector<std::string> scalars(std::begin(kScalarNames),
+                                     std::end(kScalarNames));
+    plan = InternPlan(source, lang::CompileProgram(*program, schema,
+                                                   std::move(scalars)));
+  }
   return std::unique_ptr<ProgramStrategy>(
-      new ProgramStrategy(*program, std::move(keywords)));
+      new ProgramStrategy(std::move(plan), keywords));
 }
 
-ProgramStrategy::ProgramStrategy(const lang::ParsedProgram& program,
-                                 std::vector<KeywordSpec> keywords)
-    : keywords_(std::move(keywords)) {
-  // Keywords table, one row per keyword (Figure 4 schema).
-  keywords_table_ =
-      db_.AddTable("Keywords", {std::begin(kKeywordsColumns),
-                                std::end(kKeywordsColumns)});
-  for (const KeywordSpec& spec : keywords_) {
+ProgramStrategy::ProgramStrategy(PlanPtr plan,
+                                 const std::vector<KeywordSpec>& keywords)
+    : num_keywords_(static_cast<int>(keywords.size())), plan_(std::move(plan)) {
+  AddPrivateTables(&db_);
+  keywords_table_ = db_.table(0);
+  bids_table_ = db_.table(1);
+  // Keywords table, one row per keyword (Figure 4 schema); Bids table, one
+  // row per distinct formula, value rewritten per auction. Rows with equal
+  // formula text share one string.
+  std::map<std::string, Value> formula_texts;
+  for (const KeywordSpec& spec : keywords) {
+    auto [it, inserted] =
+        formula_texts.try_emplace(spec.formula.ToString(), Value());
+    if (inserted) {
+      it->second = Value::String(it->first);
+      bids_table_->InsertRow({it->second, Value::Number(0)});
+      row_formulas_.push_back(spec.formula);
+    }
     keywords_table_->InsertRow({
         Value::String(spec.text),
-        Value::String(spec.formula.ToString()),
+        it->second,
         Value::Number(0),  // maxbid: refreshed from the account each auction
         Value::Number(0),  // roi: provider-maintained
         Value::Number(0),  // bid: program state, starts at 0
         Value::Number(0),  // relevance: per-query
     });
   }
-  // Bids table: one row per distinct formula, value rewritten per auction.
-  bids_table_ = db_.AddTable(
-      "Bids", {std::begin(kBidsColumns), std::end(kBidsColumns)});
-  for (int kw = 0; kw < keywords_table_->num_rows(); ++kw) {
-    const std::string& text = keywords_table_->At(kw, kFormula).str();
-    if (formula_rows_.find(text) == formula_rows_.end()) {
-      formula_rows_[text] = bids_table_->num_rows();
-      bids_table_->InsertRow({Value::String(text), Value::Number(0)});
-      row_formulas_.push_back(keywords_[kw].formula);
-    }
-  }
-  plan_ = lang::CompileProgram(
-      program, db_, {std::begin(kScalarNames), std::end(kScalarNames)});
-  query_event_ = plan_.FindEvent("Query");
-  slot_event_ = plan_.FindEvent("Slot");
-  click_event_ = plan_.FindEvent("Click");
-  purchase_event_ = plan_.FindEvent("Purchase");
+  query_event_ = plan_->FindEvent("Query");
+  slot_event_ = plan_->FindEvent("Slot");
+  click_event_ = plan_->FindEvent("Click");
+  purchase_event_ = plan_->FindEvent("Purchase");
 }
 
 void ProgramStrategy::Fire(int event, const Query& query,
@@ -138,19 +207,18 @@ void ProgramStrategy::Fire(int event, const Query& query,
   scalars[kQueryKeyword] = static_cast<double>(query.keyword);
   scalars[kWonSlot] = won_slot;
   const Status status =
-      lang::Interpreter::Fire(plan_, event, &db_, scalars, kNumScalars);
+      lang::Interpreter::Fire(*plan_, event, &db_, scalars, kNumScalars);
   SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
 
 void ProgramStrategy::MakeBids(const Query& query,
                                const AdvertiserAccount& account,
                                BidsTable* bids) {
-  const int num_keywords = static_cast<int>(keywords_.size());
-  SSA_CHECK(account.num_keywords() == num_keywords);
-  SSA_CHECK(static_cast<int>(query.relevance.size()) == num_keywords);
+  SSA_CHECK(account.num_keywords() == num_keywords_);
+  SSA_CHECK(static_cast<int>(query.relevance.size()) == num_keywords_);
 
   // Refresh the provider-maintained columns.
-  for (int kw = 0; kw < num_keywords; ++kw) {
+  for (int kw = 0; kw < num_keywords_; ++kw) {
     Value* row = keywords_table_->MutableRow(kw);
     row[kMaxBid] = Value::Number(account.max_bid[kw]);
     row[kRoi] = Value::Number(account.Roi(kw));
@@ -166,6 +234,17 @@ void ProgramStrategy::MakeBids(const Query& query,
     const Money value = v.is_number() ? v.number() : 0.0;
     bids->AddBid(row_formulas_[row], value < 0 ? 0 : value);
   }
+}
+
+void ProgramStrategy::PeekBids(const Query& query,
+                               const AdvertiserAccount& account,
+                               BidsTable* bids) const {
+  auto* self = const_cast<ProgramStrategy*>(this);
+  Table keywords = *keywords_table_;
+  Table bid_rows = *bids_table_;
+  self->MakeBids(query, account, bids);
+  std::swap(*self->keywords_table_, keywords);
+  std::swap(*self->bids_table_, bid_rows);
 }
 
 void ProgramStrategy::OnOutcome(const Query& query,
@@ -184,33 +263,38 @@ void ProgramStrategy::SaveState(std::string* out) const {
 }
 
 Status ProgramStrategy::RestoreState(std::string_view blob) {
+  // Decode and check everything into locals; commit only on success.
+  Table keywords(keywords_table_->name(), keywords_table_->column_names());
+  Table bid_rows(bids_table_->name(), bids_table_->column_names());
   WireReader r(blob);
-  SSA_RETURN_IF_ERROR(DecodeTable(&r, keywords_table_));
-  SSA_RETURN_IF_ERROR(DecodeTable(&r, bids_table_));
+  SSA_RETURN_IF_ERROR(DecodeTable(&r, &keywords));
+  SSA_RETURN_IF_ERROR(DecodeTable(&r, &bid_rows));
   if (r.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes in ProgramStrategy state");
   }
-  if (keywords_table_->num_rows() != static_cast<int>(keywords_.size())) {
+  if (keywords.num_rows() != num_keywords_) {
     return Status::InvalidArgument(
         "ProgramStrategy state has wrong keyword count");
   }
-  formula_rows_.clear();
-  row_formulas_.clear();
-  for (int row = 0; row < bids_table_->num_rows(); ++row) {
-    const Value& cell = bids_table_->At(row, kBidsFormula);
+  std::vector<Formula> row_formulas;
+  row_formulas.reserve(bid_rows.num_rows());
+  for (int row = 0; row < bid_rows.num_rows(); ++row) {
+    const Value& cell = bid_rows.At(row, kBidsFormula);
     if (!cell.is_string()) {
       return Status::InvalidArgument("Bids formula cell is not a string");
     }
     StatusOr<Formula> formula = ParseFormula(cell.str());
     if (!formula.ok()) return formula.status();
-    formula_rows_[cell.str()] = row;
-    row_formulas_.push_back(*std::move(formula));
+    row_formulas.push_back(*std::move(formula));
   }
+  *keywords_table_ = std::move(keywords);
+  *bids_table_ = std::move(bid_rows);
+  row_formulas_ = std::move(row_formulas);
   return Status::Ok();
 }
 
 Money ProgramStrategy::TentativeBid(int kw) const {
-  SSA_CHECK(kw >= 0 && kw < static_cast<int>(keywords_.size()));
+  SSA_CHECK(kw >= 0 && kw < num_keywords_);
   return keywords_table_->At(kw, kBid).number();
 }
 

@@ -1,7 +1,6 @@
 #ifndef SSA_STRATEGY_PROGRAM_STRATEGY_H_
 #define SSA_STRATEGY_PROGRAM_STRATEGY_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,17 +29,23 @@ namespace ssa {
 /// behaviorally identical to the native RoiStrategy — the
 /// `lang_equivalence_test` locks that in.
 ///
-/// The program is compiled once, in Create(), against the two tables and
-/// the scalars above; the strategy keeps only the compiled plan. Syntax
-/// errors fail Create(). Name errors do not: an unknown table, column or
-/// variable compiles into a node that fails when it is first evaluated
-/// (MakeBids / OnOutcome then abort with the language's error message), so
-/// a bad name in a branch that never runs is harmless, as it always was.
-/// Type errors (arithmetic on strings, aggregates over a string column)
-/// likewise surface only when executed. The plan is never written after
-/// Create(), so running one strategy on different threads from one auction
-/// to the next needs no more than the happens-before edge the engine
-/// already provides between its captures.
+/// The program is compiled against the two tables and the scalars above,
+/// which are the same for every ProgramStrategy, so the source text alone
+/// determines the compiled plan. Strategies created from one source share
+/// one plan through a process-wide registry keyed by the source: only the
+/// first Create() of a source parses and compiles it. The registry holds
+/// weak references, so a plan is freed with the last strategy running it.
+/// Syntax errors fail Create(). Name errors do not: an unknown table,
+/// column or variable compiles into a node that fails when it is first
+/// evaluated (MakeBids / OnOutcome then abort with the language's error
+/// message), so a bad name in a branch that never runs is harmless, as it
+/// always was. Type errors (arithmetic on strings, aggregates over a string
+/// column) likewise surface only when executed. A plan is never written
+/// after it is compiled and every run keeps its state on the executor's
+/// stack, so strategies sharing a plan may run on different threads at
+/// once; one strategy running on different threads from one auction to the
+/// next needs no more than the happens-before edge the engine already
+/// provides between its captures.
 class ProgramStrategy : public BiddingStrategy {
  public:
   /// Keyword metadata: display text and the bid formula per keyword.
@@ -49,14 +54,21 @@ class ProgramStrategy : public BiddingStrategy {
     Formula formula;
   };
 
-  /// Parses and compiles `source` and sets up the private tables. Returns
-  /// an error on parse failure; name and type errors surface at first
-  /// execution (see above).
+  /// Takes the plan of `source` from the registry, parsing and compiling
+  /// it only when no live strategy runs that source, and sets up the
+  /// private tables. Returns an error on parse failure; name and type
+  /// errors surface at first execution (see above). Thread-safe.
   static StatusOr<std::unique_ptr<ProgramStrategy>> Create(
       std::string_view source, std::vector<KeywordSpec> keywords);
 
   void MakeBids(const Query& query, const AdvertiserAccount& account,
                 BidsTable* bids) override;
+
+  /// MakeBids on copies of the two private tables, which then replace the
+  /// mutated ones: the same bids, and the state is left as it was. Same
+  /// threading rule as the default.
+  void PeekBids(const Query& query, const AdvertiserAccount& account,
+                BidsTable* bids) const override;
 
   /// Section II-B notification triggers: receiving a slot fires AFTER
   /// INSERT ON Slot; a click fires AFTER INSERT ON Click; a purchase fires
@@ -67,33 +79,38 @@ class ProgramStrategy : public BiddingStrategy {
 
   /// Checkpoint hooks: the full contents of the private Keywords and Bids
   /// tables (programs may mutate any cell, and the `bid` column is
-  /// long-lived state). Restore rebuilds the formula-row index from the
-  /// serialized Bids rows, so programs that inserted new formula rows
-  /// round-trip too.
+  /// long-lived state). Restore re-parses the bid formula of every
+  /// serialized Bids row. It decodes and checks the whole blob (framing,
+  /// keyword count, formula cells) before it changes anything, so a failed
+  /// restore leaves the strategy exactly as it was.
   void SaveState(std::string* out) const override;
   Status RestoreState(std::string_view blob) override;
 
   /// Current tentative bid column (for tests).
   Money TentativeBid(int kw) const;
 
+  /// The compiled plan this strategy runs, shared with every live strategy
+  /// created from the same source (for tests).
+  const std::shared_ptr<const lang::CompiledProgram>& plan() const {
+    return plan_;
+  }
+
  private:
-  ProgramStrategy(const lang::ParsedProgram& program,
-                  std::vector<KeywordSpec> keywords);
+  ProgramStrategy(std::shared_ptr<const lang::CompiledProgram> plan,
+                  const std::vector<KeywordSpec>& keywords);
 
   /// Fires the plan's triggers on `event` (an index from FindEvent),
   /// aborting on a program error.
   void Fire(int event, const Query& query, const AdvertiserAccount& account,
             std::optional<double> won_slot);
 
-  std::vector<KeywordSpec> keywords_;
+  int num_keywords_;
   Database db_;
   Table* keywords_table_ = nullptr;
   Table* bids_table_ = nullptr;
-  /// Row index in bids_table_ for each distinct formula string.
-  std::map<std::string, int> formula_rows_;
   /// Parsed Formula per bids_table_ row.
   std::vector<Formula> row_formulas_;
-  lang::CompiledProgram plan_;
+  std::shared_ptr<const lang::CompiledProgram> plan_;
   /// FindEvent results for the Query, Slot, Click and Purchase triggers.
   int query_event_ = -1;
   int slot_event_ = -1;

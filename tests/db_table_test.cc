@@ -1,3 +1,5 @@
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "db/table.h"
@@ -32,6 +34,34 @@ TEST(ValueTest, EqualitySemantics) {
   EXPECT_FALSE(Value::Null().EqualsValue(Value::Number(0)));
 }
 
+// A table cell is a type tag plus one 8-byte payload.
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte cell");
+
+TEST(ValueTest, CopiesShareStringTextAndCompareByContent) {
+  Value a = Value::String("Click & Slot1");
+  Value b = a;  // shares a's text
+  EXPECT_EQ(&a.str(), &b.str());
+  const Value c = Value::String("Click & Slot1");  // equal text, own copy
+  EXPECT_NE(&a.str(), &c.str());
+  EXPECT_TRUE(a.EqualsValue(c));
+
+  // Overwriting one copy leaves the other intact.
+  a = Value::Number(7);
+  EXPECT_DOUBLE_EQ(a.number(), 7);
+  EXPECT_EQ(b.str(), "Click & Slot1");
+  b = c;
+  EXPECT_EQ(&b.str(), &c.str());
+  const Value& alias = b;
+  b = alias;  // self-assignment keeps the text alive
+  EXPECT_EQ(b.str(), "Click & Slot1");
+
+  Value moved = std::move(b);
+  EXPECT_TRUE(b.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&moved.str(), &c.str());
+  moved = Value::Null();
+  EXPECT_EQ(c.str(), "Click & Slot1");
+}
+
 TEST(ValueTest, ToStringForms) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Number(42).ToString(), "42");
@@ -58,6 +88,23 @@ TEST(TableTest, SchemaAndRows) {
   t.Clear();
   EXPECT_EQ(t.num_rows(), 0);
   EXPECT_EQ(t.num_columns(), 2);  // schema survives
+}
+
+TEST(TableTest, RowsAreContiguousAndCopiesAreIndependent) {
+  Table t("Bids", {"formula", "value"});
+  t.InsertRow({Value::String("Click"), Value::Number(1)});
+  t.InsertRow({Value::String("Purchase"), Value::Number(2)});
+  EXPECT_EQ(t.Row(1), t.Row(0) + t.num_columns());
+  t.MutableRow(1)[1] = Value::Number(5);
+  EXPECT_DOUBLE_EQ(t.At(1, "value").number(), 5);
+
+  Table copy = t;
+  copy.Set(0, "value", Value::Number(9));
+  copy.InsertRow({Value::String("Click"), Value::Number(3)});
+  EXPECT_EQ(copy.num_rows(), 3);
+  EXPECT_EQ(t.num_rows(), 2);
+  EXPECT_DOUBLE_EQ(t.At(0, "value").number(), 1);
+  EXPECT_EQ(t.At(0, "formula").str(), "Click");
 }
 
 TEST(DatabaseTest, CatalogLookup) {

@@ -218,9 +218,10 @@ std::vector<std::unique_ptr<BiddingStrategy>> ProgramStrategies(
 TEST(ShardedEngineTest, PooledProgramStrategiesMatchSerialBitwise) {
   // Interpreted programs captured by 2 shards on a 2-thread pool: a
   // strategy's MakeBids runs on whichever pool thread picks up its shard,
-  // so from one auction to the next it moves between threads. Its compiled
-  // plan must hold no run state, or values go stale (and TSan, which runs
-  // this suite, flags the race).
+  // so from one auction to the next it moves between threads. All the
+  // strategies share one compiled plan (same source), which both pool
+  // threads run at once: the plan must hold no run state, or values go
+  // stale (and TSan, which runs this suite, flags the race).
   WorkloadConfig wc = SmallConfig(67);
   wc.num_keywords = 6;
   wc.purchase_given_click = 0.5;
