@@ -72,7 +72,6 @@ ServeSetup MakeServer(int n, int shards, int batch, ServingMode mode,
   config.queue_capacity = 1024;
   config.backpressure = policy;
   config.max_batch_size = batch;
-  config.batch_deadline = microseconds(200);
   config.mode = mode;
   config.num_plan_lanes = lanes;
   config.obs.metrics = metrics;

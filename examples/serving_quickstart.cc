@@ -83,22 +83,26 @@ int main() {
   config.engine.engine.seed = 7;
   config.mode = ServingMode::kBatchedSettlement;
   config.max_batch_size = 16;
+  config.queue_capacity = kQueries;  // room to admit the whole stream
   config.num_plan_lanes = kLanes;
   // Observability: metrics are on by default; trace every query (production
   // would use sample_every = 64 — same spans, 1/64th of the queries).
   config.obs.trace.sample_every = 1;
 
   AuctionServer server(config, std::move(workload), std::move(strategies));
+
+  // --- 2. Produce. Submit() is thread-safe and may run before Start().
+  // Batched settlement's values depend on the batch composition, and the
+  // executor never waits for batch-mates: it takes whatever is queued.
+  // Admitting the whole stream before Start() makes every batch a full 16
+  // queries, so the run is reproducible.
+  QueryGenerator queries(workload_config.num_keywords, 7);
+  for (int i = 0; i < kQueries; ++i) server.Submit(queries.Next());
   const Status started = server.Start();
   if (!started.ok()) {
     std::printf("server failed to start: %s\n", started.message().c_str());
     return 1;
   }
-
-  // --- 2. Produce. Submit() is thread-safe; with the default kBlock
-  // backpressure an over-fast producer simply waits for queue space.
-  QueryGenerator queries(workload_config.num_keywords, 7);
-  for (int i = 0; i < kQueries; ++i) server.Submit(queries.Next());
   server.Stop();  // drains all admitted requests, then joins the executor
 
   // --- 3. Report.

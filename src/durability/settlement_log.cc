@@ -15,6 +15,10 @@ namespace {
 /// Frames larger than this are treated as corruption: no auction encodes to
 /// gigabytes, and an insane length prefix must not drive a giant allocation.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
+/// Encoded size of one winner and of one UserEvent (advertiser, slot,
+/// clicked, purchased, charged).
+constexpr size_t kWinnerBytes = 4;
+constexpr size_t kEventBytes = 4 + 4 + 1 + 1 + 8;
 
 void EncodePayload(const SettlementRecord& record, std::string* out) {
   WireWriter w(out);
@@ -44,14 +48,22 @@ Status DecodePayload(std::string_view payload, SettlementRecord* record) {
   SSA_RETURN_IF_ERROR(r.GetI32(&record->query.keyword));
   SSA_RETURN_IF_ERROR(r.GetI64(&record->query.time));
   SSA_RETURN_IF_ERROR(r.GetDoubleVector(&record->query.relevance));
+  // A count is checked against the bytes left before anything is sized by
+  // it: a forged count must not drive a giant allocation.
   uint32_t n = 0;
   SSA_RETURN_IF_ERROR(r.GetU32(&n));
+  if (n > r.remaining() / kWinnerBytes) {
+    return Status::InvalidArgument("short read: winner list");
+  }
   record->winners.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     SSA_RETURN_IF_ERROR(r.GetI32(&record->winners[i]));
   }
   SSA_RETURN_IF_ERROR(r.GetDoubleVector(&record->prices));
   SSA_RETURN_IF_ERROR(r.GetU32(&n));
+  if (n > r.remaining() / kEventBytes) {
+    return Status::InvalidArgument("short read: event list");
+  }
   record->events.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     UserEvent& e = record->events[i];

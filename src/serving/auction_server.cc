@@ -9,11 +9,17 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// Non-negative elapsed microseconds between two steady-clock points.
+/// Elapsed microseconds between two steady-clock points, as the difference
+/// of their whole-microsecond timestamps (not the truncated difference), so
+/// consecutive stages telescope: queue wait + auction + settlement equals
+/// end-to-end exactly when they share their boundary points.
 uint64_t ElapsedUs(SteadyClock::time_point from, SteadyClock::time_point to) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from).count();
-  return us > 0 ? static_cast<uint64_t>(us) : 0;
+  const auto us = [](SteadyClock::time_point tp) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               tp.time_since_epoch())
+        .count();
+  };
+  return us(to) > us(from) ? static_cast<uint64_t>(us(to) - us(from)) : 0;
 }
 
 /// Steady-clock point as absolute nanoseconds — the tracer's time base
@@ -396,8 +402,8 @@ void AuctionServer::ExecutorLoop() {
   std::vector<ServingRequest> batch;
   for (;;) {
     batch.clear();
-    if (!queue_.PopBatch(&batch, static_cast<size_t>(config_.max_batch_size),
-                         config_.batch_deadline)) {
+    if (!queue_.PopBatch(&batch,
+                         static_cast<size_t>(config_.max_batch_size))) {
       return;  // closed and drained
     }
     // Batch envelope span, stamped with the batch's first sampled query (a
@@ -424,15 +430,16 @@ void AuctionServer::ExecutorLoop() {
   }
 }
 
-void AuctionServer::RunBatch(std::vector<ServingRequest>* batch) {
-  const auto popped_at = SteadyClock::now();
-  for (const ServingRequest& r : *batch) {
-    queue_wait_us_.Record(ElapsedUs(r.admitted_at, popped_at));
-    if (tracer_ != nullptr && r.trace_seq != 0) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kQueueWait, /*track=*/0,
-                          ToNs(r.admitted_at), ToNs(popped_at));
-    }
+void AuctionServer::RecordQueueWait(const ServingRequest& r,
+                                    SteadyClock::time_point started_at) {
+  queue_wait_us_.Record(ElapsedUs(r.admitted_at, started_at));
+  if (tracer_ != nullptr && r.trace_seq != 0) {
+    tracer_->RecordSpan(r.trace_seq, TraceStage::kQueueWait, /*track=*/0,
+                        ToNs(r.admitted_at), ToNs(started_at));
   }
+}
+
+void AuctionServer::RunBatch(std::vector<ServingRequest>* batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (batch_size_hist_ != nullptr) batch_size_hist_->Record(batch->size());
 
@@ -442,37 +449,36 @@ void AuctionServer::RunBatch(std::vector<ServingRequest>* batch) {
   }
   // Replay: plan+settle interleaved per query on this thread. Batch
   // boundaries group work but never reorder it, so the trajectory equals
-  // the serial engine loop.
+  // the serial engine loop. Each request's stages share boundary points
+  // (started, planned, settled), so its queue wait, auction and settlement
+  // add up to its end-to-end time.
   plans_.resize(1);
-  WallTimer timer;
   for (const ServingRequest& r : *batch) {
-    const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-    timer.Reset();
-    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+    const auto started_at = SteadyClock::now();
+    RecordQueueWait(r, started_at);
     engine_.PlanAuction(r.query, &plans_[0], r.trace_seq);
-    if (traced) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kPlan, /*track=*/0, t0,
-                          Tracer::NowNs());
+    const auto planned_at = SteadyClock::now();
+    if (tracer_ != nullptr && r.trace_seq != 0) {
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kPlan, /*track=*/0,
+                          ToNs(started_at), ToNs(planned_at));
     }
-    SettleSlot(r, &plans_[0],
-               static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
+    SettleSlot(r, &plans_[0], ElapsedUs(started_at, planned_at), planned_at);
   }
 }
 
 void AuctionServer::SettleSlot(const ServingRequest& r,
                                ShardedAuctionEngine::PlannedAuction* plan,
-                               uint64_t plan_us) {
+                               uint64_t plan_us,
+                               SteadyClock::time_point settle_from) {
   const bool traced = tracer_ != nullptr && r.trace_seq != 0;
   auction_us_.Record(plan_us);
-  WallTimer timer;
-  const uint64_t t0 = traced ? Tracer::NowNs() : 0;
   const AuctionOutcome& outcome = engine_.SettlePlanned(plan);
   LogSettlement(outcome, r.trace_seq);
-  settlement_us_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1e3));
   const auto settled_at = SteadyClock::now();
+  settlement_us_.Record(ElapsedUs(settle_from, settled_at));
   if (traced) {
-    tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0, t0,
-                        ToNs(settled_at));
+    tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0,
+                        ToNs(settle_from), ToNs(settled_at));
     tracer_->RecordSpan(r.trace_seq, TraceStage::kQuery, /*track=*/0,
                         ToNs(r.admitted_at), ToNs(settled_at));
   }
@@ -523,15 +529,15 @@ void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
   // while lanes still plan slots j > i.
   for (size_t i = 0; i < b; ++i) {
     const ServingRequest& r = (*batch)[i];
-    const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-    WallTimer timer;
-    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+    const auto started_at = SteadyClock::now();
+    RecordQueueWait(r, started_at);
     engine_.CaptureBids(r.query, &captures_[i], r.trace_seq);
-    if (traced) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kCapture, /*track=*/0, t0,
-                          Tracer::NowNs());
+    const auto captured_at = SteadyClock::now();
+    if (tracer_ != nullptr && r.trace_seq != 0) {
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kCapture, /*track=*/0,
+                          ToNs(started_at), ToNs(captured_at));
     }
-    capture_us_[i] = static_cast<uint64_t>(timer.ElapsedMillis() * 1e3);
+    capture_us_[i] = ElapsedUs(started_at, captured_at);
     lane_pool_->Dispatch(static_cast<int64_t>(i));
   }
   for (size_t i = 0; i < b; ++i) {
@@ -539,23 +545,20 @@ void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
     const bool traced = tracer_ != nullptr && r.trace_seq != 0;
     // AwaitReady's blocked time is charged to the lane that planned the
     // slot (slot_lane_, published by MarkReady).
-    const bool timed = traced || !lane_barrier_wait_us_.empty();
-    const uint64_t t0 = timed ? Tracer::NowNs() : 0;
+    const auto wait_from = SteadyClock::now();
     settle_barrier_.AwaitReady(static_cast<int64_t>(i));
-    if (timed) {
-      const uint64_t t1 = Tracer::NowNs();
-      if (traced) {
-        tracer_->RecordSpan(r.trace_seq, TraceStage::kBarrierWait,
-                            /*track=*/0, t0, t1);
-      }
-      if (!lane_barrier_wait_us_.empty()) {
-        lane_barrier_wait_us_[static_cast<size_t>(slot_lane_[i])]->Record(
-            (t1 - t0) / 1000);
-      }
+    const auto ready_at = SteadyClock::now();
+    if (traced) {
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kBarrierWait, /*track=*/0,
+                          ToNs(wait_from), ToNs(ready_at));
+    }
+    if (!lane_barrier_wait_us_.empty()) {
+      lane_barrier_wait_us_[static_cast<size_t>(slot_lane_[i])]->Record(
+          ElapsedUs(wait_from, ready_at));
     }
     // auction_us spans both planning halves: the executor's capture plus
     // the lane's pure plan.
-    SettleSlot(r, &plans_[i], capture_us_[i] + plan_us_[i]);
+    SettleSlot(r, &plans_[i], capture_us_[i] + plan_us_[i], ready_at);
   }
   epoch_batch_ = nullptr;
 }

@@ -26,10 +26,10 @@ namespace ssa {
 enum class ServingMode {
   /// Plan and settle each query before planning the next, all on the
   /// executor thread. Given a fixed arrival order this reproduces the serial
-  /// engine loop *bitwise* — for any batch size, batch deadline, shard
-  /// count, or pool — because batch boundaries only group work, never
-  /// reorder it (serving_test pins this against the test-only serial
-  /// reference engine).
+  /// engine loop *bitwise* — for any batch size, shard count, or pool —
+  /// because batch boundaries only group work, never reorder it
+  /// (serving_test pins this against the test-only serial reference
+  /// engine).
   kDeterministicReplay,
   /// Plan the whole batch against batch-start account state, then settle in
   /// arrival order. Planning runs on the planning-lane pipeline
@@ -96,11 +96,10 @@ struct ServerConfig {
   /// Ingestion bound (one mutex-guarded BoundedQueue).
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Micro-batch triggers: a batch closes when it holds `max_batch_size`
-  /// requests or `batch_deadline` has elapsed since its first request was
-  /// popped, whichever comes first.
+  /// Micro-batch cap. The executor never waits to fill a batch: it takes
+  /// the first request as soon as one is queued, plus whatever else is
+  /// already waiting, up to `max_batch_size` requests.
   int max_batch_size = 16;
-  std::chrono::microseconds batch_deadline{200};
   ServingMode mode = ServingMode::kDeterministicReplay;
   /// Width E >= 1 of the kBatchedSettlement pipeline; unused by
   /// kDeterministicReplay, which always plans on the executor thread. The
@@ -119,15 +118,17 @@ struct ServerConfig {
 
 /// Asynchronous serving front-end for the sharded auction engine: producers
 /// Submit() queries into one bounded, mutex-guarded ingestion queue (block /
-/// reject / drop-oldest backpressure); a single executor thread pulls size-
-/// or deadline-triggered micro-batches and drives them through the
-/// ShardedAuctionEngine (whose shard phase fans out on the configured
-/// ThreadPool). Replay plans and settles each query in-thread; batched
-/// settlement plans on the lane pipeline and settles in arrival order.
-/// Per-stage latencies — queue wait, auction (plan), settlement,
-/// end-to-end — are recorded into log-bucketed histograms, and admission
-/// verdicts are counted, so tail latency under load is a measured quantity
-/// rather than an offline extrapolation.
+/// reject / drop-oldest backpressure); a single executor thread pulls
+/// micro-batches of whatever is queued, never waiting for batch-mates, and
+/// drives them through the ShardedAuctionEngine (whose shard phase fans out
+/// on the configured ThreadPool, the executor running shard chunks too).
+/// Replay plans and settles each query in-thread; batched settlement plans
+/// on the lane pipeline and settles in arrival order. Per-stage latencies —
+/// queue wait, auction (plan), settlement, end-to-end — are recorded into
+/// log-bucketed histograms (a request's queue wait runs until its own
+/// planning starts, so under replay the three stages sum exactly to
+/// end-to-end), and admission verdicts are counted, so tail latency under
+/// load is a measured quantity rather than an offline extrapolation.
 ///
 /// Threading contract: Submit() is safe from any number of producer
 /// threads; the engine's mutable state (accounts, strategies, user RNG) is
@@ -252,7 +253,11 @@ class AuctionServer {
 
  private:
   void ExecutorLoop();
-  /// Records queue waits, then runs the batch on its mode's one path:
+  /// Records `r`'s queue wait (histogram and kQueueWait span) up to
+  /// `started_at`, the moment its own planning starts.
+  void RecordQueueWait(const ServingRequest& r,
+                       std::chrono::steady_clock::time_point started_at);
+  /// Runs the batch on its mode's one path:
   /// replay plans and settles each query in-thread; batched settlement goes
   /// through RunBatchWithLanes.
   void RunBatch(std::vector<ServingRequest>* batch);
@@ -264,11 +269,12 @@ class AuctionServer {
   /// then marks the slot ready for the settler.
   void RunLane(int lane, int64_t slot);
   /// Settles `plan` for request `r` — the one settle path of both modes:
-  /// records `plan_us` as the request's auction time, then settlement,
-  /// log append, spans, end-to-end latency, completion count and hook.
+  /// records `plan_us` as the request's auction time, then settlement
+  /// (timed from `settle_from`), log append, spans, end-to-end latency,
+  /// completion count and hook.
   void SettleSlot(const ServingRequest& r,
-                  ShardedAuctionEngine::PlannedAuction* plan,
-                  uint64_t plan_us);
+                  ShardedAuctionEngine::PlannedAuction* plan, uint64_t plan_us,
+                  std::chrono::steady_clock::time_point settle_from);
   /// Registers instruments/collectors and constructs the tracer (called from
   /// the constructor; no-ops per ObsConfig).
   void SetupObservability();

@@ -1,8 +1,8 @@
 #ifndef SSA_UTIL_BOUNDED_QUEUE_H_
 #define SSA_UTIL_BOUNDED_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -110,35 +110,23 @@ class BoundedQueue {
   }
 
   /// Micro-batch pop: blocks for the first element (indefinitely, like
-  /// Pop), then keeps collecting until `max_batch` elements are held or
-  /// `deadline` has elapsed *since the first element was obtained* — the
-  /// size-or-deadline trigger of the micro-batching server. Appends to
+  /// Pop), then takes whatever else is already queued, up to `max_batch`
+  /// elements, and returns at once — it never waits for batch-mates, so a
+  /// lone request starts as soon as the consumer is free, and batches fill
+  /// only from the backlog that builds while the consumer works. Appends to
   /// `*out` (not cleared). Returns false iff closed and drained; a true
-  /// return delivers at least one element. Close() wakes the deadline wait
-  /// early so shutdown never stalls a partially filled batch.
-  bool PopBatch(std::vector<T>* out, size_t max_batch,
-                std::chrono::nanoseconds deadline) {
+  /// return delivers at least one element.
+  bool PopBatch(std::vector<T>* out, size_t max_batch) {
     SSA_CHECK(max_batch >= 1);
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
     if (items_.empty()) return false;
-    const auto batch_deadline = std::chrono::steady_clock::now() + deadline;
-    size_t taken = 0;
-    for (;;) {
-      while (!items_.empty() && taken < max_batch) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++taken;
-      }
-      if (taken >= max_batch || closed_) break;
-      if (not_empty_.wait_until(lock, batch_deadline, [&] {
-            return !items_.empty() || closed_;
-          })) {
-        continue;  // more items (or closed) — loop to collect / exit
-      }
-      break;  // deadline expired with a partial batch
+    const size_t taken = std::min(max_batch, items_.size());
+    for (size_t i = 0; i < taken; ++i) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
     }
-    popped_.fetch_add(taken, std::memory_order_relaxed);
+    popped_.fetch_add(static_cast<int64_t>(taken), std::memory_order_relaxed);
     lock.unlock();
     not_full_.notify_all();
     return true;

@@ -13,7 +13,7 @@ namespace ssa {
 namespace {
 
 using std::chrono::milliseconds;
-using std::chrono::microseconds;
+using std::chrono::seconds;
 
 TEST(BoundedQueueTest, FifoSingleThread) {
   BoundedQueue<int> q(8, BackpressurePolicy::kBlock);
@@ -104,54 +104,74 @@ TEST(BoundedQueueTest, PopBatchSizeTrigger) {
   BoundedQueue<int> q(16, BackpressurePolicy::kBlock);
   for (int i = 0; i < 10; ++i) q.Push(i);
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, milliseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4));
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-  ASSERT_TRUE(q.PopBatch(&batch, 4, milliseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4));
   EXPECT_EQ(batch.size(), 8u);  // appends
   EXPECT_EQ(batch[7], 7);
 }
 
-TEST(BoundedQueueTest, PopBatchDeadlineTriggerDeliversPartial) {
+TEST(BoundedQueueTest, PopBatchReturnsQueuedPrefixWithoutWaiting) {
   BoundedQueue<int> q(16, BackpressurePolicy::kBlock);
   q.Push(1);
   q.Push(2);
-  std::vector<int> batch;
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(q.PopBatch(&batch, 8, milliseconds(30)));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  // Must have given late arrivals a chance but not blocked forever.
-  EXPECT_LT(elapsed, milliseconds(2000));
-}
-
-TEST(BoundedQueueTest, PopBatchPicksUpLateArrivalsWithinDeadline) {
-  BoundedQueue<int> q(16, BackpressurePolicy::kBlock);
-  q.Push(1);
-  std::thread late([&q] {
-    std::this_thread::sleep_for(milliseconds(10));
-    q.Push(2);
+  // Two queued, no producer running: a batch of up to 8 is the two, now.
+  // A watchdog pushes a sentinel after 2 s, so a PopBatch that waited for
+  // batch-mates fails this test instead of hanging it.
+  std::atomic<bool> returned{false};
+  std::thread watchdog([&] {
+    const auto until = std::chrono::steady_clock::now() + seconds(2);
+    while (!returned.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    if (!returned.load()) q.Push(-1);
   });
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 2, milliseconds(500)));
-  late.join();
-  // Either the late element made the batch (usual) or it is still queued.
-  if (batch.size() == 2u) {
-    EXPECT_EQ(batch[1], 2);
-  } else {
-    int v;
-    ASSERT_TRUE(q.Pop(&v));
-    EXPECT_EQ(v, 2);
-  }
+  ASSERT_TRUE(q.PopBatch(&batch, 8));
+  returned.store(true);
+  watchdog.join();
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.popped(), 2);
 }
 
-TEST(BoundedQueueTest, PopBatchReturnsFalseOnlyWhenClosedAndDrained) {
+TEST(BoundedQueueTest, PopBatchStillBlocksForFirstElement) {
+  BoundedQueue<int> q(16, BackpressurePolicy::kBlock);
+  std::atomic<bool> returned{false};
+  std::vector<int> batch;
+  std::thread consumer([&] {
+    EXPECT_TRUE(q.PopBatch(&batch, 4));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_FALSE(returned.load());  // empty queue: still waiting
+  q.Push(5);
+  consumer.join();
+  EXPECT_EQ(batch, std::vector<int>{5});
+}
+
+TEST(BoundedQueueTest, PopBatchDrainsAfterClose) {
   BoundedQueue<int> q(4, BackpressurePolicy::kBlock);
   q.Push(7);
+  q.Push(8);
+  q.Push(9);
   q.Close();
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 8, milliseconds(5)));
-  EXPECT_EQ(batch, std::vector<int>{7});
-  EXPECT_FALSE(q.PopBatch(&batch, 8, milliseconds(5)));
+  ASSERT_TRUE(q.PopBatch(&batch, 2));
+  EXPECT_EQ(batch, (std::vector<int>{7, 8}));
+  ASSERT_TRUE(q.PopBatch(&batch, 2));
+  EXPECT_EQ(batch, (std::vector<int>{7, 8, 9}));
+  // Closed and drained: end-of-stream, and a blocked consumer wakes to it.
+  EXPECT_FALSE(q.PopBatch(&batch, 2));
+  BoundedQueue<int> empty(4, BackpressurePolicy::kBlock);
+  std::thread consumer([&] {
+    std::vector<int> none;
+    EXPECT_FALSE(empty.PopBatch(&none, 2));
+    EXPECT_TRUE(none.empty());
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  empty.Close();
+  consumer.join();
 }
 
 TEST(BoundedQueueTest, MpmcStressNothingLostOrDuplicated) {

@@ -8,7 +8,6 @@
 // every lane count against a serial batched oracle.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -27,8 +26,6 @@
 
 namespace ssa {
 namespace {
-
-using std::chrono::microseconds;
 
 std::vector<std::unique_ptr<BiddingStrategy>> RoiStrategies(
     const Workload& workload) {
@@ -145,7 +142,6 @@ void RunReplayEquivalence(const ReplayParam& param) {
   config.engine.pool = pool.get();
   config.queue_capacity = 256;
   config.max_batch_size = param.max_batch;
-  config.batch_deadline = microseconds(100);
   config.mode = ServingMode::kDeterministicReplay;
   if (param.full_tracing) config.obs.trace.sample_every = 1;
 
@@ -554,7 +550,10 @@ TEST(ServingBatchedSettlementTest, EqualsReplayAtBatchSizeOne) {
 TEST(ServingBatchedSettlementTest, DeterministicGivenArrivalOrder) {
   // Larger batches defer settlement (bids see batch-start accounts), which
   // may diverge from the serial loop — but two identical runs must agree
-  // with each other exactly, and conservation invariants must hold.
+  // with each other exactly, and conservation invariants must hold. Every
+  // query is admitted before Start(), so both runs pop the same fixed
+  // max_batch_size chunks; submitting live would make batch composition,
+  // and with it every value, depend on timing.
   const uint64_t workload_seed = 23;
   Workload w = MakePaperWorkload(SmallConfig(workload_seed));
   const std::vector<Query> queries =
@@ -563,17 +562,14 @@ TEST(ServingBatchedSettlementTest, DeterministicGivenArrivalOrder) {
   ServerConfig config;
   config.engine.engine.seed = 29;
   config.max_batch_size = 16;
-  // A deadline this long guarantees identical batch boundaries are not
-  // required for determinism: settlement order is arrival order regardless.
-  config.batch_deadline = microseconds(500);
   config.mode = ServingMode::kBatchedSettlement;
 
   std::vector<AdvertiserAccount> accounts_a, accounts_b;
   Money revenue_a = 0, revenue_b = 0;
   const auto run_a =
-      ServeAll(config, workload_seed, queries, &accounts_a, &revenue_a);
+      ServePreloaded(config, workload_seed, queries, &accounts_a, &revenue_a);
   const auto run_b =
-      ServeAll(config, workload_seed, queries, &accounts_b, &revenue_b);
+      ServePreloaded(config, workload_seed, queries, &accounts_b, &revenue_b);
   ASSERT_EQ(run_a.size(), queries.size());
   ASSERT_EQ(run_b.size(), queries.size());
   for (size_t i = 0; i < run_a.size(); ++i) {
@@ -669,6 +665,10 @@ TEST(ServingBackpressureTest, DropOldestKeepsFreshest) {
 }
 
 TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {
+  // Every query is admitted before Start(), so the executor pops fixed
+  // 8-query batches and most queries wait behind earlier batch-mates.
+  // That wait is queue wait: each query's stages must add up exactly to
+  // its end-to-end time.
   Workload w = MakePaperWorkload(SmallConfig(61));
   const int num_queries = 60;
   const std::vector<Query> queries =
@@ -680,10 +680,10 @@ TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {
     Workload tmp = MakePaperWorkload(SmallConfig(61));
     return RoiStrategies(tmp);
   }());
-  server.Start();
   for (const Query& q : queries) {
     ASSERT_EQ(server.Submit(q), QueuePushResult::kAccepted);
   }
+  server.Start();
   server.Stop();
 
   EXPECT_EQ(server.completed(), num_queries);
@@ -701,6 +701,12 @@ TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {
   // least ceil(queries / max_batch).
   EXPECT_GE(server.batches(), num_queries / 8);
   EXPECT_LE(server.batches(), num_queries);
+  // A preloaded queue pops full batches: ceil(60 / 8).
+  EXPECT_EQ(server.batches(), 8);
+  // Queue wait + auction + settlement == end-to-end, summed exactly.
+  EXPECT_EQ(server.queue_wait_us().sum() + server.auction_us().sum() +
+                server.settlement_us().sum(),
+            server.end_to_end_us().sum());
 }
 
 TEST(ServingLifecycleTest, StopIsIdempotentAndSubmitAfterCloseFails) {

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -98,14 +101,86 @@ TEST(StatusOrTest, ValueAndStatus) {
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+TEST(ThreadPoolTest, ParallelForReturnsWhileUnrelatedTaskOccupiesOnlyWorker) {
+  // A caller runs its own chunks and waits only for those, so a ParallelFor
+  // must return while unrelated work holds the pool's only worker. The
+  // unrelated work is a chunk of another thread's ParallelFor that the
+  // worker picked up; its wait is bounded, so a pool that waited for it
+  // fails this test instead of hanging.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool occupied = false;  // guarded by mu
+  bool released = false;  // guarded by mu
+  bool released_in_time = false;  // guarded by mu
+  std::thread other([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    const auto block_on_worker = [&](int) {
+      if (std::this_thread::get_id() == self) return;  // the caller's chunk
+      std::unique_lock<std::mutex> lock(mu);
+      if (occupied) return;  // only the first worker chunk blocks
+      occupied = true;
+      cv.notify_all();
+      released_in_time =
+          cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+    };
+    // Its caller may run both chunks itself; retry until the worker took one.
+    for (;;) {
+      pool.ParallelFor(2, block_on_worker);
+      std::lock_guard<std::mutex> lock(mu);
+      if (occupied) break;
+    }
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return occupied; }));
   }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
+  std::atomic<int> hits{0};
+  pool.ParallelFor(16, [&hits](int) { hits.fetch_add(1); });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  other.join();
+  EXPECT_EQ(hits.load(), 16);
+  EXPECT_TRUE(released_in_time);
+}
+
+TEST(ThreadPoolTest, NestedParallelForFromPoolTaskCompletes) {
+  // A ParallelFor inside a pool task waits only for its own chunks, and its
+  // caller (a worker) runs whatever no other worker takes.
+  ThreadPool pool(2);
+  constexpr int kOuter = 6;
+  constexpr int kInner = 16;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.ParallelFor(kOuter, [&](int i) {
+    pool.ParallelFor(kInner, [&](int j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachCompleteTheirOwnRange) {
+  // Calls from several threads share the workers; each returns once its
+  // own range is done.
+  ThreadPool pool(2);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 50;
+  constexpr int kN = 64;
+  std::vector<std::atomic<int>> hits(kCallers * kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 1; round <= kRounds; ++round) {
+        pool.ParallelFor(kN, [&](int i) { hits[c * kN + i].fetch_add(1); });
+        for (int i = 0; i < kN; ++i) {
+          EXPECT_EQ(hits[c * kN + i].load(), round);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
@@ -295,7 +370,7 @@ TEST(LanePoolTest, DestructorDrainsDispatchedTickets) {
   EXPECT_EQ(ran.load(), kTickets);
 }
 
-TEST(ThreadPoolTest, WaitIdleThenReuse) {
+TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
   pool.ParallelFor(10, [&](int) { count.fetch_add(1); });
