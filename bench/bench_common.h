@@ -21,7 +21,7 @@ inline int64_t EnvInt(const char* name, int64_t default_value) {
 }
 
 /// The Section V population: every advertiser runs the ROI heuristic (on
-/// reduced-Hungarian engines its shards plan with the RHTALU planner).
+/// reduced-Hungarian engines the engine's RHTALU planner plans them).
 inline std::vector<std::unique_ptr<BiddingStrategy>> RoiStrategies(
     const Workload& workload) {
   std::vector<std::unique_ptr<BiddingStrategy>> strategies;

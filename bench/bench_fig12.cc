@@ -12,7 +12,7 @@
 // LP, H and RH run every bidder's program each auction (RH's bidders sit
 // behind BruteForceRoiStrategy, which keeps the engine on the brute-force
 // shard path); RHTALU is the same engine on native RoiStrategy bidders,
-// whose shard plans with the logical-update planner.
+// which its logical-update planner plans.
 //
 // Output: one row per population size, one column per method, plus the
 // speedup columns EXPERIMENTS.md quotes.

@@ -8,12 +8,13 @@
 //
 // Both columns run ShardedAuctionEngine at one shard. RH's bidders sit
 // behind BruteForceRoiStrategy, which keeps the engine on the brute-force
-// shard path; RHTALU's are native RoiStrategy, whose shard plans with the
-// logical-update planner (auction/roi_planner.h).
+// shard path; RHTALU's are native RoiStrategy, which the engine's
+// logical-update planner plans (auction/roi_planner.h).
 //
 // Also prints the RHTALU work counters (TA sorted accesses per slot, list
-// moves per auction) to substantiate the sublinearity claim, and exits 1 if
-// the two columns' trajectories (revenue, accounts) differ.
+// moves per auction, ctr-prefix doublings) to substantiate the sublinearity
+// claim, and exits 1 if the two columns' trajectories (revenue, accounts)
+// differ.
 
 #include <cstdio>
 
@@ -34,8 +35,8 @@ int Main() {
   std::printf("# 15 slots, 10 keywords, ROI bidders, GSP pricing; avg over "
               "%d auctions after %d warmup\n",
               measured, warmup);
-  std::printf("%8s %12s %12s %12s %16s %12s\n", "n", "RH", "RHTALU",
-              "RH/RHTALU", "TA probes/slot", "moves/auction");
+  std::printf("%8s %12s %12s %12s %16s %14s %12s\n", "n", "RH", "RHTALU",
+              "RH/RHTALU", "TA probes/slot", "moves/auction", "ctr doublings");
 
   const int sweep[] = {2000, 4000, 6000, 8000, 10000,
                        12000, 14000, 16000, 18000, 20000};
@@ -68,9 +69,11 @@ int Main() {
         (static_cast<double>(measured) * 15);
     const double moves_per_auction =
         static_cast<double>(after.list_moves - before.list_moves) / measured;
+    const int64_t doublings = after.ctr_extensions - before.ctr_extensions;
 
-    std::printf("%8d %12.3f %12.3f %12.1f %16.1f %12.1f\n", n, rh_ms, talu_ms,
-                rh_ms / talu_ms, probes_per_slot, moves_per_auction);
+    std::printf("%8d %12.3f %12.3f %12.1f %16.1f %14.1f %12lld\n", n, rh_ms,
+                talu_ms, rh_ms / talu_ms, probes_per_slot, moves_per_auction,
+                static_cast<long long>(doublings));
     std::fflush(stdout);
 
     // The two columns time one auction trajectory, so a zero exit is also a

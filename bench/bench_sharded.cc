@@ -5,11 +5,15 @@
 //
 //   1. Pool-free: ShardedAuctionEngine at K ∈ {1, 2, 4, 8} with the shard
 //      phase run sequentially — identical work, different layout, so the
-//      rows price the per-K partition overhead (per-shard timers, K top-k
-//      heap sets, the coordinator merge).
+//      rows price the per-K partition overhead.
 //   2. Pooled: K ∈ {1, 2, 4} with the capture and shard phase fanned out on
 //      a K-thread pool — what intra-query shard parallelism buys on the
 //      host's cores.
+//
+// Native ROI bidders are planned by the engine's one RHTALU planner at
+// every K, so each row also reports the planner's Threshold Algorithm
+// probes per measured auction: a deterministic count that must be equal on
+// every row.
 //
 // Every row runs the same seeded auction sequence from a fresh engine, so
 // every row must settle the same total revenue (sharded_engine_test pins
@@ -41,6 +45,8 @@ struct ThroughputRow {
   int shards = 1;
   int pool_threads = 0;  // 0 = pool-free (sequential shard phase)
   double ms_per_auction = 0;
+  /// RHTALU Threshold Algorithm probes per measured auction.
+  double probes_per_auction = 0;
   Money total_revenue = 0;
 };
 
@@ -59,12 +65,16 @@ ThroughputRow MeasureRow(int n, uint64_t seed, int shards, int pool_threads,
   config.pool = pool.get();
   ShardedAuctionEngine engine(config, std::move(w), std::move(strategies));
   for (int t = 0; t < warmup; ++t) engine.RunAuction();
+  const int64_t probes_before = engine.planner_stats().probes;
   WallTimer timer;
   for (int t = 0; t < measured; ++t) engine.RunAuction();
   ThroughputRow row;
   row.shards = shards;
   row.pool_threads = pool_threads;
   row.ms_per_auction = timer.ElapsedMillis() / measured;
+  row.probes_per_auction =
+      static_cast<double>(engine.planner_stats().probes - probes_before) /
+      measured;
   row.total_revenue = engine.total_revenue();
   return row;
 }
@@ -79,9 +89,10 @@ void WriteJson(std::FILE* f, int n, int auctions, unsigned cores,
     const ThroughputRow& row = rows[i];
     std::fprintf(f,
                  "    {\"shards\": %d, \"pool_threads\": %d, "
-                 "\"ms_per_auction\": %.4f}%s\n",
+                 "\"ms_per_auction\": %.4f, "
+                 "\"probes_per_auction\": %.2f}%s\n",
                  row.shards, row.pool_threads, row.ms_per_auction,
-                 i + 1 < rows.size() ? "," : "");
+                 row.probes_per_auction, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -115,7 +126,8 @@ int Main(int argc, char** argv) {
               "auctions per config, %d warmup, %u cores\n\n",
               n, auctions, warmup, cores);
   std::printf("## Throughput (paper workload, ROI strategies)\n");
-  std::printf("%6s %8s %14s\n", "shards", "threads", "ms/auction");
+  std::printf("%6s %8s %14s %16s\n", "shards", "threads", "ms/auction",
+              "probes/auction");
   std::vector<ThroughputRow> rows;
   for (int shards : {1, 2, 4, 8}) {
     rows.push_back(MeasureRow(n, seed, shards, 0, warmup, auctions));
@@ -124,10 +136,10 @@ int Main(int argc, char** argv) {
     rows.push_back(MeasureRow(n, seed, shards, shards, warmup, auctions));
   }
   for (const ThroughputRow& row : rows) {
-    std::printf("%6d %8s %14.3f\n", row.shards,
+    std::printf("%6d %8s %14.3f %16.2f\n", row.shards,
                 row.pool_threads > 0 ? std::to_string(row.pool_threads).c_str()
                                      : "-",
-                row.ms_per_auction);
+                row.ms_per_auction, row.probes_per_auction);
   }
 
   if (json) {

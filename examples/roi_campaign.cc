@@ -4,9 +4,9 @@
 // generalized second pricing) through ShardedAuctionEngine twice at one
 // shard: once with every bidder behind a forwarding wrapper, so each auction
 // runs every program and fills the whole revenue matrix (eager RH), and once
-// with native RoiStrategy bidders, whose shard plans with RHTALU (Threshold
-// Algorithm + logical updates + triggers). The two are observably identical
-// while RHTALU does a fraction of the work.
+// with native RoiStrategy bidders, which the engine's planner plans with
+// RHTALU (Threshold Algorithm + logical updates + triggers). The two are
+// observably identical while RHTALU does a fraction of the work.
 
 #include <algorithm>
 #include <cstdio>
@@ -101,6 +101,10 @@ int main() {
               static_cast<double>(stats.list_moves) / kAuctions);
   std::printf("  list rebuilds      : %lld\n",
               static_cast<long long>(stats.rebuilds));
+  std::printf("  logical plans      : %lld of %d auctions\n",
+              static_cast<long long>(stats.logical_plans), kAuctions);
+  std::printf("  ctr doublings      : %lld\n",
+              static_cast<long long>(stats.ctr_extensions));
 
   // A peek at campaign economics: top spenders and their ROI.
   std::printf("\nTop spenders:\n");

@@ -10,70 +10,73 @@
 namespace ssa {
 namespace {
 
-/// Largest bid or cap the buckets cover; beyond it the shard plans by brute
+/// Largest bid or cap the buckets cover; beyond it the members plan by brute
 /// force (the Section V workload caps bids at 50 cents). Effective bids fit
 /// 16 bits, so stored keys are kept modulo 2^16.
 constexpr int64_t kMaxBucketBid = (1 << 16) - 1;
 
-/// Target length of each slot's ctr prefix. The Threshold Algorithm stays
-/// exact past the prefix (its last ctr bounds the rest); the prefix only has
-/// to be long enough that it rarely runs out.
+/// Initial length of each slot's sorted ctr prefix; the Threshold Algorithm
+/// doubles a prefix when it reaches the end (ExtendCtrOrder).
 constexpr int32_t kCtrPrefix = 128;
 
-/// Every kSampleStride-th bidder estimates the ctr above which a slot keeps
+/// Every kSampleStride-th member estimates the ctr above which a slot keeps
 /// about kCtrPrefix entries.
 constexpr int32_t kSampleStride = 16;
 
+/// The ctr order's strict (ctr desc, id asc) comparison.
+bool CtrBefore(const std::pair<double, int32_t>& a,
+               const std::pair<double, int32_t>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
+}
+
 }  // namespace
 
-RoiShardPlanner::Spend RoiShardPlanner::SpendAt(
-    const AdvertiserAccount& account, int64_t time) {
+RoiPlanner::Spend RoiPlanner::SpendAt(const AdvertiserAccount& account,
+                                      int64_t time) {
   if (account.Underspending(time)) return Spend::kUnder;
   if (account.Overspending(time)) return Spend::kOver;
   return Spend::kEq;
 }
 
-std::unique_ptr<RoiShardPlanner> RoiShardPlanner::Create(
+bool RoiPlanner::Qualifies(
     AdvertiserId begin, AdvertiserId end,
     const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
     const MatrixClickModel& model, int num_keywords) {
-  std::vector<RoiStrategy*> roi;
-  roi.reserve(static_cast<size_t>(end - begin));
   for (AdvertiserId i = begin; i < end; ++i) {
-    auto* s = dynamic_cast<RoiStrategy*>(strategies[i].get());
+    const auto* s = dynamic_cast<const RoiStrategy*>(strategies[i].get());
     if (s == nullptr ||
         static_cast<int>(s->tentative_bids().size()) != num_keywords) {
-      return nullptr;
+      return false;
     }
-    roi.push_back(s);
   }
   if (begin < end && model.PurchaseRow(begin) != nullptr) {
     const double* purchase = model.PurchaseRow(begin);
     const size_t count = static_cast<size_t>(end - begin) * model.num_slots();
     for (size_t e = 0; e < count; ++e) {
-      if (purchase[e] != 0.0) return nullptr;
+      if (purchase[e] != 0.0) return false;
     }
   }
-  return std::unique_ptr<RoiShardPlanner>(
-      new RoiShardPlanner(begin, end, std::move(roi), model, num_keywords));
+  return true;
 }
 
-RoiShardPlanner::RoiShardPlanner(AdvertiserId begin, AdvertiserId end,
-                                 std::vector<RoiStrategy*> strategies,
-                                 const MatrixClickModel& model,
-                                 int num_keywords)
-    : begin_(begin),
-      size_(end - begin),
+RoiPlanner::RoiPlanner(
+    std::vector<AdvertiserId> members,
+    const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
+    const MatrixClickModel& model, int num_keywords)
+    : size_(static_cast<int32_t>(strategies.size())),
       num_keywords_(num_keywords),
       num_slots_(model.num_slots()),
-      click_(size_ > 0 ? model.ClickRow(begin) : nullptr),
-      strategies_(std::move(strategies)) {
+      click_(size_ > 0 ? model.ClickRow(0) : nullptr),
+      members_(std::move(members)),
+      strategies_(strategies.size(), nullptr) {
   // Strategies built from one workload share their formula vector, so each
   // distinct vector is checked once.
   click_keyword_.assign(num_keywords_, 1);
   const std::vector<Formula>* checked = nullptr;
-  for (const RoiStrategy* s : strategies_) {
-    const std::vector<Formula>& formulas = s->keyword_formulas();
+  for (const AdvertiserId i : members_) {
+    strategies_[i] = static_cast<RoiStrategy*>(strategies[i].get());
+    const std::vector<Formula>& formulas = strategies_[i]->keyword_formulas();
     if (&formulas == checked) continue;
     checked = &formulas;
     for (int kw = 0; kw < num_keywords_; ++kw) {
@@ -85,16 +88,16 @@ RoiShardPlanner::RoiShardPlanner(AdvertiserId begin, AdvertiserId end,
   // its kCtrPrefix-th largest ctr, one pass keeps every ctr at or above it,
   // and one sort per slot orders them. Any threshold keeps a prefix of the
   // slot's strict (ctr desc, id asc) order; the sample only sizes it.
+  const int32_t count = static_cast<int32_t>(members_.size());
   std::vector<double> threshold(num_slots_, -1.0);  // keep all
-  if (size_ > kCtrPrefix) {
+  if (count > kCtrPrefix) {
     const int32_t rank = kCtrPrefix / kSampleStride;  // in the sample
-    const int32_t rows = (size_ + kSampleStride - 1) / kSampleStride;
+    const int32_t rows = (count + kSampleStride - 1) / kSampleStride;
     std::vector<double> sample(static_cast<size_t>(num_slots_) * rows);
     for (int32_t r = 0; r < rows; ++r) {
-      const double* row =
-          click_ + static_cast<size_t>(r) * kSampleStride * num_slots_;
+      const AdvertiserId i = members_[static_cast<size_t>(r) * kSampleStride];
       for (SlotIndex j = 0; j < num_slots_; ++j) {
-        sample[static_cast<size_t>(j) * rows + r] = row[j];
+        sample[static_cast<size_t>(j) * rows + r] = Ctr(i, j);
       }
     }
     for (SlotIndex j = 0; j < num_slots_; ++j) {
@@ -104,27 +107,21 @@ RoiShardPlanner::RoiShardPlanner(AdvertiserId begin, AdvertiserId end,
       threshold[j] = column[rank - 1];
     }
   }
-  ctr_prefix_.resize(num_slots_);
-  for (int32_t m = 0; m < size_; ++m) {
-    const double* row = click_ + static_cast<size_t>(m) * num_slots_;
+  ctr_order_.resize(num_slots_);
+  for (const AdvertiserId i : members_) {
     for (SlotIndex j = 0; j < num_slots_; ++j) {
-      if (row[j] >= threshold[j]) ctr_prefix_[j].emplace_back(row[j], m);
+      if (Ctr(i, j) >= threshold[j]) ctr_order_[j].emplace_back(Ctr(i, j), i);
     }
   }
-  for (auto& prefix : ctr_prefix_) {
-    std::sort(prefix.begin(), prefix.end(),
-              [](const std::pair<double, int32_t>& a,
-                 const std::pair<double, int32_t>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+  for (auto& prefix : ctr_order_) {
+    std::sort(prefix.begin(), prefix.end(), CtrBefore);
   }
 
   lists_.resize(num_keywords_);
   seen_.assign(size_, 0);
 }
 
-int RoiShardPlanner::PlannableKeyword(const Query& query) const {
+int RoiPlanner::PlannableKeyword(const Query& query) const {
   if (static_cast<int>(query.relevance.size()) != num_keywords_) return -1;
   int kw = -1;
   for (int q = 0; q < num_keywords_; ++q) {
@@ -137,8 +134,8 @@ int RoiShardPlanner::PlannableKeyword(const Query& query) const {
   return kw;
 }
 
-bool RoiShardPlanner::Prepare(const Query& query,
-                              const std::vector<AdvertiserAccount>& accounts) {
+bool RoiPlanner::Prepare(const Query& query,
+                         const std::vector<AdvertiserAccount>& accounts) {
   if (state_ != State::kStale && query.time < last_time_) {
     WriteBack();
     state_ = State::kStale;
@@ -148,14 +145,14 @@ bool RoiShardPlanner::Prepare(const Query& query,
   return true;
 }
 
-bool RoiShardPlanner::Rebuild(int64_t time,
-                              const std::vector<AdvertiserAccount>& accounts) {
+bool RoiPlanner::Rebuild(int64_t time,
+                         const std::vector<AdvertiserAccount>& accounts) {
   // Bucketing needs integral bids and caps in range, and triggers need
   // monotone spend targets; anything else stays on the brute path.
   cap_.resize(static_cast<size_t>(num_keywords_) * size_);
   int64_t top = 0;
-  for (int32_t m = 0; m < size_; ++m) {
-    const AdvertiserAccount& a = accounts[begin_ + m];
+  for (const AdvertiserId m : members_) {
+    const AdvertiserAccount& a = accounts[m];
     if (!std::isfinite(a.amount_spent) || !std::isfinite(a.target_spend_rate) ||
         a.target_spend_rate < 0) {
       return false;
@@ -174,8 +171,8 @@ bool RoiShardPlanner::Rebuild(int64_t time,
       top = std::max({top, static_cast<int64_t>(bid), ceil_cap});
     }
   }
-  // The node arrays are written in full below; they are allocated at the
-  // first rebuild, so a shard that never plans logically never holds them.
+  // The members' nodes are written in full below; the arrays are allocated
+  // at the first rebuild, so a planner that never plans never holds them.
   const size_t nodes = static_cast<size_t>(num_keywords_) * size_;
   if (tag_.size() != nodes) {
     tag_.resize(nodes);
@@ -198,8 +195,8 @@ bool RoiShardPlanner::Rebuild(int64_t time,
   triggers_ = {};
   gen_.assign(size_, 0);
 
-  for (int32_t m = 0; m < size_; ++m) {
-    const AdvertiserAccount& account = accounts[begin_ + m];
+  for (const AdvertiserId m : members_) {
+    const AdvertiserAccount& account = accounts[m];
     const std::vector<Money>& bids = strategies_[m]->tentative_bids();
     const Spend spend = SpendAt(account, time);
     double max_roi = account.Roi(0), min_roi = account.Roi(0);
@@ -222,7 +219,7 @@ bool RoiShardPlanner::Rebuild(int64_t time,
   return true;
 }
 
-void RoiShardPlanner::Link(int kw, int32_t m) {
+void RoiPlanner::Link(int kw, int32_t m) {
   const size_t node = Node(kw, m);
   const size_t base = Node(kw, 0);
   KeywordLists& lists = lists_[kw];
@@ -242,7 +239,7 @@ void RoiShardPlanner::Link(int kw, int32_t m) {
   cap_head = m;
 }
 
-void RoiShardPlanner::Unlink(int kw, int32_t m) {
+void RoiPlanner::Unlink(int kw, int32_t m) {
   const size_t node = Node(kw, m);
   const size_t base = Node(kw, 0);
   KeywordLists& lists = lists_[kw];
@@ -262,7 +259,7 @@ void RoiShardPlanner::Unlink(int kw, int32_t m) {
   if (cap_next_[node] >= 0) cap_prev_[base + cap_next_[node]] = cap_prev_[node];
 }
 
-void RoiShardPlanner::Move(int kw, int32_t m, Tag to) {
+void RoiPlanner::Move(int kw, int32_t m, Tag to) {
   const size_t node = Node(kw, m);
   const int64_t effective = Eff(kw, m);
   Unlink(kw, m);
@@ -273,10 +270,9 @@ void RoiShardPlanner::Move(int kw, int32_t m, Tag to) {
   ++stats_.list_moves;
 }
 
-RoiShardPlanner::Tag RoiShardPlanner::Desired(const AdvertiserAccount& account,
-                                              Spend spend, int kw, int64_t bid,
-                                              double max_roi,
-                                              double min_roi) const {
+RoiPlanner::Tag RoiPlanner::Desired(const AdvertiserAccount& account,
+                                    Spend spend, int kw, int64_t bid,
+                                    double max_roi, double min_roi) const {
   const double roi = account.Roi(kw);
   const double b = static_cast<double>(bid);
   if (spend == Spend::kUnder && roi == max_roi && b < account.max_bid[kw]) {
@@ -286,8 +282,8 @@ RoiShardPlanner::Tag RoiShardPlanner::Desired(const AdvertiserAccount& account,
   return kConst;
 }
 
-void RoiShardPlanner::Classify(int32_t m, int64_t time,
-                               const AdvertiserAccount& account) {
+void RoiPlanner::Classify(int32_t m, int64_t time,
+                          const AdvertiserAccount& account) {
   double max_roi = account.Roi(0), min_roi = account.Roi(0);
   for (int kw = 1; kw < num_keywords_; ++kw) {
     max_roi = std::max(max_roi, account.Roi(kw));
@@ -301,8 +297,8 @@ void RoiShardPlanner::Classify(int32_t m, int64_t time,
   }
 }
 
-void RoiShardPlanner::ScheduleTrigger(int32_t m, int64_t time,
-                                      const AdvertiserAccount& account) {
+void RoiPlanner::ScheduleTrigger(int32_t m, int64_t time,
+                                 const AdvertiserAccount& account) {
   // With a non-negative rate, underspending is absorbing until the next
   // charge, and a zero rate makes the state time-independent.
   const Spend spend = SpendAt(account, time);
@@ -320,8 +316,8 @@ void RoiShardPlanner::ScheduleTrigger(int32_t m, int64_t time,
   triggers_.push(Trigger{at, m, gen_[m]});
 }
 
-void RoiShardPlanner::Advance(const Query& query, int kw,
-                              const std::vector<AdvertiserAccount>& accounts) {
+void RoiPlanner::Advance(const Query& query, int kw,
+                         const std::vector<AdvertiserAccount>& accounts) {
   SSA_CHECK(state_ != State::kStale);
   const int64_t time = query.time;
   while (!triggers_.empty() && triggers_.top().time <= time) {
@@ -329,7 +325,7 @@ void RoiShardPlanner::Advance(const Query& query, int kw,
     triggers_.pop();
     if (gen_[trigger.member] != trigger.gen) continue;  // superseded
     ++stats_.triggers_fired;
-    const AdvertiserAccount& account = accounts[begin_ + trigger.member];
+    const AdvertiserAccount& account = accounts[trigger.member];
     Classify(trigger.member, time, account);
     ScheduleTrigger(trigger.member, time, account);
   }
@@ -338,7 +334,7 @@ void RoiShardPlanner::Advance(const Query& query, int kw,
   ++stats_.logical_plans;
 }
 
-void RoiShardPlanner::ApplyLogicalUpdate(int kw) {
+void RoiPlanner::ApplyLogicalUpdate(int kw) {
   KeywordLists& lists = lists_[kw];
   // Figure 5's guard `bid < maxbid`: members whose bid reached the cap leave
   // the increment list before the shared +1. Cap keys of increment members
@@ -353,7 +349,7 @@ void RoiShardPlanner::ApplyLogicalUpdate(int kw) {
   lists.adjustment[kDec] -= 1;
 }
 
-void RoiShardPlanner::SelectTop(int kw, TopKHeapSet* topk) {
+void RoiPlanner::SelectTop(int kw, TopKHeapSet* topk) {
   // The bid view is shared by every slot: the non-empty buckets in
   // descending effective bid. Bids span [0, mask_], so each list maps each
   // effective bid to exactly one bucket.
@@ -369,69 +365,91 @@ void RoiShardPlanner::SelectTop(int kw, TopKHeapSet* topk) {
   for (SlotIndex j = 0; j < num_slots_; ++j) SelectTopForSlot(j, kw, topk);
 }
 
-void RoiShardPlanner::SelectTopForSlot(SlotIndex slot, int kw,
-                                       TopKHeapSet* topk) {
+void RoiPlanner::SelectTopForSlot(SlotIndex slot, int kw, TopKHeapSet* topk) {
   if (++epoch_ == 0) {  // wrapped: clear the stamps once
     std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
   const size_t base = Node(kw, 0);
-  auto consider = [&](int32_t m) {
-    if (seen_[m] == epoch_) return;
+  // Each side knows one factor of the score: a ctr entry carries its ctr,
+  // and every member of a bid level has that level's effective bid.
+  auto consider = [&](int32_t m, double ctr, int64_t bid) {
     seen_[m] = epoch_;
-    const double score =
-        click_[static_cast<size_t>(m) * num_slots_ + slot] *
-        static_cast<double>(Eff(kw, m));
-    if (score > 0.0) topk->Offer(slot, score, begin_ + m);
+    const double score = ctr * static_cast<double>(bid);
+    if (score > 0.0) topk->Offer(slot, score, m);
   };
 
-  const std::vector<std::pair<double, int32_t>>& ctrs = ctr_prefix_[slot];
+  const std::vector<CtrEntry>& ctrs = ctr_order_[slot];
   size_t ctr_pos = 0;
   size_t level = 0;
   int32_t member = levels_.empty() ? -1 : levels_[0].first;
   double last_ctr = std::numeric_limits<double>::infinity();
   for (;;) {
+    if (ctr_pos == ctrs.size() && ctr_pos < members_.size()) {
+      ExtendCtrOrder(slot);
+    }
     if (ctr_pos < ctrs.size()) {
-      last_ctr = ctrs[ctr_pos].first;
-      consider(ctrs[ctr_pos].second);
+      const auto [ctr, m] = ctrs[ctr_pos];
+      last_ctr = ctr;
+      if (seen_[m] != epoch_) consider(m, ctr, Eff(kw, m));
       ++ctr_pos;
       ++stats_.probes;
     }
     if (member < 0) break;  // the bid view is exhausted: everyone was seen
-    const double last_bid = static_cast<double>(levels_[level].second);
-    consider(member);
+    const int64_t bid = levels_[level].second;
+    if (seen_[member] != epoch_) consider(member, Ctr(member, slot), bid);
     ++stats_.probes;
     member = next_[base + member];
     if (member < 0 && ++level < levels_.size()) member = levels_[level].first;
-    // Every unseen bidder scores at most last_ctr * last_bid (products of
+    // Every unseen member scores at most last_ctr * bid (products of
     // non-negatives round monotonically). Stop only when the weakest kept
-    // entry beats that bound strictly: an unseen bidder scoring exactly the
+    // entry beats that bound strictly: an unseen member scoring exactly the
     // bound with a larger id would outrank it.
-    if (last_bid <= 0) break;  // unseen bidders all score zero
+    if (bid <= 0) break;  // unseen members all score zero
     if (topk->size(slot) == topk->capacity() &&
-        topk->entries(slot)[0].weight > last_ctr * last_bid) {
+        topk->entries(slot)[0].weight > last_ctr * static_cast<double>(bid)) {
       break;
     }
   }
 }
 
-Money RoiShardPlanner::EffectiveBid(AdvertiserId i, int kw) const {
-  return static_cast<Money>(Eff(kw, i - begin_));
+void RoiPlanner::ExtendCtrOrder(SlotIndex slot) {
+  // The next chunk is the best `chunk` members after the prefix's last
+  // entry, kept in a bounded heap at the prefix's tail whose front is the
+  // chunk's latest entry; sorting the heap appends them in order. One pass
+  // over the members, and no memory beyond the grown prefix.
+  std::vector<CtrEntry>& order = ctr_order_[slot];
+  const size_t start = order.size();
+  const size_t chunk = std::max<size_t>(start, kCtrPrefix);
+  order.reserve(start + chunk);  // `heap` stays valid
+  const auto heap = order.begin() + static_cast<std::ptrdiff_t>(start);
+  for (const AdvertiserId i : members_) {
+    const CtrEntry entry{Ctr(i, slot), i};
+    if (start > 0 && !CtrBefore(order[start - 1], entry)) continue;
+    if (order.size() - start < chunk) {
+      order.push_back(entry);
+      std::push_heap(heap, order.end(), CtrBefore);
+    } else if (CtrBefore(entry, *heap)) {
+      std::pop_heap(heap, order.end(), CtrBefore);
+      order.back() = entry;
+      std::push_heap(heap, order.end(), CtrBefore);
+    }
+  }
+  std::sort_heap(heap, order.end(), CtrBefore);
+  ++stats_.ctr_extensions;
 }
 
-void RoiShardPlanner::OnSettled(
-    AdvertiserId i, int64_t time,
-    const std::vector<AdvertiserAccount>& accounts) {
+void RoiPlanner::OnSettled(AdvertiserId i, int64_t time,
+                           const std::vector<AdvertiserAccount>& accounts) {
   if (state_ == State::kStale) return;
-  const int32_t m = i - begin_;
-  ++gen_[m];  // any queued trigger was computed from the old spend
-  Classify(m, time, accounts[i]);
-  ScheduleTrigger(m, time, accounts[i]);
+  ++gen_[i];  // any queued trigger was computed from the old spend
+  Classify(i, time, accounts[i]);
+  ScheduleTrigger(i, time, accounts[i]);
 }
 
-void RoiShardPlanner::WriteBack() {
+void RoiPlanner::WriteBack() {
   if (state_ != State::kAhead) return;
-  for (int32_t m = 0; m < size_; ++m) {
+  for (const AdvertiserId m : members_) {
     for (int kw = 0; kw < num_keywords_; ++kw) {
       strategies_[m]->set_tentative_bid(kw, static_cast<Money>(Eff(kw, m)));
     }

@@ -18,9 +18,9 @@ namespace ssa {
 
 class RoiStrategy;
 
-/// Monotone work totals of one shard's planner.
+/// Monotone work totals of the engine's planner.
 struct RoiPlannerStats {
-  /// Auctions this shard planned logically.
+  /// Auctions planned logically.
   int64_t logical_plans = 0;
   /// Threshold Algorithm sorted accesses (ctr view and bid view).
   int64_t probes = 0;
@@ -29,12 +29,16 @@ struct RoiPlannerStats {
   int64_t triggers_fired = 0;
   /// Full O(n·kw) rebuilds of the lists from the strategies.
   int64_t rebuilds = 0;
+  /// Times a slot's sorted ctr prefix ran out under the Threshold Algorithm
+  /// and was doubled.
+  int64_t ctr_extensions = 0;
 };
 
-/// The paper's RHTALU (Section IV) as a shard-local planner of
-/// ShardedAuctionEngine. For a shard whose bidders all run the native ROI
-/// heuristic (RoiStrategy) with plain Click keyword formulas, it answers
-/// "this shard's per-slot top-(k+1) for this query" without running the
+/// The paper's RHTALU (Section IV) as the logical planner of
+/// ShardedAuctionEngine. It covers every advertiser of the engine's
+/// qualifying shards (Qualifies: all native ROI heuristic bidders,
+/// RoiStrategy, on a click model without purchases) and answers "the
+/// covered bidders' per-slot top-(k+1) for this query" without running the
 /// programs, compiling their bids or filling the revenue matrix:
 ///
 ///  * **Logical updates** (Section IV-B): per keyword, every bidder sits in
@@ -52,16 +56,18 @@ struct RoiPlannerStats {
 ///    absorbing. Memberships change only when a trigger fires or the bidder
 ///    is settled.
 ///  * **Threshold Algorithm** (Section IV-A): per slot, sorted access
-///    alternates between the slot's ctr prefix (built at construction) and
-///    the bid view (buckets in descending effective bid), until the
-///    (k+1)-th best score is *strictly* above ctr_last × bid_last. Once the
-///    prefix runs out its last ctr still bounds every unseen bidder, so the
-///    result stays exact.
+///    alternates between the slot's ctr order and the bid view (buckets in
+///    descending effective bid), until the (k+1)-th best score is *strictly*
+///    above ctr_last × bid_last. The ctr order is a sorted prefix of the
+///    slot's (ctr desc, id asc) order, kCtrPrefix entries at construction;
+///    when the Threshold Algorithm reaches its end, the next chunk is
+///    selected and sorted in place, doubling it. The prefix grows only as
+///    far as the Threshold Algorithm reads, and the bound keeps falling.
 ///
-/// The selected entries go into the engine's per-shard TopKHeapSet under
-/// its strict (weight, id) order, so the coordinator's merge, winner
-/// determination and pricing see exactly the entries the brute shard phase
-/// would have produced: the trajectory is bitwise-identical.
+/// The selected entries go straight into the coordinator's merged
+/// TopKHeapSet under its strict (weight, id) order, so winner determination
+/// and pricing see exactly the entries the brute shard phase would have
+/// produced: the trajectory is bitwise-identical.
 ///
 /// The strategies' tentative bids stay the only checkpointed state. The
 /// planner is in one of three states: *stale* (the strategies hold the
@@ -69,28 +75,38 @@ struct RoiPlannerStats {
 /// (both agree) and *ahead* (logical updates moved the lists past the
 /// strategies). The engine calls WriteBack() before anything reads the
 /// strategies and Invalidate() after anything moves them.
-class RoiShardPlanner {
+class RoiPlanner {
  public:
-  /// A planner for advertisers [begin, end) when every strategy there is a
-  /// RoiStrategy over `num_keywords` keywords and the click model's purchase
-  /// probability is zero on the shard (a plain Click bid's expected revenue
-  /// is then exactly ctr × bid); nullptr otherwise. Builds the per-slot ctr
-  /// prefixes.
-  static std::unique_ptr<RoiShardPlanner> Create(
+  /// Whether advertisers [begin, end) can be planned logically: every
+  /// strategy there is a RoiStrategy over `num_keywords` keywords, and the
+  /// click model's purchase probability is zero on the range (a plain Click
+  /// bid's expected revenue is then exactly ctr × bid).
+  static bool Qualifies(
       AdvertiserId begin, AdvertiserId end,
       const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
       const MatrixClickModel& model, int num_keywords);
 
+  /// A planner over `members` (ascending global ids, each in a range that
+  /// Qualifies). Builds the per-slot ctr prefixes.
+  RoiPlanner(std::vector<AdvertiserId> members,
+             const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
+             const MatrixClickModel& model, int num_keywords);
+
+  /// Whether advertiser i is planned by this planner.
+  bool Covers(AdvertiserId i) const {
+    return strategies_[static_cast<size_t>(i)] != nullptr;
+  }
+
   /// The keyword a logical plan of `query` updates — the only one with
   /// positive relevance, which must exceed the 0.7 bid threshold, and on
-  /// which every bidder of the shard bids plain Click — or -1.
+  /// which every member bids plain Click — or -1.
   int PlannableKeyword(const Query& query) const;
 
   /// Makes the lists current for an auction at `query.time`: rebuilds them
   /// from the strategies when stale, or when the time runs backwards
   /// (underspending is absorbing only forward in time). Returns false when
   /// the state cannot be bucketed (a non-integral or out-of-range bid or
-  /// cap, or a negative spend rate); the shard then plans by brute force.
+  /// cap, or a negative spend rate); the members then plan by brute force.
   bool Prepare(const Query& query,
                const std::vector<AdvertiserAccount>& accounts);
 
@@ -99,16 +115,19 @@ class RoiShardPlanner {
   void Advance(const Query& query, int kw,
                const std::vector<AdvertiserAccount>& accounts);
 
-  /// Offers the shard's per-slot top entries into `topk` (already Reset to
-  /// k heaps of capacity depth): each heap ends holding exactly the
-  /// strict-(weight, id) top-depth positive scores ctr × bid of the shard.
+  /// Offers the members' per-slot top entries into `topk` (k heaps of
+  /// capacity k + 1, which may already hold other bidders' entries): each
+  /// heap ends holding the strict-(weight, id) top of its previous entries
+  /// and the members' positive scores ctr × bid.
   void SelectTop(int kw, TopKHeapSet* topk);
 
-  /// Current effective bid of advertiser i (a global id in the shard) on kw.
-  Money EffectiveBid(AdvertiserId i, int kw) const;
+  /// Current effective bid of member i (a global id) on kw.
+  Money EffectiveBid(AdvertiserId i, int kw) const {
+    return static_cast<Money>(Eff(kw, i));
+  }
 
-  /// Advertiser i's account changed in settlement: re-derives its lists
-  /// and trigger (no-op while stale; the next rebuild reads the accounts).
+  /// Member i's account changed in settlement: re-derives its lists and
+  /// trigger (no-op while stale; the next rebuild reads the accounts).
   void OnSettled(AdvertiserId i, int64_t time,
                  const std::vector<AdvertiserAccount>& accounts);
 
@@ -144,10 +163,11 @@ class RoiShardPlanner {
     }
   };
 
-  RoiShardPlanner(AdvertiserId begin, AdvertiserId end,
-                  std::vector<RoiStrategy*> strategies,
-                  const MatrixClickModel& model, int num_keywords);
+  /// One entry of a slot's ctr order: (ctr, global id).
+  using CtrEntry = std::pair<double, int32_t>;
 
+  /// Nodes are indexed by global id, so a member needs no id translation;
+  /// the entries of non-members are never linked.
   size_t Node(int kw, int32_t m) const {
     return static_cast<size_t>(kw) * static_cast<size_t>(size_) +
            static_cast<size_t>(m);
@@ -161,6 +181,9 @@ class RoiShardPlanner {
     const size_t node = Node(kw, m);
     return static_cast<uint16_t>(stored_[node] +
                                  lists_[kw].adjustment[tag_[node]]);
+  }
+  double Ctr(int32_t m, SlotIndex slot) const {
+    return click_[static_cast<size_t>(m) * num_slots_ + slot];
   }
 
   static Spend SpendAt(const AdvertiserAccount& account, int64_t time);
@@ -178,26 +201,32 @@ class RoiShardPlanner {
                        const AdvertiserAccount& account);
   void ApplyLogicalUpdate(int kw);
   void SelectTopForSlot(SlotIndex slot, int kw, TopKHeapSet* topk);
+  /// Appends the next chunk of the slot's (ctr desc, id asc) order to its
+  /// prefix, doubling it.
+  void ExtendCtrOrder(SlotIndex slot);
 
-  AdvertiserId begin_;
+  /// Population size: nodes and strategies_ are indexed by global id.
   int32_t size_;
   int num_keywords_;
   int num_slots_;
-  /// The shard's click rows, contiguous: member m's ctr in slot j is
-  /// click_[m * num_slots_ + j].
+  /// The population's click rows, contiguous: advertiser i's ctr in slot j
+  /// is click_[i * num_slots_ + j].
   const double* click_;
+  /// Global ids of the members, ascending.
+  std::vector<AdvertiserId> members_;
+  /// Indexed by global id; null for advertisers the planner does not cover.
   std::vector<RoiStrategy*> strategies_;
-  /// click_keyword_[kw]: every strategy bids plain Click on kw.
+  /// click_keyword_[kw]: every member bids plain Click on kw.
   std::vector<char> click_keyword_;
-  /// Per slot, the shard's top ctrs descending (strict (ctr, id) order).
-  std::vector<std::vector<std::pair<double, int32_t>>> ctr_prefix_;
+  /// Per slot, a sorted prefix of the members' (ctr desc, id asc) order.
+  std::vector<std::vector<CtrEntry>> ctr_order_;
 
   State state_ = State::kStale;
   int64_t last_time_ = 0;
   uint64_t mask_ = 0;  // bucket count - 1
   std::vector<KeywordLists> lists_;
-  // Per (keyword, member) node: tag, stored key (bid - adjustment, modulo
-  // 2^16), ceil(max bid), links.
+  // Per (keyword, advertiser) node: tag, stored key (bid - adjustment,
+  // modulo 2^16), ceil(max bid), links.
   std::vector<Tag> tag_;
   std::vector<uint16_t> stored_;
   std::vector<uint16_t> cap_;

@@ -33,15 +33,26 @@ ShardedAuctionEngine::ShardedAuctionEngine(
   }
   capture_ns_.assign(ranges_.size(), 0);
   // RHTALU plans only reduced-Hungarian auctions priced per click (VCG's
-  // charges re-solve the matching on the full matrix).
-  planners_.resize(ranges_.size());
+  // charges re-solve the matching on the full matrix). One planner covers
+  // every shard that qualifies.
   const EngineConfig& engine = config_.engine;
   if (engine.wd_method == WdMethod::kReducedHungarian &&
       engine.pricing != PricingRule::kVcg) {
-    for (int s = 0; s < num_shards; ++s) {
-      planners_[s] = RoiShardPlanner::Create(
-          ranges_[s].begin, ranges_[s].end, strategies_,
-          *workload_.click_model, workload_.config.num_keywords);
+    const MatrixClickModel& model = *workload_.click_model;
+    const int num_keywords = workload_.config.num_keywords;
+    std::vector<AdvertiserId> members;
+    for (const ShardRange& range : ranges_) {
+      if (!RoiPlanner::Qualifies(range.begin, range.end, strategies_, model,
+                                 num_keywords)) {
+        continue;
+      }
+      for (AdvertiserId i = range.begin; i < range.end; ++i) {
+        members.push_back(i);
+      }
+    }
+    if (!members.empty()) {
+      planner_ = std::make_unique<RoiPlanner>(std::move(members), strategies_,
+                                              model, num_keywords);
     }
   }
   internal_lane_ = NewPlanLane();
@@ -64,17 +75,14 @@ void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
                                         CapturedBids* bids,
                                         uint64_t trace_seq) {
   const ShardRange& range = ranges_[static_cast<size_t>(s)];
-  RoiShardPlanner* planner = planners_[static_cast<size_t>(s)].get();
   const bool traced = tracer_ != nullptr && trace_seq != 0;
   const uint64_t t0 = traced ? Tracer::NowNs() : 0;
   WallTimer timer;
-  if (planner != nullptr) planner->WriteBack();
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     BidsTable& table = (*bids)[i];
     table.Clear();
     strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
   }
-  if (planner != nullptr) planner->Invalidate();
   // One timer per shard per auction; the fan-out writes disjoint
   // capture_ns_ slots.
   capture_ns_[static_cast<size_t>(s)] +=
@@ -88,6 +96,7 @@ void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
 void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
                                        uint64_t trace_seq) {
   bids->resize(strategies_.size());
+  SyncStrategies();
   auto capture = [&](int s) { CaptureShard(s, query, bids, trace_seq); };
   const int num_shards = static_cast<int>(ranges_.size());
   if (config_.pool != nullptr && num_shards > 1) {
@@ -98,6 +107,7 @@ void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
   } else {
     for (int s = 0; s < num_shards; ++s) capture(s);
   }
+  if (planner_ != nullptr) planner_->Invalidate();
 }
 
 void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
@@ -113,7 +123,6 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   // Section III-E aggregation, with global advertiser ids so the merge is a
   // plain re-offer. Each row is offered right after it is filled, while it
   // is still in L1.
-  scratch->logical = false;
   if (collect_topk) scratch->topk.Reset(k, k + 1);
   const double* base = revenue->UnassignedData();
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
@@ -136,15 +145,9 @@ bool ShardedAuctionEngine::CollectsTopK() const {
          config_.engine.pricing == PricingRule::kGeneralizedSecondPrice;
 }
 
-int ShardedAuctionEngine::ShardOf(AdvertiserId i) const {
-  const auto it = std::upper_bound(
-      ranges_.begin(), ranges_.end(), i,
-      [](AdvertiserId id, const ShardRange& r) { return id < r.begin; });
-  return static_cast<int>(it - ranges_.begin()) - 1;
-}
-
 void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
-                                      const RevenueMatrix* revenue, int kw,
+                                      const RevenueMatrix* revenue,
+                                      const RoiPlanner* logical, int kw,
                                       PlannedAuction* plan) const {
   const int n = static_cast<int>(strategies_.size());
   const int k = workload_.config.num_slots;
@@ -153,15 +156,18 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
   const bool reduced =
       config_.engine.wd_method == WdMethod::kReducedHungarian;
 
-  // --- Merge: re-offer every shard's retained entries into one global heap
-  // set. The (weight, id) order is strict and insertion-order independent,
-  // and every globally top-(k+1) entry is top-(k+1) within its own shard, so
-  // the merged heaps hold exactly the per-slot top-(k+1) of the population.
+  // --- Merge: re-offer every brute shard's retained entries into the global
+  // heap set, which already holds the planner's. The (weight, id) order is
+  // strict and insertion-order independent, and every globally top-(k+1)
+  // entry is top-(k+1) within its own part, so the merged heaps hold exactly
+  // the per-slot top-(k+1) of the population.
   WallTimer timer;  // the merge counts toward winner determination
   TopKHeapSet& merged = lane->merged_topk;
+  const int num_shards = static_cast<int>(ranges_.size());
   if (CollectsTopK()) {
-    merged.Reset(k, k + 1);
-    for (const PlanLane::ShardScratch& shard : lane->shards) {
+    for (int s = 0; s < num_shards; ++s) {
+      if (!PlansBrute(s, logical)) continue;
+      const PlanLane::ShardScratch& shard = lane->shards[s];
       for (SlotIndex j = 0; j < k; ++j) {
         const TopKHeapSet::Entry* entries = shard.topk.entries(j);
         for (int e = 0; e < shard.topk.size(j); ++e) {
@@ -189,16 +195,15 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    // Candidate rows of marginal weights: a logical shard's bidders bid
-    // plain Click, so r_i(j) = ctr(i, j) * bid and r_i(⊥) = 0 — exactly the
-    // value the compiled kernel computes for that table.
+    // Candidate rows of marginal weights: the planner's members bid plain
+    // Click, so r_i(j) = ctr(i, j) * bid and r_i(⊥) = 0 — exactly the value
+    // the compiled kernel computes for that table.
     rows.resize(candidates.size() * static_cast<size_t>(k));
     for (size_t c = 0; c < candidates.size(); ++c) {
       const AdvertiserId i = candidates[c];
-      const int s = ShardOf(i);
       double* out = rows.data() + c * k;
-      if (lane->shards[s].logical) {
-        const double bid = planners_[s]->EffectiveBid(i, kw);
+      if (logical != nullptr && logical->Covers(i)) {
+        const double bid = logical->EffectiveBid(i, kw);
         for (SlotIndex j = 0; j < k; ++j) {
           out[j] = model.ClickProbability(i, j) * bid;
         }
@@ -208,11 +213,11 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
         for (SlotIndex j = 0; j < k; ++j) out[j] = row[j] - base;
       }
     }
-    // sum_i r_i(⊥) in id order. Logical rows contribute +0.0, which never
-    // changes a sum that starts at +0.0, so they are skipped.
+    // sum_i r_i(⊥) in id order. The planner's rows contribute +0.0, which
+    // never changes a sum that starts at +0.0, so they are skipped.
     double unassigned = 0.0;
-    for (size_t s = 0; s < ranges_.size(); ++s) {
-      if (lane->shards[s].logical) continue;
+    for (int s = 0; s < num_shards; ++s) {
+      if (!PlansBrute(s, logical)) continue;
       const double* base = revenue->UnassignedData();
       for (AdvertiserId i = ranges_[s].begin; i < ranges_[s].end; ++i) {
         unassigned += base[i];
@@ -309,7 +314,8 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
     for (int s = 0; s < num_shards; ++s) plan_shard(s);
   }
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
-  FinishPlan(lane, &revenue, /*kw=*/-1, plan);
+  lane->merged_topk.Reset(k, k + 1);
+  FinishPlan(lane, &revenue, /*logical=*/nullptr, /*kw=*/-1, plan);
 }
 
 void ShardedAuctionEngine::PlanAuction(const Query& query,
@@ -320,92 +326,80 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
   PlanLane* lane = internal_lane_.get();
   plan->outcome = AuctionOutcome{};
   plan->outcome.query = query;
+  lane->merged_topk.Reset(k, k + 1);
   WallTimer timer;
+  const bool traced = tracer_ != nullptr && trace_seq != 0;
 
-  // Which shards plan logically. Prepare may rebuild a shard's lists (after
-  // a capture or restore moved its strategies); that is rare and runs here,
-  // before the fan-out, so the matrix is shaped only when some shard needs
-  // it.
-  const int num_shards = static_cast<int>(ranges_.size());
-  int kw = -1;
-  bool any_brute = false;
-  for (int s = 0; s < num_shards; ++s) {
-    RoiShardPlanner* planner = planners_[s].get();
-    const int shard_kw =
-        planner != nullptr ? planner->PlannableKeyword(query) : -1;
-    WallTimer prepare_timer;
-    const bool logical =
-        shard_kw >= 0 && planner->Prepare(query, workload_.accounts);
-    if (shard_kw >= 0) {
-      capture_ns_[s] +=
-          static_cast<int64_t>(prepare_timer.ElapsedSeconds() * 1e9);
+  // --- The logical bid step (triggers + logical update) replaces capture on
+  // the planner's shards. Prepare may rebuild the lists first, after a
+  // capture or restore moved the strategies.
+  RoiPlanner* logical = nullptr;
+  const int kw = planner_ != nullptr ? planner_->PlannableKeyword(query) : -1;
+  if (kw >= 0) {
+    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+    WallTimer planner_timer;
+    if (planner_->Prepare(query, workload_.accounts)) {
+      planner_->Advance(query, kw, workload_.accounts);
+      logical = planner_.get();
     }
-    lane->shards[s].logical = logical;
-    if (logical) kw = shard_kw;
-    any_brute |= !logical;
+    planner_ns_ += static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
+    if (traced) {
+      tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, kPlannerTrack,
+                          t0, Tracer::NowNs());
+    }
   }
+
+  // --- Brute shard phase: every shard the planner did not plan captures its
+  // programs and runs the compile + fill phase.
+  const int num_shards = static_cast<int>(ranges_.size());
+  bool any_brute = false;
+  for (int s = 0; s < num_shards; ++s) any_brute |= PlansBrute(s, logical);
   RevenueMatrix* revenue = nullptr;
   if (any_brute) {
     revenue = &lane->revenue;
     revenue->Reset(n, k);
     lane->cache.Reserve(strategies_.size());
     capture_scratch_.resize(strategies_.size());
-  }
-
-  // --- Shard phase. A logical shard's bid step (triggers + logical update)
-  // is its capture, and the Threshold Algorithm its plan; a brute shard
-  // captures its programs and runs the compile + fill phase.
-  const bool collect = CollectsTopK();
-  const bool traced = tracer_ != nullptr && trace_seq != 0;
-  auto plan_shard = [&](int s) {
-    PlanLane::ShardScratch& scratch = lane->shards[s];
-    if (!scratch.logical) {
+    if (logical == nullptr) SyncStrategies();
+    const bool collect = CollectsTopK();
+    auto plan_shard = [&](int s) {
+      if (!PlansBrute(s, logical)) return;
       CaptureShard(s, query, &capture_scratch_, trace_seq);
       const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-      RunShardPhase(ranges_[s], &lane->cache, &scratch, capture_scratch_,
-                    revenue, collect);
+      RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s],
+                    capture_scratch_, revenue, collect);
       if (traced) {
         tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
                             lane->trace_track_base + s, t0, Tracer::NowNs());
       }
-      return;
+    };
+    if (lane->pool != nullptr && num_shards > 1) {
+      lane->pool->ParallelFor(num_shards, plan_shard);
+    } else {
+      for (int s = 0; s < num_shards; ++s) plan_shard(s);
     }
-    RoiShardPlanner* planner = planners_[s].get();
-    uint64_t t0 = traced ? Tracer::NowNs() : 0;
-    WallTimer shard_timer;
-    planner->Advance(query, kw, workload_.accounts);
-    capture_ns_[s] += static_cast<int64_t>(shard_timer.ElapsedSeconds() * 1e9);
+    if (logical == nullptr && planner_ != nullptr) planner_->Invalidate();
+  }
+
+  // --- The Threshold Algorithm, once per slot, into the coordinator's merge.
+  if (logical != nullptr) {
+    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
+    WallTimer planner_timer;
+    logical->SelectTop(kw, &lane->merged_topk);
+    planner_ns_ += static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
     if (traced) {
-      const uint64_t t1 = Tracer::NowNs();
-      tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
-                          t1);
-      t0 = t1;
+      tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, kPlannerTrack,
+                          t0, Tracer::NowNs());
     }
-    shard_timer.Reset();
-    scratch.topk.Reset(k, k + 1);
-    planner->SelectTop(kw, &scratch.topk);
-    scratch.phase_ns +=
-        static_cast<int64_t>(shard_timer.ElapsedSeconds() * 1e9);
-    if (traced) {
-      tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
-                          lane->trace_track_base + s, t0, Tracer::NowNs());
-    }
-  };
-  if (lane->pool != nullptr && num_shards > 1) {
-    lane->pool->ParallelFor(num_shards, plan_shard);
-  } else {
-    for (int s = 0; s < num_shards; ++s) plan_shard(s);
   }
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
-  FinishPlan(lane, revenue, kw, plan);
+  FinishPlan(lane, revenue, logical, kw, plan);
 }
 
 void ShardedAuctionEngine::SyncStrategies() const {
   // Logically const: the strategies receive the bids they already stand
   // for. Callers hold the engine exclusively (see CaptureBidsForRead).
-  for (const auto& planner : planners_) {
-    if (planner != nullptr) planner->WriteBack();
-  }
+  if (planner_ != nullptr) planner_->WriteBack();
 }
 
 void ShardedAuctionEngine::CaptureBidsForRead(const Query& query,
@@ -441,12 +435,12 @@ const AuctionOutcome& ShardedAuctionEngine::SettlePlanned(
                 &workload_.accounts, strategies_, &user_rng_, &outcome_);
   total_revenue_ += outcome_.revenue_charged;
   // Settlement touched only the winners' accounts: their list memberships
-  // and triggers are the planners' only per-bidder work outside the TA.
-  for (const UserEvent& event : outcome_.events) {
-    RoiShardPlanner* planner = planners_[ShardOf(event.advertiser)].get();
-    if (planner != nullptr) {
-      planner->OnSettled(event.advertiser, outcome_.query.time,
-                         workload_.accounts);
+  // and triggers are the planner's only per-bidder work outside the TA.
+  if (planner_ != nullptr) {
+    for (const UserEvent& event : outcome_.events) {
+      if (!planner_->Covers(event.advertiser)) continue;
+      planner_->OnSettled(event.advertiser, outcome_.query.time,
+                          workload_.accounts);
     }
   }
   return outcome_;
@@ -464,32 +458,15 @@ ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
   stats.cache_misses = cache.MissesInRange(range.begin, range.end);
   stats.capture_ns = capture_ns_[static_cast<size_t>(shard)];
   stats.phase_ns = internal_lane_->phase_ns(shard);
-  if (const RoiShardPlanner* planner = planners_[shard].get()) {
-    stats.roi_planner = true;
-    stats.planner = planner->stats();
-  }
   return stats;
 }
 
 bool ShardedAuctionEngine::has_roi_planner() const {
-  for (const auto& planner : planners_) {
-    if (planner != nullptr) return true;
-  }
-  return false;
+  return planner_ != nullptr;
 }
 
 RoiPlannerStats ShardedAuctionEngine::planner_stats() const {
-  RoiPlannerStats total;
-  for (const auto& planner : planners_) {
-    if (planner == nullptr) continue;
-    const RoiPlannerStats& s = planner->stats();
-    total.logical_plans += s.logical_plans;
-    total.probes += s.probes;
-    total.list_moves += s.list_moves;
-    total.triggers_fired += s.triggers_fired;
-    total.rebuilds += s.rebuilds;
-  }
-  return total;
+  return planner_ != nullptr ? planner_->stats() : RoiPlannerStats{};
 }
 
 int64_t ShardedAuctionEngine::cache_hits() const {
@@ -538,11 +515,9 @@ Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
     return Status::InvalidArgument("checkpoint population size mismatch");
   }
   // Strategies not restored by a failing blob must hold their current bids,
-  // and the planners' lists are stale afterwards either way.
+  // and the planner's lists are stale afterwards either way.
   SyncStrategies();
-  for (const auto& planner : planners_) {
-    if (planner != nullptr) planner->Invalidate();
-  }
+  if (planner_ != nullptr) planner_->Invalidate();
   for (size_t i = 0; i < n; ++i) {
     SSA_RETURN_IF_ERROR(strategies_[i]->RestoreState(ckpt.strategy_state[i]));
   }

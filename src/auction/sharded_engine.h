@@ -54,41 +54,44 @@ struct ShardedEngineConfig {
 
 /// Horizontally partitioned auction engine: the advertiser population is
 /// split across K shards, each owning its advertisers' bid tables and its
-/// own compiled-bids cache. Per auction, every shard — share-nothing, in
-/// parallel on the configured pool — emits its local per-slot top-(k+1)
-/// candidates into a TopKHeapSet, by one of two paths:
+/// own compiled-bids cache. Per auction, the per-slot top-(k+1) candidates
+/// come from one of two paths:
 ///
-///  * **brute force**: run the bidding programs, compile or reuse their
+///  * **brute force**, per shard — share-nothing, in parallel on the
+///    configured pool: run the bidding programs, compile or reuse their
 ///    truth tables, fill the shard's rows of the expected-revenue matrix and
-///    offer every row;
-///  * **logical** (the paper's RHTALU, auction/roi_planner.h): when every
-///    bidder of the shard runs the native ROI heuristic on plain Click bids,
-///    the query has one relevant keyword, and the engine runs reduced-
-///    Hungarian winner determination with GSP or pay-your-bid pricing, the
-///    shard fires its due triggers, applies the O(1) logical bid update and
-///    selects its top entries with the Threshold Algorithm — no capture,
-///    compile or matrix fill.
+///    offer every row into the shard's TopKHeapSet;
+///  * **logical** (the paper's RHTALU, auction/roi_planner.h), once for the
+///    engine: one planner covers every shard whose bidders all run the
+///    native ROI heuristic. When the query has one relevant keyword on which
+///    they bid plain Click, and the engine runs reduced-Hungarian winner
+///    determination with GSP or pay-your-bid pricing, the planner fires its
+///    due triggers, applies the O(1) logical bid update and selects its
+///    members' top entries with the Threshold Algorithm, once per slot,
+///    straight into the coordinator's merge — no capture, compile or matrix
+///    fill. Shards it does not cover run the brute-force path alongside.
 ///
-/// One coordinator serves both: it merges the K partial top-(k+1) sets (the
-/// top of a union equals the top of the per-part tops under the strict
-/// (weight, id) order), runs winner determination on the candidates' rows,
-/// takes GSP's reference price from the merged top-(k+1), and settles the
-/// auction (SettleAuction). It is the library's only auction engine; K = 1
-/// is the unsharded configuration.
+/// One coordinator serves both: it merges the brute shards' partial
+/// top-(k+1) sets with the planner's entries (the top of a union equals the
+/// top of the per-part tops under the strict (weight, id) order), runs
+/// winner determination on the candidates' rows, takes GSP's reference
+/// price from the merged top-(k+1), and settles the auction
+/// (SettleAuction). It is the library's only auction engine; K = 1 is the
+/// unsharded configuration.
 ///
 /// Determinism contract: with equal seeds and workloads, every auction's
 /// allocation, prices, user events, and account balances are bitwise
 /// identical to the paper's serial eager loop (every program, the full
 /// n x k matrix compiled fresh, then WD, pricing and settlement — the
 /// test-only reference engine in tests/reference_engine.h), for any K, any
-/// pool and either shard path — asserted by sharded_engine_test and
+/// pool and either path — asserted by sharded_engine_test and
 /// roi_planner_test. Strategies of different advertisers never share
 /// mutable state (Section II-B), which is what makes the shard phase
 /// embarrassingly parallel. The shard layout is fixed at construction;
 /// checkpoints are layout-independent, so a different K is a restore into a
 /// new engine.
 ///
-/// The strategies stay the source of truth for checkpoints: a logical shard
+/// The strategies stay the source of truth for checkpoints: the planner
 /// writes its effective bids back into its RoiStrategy objects before any
 /// path reads them (CaptureBids, CaptureBidsForRead / WhatIfAuction,
 /// CaptureCheckpoint, RestoreCheckpoint) and rebuilds its lists from them,
@@ -113,8 +116,8 @@ class ShardedAuctionEngine {
                        std::vector<std::unique_ptr<BiddingStrategy>> strategies);
 
   /// Runs one complete auction and returns its record. The fused shard
-  /// phase (program evaluation + compile + matrix rows + local top-k, or a
-  /// logical shard's bid step + Threshold Algorithm) is reported as
+  /// phase (program evaluation + compile + matrix rows + local top-k) and
+  /// the planner's bid step + Threshold Algorithm are reported as
   /// program_eval_ms.
   const AuctionOutcome& RunAuction();
 
@@ -170,9 +173,6 @@ class ShardedAuctionEngine {
     friend class ShardedAuctionEngine;
     struct ShardScratch {
       TopKHeapSet topk;  // local per-slot top-(k+1), reused
-      /// Whether the shard planned this lane's last auction logically (its
-      /// candidate rows then come from the planner, not the matrix).
-      bool logical = false;
       /// Accumulated RunShardPhase wall time for this shard on this lane
       /// (exported as engine_shard_phase_ns).
       int64_t phase_ns = 0;
@@ -228,11 +228,11 @@ class ShardedAuctionEngine {
 
   /// Phases 3/4/6-prep on `query` against the *current* account state, on
   /// the engine's internal lane (whose shard phase fans out on the
-  /// configured pool): each shard plans logically when it can and captures
-  /// and fills otherwise. Advances the strategies' bids (directly or through
-  /// the planners' lists) and engine scratch; accounts, strategies' outcome
-  /// state and the user RNG are untouched until the plan is settled. The
-  /// plan equals CaptureBids + PlanCaptured bit for bit.
+  /// configured pool): the planner plans its shards logically when it can,
+  /// and every other shard captures and fills. Advances the strategies' bids
+  /// (directly or through the planner's lists) and engine scratch; accounts,
+  /// strategies' outcome state and the user RNG are untouched until the plan
+  /// is settled. The plan equals CaptureBids + PlanCaptured bit for bit.
   void PlanAuction(const Query& query, PlannedAuction* plan,
                    uint64_t trace_seq = 0);
 
@@ -257,7 +257,7 @@ class ShardedAuctionEngine {
   /// Step 5/6 for a planned auction: simulates user actions (advancing the
   /// user RNG in plan order), charges winners, updates accounts, delivers
   /// outcome notifications, folds revenue into the engine totals, and lets
-  /// the ROI planners reclassify the settled winners.
+  /// the ROI planner reclassify the settled winners.
   /// Settling plans strictly in arrival order, each planned after its
   /// predecessor settled, reproduces the serial RunAuctionOn loop bitwise;
   /// planning a batch ahead of settlement trades that equivalence for
@@ -272,7 +272,7 @@ class ShardedAuctionEngine {
   int64_t auctions_run() const { return auctions_run_; }
   Money total_revenue() const { return total_revenue_; }
   int num_shards() const { return static_cast<int>(ranges_.size()); }
-  /// Whether any shard can plan logically (an RHTALU planner exists).
+  /// Whether some shard can plan logically (the RHTALU planner exists).
   bool has_roi_planner() const;
 
   /// Attaches a span tracer (not owned; null detaches). Per-shard capture
@@ -295,17 +295,16 @@ class ShardedAuctionEngine {
     /// or lane-planned) since construction.
     int64_t capture_ns = 0;
     /// RunShardPhase wall time accumulated on the internal lane since
-    /// construction. On a logical auction the bid step (triggers and logical
-    /// update) counts as capture and the Threshold Algorithm as phase.
+    /// construction. A logical auction runs neither phase on the planner's
+    /// shards; its time is planner_ns().
     int64_t phase_ns = 0;
-    /// Whether the shard has an RHTALU planner, and its work totals
-    /// (planner.logical_plans counts the auctions it planned logically).
-    bool roi_planner = false;
-    RoiPlannerStats planner;
   };
   ShardStats shard_stats(int shard) const;
-  /// Planner work totals summed over all shards.
+  /// The planner's work totals (zero without a planner).
   RoiPlannerStats planner_stats() const;
+  /// The planner's wall time since construction: list preparation, the bid
+  /// step and the Threshold Algorithm.
+  int64_t planner_ns() const { return planner_ns_; }
   /// Internal-lane cache hits/misses summed over all shards: one lookup per
   /// advertiser per brute-force auction (logical shards make none), a hit
   /// whenever the table is unchanged.
@@ -325,8 +324,8 @@ class ShardedAuctionEngine {
   /// shard-layout-independent (cache keys are stored by global advertiser
   /// id), so an engine of any shard count restores one taken at any other.
   /// External PlanLane caches are scratch: never checkpointed, rebuilt on
-  /// demand. The RHTALU planners' lists are not checkpointed either: a
-  /// capture writes their bids back into the strategies first (logically
+  /// demand. The RHTALU planner's lists are not checkpointed either: a
+  /// capture writes its bids back into the strategies first (logically
   /// const, so it must not overlap planning), and a restore leaves them to
   /// be rebuilt from the restored strategies. The file forms are versioned,
   /// CRC-guarded, and atomically replaced on write.
@@ -336,9 +335,9 @@ class ShardedAuctionEngine {
   Status RestoreFromCheckpoint(const std::string& path);
 
  private:
-  /// Runs shard s's bidding programs for `query` into its range of `*bids`,
-  /// syncing its planner around the strategies (write back before, stale
-  /// after).
+  /// Runs shard s's bidding programs for `query` into its range of `*bids`.
+  /// Callers sync the planner around the capture (SyncStrategies before,
+  /// Invalidate after).
   void CaptureShard(int s, const Query& query, CapturedBids* bids,
                     uint64_t trace_seq);
 
@@ -355,18 +354,24 @@ class ShardedAuctionEngine {
   /// method takes its candidates from them and GSP its reference prices.
   bool CollectsTopK() const;
 
-  /// The coordinator shared by both shard paths: merges the lane's
-  /// per-shard heaps, solves winner determination on the candidates' rows
-  /// (from `revenue` for brute shards, from the planner for logical ones on
-  /// keyword `kw`), and prices the allocation. `revenue` may be null only
-  /// when every shard planned logically.
-  void FinishPlan(PlanLane* lane, const RevenueMatrix* revenue, int kw,
+  /// Whether shard s ran the brute-force phase in an auction that `logical`
+  /// planned (null: no logical plan, so every shard did).
+  bool PlansBrute(int s, const RoiPlanner* logical) const {
+    return logical == nullptr || !logical->Covers(ranges_[s].begin);
+  }
+
+  /// The coordinator shared by both paths: merges the brute shards' heaps
+  /// into the lane's merged heap set (which the caller Reset, and into which
+  /// `logical`, when not null, already offered its members' entries),
+  /// solves winner determination on the candidates' rows (from `revenue`,
+  /// or from `logical` on keyword `kw` for its members), and prices the
+  /// allocation. `revenue` may be null only when `logical` covers every
+  /// shard.
+  void FinishPlan(PlanLane* lane, const RevenueMatrix* revenue,
+                  const RoiPlanner* logical, int kw,
                   PlannedAuction* plan) const;
 
-  /// Index of the shard owning advertiser i.
-  int ShardOf(AdvertiserId i) const;
-
-  /// Writes every planner's effective bids back into its strategies.
+  /// Writes the planner's effective bids back into its strategies.
   void SyncStrategies() const;
 
   ShardedEngineConfig config_;
@@ -382,9 +387,10 @@ class ShardedAuctionEngine {
   /// Per-shard capture wall time, indexed like ranges_; the capture fan-out
   /// writes disjoint entries.
   std::vector<int64_t> capture_ns_;
-  /// RHTALU planner per shard, indexed like ranges_; null where the shard
-  /// always plans by brute force.
-  std::vector<std::unique_ptr<RoiShardPlanner>> planners_;
+  /// The RHTALU planner over every qualifying shard; null when no shard
+  /// qualifies or the engine's method and pricing rule need the matrix.
+  std::unique_ptr<RoiPlanner> planner_;
+  int64_t planner_ns_ = 0;
   /// The engine's own lane (PlanAuction / RunAuctionOn path); its caches
   /// are the ones checkpoints persist and shard_stats reports.
   std::unique_ptr<PlanLane> internal_lane_;

@@ -57,6 +57,8 @@ std::string TrackName(int32_t track) {
     return "executor";
   } else if (track < 100) {
     std::snprintf(buf, sizeof(buf), "lane %d", track - 1);
+  } else if (track == kPlannerTrack) {
+    return "RHTALU planner";
   } else if (track < 200) {
     std::snprintf(buf, sizeof(buf), "shard %d capture", track - 100);
   } else {

@@ -61,6 +61,9 @@ struct TraceEvent {
   TraceStage stage = TraceStage::kQuery;
 };
 
+/// Track of the engine's RHTALU planner spans (see the scheme below).
+constexpr int32_t kPlannerTrack = 199;
+
 /// Fixed-size lock-free overwriting span ring with deterministic 1-in-N
 /// sampling.
 ///
@@ -79,6 +82,8 @@ struct TraceEvent {
 ///   0            executor thread
 ///   1 + e        plan lane e (external LanePool lanes)
 ///   100 + s      shard s capture slice
+///   199          the RHTALU planner: its bid step (kShardCapture) and
+///                Threshold Algorithm (kShardPlan)
 ///   200 + 100*(lane+1) + s   shard s planned on `lane` (-1 = internal)
 class Tracer {
  public:

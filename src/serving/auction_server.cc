@@ -241,11 +241,11 @@ void AuctionServer::Stop() {
 
 void AuctionServer::PublishEngineGauges() {
   if (!config_.obs.metrics) return;
-  // The internal lane plans only replay; batched settlement plans on the
-  // server's lanes. Shard-phase time and cache totals are their sum, so
-  // they read true in either mode.
-  // Only replay plans on the engine's internal lane, so only a replay server
-  // with an RHTALU-capable shard exports the planner's work.
+  // Shard-phase time and cache totals sum the engine's internal lane
+  // (replay) and the server's planning lanes (batched settlement), so they
+  // read true in either mode. Only replay plans on the internal lane, so
+  // only a replay server whose engine has the RHTALU planner exports the
+  // planner's work.
   const bool logical = config_.mode == ServingMode::kDeterministicReplay &&
                        engine_.has_roi_planner();
   const int num_shards = engine_.num_shards();
@@ -267,16 +267,14 @@ void AuctionServer::PublishEngineGauges() {
         .GetGauge("engine_shard_advertisers", label,
                   "Advertisers owned by the shard")
         ->Set(static_cast<int64_t>(stats.end - stats.begin));
-    if (logical && stats.roi_planner) {
-      AdvanceCounter(
-          registry_.GetCounter("engine_shard_logical_plans_total", label,
-                               "Auctions the shard planned with the RHTALU "
-                               "planner instead of capture + fill"),
-          stats.planner.logical_plans);
-    }
   }
   if (logical) {
     const RoiPlannerStats planner = engine_.planner_stats();
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_logical_plans_total", "",
+                             "Auctions the RHTALU planner planned instead "
+                             "of capture + fill on its shards"),
+        planner.logical_plans);
     AdvanceCounter(registry_.GetCounter("engine_roi_planner_probes_total", "",
                                         "Threshold Algorithm sorted accesses"),
                    planner.probes);
@@ -292,6 +290,16 @@ void AuctionServer::PublishEngineGauges() {
         registry_.GetCounter("engine_roi_planner_rebuilds_total", "",
                              "Planner list rebuilds from the strategies"),
         planner.rebuilds);
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_ctr_extensions_total", "",
+                             "Per-slot ctr prefixes doubled when the "
+                             "Threshold Algorithm ran past them"),
+        planner.ctr_extensions);
+    AdvanceCounter(
+        registry_.GetCounter("engine_roi_planner_ns_total", "",
+                             "Planner wall time: list preparation, bid step "
+                             "and Threshold Algorithm, ns"),
+        engine_.planner_ns());
   }
   int64_t cache_hits = engine_.cache_hits();
   int64_t cache_misses = engine_.cache_misses();

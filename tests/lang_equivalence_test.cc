@@ -97,7 +97,7 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
         << "winner divergence at auction " << t;
     ASSERT_DOUBLE_EQ(on.revenue_charged, oi.revenue_charged)
         << "revenue divergence at auction " << t;
-    // The native bidders' shard plans with the RHTALU planner, which holds
+    // The engine's RHTALU planner plans the native bidders and holds
     // the current bids in its lists; a checkpoint capture writes them back
     // into the strategies.
     EngineCheckpoint synced;

@@ -1,12 +1,14 @@
-// The RHTALU planner gate. Shards of ShardedAuctionEngine that plan
-// logically (auction/roi_planner.h: logical updates, triggers, Threshold
-// Algorithm) must reproduce the serial reference engine
+// The RHTALU planner gate. ShardedAuctionEngine's planner (auction/
+// roi_planner.h: logical updates, triggers, Threshold Algorithm), which
+// plans every qualifying shard, must reproduce the serial reference engine
 // (tests/reference_engine.h) exactly, auction by auction: allocation,
 // prices, user events, revenue, accounts and every tentative bid. Covered:
-// shard counts with and without a pool, GSP and pay-your-bid, several seeds
-// and a tie-heavy population, checkpoints restored into another shard count,
-// log recovery, follower replay, what-if reads, the batched-lane entry
-// points, and each fallback to the brute-force shard path.
+// shard counts with and without a pool (and the same planner work totals
+// for each), GSP and pay-your-bid, several seeds, a tie-heavy population, a
+// bid ramp that outgrows the initial ctr prefixes, checkpoints restored into
+// another shard count, log recovery, follower replay, what-if reads, the
+// batched-lane entry points, mixed layouts, and each fallback to the
+// brute-force path.
 
 #include <chrono>
 #include <cstdio>
@@ -65,6 +67,10 @@ enum class Shape {
   /// Target spend rates of at most 0.6 cents per auction: winners overspend,
   /// so decrement lists and spend-rate triggers carry the trajectory.
   kLowTargets,
+  /// Even advertisers have every slot's highest ctrs but zero caps, so they
+  /// never bid: the Threshold Algorithm reads past all of them on the ctr
+  /// side before it meets a bidder that scores.
+  kDeadTopCtr,
 };
 
 Workload MakeWorkload(const WorkloadConfig& wc, Shape shape = Shape::kPaper) {
@@ -83,6 +89,20 @@ Workload MakeWorkload(const WorkloadConfig& wc, Shape shape = Shape::kPaper) {
     for (int i = 0; i < n; ++i) {
       w.accounts[i].target_spend_rate = 0.1 * (1 + i % 6);
     }
+  } else if (shape == Shape::kDeadTopCtr) {
+    std::vector<double> click(static_cast<size_t>(n) * k);
+    for (int i = 0; i < n; ++i) {
+      const bool dead = i % 2 == 0;
+      for (int j = 0; j < k; ++j) {
+        const double ctr = w.click_model->ClickProbability(i, j);
+        click[static_cast<size_t>(i) * k + j] =
+            dead ? 0.5 + 0.5 * ctr : 0.5 * ctr;
+      }
+      if (dead) {
+        for (Money& cap : w.accounts[i].max_bid) cap = 0;
+      }
+    }
+    w.click_model = std::make_shared<MatrixClickModel>(n, k, std::move(click));
   }
   return w;
 }
@@ -133,7 +153,7 @@ void ExpectSameAccounts(const std::vector<AdvertiserAccount>& want,
 }
 
 /// Accounts, revenue and every tentative bid. Capturing a checkpoint makes
-/// the planners write their bids back, so the engine's strategies are
+/// the planner write its bids back, so the engine's strategies are
 /// compared as they stand logically.
 void ExpectSameState(const ReferenceEngine& ref, const Bidders& ref_bidders,
                      const ShardedAuctionEngine& engine,
@@ -209,10 +229,9 @@ class RoiPlannerGateTest : public ::testing::TestWithParam<GateParam> {
     Lockstep run(wc, shape, ec, p.num_shards, pool.get());
     ASSERT_TRUE(run.engine->has_roi_planner());
     ASSERT_NO_FATAL_FAILURE(run.Run(auctions, /*state_every=*/10));
-    // Every shard planned every auction logically.
+    // The one planner planned every auction logically.
     const RoiPlannerStats stats = run.engine->planner_stats();
-    EXPECT_EQ(stats.logical_plans,
-              static_cast<int64_t>(auctions) * run.engine->num_shards());
+    EXPECT_EQ(stats.logical_plans, auctions);
     EXPECT_GT(stats.probes, 0);
     EXPECT_GT(stats.list_moves, 0);
     if (shape == Shape::kLowTargets) {
@@ -250,7 +269,7 @@ TEST_P(RoiPlannerGateTest, MatchesReferenceOnTiedScores) {
 /// shard count on a pool under GSP.
 std::vector<GateParam> GateParams() {
   std::vector<GateParam> params;
-  for (const int k : {1, 2, 4, 7}) {
+  for (const int k : {1, 2, 4, 7, 8}) {
     params.push_back({k, false, PricingRule::kGeneralizedSecondPrice});
     params.push_back({k, false, PricingRule::kPayYourBid});
     params.push_back({k, true, PricingRule::kGeneralizedSecondPrice});
@@ -290,7 +309,82 @@ TEST(RoiPlannerTest, CheckpointRestoresIntoAnotherShardCount) {
     run.engine = std::move(restored);
     run.bidders = std::move(bidders);
     ASSERT_NO_FATAL_FAILURE(run.Run(100, 25));
-    EXPECT_EQ(run.engine->planner_stats().rebuilds, run.engine->num_shards());
+    EXPECT_EQ(run.engine->planner_stats().rebuilds, 1);
+  }
+}
+
+/// Runs `auctions` auctions on a fresh engine (no reference) and returns
+/// its planner's work totals.
+RoiPlannerStats PlannerStatsOf(const WorkloadConfig& wc, Shape shape,
+                               const EngineConfig& ec, int num_shards,
+                               ThreadPool* pool, int auctions,
+                               Money* total_revenue) {
+  Workload w = MakeWorkload(wc, shape);
+  Bidders bidders = MakeBidders(w);
+  ShardedEngineConfig config;
+  config.engine = ec;
+  config.num_shards = num_shards;
+  config.pool = pool;
+  ShardedAuctionEngine engine(config, std::move(w),
+                              std::move(bidders.strategies));
+  for (int t = 0; t < auctions; ++t) engine.RunAuction();
+  *total_revenue = engine.total_revenue();
+  return engine.planner_stats();
+}
+
+TEST(RoiPlannerTest, PlannerWorkIsIdenticalForEveryLayout) {
+  // One planner covers the whole population whatever K is, and the pool
+  // only fans out brute shards: the planner's work totals are a
+  // deterministic function of the seed, equal for every layout.
+  ThreadPool pool(3);
+  for (const Shape shape : {Shape::kPaper, Shape::kLowTargets,
+                            Shape::kTiedCtr}) {
+    const WorkloadConfig wc = PaperConfig(150, 211);
+    EngineConfig ec;
+    ec.seed = 223;
+    Money want_revenue = 0;
+    const RoiPlannerStats want =
+        PlannerStatsOf(wc, shape, ec, 1, nullptr, 200, &want_revenue);
+    EXPECT_EQ(want.logical_plans, 200);
+    EXPECT_GT(want.probes, 0);
+    for (const int num_shards : {1, 2, 4, 7, 8}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("K " + std::to_string(num_shards) +
+                     (p != nullptr ? " pooled" : " serial"));
+        Money revenue = 0;
+        const RoiPlannerStats got =
+            PlannerStatsOf(wc, shape, ec, num_shards, p, 200, &revenue);
+        EXPECT_EQ(got.logical_plans, want.logical_plans);
+        EXPECT_EQ(got.probes, want.probes);
+        EXPECT_EQ(got.list_moves, want.list_moves);
+        EXPECT_EQ(got.triggers_fired, want.triggers_fired);
+        EXPECT_EQ(got.rebuilds, want.rebuilds);
+        EXPECT_EQ(got.ctr_extensions, want.ctr_extensions);
+        EXPECT_EQ(revenue, want_revenue);
+      }
+    }
+  }
+}
+
+TEST(RoiPlannerTest, BidRampExtendsTheCtrOrder) {
+  // The start of a campaign: every bid begins at 0 and each auction raises
+  // the underspenders of its keyword by one cent, so the top bid level of a
+  // keyword holds about n / 4 bidders, more than the initial 128-entry ctr
+  // prefix. The Threshold Algorithm then runs past the prefix, which must
+  // grow on demand and keep the selection exact. On the dead-top population
+  // the 600 highest ctrs of every slot never score, so each prefix must
+  // grow past them, and every later auction reads the grown prefixes.
+  for (const Shape shape : {Shape::kPaper, Shape::kDeadTopCtr}) {
+    SCOPED_TRACE(shape == Shape::kPaper ? "paper" : "dead top ctrs");
+    WorkloadConfig wc = PaperConfig(1200, 227);
+    wc.num_keywords = 4;
+    EngineConfig ec;
+    ec.seed = 229;
+    Lockstep run(wc, shape, ec, /*num_shards=*/2, nullptr);
+    ASSERT_NO_FATAL_FAILURE(run.Run(120, 40));
+    const RoiPlannerStats stats = run.engine->planner_stats();
+    EXPECT_EQ(stats.logical_plans, 120);
+    EXPECT_GT(stats.ctr_extensions, 0);
   }
 }
 
@@ -366,7 +460,7 @@ TEST(RoiPlannerTest, RecoveryReplaysTheLogLogically) {
   ASSERT_TRUE(RecoverEngine(&engine, options, &report).ok());
   EXPECT_EQ(report.records_replayed, 240 - 90);
   EXPECT_EQ(report.verify_mismatches, 0);
-  EXPECT_EQ(engine.planner_stats().logical_plans, (240 - 90) * 3);
+  EXPECT_EQ(engine.planner_stats().logical_plans, 240 - 90);
   ExpectSameState(*leader.ref, leader.ref_bidders, engine, bidders);
   std::remove(leader.log_path.c_str());
   std::remove(leader.ckpt_path.c_str());
@@ -430,13 +524,13 @@ TEST(RoiPlannerTest, WhatIfMatchesTheAuctionItPredicts) {
     }
   }
   ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
-  // Reads write back but never invalidate: one rebuild per shard, at start.
-  EXPECT_EQ(run.engine->planner_stats().rebuilds, 2);
+  // Reads write back but never invalidate: one rebuild, at start.
+  EXPECT_EQ(run.engine->planner_stats().rebuilds, 1);
 }
 
 TEST(RoiPlannerTest, InterleavesWithBatchedLaneEntryPoints) {
-  // CaptureBids moves the strategies themselves, so the planners write back
-  // before it and rebuild after it; the trajectory must not notice.
+  // CaptureBids moves the strategies themselves, so the planner writes back
+  // before it and rebuilds after it; the trajectory must not notice.
   const WorkloadConfig wc = PaperConfig(120, 53);
   EngineConfig ec;
   ec.seed = 59;
@@ -465,27 +559,41 @@ TEST(RoiPlannerTest, InterleavesWithBatchedLaneEntryPoints) {
   const RoiPlannerStats stats = run.engine->planner_stats();
   EXPECT_GT(captured, 0);
   EXPECT_EQ(stats.logical_plans,
-            2 * (static_cast<int64_t>(queries.size()) - captured));
-  EXPECT_GT(stats.rebuilds, 2);
+            static_cast<int64_t>(queries.size()) - captured);
+  EXPECT_GT(stats.rebuilds, 1);
 }
 
 TEST(RoiPlannerTest, NonRoiStrategyKeepsItsShardOnBruteForce) {
-  // One wrapped bidder in shard 1: shard 0 plans logically, shard 1 by brute
-  // force, and the coordinator mixes planner rows with matrix rows.
-  for (const int num_shards : {2, 4}) {
-    SCOPED_TRACE("K " + std::to_string(num_shards));
+  // One wrapped bidder keeps its shard on brute force; the planner covers
+  // every other shard, and the coordinator mixes planner rows with matrix
+  // rows. In the last layout the wrapped bidder sits in shard 1 of 4, so
+  // the planner's shards (0, 2, 3) are not contiguous.
+  struct Layout {
+    int num_shards;
+    int wrapped;
+    int brute_shard;
+  };
+  for (const Layout layout : {Layout{2, 75, 1}, Layout{4, 75, 3},
+                              Layout{4, 25, 1}}) {
+    SCOPED_TRACE("K " + std::to_string(layout.num_shards) + ", wrapped " +
+                 std::to_string(layout.wrapped));
     const WorkloadConfig wc = PaperConfig(80, 71);
     std::vector<char> wrapped(80, 0);
-    wrapped[75] = 1;
+    wrapped[static_cast<size_t>(layout.wrapped)] = 1;
     EngineConfig ec;
     ec.seed = 73;
-    Lockstep run(wc, Shape::kPaper, ec, num_shards, nullptr, wrapped);
+    Lockstep run(wc, Shape::kPaper, ec, layout.num_shards, nullptr, wrapped);
     ASSERT_NO_FATAL_FAILURE(run.Run(300, 10));
-    const int last = run.engine->num_shards() - 1;
-    EXPECT_TRUE(run.engine->shard_stats(0).roi_planner);
-    EXPECT_EQ(run.engine->shard_stats(0).planner.logical_plans, 300);
-    EXPECT_FALSE(run.engine->shard_stats(last).roi_planner);
-    EXPECT_GT(run.engine->shard_stats(last).cache_misses, 0);
+    EXPECT_EQ(run.engine->planner_stats().logical_plans, 300);
+    // Only the brute shard captures and looks its bidders up in the cache.
+    for (int s = 0; s < run.engine->num_shards(); ++s) {
+      const auto stats = run.engine->shard_stats(s);
+      if (s == layout.brute_shard) {
+        EXPECT_GT(stats.cache_misses, 0) << "shard " << s;
+      } else {
+        EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0) << "shard " << s;
+      }
+    }
   }
 }
 
@@ -515,8 +623,8 @@ TEST(RoiPlannerTest, MultiKeywordAndBackwardQueriesFallBack) {
   ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
   const RoiPlannerStats stats = run.engine->planner_stats();
   EXPECT_EQ(stats.logical_plans,
-            2 * (static_cast<int64_t>(queries.size()) - two_keyword));
-  EXPECT_GT(stats.rebuilds, 2 * two_keyword);
+            static_cast<int64_t>(queries.size()) - two_keyword);
+  EXPECT_GT(stats.rebuilds, two_keyword);
 }
 
 TEST(RoiPlannerTest, VcgAndDenseMethodsStayOnBruteForce) {

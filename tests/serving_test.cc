@@ -363,7 +363,6 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
     EXPECT_NE(name, "serving_rebalances_total");
     // Batched settlement plans on lanes, by brute force: no planner metrics.
     EXPECT_FALSE(has_prefix(name, "engine_roi_planner_")) << name;
-    EXPECT_NE(name, "engine_shard_logical_plans_total");
   }
   for (const char* name : {"engine_cache_hits_total",
                            "engine_cache_misses_total",
@@ -402,19 +401,31 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   ASSERT_TRUE(logged.count("durability_bytes_written_total"));
   ASSERT_TRUE(logged.count("recovery_records_replayed"));
   EXPECT_EQ(logged.at("recovery_records_replayed"), MetricSample::kGauge);
-  // Replay on native ROI bidders plans every shard with the RHTALU planner:
-  // its work totals are live counters, and both shards say they planned
-  // logically.
+  // Replay on native ROI bidders plans both shards with the one RHTALU
+  // planner: its work totals are live counters, and it planned every
+  // auction logically. Its ctr prefixes hold all 40 bidders, so they never
+  // need extending.
+  for (const char* name : {"engine_roi_planner_logical_plans_total",
+                           "engine_roi_planner_probes_total",
+                           "engine_roi_planner_list_moves_total",
+                           "engine_roi_planner_triggers_fired_total",
+                           "engine_roi_planner_rebuilds_total",
+                           "engine_roi_planner_ctr_extensions_total",
+                           "engine_roi_planner_ns_total"}) {
+    ASSERT_TRUE(logged.count(name)) << name;
+    EXPECT_EQ(logged.at(name), MetricSample::kCounter) << name;
+  }
   for (const char* name : {"engine_roi_planner_probes_total",
                            "engine_roi_planner_list_moves_total",
                            "engine_roi_planner_triggers_fired_total",
                            "engine_roi_planner_rebuilds_total",
-                           "engine_shard_logical_plans_total"}) {
-    ASSERT_TRUE(logged.count(name)) << name;
-    EXPECT_EQ(logged.at(name), MetricSample::kCounter) << name;
+                           "engine_roi_planner_ns_total"}) {
     EXPECT_GT(value_of(with_log, name), 0.0) << name;
   }
-  EXPECT_EQ(value_of(with_log, "engine_shard_logical_plans_total"), 2 * 40.0);
+  EXPECT_EQ(value_of(with_log, "engine_roi_planner_logical_plans_total"),
+            40.0);
+  EXPECT_EQ(value_of(with_log, "engine_roi_planner_ctr_extensions_total"),
+            0.0);
   std::remove(log_path.c_str());
 }
 

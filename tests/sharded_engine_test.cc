@@ -107,9 +107,10 @@ TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwiseOnPool) {
 }
 
 // 7 over 40 advertisers gives unequal shards (5 and 6 advertisers); 8 and
-// 12 put many small partials through the flat coordinator merge.
+// 12 put many small partials through the flat coordinator merge. Native ROI
+// bidders are planned by the one RHTALU planner at every K.
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedEquivalenceTest,
-                         ::testing::Values(1, 2, 7, 8, 12));
+                         ::testing::Values(1, 2, 4, 7, 8, 12));
 
 TEST(ShardedEngineTest, DenseWdMethodsAlsoMatch) {
   // The non-reduced methods skip the top-k merge and run on the full
@@ -335,26 +336,41 @@ TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
 }
 
 TEST(ShardedEngineTest, ShardStatsExposeCaptureAndPhaseTime) {
-  Workload w = MakePaperWorkload(SmallConfig(107));
-  ShardedEngineConfig config;
-  config.num_shards = 4;
-  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
-  for (int t = 0; t < 20; ++t) engine.RunAuction();
-  // The layout is the uniform split fixed at construction, and the
-  // per-shard clocks have counted every auction since.
-  int64_t capture_ns = 0;
-  int64_t phase_ns = 0;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    const auto stats = engine.shard_stats(s);
-    EXPECT_EQ(stats.begin, s * 10);
-    EXPECT_EQ(stats.end, (s + 1) * 10);
-    EXPECT_GE(stats.capture_ns, 0);
-    EXPECT_GE(stats.phase_ns, 0);
-    capture_ns += stats.capture_ns;
-    phase_ns += stats.phase_ns;
+  // Native ROI bidders are planned by the engine's one RHTALU planner, whose
+  // clock counts their auctions; behind the forwarding wrapper the same
+  // bidders capture and fill per shard, and the per-shard clocks count.
+  for (const bool brute : {false, true}) {
+    SCOPED_TRACE(brute ? "brute-force shards" : "planner");
+    Workload w = MakePaperWorkload(SmallConfig(107));
+    ShardedEngineConfig config;
+    config.num_shards = 4;
+    auto strategies = RoiStrategies(w);
+    if (brute) strategies = Forwarded(std::move(strategies));
+    ShardedAuctionEngine engine(config, w, std::move(strategies));
+    for (int t = 0; t < 20; ++t) engine.RunAuction();
+    // The layout is the uniform split fixed at construction, and the
+    // clocks have counted every auction since.
+    int64_t capture_ns = 0;
+    int64_t phase_ns = 0;
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      const auto stats = engine.shard_stats(s);
+      EXPECT_EQ(stats.begin, s * 10);
+      EXPECT_EQ(stats.end, (s + 1) * 10);
+      EXPECT_GE(stats.capture_ns, 0);
+      EXPECT_GE(stats.phase_ns, 0);
+      capture_ns += stats.capture_ns;
+      phase_ns += stats.phase_ns;
+    }
+    if (brute) {
+      EXPECT_GT(capture_ns, 0);
+      EXPECT_GT(phase_ns, 0);
+      EXPECT_EQ(engine.planner_ns(), 0);
+    } else {
+      EXPECT_EQ(capture_ns, 0);
+      EXPECT_EQ(phase_ns, 0);
+      EXPECT_GT(engine.planner_ns(), 0);
+    }
   }
-  EXPECT_GT(capture_ns, 0);
-  EXPECT_GT(phase_ns, 0);
 }
 
 TEST(ShardedEngineTest, ClampsShardCountToPopulation) {
