@@ -1,13 +1,12 @@
 // Serving-layer load generator: drives the AuctionServer (bounded ingestion
-// queue -> micro-batched sharded auctions -> replay or batched settlement)
-// with closed- and open-loop traffic and reports sustained throughput plus
-// queue-wait and end-to-end latency percentiles from the server's own
-// log-bucketed histograms.
+// queue -> micro-batched sharded auctions, each planned and settled in
+// turn) with closed- and open-loop traffic and reports sustained throughput
+// plus queue-wait and end-to-end latency percentiles from the server's own
+// log-bucketed histograms, and process CPU time per auction.
 //
 //   * Closed loop: P producers submit back-to-back under the kBlock policy —
 //     measures the engine-bound ceiling (sustained qps) per shard count x
-//     batch size x settlement mode, plus a planning-lane sweep (batched
-//     settlement always plans on E >= 1 lanes; replay ignores E).
+//     batch size, and the cost of observability (metrics and tracing).
 //   * Open loop: one producer with Poisson arrivals (exponential
 //     inter-arrival times from util/rng.h) at a sweep of offered rates
 //     around the measured ceiling, kReject policy — measures how the
@@ -26,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,6 +48,14 @@ using std::chrono::steady_clock;
 struct LoadResult {
   double qps = 0;          // completed / measured wall time
   double offered_qps = 0;  // open loop only: submissions / wall time
+  /// Process CPU time (every thread: executor, pool, producers) over the
+  /// measured window, per completed auction.
+  double cpu_ms_per_auction = 0;
+  /// RHTALU planner list rebuilds over the whole run (read after Stop()).
+  /// A query whose time runs backwards forces one; the closed loop's two
+  /// producers each restart the query clock, so their interleaving, which
+  /// timing decides, sets how many (ROADMAP item 1).
+  int64_t rebuilds = 0;
   int64_t completed = 0;
   int64_t rejected = 0;
   uint64_t queue_p50 = 0, queue_p95 = 0, queue_p99 = 0;
@@ -59,9 +67,17 @@ struct ServeSetup {
   std::unique_ptr<AuctionServer> server;
 };
 
-ServeSetup MakeServer(int n, int shards, int batch, ServingMode mode,
-                      BackpressurePolicy policy, uint64_t seed,
-                      int lanes = 1, bool metrics = true,
+/// Process CPU time in seconds: what every thread of this process consumed,
+/// so noise from other tenants on a shared host does not count.
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+ServeSetup MakeServer(int n, int shards, int batch, BackpressurePolicy policy,
+                      uint64_t seed, bool metrics = true,
                       uint32_t trace_every = 0) {
   ServeSetup setup;
   if (shards > 1) setup.pool = std::make_unique<ThreadPool>(shards);
@@ -72,8 +88,6 @@ ServeSetup MakeServer(int n, int shards, int batch, ServingMode mode,
   config.queue_capacity = 1024;
   config.backpressure = policy;
   config.max_batch_size = batch;
-  config.mode = mode;
-  config.num_plan_lanes = lanes;
   config.obs.metrics = metrics;
   config.obs.trace.sample_every = trace_every;
   Workload workload = PaperWorkload(n, seed);
@@ -102,20 +116,19 @@ void FillPercentiles(const AuctionServer& server, LoadResult* r) {
   r->e2e_p99 = server.end_to_end_us().Percentile(99);
 }
 
-LoadResult RunClosedLoop(int n, int shards, int batch, ServingMode mode,
-                         int producers, int warmup, int auctions,
-                         uint64_t seed, int lanes = 1, bool metrics = true,
-                         uint32_t trace_every = 0,
+LoadResult RunClosedLoop(int n, int shards, int batch, int producers,
+                         int warmup, int auctions, uint64_t seed,
+                         bool metrics = true, uint32_t trace_every = 0,
                          std::string* metrics_json = nullptr) {
-  ServeSetup setup =
-      MakeServer(n, shards, batch, mode, BackpressurePolicy::kBlock, seed,
-                 lanes, metrics, trace_every);
+  ServeSetup setup = MakeServer(n, shards, batch, BackpressurePolicy::kBlock,
+                                seed, metrics, trace_every);
   AuctionServer& server = *setup.server;
   QueryGenerator warmup_gen(10, seed + 2);
   SubmitAndDrain(&server, &warmup_gen, warmup);
   server.ResetTelemetry();
 
   const int64_t completed_before = server.completed();
+  const double cpu_before = ProcessCpuSeconds();
   const auto start = steady_clock::now();
   std::vector<std::thread> threads;
   const int per_producer = auctions / producers;
@@ -131,12 +144,15 @@ LoadResult RunClosedLoop(int n, int shards, int batch, ServingMode mode,
     std::this_thread::sleep_for(microseconds(200));
   }
   const double elapsed = duration<double>(steady_clock::now() - start).count();
+  const double cpu = ProcessCpuSeconds() - cpu_before;
 
   LoadResult r;
   r.completed = server.completed() - completed_before;
   r.qps = static_cast<double>(r.completed) / elapsed;
+  r.cpu_ms_per_auction = 1e3 * cpu / static_cast<double>(r.completed);
   FillPercentiles(server, &r);
   server.Stop();
+  r.rebuilds = server.engine().planner_stats().rebuilds;
   if (metrics_json != nullptr) {
     // Stop() published the terminal engine/log gauges: this snapshot is the
     // unified registry view of the whole run.
@@ -146,10 +162,9 @@ LoadResult RunClosedLoop(int n, int shards, int batch, ServingMode mode,
 }
 
 LoadResult RunOpenLoop(int n, int shards, int batch, double rate_qps,
-                       int warmup, int auctions, uint64_t seed, int lanes) {
+                       int warmup, int auctions, uint64_t seed) {
   ServeSetup setup =
-      MakeServer(n, shards, batch, ServingMode::kBatchedSettlement,
-                 BackpressurePolicy::kReject, seed, lanes);
+      MakeServer(n, shards, batch, BackpressurePolicy::kReject, seed);
   AuctionServer& server = *setup.server;
   QueryGenerator warmup_gen(10, seed + 2);
   SubmitAndDrain(&server, &warmup_gen, warmup);
@@ -159,6 +174,7 @@ LoadResult RunOpenLoop(int n, int shards, int batch, double rate_qps,
   const int64_t rejected_before = server.rejected();
   QueryGenerator gen(10, seed + 3);
   Rng arrivals(seed + 4);
+  const double cpu_before = ProcessCpuSeconds();
   const auto start = steady_clock::now();
   auto next_arrival = start;
   for (int i = 0; i < auctions; ++i) {
@@ -178,26 +194,24 @@ LoadResult RunOpenLoop(int n, int shards, int batch, double rate_qps,
     std::this_thread::sleep_for(microseconds(200));
   }
   const double elapsed = duration<double>(steady_clock::now() - start).count();
+  const double cpu = ProcessCpuSeconds() - cpu_before;
 
   LoadResult r;
   r.completed = server.completed() - completed_before;
   r.rejected = server.rejected() - rejected_before;
   r.offered_qps = static_cast<double>(auctions) / offered_elapsed;
   r.qps = static_cast<double>(r.completed) / elapsed;
+  r.cpu_ms_per_auction = 1e3 * cpu / static_cast<double>(r.completed);
   FillPercentiles(server, &r);
   server.Stop();
+  r.rebuilds = server.engine().planner_stats().rebuilds;
   return r;
-}
-
-const char* ModeName(ServingMode mode) {
-  return mode == ServingMode::kDeterministicReplay ? "replay" : "batched";
 }
 
 /// One measured configuration, for the optional JSON report.
 struct JsonRow {
-  std::string section;  // "closed_loop" | "lane_sweep" | "open_loop"
-  std::string label;    // mode or load label
-  int lanes = 0;
+  std::string section;  // "closed_loop" | "obs_overhead" | "open_loop"
+  std::string label;    // run or load label
   int shards = 0;
   int batch = 0;
   LoadResult r;
@@ -221,14 +235,16 @@ void WriteJson(std::FILE* f, int n, int auctions, int producers,
     const JsonRow& row = rows[i];
     std::fprintf(
         f,
-        "    {\"section\": \"%s\", \"label\": \"%s\", \"lanes\": %d, "
+        "    {\"section\": \"%s\", \"label\": \"%s\", "
         "\"shards\": %d, \"batch\": %d,\n"
-        "     \"qps\": %.1f, \"offered_qps\": %.1f, \"completed\": %lld, "
-        "\"rejected\": %lld,\n"
+        "     \"qps\": %.1f, \"offered_qps\": %.1f, "
+        "\"cpu_ms_per_auction\": %.3f, \"rebuilds\": %lld, "
+        "\"completed\": %lld, \"rejected\": %lld,\n"
         "     \"queue_us\": {\"p50\": %llu, \"p95\": %llu, \"p99\": %llu},\n"
         "     \"e2e_us\": {\"p50\": %llu, \"p95\": %llu, \"p99\": %llu}}%s\n",
-        row.section.c_str(), row.label.c_str(), row.lanes, row.shards,
-        row.batch, row.r.qps, row.r.offered_qps,
+        row.section.c_str(), row.label.c_str(), row.shards, row.batch,
+        row.r.qps, row.r.offered_qps, row.r.cpu_ms_per_auction,
+        static_cast<long long>(row.r.rebuilds),
         static_cast<long long>(row.r.completed),
         static_cast<long long>(row.r.rejected),
         static_cast<unsigned long long>(row.r.queue_p50),
@@ -242,15 +258,25 @@ void WriteJson(std::FILE* f, int n, int auctions, int producers,
   std::fprintf(f, "  ]\n}\n");
 }
 
-void PrintRow(const char* label, int shards, int batch, const LoadResult& r) {
-  std::printf("%-10s %6d %6d %9.1f %8lld %8lld %8lld %8lld %8lld %8lld\n",
-              label, shards, batch, r.qps,
+void PrintRow(int shards, int batch, const LoadResult& r) {
+  std::printf("%6d %6d %9.1f %8.3f %8lld %8lld %8lld %8lld %8lld %8lld "
+              "%8lld\n",
+              shards, batch, r.qps, r.cpu_ms_per_auction,
+              static_cast<long long>(r.rebuilds),
               static_cast<long long>(r.queue_p50),
               static_cast<long long>(r.queue_p95),
               static_cast<long long>(r.queue_p99),
               static_cast<long long>(r.e2e_p50),
               static_cast<long long>(r.e2e_p95),
               static_cast<long long>(r.e2e_p99));
+}
+
+/// Median of `values` (sorted in place).
+double Median(std::vector<double>* values) {
+  std::sort(values->begin(), values->end());
+  const size_t m = values->size() / 2;
+  return values->size() % 2 == 1 ? (*values)[m]
+                                  : 0.5 * ((*values)[m - 1] + (*values)[m]);
 }
 
 int Main(int argc, char** argv) {
@@ -279,20 +305,18 @@ int Main(int argc, char** argv) {
   const int producers = static_cast<int>(EnvInt("SSA_SERVE_PRODUCERS", 2));
   const uint64_t seed = static_cast<uint64_t>(EnvInt("SSA_SEED", 1));
   const unsigned cores = std::thread::hardware_concurrency();
-  // Width of the batched rows outside the lane sweep.
-  const int batched_lanes = quick ? 2 : 4;
 
   std::printf("# Serving load: n=%d advertisers, %d measured auctions per "
               "config, %d warmup, %d producers, %u cores\n",
               n, auctions, warmup, producers, cores);
   std::printf("# latencies in microseconds (log-bucketed histogram, <=6.25%% "
-              "relative error)\n\n");
+              "relative error); cpu_ms = process CPU per auction\n\n");
 
-  // --- Closed loop: engine-bound ceiling per shards x batch x mode.
+  // --- Closed loop: engine-bound ceiling per shards x batch.
   std::printf("## Closed loop (kBlock backpressure)\n");
-  std::printf("%-10s %6s %6s %9s %8s %8s %8s %8s %8s %8s\n", "mode",
-              "shards", "batch", "qps", "qw_p50", "qw_p95", "qw_p99",
-              "e2e_p50", "e2e_p95", "e2e_p99");
+  std::printf("%6s %6s %9s %8s %8s %8s %8s %8s %8s %8s %8s\n", "shards",
+              "batch", "qps", "cpu_ms", "rebuilds", "qw_p50", "qw_p95",
+              "qw_p99", "e2e_p50", "e2e_p95", "e2e_p99");
   const std::vector<int> shard_sweep = quick ? std::vector<int>{1}
                                              : std::vector<int>{1, 4, 8};
   const std::vector<int> batch_sweep =
@@ -300,77 +324,31 @@ int Main(int argc, char** argv) {
   double reference_qps = 0;
   for (int shards : shard_sweep) {
     for (int batch : batch_sweep) {
-      const LoadResult r =
-          RunClosedLoop(n, shards, batch, ServingMode::kDeterministicReplay,
-                        producers, warmup, auctions, seed);
-      PrintRow(ModeName(ServingMode::kDeterministicReplay), shards, batch, r);
-      json_rows.push_back({"closed_loop",
-                           ModeName(ServingMode::kDeterministicReplay), 0,
-                           shards, batch, r});
+      const LoadResult r = RunClosedLoop(n, shards, batch, producers, warmup,
+                                         auctions, seed);
+      PrintRow(shards, batch, r);
+      json_rows.push_back({"closed_loop", "replay", shards, batch, r});
       reference_qps = std::max(reference_qps, r.qps);
     }
   }
-  {
-    const int shards = quick ? 1 : 4;
-    const int batch = quick ? 8 : 16;
-    const LoadResult r =
-        RunClosedLoop(n, shards, batch, ServingMode::kBatchedSettlement,
-                      producers, warmup, auctions, seed, batched_lanes);
-    PrintRow(ModeName(ServingMode::kBatchedSettlement), shards, batch, r);
-    json_rows.push_back({"closed_loop",
-                         ModeName(ServingMode::kBatchedSettlement),
-                         batched_lanes, shards, batch, r});
-    reference_qps = std::max(reference_qps, r.qps);
-  }
 
-  // --- Planning-lane sweep: replicate the pure planning half across E lane
-  // workers (batched settlement, fixed shards/batch). Values are
-  // E-invariant; what moves is how much planning overlaps capture and
-  // settlement, bounded by the host's cores.
-  std::printf("\n## Planning-lane sweep (closed loop, batched settlement)\n");
-  std::printf("%-10s %6s %6s %6s %9s %8s %8s %8s %8s %8s %8s\n", "mode",
-              "lanes", "shards", "batch", "qps", "qw_p50", "qw_p95",
-              "qw_p99", "e2e_p50", "e2e_p95", "e2e_p99");
-  const int lane_shards = 1;  // isolate lanes from shard-pool effects
-  const int lane_batch = quick ? 8 : 16;
-  const std::vector<int> lane_sweep =
-      quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-  int best_lanes = 1;
-  double best_lane_qps = 0;
-  for (int lanes : lane_sweep) {
-    const LoadResult r = RunClosedLoop(
-        n, lane_shards, lane_batch, ServingMode::kBatchedSettlement,
-        producers, warmup, auctions, seed, lanes);
-    std::printf("%-10s %6d %6d %6d %9.1f %8lld %8lld %8lld %8lld %8lld "
-                "%8lld\n",
-                "batched", lanes, lane_shards, lane_batch, r.qps,
-                static_cast<long long>(r.queue_p50),
-                static_cast<long long>(r.queue_p95),
-                static_cast<long long>(r.queue_p99),
-                static_cast<long long>(r.e2e_p50),
-                static_cast<long long>(r.e2e_p95),
-                static_cast<long long>(r.e2e_p99));
-    json_rows.push_back({"lane_sweep", "batched", lanes, lane_shards,
-                         lane_batch, r});
-    if (r.qps > best_lane_qps) {
-      best_lane_qps = r.qps;
-      best_lanes = lanes;
-    }
-  }
-
-  // --- Observability overhead: one closed-loop batched config with
-  // instrumentation off, metrics only, and metrics + tracing at 1-in-64 and
-  // full sampling. Batched settlement on 2 lanes, so the barrier-wait and
-  // per-lane instrumentation is actually exercised. The contract: metrics +
-  // 1-in-64 tracing must be cheap enough to leave on in production (~2% of
-  // the uninstrumented ceiling; single-run qps noise on a shared host can
-  // exceed that, which is why the row reports the measured delta).
-  std::printf("\n## Observability overhead (closed loop, batched)\n");
-  std::printf("%-12s %6s %6s %6s %9s %9s %8s %8s\n", "obs", "lanes",
-              "shards", "batch", "qps", "delta%", "e2e_p50", "e2e_p99");
-  const int obs_shards = quick ? 1 : 4;
-  const int obs_batch = quick ? 8 : 16;
-  const int obs_lanes = 2;
+  // --- Observability overhead: one closed-loop config with instrumentation
+  // off, metrics only, and metrics + tracing at 1-in-64 and full sampling.
+  // The contract: metrics + 1-in-64 tracing must be cheap enough to leave on
+  // in production. Wall-clock qps on a shared host moves by more than that
+  // between runs, so each row also reports process CPU per auction, which
+  // other tenants do not inflate. One producer: every case then serves the
+  // same arrival sequence, so the planner's rebuilds (which the interleaving
+  // of two producers' clocks decides, see LoadResult::rebuilds) are equal
+  // in every case and only the instrumentation differs.
+  const int shards = quick ? 1 : 4;
+  const int batch = quick ? 8 : 16;
+  const int obs_producers = 1;
+  std::printf("\n## Observability overhead (closed loop, %d producer, "
+              "shards=%d, batch=%d; medians of interleaved runs)\n",
+              obs_producers, shards, batch);
+  std::printf("%-12s %9s %9s %8s %9s %8s %8s %8s\n", "obs", "qps",
+              "delta%", "cpu_ms", "cpu_d%", "rebuilds", "e2e_p50", "e2e_p99");
   struct ObsCase {
     const char* label;
     bool metrics;
@@ -382,13 +360,13 @@ int Main(int argc, char** argv) {
       {"trace_1in64", true, 64},
       {"trace_full", true, 1},
   };
-  // Interleaved best-of-R: host-frequency drift between sittings swamps a
-  // ~2% effect in any single sample, so each case runs R times round-robin
-  // (drift hits every case equally) and the best run represents it.
-  const int obs_reps = quick ? 1 : 3;
+  // Interleaved runs: host-frequency drift between sittings swamps a small
+  // effect in any single sample, so each case runs R times round-robin
+  // (drift hits every case equally) and the medians represent it.
+  const int obs_reps = quick ? 1 : 5;
   constexpr int kObsCases = 4;
   std::string metrics_json;
-  LoadResult obs_best[kObsCases];
+  std::vector<LoadResult> obs_runs[kObsCases];
   for (int rep = 0; rep < obs_reps; ++rep) {
     for (int i = 0; i < kObsCases; ++i) {
       const ObsCase& c = obs_cases[i];
@@ -396,69 +374,67 @@ int Main(int argc, char** argv) {
       // configuration (metrics + 1-in-64 tracing) for the JSON report.
       std::string* sink =
           std::strcmp(c.label, "trace_1in64") == 0 ? &metrics_json : nullptr;
-      const LoadResult r = RunClosedLoop(
-          n, obs_shards, obs_batch, ServingMode::kBatchedSettlement,
-          producers, warmup, auctions, seed, obs_lanes, c.metrics,
-          c.trace_every, sink);
-      if (r.qps > obs_best[i].qps) obs_best[i] = r;
+      obs_runs[i].push_back(RunClosedLoop(n, shards, batch, obs_producers,
+                                          warmup, auctions, seed, c.metrics,
+                                          c.trace_every, sink));
     }
   }
-  const double obs_off_qps = obs_best[0].qps;
+  // Each row is the run with the median qps, carrying the median CPU per
+  // auction of all its runs.
+  LoadResult obs_median[kObsCases];
   for (int i = 0; i < kObsCases; ++i) {
-    const LoadResult& r = obs_best[i];
-    const double delta = 100.0 * (obs_off_qps - r.qps) / obs_off_qps;
-    std::printf("%-12s %6d %6d %6d %9.1f %9.2f %8lld %8lld\n",
-                obs_cases[i].label, obs_lanes, obs_shards, obs_batch, r.qps,
-                delta, static_cast<long long>(r.e2e_p50),
+    std::vector<LoadResult>& runs = obs_runs[i];
+    std::vector<double> cpu;
+    for (const LoadResult& r : runs) cpu.push_back(r.cpu_ms_per_auction);
+    std::sort(runs.begin(), runs.end(),
+              [](const LoadResult& a, const LoadResult& b) {
+                return a.qps < b.qps;
+              });
+    obs_median[i] = runs[runs.size() / 2];
+    obs_median[i].cpu_ms_per_auction = Median(&cpu);
+  }
+  for (int i = 0; i < kObsCases; ++i) {
+    const LoadResult& r = obs_median[i];
+    const LoadResult& off = obs_median[0];
+    std::printf("%-12s %9.1f %9.2f %8.3f %9.2f %8lld %8lld %8lld\n",
+                obs_cases[i].label, r.qps,
+                100.0 * (off.qps - r.qps) / off.qps, r.cpu_ms_per_auction,
+                100.0 * (r.cpu_ms_per_auction - off.cpu_ms_per_auction) /
+                    off.cpu_ms_per_auction,
+                static_cast<long long>(r.rebuilds),
+                static_cast<long long>(r.e2e_p50),
                 static_cast<long long>(r.e2e_p99));
-    json_rows.push_back({"obs_overhead", obs_cases[i].label, obs_lanes,
-                         obs_shards, obs_batch, r});
+    json_rows.push_back(
+        {"obs_overhead", obs_cases[i].label, shards, batch, r});
   }
 
   // --- Open loop: Poisson arrivals around the measured ceiling.
-  std::printf("\n## Open loop (Poisson arrivals, kReject, batched "
-              "settlement; rates relative to the %.1f qps ceiling)\n",
-              reference_qps);
-  std::printf("%-10s %6s %6s %6s %9s %9s %7s %8s %8s %8s %8s\n", "load",
-              "lanes", "shards", "batch", "offered", "qps", "shed%",
-              "qw_p50", "qw_p95", "qw_p99", "e2e_p99");
-  const int shards = quick ? 1 : 4;
-  const int batch = quick ? 8 : 16;
+  std::printf("\n## Open loop (Poisson arrivals, kReject, shards=%d, "
+              "batch=%d; rates relative to the %.1f qps ceiling)\n",
+              shards, batch, reference_qps);
+  std::printf("%-10s %9s %9s %7s %8s %8s %8s %8s %8s %8s\n", "load",
+              "offered", "qps", "shed%", "cpu_ms", "rebuilds", "qw_p50",
+              "qw_p95", "qw_p99", "e2e_p99");
   const std::vector<double> load_factors =
       quick ? std::vector<double>{0.5} : std::vector<double>{0.5, 0.8, 1.2};
-  auto print_open = [&](const char* label, int lanes, int row_shards,
-                        const LoadResult& r) {
+  for (double factor : load_factors) {
+    const double rate = std::max(1.0, factor * reference_qps);
+    const LoadResult r =
+        RunOpenLoop(n, shards, batch, rate, warmup, auctions, seed);
+    char label[32];
+    std::snprintf(label, sizeof(label), "%.1fx", factor);
     const double shed =
         100.0 * static_cast<double>(r.rejected) /
         static_cast<double>(r.completed + r.rejected);
-    std::printf("%-10s %6d %6d %6d %9.1f %9.1f %7.2f %8lld %8lld %8lld "
+    std::printf("%-10s %9.1f %9.1f %7.2f %8.3f %8lld %8lld %8lld %8lld "
                 "%8lld\n",
-                label, lanes, row_shards, batch, r.offered_qps, r.qps, shed,
+                label, r.offered_qps, r.qps, shed, r.cpu_ms_per_auction,
+                static_cast<long long>(r.rebuilds),
                 static_cast<long long>(r.queue_p50),
                 static_cast<long long>(r.queue_p95),
                 static_cast<long long>(r.queue_p99),
                 static_cast<long long>(r.e2e_p99));
-  };
-  for (double factor : load_factors) {
-    const double rate = std::max(1.0, factor * reference_qps);
-    const LoadResult r = RunOpenLoop(n, shards, batch, rate, warmup, auctions,
-                                     seed, batched_lanes);
-    char label[32];
-    std::snprintf(label, sizeof(label), "%.1fx", factor);
-    print_open(label, batched_lanes, shards, r);
-    json_rows.push_back({"open_loop", label, batched_lanes, shards, batch, r});
-  }
-  // The best lane count from the sweep under the same near-saturation load:
-  // does pipelined planning move the open-loop tail?
-  {
-    const double rate = std::max(1.0, 0.8 * reference_qps);
-    const LoadResult r = RunOpenLoop(n, lane_shards, lane_batch, rate,
-                                     warmup, auctions, seed, best_lanes);
-    char label[32];
-    std::snprintf(label, sizeof(label), "0.8xE%d", best_lanes);
-    print_open(label, best_lanes, lane_shards, r);
-    json_rows.push_back({"open_loop", label, best_lanes, lane_shards,
-                         lane_batch, r});
+    json_rows.push_back({"open_loop", label, shards, batch, r});
   }
 
   if (json) {

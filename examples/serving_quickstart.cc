@@ -1,10 +1,10 @@
 // Serving quickstart: the async AuctionServer end to end.
 //
 //   1. Build the Section V paper workload (ROI bidders on the Figure 5
-//      ladder) and stand up an AuctionServer with 4 planning lanes:
-//      the executor captures bids in arrival order, idle lanes run the
-//      pure planning half on private scratch, and an ordered commit
-//      barrier settles strictly in arrival order.
+//      ladder) and stand up an AuctionServer on 2 shards: the executor
+//      plans each query against the current accounts (the engine's RHTALU
+//      planner covers these native ROI bidders) and settles it before
+//      planning the next.
 //   2. Submit N queries from this thread (any number of producer threads
 //      works the same way), then Stop() — which drains every admitted
 //      request before returning.
@@ -12,13 +12,13 @@
 //      full metrics registry in Prometheus text format
 //      (serving_metrics.prom), and write the sampled pipeline trace as
 //      Chrome trace-event JSON (serving_trace.json — load it in Perfetto or
-//      chrome://tracing to see capture/plan/barrier/settle per lane and
-//      shard).
+//      chrome://tracing to see queue wait, plan, the planner's bid step and
+//      Threshold Algorithm, and settle per query).
 //
-// The served trajectory is bitwise-identical for any lane count and any
-// trace sampling rate; lanes change *when* planning happens and tracing
-// only observes, never what is computed. See docs/ARCHITECTURE.md for the
-// contract.
+// The served trajectory is bitwise-identical to the serial engine loop for
+// any batch size, shard count and trace sampling rate; batching changes
+// *when* work happens and tracing only observes, never what is computed.
+// See docs/ARCHITECTURE.md for the contract.
 //
 // Build: cmake -B build -S . && cmake --build build
 // Run:   ./build/example_serving_quickstart
@@ -62,10 +62,9 @@ bool WriteFile(const char* path, const std::string& body) {
 
 int main() {
   constexpr int kQueries = 2000;
-  constexpr int kLanes = 4;
 
   // --- 1. Workload + server. Every knob here is deterministic: same seed,
-  // same trajectory, for any lane count.
+  // same trajectory, for any batch size or shard count.
   WorkloadConfig workload_config;
   workload_config.num_advertisers = 500;
   workload_config.seed = 7;
@@ -81,10 +80,8 @@ int main() {
   ServerConfig config;
   config.engine.num_shards = 2;
   config.engine.engine.seed = 7;
-  config.mode = ServingMode::kBatchedSettlement;
   config.max_batch_size = 16;
   config.queue_capacity = kQueries;  // room to admit the whole stream
-  config.num_plan_lanes = kLanes;
   // Observability: metrics are on by default; trace every query (production
   // would use sample_every = 64 — same spans, 1/64th of the queries).
   config.obs.trace.sample_every = 1;
@@ -92,10 +89,8 @@ int main() {
   AuctionServer server(config, std::move(workload), std::move(strategies));
 
   // --- 2. Produce. Submit() is thread-safe and may run before Start().
-  // Batched settlement's values depend on the batch composition, and the
-  // executor never waits for batch-mates: it takes whatever is queued.
-  // Admitting the whole stream before Start() makes every batch a full 16
-  // queries, so the run is reproducible.
+  // Admitting the whole stream first makes every batch a full 16 queries;
+  // the settled values would be the same for any batching.
   QueryGenerator queries(workload_config.num_keywords, 7);
   for (int i = 0; i < kQueries; ++i) server.Submit(queries.Next());
   const Status started = server.Start();
@@ -106,10 +101,10 @@ int main() {
   server.Stop();  // drains all admitted requests, then joins the executor
 
   // --- 3. Report.
-  std::printf("served %lld queries in %lld micro-batches on %d lanes, "
-              "revenue %.2f cents\n",
+  std::printf("served %lld queries in %lld micro-batches, revenue %.2f "
+              "cents\n",
               static_cast<long long>(server.completed()),
-              static_cast<long long>(server.batches()), kLanes,
+              static_cast<long long>(server.batches()),
               server.engine().total_revenue());
   std::printf("latency percentiles (log-bucketed, <=6.25%% relative "
               "error):\n");

@@ -93,11 +93,11 @@ void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
   }
 }
 
-void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
-                                       uint64_t trace_seq) {
+void ShardedAuctionEngine::CaptureBids(const Query& query,
+                                       CapturedBids* bids) {
   bids->resize(strategies_.size());
   SyncStrategies();
-  auto capture = [&](int s) { CaptureShard(s, query, bids, trace_seq); };
+  auto capture = [&](int s) { CaptureShard(s, query, bids, /*trace_seq=*/0); };
   const int num_shards = static_cast<int>(ranges_.size());
   if (config_.pool != nullptr && num_shards > 1) {
     // Strategies of different advertisers share no state (Section II-B), so
@@ -279,8 +279,8 @@ const AuctionOutcome& ShardedAuctionEngine::RunAuctionOn(const Query& query) {
 
 void ShardedAuctionEngine::PlanCaptured(const Query& query,
                                         const CapturedBids& bids,
-                                        PlanLane* lane, PlannedAuction* plan,
-                                        uint64_t trace_seq) const {
+                                        PlanLane* lane,
+                                        PlannedAuction* plan) const {
   const int n = static_cast<int>(strategies_.size());
   const int k = workload_.config.num_slots;
   SSA_CHECK(static_cast<int>(bids.size()) == n);
@@ -298,15 +298,9 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   lane->cache.Reserve(strategies_.size());
   const bool collect = CollectsTopK();
   const int num_shards = static_cast<int>(ranges_.size());
-  const bool traced = tracer_ != nullptr && trace_seq != 0;
   auto plan_shard = [&](int s) {
-    const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], bids, &revenue,
                   collect);
-    if (traced) {
-      tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
-                          lane->trace_track_base + s, t0, Tracer::NowNs());
-    }
   };
   if (lane->pool != nullptr && num_shards > 1) {
     lane->pool->ParallelFor(num_shards, plan_shard);
@@ -369,8 +363,8 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
       RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s],
                     capture_scratch_, revenue, collect);
       if (traced) {
-        tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan,
-                            lane->trace_track_base + s, t0, Tracer::NowNs());
+        tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, 200 + s, t0,
+                            Tracer::NowNs());
       }
     };
     if (lane->pool != nullptr && num_shards > 1) {
@@ -457,7 +451,7 @@ ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
   stats.cache_hits = cache.HitsInRange(range.begin, range.end);
   stats.cache_misses = cache.MissesInRange(range.begin, range.end);
   stats.capture_ns = capture_ns_[static_cast<size_t>(shard)];
-  stats.phase_ns = internal_lane_->phase_ns(shard);
+  stats.phase_ns = internal_lane_->shards[static_cast<size_t>(shard)].phase_ns;
   return stats;
 }
 
@@ -470,11 +464,11 @@ RoiPlannerStats ShardedAuctionEngine::planner_stats() const {
 }
 
 int64_t ShardedAuctionEngine::cache_hits() const {
-  return internal_lane_->cache_hits();
+  return internal_lane_->cache.hits();
 }
 
 int64_t ShardedAuctionEngine::cache_misses() const {
-  return internal_lane_->cache_misses();
+  return internal_lane_->cache.misses();
 }
 
 int64_t ShardedAuctionEngine::verified_recompiles() const {

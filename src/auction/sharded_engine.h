@@ -98,18 +98,18 @@ struct ShardedEngineConfig {
 /// at its next logical plan, after any path moved them (CaptureBids,
 /// RestoreCheckpoint).
 ///
-/// Planning lanes: one auction's plan splits into a *sequential* half that
-/// runs the bidding programs (CaptureBids — strategies may mutate private
-/// state, so captures must happen strictly in arrival order) and a *pure*
-/// half (PlanCaptured — compile, revenue matrix, candidate merge, winner
-/// determination, pricing) that is const on the engine and reads only the
-/// captured bids plus per-lane scratch. Distinct PlanLanes may therefore
-/// plan different queries concurrently; the serving executor exploits this
-/// with an E-lane pool. The split halves always take the brute-force path.
-/// Per-lane compiled-bids caches see different hit patterns under different
-/// schedules, but compilation is a pure function of (table, num_slots), so
-/// plans are bitwise-identical for any lane count, assignment, or cache
-/// history (serving_test pins this).
+/// Plan / settle split: PlanAuction plans one query against the current
+/// account state and SettlePlanned applies it; the server plans and settles
+/// each query before planning the next. Planning itself also splits into a
+/// *sequential* half that runs the bidding programs (CaptureBids —
+/// strategies may mutate private state) and a *pure* half (PlanCaptured —
+/// compile, revenue matrix, candidate merge, winner determination, pricing)
+/// that is const on the engine and reads only the captured bids plus a
+/// PlanLane's scratch. Follower reads and WhatIfAuction run the pure half on
+/// their own lane over a read-only capture (CaptureBidsForRead); the split
+/// halves always take the brute-force path. Compilation is a pure function
+/// of (table, num_slots), so a plan is bitwise-identical on any lane,
+/// whatever its cache history.
 class ShardedAuctionEngine {
  public:
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
@@ -136,40 +136,21 @@ class ShardedAuctionEngine {
   };
 
   /// One auction's bid emission, snapshotted: entry i is advertiser i's
-  /// BidsTable for the query, exactly as MakeBids produced it. Owning the
-  /// tables (rather than pointing into engine scratch) is what lets a later
-  /// query's capture proceed while an earlier query's plan is still being
-  /// computed on a lane.
+  /// BidsTable for the query, exactly as MakeBids (or PeekBids) produced
+  /// it — the input of the pure planning half.
   using CapturedBids = std::vector<BidsTable>;
 
   /// Per-lane planning scratch: one population-wide compiled-bids cache,
   /// per-shard top-k heaps and phase timers, the coordinator merge heap, and
   /// an arena-reused revenue matrix. Opaque to callers — create with
-  /// NewPlanLane(), hand to PlanCaptured. A lane must not be used by two
-  /// threads at once; distinct lanes are fully independent.
+  /// NewPlanLane(), hand to PlanCaptured or WhatIfAuction. A lane must not
+  /// be used by two threads at once; distinct lanes are fully independent.
   ///
   /// The cache is keyed by *global* advertiser id and sized to the
   /// population before the lane's first brute-force shard phase, so
   /// parallel shard tasks of one lane touch disjoint entries race-free, and
   /// its keys checkpoint independently of the shard layout.
   class PlanLane {
-   public:
-    /// Compiled-bids cache totals for this lane (per-lane telemetry; lane
-    /// caches are scratch and never checkpointed).
-    int64_t cache_hits() const { return cache.hits(); }
-    int64_t cache_misses() const { return cache.misses(); }
-    /// Shard-phase wall time this lane accumulated for `shard`.
-    int64_t phase_ns(int shard) const {
-      return shards[static_cast<size_t>(shard)].phase_ns;
-    }
-
-    /// Trace track base for kShardPlan spans planned on this lane (shard s
-    /// renders on track `base + s`). The serving executor assigns each
-    /// external lane `200 + 100 * (lane_index + 1)`; the engine's internal
-    /// lane keeps the default 200.
-    void set_trace_track_base(int32_t base) { trace_track_base = base; }
-
-   private:
     friend class ShardedAuctionEngine;
     struct ShardScratch {
       TopKHeapSet topk;  // local per-slot top-(k+1), reused
@@ -187,11 +168,10 @@ class ShardedAuctionEngine {
     std::vector<double> candidate_rows;  // coordinator scratch, reused
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
     /// Pool the shard phase of *this lane* fans out on. The engine's own
-    /// internal lane uses config.pool; lanes created by NewPlanLane() run
-    /// their shard phase sequentially (nullptr) — cross-query lane
-    /// parallelism replaces intra-query shard parallelism.
+    /// internal lane uses config.pool; lanes created by NewPlanLane() (the
+    /// read and what-if paths) run their shard phase sequentially (nullptr)
+    /// on the caller's thread.
     ThreadPool* pool = nullptr;
-    int32_t trace_track_base = 200;
   };
 
   /// Creates an independent planning lane (shard phase runs sequentially
@@ -207,14 +187,7 @@ class ShardedAuctionEngine {
   /// thread, strictly in arrival order, with no settlement in flight —
   /// MakeBids may mutate strategy-private state, which is exactly the
   /// per-query sequential dependency that cannot parallelize.
-  ///
-  /// `trace_seq` (here and on PlanCaptured/PlanAuction) is the serving
-  /// layer's sampled trace sequence: nonzero stamps per-shard spans into the
-  /// attached tracer; 0 (the default, and every pre-obs call site) records
-  /// nothing. Tracing only reads clocks and writes the span ring, so values
-  /// are bitwise-unaffected at any sampling rate.
-  void CaptureBids(const Query& query, CapturedBids* bids,
-                   uint64_t trace_seq = 0);
+  void CaptureBids(const Query& query, CapturedBids* bids);
 
   /// The pure half of planning: compiles `bids` (via the lane's caches),
   /// fills the lane's revenue matrix, merges per-shard candidates, solves
@@ -223,8 +196,7 @@ class ShardedAuctionEngine {
   /// distinct lanes are safe, and the result is a pure function of
   /// (query, bids, engine config) — bitwise-identical for any lane.
   void PlanCaptured(const Query& query, const CapturedBids& bids,
-                    PlanLane* lane, PlannedAuction* plan,
-                    uint64_t trace_seq = 0) const;
+                    PlanLane* lane, PlannedAuction* plan) const;
 
   /// Phases 3/4/6-prep on `query` against the *current* account state, on
   /// the engine's internal lane (whose shard phase fans out on the
@@ -233,6 +205,12 @@ class ShardedAuctionEngine {
   /// (directly or through the planner's lists) and engine scratch; accounts,
   /// strategies' outcome state and the user RNG are untouched until the plan
   /// is settled. The plan equals CaptureBids + PlanCaptured bit for bit.
+  ///
+  /// `trace_seq` is the serving layer's sampled trace sequence: nonzero
+  /// stamps per-shard capture and plan spans (and the planner's spans) into
+  /// the attached tracer; 0 (the default) records nothing. Tracing only
+  /// reads clocks and writes the span ring, so values are bitwise-unaffected
+  /// at any sampling rate.
   void PlanAuction(const Query& query, PlannedAuction* plan,
                    uint64_t trace_seq = 0);
 
@@ -259,9 +237,7 @@ class ShardedAuctionEngine {
   /// outcome notifications, folds revenue into the engine totals, and lets
   /// the ROI planner reclassify the settled winners.
   /// Settling plans strictly in arrival order, each planned after its
-  /// predecessor settled, reproduces the serial RunAuctionOn loop bitwise;
-  /// planning a batch ahead of settlement trades that equivalence for
-  /// throughput (bids within the batch see batch-start account state).
+  /// predecessor settled, reproduces the serial RunAuctionOn loop bitwise.
   const AuctionOutcome& SettlePlanned(PlannedAuction* plan);
 
   const std::vector<AdvertiserAccount>& accounts() const {
@@ -283,16 +259,15 @@ class ShardedAuctionEngine {
 
   /// Per-shard observability: advertiser range, compiled-bids cache
   /// performance over that range on the engine's internal lane, capture
-  /// time, and accumulated shard-phase time on the internal lane (external
-  /// PlanLanes report through PlanLane::cache_hits() and
-  /// PlanLane::phase_ns()).
+  /// time, and accumulated shard-phase time on the internal lane (lanes
+  /// from NewPlanLane() are scratch and report nothing).
   struct ShardStats {
     AdvertiserId begin = 0;
     AdvertiserId end = 0;
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
-    /// Bid-capture wall time for the shard's range (every query, internal
-    /// or lane-planned) since construction.
+    /// Bid-capture wall time for the shard's range since construction
+    /// (PlanAuction and CaptureBids; read-only captures are not timed).
     int64_t capture_ns = 0;
     /// RunShardPhase wall time accumulated on the internal lane since
     /// construction. A logical auction runs neither phase on the planner's

@@ -103,9 +103,8 @@ struct LogWriterOptions {
 /// at most one fsync) per `group_records` settlements. Single-writer by
 /// contract — the serving executor owns it, and no method is thread-safe:
 /// Append/Flush must come from one thread, with Appends strictly in
-/// settlement order (seq gaps are rejected). With planning lanes enabled
-/// this contract is unchanged — lanes only plan; settlement (and hence
-/// every Append) stays on the executor thread, in arrival order.
+/// settlement order (seq gaps are rejected). The server settles, and hence
+/// appends, on its executor thread, in arrival order.
 class SettlementLogWriter {
  public:
   /// Opens `path` for appending, creating it if absent. `next_seq` is the

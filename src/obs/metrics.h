@@ -18,8 +18,8 @@
 namespace ssa {
 
 /// Monotone event counter. Increment is wait-free (one relaxed fetch_add) —
-/// safe from any thread, including the serving hot path and the planning
-/// lanes. Readers get an instantaneous relaxed snapshot.
+/// safe from any thread, including the serving hot path and shard tasks on
+/// the pool. Readers get an instantaneous relaxed snapshot.
 class Counter {
  public:
   void Increment(int64_t delta = 1) {

@@ -14,12 +14,8 @@ const char* TraceStageName(TraceStage stage) {
       return "query";
     case TraceStage::kQueueWait:
       return "queue_wait";
-    case TraceStage::kCapture:
-      return "capture";
     case TraceStage::kPlan:
       return "plan";
-    case TraceStage::kBarrierWait:
-      return "barrier_wait";
     case TraceStage::kSettle:
       return "settle";
     case TraceStage::kLogAppend:
@@ -55,20 +51,16 @@ std::string TrackName(int32_t track) {
   char buf[64];
   if (track == 0) {
     return "executor";
-  } else if (track < 100) {
-    std::snprintf(buf, sizeof(buf), "lane %d", track - 1);
+  } else if (track == kFollowerTrack) {
+    return "follower apply";
   } else if (track == kPlannerTrack) {
     return "RHTALU planner";
+  } else if (track < 100) {
+    std::snprintf(buf, sizeof(buf), "track %d", track);
   } else if (track < 200) {
     std::snprintf(buf, sizeof(buf), "shard %d capture", track - 100);
   } else {
-    const int lane = (track - 200) / 100 - 1;  // -1 = engine-internal lane
-    const int shard = (track - 200) % 100;
-    if (lane < 0) {
-      std::snprintf(buf, sizeof(buf), "shard %d plan (internal)", shard);
-    } else {
-      std::snprintf(buf, sizeof(buf), "shard %d plan (lane %d)", shard, lane);
-    }
+    std::snprintf(buf, sizeof(buf), "shard %d plan", track - 200);
   }
   return buf;
 }

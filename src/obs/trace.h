@@ -11,19 +11,19 @@ namespace ssa {
 
 /// Pipeline stages a query passes through in the serving executor. One span
 /// is stamped per stage crossing; together they reconstruct the query's
-/// journey submit -> queue wait -> capture -> plan lane -> merge-barrier
-/// wait -> settle-in-order -> log append / group fsync.
+/// journey submit -> queue wait -> plan (per-shard capture and plan slices,
+/// or the RHTALU planner's bid step and Threshold Algorithm) -> settle ->
+/// log append / group fsync. Values are stable across releases; retired
+/// stages leave gaps.
 enum class TraceStage : uint8_t {
   kQuery = 0,        // umbrella: submit -> settled (async span)
-  kQueueWait = 1,    // submit -> popped by the executor (async span)
-  kCapture = 2,      // sequential bid capture (executor track)
-  kPlan = 3,         // pure planning half (lane track)
-  kBarrierWait = 4,  // executor blocked in AwaitReady for this slot
-  kSettle = 5,       // in-order settlement + strategy updates
+  kQueueWait = 1,    // submit -> planning starts (async span)
+  kPlan = 3,         // planning, capture included (executor track)
+  kSettle = 5,       // settlement + strategy updates
   kLogAppend = 6,    // settlement record append (buffered)
   kLogFsync = 7,     // group-commit fsync covering this batch
   kShardCapture = 8,  // per-shard slice of capture (shard track)
-  kShardPlan = 9,     // per-shard slice of planning (lane x shard track)
+  kShardPlan = 9,     // per-shard slice of planning (shard plan track)
   kBatch = 10,        // executor micro-batch envelope
   kFollowerApply = 12,  // follower replays one settlement record
 };
@@ -61,7 +61,9 @@ struct TraceEvent {
   TraceStage stage = TraceStage::kQuery;
 };
 
-/// Track of the engine's RHTALU planner spans (see the scheme below).
+/// Tracks of the follower's apply spans and of the engine's RHTALU planner
+/// spans (see the scheme below).
+constexpr int32_t kFollowerTrack = 90;
 constexpr int32_t kPlannerTrack = 199;
 
 /// Fixed-size lock-free overwriting span ring with deterministic 1-in-N
@@ -69,8 +71,8 @@ constexpr int32_t kPlannerTrack = 199;
 ///
 /// Write path: one relaxed fetch_add on the ring cursor, a CAS claiming
 /// the cell's seqlock version (even -> odd), and relaxed field stores —
-/// wait-free, allocation-free, safe from the executor, the planning lanes,
-/// and producer threads concurrently. When the ring wraps, old spans are
+/// wait-free, allocation-free, safe from the executor, shard tasks on the
+/// pool, and the follower concurrently. When the ring wraps, old spans are
 /// overwritten. Two writers a full wrap apart can land on the same cell:
 /// only the one whose CAS succeeds writes it, and the other drops its span
 /// (it never retries or waits). Readers discard cells whose version is odd
@@ -80,11 +82,11 @@ constexpr int32_t kPlannerTrack = 199;
 ///
 /// Track-id scheme (rendered as Chrome trace tids):
 ///   0            executor thread
-///   1 + e        plan lane e (external LanePool lanes)
+///   90           follower apply
 ///   100 + s      shard s capture slice
 ///   199          the RHTALU planner: its bid step (kShardCapture) and
 ///                Threshold Algorithm (kShardPlan)
-///   200 + 100*(lane+1) + s   shard s planned on `lane` (-1 = internal)
+///   200 + s      shard s plan slice
 class Tracer {
  public:
   explicit Tracer(const TraceConfig& config);

@@ -137,7 +137,7 @@ bool FollowerEngine::ApplyRecord(const SettlementRecord& record) {
   if (applied_counter_ != nullptr) applied_counter_->Increment();
   if (trace_seq != 0) {
     config_.tracer->RecordSpan(trace_seq, TraceStage::kFollowerApply,
-                               /*track=*/90, t0, Tracer::NowNs());
+                               kFollowerTrack, t0, Tracer::NowNs());
   }
   return true;
 }

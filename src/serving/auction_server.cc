@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/timer.h"
-
 namespace ssa {
 namespace {
 
@@ -31,10 +29,6 @@ uint64_t ToNs(SteadyClock::time_point tp) {
           .count());
 }
 
-std::string LaneLabel(int lane) {
-  return "lane=\"" + std::to_string(lane) + "\"";
-}
-
 std::string ShardLabel(int shard) {
   return "shard=\"" + std::to_string(shard) + "\"";
 }
@@ -55,19 +49,6 @@ AuctionServer::AuctionServer(
       engine_(config.engine, std::move(workload), std::move(strategies)),
       queue_(config.queue_capacity, config.backpressure) {
   SSA_CHECK(config_.max_batch_size >= 1);
-  SSA_CHECK(config_.num_plan_lanes >= 1);
-  if (config_.mode == ServingMode::kBatchedSettlement) {
-    lanes_.reserve(static_cast<size_t>(config_.num_plan_lanes));
-    for (int e = 0; e < config_.num_plan_lanes; ++e) {
-      lanes_.push_back(engine_.NewPlanLane());
-    }
-    // Worker threads start here and idle until the executor dispatches an
-    // epoch slot; they only ever run the const PlanCaptured half on their
-    // own lane's scratch.
-    lane_pool_ = std::make_unique<LanePool>(
-        config_.num_plan_lanes,
-        [this](int lane, int64_t ticket) { RunLane(lane, ticket); });
-  }
   SetupObservability();
 }
 
@@ -76,11 +57,6 @@ void AuctionServer::SetupObservability() {
   if (obs.trace.sample_every > 0) {
     tracer_ = std::make_unique<Tracer>(obs.trace);
     engine_.set_tracer(tracer_.get());
-    // Distinct kShardPlan track base per lane, so Perfetto shows which lane
-    // planned each shard slice (the internal lane keeps base 200).
-    for (size_t e = 0; e < lanes_.size(); ++e) {
-      lanes_[e]->set_trace_track_base(200 + 100 * (static_cast<int>(e) + 1));
-    }
   }
   if (!obs.metrics) return;
   registry_.RegisterExternal("serving_queue_wait_us", "",
@@ -98,15 +74,6 @@ void AuctionServer::SetupObservability() {
                              &end_to_end_us_);
   batch_size_hist_ = registry_.GetHistogram(
       "serving_batch_queries", "", "Micro-batch size in queries");
-  for (int e = 0; e < static_cast<int>(lanes_.size()); ++e) {
-    lane_barrier_wait_us_.push_back(registry_.GetHistogram(
-        "serving_barrier_wait_us", LaneLabel(e),
-        "Executor wait at the ordered commit barrier, by the lane that "
-        "planned the slot, microseconds"));
-    lane_plans_total_.push_back(registry_.GetCounter(
-        "serving_lane_plans_total", LaneLabel(e),
-        "Epoch slots planned per lane (lane occupancy)"));
-  }
   // Pull-side collector: admission/completion counters and queue depth.
   // Everything read here is atomic or guarded by the source's own mutex, so
   // the reporter thread may snapshot while producers and the executor run.
@@ -148,14 +115,6 @@ Status AuctionServer::Start() {
   SSA_CHECK(!started_);
   const DurabilityConfig& durability = config_.durability;
   if (!durability.log_path.empty()) {
-    if (config_.mode == ServingMode::kBatchedSettlement) {
-      // Recovery and followers re-execute the log one auction at a time;
-      // batched boundaries are timing-dependent, so a batched log would
-      // replay onto a different trajectory.
-      return Status::FailedPrecondition(
-          "batched settlement cannot write a settlement log: serial replay "
-          "of the log would not reproduce its batch boundaries");
-    }
     if (durability.recover_on_start) {
       RecoveryOptions options;
       options.checkpoint_path = durability.checkpoint_path;
@@ -241,18 +200,9 @@ void AuctionServer::Stop() {
 
 void AuctionServer::PublishEngineGauges() {
   if (!config_.obs.metrics) return;
-  // Shard-phase time and cache totals sum the engine's internal lane
-  // (replay) and the server's planning lanes (batched settlement), so they
-  // read true in either mode. Only replay plans on the internal lane, so
-  // only a replay server whose engine has the RHTALU planner exports the
-  // planner's work.
-  const bool logical = config_.mode == ServingMode::kDeterministicReplay &&
-                       engine_.has_roi_planner();
   const int num_shards = engine_.num_shards();
   for (int s = 0; s < num_shards; ++s) {
     const ShardedAuctionEngine::ShardStats stats = engine_.shard_stats(s);
-    int64_t phase_ns = stats.phase_ns;
-    for (const auto& lane : lanes_) phase_ns += lane->phase_ns(s);
     const std::string label = ShardLabel(s);
     registry_
         .GetGauge("engine_shard_capture_ns", label,
@@ -260,15 +210,15 @@ void AuctionServer::PublishEngineGauges() {
         ->Set(stats.capture_ns);
     registry_
         .GetGauge("engine_shard_phase_ns", label,
-                  "Shard-phase wall time per shard, internal lane plus "
-                  "planning lanes, ns")
-        ->Set(phase_ns);
+                  "Brute-force shard-phase wall time per shard, ns")
+        ->Set(stats.phase_ns);
     registry_
         .GetGauge("engine_shard_advertisers", label,
                   "Advertisers owned by the shard")
         ->Set(static_cast<int64_t>(stats.end - stats.begin));
   }
-  if (logical) {
+  // Only an engine with the RHTALU planner exports the planner's work.
+  if (engine_.has_roi_planner()) {
     const RoiPlannerStats planner = engine_.planner_stats();
     AdvanceCounter(
         registry_.GetCounter("engine_roi_planner_logical_plans_total", "",
@@ -301,32 +251,14 @@ void AuctionServer::PublishEngineGauges() {
                              "and Threshold Algorithm, ns"),
         engine_.planner_ns());
   }
-  int64_t cache_hits = engine_.cache_hits();
-  int64_t cache_misses = engine_.cache_misses();
-  for (const auto& lane : lanes_) {
-    cache_hits += lane->cache_hits();
-    cache_misses += lane->cache_misses();
-  }
-  AdvanceCounter(
-      registry_.GetCounter(
-          "engine_cache_hits_total", "",
-          "Compiled-bids cache hits, internal lane plus planning lanes"),
-      cache_hits);
-  AdvanceCounter(
-      registry_.GetCounter(
-          "engine_cache_misses_total", "",
-          "Compiled-bids cache misses, internal lane plus planning lanes"),
-      cache_misses);
-  for (size_t e = 0; e < lanes_.size(); ++e) {
-    const std::string label = LaneLabel(static_cast<int>(e));
-    AdvanceCounter(registry_.GetCounter("lane_cache_hits_total", label,
-                                        "Per-lane compiled-bids cache hits"),
-                   lanes_[e]->cache_hits());
-    AdvanceCounter(
-        registry_.GetCounter("lane_cache_misses_total", label,
-                             "Per-lane compiled-bids cache misses"),
-        lanes_[e]->cache_misses());
-  }
+  AdvanceCounter(registry_.GetCounter("engine_cache_hits_total", "",
+                                      "Compiled-bids cache hits on brute-force "
+                                      "shards"),
+                 engine_.cache_hits());
+  AdvanceCounter(registry_.GetCounter("engine_cache_misses_total", "",
+                                      "Compiled-bids cache misses on "
+                                      "brute-force shards"),
+                 engine_.cache_misses());
   if (log_writer_ != nullptr) {
     AdvanceCounter(
         registry_.GetCounter("durability_records_appended_total", "",
@@ -431,144 +363,45 @@ void AuctionServer::ExecutorLoop() {
       tracer_->RecordSpan(batch_trace_seq, TraceStage::kBatch, /*track=*/0,
                           batch_t0, Tracer::NowNs());
     }
-    // Per-batch gauge refresh: shard stats, lane caches, log counters. Off
+    // Per-batch gauge refresh: shard stats, caches, log counters. Off
     // the per-query path; plain engine state is only ever read here, on the
     // executor, which is what keeps registry snapshots race-free.
     PublishEngineGauges();
   }
 }
 
-void AuctionServer::RecordQueueWait(const ServingRequest& r,
-                                    SteadyClock::time_point started_at) {
-  queue_wait_us_.Record(ElapsedUs(r.admitted_at, started_at));
-  if (tracer_ != nullptr && r.trace_seq != 0) {
-    tracer_->RecordSpan(r.trace_seq, TraceStage::kQueueWait, /*track=*/0,
-                        ToNs(r.admitted_at), ToNs(started_at));
-  }
-}
-
 void AuctionServer::RunBatch(std::vector<ServingRequest>* batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (batch_size_hist_ != nullptr) batch_size_hist_->Record(batch->size());
-
-  if (config_.mode == ServingMode::kBatchedSettlement) {
-    RunBatchWithLanes(batch);
-    return;
-  }
-  // Replay: plan+settle interleaved per query on this thread. Batch
-  // boundaries group work but never reorder it, so the trajectory equals
-  // the serial engine loop. Each request's stages share boundary points
-  // (started, planned, settled), so its queue wait, auction and settlement
-  // add up to its end-to-end time.
-  plans_.resize(1);
+  // Plan and settle interleaved per query. Batch boundaries group work but
+  // never reorder it, so the trajectory equals the serial engine loop. Each
+  // request's stages share boundary points (started, planned, settled), so
+  // its queue wait, auction and settlement add up to its end-to-end time.
   for (const ServingRequest& r : *batch) {
+    const bool traced = tracer_ != nullptr && r.trace_seq != 0;
     const auto started_at = SteadyClock::now();
-    RecordQueueWait(r, started_at);
-    engine_.PlanAuction(r.query, &plans_[0], r.trace_seq);
+    queue_wait_us_.Record(ElapsedUs(r.admitted_at, started_at));
+    engine_.PlanAuction(r.query, &plan_, r.trace_seq);
     const auto planned_at = SteadyClock::now();
-    if (tracer_ != nullptr && r.trace_seq != 0) {
+    auction_us_.Record(ElapsedUs(started_at, planned_at));
+    const AuctionOutcome& outcome = engine_.SettlePlanned(&plan_);
+    LogSettlement(outcome, r.trace_seq);
+    const auto settled_at = SteadyClock::now();
+    settlement_us_.Record(ElapsedUs(planned_at, settled_at));
+    if (traced) {
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kQueueWait, /*track=*/0,
+                          ToNs(r.admitted_at), ToNs(started_at));
       tracer_->RecordSpan(r.trace_seq, TraceStage::kPlan, /*track=*/0,
                           ToNs(started_at), ToNs(planned_at));
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0,
+                          ToNs(planned_at), ToNs(settled_at));
+      tracer_->RecordSpan(r.trace_seq, TraceStage::kQuery, /*track=*/0,
+                          ToNs(r.admitted_at), ToNs(settled_at));
     }
-    SettleSlot(r, &plans_[0], ElapsedUs(started_at, planned_at), planned_at);
+    end_to_end_us_.Record(ElapsedUs(r.admitted_at, settled_at));
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    if (on_complete_) on_complete_(outcome);
   }
-}
-
-void AuctionServer::SettleSlot(const ServingRequest& r,
-                               ShardedAuctionEngine::PlannedAuction* plan,
-                               uint64_t plan_us,
-                               SteadyClock::time_point settle_from) {
-  const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-  auction_us_.Record(plan_us);
-  const AuctionOutcome& outcome = engine_.SettlePlanned(plan);
-  LogSettlement(outcome, r.trace_seq);
-  const auto settled_at = SteadyClock::now();
-  settlement_us_.Record(ElapsedUs(settle_from, settled_at));
-  if (traced) {
-    tracer_->RecordSpan(r.trace_seq, TraceStage::kSettle, /*track=*/0,
-                        ToNs(settle_from), ToNs(settled_at));
-    tracer_->RecordSpan(r.trace_seq, TraceStage::kQuery, /*track=*/0,
-                        ToNs(r.admitted_at), ToNs(settled_at));
-  }
-  end_to_end_us_.Record(ElapsedUs(r.admitted_at, settled_at));
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  if (on_complete_) on_complete_(outcome);
-}
-
-void AuctionServer::RunLane(int lane, int64_t slot) {
-  const size_t i = static_cast<size_t>(slot);
-  const uint64_t trace_seq = (*epoch_batch_)[i].trace_seq;
-  const bool traced = tracer_ != nullptr && trace_seq != 0;
-  WallTimer timer;
-  const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-  // Pure planning on this lane's private scratch: reads the executor's
-  // captured bids (published by Dispatch), writes only lanes_[lane] and
-  // plans_[i] (published to the settler by MarkReady).
-  engine_.PlanCaptured((*epoch_batch_)[i].query, captures_[i],
-                       lanes_[static_cast<size_t>(lane)].get(), &plans_[i],
-                       trace_seq);
-  if (traced) {
-    tracer_->RecordSpan(trace_seq, TraceStage::kPlan, /*track=*/1 + lane, t0,
-                        Tracer::NowNs());
-  }
-  if (!lane_plans_total_.empty()) {
-    lane_plans_total_[static_cast<size_t>(lane)]->Increment();
-  }
-  plan_us_[i] = static_cast<uint64_t>(timer.ElapsedMillis() * 1e3);
-  // Published to the executor by MarkReady's mutex — lets the settler
-  // attribute its barrier wait to the lane that planned the slot.
-  slot_lane_[i] = lane;
-  settle_barrier_.MarkReady(slot);
-}
-
-void AuctionServer::RunBatchWithLanes(std::vector<ServingRequest>* batch) {
-  const size_t b = batch->size();
-  plans_.resize(b);
-  captures_.resize(b);
-  capture_us_.assign(b, 0);
-  plan_us_.assign(b, 0);
-  slot_lane_.assign(b, -1);
-  epoch_batch_ = batch;
-  settle_barrier_.Reset(static_cast<int64_t>(b));
-
-  // Every capture reads batch-start account state, so all captures precede
-  // the first settlement. The overlap is everything else: capture i+1
-  // proceeds while lanes plan earlier slots, and the settler drains slot i
-  // while lanes still plan slots j > i.
-  for (size_t i = 0; i < b; ++i) {
-    const ServingRequest& r = (*batch)[i];
-    const auto started_at = SteadyClock::now();
-    RecordQueueWait(r, started_at);
-    engine_.CaptureBids(r.query, &captures_[i], r.trace_seq);
-    const auto captured_at = SteadyClock::now();
-    if (tracer_ != nullptr && r.trace_seq != 0) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kCapture, /*track=*/0,
-                          ToNs(started_at), ToNs(captured_at));
-    }
-    capture_us_[i] = ElapsedUs(started_at, captured_at);
-    lane_pool_->Dispatch(static_cast<int64_t>(i));
-  }
-  for (size_t i = 0; i < b; ++i) {
-    const ServingRequest& r = (*batch)[i];
-    const bool traced = tracer_ != nullptr && r.trace_seq != 0;
-    // AwaitReady's blocked time is charged to the lane that planned the
-    // slot (slot_lane_, published by MarkReady).
-    const auto wait_from = SteadyClock::now();
-    settle_barrier_.AwaitReady(static_cast<int64_t>(i));
-    const auto ready_at = SteadyClock::now();
-    if (traced) {
-      tracer_->RecordSpan(r.trace_seq, TraceStage::kBarrierWait, /*track=*/0,
-                          ToNs(wait_from), ToNs(ready_at));
-    }
-    if (!lane_barrier_wait_us_.empty()) {
-      lane_barrier_wait_us_[static_cast<size_t>(slot_lane_[i])]->Record(
-          ElapsedUs(wait_from, ready_at));
-    }
-    // auction_us spans both planning halves: the executor's capture plus
-    // the lane's pure plan.
-    SettleSlot(r, &plans_[i], capture_us_[i] + plan_us_[i], ready_at);
-  }
-  epoch_batch_ = nullptr;
 }
 
 }  // namespace ssa

@@ -16,32 +16,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/bounded_queue.h"
-#include "util/epoch.h"
 #include "util/histogram.h"
 
 namespace ssa {
-
-/// How the executor orders planning vs settlement inside a micro-batch.
-/// Each mode has exactly one executor path.
-enum class ServingMode {
-  /// Plan and settle each query before planning the next, all on the
-  /// executor thread. Given a fixed arrival order this reproduces the serial
-  /// engine loop *bitwise* — for any batch size, shard count, or pool —
-  /// because batch boundaries only group work, never reorder it
-  /// (serving_test pins this against the test-only serial reference
-  /// engine).
-  kDeterministicReplay,
-  /// Plan the whole batch against batch-start account state, then settle in
-  /// arrival order. Planning runs on the planning-lane pipeline
-  /// (ServerConfig::num_plan_lanes wide), so lanes plan later slots while
-  /// the executor settles earlier ones. Still deterministic given the batch
-  /// composition, but bids inside a batch no longer see intra-batch
-  /// settlements — the documented freshness trade (equal to replay when the
-  /// batch size is 1). Batch boundaries are timing-dependent, so a serial
-  /// re-execution of the settlement log cannot reproduce them: Start()
-  /// refuses this mode when a settlement log is configured.
-  kBatchedSettlement,
-};
 
 /// One admitted query: what travels through the ingestion queue.
 struct ServingRequest {
@@ -56,8 +33,8 @@ struct ServingRequest {
 /// Observability knobs. Metrics default on (wait-free instruments; the
 /// executor additionally publishes engine/log gauges and totals once per
 /// batch); tracing defaults off. Neither path touches auction values —
-/// instrumentation only reads clocks and writes side state — so
-/// kDeterministicReplay stays bitwise-identical at any sampling rate
+/// instrumentation only reads clocks and writes side state — so the
+/// served trajectory stays bitwise-identical at any sampling rate
 /// (serving_test pins this at full sampling). For periodic export, run a
 /// MetricsReporter over metrics().
 struct ObsConfig {
@@ -100,18 +77,6 @@ struct ServerConfig {
   /// the first request as soon as one is queued, plus whatever else is
   /// already waiting, up to `max_batch_size` requests.
   int max_batch_size = 16;
-  ServingMode mode = ServingMode::kDeterministicReplay;
-  /// Width E >= 1 of the kBatchedSettlement pipeline; unused by
-  /// kDeterministicReplay, which always plans on the executor thread. The
-  /// pipeline replicates the *pure* half of planning across E worker
-  /// threads, each owning a private PlanLane scratch arena (compiled-bids
-  /// caches, revenue matrix, top-k heaps): the executor captures bids
-  /// strictly in arrival order (bidding programs may mutate their private
-  /// state, so capture cannot parallelize), hands each captured slot to any
-  /// idle lane, and settles through an ordered commit barrier strictly in
-  /// arrival order. Values are identical for every E (serving_test pins
-  /// E in {1,2,4,8} against a serial batched oracle).
-  int num_plan_lanes = 1;
   DurabilityConfig durability;
   ObsConfig obs;
 };
@@ -122,23 +87,24 @@ struct ServerConfig {
 /// micro-batches of whatever is queued, never waiting for batch-mates, and
 /// drives them through the ShardedAuctionEngine (whose shard phase fans out
 /// on the configured ThreadPool, the executor running shard chunks too).
-/// Replay plans and settles each query in-thread; batched settlement plans
-/// on the lane pipeline and settles in arrival order. Per-stage latencies —
-/// queue wait, auction (plan), settlement, end-to-end — are recorded into
-/// log-bucketed histograms (a request's queue wait runs until its own
-/// planning starts, so under replay the three stages sum exactly to
-/// end-to-end), and admission verdicts are counted, so tail latency under
-/// load is a measured quantity rather than an offline extrapolation.
+/// Each query is planned against the current account state and settled
+/// before the next one is planned, so given a fixed arrival order the
+/// served trajectory reproduces the serial engine loop *bitwise* — for any
+/// batch size, shard count, or pool — because batch boundaries only group
+/// work, never reorder it (serving_test pins this against the test-only
+/// serial reference engine). Per-stage latencies — queue wait, auction
+/// (plan), settlement, end-to-end — are recorded into log-bucketed
+/// histograms (a request's queue wait runs until its own planning starts,
+/// so the three stages sum exactly to end-to-end), and admission verdicts
+/// are counted, so tail latency under load is a measured quantity rather
+/// than an offline extrapolation.
 ///
 /// Threading contract: Submit() is safe from any number of producer
 /// threads; the engine's mutable state (accounts, strategies, user RNG) is
 /// touched only by the executor; telemetry accessors are safe any time
 /// (relaxed atomics) but meaningfully consistent after Stop(). The
 /// completion hook runs on the executor thread, in settlement (arrival)
-/// order. Under kBatchedSettlement the lane workers run only the const,
-/// side-effect-free PlanCaptured half on private scratch — capture and
-/// settlement stay on the executor, so the single-writer contract above is
-/// unchanged (serving_stress_test runs this under TSan).
+/// order.
 class AuctionServer {
  public:
   using CompletionFn = std::function<void(const AuctionOutcome&)>;
@@ -158,8 +124,7 @@ class AuctionServer {
   /// (checkpoint, then the settlement log's intact suffix, every record
   /// verified; a torn tail is truncated) and opens the log sink at the
   /// recovered sequence — a recovery error leaves the server unstarted.
-  /// Returns FailedPrecondition for kBatchedSettlement with a log path (see
-  /// ServingMode). Without durability, never fails.
+  /// Without durability, never fails.
   Status Start();
 
   /// Closes the ingestion queue, lets the executor drain every admitted
@@ -236,8 +201,8 @@ class AuctionServer {
 
   // --- Observability --------------------------------------------------------
   /// The unified metrics registry: stage histograms, admission/completion
-  /// counters, queue depth, per-lane barrier waits, per-shard engine
-  /// telemetry, and durability gauges all snapshot through here.
+  /// counters, queue depth, per-shard engine and planner telemetry, and
+  /// durability gauges all snapshot through here.
   /// Snapshot()/exporters are safe any time; per-shard and log gauges are
   /// refreshed by the executor at batch boundaries (and once more at
   /// Stop()), so they trail live state by at most one batch.
@@ -253,28 +218,9 @@ class AuctionServer {
 
  private:
   void ExecutorLoop();
-  /// Records `r`'s queue wait (histogram and kQueueWait span) up to
-  /// `started_at`, the moment its own planning starts.
-  void RecordQueueWait(const ServingRequest& r,
-                       std::chrono::steady_clock::time_point started_at);
-  /// Runs the batch on its mode's one path:
-  /// replay plans and settles each query in-thread; batched settlement goes
-  /// through RunBatchWithLanes.
+  /// Plans and settles each query of the batch in turn, on this thread,
+  /// recording its stage latencies, spans, log record and completion.
   void RunBatch(std::vector<ServingRequest>* batch);
-  /// The lane-pool epoch pipeline (kBatchedSettlement): capture every slot
-  /// in arrival order, plan on any idle lane, settle through the commit
-  /// barrier in arrival order.
-  void RunBatchWithLanes(std::vector<ServingRequest>* batch);
-  /// Lane worker body: plans epoch slot `slot` on lane `lane`'s scratch,
-  /// then marks the slot ready for the settler.
-  void RunLane(int lane, int64_t slot);
-  /// Settles `plan` for request `r` — the one settle path of both modes:
-  /// records `plan_us` as the request's auction time, then settlement
-  /// (timed from `settle_from`), log append, spans, end-to-end latency,
-  /// completion count and hook.
-  void SettleSlot(const ServingRequest& r,
-                  ShardedAuctionEngine::PlannedAuction* plan, uint64_t plan_us,
-                  std::chrono::steady_clock::time_point settle_from);
   /// Registers instruments/collectors and constructs the tracer (called from
   /// the constructor; no-ops per ObsConfig).
   void SetupObservability();
@@ -320,41 +266,11 @@ class AuctionServer {
   /// Admission sequence feeding the deterministic trace sampler (counted
   /// only when tracing is configured).
   std::atomic<uint64_t> admissions_{0};
-  /// Interned instruments, null when obs.metrics is false. The per-lane
-  /// vectors are indexed by lane id; lane workers touch only their own
-  /// (atomic) instruments.
+  /// Interned instrument, null when obs.metrics is false.
   LatencyHistogram* batch_size_hist_ = nullptr;
-  std::vector<LatencyHistogram*> lane_barrier_wait_us_;
-  std::vector<Counter*> lane_plans_total_;
 
-  /// Plan scratch: slot 0 under replay, one plan per batch slot under
-  /// batched settlement.
-  std::vector<ShardedAuctionEngine::PlannedAuction> plans_;
-
-  // --- Planning-lane epoch state (kBatchedSettlement only) -----------------
-  // One epoch == one micro-batch. Per-slot state is written by exactly one
-  // party at a time: the executor fills captures_[i]/capture_us_[i] before
-  // Dispatch(i) (publication via the lane pool's queue mutex); the owning
-  // lane fills plans_[i]/plan_us_[i] before MarkReady(i) (publication via
-  // the barrier mutex); the executor reads them after AwaitReady(i). No slot
-  // is touched concurrently, which is the whole TSan story.
-  std::vector<std::unique_ptr<ShardedAuctionEngine::PlanLane>> lanes_;
-  OrderedCommitBarrier settle_barrier_;
-  std::vector<ShardedAuctionEngine::CapturedBids> captures_;
-  std::vector<uint64_t> capture_us_;
-  std::vector<uint64_t> plan_us_;
-  /// Which lane planned each epoch slot — written by the owning lane before
-  /// MarkReady, read by the executor after AwaitReady (the barrier mutex
-  /// publishes it), attributing barrier waits per lane.
-  std::vector<int> slot_lane_;
-  /// The batch the open epoch is serving; valid between the first
-  /// Dispatch and the last AwaitReady of the epoch.
-  std::vector<ServingRequest>* epoch_batch_ = nullptr;
-  /// Declared last so it is destroyed first: the pool's destructor joins
-  /// the lane workers, which may still be finishing a MarkReady on
-  /// settle_barrier_ or reading captures_/lanes_ — everything above must
-  /// outlive them.
-  std::unique_ptr<LanePool> lane_pool_;
+  /// Plan scratch, reused by every query.
+  ShardedAuctionEngine::PlannedAuction plan_;
 };
 
 }  // namespace ssa

@@ -281,7 +281,6 @@ void RunServingKillCycle(const FaultSchedule& schedule,
     config.engine.engine = engine_config;
     config.engine.num_shards = 2;
     config.max_batch_size = 4;
-    config.mode = ServingMode::kDeterministicReplay;
     config.durability.log_path = log_path;
     config.durability.checkpoint_path = ckpt_path;
     config.durability.writer.sync = LogSyncMode::kBuffered;
@@ -349,7 +348,7 @@ void RunServingKillCycle(const FaultSchedule& schedule,
   std::remove(ckpt_path.c_str());
 }
 
-TEST(FaultInjectionTest, ServingModeSurvivesRandomKills) {
+TEST(FaultInjectionTest, ServerSurvivesRandomKills) {
   for (int i = 0; i < 3; ++i) {
     RunServingKillCycle(MakeSchedule(200 + i), "serving" + std::to_string(i));
   }

@@ -289,7 +289,12 @@ TEST(ObsTest, ChromeTraceExportIsWellFormed) {
 
 TEST(ObsTest, StageNamesAreStable) {
   EXPECT_STREQ(TraceStageName(TraceStage::kQueueWait), "queue_wait");
-  EXPECT_STREQ(TraceStageName(TraceStage::kBarrierWait), "barrier_wait");
+  EXPECT_STREQ(TraceStageName(TraceStage::kPlan), "plan");
+  EXPECT_STREQ(TraceStageName(TraceStage::kShardPlan), "shard_plan");
+  // Numeric values are stable: retired stages leave gaps.
+  EXPECT_EQ(static_cast<int>(TraceStage::kPlan), 3);
+  EXPECT_EQ(static_cast<int>(TraceStage::kSettle), 5);
+  EXPECT_EQ(static_cast<int>(TraceStage::kFollowerApply), 12);
   EXPECT_STREQ(TraceStageName(TraceStage::kLogFsync), "log_fsync");
 }
 

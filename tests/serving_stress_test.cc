@@ -129,49 +129,17 @@ TEST(ServingDrainTest, StopDrainsEveryAdmittedRequest) {
   EXPECT_EQ(server->engine().auctions_run(), admitted);
 }
 
-/// The lane pipeline under full producer pressure: 4 lane workers planning
-/// concurrently with the executor capturing/settling (batched settlement),
-/// every admitted request settled exactly once. This is the TSan target for
-/// the lane pool's happens-before edges (dispatch-queue mutex for captures,
-/// barrier mutex for plans).
-TEST(ServingLaneStressTest, LanePipelineDrainsUnderProducerPressure) {
-  ServerConfig config;
-  config.engine.num_shards = 2;
-  config.queue_capacity = 64;
-  config.backpressure = BackpressurePolicy::kBlock;
-  config.max_batch_size = 8;
-  config.mode = ServingMode::kBatchedSettlement;
-  config.num_plan_lanes = 4;
-  auto server = MakeServer(config);
-  ASSERT_TRUE(server->Start().ok());
-
-  const int kProducers = 4;
-  const int kPerProducer = 500;
-  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-  server->Stop();
-
-  ASSERT_EQ(tally.total(), kProducers * kPerProducer);
-  EXPECT_EQ(tally.rejected, 0);
-  EXPECT_EQ(tally.closed, 0);
-  EXPECT_EQ(server->accepted(), tally.accepted);
-  EXPECT_EQ(server->completed(), tally.accepted);
-  EXPECT_EQ(server->engine().auctions_run(), tally.accepted);
-}
-
 /// Producers racing Stop() itself: whatever a producer saw admitted must
-/// still be settled, even if its push interleaved with the close. Even
-/// trials run replay; odd trials run batched settlement on 1..4 lanes, so
-/// the shutdown race also covers the lane pipeline's epoch drain.
+/// still be settled, even if its push interleaved with the close. Trials
+/// sweep the shard count (1..4) and the batch cap (1, then 16), so the
+/// shutdown race covers single-query and multi-query batch drains.
 TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
   for (int trial = 0; trial < 8; ++trial) {
     ServerConfig config;
-    config.engine.num_shards = 2;
+    config.engine.num_shards = 1 + trial % 4;
     config.queue_capacity = 32;
     config.backpressure = BackpressurePolicy::kReject;
-    config.mode = trial % 2 == 0 ? ServingMode::kDeterministicReplay
-                                 : ServingMode::kBatchedSettlement;
-    config.max_batch_size = 4;
-    config.num_plan_lanes = 1 + trial / 2;  // batched: 1, 2, 3, 4
+    config.max_batch_size = trial < 4 ? 1 : 16;
     auto server = MakeServer(config);
     ASSERT_TRUE(server->Start().ok());
 

@@ -4,21 +4,19 @@
 // bitwise-identically to the serial reference engine loop
 // (tests/reference_engine.h). Batching
 // and queuing may only change *when* work happens, never *what* it computes.
-// Batched settlement, which always plans on the lane pipeline, is pinned for
-// every lane count against a serial batched oracle.
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "durability/wire.h"
+#include "forwarding_strategy.h"
 #include "reference_engine.h"
 #include "serving/auction_server.h"
 #include "strategy/roi_strategy.h"
@@ -142,7 +140,6 @@ void RunReplayEquivalence(const ReplayParam& param) {
   config.engine.pool = pool.get();
   config.queue_capacity = 256;
   config.max_batch_size = param.max_batch;
-  config.mode = ServingMode::kDeterministicReplay;
   if (param.full_tracing) config.obs.trace.sample_every = 1;
 
   std::vector<AdvertiserAccount> accounts;
@@ -156,6 +153,12 @@ void RunReplayEquivalence(const ReplayParam& param) {
   }
   ExpectAccountsBitwiseEq(serial.accounts(), accounts);
   ASSERT_EQ(serial.total_revenue(), total_revenue);
+  // Conservation: what advertisers spent is what the provider charged.
+  Money spent = 0;
+  for (const AdvertiserAccount& account : accounts) {
+    spent += account.amount_spent;
+  }
+  EXPECT_NEAR(spent, total_revenue, 1e-9);
 }
 
 TEST(ServingReplayTest, MicroBatchesShardedOnPool) {
@@ -205,11 +208,11 @@ TEST(ServingObservabilityTest, ReplayStaysBitwiseUnderFullTracing) {
   }
 }
 
-TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
-  // Acceptance check for the pipeline signals ROADMAP item 2 asks for: the
-  // per-lane merge-barrier wait and the per-shard capture/plan slices must
-  // be visible in the Prometheus snapshot and in the Perfetto trace. Lanes
-  // and the barrier exist only under batched settlement.
+/// Serves 80 queries with every query traced, on 2 shards, to a population
+/// of native ROI bidders (planned by the RHTALU planner) or, with
+/// `forwarded`, the same bidders behind ForwardingStrategy (planned by brute
+/// force on each shard). Returns the server, stopped.
+std::unique_ptr<AuctionServer> ServeTraced(bool forwarded) {
   const uint64_t workload_seed = 41;
   Workload w = MakePaperWorkload(SmallConfig(workload_seed));
   const std::vector<Query> queries =
@@ -218,98 +221,111 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   config.engine.engine.seed = 43;
   config.engine.num_shards = 2;
   config.max_batch_size = 8;
-  config.num_plan_lanes = 2;
-  config.mode = ServingMode::kBatchedSettlement;
   config.obs.trace.sample_every = 1;
   auto strategies = RoiStrategies(w);
-  AuctionServer server(config, std::move(w), std::move(strategies));
-  server.Start();
+  if (forwarded) strategies = Forwarded(std::move(strategies));
+  auto server = std::make_unique<AuctionServer>(config, std::move(w),
+                                                std::move(strategies));
+  EXPECT_TRUE(server->Start().ok());
   for (const Query& q : queries) {
-    ASSERT_EQ(server.Submit(q), QueuePushResult::kAccepted);
+    EXPECT_EQ(server->Submit(q), QueuePushResult::kAccepted);
   }
-  server.Stop();
+  server->Stop();
+  return server;
+}
 
-  // Prometheus side: stage histograms, per-lane barrier waits, per-shard
-  // engine gauges, admission counters.
-  const std::string prom =
-      ExportPrometheus(server.metrics().Snapshot(), &server.metrics());
-  EXPECT_NE(prom.find("serving_accepted_total 80"), std::string::npos);
-  EXPECT_NE(prom.find("serving_completed_total 80"), std::string::npos);
-  EXPECT_NE(prom.find("serving_barrier_wait_us_count{lane=\"0\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("serving_barrier_wait_us_count{lane=\"1\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("serving_queue_wait_us_count"), std::string::npos);
-  EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("trace_spans_recorded_total"), std::string::npos);
-  // Planning ran only on the server's lanes, never on the engine's internal
-  // lane: the per-shard phase time and the engine cache totals must still
-  // count it.
-  MetricsRegistry* registry = server.mutable_metrics();
-  for (int s = 0; s < config.engine.num_shards; ++s) {
-    const std::string shard = "shard=\"" + std::to_string(s) + "\"";
-    EXPECT_GT(registry->GetGauge("engine_shard_phase_ns", shard)->value(), 0)
-        << shard;
-  }
-  EXPECT_GT(registry->GetCounter("engine_cache_hits_total")->value(), 0);
-  EXPECT_GT(registry->GetCounter("engine_cache_misses_total")->value(), 0);
+TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
+  // The pipeline signals must be visible in the Prometheus snapshot and in
+  // the Perfetto trace: the stage histograms and spans for every query, and
+  // the engine's per-shard or planner work underneath them.
+  for (bool forwarded : {false, true}) {
+    SCOPED_TRACE(forwarded ? "brute force" : "RHTALU planner");
+    const std::unique_ptr<AuctionServer> server = ServeTraced(forwarded);
+    const std::string prom =
+        ExportPrometheus(server->metrics().Snapshot(), &server->metrics());
+    EXPECT_NE(prom.find("serving_accepted_total 80"), std::string::npos);
+    EXPECT_NE(prom.find("serving_completed_total 80"), std::string::npos);
+    EXPECT_NE(prom.find("serving_queue_wait_us_count"), std::string::npos);
+    EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
+              std::string::npos);
+    EXPECT_NE(prom.find("trace_spans_recorded_total"), std::string::npos);
 
-  // Trace side: every pipeline stage appears, including the per-shard
-  // capture/plan slices and the per-slot barrier wait.
-  const std::vector<TraceEvent> events = server.DrainTrace();
-  ASSERT_FALSE(events.empty());
-  std::set<TraceStage> stages;
-  std::set<int32_t> plan_tracks;
-  for (const TraceEvent& e : events) {
-    stages.insert(e.stage);
-    if (e.stage == TraceStage::kPlan) plan_tracks.insert(e.track);
+    const std::vector<TraceEvent> events = server->DrainTrace();
+    ASSERT_FALSE(events.empty());
+    std::set<TraceStage> stages;
+    std::set<int32_t> plan_tracks;
+    std::set<std::pair<TraceStage, int32_t>> shard_slices;
+    for (const TraceEvent& e : events) {
+      stages.insert(e.stage);
+      if (e.stage == TraceStage::kPlan) plan_tracks.insert(e.track);
+      if (e.stage == TraceStage::kShardCapture ||
+          e.stage == TraceStage::kShardPlan) {
+        shard_slices.insert({e.stage, e.track});
+      }
+    }
+    for (TraceStage want :
+         {TraceStage::kQuery, TraceStage::kQueueWait, TraceStage::kPlan,
+          TraceStage::kSettle, TraceStage::kBatch, TraceStage::kShardCapture,
+          TraceStage::kShardPlan}) {
+      EXPECT_TRUE(stages.count(want)) << TraceStageName(want);
+    }
+    // The executor plans every query itself.
+    EXPECT_EQ(plan_tracks, (std::set<int32_t>{0}));
+    const std::string chrome = Tracer::ExportChromeTrace(events);
+    EXPECT_NE(chrome.find("\"shard_plan\""), std::string::npos);
+
+    MetricsRegistry* registry = server->mutable_metrics();
+    if (!forwarded) {
+      // The planner covers both shards: its bid step and Threshold
+      // Algorithm are the only shard-level slices, on the planner track,
+      // and its counters account for every auction.
+      EXPECT_EQ(shard_slices,
+                (std::set<std::pair<TraceStage, int32_t>>{
+                    {TraceStage::kShardCapture, kPlannerTrack},
+                    {TraceStage::kShardPlan, kPlannerTrack}}));
+      EXPECT_NE(chrome.find("RHTALU planner"), std::string::npos);
+      EXPECT_EQ(registry
+                    ->GetCounter("engine_roi_planner_logical_plans_total")
+                    ->value(),
+                80);
+      EXPECT_GT(registry->GetCounter("engine_roi_planner_probes_total")
+                    ->value(),
+                0);
+      EXPECT_GT(registry->GetCounter("engine_roi_planner_ns_total")->value(),
+                0);
+      continue;
+    }
+    // Brute force: each shard captures and plans its own slice, the shard
+    // phase time is counted per shard, and every advertiser's table is
+    // looked up once per auction.
+    EXPECT_EQ(shard_slices, (std::set<std::pair<TraceStage, int32_t>>{
+                                {TraceStage::kShardCapture, 100},
+                                {TraceStage::kShardCapture, 101},
+                                {TraceStage::kShardPlan, 200},
+                                {TraceStage::kShardPlan, 201}}));
+    EXPECT_NE(chrome.find("shard 1 capture"), std::string::npos);
+    EXPECT_NE(chrome.find("shard 1 plan"), std::string::npos);
+    for (int s = 0; s < 2; ++s) {
+      const std::string shard = "shard=\"" + std::to_string(s) + "\"";
+      EXPECT_GT(registry->GetGauge("engine_shard_phase_ns", shard)->value(), 0)
+          << shard;
+    }
+    EXPECT_EQ(registry->GetCounter("engine_cache_hits_total")->value() +
+                  registry->GetCounter("engine_cache_misses_total")->value(),
+              40 * 80);
   }
-  for (TraceStage want :
-       {TraceStage::kQuery, TraceStage::kQueueWait, TraceStage::kCapture,
-        TraceStage::kPlan, TraceStage::kBarrierWait, TraceStage::kSettle,
-        TraceStage::kBatch, TraceStage::kShardCapture,
-        TraceStage::kShardPlan}) {
-    EXPECT_TRUE(stages.count(want)) << TraceStageName(want);
-  }
-  // kPlan spans land on the lane tracks (1 + e), not the executor track.
-  // LanePool hands each slot to whichever lane is free, so one lane may
-  // plan every query; what holds for every schedule is that the tracks
-  // seen are exactly the lanes whose plan counters moved, and the counters
-  // account for all 80 queries.
-  for (int32_t track : plan_tracks) {
-    EXPECT_GE(track, 1);
-    EXPECT_LE(track, config.num_plan_lanes);
-  }
-  std::set<int32_t> busy_lane_tracks;
-  int64_t lane_plans = 0;
-  for (int e = 0; e < config.num_plan_lanes; ++e) {
-    const int64_t plans =
-        server.mutable_metrics()
-            ->GetCounter("serving_lane_plans_total",
-                         "lane=\"" + std::to_string(e) + "\"")
-            ->value();
-    if (plans > 0) busy_lane_tracks.insert(1 + e);
-    lane_plans += plans;
-  }
-  EXPECT_EQ(plan_tracks, busy_lane_tracks);
-  EXPECT_EQ(lane_plans, 80);
-  const std::string chrome = Tracer::ExportChromeTrace(events);
-  EXPECT_NE(chrome.find("\"barrier_wait\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"shard_plan\""), std::string::npos);
-  EXPECT_NE(chrome.find("shard 1 capture"), std::string::npos);
 }
 
 TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   // No dead metrics: a server without a settlement log has nothing to
   // recover or persist, so it exports no recovery_* or durability_* sample
-  // (and no rebalance counter), and a batched server never plans with the
-  // RHTALU planner, so it exports none of its counters. Every exported
-  // *_total sample — engine and lane caches, durability totals, admission
-  // counters, planner work — is a counter, so Prometheus sees TYPE counter
-  // for each.
-  // `target_rate` > 0 overrides every advertiser's target spend rate.
-  auto served_snapshot = [](const ServerConfig& config,
+  // (and no rebalance counter), and an engine without the RHTALU planner
+  // exports none of its counters. Every exported *_total sample — engine
+  // caches, durability totals, admission counters, planner work — is a
+  // counter, so Prometheus sees TYPE counter for each.
+  // `forwarded` keeps the bidders on the brute-force path; `target_rate` > 0
+  // overrides every advertiser's target spend rate.
+  auto served_snapshot = [](const ServerConfig& config, bool forwarded,
                             double target_rate = 0) {
     Workload w = MakePaperWorkload(SmallConfig(131));
     if (target_rate > 0) {
@@ -318,6 +334,7 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
     const std::vector<Query> queries =
         MakeQuerySequence(40, w.config.num_keywords, 137);
     auto strategies = RoiStrategies(w);
+    if (forwarded) strategies = Forwarded(std::move(strategies));
     AuctionServer server(config, std::move(w), std::move(strategies));
     EXPECT_TRUE(server.Start().ok());
     for (const Query& q : queries) {
@@ -353,29 +370,24 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   config.engine.engine.seed = 137;
   config.engine.num_shards = 2;
   config.max_batch_size = 8;
-  config.num_plan_lanes = 2;
-  config.mode = ServingMode::kBatchedSettlement;
-  const MetricsSnapshot no_log = served_snapshot(config);
+  const MetricsSnapshot no_log = served_snapshot(config, /*forwarded=*/true);
   const auto kinds = kinds_by_name(no_log);
   for (const auto& [name, kind] : kinds) {
     EXPECT_FALSE(has_prefix(name, "recovery_")) << name;
     EXPECT_FALSE(has_prefix(name, "durability_")) << name;
     EXPECT_NE(name, "serving_rebalances_total");
-    // Batched settlement plans on lanes, by brute force: no planner metrics.
+    // Brute force on every shard: no planner metrics.
     EXPECT_FALSE(has_prefix(name, "engine_roi_planner_")) << name;
+    EXPECT_FALSE(has_prefix(name, "lane_")) << name;
   }
   for (const char* name : {"engine_cache_hits_total",
                            "engine_cache_misses_total",
-                           "lane_cache_hits_total", "lane_cache_misses_total",
                            "serving_completed_total"}) {
     ASSERT_TRUE(kinds.count(name)) << name;
   }
-  // One cache lookup per advertiser per auction, all on the two lanes.
+  // One cache lookup per advertiser per auction.
   EXPECT_EQ(value_of(no_log, "engine_cache_hits_total") +
                 value_of(no_log, "engine_cache_misses_total"),
-            40.0 * 40.0);
-  EXPECT_EQ(value_of(no_log, "lane_cache_hits_total") +
-                value_of(no_log, "lane_cache_misses_total"),
             40.0 * 40.0);
   for (const HistogramSample& h : no_log.histograms) {
     EXPECT_FALSE(has_prefix(h.name, "durability_")) << h.name;
@@ -383,7 +395,7 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   const std::string prom = ExportPrometheus(no_log);
   EXPECT_NE(prom.find("# TYPE engine_cache_hits_total counter"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE lane_cache_misses_total counter"),
+  EXPECT_NE(prom.find("# TYPE engine_cache_misses_total counter"),
             std::string::npos);
 
   // With a log, the durability totals and recovery gauges appear, and the
@@ -392,9 +404,9 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   const std::string log_path =
       testing::TempDir() + "/ssa_serving_metric_kinds.log";
   std::remove(log_path.c_str());
-  config.mode = ServingMode::kDeterministicReplay;
   config.durability.log_path = log_path;
-  const MetricsSnapshot with_log = served_snapshot(config, 0.2);
+  const MetricsSnapshot with_log =
+      served_snapshot(config, /*forwarded=*/false, 0.2);
   const auto logged = kinds_by_name(with_log);
   ASSERT_TRUE(logged.count("durability_records_appended_total"));
   EXPECT_EQ(value_of(with_log, "durability_records_appended_total"), 40.0);
@@ -427,196 +439,6 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   EXPECT_EQ(value_of(with_log, "engine_roi_planner_ctr_extensions_total"),
             0.0);
   std::remove(log_path.c_str());
-}
-
-/// Serves `queries` with every submission admitted *before* Start(): batch
-/// composition becomes deterministic (the executor always pops full
-/// max_batch_size batches from a pre-filled queue), which is what lets two
-/// batched-settlement runs be compared bitwise.
-std::vector<AuctionOutcome> ServePreloaded(
-    const ServerConfig& config, uint64_t workload_seed,
-    const std::vector<Query>& queries,
-    std::vector<AdvertiserAccount>* accounts, Money* total_revenue) {
-  Workload workload = MakePaperWorkload(SmallConfig(workload_seed));
-  auto strategies = RoiStrategies(workload);
-  AuctionServer server(config, std::move(workload), std::move(strategies));
-  std::vector<AuctionOutcome> outcomes;
-  server.set_on_complete(
-      [&outcomes](const AuctionOutcome& out) { outcomes.push_back(out); });
-  for (const Query& q : queries) {
-    EXPECT_EQ(server.Submit(q), QueuePushResult::kAccepted);
-  }
-  server.Start();
-  server.Stop();
-  *accounts = server.engine().accounts();
-  *total_revenue = server.engine().total_revenue();
-  return outcomes;
-}
-
-/// Test-local batched-settlement oracle: chunks `queries` exactly as a
-/// preloaded queue pops them (max_batch_size at a time), plans the whole
-/// chunk on a serial ShardedAuctionEngine, then settles it in order.
-std::vector<AuctionOutcome> SerialBatchedOracle(
-    const ServerConfig& config, uint64_t workload_seed,
-    const std::vector<Query>& queries,
-    std::vector<AdvertiserAccount>* accounts, Money* total_revenue) {
-  Workload workload = MakePaperWorkload(SmallConfig(workload_seed));
-  auto strategies = RoiStrategies(workload);
-  ShardedAuctionEngine engine(config.engine, std::move(workload),
-                              std::move(strategies));
-  const size_t batch = static_cast<size_t>(config.max_batch_size);
-  std::vector<AuctionOutcome> outcomes;
-  std::vector<ShardedAuctionEngine::PlannedAuction> plans;
-  for (size_t begin = 0; begin < queries.size(); begin += batch) {
-    const size_t end = std::min(queries.size(), begin + batch);
-    plans.resize(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      engine.PlanAuction(queries[i], &plans[i - begin]);
-    }
-    for (ShardedAuctionEngine::PlannedAuction& plan : plans) {
-      outcomes.push_back(engine.SettlePlanned(&plan));
-    }
-  }
-  *accounts = engine.accounts();
-  *total_revenue = engine.total_revenue();
-  return outcomes;
-}
-
-TEST(ServingLaneBatchedTest, LanesMatchSerialBatchedOracleBitwise) {
-  // Batched settlement always plans on the lane pipeline, where lanes
-  // overlap settlement with planning — but with identical batch composition
-  // the *values* must not move for any lane count or shard layout: every
-  // slot is planned against batch-start state and settled in arrival order,
-  // exactly as the single-shard serial oracle does. Preloading the queue
-  // pins the batch boundaries.
-  const uint64_t workload_seed = 89;
-  Workload w = MakePaperWorkload(SmallConfig(workload_seed));
-  const std::vector<Query> queries =
-      MakeQuerySequence(96, w.config.num_keywords, 97);
-
-  ServerConfig config;
-  config.engine.engine.seed = 97;
-  config.queue_capacity = 128;
-  config.max_batch_size = 16;
-  config.mode = ServingMode::kBatchedSettlement;
-
-  std::vector<AdvertiserAccount> accounts_oracle;
-  Money revenue_oracle = 0;
-  const auto oracle = SerialBatchedOracle(config, workload_seed, queries,
-                                          &accounts_oracle, &revenue_oracle);
-  ASSERT_EQ(oracle.size(), queries.size());
-  for (int lanes : {1, 2, 4, 8}) {
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                   " shards=" + std::to_string(shards));
-      config.num_plan_lanes = lanes;
-      config.engine.num_shards = shards;
-      std::vector<AdvertiserAccount> accounts;
-      Money revenue = 0;
-      const auto got =
-          ServePreloaded(config, workload_seed, queries, &accounts, &revenue);
-      ASSERT_EQ(got.size(), queries.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ExpectOutcomeBitwiseEq(oracle[i], got[i]);
-      }
-      ExpectAccountsBitwiseEq(accounts_oracle, accounts);
-      ASSERT_EQ(revenue_oracle, revenue);
-    }
-  }
-}
-
-TEST(ServingBatchedSettlementTest, EqualsReplayAtBatchSizeOne) {
-  // With one query per batch there is nothing to defer: batched settlement
-  // degenerates to the replay path and must match the serial loop bitwise.
-  const uint64_t workload_seed = 17;
-  const uint64_t engine_seed = 19;
-  Workload w = MakePaperWorkload(SmallConfig(workload_seed));
-  const std::vector<Query> queries =
-      MakeQuerySequence(80, w.config.num_keywords, engine_seed);
-  EngineConfig engine_config;
-  engine_config.seed = engine_seed;
-  ReferenceEngine serial(engine_config, w, RoiStrategies(w));
-  std::vector<AuctionOutcome> expected;
-  for (const Query& q : queries) expected.push_back(serial.RunAuctionOn(q));
-
-  ServerConfig config;
-  config.engine.engine = engine_config;
-  config.max_batch_size = 1;
-  config.mode = ServingMode::kBatchedSettlement;
-  for (int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    config.num_plan_lanes = lanes;
-    std::vector<AdvertiserAccount> accounts;
-    Money total_revenue = 0;
-    const std::vector<AuctionOutcome> got =
-        ServeAll(config, workload_seed, queries, &accounts, &total_revenue);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ExpectOutcomeBitwiseEq(expected[i], got[i]);
-    }
-    ExpectAccountsBitwiseEq(serial.accounts(), accounts);
-  }
-}
-
-TEST(ServingBatchedSettlementTest, DeterministicGivenArrivalOrder) {
-  // Larger batches defer settlement (bids see batch-start accounts), which
-  // may diverge from the serial loop — but two identical runs must agree
-  // with each other exactly, and conservation invariants must hold. Every
-  // query is admitted before Start(), so both runs pop the same fixed
-  // max_batch_size chunks; submitting live would make batch composition,
-  // and with it every value, depend on timing.
-  const uint64_t workload_seed = 23;
-  Workload w = MakePaperWorkload(SmallConfig(workload_seed));
-  const std::vector<Query> queries =
-      MakeQuerySequence(100, w.config.num_keywords, 29);
-
-  ServerConfig config;
-  config.engine.engine.seed = 29;
-  config.max_batch_size = 16;
-  config.mode = ServingMode::kBatchedSettlement;
-
-  std::vector<AdvertiserAccount> accounts_a, accounts_b;
-  Money revenue_a = 0, revenue_b = 0;
-  const auto run_a =
-      ServePreloaded(config, workload_seed, queries, &accounts_a, &revenue_a);
-  const auto run_b =
-      ServePreloaded(config, workload_seed, queries, &accounts_b, &revenue_b);
-  ASSERT_EQ(run_a.size(), queries.size());
-  ASSERT_EQ(run_b.size(), queries.size());
-  for (size_t i = 0; i < run_a.size(); ++i) {
-    // Settlement order is arrival order: outcome i is query i.
-    ASSERT_EQ(run_a[i].query.time, queries[i].time);
-    ExpectOutcomeBitwiseEq(run_a[i], run_b[i]);
-  }
-  ExpectAccountsBitwiseEq(accounts_a, accounts_b);
-  ASSERT_EQ(revenue_a, revenue_b);
-  // Conservation: what advertisers spent is what the provider charged.
-  Money spent = 0;
-  for (const auto& account : accounts_a) spent += account.amount_spent;
-  EXPECT_NEAR(spent, revenue_a, 1e-9);
-}
-
-TEST(ServingBatchedSettlementTest, RefusesToWriteASettlementLog) {
-  // Recovery and followers re-execute a settlement log one auction at a
-  // time; batched boundaries are timing-dependent, so a batched log would
-  // replay onto a different trajectory. Start() must refuse the pairing
-  // before it recovers, opens the log, or launches the executor.
-  const std::string log_path =
-      testing::TempDir() + "/ssa_serving_batched_refuses.log";
-  std::remove(log_path.c_str());
-  Workload w = MakePaperWorkload(SmallConfig(59));
-  ServerConfig config;
-  config.mode = ServingMode::kBatchedSettlement;
-  config.durability.log_path = log_path;
-  AuctionServer server(config, std::move(w), [] {
-    Workload tmp = MakePaperWorkload(SmallConfig(59));
-    return RoiStrategies(tmp);
-  }());
-  const Status started = server.Start();
-  EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition)
-      << started.ToString();
-  EXPECT_EQ(server.log_writer(), nullptr);
-  EXPECT_FALSE(FileExists(log_path));
 }
 
 TEST(ServingBackpressureTest, RejectShedsDeterministicallyBeforeStart) {

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/epoch.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -289,85 +288,6 @@ TEST(TopKHeapSetTest, TiedWeightsBreakByIdDescending) {
     EXPECT_EQ(got[1].second, 4);
     EXPECT_EQ(got[2].second, 3);
   }
-}
-
-TEST(OrderedCommitBarrierTest, ConsumerSeesProducerWritesInTicketOrder) {
-  // Producers complete tickets in a scrambled order; the consumer drains
-  // 0, 1, 2, ... and must observe each ticket's payload — the
-  // MarkReady/AwaitReady happens-before edge the serving settler relies on.
-  constexpr int64_t kTickets = 64;
-  OrderedCommitBarrier barrier;
-  barrier.Reset(kTickets);
-  std::vector<int64_t> payload(kTickets, -1);  // written pre-MarkReady only
-  constexpr int kProducers = 4;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      // Stride the tickets across producers back to front, so readiness
-      // arrives far from ticket order.
-      for (int64_t t = kTickets - 1 - p; t >= 0; t -= kProducers) {
-        payload[t] = t * 7;
-        barrier.MarkReady(t);
-      }
-    });
-  }
-  for (int64_t t = 0; t < kTickets; ++t) {
-    barrier.AwaitReady(t);
-    EXPECT_EQ(payload[t], t * 7);
-  }
-  for (std::thread& t : producers) t.join();
-}
-
-TEST(OrderedCommitBarrierTest, ResetOpensAFreshEpoch) {
-  OrderedCommitBarrier barrier;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    barrier.Reset(2);
-    barrier.MarkReady(1);  // out of order within the epoch
-    barrier.MarkReady(0);
-    barrier.AwaitReady(0);
-    barrier.AwaitReady(1);
-  }
-}
-
-TEST(LanePoolTest, EveryTicketRunsExactlyOnceOnSomeLane) {
-  constexpr int kLanes = 3;
-  constexpr int64_t kTickets = 200;
-  std::vector<std::atomic<int>> runs(kTickets);
-  for (auto& r : runs) r.store(0);
-  std::vector<std::atomic<int64_t>> per_lane(kLanes);
-  for (auto& c : per_lane) c.store(0);
-  OrderedCommitBarrier barrier;
-  barrier.Reset(kTickets);
-  {
-    LanePool pool(kLanes, [&](int lane, int64_t ticket) {
-      ASSERT_GE(lane, 0);
-      ASSERT_LT(lane, kLanes);
-      runs[ticket].fetch_add(1);
-      per_lane[lane].fetch_add(1);
-      barrier.MarkReady(ticket);
-    });
-    EXPECT_EQ(pool.num_lanes(), kLanes);
-    for (int64_t t = 0; t < kTickets; ++t) pool.Dispatch(t);
-    for (int64_t t = 0; t < kTickets; ++t) barrier.AwaitReady(t);
-  }
-  int64_t total = 0;
-  for (int64_t t = 0; t < kTickets; ++t) {
-    EXPECT_EQ(runs[t].load(), 1) << "ticket " << t;
-  }
-  for (const auto& c : per_lane) total += c.load();
-  EXPECT_EQ(total, kTickets);
-}
-
-TEST(LanePoolTest, DestructorDrainsDispatchedTickets) {
-  // Tickets dispatched but not yet run must still execute before join —
-  // the lane pool's part of the Stop() drain contract.
-  constexpr int64_t kTickets = 50;
-  std::atomic<int64_t> ran{0};
-  {
-    LanePool pool(2, [&](int, int64_t) { ran.fetch_add(1); });
-    for (int64_t t = 0; t < kTickets; ++t) pool.Dispatch(t);
-  }  // destructor: drain, then join
-  EXPECT_EQ(ran.load(), kTickets);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossCalls) {
