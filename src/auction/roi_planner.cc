@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "strategy/roi_strategy.h"
@@ -15,13 +14,10 @@ namespace {
 /// 16 bits, so stored keys are kept modulo 2^16.
 constexpr int64_t kMaxBucketBid = (1 << 16) - 1;
 
-/// Initial length of each slot's sorted ctr prefix; the Threshold Algorithm
-/// doubles a prefix when it reaches the end (ExtendCtrOrder).
+/// Length of each slot's first sorted ctr prefix, built when the Threshold
+/// Algorithm first reads the slot; it doubles a prefix whenever it reaches
+/// the end (ExtendCtrOrder).
 constexpr int32_t kCtrPrefix = 128;
-
-/// Every kSampleStride-th member estimates the ctr above which a slot keeps
-/// about kCtrPrefix entries.
-constexpr int32_t kSampleStride = 16;
 
 /// The ctr order's strict (ctr desc, id asc) comparison.
 bool CtrBefore(const std::pair<double, int32_t>& a,
@@ -84,39 +80,9 @@ RoiPlanner::RoiPlanner(
     }
   }
 
-  // Per-slot ctr prefixes: a strided sample sets each slot's threshold near
-  // its kCtrPrefix-th largest ctr, one pass keeps every ctr at or above it,
-  // and one sort per slot orders them. Any threshold keeps a prefix of the
-  // slot's strict (ctr desc, id asc) order; the sample only sizes it.
-  const int32_t count = static_cast<int32_t>(members_.size());
-  std::vector<double> threshold(num_slots_, -1.0);  // keep all
-  if (count > kCtrPrefix) {
-    const int32_t rank = kCtrPrefix / kSampleStride;  // in the sample
-    const int32_t rows = (count + kSampleStride - 1) / kSampleStride;
-    std::vector<double> sample(static_cast<size_t>(num_slots_) * rows);
-    for (int32_t r = 0; r < rows; ++r) {
-      const AdvertiserId i = members_[static_cast<size_t>(r) * kSampleStride];
-      for (SlotIndex j = 0; j < num_slots_; ++j) {
-        sample[static_cast<size_t>(j) * rows + r] = Ctr(i, j);
-      }
-    }
-    for (SlotIndex j = 0; j < num_slots_; ++j) {
-      double* column = sample.data() + static_cast<size_t>(j) * rows;
-      std::nth_element(column, column + (rank - 1), column + rows,
-                       std::greater<double>());
-      threshold[j] = column[rank - 1];
-    }
-  }
+  // Every slot's ctr prefix starts empty; the Threshold Algorithm builds it
+  // on first read.
   ctr_order_.resize(num_slots_);
-  for (const AdvertiserId i : members_) {
-    for (SlotIndex j = 0; j < num_slots_; ++j) {
-      if (Ctr(i, j) >= threshold[j]) ctr_order_[j].emplace_back(Ctr(i, j), i);
-    }
-  }
-  for (auto& prefix : ctr_order_) {
-    std::sort(prefix.begin(), prefix.end(), CtrBefore);
-  }
-
   lists_.resize(num_keywords_);
   seen_.assign(size_, 0);
 }
@@ -436,7 +402,7 @@ void RoiPlanner::ExtendCtrOrder(SlotIndex slot) {
     }
   }
   std::sort_heap(heap, order.end(), CtrBefore);
-  ++stats_.ctr_extensions;
+  if (start > 0) ++stats_.ctr_extensions;
 }
 
 void RoiPlanner::OnSettled(AdvertiserId i, int64_t time,

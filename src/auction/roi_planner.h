@@ -29,8 +29,9 @@ struct RoiPlannerStats {
   int64_t triggers_fired = 0;
   /// Full O(n·kw) rebuilds of the lists from the strategies.
   int64_t rebuilds = 0;
-  /// Times a slot's sorted ctr prefix ran out under the Threshold Algorithm
-  /// and was doubled.
+  /// Times a slot's non-empty sorted ctr prefix ran out under the Threshold
+  /// Algorithm and was doubled (building a slot's first prefix is not
+  /// counted).
   int64_t ctr_extensions = 0;
 };
 
@@ -59,10 +60,11 @@ struct RoiPlannerStats {
 ///    alternates between the slot's ctr order and the bid view (buckets in
 ///    descending effective bid), until the (k+1)-th best score is *strictly*
 ///    above ctr_last × bid_last. The ctr order is a sorted prefix of the
-///    slot's (ctr desc, id asc) order, kCtrPrefix entries at construction;
-///    when the Threshold Algorithm reaches its end, the next chunk is
-///    selected and sorted in place, doubling it. The prefix grows only as
-///    far as the Threshold Algorithm reads, and the bound keeps falling.
+///    slot's (ctr desc, id asc) order, empty at construction; when the
+///    Threshold Algorithm reaches its end, the next chunk (kCtrPrefix
+///    entries the first time, then the prefix's length) is selected and
+///    sorted in place. The prefix grows only as far as the Threshold
+///    Algorithm reads, and the bound keeps falling.
 ///
 /// The selected entries go straight into the coordinator's merged
 /// TopKHeapSet under its strict (weight, id) order, so winner determination
@@ -202,7 +204,7 @@ class RoiPlanner {
   void ApplyLogicalUpdate(int kw);
   void SelectTopForSlot(SlotIndex slot, int kw, TopKHeapSet* topk);
   /// Appends the next chunk of the slot's (ctr desc, id asc) order to its
-  /// prefix, doubling it.
+  /// prefix: kCtrPrefix entries into an empty prefix, else doubling it.
   void ExtendCtrOrder(SlotIndex slot);
 
   /// Population size: nodes and strategies_ are indexed by global id.

@@ -56,9 +56,6 @@ ShardedAuctionEngine::ShardedAuctionEngine(
     }
   }
   internal_lane_ = NewPlanLane();
-  // The internal lane is the engine's only lane on the RunAuctionOn path, so
-  // intra-query shard parallelism is the right use of the pool there.
-  internal_lane_->pool = config_.pool;
 }
 
 std::unique_ptr<ShardedAuctionEngine::PlanLane>
@@ -67,8 +64,17 @@ ShardedAuctionEngine::NewPlanLane() const {
   // so an engine whose shards all plan logically never allocates it.
   auto lane = std::make_unique<PlanLane>();
   lane->shards.resize(ranges_.size());
-  lane->pool = nullptr;
   return lane;
+}
+
+void ShardedAuctionEngine::ForEachShard(
+    const std::function<void(int)>& body) const {
+  const int num_shards = static_cast<int>(ranges_.size());
+  if (config_.pool != nullptr && num_shards > 1) {
+    config_.pool->ParallelFor(num_shards, body);
+  } else {
+    for (int s = 0; s < num_shards; ++s) body(s);
+  }
 }
 
 void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
@@ -97,16 +103,10 @@ void ShardedAuctionEngine::CaptureBids(const Query& query,
                                        CapturedBids* bids) {
   bids->resize(strategies_.size());
   SyncStrategies();
-  auto capture = [&](int s) { CaptureShard(s, query, bids, /*trace_seq=*/0); };
-  const int num_shards = static_cast<int>(ranges_.size());
-  if (config_.pool != nullptr && num_shards > 1) {
-    // Strategies of different advertisers share no state (Section II-B), so
-    // the capture fans out across shards; only captures of *distinct
-    // queries* must serialize.
-    config_.pool->ParallelFor(num_shards, capture);
-  } else {
-    for (int s = 0; s < num_shards; ++s) capture(s);
-  }
+  // Strategies of different advertisers share no state (Section II-B), so
+  // the capture fans out across shards; only captures of *distinct queries*
+  // must serialize.
+  ForEachShard([&](int s) { CaptureShard(s, query, bids, /*trace_seq=*/0); });
   if (planner_ != nullptr) planner_->Invalidate();
 }
 
@@ -297,16 +297,10 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   // entries (CompiledBidsCache's concurrency precondition).
   lane->cache.Reserve(strategies_.size());
   const bool collect = CollectsTopK();
-  const int num_shards = static_cast<int>(ranges_.size());
-  auto plan_shard = [&](int s) {
+  ForEachShard([&](int s) {
     RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], bids, &revenue,
                   collect);
-  };
-  if (lane->pool != nullptr && num_shards > 1) {
-    lane->pool->ParallelFor(num_shards, plan_shard);
-  } else {
-    for (int s = 0; s < num_shards; ++s) plan_shard(s);
-  }
+  });
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
   lane->merged_topk.Reset(k, k + 1);
   FinishPlan(lane, &revenue, /*logical=*/nullptr, /*kw=*/-1, plan);
@@ -356,7 +350,7 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
     capture_scratch_.resize(strategies_.size());
     if (logical == nullptr) SyncStrategies();
     const bool collect = CollectsTopK();
-    auto plan_shard = [&](int s) {
+    ForEachShard([&](int s) {
       if (!PlansBrute(s, logical)) return;
       CaptureShard(s, query, &capture_scratch_, trace_seq);
       const uint64_t t0 = traced ? Tracer::NowNs() : 0;
@@ -366,12 +360,7 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
         tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, 200 + s, t0,
                             Tracer::NowNs());
       }
-    };
-    if (lane->pool != nullptr && num_shards > 1) {
-      lane->pool->ParallelFor(num_shards, plan_shard);
-    } else {
-      for (int s = 0; s < num_shards; ++s) plan_shard(s);
-    }
+    });
     if (logical == nullptr && planner_ != nullptr) planner_->Invalidate();
   }
 
@@ -392,7 +381,7 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
 
 void ShardedAuctionEngine::SyncStrategies() const {
   // Logically const: the strategies receive the bids they already stand
-  // for. Callers hold the engine exclusively (see CaptureBidsForRead).
+  // for. Callers hold the engine exclusively (see WhatIfAuction).
   if (planner_ != nullptr) planner_->WriteBack();
 }
 
@@ -471,10 +460,6 @@ int64_t ShardedAuctionEngine::cache_misses() const {
   return internal_lane_->cache.misses();
 }
 
-int64_t ShardedAuctionEngine::verified_recompiles() const {
-  return internal_lane_->cache.verified_recompiles();
-}
-
 void ShardedAuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   *ckpt = EngineCheckpoint{};
   ckpt->seq = static_cast<uint64_t>(auctions_run_);
@@ -490,11 +475,6 @@ void ShardedAuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   for (size_t i = 0; i < strategies_.size(); ++i) {
     strategies_[i]->SaveState(&ckpt->strategy_state[i]);
   }
-  // The lane cache keys by global advertiser id, so its key snapshot is
-  // already portable across shard layouts. Only the internal lane's cache
-  // persists — external PlanLanes are scratch.
-  ckpt->cache_keys = internal_lane_->cache.ExportKeys();
-  ckpt->cache_keys.resize(strategies_.size());
 }
 
 Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
@@ -508,6 +488,15 @@ Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   if (ckpt.accounts.size() != n || ckpt.strategy_state.size() != n) {
     return Status::InvalidArgument("checkpoint population size mismatch");
   }
+  // Settlement indexes the per-keyword vectors by keyword unchecked.
+  const size_t kws = static_cast<size_t>(workload_.config.num_keywords);
+  for (const AdvertiserAccount& a : ckpt.accounts) {
+    if (a.value_per_click.size() != kws || a.max_bid.size() != kws ||
+        a.value_gained.size() != kws || a.spent_per_keyword.size() != kws) {
+      return Status::InvalidArgument(
+          "checkpoint account keyword count mismatch");
+    }
+  }
   // Strategies not restored by a failing blob must hold their current bids,
   // and the planner's lists are stale afterwards either way.
   SyncStrategies();
@@ -520,9 +509,6 @@ Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   query_gen_.RestoreState(ckpt.query_gen);
   auctions_run_ = static_cast<int64_t>(ckpt.seq);
   total_revenue_ = ckpt.total_revenue;
-  // Cache keys are global-id indexed on both sides, so a checkpoint written
-  // under one shard layout restores under any other.
-  internal_lane_->cache.PrimeExpectedKeys(ckpt.cache_keys);
   outcome_ = AuctionOutcome{};
   return Status::Ok();
 }

@@ -1,6 +1,7 @@
 #ifndef SSA_AUCTION_SHARDED_ENGINE_H_
 #define SSA_AUCTION_SHARDED_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,10 +94,9 @@ struct ShardedEngineConfig {
 ///
 /// The strategies stay the source of truth for checkpoints: the planner
 /// writes its effective bids back into its RoiStrategy objects before any
-/// path reads them (CaptureBids, CaptureBidsForRead / WhatIfAuction,
-/// CaptureCheckpoint, RestoreCheckpoint) and rebuilds its lists from them,
-/// at its next logical plan, after any path moved them (CaptureBids,
-/// RestoreCheckpoint).
+/// path reads them (CaptureBids, WhatIfAuction, CaptureCheckpoint,
+/// RestoreCheckpoint) and rebuilds its lists from them, at its next logical
+/// plan, after any path moved them (CaptureBids, RestoreCheckpoint).
 ///
 /// Plan / settle split: PlanAuction plans one query against the current
 /// account state and SettlePlanned applies it; the server plans and settles
@@ -106,10 +106,9 @@ struct ShardedEngineConfig {
 /// compile, revenue matrix, candidate merge, winner determination, pricing)
 /// that is const on the engine and reads only the captured bids plus a
 /// PlanLane's scratch. Follower reads and WhatIfAuction run the pure half on
-/// their own lane over a read-only capture (CaptureBidsForRead); the split
-/// halves always take the brute-force path. Compilation is a pure function
-/// of (table, num_slots), so a plan is bitwise-identical on any lane,
-/// whatever its cache history.
+/// their own lane over a read-only capture; the split halves always take the
+/// brute-force path. Compilation is a pure function of (table, num_slots),
+/// so a plan is bitwise-identical on any lane, whatever its cache history.
 class ShardedAuctionEngine {
  public:
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
@@ -145,11 +144,12 @@ class ShardedAuctionEngine {
   /// an arena-reused revenue matrix. Opaque to callers — create with
   /// NewPlanLane(), hand to PlanCaptured or WhatIfAuction. A lane must not
   /// be used by two threads at once; distinct lanes are fully independent.
+  /// Every lane's shard phase fans out on the engine's config.pool.
   ///
   /// The cache is keyed by *global* advertiser id and sized to the
   /// population before the lane's first brute-force shard phase, so
-  /// parallel shard tasks of one lane touch disjoint entries race-free, and
-  /// its keys checkpoint independently of the shard layout.
+  /// parallel shard tasks of one lane touch disjoint entries race-free. It
+  /// is scratch, never checkpointed.
   class PlanLane {
     friend class ShardedAuctionEngine;
     struct ShardScratch {
@@ -167,16 +167,10 @@ class ShardedAuctionEngine {
     TopKHeapSet merged_topk;     // coordinator scratch, reused
     std::vector<double> candidate_rows;  // coordinator scratch, reused
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
-    /// Pool the shard phase of *this lane* fans out on. The engine's own
-    /// internal lane uses config.pool; lanes created by NewPlanLane() (the
-    /// read and what-if paths) run their shard phase sequentially (nullptr)
-    /// on the caller's thread.
-    ThreadPool* pool = nullptr;
   };
 
-  /// Creates an independent planning lane (shard phase runs sequentially
-  /// within the lane). Lanes may outlive nothing: the engine must outlive
-  /// every lane created from it.
+  /// Creates an independent planning lane. Lanes may outlive nothing: the
+  /// engine must outlive every lane created from it.
   std::unique_ptr<PlanLane> NewPlanLane() const;
 
   /// The sequential half of planning: runs every advertiser's bidding
@@ -199,12 +193,12 @@ class ShardedAuctionEngine {
                     PlanLane* lane, PlannedAuction* plan) const;
 
   /// Phases 3/4/6-prep on `query` against the *current* account state, on
-  /// the engine's internal lane (whose shard phase fans out on the
-  /// configured pool): the planner plans its shards logically when it can,
-  /// and every other shard captures and fills. Advances the strategies' bids
-  /// (directly or through the planner's lists) and engine scratch; accounts,
-  /// strategies' outcome state and the user RNG are untouched until the plan
-  /// is settled. The plan equals CaptureBids + PlanCaptured bit for bit.
+  /// the engine's internal lane: the planner plans its shards logically when
+  /// it can, and every other shard captures and fills. Advances the
+  /// strategies' bids (directly or through the planner's lists) and engine
+  /// scratch; accounts, strategies' outcome state and the user RNG are
+  /// untouched until the plan is settled. The plan equals CaptureBids +
+  /// PlanCaptured bit for bit.
   ///
   /// `trace_seq` is the serving layer's sampled trace sequence: nonzero
   /// stamps per-shard capture and plan spans (and the planner's spans) into
@@ -214,21 +208,18 @@ class ShardedAuctionEngine {
   void PlanAuction(const Query& query, PlannedAuction* plan,
                    uint64_t trace_seq = 0);
 
-  /// The capture half as a *pure read*: every advertiser's program runs via
-  /// PeekBids against the current account state, so no strategy-private
-  /// state advances and the capture clocks stay untouched.
-  /// Const on the engine, but NOT safe concurrently with CaptureBids /
-  /// SettlePlanned on the same engine (PeekBids' default transiently
-  /// mutates strategy state, and accounts are read mid-update otherwise);
-  /// the follower serializes reads against applies with its mutex.
-  void CaptureBidsForRead(const Query& query, CapturedBids* bids) const;
-
-  /// One full what-if auction as a pure read: CaptureBidsForRead +
-  /// PlanCaptured on `lane`. The resulting plan is bitwise-identical to
-  /// what PlanAuction would produce for `query` at the current state —
-  /// same bids (PeekBids contract), same pure planning half — but nothing
-  /// in the engine moves, so the real trajectory is unperturbed. Same
-  /// concurrency contract as CaptureBidsForRead.
+  /// One full what-if auction as a pure read: every advertiser's program
+  /// runs via PeekBids against the current account state (no
+  /// strategy-private state advances, the capture clocks stay untouched),
+  /// then PlanCaptured runs on `lane`. The resulting plan is
+  /// bitwise-identical to what PlanAuction would produce for `query` at the
+  /// current state — same bids (PeekBids contract), same pure planning half
+  /// — but nothing in the engine moves, so the real trajectory is
+  /// unperturbed. Const on the engine, but NOT safe concurrently with
+  /// CaptureBids / SettlePlanned on the same engine (PeekBids' default
+  /// transiently mutates strategy state, and accounts are read mid-update
+  /// otherwise); the follower serializes reads against applies with its
+  /// mutex.
   void WhatIfAuction(const Query& query, PlanLane* lane,
                      PlannedAuction* plan) const;
 
@@ -285,21 +276,17 @@ class ShardedAuctionEngine {
   /// whenever the table is unchanged.
   int64_t cache_hits() const;
   int64_t cache_misses() const;
-  /// Post-restore recompilations whose fingerprint matched the checkpointed
-  /// key, summed over all shards.
-  int64_t verified_recompiles() const;
 
   /// Durability hooks (src/durability/): snapshot / rewind the complete
   /// trajectory state — accounts, both RNG streams, auction counter, revenue
-  /// accumulator, strategy blobs, compiled-bids cache keys. An engine
-  /// restored from a checkpoint continues bitwise-identically to the
-  /// uninterrupted run. Restore requires the same workload shape and
-  /// strategy lineup and fails without partial effects on shape mismatches
-  /// (strategy-blob errors surface per strategy). The checkpoint is
-  /// shard-layout-independent (cache keys are stored by global advertiser
-  /// id), so an engine of any shard count restores one taken at any other.
-  /// External PlanLane caches are scratch: never checkpointed, rebuilt on
-  /// demand. The RHTALU planner's lists are not checkpointed either: a
+  /// accumulator, strategy blobs — and nothing else. An engine restored
+  /// from a checkpoint continues bitwise-identically to the uninterrupted
+  /// run. Restore requires the same workload shape and strategy lineup and
+  /// fails without partial effects on shape mismatches (strategy-blob
+  /// errors surface per strategy). The checkpoint holds no shard layout, so
+  /// an engine of any shard count restores one taken at any other. A restore
+  /// leaves the compiled-bids caches as they are: an entry hits only on an
+  /// identical table. The RHTALU planner's lists are not checkpointed: a
   /// capture writes its bids back into the strategies first (logically
   /// const, so it must not overlap planning), and a restore leaves them to
   /// be rebuilt from the restored strategies. The file forms are versioned,
@@ -310,6 +297,15 @@ class ShardedAuctionEngine {
   Status RestoreFromCheckpoint(const std::string& path);
 
  private:
+  /// Runs body(s) for every shard s: fanned out on config.pool when there is
+  /// one and more than one shard, else in shard order on the caller's
+  /// thread. Shards share nothing, so the schedule never changes a value.
+  void ForEachShard(const std::function<void(int)>& body) const;
+
+  /// WhatIfAuction's capture half: every advertiser's PeekBids into
+  /// `*bids` (resized to the population), under WhatIfAuction's contract.
+  void CaptureBidsForRead(const Query& query, CapturedBids* bids) const;
+
   /// Runs shard s's bidding programs for `query` into its range of `*bids`.
   /// Callers sync the planner around the capture (SyncStrategies before,
   /// Invalidate after).
@@ -366,8 +362,8 @@ class ShardedAuctionEngine {
   /// qualifies or the engine's method and pricing rule need the matrix.
   std::unique_ptr<RoiPlanner> planner_;
   int64_t planner_ns_ = 0;
-  /// The engine's own lane (PlanAuction / RunAuctionOn path); its caches
-  /// are the ones checkpoints persist and shard_stats reports.
+  /// The engine's own lane (PlanAuction / RunAuctionOn path); its cache is
+  /// the one shard_stats reports.
   std::unique_ptr<PlanLane> internal_lane_;
   CapturedBids capture_scratch_;  // PlanAuction's capture, reused
   PlannedAuction plan_scratch_;   // RunAuctionOn's plan, reused

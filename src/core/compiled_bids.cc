@@ -364,13 +364,6 @@ const CompiledBids& CompiledBidsCache::Get(AdvertiserId i,
     return entry.compiled;
   }
   ++entry.misses;
-  if (entry.expected) {
-    if (entry.expected_fingerprint == fingerprint &&
-        entry.expected_num_slots == num_slots) {
-      ++entry.verified;
-    }
-    entry.expected = false;  // one verification shot per restore
-  }
   entry.compiled.CompileFrom(bids, num_slots);  // in place: reuses buffers
   entry.fingerprint = fingerprint;
   entry.num_slots = num_slots;
@@ -402,41 +395,6 @@ int64_t CompiledBidsCache::MissesInRange(AdvertiserId begin,
   int64_t total = 0;
   for (AdvertiserId i = begin; i < end; ++i) total += entries_[i].misses;
   return total;
-}
-
-int64_t CompiledBidsCache::verified_recompiles() const {
-  int64_t total = 0;
-  for (const Entry& entry : entries_) total += entry.verified;
-  return total;
-}
-
-std::vector<CompiledBidsCache::KeySnapshot> CompiledBidsCache::ExportKeys()
-    const {
-  std::vector<KeySnapshot> keys(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    keys[i].valid = entries_[i].valid;
-    keys[i].fingerprint = entries_[i].fingerprint;
-    keys[i].num_slots = entries_[i].num_slots;
-  }
-  return keys;
-}
-
-void CompiledBidsCache::PrimeExpectedKeys(
-    const std::vector<KeySnapshot>& keys) {
-  // Entries past the last valid key need not exist: a missing entry and an
-  // invalid, unexpected one behave alike (a lookup misses and compiles).
-  size_t needed = keys.size();
-  while (needed > 0 && !keys[needed - 1].valid) --needed;
-  if (entries_.size() < needed) entries_.resize(needed);
-  for (size_t i = 0; i < std::min(keys.size(), entries_.size()); ++i) {
-    Entry& entry = entries_[i];
-    // Invalidate any live compilation: the engine is being rewound to the
-    // checkpoint, so cached tables from beyond it must not be served.
-    entry.valid = false;
-    entry.expected = keys[i].valid;
-    entry.expected_fingerprint = keys[i].fingerprint;
-    entry.expected_num_slots = keys[i].num_slots;
-  }
 }
 
 }  // namespace ssa

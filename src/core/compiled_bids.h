@@ -117,8 +117,10 @@ uint64_t FingerprintBids(const BidsTable& bids);
 /// Per-advertiser cache of compiled bids keyed on content fingerprint —
 /// each ShardedAuctionEngine planning lane keeps one across auctions so
 /// unchanged tables are never recompiled. Entries are keyed by *global*
-/// advertiser id: a lane shares one cache across its shards, and the keys
-/// export and checkpoint independently of the shard layout.
+/// advertiser id, so a lane shares one cache across its shards. The cache is
+/// pure scratch: a compilation is a function of (table, num_slots) alone, an
+/// entry hits only on an identical fingerprint, and nothing of it is ever
+/// checkpointed.
 ///
 /// Threading: Get(i, ...) mutates only entry i (hit/miss counters included —
 /// there is deliberately no cache-wide mutable state on the Get path), so
@@ -149,44 +151,15 @@ class CompiledBidsCache {
   int64_t HitsInRange(AdvertiserId begin, AdvertiserId end) const;
   int64_t MissesInRange(AdvertiserId begin, AdvertiserId end) const;
 
-  /// One cached entry's identity, without its compiled payload — what engine
-  /// checkpoints persist. Compilations are pure functions of (table,
-  /// num_slots), so a checkpoint only needs the keys: after restore the
-  /// tables recompile on demand and the stored fingerprints verify that the
-  /// restored strategies re-emit exactly the tables that were cached.
-  struct KeySnapshot {
-    bool valid = false;
-    uint64_t fingerprint = 0;
-    int32_t num_slots = -1;
-  };
-
-  /// Snapshot of every entry's key, indexed by advertiser slot.
-  std::vector<KeySnapshot> ExportKeys() const;
-
-  /// Primes the cache with the keys a checkpoint recorded. Entries stay
-  /// uncompiled (recompile on demand); the first Get() per advertiser checks
-  /// the incoming table's fingerprint against the expected key and counts a
-  /// verified recompilation on match — a cheap end-to-end integrity signal
-  /// that the restored strategy state reproduces the checkpointed tables.
-  void PrimeExpectedKeys(const std::vector<KeySnapshot>& keys);
-
-  /// Post-restore recompilations whose fingerprint matched the primed key.
-  int64_t verified_recompiles() const;
-
  private:
   struct Entry {
     bool valid = false;
     uint64_t fingerprint = 0;
     int num_slots = -1;
-    /// Key recorded by a checkpoint, awaiting verification on first Get().
-    bool expected = false;
-    uint64_t expected_fingerprint = 0;
-    int expected_num_slots = -1;
     /// Per-entry counters: Get touches only its own entry, which is what
     /// makes disjoint-id concurrent lookups race-free.
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t verified = 0;
     CompiledBids compiled;
   };
   std::deque<Entry> entries_;

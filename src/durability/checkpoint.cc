@@ -8,6 +8,11 @@ namespace ssa {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'S', 'A', 'C', 'K', 'P', 'T', '1'};
+/// Smallest encoded account (two doubles, four empty vector counts) and
+/// strategy blob (an empty string's count): each decoded count is checked
+/// against the bytes left before anything is sized from it.
+constexpr size_t kMinAccountBytes = 2 * 8 + 4 * 4;
+constexpr size_t kMinBlobBytes = 4;
 
 void EncodeAccount(const AdvertiserAccount& account, WireWriter* w) {
   w->PutDouble(account.amount_spent);
@@ -44,12 +49,6 @@ void EncodePayload(const EngineCheckpoint& ckpt, std::string* out) {
   }
   w.PutU32(static_cast<uint32_t>(ckpt.strategy_state.size()));
   for (const std::string& blob : ckpt.strategy_state) w.PutString(blob);
-  w.PutU32(static_cast<uint32_t>(ckpt.cache_keys.size()));
-  for (const CompiledBidsCache::KeySnapshot& key : ckpt.cache_keys) {
-    w.PutU8(key.valid ? 1 : 0);
-    w.PutU64(key.fingerprint);
-    w.PutI32(key.num_slots);
-  }
 }
 
 Status DecodePayload(std::string_view payload, EngineCheckpoint* ckpt) {
@@ -62,25 +61,23 @@ Status DecodePayload(std::string_view payload, EngineCheckpoint* ckpt) {
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_advertisers));
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_slots));
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_keywords));
+  // A forged count must not drive a giant allocation.
   uint32_t n = 0;
   SSA_RETURN_IF_ERROR(r.GetU32(&n));
+  if (n > r.remaining() / kMinAccountBytes) {
+    return Status::InvalidArgument("short read: account list");
+  }
   ckpt->accounts.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     SSA_RETURN_IF_ERROR(DecodeAccount(&r, &ckpt->accounts[i]));
   }
   SSA_RETURN_IF_ERROR(r.GetU32(&n));
+  if (n > r.remaining() / kMinBlobBytes) {
+    return Status::InvalidArgument("short read: strategy state list");
+  }
   ckpt->strategy_state.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     SSA_RETURN_IF_ERROR(r.GetString(&ckpt->strategy_state[i]));
-  }
-  SSA_RETURN_IF_ERROR(r.GetU32(&n));
-  ckpt->cache_keys.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t valid = 0;
-    SSA_RETURN_IF_ERROR(r.GetU8(&valid));
-    SSA_RETURN_IF_ERROR(r.GetU64(&ckpt->cache_keys[i].fingerprint));
-    SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->cache_keys[i].num_slots));
-    ckpt->cache_keys[i].valid = valid != 0;
   }
   if (r.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes in checkpoint payload");

@@ -7,7 +7,6 @@
 
 #include "auction/account.h"
 #include "auction/query_gen.h"
-#include "core/compiled_bids.h"
 #include "util/status.h"
 
 namespace ssa {
@@ -20,12 +19,12 @@ namespace ssa {
 ///     whose loss Section II-B makes every later bid wrong);
 ///   * both RNG streams (user behavior, query generation) plus the auction
 ///     counter, so draws resume mid-stream;
-///   * each strategy's private state blob (tentative bids, program tables);
-///   * the compiled-bids cache keys — compilations are pure, so only the
-///     fingerprints persist: tables recompile on demand and the fingerprints
-///     verify the restored strategies re-emit the checkpointed tables.
+///   * each strategy's private state blob (tentative bids, program tables).
+/// It holds trajectory state only: no cache, scratch or shard layout, so
+/// capturing right after a restore reproduces the restored image byte for
+/// byte, and any K restores any checkpoint.
 struct EngineCheckpoint {
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   /// Settlement-log position: auctions settled when the checkpoint was
   /// taken. Recovery replays log records with seq > this.
@@ -41,9 +40,6 @@ struct EngineCheckpoint {
   std::vector<AdvertiserAccount> accounts;
   /// One opaque blob per strategy (BiddingStrategy::SaveState).
   std::vector<std::string> strategy_state;
-  /// One key per advertiser (globally indexed; the sharded engine maps them
-  /// onto its per-shard caches).
-  std::vector<CompiledBidsCache::KeySnapshot> cache_keys;
 };
 
 /// Serializes `ckpt` into the versioned checkpoint format:

@@ -200,18 +200,25 @@ void AuctionServer::Stop() {
 
 void AuctionServer::PublishEngineGauges() {
   if (!config_.obs.metrics) return;
+  // The brute-force totals below only grow, and stay 0 while the RHTALU
+  // planner plans every auction, so each series appears once it is nonzero:
+  // an all-logical server exports none of them.
   const int num_shards = engine_.num_shards();
   for (int s = 0; s < num_shards; ++s) {
     const ShardedAuctionEngine::ShardStats stats = engine_.shard_stats(s);
     const std::string label = ShardLabel(s);
-    registry_
-        .GetGauge("engine_shard_capture_ns", label,
-                  "Bid-capture wall time per shard, ns")
-        ->Set(stats.capture_ns);
-    registry_
-        .GetGauge("engine_shard_phase_ns", label,
-                  "Brute-force shard-phase wall time per shard, ns")
-        ->Set(stats.phase_ns);
+    if (stats.capture_ns > 0) {
+      registry_
+          .GetGauge("engine_shard_capture_ns", label,
+                    "Bid-capture wall time per shard, ns")
+          ->Set(stats.capture_ns);
+    }
+    if (stats.phase_ns > 0) {
+      registry_
+          .GetGauge("engine_shard_phase_ns", label,
+                    "Brute-force shard-phase wall time per shard, ns")
+          ->Set(stats.phase_ns);
+    }
     registry_
         .GetGauge("engine_shard_advertisers", label,
                   "Advertisers owned by the shard")
@@ -251,14 +258,20 @@ void AuctionServer::PublishEngineGauges() {
                              "and Threshold Algorithm, ns"),
         engine_.planner_ns());
   }
-  AdvanceCounter(registry_.GetCounter("engine_cache_hits_total", "",
-                                      "Compiled-bids cache hits on brute-force "
-                                      "shards"),
-                 engine_.cache_hits());
-  AdvanceCounter(registry_.GetCounter("engine_cache_misses_total", "",
-                                      "Compiled-bids cache misses on "
-                                      "brute-force shards"),
-                 engine_.cache_misses());
+  const int64_t cache_hits = engine_.cache_hits();
+  const int64_t cache_misses = engine_.cache_misses();
+  if (cache_hits > 0) {
+    AdvanceCounter(registry_.GetCounter("engine_cache_hits_total", "",
+                                        "Compiled-bids cache hits on "
+                                        "brute-force shards"),
+                   cache_hits);
+  }
+  if (cache_misses > 0) {
+    AdvanceCounter(registry_.GetCounter("engine_cache_misses_total", "",
+                                        "Compiled-bids cache misses on "
+                                        "brute-force shards"),
+                   cache_misses);
+  }
   if (log_writer_ != nullptr) {
     AdvanceCounter(
         registry_.GetCounter("durability_records_appended_total", "",

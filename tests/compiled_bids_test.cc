@@ -438,11 +438,11 @@ TEST(CompiledBidsCacheTest, RangeCountersPartitionTheTotals) {
   EXPECT_EQ(cache.HitsInRange(4, 6), 0);
 }
 
-TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsVerifiedAndEqual) {
-  // The checkpoint contract: a restored engine re-runs its strategies, and a
-  // table whose fingerprint matches the checkpointed key must recompile to
-  // the *identical* compiled form (compilation is a pure function of
-  // (table, num_slots)) — counted as a verified recompile.
+TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsEqual) {
+  // Compilation is a pure function of (table, num_slots): a table re-emitted
+  // with identical content recompiles, in a cache with no history, to the
+  // *identical* compiled form. This is what lets checkpoints hold no cache
+  // state at all.
   const int k = 5;
   Rng rng(20260808);
   CompiledBidsCache original;
@@ -454,8 +454,6 @@ TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsVerifiedAndEqual) {
 
   CompiledBidsCache restored;
   restored.Reserve(8);
-  restored.PrimeExpectedKeys(original.ExportKeys());
-  EXPECT_EQ(restored.verified_recompiles(), 0);
   for (AdvertiserId i = 0; i < 8; ++i) {
     // "Re-emitted" table with identical content, rebuilt from scratch.
     BidsTable reemitted = tables[static_cast<size_t>(i)];
@@ -476,7 +474,7 @@ TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsVerifiedAndEqual) {
       for (size_t r = 0; r < first.num_rows(); ++r) EXPECT_EQ(a[r], b[r]);
     }
   }
-  EXPECT_EQ(restored.verified_recompiles(), 8);
+  EXPECT_EQ(restored.misses(), 8);
 }
 
 TEST(CompiledBidsCacheTest, EntriesStableAcrossCacheGrowth) {

@@ -246,8 +246,6 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
     EXPECT_NE(prom.find("serving_accepted_total 80"), std::string::npos);
     EXPECT_NE(prom.find("serving_completed_total 80"), std::string::npos);
     EXPECT_NE(prom.find("serving_queue_wait_us_count"), std::string::npos);
-    EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
-              std::string::npos);
     EXPECT_NE(prom.find("trace_spans_recorded_total"), std::string::npos);
 
     const std::vector<TraceEvent> events = server->DrainTrace();
@@ -296,8 +294,10 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
       continue;
     }
     // Brute force: each shard captures and plans its own slice, the shard
-    // phase time is counted per shard, and every advertiser's table is
-    // looked up once per auction.
+    // capture and phase times are counted per shard, and every advertiser's
+    // table is looked up once per auction.
+    EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
+              std::string::npos);
     EXPECT_EQ(shard_slices, (std::set<std::pair<TraceStage, int32_t>>{
                                 {TraceStage::kShardCapture, 100},
                                 {TraceStage::kShardCapture, 101},
@@ -438,6 +438,14 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
             40.0);
   EXPECT_EQ(value_of(with_log, "engine_roi_planner_ctr_extensions_total"),
             0.0);
+  // Nothing ran the brute-force path, so its totals, which can only grow
+  // from 0, are not exported at all; the shard sizes still are.
+  for (const char* name :
+       {"engine_shard_capture_ns", "engine_shard_phase_ns",
+        "engine_cache_hits_total", "engine_cache_misses_total"}) {
+    EXPECT_FALSE(logged.count(name)) << name;
+  }
+  EXPECT_TRUE(logged.count("engine_shard_advertisers"));
   std::remove(log_path.c_str());
 }
 
