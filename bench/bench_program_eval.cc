@@ -1,14 +1,18 @@
 // Ablation G: bidding-program evaluation cost — native C++ RoiStrategy
-// versus the interpreted Figure 5 program (Section II-B language). The
-// interpreter's per-auction cost motivates both Section IV (evaluate fewer
-// programs) and compiling hot strategies natively.
+// versus the Figure 5 program (Section II-B language), which ProgramStrategy
+// classifies and runs through its native bid step, and versus the same
+// program interpreted. The interpreter's per-auction cost motivates both
+// Section IV (evaluate fewer programs) and the native step.
 //
 // BM_HarnessShapedPrograms mirrors the capture step of a serving auction
 // over 1,000 program bidders: 10 keywords whose formulas cycle Click /
 // Click & Slot1 / Purchase, every strategy bidding on each query in turn
 // (so each MakeBids touches a cold strategy, as in a real capture).
 // It also reports the heap bytes each of those strategies holds (glibc
-// only). BM_ProgramCreate is the one-off set-up cost per program in such a
+// only). BM_HarnessShapedInterpreter is the same capture with each
+// strategy's plan run by lang::Interpreter::Fire on a copy of its tables,
+// as MakeBids ran it before the native step. BM_ProgramCreate is the
+// one-off set-up cost per program in such a
 // population: strategies of one source share one compiled plan, so a
 // Create() finds the plan and only builds the private tables.
 // BM_ProgramParseOnly is what a source seen for the first time adds.
@@ -16,13 +20,17 @@
 // what-if auctions use.
 
 #include <cstddef>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "auction/workload.h"
+#include "core/formula_parser.h"
+#include "lang/interpreter.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 #include "util/rng.h"
@@ -101,7 +109,7 @@ void BM_NativeRoiStrategy(benchmark::State& state) {
 }
 BENCHMARK(BM_NativeRoiStrategy);
 
-void BM_InterpretedRoiProgram(benchmark::State& state) {
+void BM_Figure5Program(benchmark::State& state) {
   Rng rng(1);
   AdvertiserAccount account = MakeAccount(rng);
   std::vector<ProgramStrategy::KeywordSpec> specs;
@@ -118,7 +126,7 @@ void BM_InterpretedRoiProgram(benchmark::State& state) {
     benchmark::DoNotOptimize(bids);
   }
 }
-BENCHMARK(BM_InterpretedRoiProgram);
+BENCHMARK(BM_Figure5Program);
 
 std::vector<ProgramStrategy::KeywordSpec> HarnessKeywords() {
   std::vector<ProgramStrategy::KeywordSpec> specs;
@@ -165,6 +173,85 @@ void BM_HarnessShapedPrograms(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HarnessShapedPrograms);
+
+/// A strategy's plan and a copy of its tables, bid through the interpreter
+/// the way ProgramStrategy::MakeBids does it, minus the native step.
+struct InterpretedBidder {
+  explicit InterpretedBidder(const ProgramStrategy& strategy)
+      : plan(strategy.plan()) {
+    for (int t = 0; t < strategy.tables().num_tables(); ++t) {
+      const Table& table = *strategy.tables().table(t);
+      *db.AddTable(table.name(), table.column_names()) = table;
+    }
+    const Table& bids = *db.table(1);
+    for (int row = 0; row < bids.num_rows(); ++row) {
+      row_formulas.push_back(*ParseFormula(bids.At(row, "formula").str()));
+    }
+  }
+
+  void MakeBids(const Query& query, const AdvertiserAccount& account,
+                BidsTable* out) {
+    Table& keywords = *db.table(0);
+    for (int kw = 0; kw < keywords.num_rows(); ++kw) {
+      Value* row = keywords.MutableRow(kw);
+      row[kMaxBidColumn] = Value::Number(account.max_bid[kw]);
+      row[kRoiColumn] = Value::Number(account.Roi(kw));
+      row[kRelevanceColumn] = Value::Number(query.relevance[kw]);
+    }
+    // Slots in ProgramStrategy's order: amtSpent, time, targetSpendRate,
+    // queryKeyword, wonSlot.
+    const std::optional<double> scalars[] = {
+        account.amount_spent, static_cast<double>(query.time),
+        account.target_spend_rate, static_cast<double>(query.keyword),
+        std::nullopt};
+    const Status status = lang::Interpreter::Fire(
+        *plan, plan->FindEvent("Query"), &db, scalars, std::size(scalars));
+    SSA_CHECK(status.ok());
+    const Table& bids = *db.table(1);
+    for (int row = 0; row < bids.num_rows(); ++row) {
+      out->AddBid(row_formulas[row], bids.Row(row)[1].number());
+    }
+  }
+
+  // Keywords(text, formula, maxbid, roi, bid, relevance).
+  static constexpr int kMaxBidColumn = 2;
+  static constexpr int kRoiColumn = 3;
+  static constexpr int kRelevanceColumn = 5;
+
+  std::shared_ptr<const lang::CompiledProgram> plan;
+  Database db;
+  std::vector<Formula> row_formulas;
+};
+
+void BM_HarnessShapedInterpreter(benchmark::State& state) {
+  constexpr int kStrategies = 1000;
+  WorkloadConfig wc;
+  wc.num_advertisers = kStrategies;
+  wc.num_keywords = kKeywords;
+  const Workload workload = MakePaperWorkload(wc);
+  const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();
+  auto strategy = ProgramStrategy::Create(kEqualizeRoi, specs);
+  SSA_CHECK(strategy.ok());
+  std::vector<InterpretedBidder> bidders;
+  bidders.reserve(kStrategies);
+  for (int i = 0; i < kStrategies; ++i) bidders.emplace_back(**strategy);
+  Rng rng(1);
+  BidsTable bids;
+  int64_t t = 0;
+  Query query = MakeQuery(rng, t);
+  int next = 0;
+  for (auto _ : state) {
+    if (next == kStrategies) {  // every bidder has bid: next auction
+      next = 0;
+      query = MakeQuery(rng, ++t);
+    }
+    bids.Clear();
+    bidders[next].MakeBids(query, workload.accounts[next], &bids);
+    benchmark::DoNotOptimize(bids);
+    ++next;
+  }
+}
+BENCHMARK(BM_HarnessShapedInterpreter);
 
 void BM_ProgramCreate(benchmark::State& state) {
   const std::vector<ProgramStrategy::KeywordSpec> specs = HarnessKeywords();

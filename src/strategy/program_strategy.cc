@@ -1,5 +1,7 @@
 #include "strategy/program_strategy.h"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iterator>
 #include <map>
@@ -8,12 +10,14 @@
 
 #include "core/formula_parser.h"
 #include "durability/wire.h"
+#include "lang/classify.h"
 
 namespace ssa {
 namespace {
 
 // The private tables' schemas (Figure 4) and the scalar slots of the
 // compiled program. Each enum indexes the name list below it.
+enum PrivateTable { kKeywordsTable, kBidsTable };
 enum KeywordsColumn { kText, kFormula, kMaxBid, kRoi, kBid, kRelevance };
 const char* const kKeywordsColumns[] = {"text", "formula", "maxbid",
                                         "roi",  "bid",     "relevance"};
@@ -29,6 +33,11 @@ enum ScalarSlot {
 };
 const char* const kScalarNames[kNumScalars] = {
     "amtSpent", "time", "targetSpendRate", "queryKeyword", "wonSlot"};
+
+const lang::EqualizeRoiLayout kEqualizeRoiLayout = {
+    kKeywordsTable, kBidsTable,  kFormula,   kMaxBid,
+    kRoi,           kBid,        kRelevance, kBidsFormula,
+    kBidsValue,     kAmtSpent,   kTime,      kTargetSpendRate};
 
 void EncodeTable(const Table& table, WireWriter* w) {
   w->PutU32(static_cast<uint32_t>(table.num_rows()));
@@ -89,15 +98,18 @@ void AddPrivateTables(Database* db) {
 
 using PlanPtr = std::shared_ptr<const lang::CompiledProgram>;
 
-/// The plans of live strategies, keyed by program source. Entries are weak,
-/// so a plan dies with its last strategy, and its deleter then drops the
-/// entry. The map is only touched by Create() and by those deleters; the
-/// interpreter never takes the lock.
+/// The plans of live strategies, keyed by program source, each with the
+/// classifier's verdict on its Query trigger. Entries are weak, so a plan
+/// dies with its last strategy, and its deleter then drops the entry. The
+/// map is only touched by Create() and by those deleters; MakeBids never
+/// takes the lock.
 struct PlanRegistry {
+  struct Entry {
+    std::weak_ptr<const lang::CompiledProgram> plan;
+    bool equalize_roi = false;
+  };
   std::mutex mu;
-  std::map<std::string, std::weak_ptr<const lang::CompiledProgram>,
-           std::less<>>
-      plans;
+  std::map<std::string, Entry, std::less<>> plans;
 };
 
 /// Shared ownership lets a plan outlive the registry's static (a strategy
@@ -109,35 +121,50 @@ const std::shared_ptr<PlanRegistry>& Registry() {
   return registry;
 }
 
-PlanPtr FindPlan(std::string_view source) {
+/// A live plan and its registry verdict; `plan` is null when the source has
+/// no live plan.
+struct SharedPlan {
+  PlanPtr plan;
+  bool equalize_roi = false;
+};
+
+SharedPlan FindPlan(std::string_view source) {
   PlanRegistry& registry = *Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
   const auto it = registry.plans.find(source);
-  return it == registry.plans.end() ? nullptr : it->second.lock();
+  if (it == registry.plans.end()) return {};
+  return {it->second.plan.lock(), it->second.equalize_roi};
 }
 
 /// Registers `plan` as the plan of `source`, unless another thread got
 /// there first; either way returns the registered plan.
-PlanPtr InternPlan(std::string_view source, lang::CompiledProgram plan) {
+SharedPlan InternPlan(std::string_view source, lang::CompiledProgram plan,
+                      bool equalize_roi) {
   const std::shared_ptr<PlanRegistry>& registry = Registry();
   std::weak_ptr<PlanRegistry> weak_registry = registry;
   std::lock_guard<std::mutex> lock(registry->mu);
-  std::weak_ptr<const lang::CompiledProgram>& entry =
-      registry->plans[std::string(source)];
-  if (PlanPtr live = entry.lock()) return live;
+  PlanRegistry::Entry& entry = registry->plans[std::string(source)];
+  if (PlanPtr live = entry.plan.lock()) return {live, entry.equalize_roi};
   PlanPtr interned(
       new lang::CompiledProgram(std::move(plan)),
       [weak_registry](const lang::CompiledProgram* dead) {
         if (std::shared_ptr<PlanRegistry> r = weak_registry.lock()) {
           std::lock_guard<std::mutex> lock(r->mu);
           for (auto it = r->plans.begin(); it != r->plans.end();) {
-            it = it->second.expired() ? r->plans.erase(it) : std::next(it);
+            it = it->second.plan.expired() ? r->plans.erase(it)
+                                           : std::next(it);
           }
         }
         delete dead;
       });
-  entry = interned;
-  return interned;
+  entry = {interned, equalize_roi};
+  return {interned, equalize_roi};
+}
+
+/// Rows of one string Value share its text; comparing the text's address
+/// first skips the content compare for them.
+bool SameText(const Value& a, const Value& b) {
+  return &a.str() == &b.str() || a.str() == b.str();
 }
 
 }  // namespace
@@ -147,27 +174,32 @@ StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
   if (keywords.empty()) {
     return Status::InvalidArgument("at least one keyword required");
   }
-  PlanPtr plan = FindPlan(source);
-  if (plan == nullptr) {
+  SharedPlan shared = FindPlan(source);
+  if (shared.plan == nullptr) {
     StatusOr<lang::ParsedProgram> program = lang::ParseProgram(source);
     if (!program.ok()) return program.status();
     Database schema;
     AddPrivateTables(&schema);
     std::vector<std::string> scalars(std::begin(kScalarNames),
                                      std::end(kScalarNames));
-    plan = InternPlan(source, lang::CompileProgram(*program, schema,
-                                                   std::move(scalars)));
+    lang::CompiledProgram plan =
+        lang::CompileProgram(*program, schema, std::move(scalars));
+    const bool equalize_roi = lang::IsEqualizeRoi(
+        plan, plan.FindEvent("Query"), kEqualizeRoiLayout);
+    shared = InternPlan(source, std::move(plan), equalize_roi);
   }
-  return std::unique_ptr<ProgramStrategy>(
-      new ProgramStrategy(std::move(plan), keywords));
+  return std::unique_ptr<ProgramStrategy>(new ProgramStrategy(
+      std::move(shared.plan), shared.equalize_roi, keywords));
 }
 
-ProgramStrategy::ProgramStrategy(PlanPtr plan,
+ProgramStrategy::ProgramStrategy(PlanPtr plan, bool equalize_roi,
                                  const std::vector<KeywordSpec>& keywords)
-    : num_keywords_(static_cast<int>(keywords.size())), plan_(std::move(plan)) {
+    : num_keywords_(static_cast<int>(keywords.size())),
+      plan_(std::move(plan)),
+      equalize_roi_(equalize_roi) {
   AddPrivateTables(&db_);
-  keywords_table_ = db_.table(0);
-  bids_table_ = db_.table(1);
+  keywords_table_ = db_.table(kKeywordsTable);
+  bids_table_ = db_.table(kBidsTable);
   // Keywords table, one row per keyword (Figure 4 schema); Bids table, one
   // row per distinct formula, value rewritten per auction. Rows with equal
   // formula text share one string.
@@ -211,6 +243,62 @@ void ProgramStrategy::Fire(int event, const Query& query,
   SSA_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
 
+bool ProgramStrategy::RunEqualizeRoi(const Query& query,
+                                     const AdvertiserAccount& account) {
+  // MakeBids has just written maxbid, roi and relevance as numbers; the
+  // program writes bid and may have left it NULL (or a restore did), and
+  // the formula cells it compares must be strings. Checked before any
+  // write, so the interpreter can take over from untouched tables.
+  const int rows = keywords_table_->num_rows();
+  for (int kw = 0; kw < rows; ++kw) {
+    const Value* row = keywords_table_->Row(kw);
+    if (!row[kBid].is_number() || !row[kFormula].is_string()) return false;
+  }
+  for (int row = 0; row < bids_table_->num_rows(); ++row) {
+    if (!bids_table_->Row(row)[kBidsFormula].is_string()) return false;
+  }
+
+  // IF amtSpent < targetSpendRate * time ... ELSEIF amtSpent > ...: the
+  // interpreter's operands, operations and order, so the same doubles.
+  const double spent = account.amount_spent;
+  const double target =
+      account.target_spend_rate * static_cast<double>(query.time);
+  const bool under = spent < target;
+  if (under || spent > target) {
+    // MAX / MIN(K.roi), folded from row 0 in row order as the interpreter
+    // folds it (a NaN in row 0 sticks; a later NaN is skipped).
+    double extreme = keywords_table_->Row(0)[kRoi].number();
+    for (int kw = 1; kw < rows; ++kw) {
+      const double roi = keywords_table_->Row(kw)[kRoi].number();
+      extreme = under ? std::max(extreme, roi) : std::min(extreme, roi);
+    }
+    for (int kw = 0; kw < rows; ++kw) {
+      Value* row = keywords_table_->MutableRow(kw);
+      const double bid = row[kBid].number();
+      if (row[kRoi].number() == extreme && row[kRelevance].number() > 0 &&
+          (under ? bid < row[kMaxBid].number() : bid > 0)) {
+        row[kBid] = Value::Number(under ? bid + 1 : bid - 1);
+      }
+    }
+  }
+
+  // UPDATE Bids SET value = SUM(K.bid) over relevant rows of its formula,
+  // summed from +0.0 in Keywords row order.
+  for (int b = 0; b < bids_table_->num_rows(); ++b) {
+    Value* bid_row = bids_table_->MutableRow(b);
+    double sum = 0.0;
+    for (int kw = 0; kw < rows; ++kw) {
+      const Value* row = keywords_table_->Row(kw);
+      if (row[kRelevance].number() > 0.7 &&
+          SameText(row[kFormula], bid_row[kBidsFormula])) {
+        sum += row[kBid].number();
+      }
+    }
+    bid_row[kBidsValue] = Value::Number(sum);
+  }
+  return true;
+}
+
 void ProgramStrategy::MakeBids(const Query& query,
                                const AdvertiserAccount& account,
                                BidsTable* bids) {
@@ -226,13 +314,17 @@ void ProgramStrategy::MakeBids(const Query& query,
   }
 
   // The engine "inserts" the query; AFTER INSERT ON Query triggers fire.
-  Fire(query_event_, query, account, std::nullopt);
+  if (!equalize_roi_ || !RunEqualizeRoi(query, account)) {
+    Fire(query_event_, query, account, std::nullopt);
+  }
 
-  // Read the program's Bids table back out.
+  // Read the program's Bids table back out. A NULL, string, NaN or
+  // negative value bids 0.
   for (int row = 0; row < bids_table_->num_rows(); ++row) {
     const Value& v = bids_table_->Row(row)[kBidsValue];
     const Money value = v.is_number() ? v.number() : 0.0;
-    bids->AddBid(row_formulas_[row], value < 0 ? 0 : value);
+    bids->AddBid(row_formulas_[row],
+                 std::isnan(value) || value < 0 ? 0.0 : value);
   }
 }
 

@@ -29,6 +29,20 @@ namespace ssa {
 /// behaviorally identical to the native RoiStrategy — the
 /// `lang_equivalence_test` locks that in.
 ///
+/// Figure 5 runs natively. When a source is first compiled, a structural
+/// classifier (lang::IsEqualizeRoi) checks whether its Query trigger is
+/// exactly Figure 5's plan: node ops, operand order, columns, tables and
+/// constants, never the source text. For such a plan MakeBids runs a native
+/// step over the same two tables in place of the interpreter, with the
+/// interpreter's double operations in its order, so the tables, bids and
+/// checkpoint bytes are bitwise those the interpreter leaves. The step
+/// first checks that every cell it reads holds the type the interpreter
+/// needs (numbers in bid, maxbid, roi and relevance, strings in the
+/// formula columns); if one does not (a NULL bid, say), it writes nothing
+/// and the interpreter runs. Every other program, and the Slot, Click and
+/// Purchase triggers of every program, are interpreted. PeekBids, recovery
+/// and followers all bid through MakeBids, so they take the same step.
+///
 /// The program is compiled against the two tables and the scalars above,
 /// which are the same for every ProgramStrategy, so the source text alone
 /// determines the compiled plan. Strategies created from one source share
@@ -95,14 +109,28 @@ class ProgramStrategy : public BiddingStrategy {
     return plan_;
   }
 
+  /// True when the plan's Query trigger is Figure 5's, so MakeBids runs it
+  /// natively whenever the cells allow (for tests).
+  bool native_bid_step() const { return equalize_roi_; }
+
+  /// The private Keywords (table 0) and Bids (table 1) tables, the schema
+  /// the plan is compiled against (for tests and benchmarks that run the
+  /// plan on a copy).
+  const Database& tables() const { return db_; }
+
  private:
   ProgramStrategy(std::shared_ptr<const lang::CompiledProgram> plan,
-                  const std::vector<KeywordSpec>& keywords);
+                  bool equalize_roi, const std::vector<KeywordSpec>& keywords);
 
   /// Fires the plan's triggers on `event` (an index from FindEvent),
   /// aborting on a program error.
   void Fire(int event, const Query& query, const AdvertiserAccount& account,
             std::optional<double> won_slot);
+
+  /// The Figure 5 Query trigger, run natively on the private tables after
+  /// MakeBids has refreshed them. Returns false, having written nothing,
+  /// when a cell it reads lacks the type the interpreter needs.
+  bool RunEqualizeRoi(const Query& query, const AdvertiserAccount& account);
 
   int num_keywords_;
   Database db_;
@@ -116,6 +144,8 @@ class ProgramStrategy : public BiddingStrategy {
   int slot_event_ = -1;
   int click_event_ = -1;
   int purchase_event_ = -1;
+  /// The plan's Query trigger is Figure 5's (see the class comment).
+  bool equalize_roi_ = false;
 };
 
 }  // namespace ssa

@@ -4,6 +4,7 @@
 
 #include "auction/sharded_engine.h"
 #include "durability/checkpoint.h"
+#include "interpreted_twin.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 
@@ -55,9 +56,12 @@ std::vector<ProgramStrategy::KeywordSpec> Specs(const Workload& w) {
   return specs;
 }
 
-// Section II-C's program, interpreted, must reproduce the native strategy's
-// behavior exactly: same bids, same winners, same charges, over a full
-// simulated campaign.
+// Section II-C's program must reproduce the native strategy's behavior
+// exactly: same bids, same winners, same charges, over a full simulated
+// campaign. Three populations run it side by side, auction by auction:
+// native RoiStrategy bidders; ProgramStrategy bidders, which classify the
+// program and run its native bid step; and interpreted twins, which run the
+// same plan through Interpreter::Fire on their own tables.
 TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
   WorkloadConfig wc;
   wc.num_advertisers = 25;
@@ -68,34 +72,49 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
   config.engine.seed = 78;
 
   Workload w_native = MakePaperWorkload(wc);
-  Workload w_interp = MakePaperWorkload(wc);
+  Workload w_program = MakePaperWorkload(wc);
+  Workload w_twin = MakePaperWorkload(wc);
 
   std::vector<std::unique_ptr<BiddingStrategy>> native;
   std::vector<RoiStrategy*> native_raw;
-  std::vector<std::unique_ptr<BiddingStrategy>> interpreted;
-  std::vector<ProgramStrategy*> interp_raw;
+  std::vector<std::unique_ptr<BiddingStrategy>> programs;
+  std::vector<ProgramStrategy*> program_raw;
+  std::vector<std::unique_ptr<BiddingStrategy>> twins;
+  std::vector<InterpretedTwin*> twin_raw;
   for (int i = 0; i < wc.num_advertisers; ++i) {
     auto n = std::make_unique<RoiStrategy>(w_native.keyword_formulas);
     native_raw.push_back(n.get());
     native.push_back(std::move(n));
-    auto p = ProgramStrategy::Create(kEqualizeRoi, Specs(w_interp));
+    auto p = ProgramStrategy::Create(kEqualizeRoi, Specs(w_program));
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    interp_raw.push_back(p->get());
-    interpreted.push_back(*std::move(p));
+    ASSERT_TRUE((*p)->native_bid_step());
+    auto twin = std::make_unique<InterpretedTwin>(**p);
+    twin_raw.push_back(twin.get());
+    twins.push_back(std::move(twin));
+    program_raw.push_back(p->get());
+    programs.push_back(*std::move(p));
   }
 
   ShardedAuctionEngine eager(config, std::move(w_native), std::move(native));
-  ShardedAuctionEngine interp(config, std::move(w_interp),
-                              std::move(interpreted));
+  ShardedAuctionEngine program(config, std::move(w_program),
+                               std::move(programs));
+  ShardedAuctionEngine interp(config, std::move(w_twin), std::move(twins));
 
   for (int t = 0; t < 600; ++t) {
     const AuctionOutcome on = eager.RunAuction();
+    const AuctionOutcome op = program.RunAuction();
     const AuctionOutcome& oi = interp.RunAuction();
     ASSERT_EQ(on.query.keyword, oi.query.keyword);
+    ASSERT_EQ(op.query.keyword, oi.query.keyword);
     ASSERT_EQ(on.wd.allocation.slot_to_advertiser,
               oi.wd.allocation.slot_to_advertiser)
         << "winner divergence at auction " << t;
+    ASSERT_EQ(op.wd.allocation.slot_to_advertiser,
+              oi.wd.allocation.slot_to_advertiser)
+        << "winner divergence at auction " << t;
     ASSERT_DOUBLE_EQ(on.revenue_charged, oi.revenue_charged)
+        << "revenue divergence at auction " << t;
+    ASSERT_EQ(op.revenue_charged, oi.revenue_charged)
         << "revenue divergence at auction " << t;
     // The engine's RHTALU planner plans the native bidders and holds
     // the current bids in its lists; a checkpoint capture writes them back
@@ -105,9 +124,14 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
     for (int i = 0; i < wc.num_advertisers; ++i) {
       for (int kw = 0; kw < wc.num_keywords; ++kw) {
         ASSERT_DOUBLE_EQ(native_raw[i]->tentative_bids()[kw],
-                         interp_raw[i]->TentativeBid(kw))
+                         program_raw[i]->TentativeBid(kw))
             << "auction " << t << " advertiser " << i << " keyword " << kw;
       }
+      ASSERT_EQ(TableDifference(program_raw[i]->tables(),
+                                twin_raw[i]->tables()),
+                "")
+          << "auction " << t << " advertiser " << i;
+      ASSERT_TRUE(twin_raw[i]->status().ok());
     }
   }
 }
