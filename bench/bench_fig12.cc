@@ -10,7 +10,7 @@
 // the figure's point — holds throughout.
 //
 // LP, H and RH run every bidder's program each auction (RH's bidders sit
-// behind BruteForceRoiStrategy, which keeps the engine on the brute-force
+// behind BruteForceStrategy, which keeps the engine on the brute-force
 // shard path); RHTALU is the same engine on native RoiStrategy bidders,
 // which its logical-update planner plans.
 //

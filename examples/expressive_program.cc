@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "auction/sharded_engine.h"
+#include "durability/checkpoint.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 
@@ -59,7 +60,7 @@ int main() {
       {"shoe", Formula::Click()},
   };
 
-  // Advertiser 0 runs the interpreted program; the rest run the native ROI
+  // Advertiser 0 runs the Figure 5 program; the rest run the native ROI
   // strategy on plain click formulas.
   std::vector<std::unique_ptr<BiddingStrategy>> strategies;
   auto program = ProgramStrategy::Create(kEqualizeRoi, specs);
@@ -88,6 +89,10 @@ int main() {
   for (int t = 1; t <= 400; ++t) {
     const AuctionOutcome& out = engine.RunAuction();
     if (t % 40 != 0) continue;
+    // The engine's RHTALU planner runs the program's bid step logically;
+    // capturing a checkpoint writes the bids back into the tables.
+    EngineCheckpoint synced;
+    engine.CaptureCheckpoint(&synced);
     bool won = false, clicked = false;
     for (const UserEvent& e : out.events) {
       if (e.advertiser == 0) {

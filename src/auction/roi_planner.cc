@@ -4,7 +4,8 @@
 #include <cmath>
 #include <limits>
 
-#include "strategy/roi_strategy.h"
+#include "core/bids_table.h"
+#include "core/compiled_bids.h"
 
 namespace ssa {
 namespace {
@@ -14,16 +15,29 @@ namespace {
 /// 16 bits, so stored keys are kept modulo 2^16.
 constexpr int64_t kMaxBucketBid = (1 << 16) - 1;
 
-/// Length of each slot's first sorted ctr prefix, built when the Threshold
-/// Algorithm first reads the slot; it doubles a prefix whenever it reaches
-/// the end (ExtendCtrOrder).
+/// Length of each weight order's first sorted prefix, built when the
+/// Threshold Algorithm first reads the order; it doubles a prefix whenever
+/// it reaches the end (ExtendOrder).
 constexpr int32_t kCtrPrefix = 128;
 
-/// The ctr order's strict (ctr desc, id asc) comparison.
-bool CtrBefore(const std::pair<double, int32_t>& a,
-               const std::pair<double, int32_t>& b) {
+/// The Threshold Algorithm's bound on an unseen member's score when scores
+/// are sums of up to four rounded products (ARCHITECTURE §8): weight × bid
+/// inflated by a relative slack far above the few ulps that rounding can
+/// move a score past it, plus an absolute slack above the error of
+/// products that underflow.
+constexpr double kBoundSlack = 1.0 + 0x1p-40;
+constexpr double kUnderflowSlack = 0x1p-1000;
+
+/// A weight order's strict (weight desc, id asc) comparison.
+bool WeightBefore(const std::pair<double, int32_t>& a,
+                  const std::pair<double, int32_t>& b) {
   if (a.first != b.first) return a.first > b.first;
   return a.second < b.second;
+}
+
+/// Whether two doubles have the same bits (+0.0 and -0.0 differ).
+bool SameBits(double a, double b) {
+  return a == b && std::signbit(a) == std::signbit(b);
 }
 
 }  // namespace
@@ -38,20 +52,10 @@ RoiPlanner::Spend RoiPlanner::SpendAt(const AdvertiserAccount& account,
 bool RoiPlanner::Qualifies(
     AdvertiserId begin, AdvertiserId end,
     const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
-    const MatrixClickModel& model, int num_keywords) {
+    int num_keywords) {
   for (AdvertiserId i = begin; i < end; ++i) {
-    const auto* s = dynamic_cast<const RoiStrategy*>(strategies[i].get());
-    if (s == nullptr ||
-        static_cast<int>(s->tentative_bids().size()) != num_keywords) {
-      return false;
-    }
-  }
-  if (begin < end && model.PurchaseRow(begin) != nullptr) {
-    const double* purchase = model.PurchaseRow(begin);
-    const size_t count = static_cast<size_t>(end - begin) * model.num_slots();
-    for (size_t e = 0; e < count; ++e) {
-      if (purchase[e] != 0.0) return false;
-    }
+    const RoiBidder* view = strategies[i]->roi_bidder();
+    if (view == nullptr || view->roi_keywords() != num_keywords) return false;
   }
   return true;
 }
@@ -63,28 +67,80 @@ RoiPlanner::RoiPlanner(
     : size_(static_cast<int32_t>(strategies.size())),
       num_keywords_(num_keywords),
       num_slots_(model.num_slots()),
+      model_(model),
       click_(size_ > 0 ? model.ClickRow(0) : nullptr),
+      population_(strategies),
       members_(std::move(members)),
-      strategies_(strategies.size(), nullptr) {
-  // Strategies built from one workload share their formula vector, so each
-  // distinct vector is checked once.
-  click_keyword_.assign(num_keywords_, 1);
-  const std::vector<Formula>* checked = nullptr;
+      views_(strategies.size(), nullptr) {
+  SSA_CHECK(!members_.empty());
+  // A keyword is planned when every member bids one common formula on it.
+  // Strategies built from one workload share their formula array
+  // (RoiStrategy: one pointer compare per member) or at least their formula
+  // nodes (ProgramStrategy: O(kw) node compares), so no strings are built.
+  plannable_keyword_.assign(num_keywords_, 1);
+  const Formula* checked = nullptr;  // the last array compared
   for (const AdvertiserId i : members_) {
-    strategies_[i] = static_cast<RoiStrategy*>(strategies[i].get());
-    const std::vector<Formula>& formulas = strategies_[i]->keyword_formulas();
-    if (&formulas == checked) continue;
-    checked = &formulas;
-    for (int kw = 0; kw < num_keywords_; ++kw) {
-      if (formulas[kw].op() != Formula::Op::kClick) click_keyword_[kw] = 0;
+    views_[i] = strategies[i]->roi_bidder();
+    const Formula* formulas = views_[i]->roi_formulas();
+    if (formulas == nullptr) {
+      plannable_keyword_.assign(num_keywords_, 0);
+    } else if (keyword_formula_.empty()) {
+      keyword_formula_.assign(formulas, formulas + num_keywords_);
+    } else if (formulas != checked) {
+      for (int kw = 0; kw < num_keywords_; ++kw) {
+        if (!formulas[kw].StructurallyEquals(keyword_formula_[kw])) {
+          plannable_keyword_[kw] = 0;
+        }
+      }
+    }
+    checked = formulas;
+  }
+  keyword_formula_.resize(num_keywords_);
+
+  // Each planned keyword's truth mask per slot state, from the compiled
+  // kernel itself. The formula must pay +0.0 without a slot (the matrix's
+  // unassigned entry, which the coordinator assumes for members; a
+  // MatrixClickModel gives every advertiser the same unassigned
+  // distribution, certainly no click), and the members of one (slot, mask)
+  // share a weight order.
+  order_of_.assign(static_cast<size_t>(num_keywords_) * num_slots_, -1);
+  double unassigned[4];
+  model.OutcomeDistribution(members_.front(), kNoSlot, unassigned);
+  for (int kw = 0; kw < num_keywords_; ++kw) {
+    if (!plannable_keyword_[kw]) continue;
+    const Formula& formula = keyword_formula_[kw];
+    if (!formula.DependsOnlyOnOwnPlacement()) {
+      plannable_keyword_[kw] = 0;
+      continue;
+    }
+    BidsTable table;
+    table.AddBid(formula, 1.0);
+    const CompiledBids compiled = CompiledBids::Compile(table, num_slots_);
+    if (OneFormulaPayment(compiled.MasksForSlot(kNoSlot)[0], 1.0,
+                          unassigned) != 0.0) {
+      plannable_keyword_[kw] = 0;
+      continue;
+    }
+    for (SlotIndex j = 0; j < num_slots_; ++j) {
+      const uint8_t mask = compiled.MasksForSlot(j)[0];
+      if (mask == 0) continue;  // never pays in slot j: every score is +0.0
+      int32_t o = 0;
+      while (o < static_cast<int32_t>(orders_.size()) &&
+             (orders_[o].slot != j || orders_[o].mask != mask)) {
+        ++o;
+      }
+      if (o == static_cast<int32_t>(orders_.size())) {
+        orders_.emplace_back();
+        orders_.back().slot = j;
+        orders_.back().mask = mask;
+      }
+      order_of_[static_cast<size_t>(kw) * num_slots_ + j] = o;
     }
   }
 
-  // Every slot's ctr prefix starts empty; the Threshold Algorithm builds it
-  // on first read.
-  ctr_order_.resize(num_slots_);
   lists_.resize(num_keywords_);
   seen_.assign(size_, 0);
+  bid_scratch_.resize(num_keywords_);
 }
 
 int RoiPlanner::PlannableKeyword(const Query& query) const {
@@ -96,14 +152,16 @@ int RoiPlanner::PlannableKeyword(const Query& query) const {
       kw = q;
     }
   }
-  if (kw < 0 || query.relevance[kw] <= 0.7 || !click_keyword_[kw]) return -1;
+  if (kw < 0 || query.relevance[kw] <= 0.7 || !plannable_keyword_[kw]) {
+    return -1;
+  }
   return kw;
 }
 
 bool RoiPlanner::Prepare(const Query& query,
                          const std::vector<AdvertiserAccount>& accounts) {
   if (state_ != State::kStale && query.time < last_time_) {
-    WriteBack();
+    WriteBack(accounts);
     state_ = State::kStale;
   }
   if (state_ == State::kStale && !Rebuild(query.time, accounts)) return false;
@@ -114,18 +172,29 @@ bool RoiPlanner::Prepare(const Query& query,
 bool RoiPlanner::Rebuild(int64_t time,
                          const std::vector<AdvertiserAccount>& accounts) {
   // Bucketing needs integral bids and caps in range, and triggers need
-  // monotone spend targets; anything else stays on the brute path.
+  // monotone spend targets; a restore may also have changed a member's view
+  // or a planned keyword's formula. Anything else stays on the brute path.
   cap_.resize(static_cast<size_t>(num_keywords_) * size_);
   int64_t top = 0;
+  const Formula* checked = nullptr;  // the last array found equal
   for (const AdvertiserId m : members_) {
     const AdvertiserAccount& a = accounts[m];
     if (!std::isfinite(a.amount_spent) || !std::isfinite(a.target_spend_rate) ||
-        a.target_spend_rate < 0) {
+        a.target_spend_rate < 0 || population_[m]->roi_bidder() == nullptr) {
       return false;
     }
-    const std::vector<Money>& bids = strategies_[m]->tentative_bids();
+    const RoiBidder& view = *views_[m];
+    const Formula* formulas = view.roi_formulas();
+    if (formulas == nullptr) return false;
+    for (int kw = 0; kw < num_keywords_ && formulas != checked; ++kw) {
+      if (plannable_keyword_[kw] &&
+          !formulas[kw].StructurallyEquals(keyword_formula_[kw])) {
+        return false;
+      }
+    }
+    checked = formulas;
     for (int kw = 0; kw < num_keywords_; ++kw) {
-      const double bid = bids[kw];
+      const double bid = view.roi_bid(kw);
       const double cap = a.max_bid[kw];
       if (!(bid >= 0 && bid <= kMaxBucketBid && bid == std::floor(bid)) ||
           std::signbit(bid) || !(cap <= kMaxBucketBid) || std::isnan(cap)) {
@@ -163,7 +232,7 @@ bool RoiPlanner::Rebuild(int64_t time,
 
   for (const AdvertiserId m : members_) {
     const AdvertiserAccount& account = accounts[m];
-    const std::vector<Money>& bids = strategies_[m]->tentative_bids();
+    const RoiBidder& view = *views_[m];
     const Spend spend = SpendAt(account, time);
     double max_roi = account.Roi(0), min_roi = account.Roi(0);
     for (int kw = 1; kw < num_keywords_; ++kw) {
@@ -172,7 +241,7 @@ bool RoiPlanner::Rebuild(int64_t time,
     }
     for (int kw = 0; kw < num_keywords_; ++kw) {
       const size_t node = Node(kw, m);
-      stored_[node] = static_cast<uint16_t>(bids[kw]);
+      stored_[node] = static_cast<uint16_t>(view.roi_bid(kw));
       tag_[node] =
           Desired(account, spend, kw, stored_[node], max_roi, min_roi);
       Link(kw, m);
@@ -297,6 +366,8 @@ void RoiPlanner::Advance(const Query& query, int kw,
   }
   ApplyLogicalUpdate(kw);
   state_ = State::kAhead;
+  last_query_ = query;
+  settled_.clear();
   ++stats_.logical_plans;
 }
 
@@ -332,77 +403,154 @@ void RoiPlanner::SelectTop(int kw, TopKHeapSet* topk) {
 }
 
 void RoiPlanner::SelectTopForSlot(SlotIndex slot, int kw, TopKHeapSet* topk) {
+  const int32_t o = order_of_[static_cast<size_t>(kw) * num_slots_ + slot];
+  if (o < 0) return;  // the formula never pays in this slot
+  WeightOrder& order = orders_[static_cast<size_t>(o)];
   if (++epoch_ == 0) {  // wrapped: clear the stamps once
     std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
   const size_t base = Node(kw, 0);
-  // Each side knows one factor of the score: a ctr entry carries its ctr,
-  // and every member of a bid level has that level's effective bid.
-  auto consider = [&](int32_t m, double ctr, int64_t bid) {
+  // Each side knows one factor of the bound: a weight entry carries its
+  // weight, and every member of a bid level has that level's effective bid.
+  auto consider = [&](int32_t m, double weight, int64_t bid) {
     seen_[m] = epoch_;
-    const double score = ctr * static_cast<double>(bid);
+    const double b = static_cast<double>(bid);
+    const double score =
+        order.exact ? weight * b : Payment(order.mask, m, slot, b);
     if (score > 0.0) topk->Offer(slot, score, m);
   };
 
-  const std::vector<CtrEntry>& ctrs = ctr_order_[slot];
-  size_t ctr_pos = 0;
+  size_t pos = 0;
   size_t level = 0;
   int32_t member = levels_.empty() ? -1 : levels_[0].first;
-  double last_ctr = std::numeric_limits<double>::infinity();
+  double last_weight = std::numeric_limits<double>::infinity();
   for (;;) {
-    if (ctr_pos == ctrs.size() && ctr_pos < members_.size()) {
-      ExtendCtrOrder(slot);
+    if (pos == order.prefix.size() && pos < members_.size()) {
+      ExtendOrder(&order);
     }
-    if (ctr_pos < ctrs.size()) {
-      const auto [ctr, m] = ctrs[ctr_pos];
-      last_ctr = ctr;
-      if (seen_[m] != epoch_) consider(m, ctr, Eff(kw, m));
-      ++ctr_pos;
+    if (pos < order.prefix.size()) {
+      const auto [weight, m] = order.prefix[pos];
+      last_weight = weight;
+      if (seen_[m] != epoch_) consider(m, weight, Eff(kw, m));
+      ++pos;
       ++stats_.probes;
     }
     if (member < 0) break;  // the bid view is exhausted: everyone was seen
     const int64_t bid = levels_[level].second;
-    if (seen_[member] != epoch_) consider(member, Ctr(member, slot), bid);
+    if (seen_[member] != epoch_) {
+      consider(member, Weight(order, member), bid);
+    }
     ++stats_.probes;
     member = next_[base + member];
     if (member < 0 && ++level < levels_.size()) member = levels_[level].first;
-    // Every unseen member scores at most last_ctr * bid (products of
-    // non-negatives round monotonically). Stop only when the weakest kept
-    // entry beats that bound strictly: an unseen member scoring exactly the
-    // bound with a larger id would outrank it.
-    if (bid <= 0) break;  // unseen members all score zero
-    if (topk->size(slot) == topk->capacity() &&
-        topk->entries(slot)[0].weight > last_ctr * static_cast<double>(bid)) {
-      break;
+    // Every unseen member has weight <= last_weight and bid <= bid, and
+    // scores at most the bound (exactly last_weight * bid when scores are
+    // single products, which round monotonically). Stop only when the
+    // weakest kept entry beats the bound strictly: an unseen member scoring
+    // exactly the bound with a larger id would outrank it.
+    if (bid <= 0 || last_weight <= 0.0) break;  // unseen members score +0.0
+    if (topk->size(slot) == topk->capacity()) {
+      const double product = last_weight * static_cast<double>(bid);
+      const double bound =
+          order.exact ? product : product * kBoundSlack + kUnderflowSlack;
+      if (topk->entries(slot)[0].weight > bound) break;
     }
   }
 }
 
-void RoiPlanner::ExtendCtrOrder(SlotIndex slot) {
+double RoiPlanner::Payment(uint8_t mask, int32_t m, SlotIndex slot,
+                           double bid) const {
+  double prob[4];
+  model_.MatrixClickModel::OutcomeDistribution(m, slot, prob);
+  return OneFormulaPayment(mask, bid, prob);
+}
+
+void RoiPlanner::BuildWeights(WeightOrder* order) {
+  // A member's weight is its score at bid 1. Its score at bid b is exactly
+  // weight * b when at most one outcome term is nonzero: the sum is then
+  // +0.0 + ... + p * b. When every weight is the member's click probability
+  // bit for bit (plain Click without purchases), the click rows serve as
+  // the weights and nothing is stored.
+  std::vector<double> weights(static_cast<size_t>(size_), 0.0);
+  bool is_click = true;
+  for (const AdvertiserId m : members_) {
+    double prob[4];
+    model_.MatrixClickModel::OutcomeDistribution(m, order->slot, prob);
+    const double weight = OneFormulaPayment(order->mask, 1.0, prob);
+    weights[m] = weight;
+    int terms = 0;
+    for (int b = 0; b < 4; ++b) {
+      terms += ((order->mask >> b) & 1) != 0 && prob[b] != 0.0;
+    }
+    order->exact &= terms <= 1;
+    is_click &= SameBits(weight, click_[static_cast<size_t>(m) * num_slots_ +
+                                        order->slot]);
+  }
+  if (is_click) {
+    order->source = click_ + order->slot;
+    order->stride = static_cast<size_t>(num_slots_);
+  } else {
+    order->own = std::move(weights);
+    order->source = order->own.data();
+    order->stride = 1;
+  }
+  order->built = true;
+}
+
+void RoiPlanner::ExtendOrder(WeightOrder* order) {
+  if (!order->built) BuildWeights(order);
   // The next chunk is the best `chunk` members after the prefix's last
   // entry, kept in a bounded heap at the prefix's tail whose front is the
   // chunk's latest entry; sorting the heap appends them in order. One pass
   // over the members, and no memory beyond the grown prefix.
-  std::vector<CtrEntry>& order = ctr_order_[slot];
-  const size_t start = order.size();
+  std::vector<WeightEntry>& prefix = order->prefix;
+  const size_t start = prefix.size();
   const size_t chunk = std::max<size_t>(start, kCtrPrefix);
-  order.reserve(start + chunk);  // `heap` stays valid
-  const auto heap = order.begin() + static_cast<std::ptrdiff_t>(start);
+  prefix.reserve(start + chunk);  // `heap` stays valid
+  const auto heap = prefix.begin() + static_cast<std::ptrdiff_t>(start);
   for (const AdvertiserId i : members_) {
-    const CtrEntry entry{Ctr(i, slot), i};
-    if (start > 0 && !CtrBefore(order[start - 1], entry)) continue;
-    if (order.size() - start < chunk) {
-      order.push_back(entry);
-      std::push_heap(heap, order.end(), CtrBefore);
-    } else if (CtrBefore(entry, *heap)) {
-      std::pop_heap(heap, order.end(), CtrBefore);
-      order.back() = entry;
-      std::push_heap(heap, order.end(), CtrBefore);
+    const WeightEntry entry{Weight(*order, i), i};
+    if (start > 0 && !WeightBefore(prefix[start - 1], entry)) continue;
+    if (prefix.size() - start < chunk) {
+      prefix.push_back(entry);
+      std::push_heap(heap, prefix.end(), WeightBefore);
+    } else if (WeightBefore(entry, *heap)) {
+      std::pop_heap(heap, prefix.end(), WeightBefore);
+      prefix.back() = entry;
+      std::push_heap(heap, prefix.end(), WeightBefore);
     }
   }
-  std::sort_heap(heap, order.end(), CtrBefore);
+  std::sort_heap(heap, prefix.end(), WeightBefore);
   if (start > 0) ++stats_.ctr_extensions;
+}
+
+void RoiPlanner::Payments(AdvertiserId i, int kw, double* out) const {
+  const double bid = static_cast<double>(Eff(kw, i));
+  for (SlotIndex j = 0; j < num_slots_; ++j) {
+    const int32_t o = order_of_[static_cast<size_t>(kw) * num_slots_ + j];
+    if (o < 0) {
+      out[j] = 0.0;  // an all-zero mask pays +0.0
+      continue;
+    }
+    // SelectTop(kw) built the order; its scores are TA's.
+    const WeightOrder& order = orders_[static_cast<size_t>(o)];
+    out[j] = order.exact ? Weight(order, i) * bid
+                         : Payment(order.mask, i, j, bid);
+  }
+}
+
+void RoiPlanner::BeforeSettle(const Query& query, const Allocation& allocation,
+                              const std::vector<AdvertiserAccount>& accounts) {
+  if (state_ != State::kAhead) return;
+  // Settlement moves a winner's value gained and spend on the query's
+  // keyword (and its spend total, which no strategy state holds).
+  const int kw = query.keyword;
+  for (const AdvertiserId i : allocation.slot_to_advertiser) {
+    if (i < 0 || !Covers(i)) continue;
+    settled_.push_back(SettledInputs{i, accounts[i].value_gained[kw],
+                                     accounts[i].spent_per_keyword[kw]});
+  }
 }
 
 void RoiPlanner::OnSettled(AdvertiserId i, int64_t time,
@@ -413,12 +561,23 @@ void RoiPlanner::OnSettled(AdvertiserId i, int64_t time,
   ScheduleTrigger(i, time, accounts[i]);
 }
 
-void RoiPlanner::WriteBack() {
+void RoiPlanner::WriteMember(int32_t m, const AdvertiserAccount& account) {
+  for (int kw = 0; kw < num_keywords_; ++kw) {
+    bid_scratch_[kw] = static_cast<Money>(Eff(kw, m));
+  }
+  views_[m]->WriteRoiBids(last_query_, account, bid_scratch_.data());
+}
+
+void RoiPlanner::WriteBack(const std::vector<AdvertiserAccount>& accounts) {
   if (state_ != State::kAhead) return;
-  for (const AdvertiserId m : members_) {
-    for (int kw = 0; kw < num_keywords_; ++kw) {
-      strategies_[m]->set_tentative_bid(kw, static_cast<Money>(Eff(kw, m)));
-    }
+  for (const AdvertiserId m : members_) WriteMember(m, accounts[m]);
+  // The last planned query saw its winners' ROI inputs before settlement.
+  const int kw = last_query_.keyword;
+  for (const SettledInputs& s : settled_) {
+    settled_account_ = accounts[s.member];  // reuses its vectors' storage
+    settled_account_.value_gained[kw] = s.value_gained;
+    settled_account_.spent_per_keyword[kw] = s.spent;
+    WriteMember(s.member, settled_account_);
   }
   state_ = State::kSynced;
 }

@@ -42,7 +42,7 @@ ShardedAuctionEngine::ShardedAuctionEngine(
     const int num_keywords = workload_.config.num_keywords;
     std::vector<AdvertiserId> members;
     for (const ShardRange& range : ranges_) {
-      if (!RoiPlanner::Qualifies(range.begin, range.end, strategies_, model,
+      if (!RoiPlanner::Qualifies(range.begin, range.end, strategies_,
                                  num_keywords)) {
         continue;
       }
@@ -195,18 +195,15 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    // Candidate rows of marginal weights: the planner's members bid plain
-    // Click, so r_i(j) = ctr(i, j) * bid and r_i(⊥) = 0 — exactly the value
-    // the compiled kernel computes for that table.
+    // Candidate rows of marginal weights. A planner member's row is its
+    // one-formula payments, and r_i(⊥) = +0.0 — exactly the values the
+    // compiled kernel computes for its table.
     rows.resize(candidates.size() * static_cast<size_t>(k));
     for (size_t c = 0; c < candidates.size(); ++c) {
       const AdvertiserId i = candidates[c];
       double* out = rows.data() + c * k;
       if (logical != nullptr && logical->Covers(i)) {
-        const double bid = logical->EffectiveBid(i, kw);
-        for (SlotIndex j = 0; j < k; ++j) {
-          out[j] = model.ClickProbability(i, j) * bid;
-        }
+        logical->Payments(i, kw, out);
       } else {
         const double* row = revenue->Row(i);
         const double base = revenue->UnassignedData()[i];
@@ -382,7 +379,7 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
 void ShardedAuctionEngine::SyncStrategies() const {
   // Logically const: the strategies receive the bids they already stand
   // for. Callers hold the engine exclusively (see WhatIfAuction).
-  if (planner_ != nullptr) planner_->WriteBack();
+  if (planner_ != nullptr) planner_->WriteBack(workload_.accounts);
 }
 
 void ShardedAuctionEngine::CaptureBidsForRead(const Query& query,
@@ -412,6 +409,10 @@ const AuctionOutcome& ShardedAuctionEngine::SettlePlanned(
   outcome_ = std::move(plan->outcome);
   outcome_.prices = std::move(plan->prices);
   ++auctions_run_;
+  if (planner_ != nullptr) {
+    planner_->BeforeSettle(outcome_.query, outcome_.wd.allocation,
+                           workload_.accounts);
+  }
 
   // --- Step 5: user action simulation, charging, accounting, notifications.
   SettleAuction(config_.engine.pricing, model, outcome_.prices,

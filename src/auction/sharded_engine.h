@@ -63,14 +63,16 @@ struct ShardedEngineConfig {
 ///    truth tables, fill the shard's rows of the expected-revenue matrix and
 ///    offer every row into the shard's TopKHeapSet;
 ///  * **logical** (the paper's RHTALU, auction/roi_planner.h), once for the
-///    engine: one planner covers every shard whose bidders all run the
-///    native ROI heuristic. When the query has one relevant keyword on which
-///    they bid plain Click, and the engine runs reduced-Hungarian winner
-///    determination with GSP or pay-your-bid pricing, the planner fires its
-///    due triggers, applies the O(1) logical bid update and selects its
-///    members' top entries with the Threshold Algorithm, once per slot,
-///    straight into the coordinator's merge — no capture, compile or matrix
-///    fill. Shards it does not cover run the brute-force path alongside.
+///    engine: one planner covers every shard whose bidders all run Figure
+///    5's Equalize-ROI rule (the RoiBidder view: native RoiStrategy, or a
+///    classified Figure 5 ProgramStrategy). When the query has one relevant
+///    keyword on which they all bid one formula that pays nothing without a
+///    slot, and the engine runs reduced-Hungarian winner determination with
+///    GSP or pay-your-bid pricing, the planner fires its due triggers,
+///    applies the O(1) logical bid update and selects its members' top
+///    entries with the Threshold Algorithm, once per slot, straight into
+///    the coordinator's merge — no capture, compile or matrix fill. Shards
+///    it does not cover run the brute-force path alongside.
 ///
 /// One coordinator serves both: it merges the brute shards' partial
 /// top-(k+1) sets with the planner's entries (the top of a union equals the
@@ -93,7 +95,7 @@ struct ShardedEngineConfig {
 /// new engine.
 ///
 /// The strategies stay the source of truth for checkpoints: the planner
-/// writes its effective bids back into its RoiStrategy objects before any
+/// writes its effective bids back into its strategies before any
 /// path reads them (CaptureBids, WhatIfAuction, CaptureCheckpoint,
 /// RestoreCheckpoint) and rebuilds its lists from them, at its next logical
 /// plan, after any path moved them (CaptureBids, RestoreCheckpoint).

@@ -183,6 +183,17 @@ inline Money CombineLanes(const double* p, LanePair lane01, LanePair lane23) {
   return expected;
 }
 
+/// Expected payment of one row of value `value` (>= 0) whose mask in the
+/// state is `mask`, under the state's distribution `prob`: each lane is
+/// 0.0 + value * w, combined straight away. The kernel's one-row tables and
+/// OneFormulaPayment both run it.
+inline Money OneRowPayment(uint8_t mask, double value, const double* prob) {
+  const LanePair zero = {0.0, 0.0};
+  const LanePair v = {value, value};
+  const double* w = kLaneLut.w[mask & 0xF];
+  return CombineLanes(prob, zero + v * LoadPair(w), zero + v * LoadPair(w + 2));
+}
+
 /// Expected payments of `count` (<= kStateBlock) consecutive states. `m` is
 /// the first state's mask column (state s's masks start at m + s * rows),
 /// `prob` holds 4 entries per state, and emit(s, payment) receives state
@@ -191,18 +202,13 @@ template <typename Emit>
 __attribute__((always_inline)) inline void ExpectedPaymentBlock(
     const double* v, const uint8_t* m, size_t rows, int count,
     const double* prob, Emit emit) {
-  const LanePair zero = {0.0, 0.0};
-  if (rows == 1) {
-    // One-row tables (a plain Click bid): each lane is 0.0 + value * w,
-    // combined straight away.
-    const LanePair value = {v[0], v[0]};
+  if (rows == 1) {  // a plain Click bid, say
     for (int s = 0; s < count; ++s) {
-      const double* w = kLaneLut.w[m[s] & 0xF];
-      emit(s, CombineLanes(prob + 4 * s, zero + value * LoadPair(w),
-                           zero + value * LoadPair(w + 2)));
+      emit(s, OneRowPayment(m[s], v[0], prob + 4 * s));
     }
     return;
   }
+  const LanePair zero = {0.0, 0.0};
   LanePair acc[kStateBlock][2];
   for (int s = 0; s < count; ++s) acc[s][0] = acc[s][1] = zero;
   for (size_t r = 0; r < rows; ++r) {
@@ -235,7 +241,7 @@ uint64_t HashFormula(const Formula& f, uint64_t seed) {
   return seed;
 }
 
-uint64_t HashDouble(double x) {
+uint64_t DoubleBits(double x) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(x), "Money must be 64-bit");
   __builtin_memcpy(&bits, &x, sizeof(bits));
@@ -336,11 +342,15 @@ void CompiledBids::ExpectedPayments(const double* prob, double* slot_out,
   }
 }
 
+Money OneFormulaPayment(uint8_t mask, Money value, const double prob[4]) {
+  return OneRowPayment(mask, value, prob);
+}
+
 uint64_t FingerprintBids(const BidsTable& bids) {
   uint64_t seed = HashCombine(0x55a0f00d, bids.size());
   for (const BidRow& row : bids.rows()) {
     seed = HashFormula(row.formula, seed);
-    seed = HashCombine(seed, HashDouble(row.value));
+    seed = HashCombine(seed, DoubleBits(row.value));
   }
   return seed;
 }
@@ -359,16 +369,32 @@ const CompiledBids& CompiledBidsCache::Get(AdvertiserId i,
   Entry& entry = entries_[i];
   const uint64_t fingerprint = FingerprintBids(bids);
   if (entry.valid && entry.fingerprint == fingerprint &&
-      entry.num_slots == num_slots) {
+      entry.num_slots == num_slots && SameRows(entry, bids)) {
     ++entry.hits;
     return entry.compiled;
   }
   ++entry.misses;
   entry.compiled.CompileFrom(bids, num_slots);  // in place: reuses buffers
+  entry.formulas.clear();
+  for (const BidRow& row : bids.rows()) entry.formulas.push_back(row.formula);
   entry.fingerprint = fingerprint;
   entry.num_slots = num_slots;
   entry.valid = true;
   return entry.compiled;
+}
+
+bool CompiledBidsCache::SameRows(const Entry& entry, const BidsTable& bids) {
+  const size_t rows = bids.size();
+  if (entry.formulas.size() != rows) return false;
+  const double* values = entry.compiled.values();
+  for (size_t r = 0; r < rows; ++r) {
+    const BidRow& row = bids.rows()[r];
+    if (DoubleBits(values[r]) != DoubleBits(row.value) ||
+        !entry.formulas[r].StructurallyEquals(row.formula)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 int64_t CompiledBidsCache::hits() const {

@@ -107,20 +107,32 @@ class CompiledBids {
   std::vector<uint8_t> masks_;
 };
 
+/// Expected payment of a bid table whose rows all hold +0.0 except one, of
+/// value `value` >= 0, whose formula's truth mask in the slot state is
+/// `mask` (CompiledBids::MasksForSlot), under that state's (click,
+/// purchase) distribution `prob`. Bitwise CompiledBids' result for such a
+/// table: a +0.0 row adds +0.0 to every lane, which leaves the lane as it
+/// was, and the kernel runs this routine for one-row tables. It is not a
+/// product of one weight and `value` in general: a Click bid under a
+/// purchase model sums p(click, no purchase) * value and
+/// p(click, purchase) * value. The RHTALU planner (auction/roi_planner.h)
+/// scores its members with it.
+Money OneFormulaPayment(uint8_t mask, Money value, const double prob[4]);
+
 /// Order-sensitive content fingerprint of a BidsTable (formula structure +
-/// row values). Strategies usually re-emit identical tables for a keyword,
-/// so the engine keys its compiled-bids cache on this 64-bit hash; a
-/// collision would silently reuse a stale compilation, but at 64 bits that
-/// is vanishingly unlikely for auction-sized populations.
+/// row values). Two different tables can share a fingerprint, so the
+/// compiled-bids cache uses it only to reject a changed table fast.
 uint64_t FingerprintBids(const BidsTable& bids);
 
-/// Per-advertiser cache of compiled bids keyed on content fingerprint —
-/// each ShardedAuctionEngine planning lane keeps one across auctions so
-/// unchanged tables are never recompiled. Entries are keyed by *global*
-/// advertiser id, so a lane shares one cache across its shards. The cache is
-/// pure scratch: a compilation is a function of (table, num_slots) alone, an
-/// entry hits only on an identical fingerprint, and nothing of it is ever
-/// checkpointed.
+/// Per-advertiser cache of compiled bids — each ShardedAuctionEngine
+/// planning lane keeps one across auctions so unchanged tables are never
+/// recompiled. Entries are keyed by *global* advertiser id, so a lane
+/// shares one cache across its shards. An entry hits only when the new
+/// table equals the compiled one exactly: same row count, structurally
+/// equal formulas (node identity first) and the same value bits; a
+/// different fingerprint rejects without the compare. The cache is pure
+/// scratch: a compilation is a function of (table, num_slots) alone, and
+/// nothing of it is ever checkpointed.
 ///
 /// Threading: Get(i, ...) mutates only entry i (hit/miss counters included —
 /// there is deliberately no cache-wide mutable state on the Get path), so
@@ -134,7 +146,7 @@ class CompiledBidsCache {
   void Reserve(size_t n);
 
   /// Returns the compiled form of `bids` for advertiser `i`, reusing the
-  /// cached compilation when fingerprint and num_slots both match. The
+  /// cached compilation when the table and num_slots both match exactly. The
   /// returned reference stays valid until the next Get(i, ...) call *for the
   /// same advertiser* (entries live in a deque, so growing the cache for
   /// other advertisers never moves them).
@@ -160,8 +172,12 @@ class CompiledBidsCache {
     /// makes disjoint-id concurrent lookups race-free.
     int64_t hits = 0;
     int64_t misses = 0;
+    /// The compiled table's formulas; its values are compiled.values().
+    std::vector<Formula> formulas;
     CompiledBids compiled;
   };
+  /// Whether `bids` equals the table `entry` compiled, row for row.
+  static bool SameRows(const Entry& entry, const BidsTable& bids);
   std::deque<Entry> entries_;
 };
 

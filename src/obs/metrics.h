@@ -102,8 +102,7 @@ struct MetricsSnapshot {
 ///
 /// Snapshot() is safe concurrently with hot-path updates from any thread
 /// (relaxed reads of atomic instruments — the same contract as
-/// LatencyHistogram's read side) and is what the periodic MetricsReporter
-/// calls.
+/// LatencyHistogram's read side).
 class MetricsRegistry {
  public:
   using Collector = std::function<void(MetricsSnapshot*)>;

@@ -76,7 +76,7 @@ void AuctionServer::SetupObservability() {
       "serving_batch_queries", "", "Micro-batch size in queries");
   // Pull-side collector: admission/completion counters and queue depth.
   // Everything read here is atomic or guarded by the source's own mutex, so
-  // the reporter thread may snapshot while producers and the executor run.
+  // a snapshotting thread may read while producers and the executor run.
   registry_.AddCollector([this](MetricsSnapshot* snap) {
     auto add = [snap](const char* name, MetricSample::Kind kind, double v) {
       MetricSample s;
@@ -249,8 +249,8 @@ void AuctionServer::PublishEngineGauges() {
         planner.rebuilds);
     AdvanceCounter(
         registry_.GetCounter("engine_roi_planner_ctr_extensions_total", "",
-                             "Per-slot ctr prefixes doubled when the "
-                             "Threshold Algorithm ran past them"),
+                             "Weight-order (ctr) prefixes doubled when "
+                             "the Threshold Algorithm ran past them"),
         planner.ctr_extensions);
     AdvanceCounter(
         registry_.GetCounter("engine_roi_planner_ns_total", "",

@@ -35,8 +35,8 @@ struct ServingRequest {
 /// batch); tracing defaults off. Neither path touches auction values —
 /// instrumentation only reads clocks and writes side state — so the
 /// served trajectory stays bitwise-identical at any sampling rate
-/// (serving_test pins this at full sampling). For periodic export, run a
-/// MetricsReporter over metrics().
+/// (serving_test pins this at full sampling). For periodic export, snapshot
+/// metrics() from the caller's own thread.
 struct ObsConfig {
   /// Register instruments and publish per-batch gauges. false = the
   /// registry stays empty and the serving path records only the four
@@ -228,7 +228,7 @@ class AuctionServer {
   /// registry: shard stats and checkpoint age as gauges, cache and log
   /// totals as counters (advanced by the change since the last publish).
   /// Executor thread only (batch boundaries + Stop), which is what keeps
-  /// the reporter/snapshot side race-free: snapshots read only atomic
+  /// the snapshot side race-free: snapshots read only atomic
   /// instrument words, never the engine's plain state.
   void PublishEngineGauges();
 

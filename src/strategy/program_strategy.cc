@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -203,18 +204,23 @@ ProgramStrategy::ProgramStrategy(PlanPtr plan, bool equalize_roi,
   // Keywords table, one row per keyword (Figure 4 schema); Bids table, one
   // row per distinct formula, value rewritten per auction. Rows with equal
   // formula text share one string.
-  std::map<std::string, Value> formula_texts;
+  // Each keyword's Bids row, for the RoiBidder view (scratch reused across
+  // the strategies of a population).
+  std::map<std::string, std::pair<Value, int>> formula_texts;
+  thread_local std::vector<int> row_of;
+  row_of.clear();
   for (const KeywordSpec& spec : keywords) {
-    auto [it, inserted] =
-        formula_texts.try_emplace(spec.formula.ToString(), Value());
+    auto [it, inserted] = formula_texts.try_emplace(
+        spec.formula.ToString(), Value(), bids_table_->num_rows());
     if (inserted) {
-      it->second = Value::String(it->first);
-      bids_table_->InsertRow({it->second, Value::Number(0)});
+      it->second.first = Value::String(it->first);
+      bids_table_->InsertRow({it->second.first, Value::Number(0)});
       row_formulas_.push_back(spec.formula);
     }
+    row_of.push_back(it->second.second);
     keywords_table_->InsertRow({
         Value::String(spec.text),
-        it->second,
+        it->second.first,
         Value::Number(0),  // maxbid: refreshed from the account each auction
         Value::Number(0),  // roi: provider-maintained
         Value::Number(0),  // bid: program state, starts at 0
@@ -225,6 +231,81 @@ ProgramStrategy::ProgramStrategy(PlanPtr plan, bool equalize_roi,
   slot_event_ = plan_->FindEvent("Slot");
   click_event_ = plan_->FindEvent("Click");
   purchase_event_ = plan_->FindEvent("Purchase");
+  SetKeywordRows(row_of, /*cells_ok=*/true);
+}
+
+void ProgramStrategy::MapKeywordRows() {
+  const int rows = bids_table_->num_rows();
+  std::vector<int> row_of(num_keywords_, -1);
+  bool cells_ok = true;
+  for (int b = 0; b < rows; ++b) {
+    cells_ok &= bids_table_->Row(b)[kBidsFormula].is_string();
+  }
+  for (int kw = 0; kw < num_keywords_ && cells_ok; ++kw) {
+    const Value& formula = keywords_table_->Row(kw)[kFormula];
+    cells_ok = formula.is_string();
+    // SumBids adds the keyword's bid to every row with its formula text.
+    for (int b = 0; b < rows && cells_ok; ++b) {
+      if (!SameText(formula, bids_table_->Row(b)[kBidsFormula])) continue;
+      row_of[kw] = row_of[kw] == -1 ? b : -2;
+    }
+  }
+  SetKeywordRows(row_of, cells_ok);
+}
+
+void ProgramStrategy::SetKeywordRows(const std::vector<int>& row_of,
+                                     bool cells_ok) {
+  keyword_formulas_ = nullptr;
+  roi_cells_ok_ = cells_ok;
+  for (const Formula& formula : row_formulas_) {
+    roi_cells_ok_ &= formula.DependsOnlyOnOwnPlacement();
+  }
+  if (!roi_cells_ok_) return;
+  for (const int row : row_of) {
+    if (row < 0) return;  // no row, or several
+  }
+  // Strategies created one after another from one keyword list share one
+  // array, as RoiStrategy's formulas do.
+  thread_local std::shared_ptr<const std::vector<Formula>> last;
+  bool same = last != nullptr &&
+              static_cast<int>(last->size()) == num_keywords_;
+  for (int kw = 0; kw < num_keywords_ && same; ++kw) {
+    same = (*last)[kw].StructurallyEquals(row_formulas_[row_of[kw]]);
+  }
+  if (!same) {
+    auto formulas = std::make_shared<std::vector<Formula>>();
+    for (int kw = 0; kw < num_keywords_; ++kw) {
+      formulas->push_back(row_formulas_[row_of[kw]]);
+    }
+    last = std::move(formulas);
+  }
+  keyword_formulas_ = last;
+}
+
+RoiBidder* ProgramStrategy::roi_bidder() {
+  const bool outcome_triggers =
+      slot_event_ >= 0 || click_event_ >= 0 || purchase_event_ >= 0;
+  return equalize_roi_ && !outcome_triggers && roi_cells_ok_ ? this : nullptr;
+}
+
+Money ProgramStrategy::roi_bid(int kw) const {
+  const Value& bid = keywords_table_->Row(kw)[kBid];
+  return bid.is_number() ? bid.number()
+                         : std::numeric_limits<double>::quiet_NaN();
+}
+
+const Formula* ProgramStrategy::roi_formulas() const {
+  return keyword_formulas_ == nullptr ? nullptr : keyword_formulas_->data();
+}
+
+void ProgramStrategy::WriteRoiBids(const Query& query,
+                                   const AdvertiserAccount& account,
+                                   const Money* bids) {
+  Refresh(query, account);
+  for (int kw = 0; kw < num_keywords_; ++kw) {
+    keywords_table_->MutableRow(kw)[kBid] = Value::Number(bids[kw]);
+  }
+  SumBids();
 }
 
 void ProgramStrategy::Fire(int event, const Query& query,
@@ -282,8 +363,12 @@ bool ProgramStrategy::RunEqualizeRoi(const Query& query,
     }
   }
 
-  // UPDATE Bids SET value = SUM(K.bid) over relevant rows of its formula,
-  // summed from +0.0 in Keywords row order.
+  SumBids();
+  return true;
+}
+
+void ProgramStrategy::SumBids() {
+  const int rows = keywords_table_->num_rows();
   for (int b = 0; b < bids_table_->num_rows(); ++b) {
     Value* bid_row = bids_table_->MutableRow(b);
     double sum = 0.0;
@@ -296,7 +381,16 @@ bool ProgramStrategy::RunEqualizeRoi(const Query& query,
     }
     bid_row[kBidsValue] = Value::Number(sum);
   }
-  return true;
+}
+
+void ProgramStrategy::Refresh(const Query& query,
+                              const AdvertiserAccount& account) {
+  for (int kw = 0; kw < num_keywords_; ++kw) {
+    Value* row = keywords_table_->MutableRow(kw);
+    row[kMaxBid] = Value::Number(account.max_bid[kw]);
+    row[kRoi] = Value::Number(account.Roi(kw));
+    row[kRelevance] = Value::Number(query.relevance[kw]);
+  }
 }
 
 void ProgramStrategy::MakeBids(const Query& query,
@@ -305,13 +399,7 @@ void ProgramStrategy::MakeBids(const Query& query,
   SSA_CHECK(account.num_keywords() == num_keywords_);
   SSA_CHECK(static_cast<int>(query.relevance.size()) == num_keywords_);
 
-  // Refresh the provider-maintained columns.
-  for (int kw = 0; kw < num_keywords_; ++kw) {
-    Value* row = keywords_table_->MutableRow(kw);
-    row[kMaxBid] = Value::Number(account.max_bid[kw]);
-    row[kRoi] = Value::Number(account.Roi(kw));
-    row[kRelevance] = Value::Number(query.relevance[kw]);
-  }
+  Refresh(query, account);
 
   // The engine "inserts" the query; AFTER INSERT ON Query triggers fire.
   if (!equalize_roi_ || !RunEqualizeRoi(query, account)) {
@@ -382,6 +470,7 @@ Status ProgramStrategy::RestoreState(std::string_view blob) {
   *keywords_table_ = std::move(keywords);
   *bids_table_ = std::move(bid_rows);
   row_formulas_ = std::move(row_formulas);
+  MapKeywordRows();
   return Status::Ok();
 }
 

@@ -8,6 +8,7 @@
 
 #include "db/table.h"
 #include "lang/interpreter.h"
+#include "strategy/roi_bidder.h"
 #include "strategy/strategy.h"
 #include "util/status.h"
 
@@ -43,6 +44,15 @@ namespace ssa {
 /// Purchase triggers of every program, are interpreted. PeekBids, recovery
 /// and followers all bid through MakeBids, so they take the same step.
 ///
+/// A classified program with no Slot, Click or Purchase trigger also offers
+/// the engine's RHTALU planner its RoiBidder view (roi_bidder()): the bid
+/// cells, and per keyword the formula of the one Bids row its bid lands in.
+/// The planner then runs its bids logically and writes them back with
+/// WriteRoiBids, which leaves every cell as MakeBids would have: maxbid,
+/// roi and relevance as the last planned query saw them, the bids, and the
+/// Bids values summed from them. Checkpoints of a planned engine are
+/// therefore byte-identical to those of an engine that ran every program.
+///
 /// The program is compiled against the two tables and the scalars above,
 /// which are the same for every ProgramStrategy, so the source text alone
 /// determines the compiled plan. Strategies created from one source share
@@ -60,7 +70,7 @@ namespace ssa {
 /// once; one strategy running on different threads from one auction to the
 /// next needs no more than the happens-before edge the engine already
 /// provides between its captures.
-class ProgramStrategy : public BiddingStrategy {
+class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
  public:
   /// Keyword metadata: display text and the bid formula per keyword.
   struct KeywordSpec {
@@ -103,6 +113,16 @@ class ProgramStrategy : public BiddingStrategy {
   /// Current tentative bid column (for tests).
   Money TentativeBid(int kw) const;
 
+  /// The RoiBidder view (see the class comment): this when the plan
+  /// classifies as Figure 5, has no outcome trigger, and the native step's
+  /// formula cells are strings; else null.
+  RoiBidder* roi_bidder() override;
+  int roi_keywords() const override { return num_keywords_; }
+  Money roi_bid(int kw) const override;
+  const Formula* roi_formulas() const override;
+  void WriteRoiBids(const Query& query, const AdvertiserAccount& account,
+                    const Money* bids) override;
+
   /// The compiled plan this strategy runs, shared with every live strategy
   /// created from the same source (for tests).
   const std::shared_ptr<const lang::CompiledProgram>& plan() const {
@@ -127,10 +147,25 @@ class ProgramStrategy : public BiddingStrategy {
   void Fire(int event, const Query& query, const AdvertiserAccount& account,
             std::optional<double> won_slot);
 
+  /// Refreshes the provider-maintained columns (maxbid, roi, relevance).
+  void Refresh(const Query& query, const AdvertiserAccount& account);
+
   /// The Figure 5 Query trigger, run natively on the private tables after
   /// MakeBids has refreshed them. Returns false, having written nothing,
   /// when a cell it reads lacks the type the interpreter needs.
   bool RunEqualizeRoi(const Query& query, const AdvertiserAccount& account);
+
+  /// Figure 5's UPDATE Bids: each row's value is the sum, from +0.0 in
+  /// Keywords row order, of the bids of relevant keywords (> 0.7) whose
+  /// formula text is the row's.
+  void SumBids();
+
+  /// Recomputes keyword_formulas_ and roi_cells_ok_ from the tables (after
+  /// a restore).
+  void MapKeywordRows();
+  /// Sets them from each keyword's Bids row (-1 for none, -2 for several)
+  /// and whether every formula cell is a string.
+  void SetKeywordRows(const std::vector<int>& row_of, bool cells_ok);
 
   int num_keywords_;
   Database db_;
@@ -146,6 +181,13 @@ class ProgramStrategy : public BiddingStrategy {
   int purchase_event_ = -1;
   /// The plan's Query trigger is Figure 5's (see the class comment).
   bool equalize_roi_ = false;
+  /// Per keyword, the formula of the one Bids row whose formula text is the
+  /// keyword's; null when some keyword has none or more than one. Shared
+  /// with equal strategies (see MapKeywordRows).
+  std::shared_ptr<const std::vector<Formula>> keyword_formulas_;
+  /// Every formula cell is a string, and every Bids formula depends only on
+  /// the bidder's own placement.
+  bool roi_cells_ok_ = false;
 };
 
 }  // namespace ssa

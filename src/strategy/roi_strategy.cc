@@ -104,6 +104,14 @@ void RoiStrategy::StepOn(const Query& query, const AdvertiserAccount& account,
   }
 }
 
+void RoiStrategy::WriteRoiBids(const Query& query,
+                               const AdvertiserAccount& account,
+                               const Money* bids) {
+  (void)query;
+  (void)account;
+  bids_.assign(bids, bids + bids_.size());
+}
+
 void RoiStrategy::SaveState(std::string* out) const {
   WireWriter(out).PutDoubleVector(bids_);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/formula.h"
+#include "strategy/roi_bidder.h"
 #include "strategy/strategy.h"
 #include "util/common.h"
 
@@ -30,9 +31,9 @@ namespace ssa {
 /// Tentative bids are integral cents, so all boundary comparisons
 /// (bid < max_bid, bid > 0) are exact; the engine's logical-update planner
 /// (auction/roi_planner.h) replicates these semantics bit-for-bit, which
-/// the equivalence tests assert. The class is final: the planner recognizes
-/// its bidders by type, and a subclass could change what MakeBids does.
-class RoiStrategy final : public BiddingStrategy {
+/// the equivalence tests assert. The class is final: it offers the planner
+/// its RoiBidder view, and a subclass could change what MakeBids does.
+class RoiStrategy final : public BiddingStrategy, public RoiBidder {
  public:
   /// `keyword_formulas[kw]` is the formula keyword kw's bid attaches to
   /// (plain Click in the Section V workload). Tentative bids start at 0.
@@ -56,11 +57,18 @@ class RoiStrategy final : public BiddingStrategy {
 
   /// Current tentative bid per keyword.
   const std::vector<Money>& tentative_bids() const { return bids_; }
-  /// The planner's write-back of a bid it advanced logically.
-  void set_tentative_bid(int kw, Money bid) { bids_[kw] = bid; }
-  const std::vector<Formula>& keyword_formulas() const {
-    return *keyword_formulas_;
+
+  /// The RoiBidder view: the bid vector and the keyword formulas (a
+  /// relevant keyword emits one row, its bid on its formula).
+  RoiBidder* roi_bidder() override { return this; }
+  int roi_keywords() const override { return static_cast<int>(bids_.size()); }
+  Money roi_bid(int kw) const override { return bids_[kw]; }
+  const Formula* roi_formulas() const override {
+    return keyword_formulas_->data();
   }
+  /// Copies `bids`: the bid vector is the whole state.
+  void WriteRoiBids(const Query& query, const AdvertiserAccount& account,
+                    const Money* bids) override;
 
  private:
   /// The full Figure 5 step — tentative-bid adjustment applied to

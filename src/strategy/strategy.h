@@ -12,6 +12,8 @@
 
 namespace ssa {
 
+class RoiBidder;
+
 /// A dynamic bidding strategy — the paper's "bidding program" (Section II-B)
 /// seen as an abstract interface. Each time a user search triggers an
 /// auction, the program runs with access to the query (shared, read-only)
@@ -63,6 +65,12 @@ class BiddingStrategy {
     (void)clicked;
     (void)purchased;
   }
+
+  /// The strategy's ROI-shaped view (strategy/roi_bidder.h) when its bid
+  /// step is Figure 5's Equalize-ROI rule and it has no outcome behaviour,
+  /// so the engine's RHTALU planner may run its bids; null otherwise (the
+  /// default). May change only when RestoreState changes the state.
+  virtual RoiBidder* roi_bidder() { return nullptr; }
 
   /// Appends the strategy's private mutable state (tentative bids, program
   /// tables, outcome counters — anything MakeBids/OnOutcome mutate) to

@@ -1,10 +1,15 @@
 // Property tests for the bid-compilation layer: compiled payments and
 // expected payments must equal the tree-walking BidsTable evaluation *bit
 // for bit* on randomized formulas (the compiled path is a pure
-// representation change), and the engine's fingerprint cache must
-// invalidate exactly when table content changes.
+// representation change), the one-formula payment the RHTALU planner scores
+// with must equal the kernel's on a Figure 5 program's real Bids table, and
+// the engine's compiled-bids cache must hit exactly when the table is
+// unchanged, fingerprint collisions included.
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +19,7 @@
 #include "core/compiled_bids.h"
 #include "core/expected_revenue.h"
 #include "core/heavyweight.h"
+#include "strategy/program_strategy.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -475,6 +481,212 @@ TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsEqual) {
     }
   }
   EXPECT_EQ(restored.misses(), 8);
+}
+
+// FingerprintBids' mixing step (compiled_bids.cc), for forging collisions.
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
+constexpr uint64_t kMul2 = 0x94d049bb133111ebULL;
+
+uint64_t Combine(uint64_t seed, uint64_t v) {
+  v += kGolden;
+  v = (v ^ (v >> 30)) * kMul1;
+  v = (v ^ (v >> 27)) * kMul2;
+  v ^= v >> 31;
+  return seed ^ (v + kGolden + (seed << 6) + (seed >> 2));
+}
+
+/// x with x ^ (x >> shift) == y.
+uint64_t UndoXorShift(uint64_t y, int shift) {
+  uint64_t x = y;
+  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+/// The inverse of an odd multiplier modulo 2^64 (Newton's iteration).
+uint64_t InverseOf(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// The v with Combine(seed, v) == target: every step of the mix inverts.
+uint64_t SolveCombine(uint64_t seed, uint64_t target) {
+  uint64_t y = (target ^ seed) - kGolden - (seed << 6) - (seed >> 2);
+  y = UndoXorShift(y, 31) * InverseOf(kMul2);
+  y = UndoXorShift(y, 27) * InverseOf(kMul1);
+  return UndoXorShift(y, 30) - kGolden;
+}
+
+/// The fingerprint state after hashing a Click formula onto `seed`.
+uint64_t HashClick(uint64_t seed) {
+  seed = Combine(seed, static_cast<uint64_t>(Formula::Op::kClick));
+  return Combine(seed, static_cast<uint64_t>(int64_t{kNoSlot}));
+}
+
+/// The state before a two-row Click table's second value, whose first value
+/// has bits v0.
+uint64_t BeforeSecondValue(uint64_t v0) {
+  return HashClick(Combine(HashClick(Combine(0x55a0f00d, 2)), v0));
+}
+
+TEST(CompiledBidsCacheTest, FingerprintCollisionRecompiles) {
+  // Two tables with one fingerprint and different values, forged by
+  // inverting the mix: the second must not reuse the first's compilation.
+  BidsTable first;
+  first.AddBid(Formula::Click(), 5.0);
+  first.AddBid(Formula::Click(), 7.0);
+  const uint64_t target = FingerprintBids(first);
+  ASSERT_EQ(Combine(BeforeSecondValue(Bits(5.0)), Bits(7.0)), target);
+  BidsTable forged;
+  for (double x = 1.0; forged.size() == 0; x += 1.0) {
+    // Fix the first value, solve for the second value's bits, and keep the
+    // first solution that is a valid (finite, non-negative) bid.
+    const uint64_t bits = SolveCombine(BeforeSecondValue(Bits(x)), target);
+    double y;
+    std::memcpy(&y, &bits, sizeof y);
+    if (std::isfinite(y) && y >= 0 && x != 5.0) {
+      forged.AddBid(Formula::Click(), x);
+      forged.AddBid(Formula::Click(), y);
+    }
+  }
+  ASSERT_EQ(FingerprintBids(forged), target);
+
+  CompiledBidsCache cache;
+  const int k = 3;
+  cache.Get(0, first, k);
+  const CompiledBids& compiled = cache.Get(0, forged, k);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 0);
+  ASSERT_EQ(compiled.num_rows(), 2u);
+  EXPECT_EQ(Bits(compiled.values()[0]), Bits(forged.rows()[0].value));
+  EXPECT_EQ(Bits(compiled.values()[1]), Bits(forged.rows()[1].value));
+  // And an equal table after it hits.
+  BidsTable again = forged;
+  cache.Get(0, again, k);
+  EXPECT_EQ(cache.hits(), 1);
+}
+
+TEST(CompiledBidsCacheTest, StructurallyEqualFormulasHit) {
+  // Formulas are compared by node identity first, then by structure: a
+  // table rebuilt from fresh nodes hits; a -0.0 value where +0.0 was
+  // compiled misses (value bits, not ==).
+  CompiledBidsCache cache;
+  BidsTable a;
+  a.AddBid(Formula::Click() && Formula::Slot(1), 3.0);
+  a.AddBid(Formula::Purchase(), 0.0);
+  cache.Get(0, a, 4);
+  BidsTable fresh;
+  fresh.AddBid(Formula::Click() && Formula::Slot(1), 3.0);
+  fresh.AddBid(Formula::Purchase(), 0.0);
+  cache.Get(0, fresh, 4);
+  EXPECT_EQ(cache.hits(), 1);
+  BidsTable negative_zero;
+  negative_zero.AddBid(Formula::Click() && Formula::Slot(1), 3.0);
+  negative_zero.AddBid(Formula::Purchase(), -0.0);
+  const CompiledBids& compiled = cache.Get(0, negative_zero, 4);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(Bits(compiled.values()[1]), Bits(-0.0));
+}
+
+// Figure 5 Equalize-ROI, as in examples/expressive_program.cc.
+constexpr const char kEqualizeRoi[] = R"sql(
+CREATE TRIGGER bid AFTER INSERT ON Query
+{
+  IF amtSpent < targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid + 1
+    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid < maxbid;
+  ELSEIF amtSpent > targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid - 1
+    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid > 0;
+  ENDIF;
+  UPDATE Bids SET value =
+    ( SELECT SUM( K.bid ) FROM Keywords K
+      WHERE K.relevance > 0.7 AND K.formula = Bids.formula );
+}
+)sql";
+
+TEST(OneFormulaPaymentTest, EqualsTheKernelOnFigure5BidsTables) {
+  // Every formula the planner accepts — Click, Click ∧ Slot(j) and Purchase
+  // — with and without purchases. A Figure 5 program over three keywords
+  // (Click, Click ∧ Slot(j), Purchase) emits a three-row Bids table: the
+  // queried keyword's row holds its bid, the others the empty SUM, +0.0.
+  // The planner's one-formula payment must be the kernel's matrix entry
+  // under exact ==, and the unassigned payment +0.0.
+  const int n = 12;
+  const int k = 4;
+  for (const double purchase : {0.0, 0.3}) {
+    Rng rng(20261018);
+    const MatrixClickModel model =
+        MakeSlotIntervalClickModel(n, k, rng, 0.1, 0.9, purchase);
+    for (SlotIndex slot_arg = 0; slot_arg <= k; ++slot_arg) {
+      const std::vector<Formula> formulas = {
+          Formula::Click(), Formula::Click() && Formula::Slot(slot_arg),
+          Formula::Purchase()};
+      for (int queried = 0; queried < 3; ++queried) {
+        SCOPED_TRACE("purchase " + std::to_string(purchase) + ", Slot(" +
+                     std::to_string(slot_arg) + "), keyword " +
+                     std::to_string(queried));
+        std::vector<ProgramStrategy::KeywordSpec> specs;
+        for (int kw = 0; kw < 3; ++kw) {
+          specs.push_back({"kw" + std::to_string(kw), formulas[kw]});
+        }
+        auto program = ProgramStrategy::Create(kEqualizeRoi, specs);
+        ASSERT_TRUE(program.ok());
+        ASSERT_NE((*program)->roi_bidder(), nullptr);
+        BidsTable one;
+        one.AddBid(formulas[queried], 1.0);
+        const CompiledBids masks = CompiledBids::Compile(one, k);
+
+        // An underspending account raises the queried keyword's bid by one
+        // per query, up to its cap.
+        AdvertiserAccount account;
+        account.value_per_click.assign(3, 40.0);
+        account.max_bid.assign(3, 40.0);
+        account.value_gained.assign(3, 0.0);
+        account.spent_per_keyword.assign(3, 0.0);
+        account.target_spend_rate = 1e9;
+        Query query;
+        query.keyword = queried;
+        query.relevance.assign(3, 0.0);
+        query.relevance[queried] = 1.0;
+        for (int t = 1; t <= 41; ++t) {
+          query.time = t;
+          BidsTable table;
+          (*program)->MakeBids(query, account, &table);
+          ASSERT_EQ(table.size(), 3u);
+          const double bid = (*program)->TentativeBid(queried);
+          EXPECT_EQ(bid, std::min(t, 40));
+          const CompiledBids compiled = CompiledBids::Compile(table, k);
+          for (AdvertiserId i = 0; i < n; ++i) {
+            std::vector<double> prob(4 * (k + 1));
+            model.OutcomeDistributions(i, prob.data());
+            std::vector<double> row(k);
+            double unassigned = -1.0;
+            compiled.ExpectedPayments(prob.data(), row.data(), &unassigned);
+            EXPECT_EQ(Bits(unassigned), Bits(0.0));
+            for (SlotIndex j = 0; j < k; ++j) {
+              const double score =
+                  OneFormulaPayment(masks.MasksForSlot(j)[0], bid,
+                                    prob.data() + 4 * j);
+              ASSERT_EQ(Bits(score), Bits(row[j]))
+                  << "advertiser " << i << " slot " << j << " bid " << bid;
+              if (purchase == 0.0 && queried == 0) {
+                // paper-roi's score: ctr × bid, bit for bit.
+                ASSERT_EQ(Bits(score),
+                          Bits(model.ClickProbability(i, j) * bid));
+              }
+            }
+            EXPECT_EQ(OneFormulaPayment(masks.MasksForSlot(kNoSlot)[0], bid,
+                                        prob.data() + 4 * k),
+                      0.0);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CompiledBidsCacheTest, EntriesStableAcrossCacheGrowth) {

@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "durability/wire.h"
 #include "interpreted_twin.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
@@ -34,6 +33,8 @@ namespace ssa {
 namespace {
 
 using program_state_fixture::BidRows;
+using program_state_fixture::EncodeTables;
+using program_state_fixture::StateWithBids;
 
 constexpr const char kFigure5[] = R"sql(
 CREATE TRIGGER bid AFTER INSERT ON Query
@@ -77,39 +78,6 @@ std::vector<ProgramStrategy::KeywordSpec> CampaignKeywords() {
 }
 
 constexpr int kCampaignKeywords = 6;
-
-/// The checkpoint encoding of a strategy's two tables, as SaveState writes
-/// it, so a test can restore states MakeBids never produces.
-std::string EncodeTables(const Database& db) {
-  std::string out;
-  WireWriter w(&out);
-  for (int t = 0; t < db.num_tables(); ++t) {
-    const Table& table = *db.table(t);
-    w.PutU32(static_cast<uint32_t>(table.num_rows()));
-    for (int row = 0; row < table.num_rows(); ++row) {
-      for (int col = 0; col < table.num_columns(); ++col) {
-        const Value& v = table.At(row, col);
-        w.PutU8(static_cast<uint8_t>(v.type()));
-        if (v.is_number()) w.PutDouble(v.number());
-        if (v.is_string()) w.PutString(v.str());
-      }
-    }
-  }
-  return out;
-}
-
-/// The strategy's state with each listed keyword's bid replaced by `bid`.
-std::string StateWithBids(const ProgramStrategy& strategy,
-                          const std::vector<int>& keywords, const Value& bid) {
-  const Database& tables = strategy.tables();
-  Database copy;
-  for (int t = 0; t < tables.num_tables(); ++t) {
-    *copy.AddTable(tables.table(t)->name(), tables.table(t)->column_names()) =
-        *tables.table(t);
-  }
-  for (int kw : keywords) copy.table(0)->Set(kw, "bid", bid);
-  return EncodeTables(copy);
-}
 
 /// An account NextInputs then randomizes.
 AdvertiserAccount CampaignAccount() {

@@ -1,9 +1,10 @@
 // Test-only strategy wrapper that forwards every call to an owned strategy.
-// The engine's RHTALU planner recognizes native RoiStrategy bidders by their
-// type, so wrapping them keeps a population on the brute-force shard path
-// (capture, compiled-bids lookups, matrix fill) with bit-identical bids. Tests
-// use it to pin brute-path behaviour on ROI bidders and to put a non-ROI
-// strategy into an otherwise logical shard.
+// The engine's RHTALU planner plans only bidders that offer the RoiBidder
+// view, which the wrapper does not forward, so wrapping them keeps a
+// population on the brute-force shard path (capture, compiled-bids lookups,
+// matrix fill) with bit-identical bids. Tests use it to pin brute-path
+// behaviour on ROI bidders and to put a non-ROI strategy into an otherwise
+// logical shard.
 
 #ifndef SSA_TESTS_FORWARDING_STRATEGY_H_
 #define SSA_TESTS_FORWARDING_STRATEGY_H_

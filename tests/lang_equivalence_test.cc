@@ -1,4 +1,6 @@
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,7 @@
 #include "interpreted_twin.h"
 #include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
+#include "util/thread_pool.h"
 
 namespace ssa {
 namespace {
@@ -56,82 +59,191 @@ std::vector<ProgramStrategy::KeywordSpec> Specs(const Workload& w) {
   return specs;
 }
 
+/// The Section V workload with `expressive-programs`' formulas: Click,
+/// Click ∧ Slot(0) or Purchase by keyword mod 3.
+Workload FormulaMixWorkload(const WorkloadConfig& wc) {
+  Workload w = MakePaperWorkload(wc);
+  for (int kw = 0; kw < wc.num_keywords; ++kw) {
+    const Formula top_click = Formula::Click() && Formula::Slot(0);
+    w.keyword_formulas[kw] = kw % 3 == 0   ? Formula::Click()
+                             : kw % 3 == 1 ? top_click
+                                           : Formula::Purchase();
+  }
+  return w;
+}
+
 // Section II-C's program must reproduce the native strategy's behavior
 // exactly: same bids, same winners, same charges, over a full simulated
 // campaign. Three populations run it side by side, auction by auction:
-// native RoiStrategy bidders; ProgramStrategy bidders, which classify the
-// program and run its native bid step; and interpreted twins, which run the
-// same plan through Interpreter::Fire on their own tables.
+// native RoiStrategy bidders and ProgramStrategy bidders, which the engine's
+// RHTALU planner plans (ProgramStrategy bidders through the native step's
+// RoiBidder view); and interpreted twins, which run the same plan through
+// Interpreter::Fire on their own tables, on the brute-force path. After
+// every auction the planned programs' tables, written back by a checkpoint
+// capture, must equal the twins' cell for cell: the checkpoint bytes of a
+// planned engine are those of an engine that runs every program.
 TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
-  WorkloadConfig wc;
-  wc.num_advertisers = 25;
-  wc.num_slots = 4;
-  wc.num_keywords = 3;
-  wc.seed = 77;
-  ShardedEngineConfig config;
-  config.engine.seed = 78;
+  for (const double purchase : {0.0, 0.3}) {
+    SCOPED_TRACE("purchase_given_click " + std::to_string(purchase));
+    WorkloadConfig wc;
+    wc.num_advertisers = 25;
+    wc.num_slots = 4;
+    wc.num_keywords = 3;
+    wc.seed = 77;
+    wc.purchase_given_click = purchase;
+    ShardedEngineConfig config;
+    config.engine.seed = 78;
 
-  Workload w_native = MakePaperWorkload(wc);
-  Workload w_program = MakePaperWorkload(wc);
-  Workload w_twin = MakePaperWorkload(wc);
+    Workload w_native = FormulaMixWorkload(wc);
+    Workload w_program = FormulaMixWorkload(wc);
+    Workload w_twin = FormulaMixWorkload(wc);
 
-  std::vector<std::unique_ptr<BiddingStrategy>> native;
-  std::vector<RoiStrategy*> native_raw;
-  std::vector<std::unique_ptr<BiddingStrategy>> programs;
-  std::vector<ProgramStrategy*> program_raw;
-  std::vector<std::unique_ptr<BiddingStrategy>> twins;
-  std::vector<InterpretedTwin*> twin_raw;
-  for (int i = 0; i < wc.num_advertisers; ++i) {
-    auto n = std::make_unique<RoiStrategy>(w_native.keyword_formulas);
-    native_raw.push_back(n.get());
-    native.push_back(std::move(n));
-    auto p = ProgramStrategy::Create(kEqualizeRoi, Specs(w_program));
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    ASSERT_TRUE((*p)->native_bid_step());
-    auto twin = std::make_unique<InterpretedTwin>(**p);
-    twin_raw.push_back(twin.get());
-    twins.push_back(std::move(twin));
-    program_raw.push_back(p->get());
-    programs.push_back(*std::move(p));
-  }
-
-  ShardedAuctionEngine eager(config, std::move(w_native), std::move(native));
-  ShardedAuctionEngine program(config, std::move(w_program),
-                               std::move(programs));
-  ShardedAuctionEngine interp(config, std::move(w_twin), std::move(twins));
-
-  for (int t = 0; t < 600; ++t) {
-    const AuctionOutcome on = eager.RunAuction();
-    const AuctionOutcome op = program.RunAuction();
-    const AuctionOutcome& oi = interp.RunAuction();
-    ASSERT_EQ(on.query.keyword, oi.query.keyword);
-    ASSERT_EQ(op.query.keyword, oi.query.keyword);
-    ASSERT_EQ(on.wd.allocation.slot_to_advertiser,
-              oi.wd.allocation.slot_to_advertiser)
-        << "winner divergence at auction " << t;
-    ASSERT_EQ(op.wd.allocation.slot_to_advertiser,
-              oi.wd.allocation.slot_to_advertiser)
-        << "winner divergence at auction " << t;
-    ASSERT_DOUBLE_EQ(on.revenue_charged, oi.revenue_charged)
-        << "revenue divergence at auction " << t;
-    ASSERT_EQ(op.revenue_charged, oi.revenue_charged)
-        << "revenue divergence at auction " << t;
-    // The engine's RHTALU planner plans the native bidders and holds
-    // the current bids in its lists; a checkpoint capture writes them back
-    // into the strategies.
-    EngineCheckpoint synced;
-    eager.CaptureCheckpoint(&synced);
+    std::vector<std::unique_ptr<BiddingStrategy>> native;
+    std::vector<RoiStrategy*> native_raw;
+    std::vector<std::unique_ptr<BiddingStrategy>> programs;
+    std::vector<ProgramStrategy*> program_raw;
+    std::vector<std::unique_ptr<BiddingStrategy>> twins;
+    std::vector<InterpretedTwin*> twin_raw;
     for (int i = 0; i < wc.num_advertisers; ++i) {
-      for (int kw = 0; kw < wc.num_keywords; ++kw) {
-        ASSERT_DOUBLE_EQ(native_raw[i]->tentative_bids()[kw],
-                         program_raw[i]->TentativeBid(kw))
-            << "auction " << t << " advertiser " << i << " keyword " << kw;
+      auto n = std::make_unique<RoiStrategy>(w_native.keyword_formulas);
+      native_raw.push_back(n.get());
+      native.push_back(std::move(n));
+      auto p = ProgramStrategy::Create(kEqualizeRoi, Specs(w_program));
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      ASSERT_TRUE((*p)->native_bid_step());
+      auto twin = std::make_unique<InterpretedTwin>(**p);
+      twin_raw.push_back(twin.get());
+      twins.push_back(std::move(twin));
+      program_raw.push_back(p->get());
+      programs.push_back(*std::move(p));
+    }
+
+    ShardedAuctionEngine eager(config, std::move(w_native), std::move(native));
+    ShardedAuctionEngine program(config, std::move(w_program),
+                                 std::move(programs));
+    ShardedAuctionEngine interp(config, std::move(w_twin), std::move(twins));
+    ASSERT_TRUE(eager.has_roi_planner());
+    ASSERT_TRUE(program.has_roi_planner());
+    ASSERT_FALSE(interp.has_roi_planner());
+
+    for (int t = 0; t < 600; ++t) {
+      const AuctionOutcome on = eager.RunAuction();
+      const AuctionOutcome op = program.RunAuction();
+      const AuctionOutcome& oi = interp.RunAuction();
+      ASSERT_EQ(on.query.keyword, oi.query.keyword);
+      ASSERT_EQ(op.query.keyword, oi.query.keyword);
+      ASSERT_EQ(on.wd.allocation.slot_to_advertiser,
+                oi.wd.allocation.slot_to_advertiser)
+          << "winner divergence at auction " << t;
+      ASSERT_EQ(op.wd.allocation.slot_to_advertiser,
+                oi.wd.allocation.slot_to_advertiser)
+          << "winner divergence at auction " << t;
+      ASSERT_DOUBLE_EQ(on.revenue_charged, oi.revenue_charged)
+          << "revenue divergence at auction " << t;
+      ASSERT_EQ(op.revenue_charged, oi.revenue_charged)
+          << "revenue divergence at auction " << t;
+      // The engine's RHTALU planner holds the current bids in its lists; a
+      // checkpoint capture writes them back into the strategies.
+      ASSERT_EQ(program.planner_stats().logical_plans, t + 1);
+      EngineCheckpoint synced;
+      eager.CaptureCheckpoint(&synced);
+      EngineCheckpoint program_synced;
+      program.CaptureCheckpoint(&program_synced);
+      for (int i = 0; i < wc.num_advertisers; ++i) {
+        for (int kw = 0; kw < wc.num_keywords; ++kw) {
+          ASSERT_DOUBLE_EQ(native_raw[i]->tentative_bids()[kw],
+                           program_raw[i]->TentativeBid(kw))
+              << "auction " << t << " advertiser " << i << " keyword " << kw;
+        }
+        ASSERT_EQ(TableDifference(program_raw[i]->tables(),
+                                  twin_raw[i]->tables()),
+                  "")
+            << "auction " << t << " advertiser " << i;
+        ASSERT_TRUE(twin_raw[i]->status().ok());
       }
-      ASSERT_EQ(TableDifference(program_raw[i]->tables(),
-                                twin_raw[i]->tables()),
-                "")
-          << "auction " << t << " advertiser " << i;
-      ASSERT_TRUE(twin_raw[i]->status().ok());
+    }
+  }
+}
+
+/// Classified programs and native bidders mixed, with three interpreted
+/// (unclassified) programs at the end of the population, whose shard runs
+/// brute force, against a population of interpreted twins only, for every
+/// shard count with and without a pool. Outcomes, accounts and every
+/// program's tables must match bitwise.
+TEST(LangEquivalenceTest, MixedPopulationMatchesInterpretedTwins) {
+  ThreadPool pool(3);
+  for (const uint64_t seed : {1u, 2u, 3u, 1009u}) {
+    for (const double purchase : {0.0, 0.3}) {
+      for (const int num_shards : {1, 2, 4, 7}) {
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + ", purchase " +
+                       std::to_string(purchase) + ", K " +
+                       std::to_string(num_shards) + (p ? " pooled" : ""));
+          WorkloadConfig wc;
+          wc.num_advertisers = 28;
+          wc.num_slots = 4;
+          wc.num_keywords = 4;
+          wc.seed = seed;
+          wc.purchase_given_click = purchase;
+          Workload w_mixed = FormulaMixWorkload(wc);
+          Workload w_twin = FormulaMixWorkload(wc);
+          std::vector<std::unique_ptr<BiddingStrategy>> mixed, twins;
+          std::vector<const ProgramStrategy*> program_raw(wc.num_advertisers);
+          std::vector<InterpretedTwin*> twin_raw;
+          for (int i = 0; i < wc.num_advertisers; ++i) {
+            auto program =
+                ProgramStrategy::Create(kEqualizeRoi, Specs(w_mixed));
+            ASSERT_TRUE(program.ok());
+            auto twin = std::make_unique<InterpretedTwin>(**program);
+            twin_raw.push_back(twin.get());
+            twins.push_back(std::move(twin));
+            if (i >= wc.num_advertisers - 3) {
+              mixed.push_back(std::make_unique<InterpretedTwin>(**program));
+            } else if (i % 2 == 0) {
+              mixed.push_back(
+                  std::make_unique<RoiStrategy>(w_mixed.keyword_formulas));
+            } else {
+              program_raw[i] = program->get();
+              mixed.push_back(*std::move(program));
+            }
+          }
+          ShardedEngineConfig config;
+          config.engine.seed = seed * 7 + 1;
+          config.num_shards = num_shards;
+          config.pool = p;
+          ShardedAuctionEngine engine(config, std::move(w_mixed),
+                                      std::move(mixed));
+          config.num_shards = 1;
+          config.pool = nullptr;
+          ShardedAuctionEngine interp(config, std::move(w_twin),
+                                      std::move(twins));
+          ASSERT_EQ(engine.has_roi_planner(), num_shards > 1);
+          for (int t = 0; t < 150; ++t) {
+            const AuctionOutcome& want = interp.RunAuction();
+            const AuctionOutcome& got = engine.RunAuction();
+            ASSERT_EQ(want.wd.allocation.slot_to_advertiser,
+                      got.wd.allocation.slot_to_advertiser)
+                << "auction " << t;
+            ASSERT_EQ(want.prices, got.prices) << "auction " << t;
+            ASSERT_EQ(want.revenue_charged, got.revenue_charged);
+            if (t % 25 != 24) continue;
+            EngineCheckpoint ckpt;
+            engine.CaptureCheckpoint(&ckpt);
+            for (int i = 0; i < wc.num_advertisers; ++i) {
+              ASSERT_EQ(engine.accounts()[i].amount_spent,
+                        interp.accounts()[i].amount_spent);
+              if (program_raw[i] == nullptr) continue;
+              ASSERT_EQ(TableDifference(program_raw[i]->tables(),
+                                        twin_raw[i]->tables()),
+                        "")
+                  << "auction " << t << " advertiser " << i;
+            }
+          }
+          if (num_shards > 1) {
+            EXPECT_EQ(engine.planner_stats().logical_plans, 150);
+          }
+        }
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
-// Tests for the observability subsystem: metrics registry + exporters,
-// the sampling tracer ring, and the background reporter. The concurrency
-// tests at the bottom are TSan targets: producer threads hammer the trace
-// ring and registry instruments while a reporter races Stop().
+// Tests for the observability subsystem: metrics registry + exporters and
+// the sampling tracer ring. The concurrency tests at the bottom are TSan
+// targets: producer threads hammer the trace ring and registry instruments
+// while a reader drains or snapshots them.
 
 #include <atomic>
 #include <chrono>
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -299,42 +298,6 @@ TEST(ObsTest, StageNamesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Reporter
-
-TEST(ObsTest, ReporterWritesFileAndTerminalSnapshot) {
-  MetricsRegistry reg;
-  reg.GetCounter("ticks_total")->Increment(11);
-
-  const std::string path =
-      ::testing::TempDir() + "/obs_reporter_test.prom";
-  std::atomic<uint64_t> callbacks{0};
-  MetricsReporter::Options opts;
-  opts.interval = std::chrono::milliseconds(5);
-  opts.output_path = path;
-  opts.format = MetricsReporter::Format::kPrometheus;
-  opts.on_snapshot = [&callbacks](const MetricsSnapshot& snap) {
-    callbacks.fetch_add(1);
-    EXPECT_FALSE(snap.samples.empty());
-  };
-  MetricsReporter reporter(&reg, opts);
-  reporter.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  reporter.Stop();
-  reporter.Stop();  // idempotent
-
-  EXPECT_GE(reporter.reports_written(), 1u);  // at least the terminal one
-  EXPECT_EQ(callbacks.load(), reporter.reports_written());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  EXPECT_NE(std::string(buf).find("ticks_total 11"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency (TSan targets)
 
 TEST(ObsTest, ConcurrentTraceWritersAndDrain) {
@@ -373,9 +336,9 @@ TEST(ObsTest, ConcurrentTraceWritersAndDrain) {
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(ObsTest, ConcurrentRegistryUpdatesRacingReporterStop) {
-  // The satellite (c) hammer: producer threads update instruments and trace
-  // spans while the background reporter snapshots, and Stop() lands mid-storm.
+TEST(ObsTest, ConcurrentRegistryUpdatesRacingSnapshots) {
+  // Producer threads update instruments and trace spans while a reader
+  // thread snapshots the registry (collector included) in a loop.
   MetricsRegistry reg;
   Counter* ops = reg.GetCounter("ops_total");
   Gauge* depth = reg.GetGauge("depth");
@@ -392,14 +355,14 @@ TEST(ObsTest, ConcurrentRegistryUpdatesRacingReporterStop) {
     out->samples.push_back(std::move(s));
   });
 
-  MetricsReporter::Options opts;
-  opts.interval = std::chrono::milliseconds(1);
+  std::atomic<bool> stop{false};
   std::atomic<uint64_t> snapshots{0};
-  opts.on_snapshot = [&snapshots](const MetricsSnapshot&) {
-    snapshots.fetch_add(1);
-  };
-  MetricsReporter reporter(&reg, opts);
-  reporter.Start();
+  std::thread reader([&] {
+    do {
+      EXPECT_FALSE(reg.Snapshot().samples.empty());
+      snapshots.fetch_add(1);
+    } while (!stop.load(std::memory_order_relaxed));
+  });
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25000;
@@ -414,14 +377,12 @@ TEST(ObsTest, ConcurrentRegistryUpdatesRacingReporterStop) {
         lat->Record(v);
         tracer.RecordSpan(static_cast<uint64_t>(w) * kPerThread + i,
                           TraceStage::kSettle, w, v + 1, v + 2);
-        if (i == kPerThread / 2 && w == 0) {
-          reporter.Stop();  // lands while every other thread is mid-write
-        }
       }
     });
   }
   for (auto& th : producers) th.join();
-  reporter.Stop();
+  stop = true;
+  reader.join();
 
   EXPECT_EQ(ops->value(), static_cast<int64_t>(kThreads) * kPerThread);
   EXPECT_EQ(lat->count(), static_cast<uint64_t>(kThreads) * kPerThread);

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/bids_table.h"
+#include "db/table.h"
+#include "durability/wire.h"
 #include "strategy/program_strategy.h"
 
 namespace ssa {
@@ -116,6 +118,39 @@ inline std::vector<std::pair<std::string, uint64_t>> BidRows(
     rows.emplace_back(row.formula.ToString(), bits);
   }
   return rows;
+}
+
+/// `db`'s tables in ProgramStrategy's checkpoint blob format.
+inline std::string EncodeTables(const Database& db) {
+  std::string out;
+  WireWriter w(&out);
+  for (int t = 0; t < db.num_tables(); ++t) {
+    const Table& table = *db.table(t);
+    w.PutU32(static_cast<uint32_t>(table.num_rows()));
+    for (int row = 0; row < table.num_rows(); ++row) {
+      for (int col = 0; col < table.num_columns(); ++col) {
+        const Value& v = table.At(row, col);
+        w.PutU8(static_cast<uint8_t>(v.type()));
+        if (v.is_number()) w.PutDouble(v.number());
+        if (v.is_string()) w.PutString(v.str());
+      }
+    }
+  }
+  return out;
+}
+
+/// The strategy's state with each listed keyword's bid replaced by `bid`.
+inline std::string StateWithBids(const ProgramStrategy& strategy,
+                                 const std::vector<int>& keywords,
+                                 const Value& bid) {
+  const Database& tables = strategy.tables();
+  Database copy;
+  for (int t = 0; t < tables.num_tables(); ++t) {
+    *copy.AddTable(tables.table(t)->name(), tables.table(t)->column_names()) =
+        *tables.table(t);
+  }
+  for (int kw : keywords) copy.table(0)->Set(kw, "bid", bid);
+  return EncodeTables(copy);
 }
 
 }  // namespace program_state_fixture

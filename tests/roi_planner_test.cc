@@ -2,16 +2,19 @@
 // roi_planner.h: logical updates, triggers, Threshold Algorithm), which
 // plans every qualifying shard, must reproduce the serial reference engine
 // (tests/reference_engine.h) exactly, auction by auction: allocation,
-// prices, user events, revenue, accounts and every tentative bid. Covered:
-// shard counts with and without a pool (and the same planner work totals
-// for each), GSP and pay-your-bid, several seeds, a tie-heavy population, a
-// bid ramp that outgrows the initial ctr prefixes, checkpoints restored into
-// another shard count, log recovery, follower replay, what-if reads, the
-// batched-lane entry points, mixed layouts, and each fallback to the
-// brute-force path.
+// prices, user events, revenue, accounts and every strategy's checkpoint
+// bytes. Covered: shard counts with and without a pool (and the same planner
+// work totals for each), GSP and pay-your-bid, several seeds, a tie-heavy
+// population, a bid ramp that outgrows the initial ctr prefixes, Figure 5
+// programs mixed with native bidders and interpreted programs on the
+// Click / Click ∧ Slot(0) / Purchase formulas with and without purchases,
+// checkpoints restored into another shard count, log recovery, follower
+// replay, what-if reads, the batched-lane entry points, mixed layouts, and
+// each fallback to the brute-force path.
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,8 +27,11 @@
 #include "durability/recovery.h"
 #include "durability/settlement_log.h"
 #include "forwarding_strategy.h"
+#include "interpreted_twin.h"
+#include "program_state_fixture.h"
 #include "reference_engine.h"
 #include "replication/follower.h"
+#include "strategy/program_strategy.h"
 #include "strategy/roi_strategy.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -35,18 +41,83 @@ namespace {
 
 using std::chrono::milliseconds;
 
-/// ROI bidders plus typed views of them. Bidders marked in `wrapped` sit
+// Figure 5 Equalize-ROI, as in examples/expressive_program.cc.
+constexpr const char kEqualizeRoi[] = R"sql(
+CREATE TRIGGER bid AFTER INSERT ON Query
+{
+  IF amtSpent < targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid + 1
+    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid < maxbid;
+  ELSEIF amtSpent > targetSpendRate * time THEN
+    UPDATE Keywords SET bid = bid - 1
+    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
+      AND relevance > 0 AND bid > 0;
+  ENDIF;
+  UPDATE Bids SET value =
+    ( SELECT SUM( K.bid ) FROM Keywords K
+      WHERE K.relevance > 0.7 AND K.formula = Bids.formula );
+}
+)sql";
+
+/// Who bids.
+enum class Population {
+  /// Native RoiStrategy bidders.
+  kRoi,
+  /// RoiStrategy bidders and classified Figure 5 ProgramStrategy bidders,
+  /// alternating, on expressive-programs' formula mix (Click,
+  /// Click ∧ Slot(0) or Purchase by keyword mod 3).
+  kPrograms,
+  /// kPrograms with the last three bidders interpreted Figure 5 programs
+  /// (tests/interpreted_twin.h), which the planner does not cover.
+  kProgramsAndInterpreted,
+};
+
+std::vector<ProgramStrategy::KeywordSpec> Specs(const Workload& w) {
+  std::vector<ProgramStrategy::KeywordSpec> specs;
+  for (size_t kw = 0; kw < w.keyword_formulas.size(); ++kw) {
+    specs.push_back({"kw" + std::to_string(kw), w.keyword_formulas[kw]});
+  }
+  return specs;
+}
+
+std::unique_ptr<ProgramStrategy> Figure5Program(const Workload& w,
+                                                const char* source =
+                                                    kEqualizeRoi) {
+  auto program = ProgramStrategy::Create(source, Specs(w));
+  SSA_CHECK(program.ok());
+  return *std::move(program);
+}
+
+/// The bidders plus untyped views of them. Bidders marked in `wrapped` sit
 /// behind a ForwardingStrategy, which keeps their shard on brute force.
 struct Bidders {
   std::vector<std::unique_ptr<BiddingStrategy>> strategies;
-  std::vector<const RoiStrategy*> roi;
+  std::vector<BiddingStrategy*> all;
 };
 
-Bidders MakeBidders(const Workload& w, const std::vector<char>& wrapped = {}) {
+/// A test's own bidder for advertiser i, or null for the population's.
+using Replace =
+    std::function<std::unique_ptr<BiddingStrategy>(const Workload&, int)>;
+
+Bidders MakeBidders(const Workload& w, const std::vector<char>& wrapped = {},
+                    Population population = Population::kRoi,
+                    const Replace& replace = nullptr) {
   Bidders b;
-  for (int i = 0; i < w.config.num_advertisers; ++i) {
-    auto s = std::make_unique<RoiStrategy>(w.keyword_formulas);
-    b.roi.push_back(s.get());
+  const int n = w.config.num_advertisers;
+  for (int i = 0; i < n; ++i) {
+    std::unique_ptr<BiddingStrategy> s;
+    if (replace != nullptr) s = replace(w, i);
+    if (s != nullptr) {
+    } else if (population == Population::kRoi || i % 2 == 0) {
+      s = std::make_unique<RoiStrategy>(w.keyword_formulas);
+    } else {
+      s = Figure5Program(w);
+    }
+    if (population == Population::kProgramsAndInterpreted && i >= n - 3) {
+      s = std::make_unique<InterpretedTwin>(*Figure5Program(w));
+    }
+    b.all.push_back(s.get());
     if (!wrapped.empty() && wrapped[static_cast<size_t>(i)]) {
       b.strategies.push_back(
           std::make_unique<ForwardingStrategy>(std::move(s)));
@@ -73,10 +144,19 @@ enum class Shape {
   kDeadTopCtr,
 };
 
-Workload MakeWorkload(const WorkloadConfig& wc, Shape shape = Shape::kPaper) {
+Workload MakeWorkload(const WorkloadConfig& wc, Shape shape = Shape::kPaper,
+                      Population population = Population::kRoi) {
   Workload w = MakePaperWorkload(wc);
   const int n = wc.num_advertisers;
   const int k = wc.num_slots;
+  if (population != Population::kRoi) {
+    const Formula top_click = Formula::Click() && Formula::Slot(0);
+    for (int kw = 0; kw < wc.num_keywords; ++kw) {
+      w.keyword_formulas[kw] = kw % 3 == 0   ? Formula::Click()
+                               : kw % 3 == 1 ? top_click
+                                             : Formula::Purchase();
+    }
+  }
   if (shape == Shape::kTiedCtr) {
     std::vector<double> click(static_cast<size_t>(n) * k);
     for (int i = 0; i < n; ++i) {
@@ -152,9 +232,10 @@ void ExpectSameAccounts(const std::vector<AdvertiserAccount>& want,
   }
 }
 
-/// Accounts, revenue and every tentative bid. Capturing a checkpoint makes
-/// the planner write its bids back, so the engine's strategies are
-/// compared as they stand logically.
+/// Accounts, revenue and every strategy's checkpoint bytes: tentative bids,
+/// and every cell of a program's tables. Capturing a checkpoint makes the
+/// planner write its bids back, so the engine's strategies are compared as
+/// they stand logically.
 void ExpectSameState(const ReferenceEngine& ref, const Bidders& ref_bidders,
                      const ShardedAuctionEngine& engine,
                      const Bidders& bidders) {
@@ -162,10 +243,12 @@ void ExpectSameState(const ReferenceEngine& ref, const Bidders& ref_bidders,
   engine.CaptureCheckpoint(&ckpt);
   ASSERT_EQ(ref.total_revenue(), engine.total_revenue());
   ASSERT_NO_FATAL_FAILURE(ExpectSameAccounts(ref.accounts(), engine.accounts()));
-  for (size_t i = 0; i < bidders.roi.size(); ++i) {
-    ASSERT_EQ(ref_bidders.roi[i]->tentative_bids(),
-              bidders.roi[i]->tentative_bids())
-        << "tentative bids of advertiser " << i << " after auction "
+  ASSERT_EQ(ckpt.strategy_state.size(), ref_bidders.all.size());
+  for (size_t i = 0; i < ref_bidders.all.size(); ++i) {
+    std::string want;
+    ref_bidders.all[i]->SaveState(&want);
+    ASSERT_EQ(want, ckpt.strategy_state[i])
+        << "state of advertiser " << i << " after auction "
         << engine.auctions_run();
   }
 }
@@ -174,11 +257,13 @@ void ExpectSameState(const ReferenceEngine& ref, const Bidders& ref_bidders,
 struct Lockstep {
   Lockstep(const WorkloadConfig& wc, Shape shape, const EngineConfig& ec,
            int num_shards, ThreadPool* pool,
-           const std::vector<char>& wrapped = {}) {
-    Workload w_ref = MakeWorkload(wc, shape);
-    Workload w_engine = MakeWorkload(wc, shape);
-    ref_bidders = MakeBidders(w_ref);
-    bidders = MakeBidders(w_engine, wrapped);
+           const std::vector<char>& wrapped = {},
+           Population population = Population::kRoi,
+           const Replace& replace = nullptr) {
+    Workload w_ref = MakeWorkload(wc, shape, population);
+    Workload w_engine = MakeWorkload(wc, shape, population);
+    ref_bidders = MakeBidders(w_ref, {}, population, replace);
+    bidders = MakeBidders(w_engine, wrapped, population, replace);
     ref = std::make_unique<ReferenceEngine>(
         ec, std::move(w_ref), std::move(ref_bidders.strategies));
     ShardedEngineConfig config;
@@ -219,16 +304,22 @@ struct GateParam {
 class RoiPlannerGateTest : public ::testing::TestWithParam<GateParam> {
  protected:
   void RunGate(const WorkloadConfig& wc, Shape shape, uint64_t seed,
-               int auctions) {
+               int auctions, Population population = Population::kRoi) {
     const GateParam p = GetParam();
     std::unique_ptr<ThreadPool> pool;
     if (p.pool) pool = std::make_unique<ThreadPool>(3);
     EngineConfig ec;
     ec.pricing = p.pricing;
     ec.seed = seed * 31 + 7;
-    Lockstep run(wc, shape, ec, p.num_shards, pool.get());
-    ASSERT_TRUE(run.engine->has_roi_planner());
+    Lockstep run(wc, shape, ec, p.num_shards, pool.get(), {}, population);
+    // Interpreted programs keep the last shard on brute force, which at
+    // K = 1 is the whole population.
+    const bool planned = population != Population::kProgramsAndInterpreted ||
+                         run.engine->num_shards() > 1;
+    ASSERT_EQ(run.engine->has_roi_planner(), planned);
     ASSERT_NO_FATAL_FAILURE(run.Run(auctions, /*state_every=*/10));
+    EXPECT_GT(run.ref->total_revenue(), 0.0);
+    if (!planned) return;
     // The one planner planned every auction logically.
     const RoiPlannerStats stats = run.engine->planner_stats();
     EXPECT_EQ(stats.logical_plans, auctions);
@@ -237,7 +328,6 @@ class RoiPlannerGateTest : public ::testing::TestWithParam<GateParam> {
     if (shape == Shape::kLowTargets) {
       EXPECT_GT(stats.triggers_fired, 0);
     }
-    EXPECT_GT(run.ref->total_revenue(), 0.0);
   }
 };
 
@@ -250,6 +340,28 @@ TEST_P(RoiPlannerGateTest, MatchesReferenceAcrossSeeds) {
         RunGate(PaperConfig(120, seed + 100), Shape::kPaper, seed, 200));
     ASSERT_NO_FATAL_FAILURE(
         RunGate(PaperConfig(120, seed + 200), Shape::kLowTargets, seed, 200));
+  }
+}
+
+TEST_P(RoiPlannerGateTest, MatchesReferenceOnFigure5Programs) {
+  // Classified Figure 5 programs planned beside native bidders, on Click,
+  // Click ∧ Slot(0) and Purchase, without and with purchases: a Click
+  // score is then a sum of two products, and the Threshold Algorithm's
+  // bound must stay safe under rounding. With interpreted programs in the
+  // last shard, the coordinator mixes planned and brute-force rows.
+  for (const uint64_t seed : {1u, 2u, 3u, 1009u}) {
+    for (const double purchase : {0.0, 0.3}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", purchase " +
+                   std::to_string(purchase));
+      WorkloadConfig wc = SmallConfig(seed);
+      wc.num_advertisers = 48;
+      wc.num_keywords = 6;
+      wc.purchase_given_click = purchase;
+      ASSERT_NO_FATAL_FAILURE(RunGate(wc, Shape::kPaper, seed, 250,
+                                      Population::kPrograms));
+      ASSERT_NO_FATAL_FAILURE(RunGate(wc, Shape::kLowTargets, seed, 150,
+                                      Population::kProgramsAndInterpreted));
+    }
   }
 }
 
@@ -594,6 +706,218 @@ TEST(RoiPlannerTest, NonRoiStrategyKeepsItsShardOnBruteForce) {
         EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0) << "shard " << s;
       }
     }
+  }
+}
+
+/// Figure 5 programs and native bidders, K = 4, with purchases: the config
+/// of the fallback tests below.
+WorkloadConfig FallbackConfig(uint64_t seed) {
+  WorkloadConfig wc = SmallConfig(seed);
+  wc.num_advertisers = 48;
+  wc.num_keywords = 6;
+  wc.purchase_given_click = 0.3;
+  return wc;
+}
+
+/// Which shards looked their bidders up in the compiled-bids cache.
+std::vector<bool> BruteShards(const ShardedAuctionEngine& engine) {
+  std::vector<bool> brute;
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    const auto stats = engine.shard_stats(s);
+    brute.push_back(stats.cache_hits + stats.cache_misses > 0);
+  }
+  return brute;
+}
+
+TEST(RoiPlannerTest, UnclassifiedProgramKeepsItsShardOnBruteForce) {
+  // Interpreted Figure 5 programs (the same plan, never classified) offer
+  // no RoiBidder view: the last shard, which holds them, runs brute force
+  // beside the planned ones.
+  EngineConfig ec;
+  ec.seed = 103;
+  Lockstep run(FallbackConfig(107), Shape::kPaper, ec, /*num_shards=*/4,
+               nullptr, {}, Population::kProgramsAndInterpreted);
+  ASSERT_NO_FATAL_FAILURE(run.Run(200, 20));
+  EXPECT_EQ(run.engine->planner_stats().logical_plans, 200);
+  EXPECT_EQ(BruteShards(*run.engine),
+            (std::vector<bool>{false, false, false, true}));
+}
+
+TEST(RoiPlannerTest, ProgramWithAClickTriggerKeepsItsShardOnBruteForce) {
+  // Figure 5 plus an AFTER INSERT ON Click trigger that lowers the clicked
+  // keyword's bid: the Query trigger classifies (the bid step runs
+  // natively), but clicks move the state outside the bid step, so the
+  // program offers no RoiBidder view and its shard runs brute force.
+  const std::string source = std::string(kEqualizeRoi) + R"sql(
+CREATE TRIGGER clicked AFTER INSERT ON Click
+{
+  UPDATE Keywords SET bid = bid - 1 WHERE relevance > 0.7 AND bid > 0;
+}
+)sql";
+  auto with_trigger = [&](const Workload& w, int i) {
+    std::unique_ptr<BiddingStrategy> s;
+    if (i == 30) {
+      auto program = Figure5Program(w, source.c_str());
+      EXPECT_TRUE(program->native_bid_step());
+      EXPECT_EQ(program->roi_bidder(), nullptr);
+      s = std::move(program);
+    }
+    return s;
+  };
+  EngineConfig ec;
+  ec.seed = 109;
+  Lockstep run(FallbackConfig(113), Shape::kPaper, ec, /*num_shards=*/4,
+               nullptr, {}, Population::kPrograms, with_trigger);
+  ASSERT_NO_FATAL_FAILURE(run.Run(250, 25));
+  EXPECT_EQ(run.engine->planner_stats().logical_plans, 250);
+  EXPECT_EQ(BruteShards(*run.engine),
+            (std::vector<bool>{false, false, true, false}));
+}
+
+TEST(RoiPlannerTest, NullBidCellFallsBackUntilItIsANumberAgain) {
+  // A restore that leaves a NULL in a planned program's bid cell sends its
+  // native step back to the interpreter; the planner cannot bucket the
+  // cell and every auction plans by brute force while it stays NULL (the
+  // program never writes it back). Restoring a number resumes planning.
+  EngineConfig ec;
+  ec.seed = 127;
+  Lockstep run(FallbackConfig(131), Shape::kPaper, ec, /*num_shards=*/2,
+               nullptr, {}, Population::kPrograms);
+  ASSERT_NO_FATAL_FAILURE(run.Run(100, 25));
+  const int program = 7;
+  for (const Value& bid : {Value::Null(), Value::Number(3)}) {
+    const auto& strategy =
+        *static_cast<const ProgramStrategy*>(run.ref_bidders.all[program]);
+    const std::string blob = program_state_fixture::StateWithBids(
+        strategy, {0, 2, 3}, bid);
+    ASSERT_TRUE(run.ref_bidders.all[program]->RestoreState(blob).ok());
+    EngineCheckpoint ckpt;
+    run.engine->CaptureCheckpoint(&ckpt);
+    ckpt.strategy_state[program] = blob;
+    ASSERT_TRUE(run.engine->RestoreCheckpoint(ckpt).ok());
+    ASSERT_NO_FATAL_FAILURE(run.Run(100, 25));
+  }
+  EXPECT_EQ(run.engine->planner_stats().logical_plans, 200);
+}
+
+TEST(RoiPlannerTest, RestoredFormulaChangeFallsBack) {
+  // A restore that moves a planned program's Click keywords (and their Bids
+  // row) to Click & Slot3 leaves the planner's formula for those keywords
+  // stale: every rebuild refuses it, so each auction plans by brute force
+  // while it lasts.
+  EngineConfig ec;
+  ec.seed = 149;
+  Lockstep run(FallbackConfig(151), Shape::kPaper, ec, /*num_shards=*/2,
+               nullptr, {}, Population::kPrograms);
+  ASSERT_NO_FATAL_FAILURE(run.Run(60, 20));
+  const int program = 9;
+  const auto& strategy =
+      *static_cast<const ProgramStrategy*>(run.ref_bidders.all[program]);
+  Database tables;
+  for (int t = 0; t < strategy.tables().num_tables(); ++t) {
+    const Table& from = *strategy.tables().table(t);
+    *tables.AddTable(from.name(), from.column_names()) = from;
+  }
+  const Value moved = Value::String("(Click & Slot3)");
+  for (int kw : {0, 3}) tables.table(0)->Set(kw, "formula", moved);
+  tables.table(1)->Set(0, "formula", moved);
+  const std::string blob = program_state_fixture::EncodeTables(tables);
+  ASSERT_TRUE(run.ref_bidders.all[program]->RestoreState(blob).ok());
+  EngineCheckpoint ckpt;
+  run.engine->CaptureCheckpoint(&ckpt);
+  ckpt.strategy_state[program] = blob;
+  ASSERT_TRUE(run.engine->RestoreCheckpoint(ckpt).ok());
+  ASSERT_NO_FATAL_FAILURE(run.Run(150, 25));
+  EXPECT_EQ(run.engine->planner_stats().logical_plans, 60);
+}
+
+TEST(RoiPlannerTest, RestoredNullFormulaCellWithdrawsTheView) {
+  // Keyword 5 bids True, so it is never planned. A restore that leaves its
+  // formula cell NULL sends the program's native step back to the
+  // interpreter and withdraws its RoiBidder view, though every planned
+  // keyword still maps to its formula: each rebuild must refuse the
+  // program rather than plan (and later write back into) tables the step
+  // does not run on.
+  auto true_last = [](const Workload& w,
+                      int i) -> std::unique_ptr<BiddingStrategy> {
+    Workload copy = w;
+    copy.keyword_formulas[5] = Formula::True();
+    if (i % 2 == 0) {
+      return std::make_unique<RoiStrategy>(copy.keyword_formulas);
+    }
+    return Figure5Program(copy);
+  };
+  EngineConfig ec;
+  ec.seed = 157;
+  Lockstep run(FallbackConfig(163), Shape::kPaper, ec, /*num_shards=*/2,
+               nullptr, {}, Population::kPrograms, true_last);
+  ASSERT_NO_FATAL_FAILURE(run.Run(60, 20));
+  const int64_t planned = run.engine->planner_stats().logical_plans;
+  EXPECT_GT(planned, 0);
+  const int program = 11;
+  const auto& strategy =
+      *static_cast<const ProgramStrategy*>(run.ref_bidders.all[program]);
+  Database tables;
+  for (int t = 0; t < strategy.tables().num_tables(); ++t) {
+    const Table& from = *strategy.tables().table(t);
+    *tables.AddTable(from.name(), from.column_names()) = from;
+  }
+  tables.table(0)->Set(5, "formula", Value::Null());
+  const std::string blob = program_state_fixture::EncodeTables(tables);
+  ASSERT_TRUE(run.ref_bidders.all[program]->RestoreState(blob).ok());
+  EngineCheckpoint ckpt;
+  run.engine->CaptureCheckpoint(&ckpt);
+  ckpt.strategy_state[program] = blob;
+  ASSERT_TRUE(run.engine->RestoreCheckpoint(ckpt).ok());
+  EXPECT_EQ(
+      static_cast<ProgramStrategy*>(run.bidders.all[program])->roi_bidder(),
+      nullptr);
+  ASSERT_NO_FATAL_FAILURE(run.Run(150, 25));
+  EXPECT_EQ(run.engine->planner_stats().logical_plans, planned);
+}
+
+TEST(RoiPlannerTest, KeywordWithoutOneCommonFormulaFallsBack) {
+  // Queries on a keyword whose formula differs between members, or pays a
+  // bidder without a slot (True), plan by brute force; the other keywords'
+  // queries stay logical.
+  struct Case {
+    const char* name;
+    Replace replace;
+  };
+  const Case cases[] = {
+      {"one member bids Click & Slot(1) on keyword 0",
+       [](const Workload& w, int i) -> std::unique_ptr<BiddingStrategy> {
+         if (i != 21) return nullptr;
+         std::vector<Formula> formulas = w.keyword_formulas;
+         formulas[0] = Formula::Click() && Formula::Slot(1);
+         return std::make_unique<RoiStrategy>(formulas);
+       }},
+      {"every member bids True on keyword 0",
+       [](const Workload& w, int i) -> std::unique_ptr<BiddingStrategy> {
+         Workload copy = w;
+         copy.keyword_formulas[0] = Formula::True();
+         if (i % 2 == 0) {
+           return std::make_unique<RoiStrategy>(copy.keyword_formulas);
+         }
+         return Figure5Program(copy);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EngineConfig ec;
+    ec.seed = 137;
+    Lockstep run(FallbackConfig(139), Shape::kPaper, ec, /*num_shards=*/2,
+                 nullptr, {}, Population::kPrograms, c.replace);
+    int on_keyword_0 = 0;
+    for (int t = 0; t < 300; ++t) {
+      const AuctionOutcome& want = run.ref->RunAuction();
+      on_keyword_0 += want.query.keyword == 0;
+      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, run.engine->RunAuction()));
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders));
+    EXPECT_GT(on_keyword_0, 0);
+    EXPECT_EQ(run.engine->planner_stats().logical_plans, 300 - on_keyword_0);
   }
 }
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/topk_heap.h"
@@ -63,24 +62,6 @@ TEST(RngTest, UniformIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
-}
-
-TEST(StatsTest, MeanVarianceMinMax) {
-  SummaryStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(StatsTest, Percentiles) {
-  SummaryStats s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
 }
 
 TEST(StatusTest, OkAndErrors) {
