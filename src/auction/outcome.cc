@@ -22,10 +22,8 @@ void SettleAuction(
       event.purchased = user_rng->Bernoulli(ppc);
     }
     AdvertiserAccount& account = (*accounts)[i];
-    if (pricing == PricingRule::kVcg) {
-      // Expected lump charge, independent of the realized click.
-      event.charged = prices[j];
-    } else if (event.clicked) {
+    // Per click; VCG's expected lump charge is owed whether or not clicked.
+    if (event.clicked || pricing == PricingRule::kVcg) {
       event.charged = prices[j];
     }
     if (event.clicked) {

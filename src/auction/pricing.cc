@@ -29,12 +29,9 @@ std::vector<Money> PerClickPrices(PricingRule rule,
   SSA_CHECK(rule != PricingRule::kVcg);  // VCG uses VcgExpectedCharges
 
   std::vector<double> own_weight(k, 0.0);
-  std::vector<char> is_winner(n, 0);
   for (SlotIndex j = 0; j < k; ++j) {
     const AdvertiserId a = allocation.slot_to_advertiser[j];
-    if (a < 0) continue;
-    is_winner[a] = 1;
-    own_weight[j] = revenue.MarginalWeight(a, j);
+    if (a >= 0) own_weight[j] = revenue.MarginalWeight(a, j);
   }
 
   // GSP's reference point per slot, floored at +0.0. One unchecked
@@ -44,7 +41,7 @@ std::vector<Money> PerClickPrices(PricingRule rule,
   if (rule == PricingRule::kGeneralizedSecondPrice) {
     const double* unassigned = revenue.UnassignedData();
     for (AdvertiserId other = 0; other < n; ++other) {
-      if (is_winner[other]) continue;
+      if (allocation.advertiser_to_slot[other] != kNoSlot) continue;
       const double* row = revenue.Row(other);
       for (SlotIndex j = 0; j < k; ++j) {
         r_next[j] = std::max(r_next[j], row[j] - unassigned[other]);
@@ -81,30 +78,48 @@ std::vector<Money> PerClickPricesFrom(PricingRule rule,
 
 std::vector<Money> VcgExpectedCharges(const RevenueMatrix& revenue,
                                       const Allocation& allocation) {
-  const int n = revenue.num_advertisers();
   const int k = revenue.num_slots();
-  const std::vector<double> w = MarginalWeights(revenue);
+  const std::vector<AdvertiserId> pool =
+      SelectTopPerSlotCandidates(revenue, k + 1);
+  std::vector<double> rows;
+  for (const AdvertiserId i : pool) {
+    for (SlotIndex j = 0; j < k; ++j) {
+      rows.push_back(revenue.MarginalWeight(i, j));
+    }
+  }
+  std::vector<double> own_weight(k, 0.0);
+  for (SlotIndex j = 0; j < k; ++j) {
+    const AdvertiserId i = allocation.slot_to_advertiser[j];
+    if (i >= 0) own_weight[j] = revenue.MarginalWeight(i, j);
+  }
+  return VcgChargesFrom(rows, pool, allocation, own_weight);
+}
 
-  // Candidate pool large enough that dropping any single winner leaves the
-  // unconstrained optimum reachable: top (k+1) per slot always contains an
-  // optimal matching avoiding any one advertiser.
-  std::vector<AdvertiserId> pool = SelectTopPerSlotCandidates(revenue, k + 1);
-
+std::vector<Money> VcgChargesFrom(const std::vector<double>& pool_rows,
+                                  const std::vector<AdvertiserId>& pool,
+                                  const Allocation& allocation,
+                                  const std::vector<double>& own_weight) {
+  const int k = allocation.num_slots();
+  SSA_CHECK(pool_rows.size() == pool.size() * static_cast<size_t>(k) &&
+            static_cast<int>(own_weight.size()) == k);
   std::vector<Money> charges(k, 0.0);
+  std::vector<double> without;
   for (SlotIndex j = 0; j < k; ++j) {
     const AdvertiserId i = allocation.slot_to_advertiser[j];
     if (i < 0) continue;
-    // Others' optimal welfare with i absent.
-    std::vector<AdvertiserId> without;
-    without.reserve(pool.size());
-    for (AdvertiserId c : pool) {
-      if (c != i) without.push_back(c);
+    // Others' optimal welfare with i absent, solved on the pool's rows
+    // without i's (bitwise the optimum over the same rows of the matrix).
+    without.clear();
+    for (size_t c = 0; c < pool.size(); ++c) {
+      if (pool[c] == i) continue;
+      const double* row = pool_rows.data() + c * k;
+      without.insert(without.end(), row, row + k);
     }
-    const Allocation alt = MaxWeightMatchingSubset(w, n, k, without);
+    const int m = static_cast<int>(without.size() / k);
+    const double alt = MaxWeightMatchingDense(without, m, k).total_weight;
     // Others' welfare under the chosen allocation (excluding i's edge).
-    const double others_now =
-        allocation.total_weight - revenue.MarginalWeight(i, j);
-    charges[j] = std::max(0.0, alt.total_weight - others_now);
+    const double others_now = allocation.total_weight - own_weight[j];
+    charges[j] = std::max(0.0, alt - others_now);
   }
   return charges;
 }

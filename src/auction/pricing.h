@@ -62,9 +62,19 @@ std::vector<Money> PerClickPricesFrom(PricingRule rule,
 
 /// Expected VCG charge per slot: (optimum without winner i) - (optimum's
 /// weight excluding i's own edge). Individually rational (charge <= r_i(j))
-/// and non-negative; verified by tests. O(k) extra matchings.
+/// and non-negative; verified by tests. Gathers the pool of
+/// SelectTopPerSlotCandidates(revenue, k + 1) for VcgChargesFrom.
 std::vector<Money> VcgExpectedCharges(const RevenueMatrix& revenue,
                                       const Allocation& allocation);
+
+/// The VCG kernel: O(k) matchings on the pool, the union (ascending ids) of
+/// every slot's top-(k+1) positive marginal weights, which holds an optimal
+/// matching avoiding any one advertiser; `pool_rows` are their marginal
+/// weights, advertiser-major. `own_weight` is as in PerClickPricesFrom.
+std::vector<Money> VcgChargesFrom(const std::vector<double>& pool_rows,
+                                  const std::vector<AdvertiserId>& pool,
+                                  const Allocation& allocation,
+                                  const std::vector<double>& own_weight);
 
 /// Dispatches to VcgExpectedCharges or PerClickPrices by rule — Step 6 on a
 /// full revenue matrix.

@@ -82,9 +82,9 @@ struct RoiPlannerStats {
 ///
 /// The selected entries go straight into the coordinator's merged
 /// TopKHeapSet under its strict (weight, id) order, and the coordinator
-/// takes the members' candidate rows from Payments, so winner
-/// determination and pricing see exactly the entries the brute shard phase
-/// would have produced: the trajectory is bitwise-identical.
+/// takes the members' rows (RH's candidates, VCG's pool) from Payments, so
+/// winner determination and every pricing rule see exactly the entries the
+/// brute shard phase would have produced: the trajectory is bitwise-identical.
 ///
 /// The strategies stay the only checkpointed state. The planner is in one
 /// of three states: *stale* (the strategies hold the bids; the lists must
@@ -142,7 +142,7 @@ class RoiPlanner {
   /// and the members' positive scores.
   void SelectTop(int kw, TopKHeapSet* topk);
 
-  /// Member i's candidate row on kw after SelectTop: its k slot payments
+  /// Member i's row on kw after SelectTop: its k slot payments
   /// (its payment without a slot is +0.0), each bitwise the compiled
   /// kernel's.
   void Payments(AdvertiserId i, int kw, double* out) const;

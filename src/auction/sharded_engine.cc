@@ -32,12 +32,9 @@ ShardedAuctionEngine::ShardedAuctionEngine(
                                   num_shards);
   }
   capture_ns_.assign(ranges_.size(), 0);
-  // RHTALU plans only reduced-Hungarian auctions priced per click (VCG's
-  // charges re-solve the matching on the full matrix). One planner covers
-  // every shard that qualifies.
-  const EngineConfig& engine = config_.engine;
-  if (engine.wd_method == WdMethod::kReducedHungarian &&
-      engine.pricing != PricingRule::kVcg) {
+  // RHTALU plans only reduced-Hungarian auctions: the dense methods read
+  // the whole matrix. One planner covers every shard that qualifies.
+  if (config_.engine.wd_method == WdMethod::kReducedHungarian) {
     const MatrixClickModel& model = *workload_.click_model;
     const int num_keywords = workload_.config.num_keywords;
     std::vector<AdvertiserId> members;
@@ -114,8 +111,7 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
                                          CompiledBidsCache* cache,
                                          PlanLane::ShardScratch* scratch,
                                          const CapturedBids& bids,
-                                         RevenueMatrix* revenue,
-                                         bool collect_topk) const {
+                                         RevenueMatrix* revenue) const {
   WallTimer phase_timer;
   const int k = workload_.config.num_slots;
   const ClickModel& model = *workload_.click_model;
@@ -123,12 +119,11 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   // Section III-E aggregation, with global advertiser ids so the merge is a
   // plain re-offer. Each row is offered right after it is filled, while it
   // is still in L1.
-  if (collect_topk) scratch->topk.Reset(k, k + 1);
+  scratch->topk.Reset(k, k + 1);
   const double* base = revenue->UnassignedData();
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     const CompiledBids& compiled = cache->Get(i, bids[i], k);
     FillRevenueRow(compiled, model, revenue, i);
-    if (!collect_topk) continue;
     const double* row = revenue->Row(i);
     for (SlotIndex j = 0; j < k; ++j) {
       const double w = row[j] - base[i];
@@ -138,11 +133,6 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   }
   scratch->phase_ns +=
       static_cast<int64_t>(phase_timer.ElapsedSeconds() * 1e9);
-}
-
-bool ShardedAuctionEngine::CollectsTopK() const {
-  return config_.engine.wd_method == WdMethod::kReducedHungarian ||
-         config_.engine.pricing == PricingRule::kGeneralizedSecondPrice;
 }
 
 void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
@@ -164,30 +154,28 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
   WallTimer timer;  // the merge counts toward winner determination
   TopKHeapSet& merged = lane->merged_topk;
   const int num_shards = static_cast<int>(ranges_.size());
-  if (CollectsTopK()) {
-    for (int s = 0; s < num_shards; ++s) {
-      if (!PlansBrute(s, logical)) continue;
-      const PlanLane::ShardScratch& shard = lane->shards[s];
-      for (SlotIndex j = 0; j < k; ++j) {
-        const TopKHeapSet::Entry* entries = shard.topk.entries(j);
-        for (int e = 0; e < shard.topk.size(j); ++e) {
-          merged.Offer(j, entries[e].weight, entries[e].id);
-        }
+  for (int s = 0; s < num_shards; ++s) {
+    if (!PlansBrute(s, logical)) continue;
+    const PlanLane::ShardScratch& shard = lane->shards[s];
+    for (SlotIndex j = 0; j < k; ++j) {
+      const TopKHeapSet::Entry* entries = shard.topk.entries(j);
+      for (int e = 0; e < shard.topk.size(j); ++e) {
+        merged.Offer(j, entries[e].weight, entries[e].id);
       }
     }
   }
-
-  // --- Step 4: winner determination.
+  // Gathers the merged heaps' ids, with or without each heap's root (its
+  // minimum once full), deduplicated and ascending, and their marginal
+  // weights. A planner member's row is its one-formula payments, and
+  // r_i(⊥) = +0.0 — exactly the values the compiled kernel computes.
   std::vector<AdvertiserId> candidates;
   std::vector<double>& rows = lane->candidate_rows;
-  if (reduced) {
-    // Candidates: the union of every slot's top k — the merged top-(k+1)
-    // minus its minimum, the heap root — deduplicated and sorted ascending,
-    // exactly SelectTopPerSlotCandidates(revenue, k).
-    candidates.reserve(static_cast<size_t>(k) * k);
+  auto gather = [&](bool roots) {
+    candidates.clear();
+    candidates.reserve(static_cast<size_t>(k) * (k + 1));
     for (SlotIndex j = 0; j < k; ++j) {
       const TopKHeapSet::Entry* entries = merged.entries(j);
-      const int first = merged.size(j) == k + 1 ? 1 : 0;
+      const int first = !roots && merged.size(j) == k + 1 ? 1 : 0;
       for (int e = first; e < merged.size(j); ++e) {
         candidates.push_back(entries[e].id);
       }
@@ -195,9 +183,6 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    // Candidate rows of marginal weights. A planner member's row is its
-    // one-formula payments, and r_i(⊥) = +0.0 — exactly the values the
-    // compiled kernel computes for its table.
     rows.resize(candidates.size() * static_cast<size_t>(k));
     for (size_t c = 0; c < candidates.size(); ++c) {
       const AdvertiserId i = candidates[c];
@@ -210,16 +195,17 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
         for (SlotIndex j = 0; j < k; ++j) out[j] = row[j] - base;
       }
     }
-    // sum_i r_i(⊥) in id order. The planner's rows contribute +0.0, which
-    // never changes a sum that starts at +0.0, so they are skipped.
-    double unassigned = 0.0;
-    for (int s = 0; s < num_shards; ++s) {
-      if (!PlansBrute(s, logical)) continue;
-      const double* base = revenue->UnassignedData();
-      for (AdvertiserId i = ranges_[s].begin; i < ranges_[s].end; ++i) {
-        unassigned += base[i];
-      }
-    }
+  };
+
+  // --- Step 4: winner determination.
+  if (reduced) {
+    // Candidates: the union of every slot's top k — the merged top-(k+1)
+    // minus its roots — exactly SelectTopPerSlotCandidates(revenue, k).
+    gather(/*roots=*/false);
+    // sum_i r_i(⊥) in id order. The planner's members keep the reset
+    // matrix's +0.0, which never changes a sum that starts at +0.0.
+    const double unassigned =
+        revenue != nullptr ? revenue->UnassignedTotal() : 0.0;
     plan->outcome.wd = SolveCandidateRows(rows, candidates, n, k, unassigned);
   } else {
     plan->outcome.wd = DetermineWinners(*revenue, config_.engine.wd_method);
@@ -229,22 +215,27 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
   // --- Step 6 prep: prices.
   timer.Reset();
   const Allocation& allocation = plan->outcome.wd.allocation;
-  if (pricing == PricingRule::kVcg) {
-    plan->prices = VcgExpectedCharges(*revenue, allocation);
-  } else {
-    std::vector<double> own_weight(k, 0.0);
-    for (SlotIndex j = 0; j < k; ++j) {
-      const AdvertiserId i = allocation.slot_to_advertiser[j];
-      if (i < 0) continue;
-      if (reduced) {
-        const size_t c = static_cast<size_t>(
-            std::lower_bound(candidates.begin(), candidates.end(), i) -
-            candidates.begin());
-        own_weight[j] = rows[c * k + j];
-      } else {
-        own_weight[j] = revenue->MarginalWeight(i, j);
-      }
+  // A dense method's winner may lie outside the candidates under ties, so
+  // its weight comes from the matrix.
+  std::vector<double> own_weight(k, 0.0);
+  for (SlotIndex j = 0; j < k; ++j) {
+    const AdvertiserId i = allocation.slot_to_advertiser[j];
+    if (i < 0) continue;
+    if (reduced) {
+      const size_t c = static_cast<size_t>(
+          std::lower_bound(candidates.begin(), candidates.end(), i) -
+          candidates.begin());
+      own_weight[j] = rows[c * k + j];
+    } else {
+      own_weight[j] = revenue->MarginalWeight(i, j);
     }
+  }
+  if (pricing == PricingRule::kVcg) {
+    // The pool: the merged top-(k+1), roots included — exactly
+    // SelectTopPerSlotCandidates(revenue, k + 1).
+    gather(/*roots=*/true);
+    plan->prices = VcgChargesFrom(rows, candidates, allocation, own_weight);
+  } else {
     // GSP's reference point: the best loser of each slot is in the slot's
     // merged top-(k+1), since at most k advertisers won; positive weights
     // only, floored at +0.0 — the full-population scan's value exactly.
@@ -293,10 +284,8 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   // Pre-sized so parallel shard tasks only ever touch existing, disjoint
   // entries (CompiledBidsCache's concurrency precondition).
   lane->cache.Reserve(strategies_.size());
-  const bool collect = CollectsTopK();
   ForEachShard([&](int s) {
-    RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], bids, &revenue,
-                  collect);
+    RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], bids, &revenue);
   });
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
   lane->merged_topk.Reset(k, k + 1);
@@ -346,13 +335,12 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
     lane->cache.Reserve(strategies_.size());
     capture_scratch_.resize(strategies_.size());
     if (logical == nullptr) SyncStrategies();
-    const bool collect = CollectsTopK();
     ForEachShard([&](int s) {
       if (!PlansBrute(s, logical)) return;
       CaptureShard(s, query, &capture_scratch_, trace_seq);
       const uint64_t t0 = traced ? Tracer::NowNs() : 0;
       RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s],
-                    capture_scratch_, revenue, collect);
+                    capture_scratch_, revenue);
       if (traced) {
         tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, 200 + s, t0,
                             Tracer::NowNs());

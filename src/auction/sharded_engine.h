@@ -67,8 +67,8 @@ struct ShardedEngineConfig {
 ///    5's Equalize-ROI rule (the RoiBidder view: native RoiStrategy, or a
 ///    classified Figure 5 ProgramStrategy). When the query has one relevant
 ///    keyword on which they all bid one formula that pays nothing without a
-///    slot, and the engine runs reduced-Hungarian winner determination with
-///    GSP or pay-your-bid pricing, the planner fires its due triggers,
+///    slot, and the engine runs reduced-Hungarian winner determination
+///    (under any pricing rule), the planner fires its due triggers,
 ///    applies the O(1) logical bid update and selects its members' top
 ///    entries with the Threshold Algorithm, once per slot, straight into
 ///    the coordinator's merge — no capture, compile or matrix fill. Shards
@@ -77,10 +77,10 @@ struct ShardedEngineConfig {
 /// One coordinator serves both: it merges the brute shards' partial
 /// top-(k+1) sets with the planner's entries (the top of a union equals the
 /// top of the per-part tops under the strict (weight, id) order), runs
-/// winner determination on the candidates' rows, takes GSP's reference
-/// price from the merged top-(k+1), and settles the auction
-/// (SettleAuction). It is the library's only auction engine; K = 1 is the
-/// unsharded configuration.
+/// winner determination on the candidates' rows, prices the allocation
+/// from the merged top-(k+1) (GSP's reference price, VCG's pool), and
+/// settles the auction (SettleAuction). It is the library's only auction
+/// engine; K = 1 is the unsharded configuration.
 ///
 /// Determinism contract: with equal seeds and workloads, every auction's
 /// allocation, prices, user events, and account balances are bitwise
@@ -316,16 +316,12 @@ class ShardedAuctionEngine {
 
   /// The share-nothing per-shard unit of the pure planning half: compiled-
   /// bids lookups (disjoint entries of the lane's shared cache),
-  /// revenue-matrix rows, and (when collecting) the local per-slot
-  /// top-(k+1). Reads the captured tables; writes only the lane's shard
-  /// scratch, the shard's cache entries, and its disjoint matrix rows.
+  /// revenue-matrix rows, and the local per-slot top-(k+1). Reads the
+  /// captured tables; writes only the lane's shard scratch, the shard's
+  /// cache entries, and its disjoint matrix rows.
   void RunShardPhase(const ShardRange& range, CompiledBidsCache* cache,
                      PlanLane::ShardScratch* scratch, const CapturedBids& bids,
-                     RevenueMatrix* revenue, bool collect_topk) const;
-
-  /// Whether the shard phase collects per-slot top-(k+1) heaps: the reduced
-  /// method takes its candidates from them and GSP its reference prices.
-  bool CollectsTopK() const;
+                     RevenueMatrix* revenue) const;
 
   /// Whether shard s ran the brute-force phase in an auction that `logical`
   /// planned (null: no logical plan, so every shard did).
@@ -338,8 +334,8 @@ class ShardedAuctionEngine {
   /// `logical`, when not null, already offered its members' entries),
   /// solves winner determination on the candidates' rows (from `revenue`,
   /// or from `logical` on keyword `kw` for its members), and prices the
-  /// allocation. `revenue` may be null only when `logical` covers every
-  /// shard.
+  /// allocation from the merged heaps. `revenue` may be null only when
+  /// `logical` covers every shard.
   void FinishPlan(PlanLane* lane, const RevenueMatrix* revenue,
                   const RoiPlanner* logical, int kw,
                   PlannedAuction* plan) const;
@@ -361,7 +357,7 @@ class ShardedAuctionEngine {
   /// writes disjoint entries.
   std::vector<int64_t> capture_ns_;
   /// The RHTALU planner over every qualifying shard; null when no shard
-  /// qualifies or the engine's method and pricing rule need the matrix.
+  /// qualifies or the engine's method is a dense one.
   std::unique_ptr<RoiPlanner> planner_;
   int64_t planner_ns_ = 0;
   /// The engine's own lane (PlanAuction / RunAuctionOn path); its cache is

@@ -63,20 +63,17 @@ std::vector<AdvertiserId> SelectTopPerSlotCandidates(
     }
   }
 
-  std::vector<char> seen(n, 0);
   std::vector<AdvertiserId> candidates;
   candidates.reserve(static_cast<size_t>(k) * per_slot);
   for (SlotIndex j = 0; j < k; ++j) {
     const TopKHeapSet::Entry* entries = heaps.entries(j);
     for (int e = 0; e < heaps.size(j); ++e) {
-      const AdvertiserId i = entries[e].id;
-      if (!seen[i]) {
-        seen[i] = 1;
-        candidates.push_back(i);
-      }
+      candidates.push_back(entries[e].id);
     }
   }
   std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
   return candidates;
 }
 

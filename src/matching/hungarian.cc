@@ -109,12 +109,6 @@ Allocation MaxWeightMatchingDense(const std::vector<double>& weights, int n,
   return Solve(weights, n, k, all, /*allow_unmatched=*/true);
 }
 
-Allocation MaxWeightMatchingSubset(
-    const std::vector<double>& weights, int n, int k,
-    const std::vector<AdvertiserId>& candidates) {
-  return Solve(weights, n, k, candidates, /*allow_unmatched=*/true);
-}
-
 Allocation MaxWeightPerfectMatchingSubset(
     const std::vector<double>& weights, int n, int k,
     const std::vector<AdvertiserId>& candidates) {

@@ -21,12 +21,6 @@ namespace ssa {
 Allocation MaxWeightMatchingDense(const std::vector<double>& weights, int n,
                                   int k);
 
-/// Same, restricted to the advertisers in `candidates` (the reduced graph of
-/// Figure 11). Indices in the result refer to the original advertiser ids.
-Allocation MaxWeightMatchingSubset(const std::vector<double>& weights, int n,
-                                   int k,
-                                   const std::vector<AdvertiserId>& candidates);
-
 /// Forced perfect matching of all k slots (used by the heavyweight solver,
 /// where a heavy slot *must* receive a heavyweight advertiser even at
 /// negative marginal weight). Requires candidates.size() >= k. Returns the

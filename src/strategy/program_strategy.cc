@@ -171,7 +171,7 @@ bool SameText(const Value& a, const Value& b) {
 }  // namespace
 
 StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
-    std::string_view source, std::vector<KeywordSpec> keywords) {
+    std::string_view source, const std::vector<KeywordSpec>& keywords) {
   if (keywords.empty()) {
     return Status::InvalidArgument("at least one keyword required");
   }
@@ -202,63 +202,74 @@ ProgramStrategy::ProgramStrategy(PlanPtr plan, bool equalize_roi,
   keywords_table_ = db_.table(kKeywordsTable);
   bids_table_ = db_.table(kBidsTable);
   // Keywords table, one row per keyword (Figure 4 schema); Bids table, one
-  // row per distinct formula, value rewritten per auction. Rows with equal
-  // formula text share one string.
-  // Each keyword's Bids row, for the RoiBidder view (scratch reused across
-  // the strategies of a population).
-  std::map<std::string, std::pair<Value, int>> formula_texts;
-  thread_local std::vector<int> row_of;
-  row_of.clear();
-  for (const KeywordSpec& spec : keywords) {
-    auto [it, inserted] = formula_texts.try_emplace(
-        spec.formula.ToString(), Value(), bids_table_->num_rows());
-    if (inserted) {
-      it->second.first = Value::String(it->first);
-      bids_table_->InsertRow({it->second.first, Value::Number(0)});
-      row_formulas_.push_back(spec.formula);
+  // row per distinct formula (StructurallyEquals: node identity first). A
+  // population shares one keyword list, so this thread keeps the tables of
+  // the last list and copies them for an equal one, sharing every text
+  // (Value's count is atomic).
+  thread_local std::vector<KeywordSpec> last;
+  thread_local Table fresh_keywords = *keywords_table_;
+  thread_local Table fresh_bids = *bids_table_;
+  thread_local std::vector<Formula> fresh_row_formulas;
+  if (!std::equal(keywords.begin(), keywords.end(), last.begin(), last.end(),
+                  [](const KeywordSpec& a, const KeywordSpec& b) {
+                    return a.text == b.text &&
+                           a.formula.StructurallyEquals(b.formula);
+                  })) {
+    last = keywords;
+    fresh_keywords.Clear();
+    fresh_bids.Clear();
+    fresh_row_formulas.clear();
+    for (const KeywordSpec& spec : keywords) {
+      int row = 0;
+      const int rows = fresh_bids.num_rows();
+      while (row < rows &&
+             !fresh_row_formulas[row].StructurallyEquals(spec.formula)) {
+        ++row;
+      }
+      if (row == rows) {
+        fresh_row_formulas.push_back(spec.formula);
+        fresh_bids.InsertRow(
+            {Value::String(spec.formula.ToString()), Value::Number(0)});
+      }
+      fresh_keywords.InsertRow({
+          Value::String(spec.text),
+          fresh_bids.At(row, kBidsFormula),
+          Value::Number(0),  // maxbid: refreshed from the account each auction
+          Value::Number(0),  // roi: provider-maintained
+          Value::Number(0),  // bid: program state, starts at 0
+          Value::Number(0),  // relevance: per-query
+      });
     }
-    row_of.push_back(it->second.second);
-    keywords_table_->InsertRow({
-        Value::String(spec.text),
-        it->second.first,
-        Value::Number(0),  // maxbid: refreshed from the account each auction
-        Value::Number(0),  // roi: provider-maintained
-        Value::Number(0),  // bid: program state, starts at 0
-        Value::Number(0),  // relevance: per-query
-    });
   }
+  *keywords_table_ = fresh_keywords;
+  *bids_table_ = fresh_bids;
+  row_formulas_ = fresh_row_formulas;
   query_event_ = plan_->FindEvent("Query");
   slot_event_ = plan_->FindEvent("Slot");
   click_event_ = plan_->FindEvent("Click");
   purchase_event_ = plan_->FindEvent("Purchase");
-  SetKeywordRows(row_of, /*cells_ok=*/true);
+  MapKeywordRows();
 }
 
 void ProgramStrategy::MapKeywordRows() {
+  keyword_formulas_ = nullptr;
   const int rows = bids_table_->num_rows();
-  std::vector<int> row_of(num_keywords_, -1);
-  bool cells_ok = true;
+  roi_cells_ok_ = true;
   for (int b = 0; b < rows; ++b) {
-    cells_ok &= bids_table_->Row(b)[kBidsFormula].is_string();
+    roi_cells_ok_ &= bids_table_->Row(b)[kBidsFormula].is_string() &&
+                     row_formulas_[b].DependsOnlyOnOwnPlacement();
   }
-  for (int kw = 0; kw < num_keywords_ && cells_ok; ++kw) {
+  // Each keyword's Bids row (-1 for none, -2 for several): SumBids adds the
+  // keyword's bid to every row with its formula text.
+  thread_local std::vector<int> row_of;
+  row_of.assign(num_keywords_, -1);
+  for (int kw = 0; kw < num_keywords_ && roi_cells_ok_; ++kw) {
     const Value& formula = keywords_table_->Row(kw)[kFormula];
-    cells_ok = formula.is_string();
-    // SumBids adds the keyword's bid to every row with its formula text.
-    for (int b = 0; b < rows && cells_ok; ++b) {
+    roi_cells_ok_ = formula.is_string();
+    for (int b = 0; b < rows && roi_cells_ok_; ++b) {
       if (!SameText(formula, bids_table_->Row(b)[kBidsFormula])) continue;
       row_of[kw] = row_of[kw] == -1 ? b : -2;
     }
-  }
-  SetKeywordRows(row_of, cells_ok);
-}
-
-void ProgramStrategy::SetKeywordRows(const std::vector<int>& row_of,
-                                     bool cells_ok) {
-  keyword_formulas_ = nullptr;
-  roi_cells_ok_ = cells_ok;
-  for (const Formula& formula : row_formulas_) {
-    roi_cells_ok_ &= formula.DependsOnlyOnOwnPlacement();
   }
   if (!roi_cells_ok_) return;
   for (const int row : row_of) {

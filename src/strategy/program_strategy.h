@@ -83,7 +83,7 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
   /// private tables. Returns an error on parse failure; name and type
   /// errors surface at first execution (see above). Thread-safe.
   static StatusOr<std::unique_ptr<ProgramStrategy>> Create(
-      std::string_view source, std::vector<KeywordSpec> keywords);
+      std::string_view source, const std::vector<KeywordSpec>& keywords);
 
   void MakeBids(const Query& query, const AdvertiserAccount& account,
                 BidsTable* bids) override;
@@ -160,12 +160,9 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
   /// formula text is the row's.
   void SumBids();
 
-  /// Recomputes keyword_formulas_ and roi_cells_ok_ from the tables (after
-  /// a restore).
+  /// Computes keyword_formulas_ and roi_cells_ok_ from the tables (at
+  /// construction and after a restore).
   void MapKeywordRows();
-  /// Sets them from each keyword's Bids row (-1 for none, -2 for several)
-  /// and whether every formula cell is a string.
-  void SetKeywordRows(const std::vector<int>& row_of, bool cells_ok);
 
   int num_keywords_;
   Database db_;

@@ -349,14 +349,13 @@ TEST(CheckpointTest, ShardedEngineRoundTripIsBitwise) {
 
 TEST(CheckpointTest, CaptureAfterRestoreIsByteIdentical) {
   // A checkpoint holds trajectory state only, so an engine restored from one
-  // captures it again byte for byte. VCG builds no RHTALU planner: every
-  // auction runs the brute-force path through the compiled-bids cache, whose
-  // history differs between the two engines.
+  // captures it again byte for byte. Forwarded bidders offer the RHTALU
+  // planner no view: every auction runs the brute-force path through the
+  // compiled-bids cache, whose history differs between the two engines.
   Workload w = MakePaperWorkload(SmallConfig(53));
   ShardedEngineConfig config;
   config.engine.seed = 59;
-  config.engine.pricing = PricingRule::kVcg;
-  ShardedAuctionEngine original(config, w, RoiStrategies(w));
+  ShardedAuctionEngine original(config, w, Forwarded(RoiStrategies(w)));
   ASSERT_FALSE(original.has_roi_planner());
   for (int i = 0; i < 25; ++i) original.RunAuction();
   ASSERT_GT(original.cache_misses(), 0);
@@ -365,7 +364,7 @@ TEST(CheckpointTest, CaptureAfterRestoreIsByteIdentical) {
   std::string want;
   EncodeCheckpoint(ckpt, &want);
 
-  ShardedAuctionEngine restored(config, w, RoiStrategies(w));
+  ShardedAuctionEngine restored(config, w, Forwarded(RoiStrategies(w)));
   ASSERT_TRUE(restored.RestoreCheckpoint(ckpt).ok());
   EngineCheckpoint again;
   restored.CaptureCheckpoint(&again);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/winner_determination.h"
 #include "matching/brute_force.h"
 #include "matching/hungarian.h"
 #include "matching/munkres.h"
@@ -61,13 +62,14 @@ TEST(HungarianTest, FewerAdvertisersThanSlots) {
 }
 
 TEST(HungarianTest, SubsetRestrictsCandidates) {
-  const std::vector<double> w = {9, 5, 8, 7, 7, 6, 7, 4};
-  Allocation a = MaxWeightMatchingSubset(w, 4, 2, {2, 3});
-  // Only Reebok & Sketchers available: best is Reebok->1? (7) + Sketchers...
-  // options: (2:7,3:4)=11 via slots (0,1); (3:7,2:6)=13.
-  EXPECT_DOUBLE_EQ(a.total_weight, 13.0);
-  EXPECT_EQ(a.slot_to_advertiser[0], 3);
-  EXPECT_EQ(a.slot_to_advertiser[1], 2);
+  // Figure 9's advertisers 2 and 3 (Reebok, Sketchers) alone, as the rows
+  // SolveCandidateRows reads: (2:7,3:4) = 11 via slots (0,1); (3:7,2:6) = 13.
+  const std::vector<double> rows = {7, 6, 7, 4};
+  const WdResult r = SolveCandidateRows(rows, {2, 3}, 4, 2, 0.0);
+  EXPECT_DOUBLE_EQ(r.allocation.total_weight, 13.0);
+  EXPECT_EQ(r.allocation.slot_to_advertiser[0], 3);
+  EXPECT_EQ(r.allocation.slot_to_advertiser[1], 2);
+  EXPECT_EQ(r.allocation.advertiser_to_slot[0], kNoSlot);
 }
 
 TEST(HungarianTest, PerfectMatchingForcedEvenIfNegative) {

@@ -168,6 +168,38 @@ TEST(ProgramCheckpointTest, GoldenStateBytesAreUnchanged) {
   EXPECT_EQ(SaveStateOf(*restored), SaveStateOf(*strategy));
 }
 
+TEST(ProgramCheckpointTest, APopulationSharesItsKeywordCells) {
+  // Strategies created from equal keyword lists share every keyword and
+  // formula text; a different list gets its own cells, and the state bytes
+  // never depend on which list came before.
+  const std::string source = SourceFor("shared cells");
+  auto a = MustCreate(source);
+  auto b = MustCreate(source);  // an equal list with new Click & Slot1 nodes
+  const Table& a_keywords = *a->tables().table(0);
+  const Table& b_keywords = *b->tables().table(0);
+  const Table& a_bids = *a->tables().table(1);
+  ASSERT_EQ(a_bids.num_rows(), 3);  // Click, (Click & Slot1), Purchase
+  for (int kw = 0; kw < a_keywords.num_rows(); ++kw) {
+    for (const int col : {0, 1}) {  // text, formula
+      EXPECT_EQ(&a_keywords.At(kw, col).str(), &b_keywords.At(kw, col).str());
+    }
+  }
+  EXPECT_EQ(&a_keywords.At(3, 1).str(), &a_bids.At(0, 0).str());
+
+  const Formula top_click = Formula::Click() && Formula::Slot(0);
+  const Formula top_click_again = Formula::Click() && Formula::Slot(0);
+  auto other =
+      MustCreate(source, {{"x0", top_click}, {"x1", top_click_again}});
+  const Table& other_keywords = *other->tables().table(0);
+  EXPECT_EQ(other_keywords.At(0, 0).str(), "x0");
+  EXPECT_EQ(other->tables().table(1)->num_rows(), 1);  // structurally equal
+  EXPECT_EQ(&other_keywords.At(0, 1).str(), &other_keywords.At(1, 1).str());
+
+  auto again = MustCreate(source);
+  EXPECT_EQ(SaveStateOf(*again), SaveStateOf(*a));
+  EXPECT_EQ(SaveStateOf(*b), SaveStateOf(*a));
+}
+
 // Ten Click keywords, a few auctions in: the shape of a typical bidder.
 std::unique_ptr<ProgramStrategy> TenKeywordStrategy() {
   std::vector<ProgramStrategy::KeywordSpec> keywords;

@@ -4,18 +4,20 @@
 // (tests/reference_engine.h) exactly, auction by auction: allocation,
 // prices, user events, revenue, accounts and every strategy's checkpoint
 // bytes. Covered: shard counts with and without a pool (and the same planner
-// work totals for each), GSP and pay-your-bid, several seeds, a tie-heavy
+// work totals for each), GSP, pay-your-bid and VCG, several seeds, a tie-heavy
 // population, a bid ramp that outgrows the initial ctr prefixes, Figure 5
 // programs mixed with native bidders and interpreted programs on the
 // Click / Click ∧ Slot(0) / Purchase formulas with and without purchases,
 // checkpoints restored into another shard count, log recovery, follower
-// replay, what-if reads, the batched-lane entry points, mixed layouts, and
-// each fallback to the brute-force path.
+// replay, what-if reads, the batched-lane entry points, mixed layouts, the
+// merged pool VCG prices from, and each fallback to the brute-force path.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -377,16 +379,32 @@ TEST_P(RoiPlannerGateTest, MatchesReferenceOnTiedScores) {
   }
 }
 
-/// Every shard count under both pricing rules without a pool, and every
-/// shard count on a pool under GSP.
+/// Every shard count under GSP and pay-your-bid without a pool, every shard
+/// count on a pool under GSP, and VCG at K = 1, 2, 4 and 7 with and without
+/// a pool.
 std::vector<GateParam> GateParams() {
   std::vector<GateParam> params;
   for (const int k : {1, 2, 4, 7, 8}) {
     params.push_back({k, false, PricingRule::kGeneralizedSecondPrice});
     params.push_back({k, false, PricingRule::kPayYourBid});
     params.push_back({k, true, PricingRule::kGeneralizedSecondPrice});
+    if (k == 8) continue;
+    params.push_back({k, false, PricingRule::kVcg});
+    params.push_back({k, true, PricingRule::kVcg});
   }
   return params;
+}
+
+std::string PricingTag(PricingRule rule) {
+  switch (rule) {
+    case PricingRule::kPayYourBid:
+      return "PayYourBid";
+    case PricingRule::kGeneralizedSecondPrice:
+      return "Gsp";
+    case PricingRule::kVcg:
+      return "Vcg";
+  }
+  return "?";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -394,8 +412,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GateParam>& info) {
       return "K" + std::to_string(info.param.num_shards) +
              (info.param.pool ? "Pool" : "NoPool") +
-             (info.param.pricing == PricingRule::kPayYourBid ? "PayYourBid"
-                                                             : "Gsp");
+             PricingTag(info.param.pricing);
     });
 
 TEST(RoiPlannerTest, CheckpointRestoresIntoAnotherShardCount) {
@@ -951,19 +968,95 @@ TEST(RoiPlannerTest, MultiKeywordAndBackwardQueriesFallBack) {
   EXPECT_GT(stats.rebuilds, two_keyword);
 }
 
-TEST(RoiPlannerTest, VcgAndDenseMethodsStayOnBruteForce) {
-  for (const bool vcg : {true, false}) {
-    SCOPED_TRACE(vcg ? "VCG" : "Hungarian");
+TEST(RoiPlannerTest, DenseMethodsStayOnBruteForce) {
+  // The dense methods read the whole matrix, so they build no planner under
+  // any pricing rule. Forwarded bidders keep RH + VCG on brute force too,
+  // which pins VCG's brute path on ROI bidders.
+  struct Case {
+    WdMethod method;
+    PricingRule pricing;
+    bool forwarded;
+  };
+  for (const Case c : {Case{WdMethod::kHungarian,
+                            PricingRule::kGeneralizedSecondPrice, false},
+                       Case{WdMethod::kHungarian, PricingRule::kVcg, false},
+                       Case{WdMethod::kReducedHungarian, PricingRule::kVcg,
+                            true}}) {
+    SCOPED_TRACE(WdMethodName(c.method) + " + " + PricingRuleName(c.pricing) +
+                 (c.forwarded ? ", forwarded" : ""));
     EngineConfig ec;
     ec.seed = 97;
-    if (vcg) {
-      ec.pricing = PricingRule::kVcg;
-    } else {
-      ec.wd_method = WdMethod::kHungarian;
-    }
-    Lockstep run(SmallConfig(101), Shape::kPaper, ec, /*num_shards=*/2, nullptr);
+    ec.wd_method = c.method;
+    ec.pricing = c.pricing;
+    const WorkloadConfig wc = SmallConfig(101);
+    const std::vector<char> wrapped(
+        c.forwarded ? static_cast<size_t>(wc.num_advertisers) : 0, 1);
+    Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr, wrapped);
     EXPECT_FALSE(run.engine->has_roi_planner());
     ASSERT_NO_FATAL_FAILURE(run.Run(80, 20));
+  }
+}
+
+TEST(RoiPlannerTest, MergedPoolIsTheFullSelectorsPool) {
+  // VCG prices from the union of the merged heaps' per-slot top-(k+1). The
+  // planner and the brute shards offer positive weights only, as
+  // SelectTopPerSlotCandidates does, so on the tie-heavy population with a
+  // third of the bidders capped at zero the merged pool is the full
+  // selector's exactly: ties break alike, and zero-weight bidders are in
+  // neither, also when a slot has fewer than k + 1 positive weights
+  // (n = 20: 13 bidders can bid, k + 1 = 16).
+  for (const int n : {20, 200}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const WorkloadConfig wc = PaperConfig(n, 233);
+    const int k = wc.num_slots;
+    Workload w = MakeWorkload(wc, Shape::kTiedCtr);
+    for (int i = 0; i < n; i += 3) {
+      for (Money& cap : w.accounts[i].max_bid) cap = 0;
+    }
+    // The planner covers the first half; the rest bid eagerly, as brute
+    // shards.
+    Bidders planned = MakeBidders(w);
+    Bidders eager = MakeBidders(w);
+    std::vector<AdvertiserId> members(static_cast<size_t>(n / 2));
+    std::iota(members.begin(), members.end(), 0);
+    RoiPlanner planner(members, planned.strategies, *w.click_model,
+                       wc.num_keywords);
+    QueryGenerator gen(wc.num_keywords, 239);
+    std::vector<BidsTable> bids(static_cast<size_t>(n));
+    TopKHeapSet merged;
+    int compared = 0;
+    for (int t = 0; t < 150; ++t) {
+      const Query q = gen.Next();
+      const int kw = planner.PlannableKeyword(q);
+      if (kw < 0) continue;
+      ASSERT_TRUE(planner.Prepare(q, w.accounts));
+      planner.Advance(q, kw, w.accounts);
+      merged.Reset(k, k + 1);
+      planner.SelectTop(kw, &merged);
+      for (int i = 0; i < n; ++i) {
+        bids[i].Clear();
+        eager.strategies[i]->MakeBids(q, w.accounts[i], &bids[i]);
+      }
+      const RevenueMatrix revenue = BuildRevenueMatrix(bids, *w.click_model);
+      for (AdvertiserId i = n / 2; i < n; ++i) {
+        for (SlotIndex j = 0; j < k; ++j) {
+          const double weight = revenue.MarginalWeight(i, j);
+          if (weight > 0.0) merged.Offer(j, weight, i);
+        }
+      }
+      std::vector<AdvertiserId> pool;
+      for (SlotIndex j = 0; j < k; ++j) {
+        for (int e = 0; e < merged.size(j); ++e) {
+          pool.push_back(merged.entries(j)[e].id);
+        }
+      }
+      std::sort(pool.begin(), pool.end());
+      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+      ASSERT_EQ(pool, SelectTopPerSlotCandidates(revenue, k + 1))
+          << "auction " << q.time;
+      ++compared;
+    }
+    EXPECT_GT(compared, 100);
   }
 }
 
