@@ -7,9 +7,11 @@
 //   * Compiled:  BuildRevenueMatrix (compile to flat truth tables, then
 //                stream; compile cost included),
 //   * Cached:    BuildRevenueMatrixCompiled over pre-compiled rows (the
-//                engine's steady state: fingerprint cache hit, zero compile
-//                cost),
-//   * Parallel:  Cached + ThreadPool over advertiser blocks.
+//                engine's steady state: a compiled-bids cache hit, zero
+//                compile cost),
+//   * Parallel:  Cached + ThreadPool over advertiser blocks,
+//   * CacheGet:  CompiledBidsCache::Get itself over one auction's tables,
+//                with values that move every auction or stay unchanged.
 //
 // The acceptance point of the compilation PR is n=5000, k=8; see
 // bench/README.md for recorded numbers.
@@ -150,6 +152,42 @@ BENCHMARK(BM_MatrixCompiledParallel)
     ->Args({5000, 15, 4})
     ->Args({10000, 8, 4})
     ->Args({100000, 8, 4})
+    ->Unit(benchmark::kMillisecond);
+
+/// CompiledBidsCache::Get for n one-row Click tables, the shape of the ROI
+/// bidders' tables, one lookup per advertiser per iteration as in a
+/// brute-force auction. moving = 1 alternates between two table sets whose
+/// values differ by 1, so every value moves between lookups as ROI bids do;
+/// moving = 0 re-emits the same tables.
+void BM_CompiledBidsCacheGet(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const bool moving = state.range(2) != 0;
+  Rng rng(12345);
+  std::vector<BidsTable> tables[2];
+  for (int i = 0; i < n; ++i) {
+    const Money value = static_cast<Money>(rng.UniformInt(1, 50));
+    tables[0].emplace_back().AddBid(Formula::Click(), value);
+    tables[1].emplace_back().AddBid(Formula::Click(), value + 1);
+  }
+  CompiledBidsCache cache;
+  cache.Reserve(n);
+  for (AdvertiserId i = 0; i < n; ++i) cache.Get(i, tables[0][i], k);
+  int round = 0;
+  for (auto _ : state) {
+    const std::vector<BidsTable>& bids = tables[moving ? ++round & 1 : 0];
+    for (AdvertiserId i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(cache.Get(i, bids[i], k).values());
+    }
+  }
+  state.counters["hit_ratio"] = static_cast<double>(cache.hits()) /
+                                static_cast<double>(cache.hits() +
+                                                    cache.misses());
+}
+BENCHMARK(BM_CompiledBidsCacheGet)
+    ->ArgNames({"n", "k", "moving"})
+    ->Args({10000, 15, 1})
+    ->Args({10000, 15, 0})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -422,12 +422,9 @@ ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
     int shard) const {
   SSA_CHECK(shard >= 0 && shard < num_shards());
   const ShardRange& range = ranges_[shard];
-  const CompiledBidsCache& cache = internal_lane_->cache;
   ShardStats stats;
   stats.begin = range.begin;
   stats.end = range.end;
-  stats.cache_hits = cache.HitsInRange(range.begin, range.end);
-  stats.cache_misses = cache.MissesInRange(range.begin, range.end);
   stats.capture_ns = capture_ns_[static_cast<size_t>(shard)];
   stats.phase_ns = internal_lane_->shards[static_cast<size_t>(shard)].phase_ns;
   return stats;

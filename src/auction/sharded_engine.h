@@ -250,15 +250,12 @@ class ShardedAuctionEngine {
   /// the engine's use of it.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Per-shard observability: advertiser range, compiled-bids cache
-  /// performance over that range on the engine's internal lane, capture
-  /// time, and accumulated shard-phase time on the internal lane (lanes
-  /// from NewPlanLane() are scratch and report nothing).
+  /// Per-shard observability: advertiser range, capture time, and
+  /// accumulated shard-phase time on the internal lane (lanes from
+  /// NewPlanLane() are scratch and report nothing).
   struct ShardStats {
     AdvertiserId begin = 0;
     AdvertiserId end = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     /// Bid-capture wall time for the shard's range since construction
     /// (PlanAuction and CaptureBids; read-only captures are not timed).
     int64_t capture_ns = 0;
@@ -275,7 +272,7 @@ class ShardedAuctionEngine {
   int64_t planner_ns() const { return planner_ns_; }
   /// Internal-lane cache hits/misses summed over all shards: one lookup per
   /// advertiser per brute-force auction (logical shards make none), a hit
-  /// whenever the table is unchanged.
+  /// whenever the table's formulas are unchanged (its values may move).
   int64_t cache_hits() const;
   int64_t cache_misses() const;
 
@@ -287,8 +284,9 @@ class ShardedAuctionEngine {
   /// fails without partial effects on shape mismatches (strategy-blob
   /// errors surface per strategy). The checkpoint holds no shard layout, so
   /// an engine of any shard count restores one taken at any other. A restore
-  /// leaves the compiled-bids caches as they are: an entry hits only on an
-  /// identical table. The RHTALU planner's lists are not checkpointed: a
+  /// leaves the compiled-bids caches as they are: a hit takes the new
+  /// table's values, so a cache holding newer tables still returns a fresh
+  /// compilation's bits. The RHTALU planner's lists are not checkpointed: a
   /// capture writes its bids back into the strategies first (logically
   /// const, so it must not overlap planning), and a restore leaves them to
   /// be rebuilt from the restored strategies. The file forms are versioned,

@@ -224,28 +224,14 @@ __attribute__((always_inline)) inline void ExpectedPaymentBlock(
   }
 }
 
-uint64_t HashCombine(uint64_t seed, uint64_t v) {
-  // splitmix64-style mix of the incoming value, folded into the seed.
-  v += 0x9e3779b97f4a7c15ULL;
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  v ^= v >> 31;
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
-uint64_t HashFormula(const Formula& f, uint64_t seed) {
-  seed = HashCombine(seed, static_cast<uint64_t>(f.op()));
-  seed = HashCombine(seed, static_cast<uint64_t>(
-                               static_cast<int64_t>(f.slot_arg())));
-  for (const Formula& c : f.children()) seed = HashFormula(c, seed);
-  return seed;
-}
-
-uint64_t DoubleBits(double x) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(x), "Money must be 64-bit");
-  __builtin_memcpy(&bits, &x, sizeof(bits));
-  return bits;
+/// Whether `bids` has exactly the rows `formulas` holds, row for row.
+bool SameFormulas(const std::vector<Formula>& formulas,
+                  const BidsTable& bids) {
+  if (formulas.size() != bids.size()) return false;
+  for (size_t r = 0; r < formulas.size(); ++r) {
+    if (!formulas[r].StructurallyEquals(bids.rows()[r].formula)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -346,15 +332,6 @@ Money OneFormulaPayment(uint8_t mask, Money value, const double prob[4]) {
   return OneRowPayment(mask, value, prob);
 }
 
-uint64_t FingerprintBids(const BidsTable& bids) {
-  uint64_t seed = HashCombine(0x55a0f00d, bids.size());
-  for (const BidRow& row : bids.rows()) {
-    seed = HashFormula(row.formula, seed);
-    seed = HashCombine(seed, DoubleBits(row.value));
-  }
-  return seed;
-}
-
 void CompiledBidsCache::Reserve(size_t n) {
   if (entries_.size() < n) entries_.resize(n);
 }
@@ -367,59 +344,29 @@ const CompiledBids& CompiledBidsCache::Get(AdvertiserId i,
     entries_.resize(static_cast<size_t>(i) + 1);
   }
   Entry& entry = entries_[i];
-  const uint64_t fingerprint = FingerprintBids(bids);
-  if (entry.valid && entry.fingerprint == fingerprint &&
-      entry.num_slots == num_slots && SameRows(entry, bids)) {
+  if (entry.num_slots == num_slots && SameFormulas(entry.formulas, bids)) {
     ++entry.hits;
+    std::vector<double>& values = entry.compiled.values_;
+    for (size_t r = 0; r < values.size(); ++r) values[r] = bids.rows()[r].value;
     return entry.compiled;
   }
   ++entry.misses;
   entry.compiled.CompileFrom(bids, num_slots);  // in place: reuses buffers
   entry.formulas.clear();
   for (const BidRow& row : bids.rows()) entry.formulas.push_back(row.formula);
-  entry.fingerprint = fingerprint;
   entry.num_slots = num_slots;
-  entry.valid = true;
   return entry.compiled;
 }
 
-bool CompiledBidsCache::SameRows(const Entry& entry, const BidsTable& bids) {
-  const size_t rows = bids.size();
-  if (entry.formulas.size() != rows) return false;
-  const double* values = entry.compiled.values();
-  for (size_t r = 0; r < rows; ++r) {
-    const BidRow& row = bids.rows()[r];
-    if (DoubleBits(values[r]) != DoubleBits(row.value) ||
-        !entry.formulas[r].StructurallyEquals(row.formula)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int64_t CompiledBidsCache::hits() const {
-  return HitsInRange(0, static_cast<AdvertiserId>(entries_.size()));
-}
-
-int64_t CompiledBidsCache::misses() const {
-  return MissesInRange(0, static_cast<AdvertiserId>(entries_.size()));
-}
-
-int64_t CompiledBidsCache::HitsInRange(AdvertiserId begin,
-                                       AdvertiserId end) const {
-  SSA_CHECK(begin >= 0 && begin <= end);
-  end = std::min(end, static_cast<AdvertiserId>(entries_.size()));
   int64_t total = 0;
-  for (AdvertiserId i = begin; i < end; ++i) total += entries_[i].hits;
+  for (const Entry& entry : entries_) total += entry.hits;
   return total;
 }
 
-int64_t CompiledBidsCache::MissesInRange(AdvertiserId begin,
-                                         AdvertiserId end) const {
-  SSA_CHECK(begin >= 0 && begin <= end);
-  end = std::min(end, static_cast<AdvertiserId>(entries_.size()));
+int64_t CompiledBidsCache::misses() const {
   int64_t total = 0;
-  for (AdvertiserId i = begin; i < end; ++i) total += entries_[i].misses;
+  for (const Entry& entry : entries_) total += entry.misses;
   return total;
 }
 

@@ -90,6 +90,9 @@ class CompiledBids {
   }
 
  private:
+  /// Overwrites values() on a cache hit, leaving the masks as they are.
+  friend class CompiledBidsCache;
+
   void CompileImpl(const BidsTable& bids, int num_slots,
                    const uint32_t* heavy_mask);
 
@@ -119,20 +122,17 @@ class CompiledBids {
 /// scores its members with it.
 Money OneFormulaPayment(uint8_t mask, Money value, const double prob[4]);
 
-/// Order-sensitive content fingerprint of a BidsTable (formula structure +
-/// row values). Two different tables can share a fingerprint, so the
-/// compiled-bids cache uses it only to reject a changed table fast.
-uint64_t FingerprintBids(const BidsTable& bids);
-
 /// Per-advertiser cache of compiled bids — each ShardedAuctionEngine
-/// planning lane keeps one across auctions so unchanged tables are never
+/// planning lane keeps one across auctions so unchanged formulas are never
 /// recompiled. Entries are keyed by *global* advertiser id, so a lane
-/// shares one cache across its shards. An entry hits only when the new
-/// table equals the compiled one exactly: same row count, structurally
-/// equal formulas (node identity first) and the same value bits; a
-/// different fingerprint rejects without the compare. The cache is pure
-/// scratch: a compilation is a function of (table, num_slots) alone, and
-/// nothing of it is ever checkpointed.
+/// shares one cache across its shards. A compilation's truth masks are a
+/// function of (formulas, num_slots) alone; the row values only weight
+/// them. So an entry hits when the new table has the compiled one's slot
+/// count, row count and structurally equal formulas (node identity first),
+/// and a hit reuses the masks and overwrites the entry's values with the
+/// new rows' value bits: the result is bitwise a fresh Compile. A changed
+/// formula recompiles. The cache is pure scratch: nothing of it is ever
+/// checkpointed.
 ///
 /// Threading: Get(i, ...) mutates only entry i (hit/miss counters included —
 /// there is deliberately no cache-wide mutable state on the Get path), so
@@ -146,38 +146,31 @@ class CompiledBidsCache {
   void Reserve(size_t n);
 
   /// Returns the compiled form of `bids` for advertiser `i`, reusing the
-  /// cached compilation when the table and num_slots both match exactly. The
-  /// returned reference stays valid until the next Get(i, ...) call *for the
-  /// same advertiser* (entries live in a deque, so growing the cache for
-  /// other advertisers never moves them).
+  /// cached masks when the formulas and num_slots both match. The returned
+  /// reference stays valid until the next Get(i, ...) call *for the same
+  /// advertiser* (entries live in a deque, so growing the cache for other
+  /// advertisers never moves them).
   const CompiledBids& Get(AdvertiserId i, const BidsTable& bids,
                           int num_slots);
 
   /// Counter sums over every entry (per-entry counters keep the Get path
   /// free of shared mutable state; summing is O(entries), fine for
-  /// telemetry).
+  /// telemetry). A hit is a lookup that reused the masks.
   int64_t hits() const;
   int64_t misses() const;
-  /// Per-range sums — per-shard observability under global keying. Ids past
-  /// the cache's current size have had no lookups.
-  int64_t HitsInRange(AdvertiserId begin, AdvertiserId end) const;
-  int64_t MissesInRange(AdvertiserId begin, AdvertiserId end) const;
 
  private:
   struct Entry {
-    bool valid = false;
-    uint64_t fingerprint = 0;
+    /// -1 until the entry's first compilation.
     int num_slots = -1;
     /// Per-entry counters: Get touches only its own entry, which is what
     /// makes disjoint-id concurrent lookups race-free.
     int64_t hits = 0;
     int64_t misses = 0;
-    /// The compiled table's formulas; its values are compiled.values().
+    /// The compiled table's formulas, row for row.
     std::vector<Formula> formulas;
     CompiledBids compiled;
   };
-  /// Whether `bids` equals the table `entry` compiled, row for row.
-  static bool SameRows(const Entry& entry, const BidsTable& bids);
   std::deque<Entry> entries_;
 };
 

@@ -262,14 +262,14 @@ void AuctionServer::PublishEngineGauges() {
   const int64_t cache_misses = engine_.cache_misses();
   if (cache_hits > 0) {
     AdvanceCounter(registry_.GetCounter("engine_cache_hits_total", "",
-                                        "Compiled-bids cache hits on "
-                                        "brute-force shards"),
+                                        "Compiled-bids lookups on brute-force "
+                                        "shards that reused the truth masks"),
                    cache_hits);
   }
   if (cache_misses > 0) {
     AdvanceCounter(registry_.GetCounter("engine_cache_misses_total", "",
-                                        "Compiled-bids cache misses on "
-                                        "brute-force shards"),
+                                        "Compiled-bids lookups on brute-force "
+                                        "shards that compiled the formulas"),
                    cache_misses);
   }
   if (log_writer_ != nullptr) {

@@ -189,8 +189,16 @@ StatusOr<std::unique_ptr<ProgramStrategy>> ProgramStrategy::Create(
         plan, plan.FindEvent("Query"), kEqualizeRoiLayout);
     shared = InternPlan(source, std::move(plan), equalize_roi);
   }
-  return std::unique_ptr<ProgramStrategy>(new ProgramStrategy(
+  std::unique_ptr<ProgramStrategy> strategy(new ProgramStrategy(
       std::move(shared.plan), shared.equalize_roi, keywords));
+  // Every keyword's formula is one of the Bids rows' distinct formulas.
+  for (const Formula& formula : strategy->row_formulas_) {
+    if (!formula.DependsOnlyOnOwnPlacement()) {
+      return Status::InvalidArgument("keyword formula is heavyweight: " +
+                                     formula.ToString());
+    }
+  }
+  return {std::move(strategy)};
 }
 
 ProgramStrategy::ProgramStrategy(PlanPtr plan, bool equalize_roi,
@@ -256,8 +264,7 @@ void ProgramStrategy::MapKeywordRows() {
   const int rows = bids_table_->num_rows();
   roi_cells_ok_ = true;
   for (int b = 0; b < rows; ++b) {
-    roi_cells_ok_ &= bids_table_->Row(b)[kBidsFormula].is_string() &&
-                     row_formulas_[b].DependsOnlyOnOwnPlacement();
+    roi_cells_ok_ &= bids_table_->Row(b)[kBidsFormula].is_string();
   }
   // Each keyword's Bids row (-1 for none, -2 for several): SumBids adds the
   // keyword's bid to every row with its formula text.
@@ -476,6 +483,10 @@ Status ProgramStrategy::RestoreState(std::string_view blob) {
     }
     StatusOr<Formula> formula = ParseFormula(cell.str());
     if (!formula.ok()) return formula.status();
+    if (!formula->DependsOnlyOnOwnPlacement()) {
+      return Status::InvalidArgument("Bids formula is heavyweight: " +
+                                     cell.str());
+    }
     row_formulas.push_back(*std::move(formula));
   }
   *keywords_table_ = std::move(keywords);

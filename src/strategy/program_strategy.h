@@ -80,8 +80,11 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
 
   /// Takes the plan of `source` from the registry, parsing and compiling
   /// it only when no live strategy runs that source, and sets up the
-  /// private tables. Returns an error on parse failure; name and type
-  /// errors surface at first execution (see above). Thread-safe.
+  /// private tables. Returns an error on parse failure, and
+  /// InvalidArgument for a keyword formula that is not
+  /// DependsOnlyOnOwnPlacement() (the engine compiles bids for the
+  /// Theorem 2 fast path only); name and type errors surface at first
+  /// execution (see above). Thread-safe.
   static StatusOr<std::unique_ptr<ProgramStrategy>> Create(
       std::string_view source, const std::vector<KeywordSpec>& keywords);
 
@@ -104,9 +107,10 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
   /// Checkpoint hooks: the full contents of the private Keywords and Bids
   /// tables (programs may mutate any cell, and the `bid` column is
   /// long-lived state). Restore re-parses the bid formula of every
-  /// serialized Bids row. It decodes and checks the whole blob (framing,
-  /// keyword count, formula cells) before it changes anything, so a failed
-  /// restore leaves the strategy exactly as it was.
+  /// serialized Bids row and rejects a heavyweight one, as Create does. It
+  /// decodes and checks the whole blob (framing, keyword count, formula
+  /// cells) before it changes anything, so a failed restore leaves the
+  /// strategy exactly as it was.
   void SaveState(std::string* out) const override;
   Status RestoreState(std::string_view blob) override;
 
@@ -168,7 +172,8 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
   Database db_;
   Table* keywords_table_ = nullptr;
   Table* bids_table_ = nullptr;
-  /// Parsed Formula per bids_table_ row.
+  /// Parsed Formula per bids_table_ row; each depends only on the bidder's
+  /// own placement (Create and RestoreState reject any other).
   std::vector<Formula> row_formulas_;
   std::shared_ptr<const lang::CompiledProgram> plan_;
   /// FindEvent results for the Query, Slot, Click and Purchase triggers.
@@ -182,8 +187,7 @@ class ProgramStrategy final : public BiddingStrategy, public RoiBidder {
   /// keyword's; null when some keyword has none or more than one. Shared
   /// with equal strategies (see MapKeywordRows).
   std::shared_ptr<const std::vector<Formula>> keyword_formulas_;
-  /// Every formula cell is a string, and every Bids formula depends only on
-  /// the bidder's own placement.
+  /// Every formula cell is a string.
   bool roi_cells_ok_ = false;
 };
 

@@ -3,11 +3,10 @@
 // for bit* on randomized formulas (the compiled path is a pure
 // representation change), the one-formula payment the RHTALU planner scores
 // with must equal the kernel's on a Figure 5 program's real Bids table, and
-// the engine's compiled-bids cache must hit exactly when the table is
-// unchanged, fingerprint collisions included.
+// the engine's compiled-bids cache must hit exactly when the formulas are
+// unchanged and then hand back the new values.
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -361,38 +360,7 @@ TEST(BuildRevenueMatrixTest, CompiledMatchesBaselineBitForBit) {
   }
 }
 
-TEST(FingerprintBidsTest, SensitiveToContent) {
-  BidsTable a;
-  a.AddBid(Formula::Slot(0) && Formula::Click(), 10);
-  a.AddBid(Formula::Purchase(), 3);
-
-  BidsTable same;
-  same.AddBid(Formula::Slot(0) && Formula::Click(), 10);
-  same.AddBid(Formula::Purchase(), 3);
-  EXPECT_EQ(FingerprintBids(a), FingerprintBids(same));
-
-  BidsTable other_value = same;
-  other_value.Clear();
-  other_value.AddBid(Formula::Slot(0) && Formula::Click(), 11);
-  other_value.AddBid(Formula::Purchase(), 3);
-  EXPECT_NE(FingerprintBids(a), FingerprintBids(other_value));
-
-  BidsTable other_formula;
-  other_formula.AddBid(Formula::Slot(1) && Formula::Click(), 10);
-  other_formula.AddBid(Formula::Purchase(), 3);
-  EXPECT_NE(FingerprintBids(a), FingerprintBids(other_formula));
-
-  BidsTable extra_row = same;
-  extra_row.AddBid(Formula::True(), 0);
-  EXPECT_NE(FingerprintBids(a), FingerprintBids(extra_row));
-
-  BidsTable reordered;
-  reordered.AddBid(Formula::Purchase(), 3);
-  reordered.AddBid(Formula::Slot(0) && Formula::Click(), 10);
-  EXPECT_NE(FingerprintBids(a), FingerprintBids(reordered));
-}
-
-TEST(CompiledBidsCacheTest, HitsOnUnchangedContentMissesOnChange) {
+TEST(CompiledBidsCacheTest, HitsOnUnchangedFormulasMissesOnChange) {
   CompiledBidsCache cache;
   BidsTable bids;
   bids.AddBid(Formula::Slot(0), 7);
@@ -408,43 +376,61 @@ TEST(CompiledBidsCacheTest, HitsOnUnchangedContentMissesOnChange) {
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(first, second);
 
-  // Changed value => recompile.
+  // Changed value only => hit: the masks stay, the new value is taken.
   BidsTable changed;
   changed.AddBid(Formula::Slot(0), 8);
-  const CompiledBids& recompiled = cache.Get(0, changed, 4);
-  EXPECT_EQ(cache.misses(), 2);
+  const CompiledBids& revalued = cache.Get(0, changed, 4);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 1);
   AdvertiserOutcome outcome;
   outcome.slot = 0;
+  EXPECT_EQ(revalued.Payment(outcome), 8.0);
+
+  // Changed formula => recompile.
+  BidsTable other_formula;
+  other_formula.AddBid(Formula::Slot(1), 8);
+  const CompiledBids& recompiled = cache.Get(0, other_formula, 4);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(recompiled.Payment(outcome), 0.0);
+  outcome.slot = 1;
   EXPECT_EQ(recompiled.Payment(outcome), 8.0);
 
-  // Different slot count invalidates even with equal content.
-  cache.Get(0, changed, 5);
+  // Changed row count => recompile, even when the shared rows are equal.
+  BidsTable extra_row = other_formula;
+  extra_row.AddBid(Formula::Slot(1), 2);
+  EXPECT_EQ(cache.Get(0, extra_row, 4).Payment(outcome), 10.0);
   EXPECT_EQ(cache.misses(), 3);
+
+  // Different slot count invalidates even with equal content.
+  const CompiledBids& wider = cache.Get(0, extra_row, 5);
+  EXPECT_EQ(cache.misses(), 4);
+  EXPECT_EQ(wider.num_slots(), 5);
 
   // Other advertisers occupy independent entries.
   cache.Get(3, bids, 4);
-  EXPECT_EQ(cache.misses(), 4);
+  EXPECT_EQ(cache.misses(), 5);
   cache.Get(3, bids, 4);
-  EXPECT_EQ(cache.hits(), 2);
-}
-
-TEST(CompiledBidsCacheTest, RangeCountersPartitionTheTotals) {
-  // Global-id keying keeps per-shard observability through range sums: any
-  // contiguous partition of [0, n) must add back up to the cache totals.
-  CompiledBidsCache cache;
-  cache.Reserve(6);
-  BidsTable bids;
-  bids.AddBid(Formula::Click(), 2);
-  for (AdvertiserId i = 0; i < 6; ++i) cache.Get(i, bids, 3);     // 6 misses
-  for (AdvertiserId i = 0; i < 4; ++i) cache.Get(i, bids, 3);     // 4 hits
-  EXPECT_EQ(cache.misses(), 6);
+  EXPECT_EQ(cache.hits(), 3);
+  EXPECT_EQ(cache.Get(0, extra_row, 5).Payment(outcome), 10.0);
   EXPECT_EQ(cache.hits(), 4);
-  EXPECT_EQ(cache.MissesInRange(0, 2) + cache.MissesInRange(2, 6), 6);
-  EXPECT_EQ(cache.HitsInRange(0, 2) + cache.HitsInRange(2, 6), 4);
-  EXPECT_EQ(cache.HitsInRange(4, 6), 0);
 }
 
-TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsEqual) {
+/// Whether `a` and `b` are the same compilation, bit for bit: slot count,
+/// row values and every slot state's mask column.
+void ExpectSameCompilation(const CompiledBids& a, const CompiledBids& b) {
+  ASSERT_EQ(a.num_slots(), b.num_slots());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    EXPECT_EQ(Bits(a.values()[r]), Bits(b.values()[r])) << "row " << r;
+  }
+  for (SlotIndex slot = kNoSlot; slot < a.num_slots(); ++slot) {
+    const uint8_t* ma = a.MasksForSlot(slot);
+    const uint8_t* mb = b.MasksForSlot(slot);
+    for (size_t r = 0; r < a.num_rows(); ++r) EXPECT_EQ(ma[r], mb[r]);
+  }
+}
+
+TEST(CompiledBidsCacheTest, IdenticalTableRecompilesIdentically) {
   // Compilation is a pure function of (table, num_slots): a table re-emitted
   // with identical content recompiles, in a cache with no history, to the
   // *identical* compiled form. This is what lets checkpoints hold no cache
@@ -463,114 +449,62 @@ TEST(CompiledBidsCacheTest, FingerprintIdenticalRecompileIsEqual) {
   for (AdvertiserId i = 0; i < 8; ++i) {
     // "Re-emitted" table with identical content, rebuilt from scratch.
     BidsTable reemitted = tables[static_cast<size_t>(i)];
-    ASSERT_EQ(FingerprintBids(reemitted),
-              FingerprintBids(tables[static_cast<size_t>(i)]));
     const CompiledBids& recompiled = restored.Get(i, reemitted, k);
     const CompiledBids& first =
         original.Get(i, tables[static_cast<size_t>(i)], k);
-    // Identical compiled tables, bit for bit: row values and every slot
-    // state's mask column.
-    ASSERT_EQ(recompiled.num_rows(), first.num_rows());
-    for (size_t r = 0; r < first.num_rows(); ++r) {
-      EXPECT_EQ(recompiled.values()[r], first.values()[r]);
-    }
-    for (SlotIndex slot = kNoSlot; slot < k; ++slot) {
-      const uint8_t* a = first.MasksForSlot(slot);
-      const uint8_t* b = recompiled.MasksForSlot(slot);
-      for (size_t r = 0; r < first.num_rows(); ++r) EXPECT_EQ(a[r], b[r]);
-    }
+    ExpectSameCompilation(recompiled, first);
   }
   EXPECT_EQ(restored.misses(), 8);
 }
 
-// FingerprintBids' mixing step (compiled_bids.cc), for forging collisions.
-constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-constexpr uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
-constexpr uint64_t kMul2 = 0x94d049bb133111ebULL;
-
-uint64_t Combine(uint64_t seed, uint64_t v) {
-  v += kGolden;
-  v = (v ^ (v >> 30)) * kMul1;
-  v = (v ^ (v >> 27)) * kMul2;
-  v ^= v >> 31;
-  return seed ^ (v + kGolden + (seed << 6) + (seed >> 2));
-}
-
-/// x with x ^ (x >> shift) == y.
-uint64_t UndoXorShift(uint64_t y, int shift) {
-  uint64_t x = y;
-  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
-  return x;
-}
-
-/// The inverse of an odd multiplier modulo 2^64 (Newton's iteration).
-uint64_t InverseOf(uint64_t a) {
-  uint64_t x = a;
-  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
-  return x;
-}
-
-/// The v with Combine(seed, v) == target: every step of the mix inverts.
-uint64_t SolveCombine(uint64_t seed, uint64_t target) {
-  uint64_t y = (target ^ seed) - kGolden - (seed << 6) - (seed >> 2);
-  y = UndoXorShift(y, 31) * InverseOf(kMul2);
-  y = UndoXorShift(y, 27) * InverseOf(kMul1);
-  return UndoXorShift(y, 30) - kGolden;
-}
-
-/// The fingerprint state after hashing a Click formula onto `seed`.
-uint64_t HashClick(uint64_t seed) {
-  seed = Combine(seed, static_cast<uint64_t>(Formula::Op::kClick));
-  return Combine(seed, static_cast<uint64_t>(int64_t{kNoSlot}));
-}
-
-/// The state before a two-row Click table's second value, whose first value
-/// has bits v0.
-uint64_t BeforeSecondValue(uint64_t v0) {
-  return HashClick(Combine(HashClick(Combine(0x55a0f00d, 2)), v0));
-}
-
-TEST(CompiledBidsCacheTest, FingerprintCollisionRecompiles) {
-  // Two tables with one fingerprint and different values, forged by
-  // inverting the mix: the second must not reuse the first's compilation.
-  BidsTable first;
-  first.AddBid(Formula::Click(), 5.0);
-  first.AddBid(Formula::Click(), 7.0);
-  const uint64_t target = FingerprintBids(first);
-  ASSERT_EQ(Combine(BeforeSecondValue(Bits(5.0)), Bits(7.0)), target);
-  BidsTable forged;
-  for (double x = 1.0; forged.size() == 0; x += 1.0) {
-    // Fix the first value, solve for the second value's bits, and keep the
-    // first solution that is a valid (finite, non-negative) bid.
-    const uint64_t bits = SolveCombine(BeforeSecondValue(Bits(x)), target);
-    double y;
-    std::memcpy(&y, &bits, sizeof y);
-    if (std::isfinite(y) && y >= 0 && x != 5.0) {
-      forged.AddBid(Formula::Click(), x);
-      forged.AddBid(Formula::Click(), y);
+TEST(CompiledBidsCacheTest, ValueOnlyChangeHitsAndEqualsAFreshCompile) {
+  // The masks depend on the formulas alone, so a table whose values moved
+  // hits — and the hit must hand back the new values' bits, its payments
+  // bitwise a fresh Compile's. Each round draws new values (+0.0 and -0.0
+  // among them) for fixed random formulas.
+  const int k = 6;
+  const int n = 12;
+  Rng rng(20261019);
+  const MatrixClickModel model = RandomModel(rng, n, k);
+  std::vector<BidsTable> shapes;
+  for (int i = 0; i < n; ++i) {
+    shapes.push_back(RandomTable(rng, k, /*allow_heavy=*/false));
+  }
+  CompiledBidsCache cache;
+  int64_t lookups = 0;
+  std::vector<double> prob(static_cast<size_t>(k + 1) * 4);
+  std::vector<double> want(static_cast<size_t>(k) + 1);
+  std::vector<double> got(static_cast<size_t>(k) + 1);
+  for (int round = 0; round < 20; ++round) {
+    for (AdvertiserId i = 0; i < n; ++i) {
+      BidsTable bids;
+      for (const BidRow& row : shapes[static_cast<size_t>(i)].rows()) {
+        const Money zero = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+        bids.AddBid(row.formula,
+                    rng.Bernoulli(0.3)
+                        ? zero
+                        : static_cast<Money>(rng.UniformInt(1, 50)));
+      }
+      const CompiledBids& cached = cache.Get(i, bids, k);
+      ++lookups;
+      const CompiledBids fresh = CompiledBids::Compile(bids, k);
+      ExpectSameCompilation(cached, fresh);
+      model.OutcomeDistributions(i, prob.data());
+      cached.ExpectedPayments(prob.data(), got.data(), &got[k]);
+      fresh.ExpectedPayments(prob.data(), want.data(), &want[k]);
+      for (int s = 0; s <= k; ++s) {
+        EXPECT_EQ(Bits(got[s]), Bits(want[s])) << "round " << round;
+      }
     }
   }
-  ASSERT_EQ(FingerprintBids(forged), target);
-
-  CompiledBidsCache cache;
-  const int k = 3;
-  cache.Get(0, first, k);
-  const CompiledBids& compiled = cache.Get(0, forged, k);
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.hits(), 0);
-  ASSERT_EQ(compiled.num_rows(), 2u);
-  EXPECT_EQ(Bits(compiled.values()[0]), Bits(forged.rows()[0].value));
-  EXPECT_EQ(Bits(compiled.values()[1]), Bits(forged.rows()[1].value));
-  // And an equal table after it hits.
-  BidsTable again = forged;
-  cache.Get(0, again, k);
-  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), n);
+  EXPECT_EQ(cache.hits(), lookups - n);
 }
 
 TEST(CompiledBidsCacheTest, StructurallyEqualFormulasHit) {
   // Formulas are compared by node identity first, then by structure: a
-  // table rebuilt from fresh nodes hits; a -0.0 value where +0.0 was
-  // compiled misses (value bits, not ==).
+  // table rebuilt from fresh nodes hits, and so does a -0.0 value where
+  // +0.0 was compiled, which the hit hands back bit for bit.
   CompiledBidsCache cache;
   BidsTable a;
   a.AddBid(Formula::Click() && Formula::Slot(1), 3.0);
@@ -585,7 +519,8 @@ TEST(CompiledBidsCacheTest, StructurallyEqualFormulasHit) {
   negative_zero.AddBid(Formula::Click() && Formula::Slot(1), 3.0);
   negative_zero.AddBid(Formula::Purchase(), -0.0);
   const CompiledBids& compiled = cache.Get(0, negative_zero, 4);
-  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(Bits(compiled.values()[1]), Bits(-0.0));
 }
 

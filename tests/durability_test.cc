@@ -376,8 +376,9 @@ TEST(CheckpointTest, CaptureAfterRestoreIsByteIdentical) {
 TEST(CheckpointTest, RestoreIntoAnAdvancedEngineContinuesBitwise) {
   // Rewinding an engine that already ran past its checkpoint: its
   // compiled-bids cache holds tables from beyond the checkpoint, and nothing
-  // invalidates them. An entry hits only on an identical table, so the
-  // rewound engine replays the uninterrupted trajectory bit for bit.
+  // invalidates them. A hit reuses only the masks of equal formulas and
+  // takes the rewound table's values, so the rewound engine replays the
+  // uninterrupted trajectory bit for bit.
   for (const int num_shards : {1, 3}) {
     SCOPED_TRACE("K " + std::to_string(num_shards));
     Workload w = MakePaperWorkload(SmallConfig(61));

@@ -1,9 +1,10 @@
 // Seed-swept mutation fuzzing of the ProgramStrategy checkpoint decoder.
 // Saved states of real strategies are truncated, byte-flipped, spliced,
-// given bad type tags and huge row counts, and fed to RestoreState. Every
-// input must either restore, after which SaveState returns exactly the
-// input (the encoding is canonical), or return an error Status and leave
-// the strategy byte-identical and bidding like an untouched twin.
+// given bad type tags, huge row counts and heavyweight formula cells, and
+// fed to RestoreState. Every input must either restore, after which
+// SaveState returns exactly the input (the encoding is canonical) and every
+// Bids formula is one the engine can compile, or return an error Status and
+// leave the strategy byte-identical and bidding like an untouched twin.
 
 #include <cstdint>
 #include <cstring>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/formula_parser.h"
 #include "program_state_fixture.h"
 #include "strategy/program_strategy.h"
 #include "util/rng.h"
@@ -67,7 +69,7 @@ std::string Mutate(Rng* rng, const std::vector<std::string>& corpus) {
   const int rounds = 1 + static_cast<int>(rng->NextBounded(3));
   for (int round = 0; round < rounds && !blob.empty(); ++round) {
     const size_t pos = rng->NextBounded(blob.size());
-    switch (rng->NextBounded(6)) {
+    switch (rng->NextBounded(7)) {
       case 0:  // truncate
         blob.resize(pos);
         break;
@@ -101,6 +103,14 @@ std::string Mutate(Rng* rng, const std::vector<std::string>& corpus) {
         }
         break;
       }
+      case 6: {  // the last Click cell, a Bids row's, turns heavyweight
+        const std::string click("\x05\0\0\0Click", 9);
+        const size_t at = blob.rfind(click);
+        if (at != std::string::npos) {
+          blob.replace(at, click.size(), std::string("\x06\0\0\0Heavy1", 10));
+        }
+        break;
+      }
     }
   }
   return blob;
@@ -126,6 +136,13 @@ TEST_P(ProgramStateFuzzTest, EveryInputRestoresOrLeavesStateUnchanged) {
     if (status.ok()) {
       ++restored;
       ASSERT_EQ(SaveStateOf(*target), input) << "iter " << iter;
+      // Every restored Bids formula is one the engine can compile.
+      const Table& bid_rows = *target->tables().table(1);
+      for (int row = 0; row < bid_rows.num_rows(); ++row) {
+        ASSERT_TRUE(ParseFormula(bid_rows.At(row, 0).str())
+                        ->DependsOnlyOnOwnPlacement())
+            << "iter " << iter;
+      }
       ASSERT_TRUE(target->RestoreState(pristine).ok());
       continue;
     }

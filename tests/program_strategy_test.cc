@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/formula_parser.h"
 #include "program_state_fixture.h"
 #include "strategy/program_strategy.h"
 
@@ -109,6 +110,19 @@ TEST(ProgramPlanTest, SyntaxErrorsStillFailCreate) {
     EXPECT_FALSE(strategy.ok());
   }
   EXPECT_FALSE(ProgramStrategy::Create(kProgram, {}).ok());
+}
+
+TEST(ProgramPlanTest, HeavyweightKeywordFormulasFailCreate) {
+  // The engine compiles bids for the Theorem 2 fast path, which aborts on
+  // a HeavyInSlot formula, so Create rejects such a keyword up front.
+  for (const Formula& heavy :
+       {Formula::HeavyInSlot(0), Formula::Click() && Formula::HeavyInSlot(1)}) {
+    std::vector<ProgramStrategy::KeywordSpec> keywords = FixtureKeywords();
+    keywords[2].formula = heavy;
+    auto strategy = ProgramStrategy::Create(kProgram, keywords);
+    ASSERT_FALSE(strategy.ok()) << heavy.ToString();
+    EXPECT_EQ(strategy.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ProgramPlanTest, ConcurrentCreateSharesOnePlanAndRunsBitwise) {
@@ -254,7 +268,25 @@ TEST(ProgramCheckpointTest, FailedRestoreLeavesStrategyUnchanged) {
   std::string bad_tag = before;
   bad_tag[before.size() - kBidsBytes + 4] = 7;
   auto other = MustCreate(kProgram);  // four keywords, not ten
+  // The Bids row with another formula text, which parses but is
+  // heavyweight: the engine could not compile its bids.
+  const auto heavy_bids = [&](const std::string& text) {
+    EXPECT_TRUE(ParseFormula(text).ok()) << text;
+    return keywords_part + std::string("\x01\0\0\0\x02", 5) +
+           static_cast<char>(text.size()) + std::string(3, '\0') + text +
+           number_cell;
+  };
+  ASSERT_EQ(heavy_bids("Click"), before.substr(0, before.size() - 9) +
+                                     number_cell);  // the framing is right
+  const std::vector<std::string> heavy_blobs = {heavy_bids("Heavy1"),
+                                                heavy_bids("Click & Heavy2")};
+  for (const std::string& blob : heavy_blobs) {
+    EXPECT_EQ(strategy->RestoreState(blob).code(),
+              StatusCode::kInvalidArgument);
+  }
   const std::vector<std::string> bad_blobs = {
+      heavy_blobs[0],
+      heavy_blobs[1],
       before.substr(0, before.size() / 3),
       before.substr(0, before.size() - 1),
       before + std::string(1, '\0'),

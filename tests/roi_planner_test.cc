@@ -714,14 +714,11 @@ TEST(RoiPlannerTest, NonRoiStrategyKeepsItsShardOnBruteForce) {
     Lockstep run(wc, Shape::kPaper, ec, layout.num_shards, nullptr, wrapped);
     ASSERT_NO_FATAL_FAILURE(run.Run(300, 10));
     EXPECT_EQ(run.engine->planner_stats().logical_plans, 300);
-    // Only the brute shard captures and looks its bidders up in the cache.
+    // Only the brute shard runs its shard phase.
     for (int s = 0; s < run.engine->num_shards(); ++s) {
-      const auto stats = run.engine->shard_stats(s);
-      if (s == layout.brute_shard) {
-        EXPECT_GT(stats.cache_misses, 0) << "shard " << s;
-      } else {
-        EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0) << "shard " << s;
-      }
+      EXPECT_EQ(run.engine->shard_stats(s).phase_ns > 0,
+                s == layout.brute_shard)
+          << "shard " << s;
     }
   }
 }
@@ -736,12 +733,11 @@ WorkloadConfig FallbackConfig(uint64_t seed) {
   return wc;
 }
 
-/// Which shards looked their bidders up in the compiled-bids cache.
+/// Which shards ran their brute-force shard phase.
 std::vector<bool> BruteShards(const ShardedAuctionEngine& engine) {
   std::vector<bool> brute;
   for (int s = 0; s < engine.num_shards(); ++s) {
-    const auto stats = engine.shard_stats(s);
-    brute.push_back(stats.cache_hits + stats.cache_misses > 0);
+    brute.push_back(engine.shard_stats(s).phase_ns > 0);
   }
   return brute;
 }

@@ -260,8 +260,8 @@ TEST(ShardedEngineTest, ShardPartitionCoversPopulationOnce) {
 }
 
 TEST(ShardedEngineTest, PerShardCachesHitOnStableBids) {
-  // ROI strategies mostly re-emit unchanged tables; each shard's private
-  // cache must absorb its own population's lookups. Native ROI shards plan
+  // ROI strategies re-emit the same formulas every auction; the lane's
+  // cache must absorb every shard's lookups. Native ROI shards plan
   // logically and never look the cache up, so the bidders run behind the
   // forwarding wrapper, which keeps them on the brute-force path.
   Workload w = MakePaperWorkload(SmallConfig(43));
@@ -274,9 +274,8 @@ TEST(ShardedEngineTest, PerShardCachesHitOnStableBids) {
             static_cast<int64_t>(40) * auctions);
   EXPECT_GT(engine.cache_hits(), 0);
   for (int s = 0; s < engine.num_shards(); ++s) {
-    const auto stats = engine.shard_stats(s);
-    // Every shard compiled at least its own first-auction tables.
-    EXPECT_GE(stats.cache_misses, stats.end - stats.begin);
+    // Every shard ran its brute-force phase on the internal lane.
+    EXPECT_GT(engine.shard_stats(s).phase_ns, 0) << "shard " << s;
   }
 }
 
@@ -316,9 +315,10 @@ TEST(ShardedEngineTest, CompiledBidsCacheHitsOnStableTables) {
   EXPECT_EQ(engine.cache_hits(), static_cast<int64_t>(n) * extra);
 }
 
-TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
-  // ROI bidders move their bids between auctions; the fingerprint cache
-  // must recompile exactly those tables (and the trajectory must match the
+TEST(ShardedEngineTest, CompiledBidsCacheReusesMasksOnBidChanges) {
+  // ROI bidders move their bids between auctions but keep their formulas:
+  // after each bidder's first compilation every lookup reuses its masks
+  // and takes the new values (the trajectory must match the
   // always-recompile reference, which ShardedEquivalenceTest covers). The
   // forwarding wrapper keeps the bidders on the brute-force path.
   Workload workload = MakePaperWorkload(SmallConfig(43));
@@ -329,10 +329,8 @@ TEST(ShardedEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
   const int64_t lookups = engine.cache_hits() + engine.cache_misses();
   const int n = workload.config.num_advertisers;
   EXPECT_EQ(lookups, static_cast<int64_t>(n) * 50);
-  // Bids change over time, so there must be recompilations beyond auction
-  // one — but unchanged tables must still hit.
-  EXPECT_GT(engine.cache_misses(), n);
-  EXPECT_GT(engine.cache_hits(), 0);
+  EXPECT_EQ(engine.cache_misses(), n);
+  EXPECT_EQ(engine.cache_hits(), static_cast<int64_t>(n) * 49);
 }
 
 TEST(ShardedEngineTest, ShardStatsExposeCaptureAndPhaseTime) {
