@@ -138,13 +138,16 @@ inline Workload PaperWorkload(int n, uint64_t seed) {
 
 /// Average provider-side processing time per auction over `measured`
 /// auctions after `warmup` unmeasured ones (the bid dynamics need to ramp
-/// before timings are representative).
-inline double AverageAuctionMs(ShardedAuctionEngine& engine, int warmup,
+/// before timings are representative), on the Section V query stream
+/// QueryGenerator(num_keywords, query_seed).
+inline double AverageAuctionMs(ShardedAuctionEngine& engine,
+                               uint64_t query_seed, int warmup,
                                int measured) {
-  for (int t = 0; t < warmup; ++t) engine.RunAuction();
+  QueryGenerator queries(engine.workload().config.num_keywords, query_seed);
+  for (int t = 0; t < warmup; ++t) engine.RunAuctionOn(queries.Next());
   double total = 0;
   for (int t = 0; t < measured; ++t) {
-    total += engine.RunAuction().ProcessingMs();
+    total += engine.RunAuctionOn(queries.Next()).ProcessingMs();
   }
   return total / measured;
 }

@@ -43,12 +43,19 @@ std::unique_ptr<ShardedAuctionEngine> MakeEngine(int n, uint64_t seed) {
                                                 std::move(strategies));
 }
 
-/// Runs warmup+measured auctions, appending each settlement to `writer`
-/// (nullptr = log off). Returns measured auctions per second.
-double MeasureQps(ShardedAuctionEngine* engine, SettlementLogWriter* writer,
-                  int warmup, int measured) {
+/// The Section V query stream for MakeEngine(n, seed)'s engine, seeded like
+/// the engine.
+QueryGenerator MakeQueries(const ShardedAuctionEngine& engine, uint64_t seed) {
+  return QueryGenerator(engine.workload().config.num_keywords, seed + 1);
+}
+
+/// Runs warmup+measured auctions on the next queries of `queries`, appending
+/// each settlement to `writer` (nullptr = log off). Returns measured
+/// auctions per second.
+double MeasureQps(ShardedAuctionEngine* engine, QueryGenerator* queries,
+                  SettlementLogWriter* writer, int warmup, int measured) {
   for (int t = 0; t < warmup; ++t) {
-    const AuctionOutcome& outcome = engine->RunAuction();
+    const AuctionOutcome& outcome = engine->RunAuctionOn(queries->Next());
     if (writer != nullptr) {
       (void)writer->Append(SettlementRecord::FromOutcome(
           static_cast<uint64_t>(engine->auctions_run()), outcome));
@@ -56,7 +63,7 @@ double MeasureQps(ShardedAuctionEngine* engine, SettlementLogWriter* writer,
   }
   WallTimer timer;
   for (int t = 0; t < measured; ++t) {
-    const AuctionOutcome& outcome = engine->RunAuction();
+    const AuctionOutcome& outcome = engine->RunAuctionOn(queries->Next());
     if (writer != nullptr) {
       (void)writer->Append(SettlementRecord::FromOutcome(
           static_cast<uint64_t>(engine->auctions_run()), outcome));
@@ -97,6 +104,7 @@ void RunLogModes(int n, int warmup, int measured, size_t group,
     for (size_t m = 0; m < num_rows; ++m) {
       const ModeRow& row = rows[m];
       auto engine = MakeEngine(n, seed);
+      QueryGenerator queries = MakeQueries(*engine, seed);
       std::unique_ptr<SettlementLogWriter> writer;
       const std::string path = TempPath(row.name);
       std::remove(path.c_str());
@@ -115,7 +123,7 @@ void RunLogModes(int n, int warmup, int measured, size_t group,
       }
       best_qps[m] = std::max(
           best_qps[m],
-          MeasureQps(engine.get(), writer.get(), warmup, measured));
+          MeasureQps(engine.get(), &queries, writer.get(), warmup, measured));
       if (writer != nullptr) {
         bytes_per_auction[m] = static_cast<double>(writer->bytes_written()) /
                                static_cast<double>(warmup + measured);
@@ -153,8 +161,9 @@ void RunRecoveryCosts(int n, int auctions, size_t group, uint64_t seed) {
     options.group_records = group;
     auto writer = SettlementLogWriter::Open(log_path, options, /*next_seq=*/1);
     if (!writer.ok()) return;
+    QueryGenerator queries = MakeQueries(*engine, seed);
     for (int t = 0; t < auctions; ++t) {
-      const AuctionOutcome& outcome = engine->RunAuction();
+      const AuctionOutcome& outcome = engine->RunAuctionOn(queries.Next());
       (void)(*writer)->Append(SettlementRecord::FromOutcome(
           static_cast<uint64_t>(engine->auctions_run()), outcome));
     }
@@ -166,7 +175,6 @@ void RunRecoveryCosts(int n, int auctions, size_t group, uint64_t seed) {
   RecoveryOptions options;
   options.checkpoint_path = ckpt_path;
   options.log_path = log_path;
-  options.stream = QueryStream::kInternal;
   RecoveryReport report;
   WallTimer timer;
   const Status status = RecoverEngine(recovered.get(), options, &report);

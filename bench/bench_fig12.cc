@@ -37,7 +37,7 @@ double Measure(int n, WdMethod method, bool logical, int warmup,
                             : BruteForceRoiStrategies(workload);
   ShardedAuctionEngine engine(config, std::move(workload),
                               std::move(strategies));
-  return AverageAuctionMs(engine, warmup, measured);
+  return AverageAuctionMs(engine, config.engine.seed, warmup, measured);
 }
 
 int Main() {

@@ -45,7 +45,8 @@ bool RunRow(const char* label, int n, const Workload& world, bool programs,
   Workload w_eager = world;
   auto brute = BruteForce(population(w_eager));
   ShardedAuctionEngine eager(config, std::move(w_eager), std::move(brute));
-  const double rh_ms = AverageAuctionMs(eager, warmup, measured);
+  const double rh_ms =
+      AverageAuctionMs(eager, config.engine.seed, warmup, measured);
 
   // RHTALU (one logical shard), with work counters sampled over the
   // measured window.
@@ -53,11 +54,12 @@ bool RunRow(const char* label, int n, const Workload& world, bool programs,
   auto planned = population(w_logical);
   ShardedAuctionEngine logical(config, std::move(w_logical),
                                std::move(planned));
-  for (int t = 0; t < warmup; ++t) logical.RunAuction();
+  QueryGenerator queries(world.config.num_keywords, config.engine.seed);
+  for (int t = 0; t < warmup; ++t) logical.RunAuctionOn(queries.Next());
   const RoiPlannerStats before = logical.planner_stats();
   double talu_total = 0;
   for (int t = 0; t < measured; ++t) {
-    talu_total += logical.RunAuction().ProcessingMs();
+    talu_total += logical.RunAuctionOn(queries.Next()).ProcessingMs();
   }
   const double talu_ms = talu_total / measured;
   const RoiPlannerStats after = logical.planner_stats();

@@ -118,9 +118,11 @@ ApplyResult RunApplySection(const Params& p, const std::string& log_path) {
       std::printf("log open failed: %s\n", writer.status().ToString().c_str());
       return result;
     }
+    QueryGenerator queries(leader->workload().config.num_keywords,
+                           EngineConfigFor(p).engine.seed);
     WallTimer timer;
     for (int t = 0; t < p.auctions; ++t) {
-      const AuctionOutcome& outcome = leader->RunAuction();
+      const AuctionOutcome& outcome = leader->RunAuctionOn(queries.Next());
       (void)(*writer)->Append(SettlementRecord::FromOutcome(
           static_cast<uint64_t>(leader->auctions_run()), outcome));
     }

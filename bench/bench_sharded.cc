@@ -1,5 +1,5 @@
 // Sharded-engine benchmark harness (custom main, no google-benchmark):
-// the full RunAuction() lifecycle (program evaluation, compiled-bids
+// the full RunAuctionOn lifecycle (program evaluation, compiled-bids
 // lookups, revenue matrix, reduced-Hungarian winner determination, pricing,
 // settlement) on the Section V paper workload, swept over the shard count.
 //
@@ -79,10 +79,12 @@ ThroughputRow MeasureRow(
   config.num_shards = shards;
   config.pool = pool.get();
   ShardedAuctionEngine engine(config, std::move(w), std::move(strategies));
-  for (int t = 0; t < warmup; ++t) engine.RunAuction();
+  QueryGenerator queries(engine.workload().config.num_keywords,
+                         config.engine.seed);
+  for (int t = 0; t < warmup; ++t) engine.RunAuctionOn(queries.Next());
   const int64_t probes_before = engine.planner_stats().probes;
   WallTimer timer;
-  for (int t = 0; t < measured; ++t) engine.RunAuction();
+  for (int t = 0; t < measured; ++t) engine.RunAuctionOn(queries.Next());
   ThroughputRow row;
   row.shards = shards;
   row.pool_threads = pool_threads;

@@ -86,8 +86,9 @@ int main() {
               "keywords {boot: Click & Slot1, shoe: Click}.\n\n");
   std::printf("%8s %10s %12s %12s %10s %8s %8s\n", "auction", "keyword",
               "bid(boot)", "bid(shoe)", "spent", "won", "clicked");
+  QueryGenerator queries(wc.num_keywords, config.engine.seed);
   for (int t = 1; t <= 400; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     if (t % 40 != 0) continue;
     // The engine's RHTALU planner runs the program's bid step logically;
     // capturing a checkpoint writes the bids back into the tables.

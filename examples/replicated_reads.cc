@@ -112,13 +112,12 @@ int main() {
     return 1;
   }
   const AdvertiserAccount& truth = leader.engine().accounts()[0];
+  const bool equal = truth.amount_spent == account.amount_spent;
   std::printf("advertiser 0 spend: leader=%.2f follower=%.2f (%s)\n",
               truth.amount_spent, account.amount_spent,
-              truth.amount_spent == account.amount_spent
-                  ? "bitwise equal"
-                  : "DIVERGED");
+              equal ? "bitwise equal" : "DIVERGED");
 
   replicas.Stop();
   std::remove(kLogPath);
-  return 0;
+  return equal ? 0 : 1;
 }

@@ -61,8 +61,13 @@ int main() {
   }
   ShardedAuctionEngine eager(config, std::move(w_eager),
                              std::move(eager_bidders));
+  // Queries come from the caller: both engines see the same Section V
+  // stream, drawn from a generator seeded like the engine.
+  QueryGenerator eager_queries(wc.num_keywords, config.engine.seed);
   WallTimer timer;
-  for (int t = 0; t < kAuctions; ++t) eager.RunAuction();
+  for (int t = 0; t < kAuctions; ++t) {
+    eager.RunAuctionOn(eager_queries.Next());
+  }
   const double eager_s = timer.ElapsedSeconds();
 
   // --- RHTALU on an identical world.
@@ -74,8 +79,11 @@ int main() {
   }
   ShardedAuctionEngine logical(config, std::move(w_logical),
                                std::move(roi_bidders));
+  QueryGenerator logical_queries(wc.num_keywords, config.engine.seed);
   timer.Reset();
-  for (int t = 0; t < kAuctions; ++t) logical.RunAuction();
+  for (int t = 0; t < kAuctions; ++t) {
+    logical.RunAuctionOn(logical_queries.Next());
+  }
   const double logical_s = timer.ElapsedSeconds();
 
   std::printf("%d auctions, %d ROI bidders, 15 slots, 10 keywords\n",
@@ -84,9 +92,9 @@ int main() {
               eager.total_revenue());
   std::printf("  RHTALU engine   : %6.2f s  (revenue %.0f cents)\n",
               logical_s, logical.total_revenue());
+  const bool identical = eager.total_revenue() == logical.total_revenue();
   std::printf("  identical trajectories: %s, speedup %.1fx\n",
-              eager.total_revenue() == logical.total_revenue() ? "yes" : "NO",
-              eager_s / logical_s);
+              identical ? "yes" : "NO", eager_s / logical_s);
 
   const RoiPlannerStats stats = logical.planner_stats();
   std::printf("\nRHTALU work counters over the campaign:\n");
@@ -123,5 +131,5 @@ int main() {
                 "target rate %.2f\n",
                 order[rank], a.amount_spent, gained, a.target_spend_rate);
   }
-  return 0;
+  return identical ? 0 : 1;
 }

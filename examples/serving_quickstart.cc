@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "auction/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "auction/pricing.h"
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "auction/workload.h"
 #include "core/winner_determination.h"
 #include "strategy/strategy.h"
@@ -51,8 +51,11 @@ struct AuctionOutcome {
 struct EngineConfig {
   WdMethod wd_method = WdMethod::kReducedHungarian;
   PricingRule pricing = PricingRule::kGeneralizedSecondPrice;
-  /// Seed for the query stream and user-behavior simulation (independent of
-  /// the workload seed so populations and traffic vary separately).
+  /// Seed of the user-behavior simulation (the engine's user RNG starts at
+  /// seed ^ 0x5eed0f0e125eedULL), independent of the workload seed so
+  /// populations and traffic vary separately. Queries come from the caller;
+  /// the tests, benches and examples draw the Section V stream from their
+  /// own QueryGenerator(num_keywords, seed).
   uint64_t seed = 42;
 };
 

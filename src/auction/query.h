@@ -1,5 +1,5 @@
-#ifndef SSA_AUCTION_QUERY_GEN_H_
-#define SSA_AUCTION_QUERY_GEN_H_
+#ifndef SSA_AUCTION_QUERY_H_
+#define SSA_AUCTION_QUERY_H_
 
 #include <cstdint>
 #include <vector>
@@ -40,26 +40,6 @@ class QueryGenerator {
     return q;
   }
 
-  int num_keywords() const { return num_keywords_; }
-  int64_t time() const { return time_; }
-
-  /// Generator position for checkpointing: the RNG state plus the auction
-  /// counter. Restoring it resumes the exact query stream.
-  struct State {
-    uint64_t rng[4] = {0, 0, 0, 0};
-    int64_t time = 0;
-  };
-  State SaveState() const {
-    State state;
-    rng_.SaveState(state.rng);
-    state.time = time_;
-    return state;
-  }
-  void RestoreState(const State& state) {
-    rng_.RestoreState(state.rng);
-    time_ = state.time;
-  }
-
  private:
   int num_keywords_;
   Rng rng_;
@@ -68,4 +48,4 @@ class QueryGenerator {
 
 }  // namespace ssa
 
-#endif  // SSA_AUCTION_QUERY_GEN_H_
+#endif  // SSA_AUCTION_QUERY_H_

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "auction/account.h"
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "matching/allocation.h"
 #include "core/click_model.h"
 #include "core/formula.h"

@@ -16,7 +16,6 @@ ShardedAuctionEngine::ShardedAuctionEngine(
     : config_(config),
       workload_(std::move(workload)),
       strategies_(std::move(strategies)),
-      query_gen_(workload_.config.num_keywords, config.engine.seed),
       user_rng_(config.engine.seed ^ 0x5eed0f0e125eedULL) {
   SSA_CHECK(strategies_.size() == workload_.accounts.size());
   const int n = static_cast<int>(strategies_.size());
@@ -256,10 +255,6 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
   plan->outcome.pricing_ms = timer.ElapsedMillis();
 }
 
-const AuctionOutcome& ShardedAuctionEngine::RunAuction() {
-  return RunAuctionOn(query_gen_.Next());
-}
-
 const AuctionOutcome& ShardedAuctionEngine::RunAuctionOn(const Query& query) {
   PlanAuction(query, &plan_scratch_);
   return SettlePlanned(&plan_scratch_);
@@ -451,7 +446,6 @@ void ShardedAuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   ckpt->seq = static_cast<uint64_t>(auctions_run_);
   ckpt->total_revenue = total_revenue_;
   user_rng_.SaveState(ckpt->user_rng);
-  ckpt->query_gen = query_gen_.SaveState();
   ckpt->num_advertisers = static_cast<int32_t>(strategies_.size());
   ckpt->num_slots = workload_.config.num_slots;
   ckpt->num_keywords = workload_.config.num_keywords;
@@ -492,7 +486,6 @@ Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   }
   workload_.accounts = ckpt.accounts;
   user_rng_.RestoreState(ckpt.user_rng);
-  query_gen_.RestoreState(ckpt.query_gen);
   auctions_run_ = static_cast<int64_t>(ckpt.seq);
   total_revenue_ = ckpt.total_revenue;
   outcome_ = AuctionOutcome{};

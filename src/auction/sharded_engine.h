@@ -8,7 +8,7 @@
 
 #include "auction/outcome.h"
 #include "auction/pricing.h"
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "auction/roi_planner.h"
 #include "auction/workload.h"
 #include "core/bids_table.h"
@@ -116,15 +116,13 @@ class ShardedAuctionEngine {
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
                        std::vector<std::unique_ptr<BiddingStrategy>> strategies);
 
-  /// Runs one complete auction and returns its record. The fused shard
-  /// phase (program evaluation + compile + matrix rows + local top-k) and
-  /// the planner's bid step + Threshold Algorithm are reported as
+  /// Runs one complete auction on `query` and returns its record: exactly
+  /// PlanAuction followed by SettlePlanned. Queries come from the caller (a
+  /// user's search is the auction's input, not engine state); the Section V
+  /// stream is a QueryGenerator the caller owns. The fused shard phase
+  /// (program evaluation + compile + matrix rows + local top-k) and the
+  /// planner's bid step + Threshold Algorithm are reported as
   /// program_eval_ms.
-  const AuctionOutcome& RunAuction();
-
-  /// Runs one complete auction on an externally supplied query (the serving
-  /// subsystem's ingestion entry). RunAuction() is exactly
-  /// RunAuctionOn(query_gen.Next()).
   const AuctionOutcome& RunAuctionOn(const Query& query);
 
   /// The provider-side half of one auction, detached from its settlement —
@@ -237,7 +235,6 @@ class ShardedAuctionEngine {
     return workload_.accounts;
   }
   const Workload& workload() const { return workload_; }
-  const AuctionOutcome& last_outcome() const { return outcome_; }
   int64_t auctions_run() const { return auctions_run_; }
   Money total_revenue() const { return total_revenue_; }
   int num_shards() const { return static_cast<int>(ranges_.size()); }
@@ -277,12 +274,13 @@ class ShardedAuctionEngine {
   int64_t cache_misses() const;
 
   /// Durability hooks (src/durability/): snapshot / rewind the complete
-  /// trajectory state — accounts, both RNG streams, auction counter, revenue
-  /// accumulator, strategy blobs — and nothing else. An engine restored
-  /// from a checkpoint continues bitwise-identically to the uninterrupted
-  /// run. Restore requires the same workload shape and strategy lineup and
-  /// fails without partial effects on shape mismatches (strategy-blob
-  /// errors surface per strategy). The checkpoint holds no shard layout, so
+  /// trajectory state — accounts, the user RNG, auction counter, revenue
+  /// accumulator, strategy blobs — and nothing else (queries are the
+  /// caller's). An engine restored from a checkpoint continues
+  /// bitwise-identically to the uninterrupted run. Restore requires the
+  /// same workload shape and strategy lineup and fails without partial
+  /// effects on shape mismatches (strategy-blob errors surface per
+  /// strategy). The checkpoint holds no shard layout, so
   /// an engine of any shard count restores one taken at any other. A restore
   /// leaves the compiled-bids caches as they are: a hit takes the new
   /// table's values, so a cache holding newer tables still returns a fresh
@@ -346,7 +344,6 @@ class ShardedAuctionEngine {
   /// Span sink for per-shard capture/plan slices (not owned; null = off).
   Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
-  QueryGenerator query_gen_;
   Rng user_rng_;
   /// Advertisers [begin, end) per shard, fixed at construction and shared
   /// read-only by every lane.

@@ -38,8 +38,6 @@ void EncodePayload(const EngineCheckpoint& ckpt, std::string* out) {
   w.PutU64(ckpt.seq);
   w.PutDouble(ckpt.total_revenue);
   for (uint64_t s : ckpt.user_rng) w.PutU64(s);
-  for (uint64_t s : ckpt.query_gen.rng) w.PutU64(s);
-  w.PutI64(ckpt.query_gen.time);
   w.PutI32(ckpt.num_advertisers);
   w.PutI32(ckpt.num_slots);
   w.PutI32(ckpt.num_keywords);
@@ -56,8 +54,6 @@ Status DecodePayload(std::string_view payload, EngineCheckpoint* ckpt) {
   SSA_RETURN_IF_ERROR(r.GetU64(&ckpt->seq));
   SSA_RETURN_IF_ERROR(r.GetDouble(&ckpt->total_revenue));
   for (uint64_t& s : ckpt->user_rng) SSA_RETURN_IF_ERROR(r.GetU64(&s));
-  for (uint64_t& s : ckpt->query_gen.rng) SSA_RETURN_IF_ERROR(r.GetU64(&s));
-  SSA_RETURN_IF_ERROR(r.GetI64(&ckpt->query_gen.time));
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_advertisers));
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_slots));
   SSA_RETURN_IF_ERROR(r.GetI32(&ckpt->num_keywords));

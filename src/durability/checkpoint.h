@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "auction/account.h"
-#include "auction/query_gen.h"
 #include "util/status.h"
 
 namespace ssa {
@@ -17,21 +16,21 @@ namespace ssa {
 /// the uninterrupted run:
 ///   * per-advertiser accounts (spend, per-keyword value/spend — the state
 ///     whose loss Section II-B makes every later bid wrong);
-///   * both RNG streams (user behavior, query generation) plus the auction
-///     counter, so draws resume mid-stream;
+///   * the user-behavior RNG plus the auction counter, so draws resume
+///     mid-stream (queries are the caller's: recovery feeds the logged
+///     ones back, so no query stream is saved);
 ///   * each strategy's private state blob (tentative bids, program tables).
 /// It holds trajectory state only: no cache, scratch or shard layout, so
 /// capturing right after a restore reproduces the restored image byte for
 /// byte, and any K restores any checkpoint.
 struct EngineCheckpoint {
-  static constexpr uint32_t kVersion = 2;
+  static constexpr uint32_t kVersion = 3;
 
   /// Settlement-log position: auctions settled when the checkpoint was
   /// taken. Recovery replays log records with seq > this.
   uint64_t seq = 0;
   double total_revenue = 0;
   uint64_t user_rng[4] = {0, 0, 0, 0};
-  QueryGenerator::State query_gen;
   /// Workload shape, checked at restore: a checkpoint only restores into an
   /// engine built from the same population.
   int32_t num_advertisers = 0;

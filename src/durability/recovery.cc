@@ -43,21 +43,10 @@ Status RecoverEngine(ShardedAuctionEngine* engine,
           "settlement log gap: engine at auction " + std::to_string(position) +
           ", next record is " + std::to_string(record.seq));
     }
-    const AuctionOutcome* outcome = nullptr;
-    if (options.stream == QueryStream::kInternal) {
-      outcome = &engine->RunAuction();
-      if (outcome->query.keyword != record.query.keyword ||
-          outcome->query.time != record.query.time) {
-        return Status::DataLoss(
-            "replayed query diverges from log at auction " +
-            std::to_string(record.seq));
-      }
-    } else {
-      outcome = &engine->RunAuctionOn(record.query);
-    }
+    const AuctionOutcome& outcome = engine->RunAuctionOn(record.query);
     position = record.seq;
     ++report->records_replayed;
-    if (!record.MatchesOutcome(*outcome)) {
+    if (!record.MatchesOutcome(outcome)) {
       ++report->verify_mismatches;
       return Status::DataLoss(
           "replayed auction " + std::to_string(record.seq) +

@@ -10,24 +10,11 @@ namespace ssa {
 
 class ShardedAuctionEngine;
 
-/// How the recovering engine obtains replay queries.
-enum class QueryStream {
-  /// The engine generates its own stream (RunAuction): replay re-executes
-  /// via RunAuction() so the generator advances in lockstep, and verifies
-  /// each generated query against the logged one — a divergence means the
-  /// checkpoint and log disagree about the trajectory.
-  kInternal,
-  /// Queries arrived externally (the serving path): replay feeds each logged
-  /// query back through RunAuctionOn().
-  kExternal,
-};
-
 struct RecoveryOptions {
   /// Checkpoint to rewind to. Empty or missing file = recover from the
   /// engine's current (freshly constructed) state, replaying the whole log.
   std::string checkpoint_path;
   std::string log_path;
-  QueryStream stream = QueryStream::kInternal;
 };
 
 struct RecoveryReport {
@@ -48,13 +35,15 @@ struct RecoveryReport {
 };
 
 /// Restore-then-replay: rewinds `engine` to the checkpoint (if one exists),
-/// then re-executes the settlement log's suffix, comparing every replayed
-/// auction bitwise against its logged record (allocation, prices, events,
-/// revenue) so divergence is a hard DataLoss error, never silent drift.
+/// then re-executes the settlement log's suffix by feeding each logged query
+/// back through RunAuctionOn, comparing every replayed auction bitwise
+/// against its logged record (allocation, prices, events, revenue) so
+/// divergence — a log from another trajectory than the checkpoint's
+/// included — is a hard DataLoss error, never silent drift.
 /// A torn or corrupt log tail is truncated to the last intact record, so
 /// the next writer appends after clean frames.
 /// Because engines are bitwise-deterministic, re-execution reconstructs
-/// accounts, RNG streams, revenue, and strategy state exactly — the engine
+/// accounts, the user RNG, revenue, and strategy state exactly — the engine
 /// ends bitwise-identical to the uninterrupted run at the last durable
 /// record, losing only the unsynced suffix a crash destroyed, at any shard
 /// count.

@@ -89,8 +89,6 @@ void AuctionServer::SetupObservability() {
         static_cast<double>(accepted()));
     add("serving_rejected_total", MetricSample::kCounter,
         static_cast<double>(rejected()));
-    add("serving_dropped_oldest_total", MetricSample::kCounter,
-        static_cast<double>(dropped_oldest()));
     add("serving_completed_total", MetricSample::kCounter,
         static_cast<double>(completed()));
     add("serving_batches_total", MetricSample::kCounter,
@@ -119,7 +117,6 @@ Status AuctionServer::Start() {
       RecoveryOptions options;
       options.checkpoint_path = durability.checkpoint_path;
       options.log_path = durability.log_path;
-      options.stream = QueryStream::kExternal;
       SSA_RETURN_IF_ERROR(RecoverEngine(&engine_, options, &recovery_));
     }
     LogWriterOptions writer_options = durability.writer;

@@ -82,11 +82,11 @@ struct ServerConfig {
 };
 
 /// Asynchronous serving front-end for the sharded auction engine: producers
-/// Submit() queries into one bounded, mutex-guarded ingestion queue (block /
-/// reject / drop-oldest backpressure); a single executor thread pulls
-/// micro-batches of whatever is queued, never waiting for batch-mates, and
-/// drives them through the ShardedAuctionEngine (whose shard phase fans out
-/// on the configured ThreadPool, the executor running shard chunks too).
+/// Submit() queries into one bounded, mutex-guarded ingestion queue (block or
+/// reject backpressure); a single executor thread pulls micro-batches of
+/// whatever is queued, never waiting for batch-mates, and drives them
+/// through the ShardedAuctionEngine (whose shard phase fans out on the
+/// configured ThreadPool, the executor running shard chunks too).
 /// Each query is planned against the current account state and settled
 /// before the next one is planned, so given a fixed arrival order the
 /// served trajectory reproduces the serial engine loop *bitwise* — for any
@@ -162,7 +162,6 @@ class AuctionServer {
   /// Admission / completion counters.
   int64_t accepted() const { return queue_.accepted(); }
   int64_t rejected() const { return queue_.rejected(); }
-  int64_t dropped_oldest() const { return queue_.dropped_oldest(); }
   int64_t completed() const {
     return completed_.load(std::memory_order_relaxed);
   }

@@ -2,7 +2,7 @@
 #define SSA_STRATEGY_ROI_BIDDER_H_
 
 #include "auction/account.h"
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "core/formula.h"
 #include "util/common.h"
 

@@ -5,7 +5,7 @@
 #include <string_view>
 
 #include "auction/account.h"
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "core/bids_table.h"
 #include "util/common.h"
 #include "util/status.h"

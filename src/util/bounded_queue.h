@@ -22,17 +22,13 @@ enum class BackpressurePolicy {
   /// Fail the push immediately (load shedding; the caller sees the verdict
   /// and can retry, degrade, or count the drop).
   kReject,
-  /// Evict the oldest queued element to admit the new one (freshness over
-  /// completeness — stale queries are worth the least).
-  kDropOldest,
 };
 
 /// Verdict of one push against the configured backpressure policy.
 enum class QueuePushResult {
   kAccepted,
-  kRejected,       // kReject policy, queue full
-  kDroppedOldest,  // accepted, but the oldest element was evicted
-  kClosed,         // queue closed — no further admissions
+  kRejected,  // kReject policy, queue full
+  kClosed,    // queue closed — no further admissions
 };
 
 /// Bounded multi-producer/multi-consumer FIFO with pluggable backpressure —
@@ -41,9 +37,9 @@ enum class QueuePushResult {
 /// mutex costs ~100 ns per push against millisecond auctions, so a
 /// lock-free ring buys no measurable throughput (4 producers, 4 cores).
 ///
-/// Lifecycle: producers Push() until Close(); consumers Pop()/PopBatch()
-/// drain remaining elements after Close() and then observe end-of-stream
-/// (false). Admission counters are relaxed atomics readable concurrently.
+/// Lifecycle: producers Push() until Close(); consumers PopBatch() drain
+/// remaining elements after Close() and then observe end-of-stream (false).
+/// Admission counters are relaxed atomics readable concurrently.
 template <typename T>
 class BoundedQueue {
  public:
@@ -59,63 +55,29 @@ class BoundedQueue {
   QueuePushResult Push(T value) {
     std::unique_lock<std::mutex> lock(mu_);
     if (closed_) return QueuePushResult::kClosed;
-    QueuePushResult result = QueuePushResult::kAccepted;
     if (items_.size() >= capacity_) {
-      switch (policy_) {
-        case BackpressurePolicy::kBlock:
-          not_full_.wait(lock,
-                         [&] { return items_.size() < capacity_ || closed_; });
-          if (closed_) return QueuePushResult::kClosed;
-          break;
-        case BackpressurePolicy::kReject:
-          rejected_.fetch_add(1, std::memory_order_relaxed);
-          return QueuePushResult::kRejected;
-        case BackpressurePolicy::kDropOldest:
-          items_.pop_front();
-          dropped_oldest_.fetch_add(1, std::memory_order_relaxed);
-          result = QueuePushResult::kDroppedOldest;
-          break;
+      if (policy_ == BackpressurePolicy::kReject) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        return QueuePushResult::kRejected;
       }
+      not_full_.wait(lock,
+                     [&] { return items_.size() < capacity_ || closed_; });
+      if (closed_) return QueuePushResult::kClosed;
     }
     items_.push_back(std::move(value));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     lock.unlock();
     not_empty_.notify_one();
-    return result;
+    return QueuePushResult::kAccepted;
   }
 
-  /// Blocking pop. Returns false iff the queue is closed and drained.
-  bool Pop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    popped_.fetch_add(1, std::memory_order_relaxed);
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking pop. Returns false when currently empty.
-  bool TryPop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    popped_.fetch_add(1, std::memory_order_relaxed);
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Micro-batch pop: blocks for the first element (indefinitely, like
-  /// Pop), then takes whatever else is already queued, up to `max_batch`
-  /// elements, and returns at once — it never waits for batch-mates, so a
-  /// lone request starts as soon as the consumer is free, and batches fill
-  /// only from the backlog that builds while the consumer works. Appends to
-  /// `*out` (not cleared). Returns false iff closed and drained; a true
-  /// return delivers at least one element.
+  /// Micro-batch pop: blocks for the first element (indefinitely), then
+  /// takes whatever else is already queued, up to `max_batch` elements, and
+  /// returns at once — it never waits for batch-mates, so a lone request
+  /// starts as soon as the consumer is free, and batches fill only from the
+  /// backlog that builds while the consumer works. Appends to `*out` (not
+  /// cleared). Returns false iff closed and drained; a true return delivers
+  /// at least one element.
   bool PopBatch(std::vector<T>* out, size_t max_batch) {
     SSA_CHECK(max_batch >= 1);
     std::unique_lock<std::mutex> lock(mu_);
@@ -126,7 +88,6 @@ class BoundedQueue {
       out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    popped_.fetch_add(static_cast<int64_t>(taken), std::memory_order_relaxed);
     lock.unlock();
     not_full_.notify_all();
     return true;
@@ -143,15 +104,9 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  size_t capacity() const { return capacity_; }
-  BackpressurePolicy policy() const { return policy_; }
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
-  }
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
   // Admission counters (relaxed; safe to read concurrently).
@@ -161,10 +116,6 @@ class BoundedQueue {
   int64_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  int64_t dropped_oldest() const {
-    return dropped_oldest_.load(std::memory_order_relaxed);
-  }
-  int64_t popped() const { return popped_.load(std::memory_order_relaxed); }
 
  private:
   const size_t capacity_;
@@ -178,8 +129,6 @@ class BoundedQueue {
 
   std::atomic<int64_t> accepted_{0};
   std::atomic<int64_t> rejected_{0};
-  std::atomic<int64_t> dropped_oldest_{0};
-  std::atomic<int64_t> popped_{0};
 };
 
 }  // namespace ssa

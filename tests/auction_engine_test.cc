@@ -54,10 +54,11 @@ TEST(ReferenceEngineTest, RunsAndMaintainsInvariants) {
   EngineConfig config;
   config.seed = 7;
   ReferenceEngine engine(config, workload, RoiStrategies(workload));
+  QueryGenerator queries(workload.config.num_keywords, config.seed);
 
   Money revenue = 0;
   for (int t = 0; t < 200; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     // Winners occupy distinct slots, each advertiser at most once.
     std::set<AdvertiserId> seen;
     for (const UserEvent& e : out.events) {
@@ -89,9 +90,11 @@ TEST(ReferenceEngineTest, DeterministicGivenSeeds) {
   config.seed = 13;
   ReferenceEngine e1(config, w1, RoiStrategies(w1));
   ReferenceEngine e2(config, w2, RoiStrategies(w2));
+  QueryGenerator q1(w1.config.num_keywords, config.seed);
+  QueryGenerator q2(w2.config.num_keywords, config.seed);
   for (int t = 0; t < 100; ++t) {
-    const AuctionOutcome& o1 = e1.RunAuction();
-    const AuctionOutcome& o2 = e2.RunAuction();
+    const AuctionOutcome& o1 = e1.RunAuctionOn(q1.Next());
+    const AuctionOutcome& o2 = e2.RunAuctionOn(q2.Next());
     EXPECT_EQ(o1.query.keyword, o2.query.keyword);
     ASSERT_EQ(o1.events.size(), o2.events.size());
     for (size_t i = 0; i < o1.events.size(); ++i) {
@@ -108,10 +111,12 @@ TEST(ReferenceEngineTest, DifferentSeedsDiverge) {
   EngineConfig config;
   ReferenceEngine e1(config, w1, RoiStrategies(w1));
   ReferenceEngine e2(config, w2, RoiStrategies(w2));
+  QueryGenerator queries(w1.config.num_keywords, config.seed);
   int diffs = 0;
   for (int t = 0; t < 50; ++t) {
-    const AuctionOutcome o1 = e1.RunAuction();
-    const AuctionOutcome o2 = e2.RunAuction();
+    const Query query = queries.Next();
+    const AuctionOutcome o1 = e1.RunAuctionOn(query);
+    const AuctionOutcome o2 = e2.RunAuctionOn(query);
     diffs += (o1.revenue_charged != o2.revenue_charged);
   }
   EXPECT_GT(diffs, 0);
@@ -136,10 +141,12 @@ TEST(ReferenceEngineTest, WdMethodsProduceSameRevenueTrajectory) {
     engines.push_back(std::make_unique<ReferenceEngine>(config, std::move(w),
                                                         std::move(strategies)));
   }
+  QueryGenerator queries(wc.num_keywords, configs[0].seed);
   for (int t = 0; t < 150; ++t) {
-    const AuctionOutcome& lp = engines[0]->RunAuction();
-    const AuctionOutcome& h = engines[1]->RunAuction();
-    const AuctionOutcome& rh = engines[2]->RunAuction();
+    const Query query = queries.Next();
+    const AuctionOutcome& lp = engines[0]->RunAuctionOn(query);
+    const AuctionOutcome& h = engines[1]->RunAuctionOn(query);
+    const AuctionOutcome& rh = engines[2]->RunAuctionOn(query);
     EXPECT_NEAR(lp.wd.expected_revenue, rh.wd.expected_revenue, 1e-7);
     EXPECT_NEAR(h.wd.expected_revenue, rh.wd.expected_revenue, 1e-7);
     // Identical optima can differ only on ties; the charged revenue stream
@@ -162,11 +169,13 @@ TEST(ReferenceEngineTest, PurchasePathEndToEnd) {
   config.seed = 53;
   ReferenceEngine engine(config, w1, RoiStrategies(w1));
   ReferenceEngine twin(config, w2, RoiStrategies(w2));
+  QueryGenerator queries(w1.config.num_keywords, config.seed);
+  QueryGenerator twin_queries(w2.config.num_keywords, config.seed);
 
   int64_t clicks = 0, purchases = 0;
   for (int t = 0; t < 300; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
-    const AuctionOutcome& out2 = twin.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
+    const AuctionOutcome& out2 = twin.RunAuctionOn(twin_queries.Next());
     ASSERT_EQ(out.events.size(), out2.events.size());
     for (size_t e = 0; e < out.events.size(); ++e) {
       const UserEvent& event = out.events[e];
@@ -193,8 +202,9 @@ TEST(ReferenceEngineTest, ZeroPurchaseRateNeverPurchases) {
   EngineConfig config;
   config.seed = 57;
   ReferenceEngine engine(config, w, RoiStrategies(w));
+  QueryGenerator queries(w.config.num_keywords, config.seed);
   for (int t = 0; t < 100; ++t) {
-    for (const UserEvent& e : engine.RunAuction().events) {
+    for (const UserEvent& e : engine.RunAuctionOn(queries.Next()).events) {
       EXPECT_FALSE(e.purchased);
     }
   }
@@ -206,8 +216,9 @@ TEST(ReferenceEngineTest, VcgPricingRuns) {
   EngineConfig config;
   config.pricing = PricingRule::kVcg;
   ReferenceEngine engine(config, w, RoiStrategies(w));
+  QueryGenerator queries(w.config.num_keywords, config.seed);
   for (int t = 0; t < 50; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     for (const UserEvent& e : out.events) EXPECT_GE(e.charged, -1e-9);
   }
 }

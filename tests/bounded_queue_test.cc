@@ -15,6 +15,15 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::seconds;
 
+/// Pops one element through PopBatch(…, 1), the consumer's only pop.
+/// Returns false at end-of-stream.
+bool PopOne(BoundedQueue<int>* q, int* out) {
+  std::vector<int> one;
+  if (!q->PopBatch(&one, 1)) return false;
+  *out = one.front();
+  return true;
+}
+
 TEST(BoundedQueueTest, FifoSingleThread) {
   BoundedQueue<int> q(8, BackpressurePolicy::kBlock);
   for (int i = 0; i < 5; ++i) {
@@ -23,12 +32,11 @@ TEST(BoundedQueueTest, FifoSingleThread) {
   EXPECT_EQ(q.size(), 5u);
   int v = -1;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.Pop(&v));
+    ASSERT_TRUE(PopOne(&q, &v));
     EXPECT_EQ(v, i);
   }
-  EXPECT_FALSE(q.TryPop(&v));
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.accepted(), 5);
-  EXPECT_EQ(q.popped(), 5);
 }
 
 TEST(BoundedQueueTest, RejectPolicySheds) {
@@ -40,26 +48,9 @@ TEST(BoundedQueueTest, RejectPolicySheds) {
   EXPECT_EQ(q.accepted(), 2);
   EXPECT_EQ(q.rejected(), 2);
   int v;
-  ASSERT_TRUE(q.Pop(&v));
+  ASSERT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
   EXPECT_EQ(q.Push(5), QueuePushResult::kAccepted);
-}
-
-TEST(BoundedQueueTest, DropOldestEvictsHead) {
-  BoundedQueue<int> q(3, BackpressurePolicy::kDropOldest);
-  for (int i = 1; i <= 3; ++i) q.Push(i);
-  EXPECT_EQ(q.Push(4), QueuePushResult::kDroppedOldest);
-  EXPECT_EQ(q.Push(5), QueuePushResult::kDroppedOldest);
-  EXPECT_EQ(q.dropped_oldest(), 2);
-  // 1 and 2 were evicted; survivors in FIFO order.
-  int v;
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 3);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 4);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 5);
-  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, BlockPolicyBlocksUntilConsumed) {
@@ -74,11 +65,11 @@ TEST(BoundedQueueTest, BlockPolicyBlocksUntilConsumed) {
   std::this_thread::sleep_for(milliseconds(20));
   EXPECT_FALSE(second_admitted.load());
   int v;
-  ASSERT_TRUE(q.Pop(&v));
+  ASSERT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
   producer.join();
   EXPECT_TRUE(second_admitted.load());
-  ASSERT_TRUE(q.Pop(&v));
+  ASSERT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 2);
 }
 
@@ -94,9 +85,9 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducerAndConsumer) {
   producer.join();
   // After close, consumers drain what was admitted, then see end-of-stream.
   int v;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
-  EXPECT_FALSE(q.Pop(&v));
+  EXPECT_FALSE(PopOne(&q, &v));
   EXPECT_EQ(q.Push(3), QueuePushResult::kClosed);
 }
 
@@ -132,7 +123,6 @@ TEST(BoundedQueueTest, PopBatchReturnsQueuedPrefixWithoutWaiting) {
   watchdog.join();
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.popped(), 2);
 }
 
 TEST(BoundedQueueTest, PopBatchStillBlocksForFirstElement) {
@@ -186,7 +176,7 @@ TEST(BoundedQueueTest, MpmcStressNothingLostOrDuplicated) {
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&q, &consumed, c] {
       int v;
-      while (q.Pop(&v)) consumed[c].push_back(v);
+      while (PopOne(&q, &v)) consumed[c].push_back(v);
     });
   }
   for (int p = 0; p < kProducers; ++p) {

@@ -31,9 +31,11 @@ namespace {
 constexpr size_t kVersionAt = 8;
 constexpr size_t kLengthAt = 12;
 constexpr size_t kHeaderBytes = 24;
-// Payload: seq, revenue, 4 + 4 RNG words, query time, three shape fields,
-// then the account count.
-constexpr size_t kAccountCountAt = 8 + 8 + 32 + 32 + 8 + 3 * 4;
+// Payload: seq, revenue, the four user-RNG words, three shape fields, then
+// the account count.
+constexpr size_t kAccountCountAt = 8 + 8 + 32 + 3 * 4;
+
+constexpr uint64_t kEngineSeed = 73;
 
 WorkloadConfig SmallConfig() {
   WorkloadConfig config;
@@ -51,7 +53,7 @@ std::unique_ptr<ShardedAuctionEngine> MakeEngine() {
     strategies.push_back(std::make_unique<RoiStrategy>(w.keyword_formulas));
   }
   ShardedEngineConfig config;
-  config.engine.seed = 73;
+  config.engine.seed = kEngineSeed;
   config.num_shards = 2;
   return std::make_unique<ShardedAuctionEngine>(config, std::move(w),
                                                 std::move(strategies));
@@ -61,7 +63,8 @@ std::unique_ptr<ShardedAuctionEngine> MakeEngine() {
 /// hold non-trivial state.
 std::string RealImage() {
   auto engine = MakeEngine();
-  for (int i = 0; i < 25; ++i) engine->RunAuction();
+  QueryGenerator queries(SmallConfig().num_keywords, kEngineSeed);
+  for (int i = 0; i < 25; ++i) engine->RunAuctionOn(queries.Next());
   EngineCheckpoint ckpt;
   engine->CaptureCheckpoint(&ckpt);
   std::string image;
@@ -212,18 +215,28 @@ TEST(CheckpointDecodeTest, ForgedCountsAreInvalidArgument) {
   // A forged list count behind a valid CRC must be refused before anything
   // is sized from it: an unchecked resize to 0x7fffffff accounts would ask
   // for over 200 GB and abort the process.
+  // Each count is refused by its own list's check, so the offsets the
+  // fuzz sweep forges at really are the two counts.
   const std::string image = RealImage();
   const std::string payload = image.substr(kHeaderBytes);
-  for (const size_t at : {kAccountCountAt, StrategyCountAt(image)}) {
+  uint32_t accounts = 0;
+  std::memcpy(&accounts, &payload[kAccountCountAt], sizeof(accounts));
+  ASSERT_EQ(accounts, static_cast<uint32_t>(SmallConfig().num_advertisers));
+  const struct {
+    size_t at;
+    const char* error;
+  } lists[] = {{kAccountCountAt, "short read: account list"},
+               {StrategyCountAt(image), "short read: strategy state list"}};
+  for (const auto& list : lists) {
     for (const uint32_t count : {0x7fffffffu, 0xffffffffu, 0x10000u}) {
       SCOPED_TRACE("count " + std::to_string(count) + " at " +
-                   std::to_string(at));
+                   std::to_string(list.at));
       std::string forged = payload;
-      PutU32At(&forged, at, count);
+      PutU32At(&forged, list.at, count);
       EngineCheckpoint ckpt;
       const Status status = DecodeCheckpoint(Seal(forged), &ckpt);
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(status.ToString().find("short read"), std::string::npos)
+      EXPECT_NE(status.ToString().find(list.error), std::string::npos)
           << status.ToString();
     }
   }
@@ -252,8 +265,10 @@ TEST(CheckpointDecodeTest, EveryTruncationIsRejected) {
 }
 
 TEST(CheckpointDecodeTest, OtherVersionsAreRejected) {
+  // Version 1 images carried compiled-bids cache keys and version 2 images
+  // an engine-owned query generator's state; both are refused.
   const std::string image = RealImage();
-  for (const uint32_t version : {0u, 1u, 3u}) {
+  for (const uint32_t version : {0u, 1u, 2u, 4u}) {
     std::string other = image;
     PutU32At(&other, kVersionAt, version);
     EngineCheckpoint ckpt;

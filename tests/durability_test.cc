@@ -157,11 +157,12 @@ TEST(StatusMacroTest, AssignOrReturnMovesValueOrPropagates) {
   EXPECT_EQ(out, 0);
 }
 
-/// Runs `count` auctions on `engine`, appending each settlement to `writer`.
-void RunAndLog(ShardedAuctionEngine* engine, SettlementLogWriter* writer,
-               int count) {
+/// Runs `count` auctions on `engine` over the next queries of `queries`,
+/// appending each settlement to `writer`.
+void RunAndLog(ShardedAuctionEngine* engine, QueryGenerator* queries,
+               SettlementLogWriter* writer, int count) {
   for (int i = 0; i < count; ++i) {
-    const AuctionOutcome& outcome = engine->RunAuction();
+    const AuctionOutcome& outcome = engine->RunAuctionOn(queries->Next());
     ASSERT_TRUE(writer
                     ->Append(SettlementRecord::FromOutcome(
                         static_cast<uint64_t>(engine->auctions_run()),
@@ -180,13 +181,14 @@ TEST_P(SettlementLogTest, WriteReadRoundTrip) {
   ShardedEngineConfig config;
   config.engine.seed = 5;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
 
   LogWriterOptions options;
   options.sync = GetParam();
   options.group_records = 4;
   auto writer = SettlementLogWriter::Open(path, options);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  RunAndLog(&engine, writer->get(), 10);
+  RunAndLog(&engine, &queries, writer->get(), 10);
   ASSERT_TRUE((*writer)->Flush().ok());
   EXPECT_EQ((*writer)->records_appended(), 10);
   if (GetParam() == LogSyncMode::kFsyncEach) {
@@ -221,17 +223,19 @@ TEST(SettlementLogReaderTest, TornTailIsReportedAndTruncatable) {
   ShardedEngineConfig config;
   config.engine.seed = 11;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
   {
     auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
-    RunAndLog(&engine, writer->get(), 6);
+    RunAndLog(&engine, &queries, writer->get(), 6);
     ASSERT_TRUE((*writer)->Flush().ok());
   }
 
   // Append a torn frame: a valid record's prefix, cut mid-payload.
   std::string frame;
   EncodeLogFrame(
-      SettlementRecord::FromOutcome(7, engine.RunAuction()), &frame);
+      SettlementRecord::FromOutcome(7, engine.RunAuctionOn(queries.Next())),
+      &frame);
   {
     FILE* f = std::fopen(path.c_str(), "ab");
     ASSERT_NE(f, nullptr);
@@ -261,10 +265,11 @@ TEST(SettlementLogReaderTest, MidLogBitFlipEndsScanAtCorruption) {
   ShardedEngineConfig config;
   config.engine.seed = 17;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
   {
     auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
-    RunAndLog(&engine, writer->get(), 8);
+    RunAndLog(&engine, &queries, writer->get(), 8);
     ASSERT_TRUE((*writer)->Flush().ok());
   }
   std::string data;
@@ -290,7 +295,8 @@ TEST(SettlementLogWriterTest, RejectsOutOfSequenceRecords) {
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   auto writer = SettlementLogWriter::Open(path, LogWriterOptions{});
   ASSERT_TRUE(writer.ok());
-  const AuctionOutcome& outcome = engine.RunAuction();
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  const AuctionOutcome& outcome = engine.RunAuctionOn(queries.Next());
   EXPECT_TRUE((*writer)->Append(SettlementRecord::FromOutcome(1, outcome)).ok());
   const Status skip =
       (*writer)->Append(SettlementRecord::FromOutcome(3, outcome));
@@ -300,32 +306,38 @@ TEST(SettlementLogWriterTest, RejectsOutOfSequenceRecords) {
 
 /// Checkpoint round trip at `num_shards`: run, checkpoint, keep running (the
 /// oracle trajectory); then restore a fresh engine and verify it reproduces
-/// the post-checkpoint trajectory bitwise.
+/// the post-checkpoint trajectory bitwise, fed from a copy of the query
+/// generator taken with the checkpoint.
 void CheckpointRoundTrip(int num_shards) {
   const std::string path = TempPath("ckpt_roundtrip");
   std::remove(path.c_str());
+  constexpr uint64_t kEngineSeed = 31;
   auto make_engine = [num_shards] {
     Workload w = MakePaperWorkload(SmallConfig(29));
     ShardedEngineConfig config;
-    config.engine.seed = 31;
+    config.engine.seed = kEngineSeed;
     config.num_shards = num_shards;
     return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
   };
 
   auto original = make_engine();
-  for (int i = 0; i < 40; ++i) original->RunAuction();
+  QueryGenerator queries(SmallConfig(29).num_keywords, kEngineSeed);
+  for (int i = 0; i < 40; ++i) original->RunAuctionOn(queries.Next());
   ASSERT_TRUE(original->WriteCheckpoint(path).ok());
+  QueryGenerator resumed = queries;
   const Money revenue_at_checkpoint = original->total_revenue();
 
   std::vector<AuctionOutcome> expected;
-  for (int i = 0; i < 25; ++i) expected.push_back(original->RunAuction());
+  for (int i = 0; i < 25; ++i) {
+    expected.push_back(original->RunAuctionOn(queries.Next()));
+  }
 
   auto restored = make_engine();
   ASSERT_TRUE(restored->RestoreFromCheckpoint(path).ok());
   EXPECT_EQ(restored->auctions_run(), 40);
   EXPECT_EQ(restored->total_revenue(), revenue_at_checkpoint);
   for (int i = 0; i < 25; ++i) {
-    const AuctionOutcome& got = restored->RunAuction();
+    const AuctionOutcome& got = restored->RunAuctionOn(resumed.Next());
     const AuctionOutcome& want = expected[i];
     ASSERT_EQ(got.query.keyword, want.query.keyword);
     ASSERT_EQ(got.query.time, want.query.time);
@@ -357,7 +369,8 @@ TEST(CheckpointTest, CaptureAfterRestoreIsByteIdentical) {
   config.engine.seed = 59;
   ShardedAuctionEngine original(config, w, Forwarded(RoiStrategies(w)));
   ASSERT_FALSE(original.has_roi_planner());
-  for (int i = 0; i < 25; ++i) original.RunAuction();
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  for (int i = 0; i < 25; ++i) original.RunAuctionOn(queries.Next());
   ASSERT_GT(original.cache_misses(), 0);
   EngineCheckpoint ckpt;
   original.CaptureCheckpoint(&ckpt);
@@ -386,11 +399,15 @@ TEST(CheckpointTest, RestoreIntoAnAdvancedEngineContinuesBitwise) {
     config.engine.seed = 67;
     config.num_shards = num_shards;
     ShardedAuctionEngine engine(config, w, Forwarded(RoiStrategies(w)));
-    for (int i = 0; i < 20; ++i) engine.RunAuction();
+    QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+    for (int i = 0; i < 20; ++i) engine.RunAuctionOn(queries.Next());
     EngineCheckpoint ckpt;
     engine.CaptureCheckpoint(&ckpt);
+    QueryGenerator resumed = queries;
     std::vector<AuctionOutcome> expected;
-    for (int i = 0; i < 30; ++i) expected.push_back(engine.RunAuction());
+    for (int i = 0; i < 30; ++i) {
+      expected.push_back(engine.RunAuctionOn(queries.Next()));
+    }
     const std::vector<AdvertiserAccount> final_accounts = engine.accounts();
     const Money final_revenue = engine.total_revenue();
 
@@ -399,7 +416,7 @@ TEST(CheckpointTest, RestoreIntoAnAdvancedEngineContinuesBitwise) {
     const int64_t hits_before = engine.cache_hits();
     for (size_t a = 0; a < expected.size(); ++a) {
       const AuctionOutcome& want = expected[a];
-      const AuctionOutcome& got = engine.RunAuction();
+      const AuctionOutcome& got = engine.RunAuctionOn(resumed.Next());
       // Every entry a first rewound auction hits was compiled after the
       // checkpoint: the cache survived the rewind and served it.
       if (a == 0) EXPECT_GT(engine.cache_hits(), hits_before);
@@ -435,9 +452,10 @@ void PortableAcrossShardLayouts(bool brute) {
   const std::string path = TempPath("ckpt_portable");
   std::remove(path.c_str());
   Workload w = MakePaperWorkload(SmallConfig(37));
+  constexpr uint64_t kEngineSeed = 41;
   auto make_engine = [&w, brute](int num_shards) {
     ShardedEngineConfig config;
-    config.engine.seed = 41;
+    config.engine.seed = kEngineSeed;
     config.num_shards = num_shards;
     auto strategies = RoiStrategies(w);
     if (brute) strategies = Forwarded(std::move(strategies));
@@ -445,7 +463,8 @@ void PortableAcrossShardLayouts(bool brute) {
                                                   std::move(strategies));
   };
   auto writer = make_engine(1);
-  for (int i = 0; i < 30; ++i) writer->RunAuction();
+  QueryGenerator queries(w.config.num_keywords, kEngineSeed);
+  for (int i = 0; i < 30; ++i) writer->RunAuctionOn(queries.Next());
 
   for (const int num_shards : {4, 7, 1}) {
     SCOPED_TRACE("K " + std::to_string(writer->num_shards()) + " -> " +
@@ -455,8 +474,9 @@ void PortableAcrossShardLayouts(bool brute) {
     ASSERT_TRUE(reader->RestoreFromCheckpoint(path).ok());
     ASSERT_EQ(reader->auctions_run(), writer->auctions_run());
     for (int i = 0; i < 20; ++i) {
-      const AuctionOutcome& want = writer->RunAuction();
-      const AuctionOutcome& got = reader->RunAuction();
+      const Query query = queries.Next();
+      const AuctionOutcome& want = writer->RunAuctionOn(query);
+      const AuctionOutcome& got = reader->RunAuctionOn(query);
       ASSERT_EQ(got.query.keyword, want.query.keyword);
       ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
                 want.wd.allocation.slot_to_advertiser);
@@ -480,7 +500,8 @@ TEST(CheckpointTest, RestoreRejectsShapeMismatchAndCorruption) {
   ShardedEngineConfig config;
   config.engine.seed = 47;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
-  for (int i = 0; i < 5; ++i) engine.RunAuction();
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  for (int i = 0; i < 5; ++i) engine.RunAuctionOn(queries.Next());
   ASSERT_TRUE(engine.WriteCheckpoint(path).ok());
 
   // Different population shape: restore must refuse without side effects.
@@ -511,21 +532,23 @@ TEST(RecoveryTest, RestoreThenReplayReachesUninterruptedState) {
   std::remove(log_path.c_str());
   std::remove(ckpt_path.c_str());
 
+  constexpr uint64_t kEngineSeed = 59;
   auto make_engine = [] {
     Workload w = MakePaperWorkload(SmallConfig(53));
     ShardedEngineConfig config;
-    config.engine.seed = 59;
+    config.engine.seed = kEngineSeed;
     return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
   };
 
   // Uninterrupted oracle: 70 auctions, checkpoint at 40, logging all along.
   auto oracle = make_engine();
+  QueryGenerator queries(SmallConfig(53).num_keywords, kEngineSeed);
   {
     auto writer = SettlementLogWriter::Open(log_path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
-    RunAndLog(oracle.get(), writer->get(), 40);
+    RunAndLog(oracle.get(), &queries, writer->get(), 40);
     ASSERT_TRUE(oracle->WriteCheckpoint(ckpt_path).ok());
-    RunAndLog(oracle.get(), writer->get(), 30);
+    RunAndLog(oracle.get(), &queries, writer->get(), 30);
     ASSERT_TRUE((*writer)->Flush().ok());
   }
 
@@ -534,7 +557,6 @@ TEST(RecoveryTest, RestoreThenReplayReachesUninterruptedState) {
   RecoveryOptions options;
   options.checkpoint_path = ckpt_path;
   options.log_path = log_path;
-  options.stream = QueryStream::kInternal;
   RecoveryReport report;
   ASSERT_TRUE(RecoverEngine(recovered.get(), options, &report).ok());
   EXPECT_EQ(report.checkpoint_seq, 40u);
@@ -547,9 +569,10 @@ TEST(RecoveryTest, RestoreThenReplayReachesUninterruptedState) {
   ExpectAccountsBitwiseEq(oracle->accounts(), recovered->accounts());
   ASSERT_EQ(oracle->total_revenue(), recovered->total_revenue());
   // The next auction after recovery matches the uninterrupted run exactly:
-  // RNG streams and query generator resumed mid-stream.
-  const AuctionOutcome& want = oracle->RunAuction();
-  const AuctionOutcome& got = recovered->RunAuction();
+  // the user RNG resumed mid-stream.
+  const Query next = queries.Next();
+  const AuctionOutcome& want = oracle->RunAuctionOn(next);
+  const AuctionOutcome& got = recovered->RunAuctionOn(next);
   ASSERT_EQ(got.query.keyword, want.query.keyword);
   ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
             want.wd.allocation.slot_to_advertiser);
@@ -562,17 +585,19 @@ TEST(RecoveryTest, RestoreThenReplayReachesUninterruptedState) {
 TEST(RecoveryTest, NoCheckpointReplaysWholeLogFromScratch) {
   const std::string log_path = TempPath("recover_nockpt");
   std::remove(log_path.c_str());
+  constexpr uint64_t kEngineSeed = 67;
   auto make_engine = [] {
     Workload w = MakePaperWorkload(SmallConfig(61));
     ShardedEngineConfig config;
-    config.engine.seed = 67;
+    config.engine.seed = kEngineSeed;
     return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
   };
   auto oracle = make_engine();
+  QueryGenerator queries(SmallConfig(61).num_keywords, kEngineSeed);
   {
     auto writer = SettlementLogWriter::Open(log_path, LogWriterOptions{});
     ASSERT_TRUE(writer.ok());
-    RunAndLog(oracle.get(), writer->get(), 20);
+    RunAndLog(oracle.get(), &queries, writer->get(), 20);
     ASSERT_TRUE((*writer)->Flush().ok());
   }
   auto recovered = make_engine();
@@ -586,6 +611,56 @@ TEST(RecoveryTest, NoCheckpointReplaysWholeLogFromScratch) {
   std::remove(log_path.c_str());
 }
 
+TEST(RecoveryTest, CheckpointAndLogFromDifferentTrajectoriesAreDataLoss) {
+  // The checkpoint comes from run A; the log from run B, whose queries come
+  // from another seed, and it holds records past the checkpoint. Replay
+  // feeds B's logged queries into A's state: the replayed settlement must
+  // differ from B's logged one and stop recovery, not drift silently.
+  const std::string log_path = TempPath("recover_mixed_log");
+  const std::string ckpt_path = TempPath("recover_mixed_ckpt");
+  std::remove(log_path.c_str());
+  std::remove(ckpt_path.c_str());
+  constexpr uint64_t kEngineSeed = 83;
+  auto make_engine = [] {
+    Workload w = MakePaperWorkload(SmallConfig(79));
+    ShardedEngineConfig config;
+    config.engine.seed = kEngineSeed;
+    return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
+  };
+  const int num_keywords = SmallConfig(79).num_keywords;
+
+  auto run_a = make_engine();
+  QueryGenerator queries_a(num_keywords, kEngineSeed);
+  for (int i = 0; i < 20; ++i) run_a->RunAuctionOn(queries_a.Next());
+  ASSERT_TRUE(run_a->WriteCheckpoint(ckpt_path).ok());
+
+  auto run_b = make_engine();
+  QueryGenerator queries_b(num_keywords, kEngineSeed + 1);
+  {
+    auto writer = SettlementLogWriter::Open(log_path, LogWriterOptions{});
+    ASSERT_TRUE(writer.ok());
+    RunAndLog(run_b.get(), &queries_b, writer->get(), 30);
+    ASSERT_TRUE((*writer)->Flush().ok());
+  }
+
+  auto recovered = make_engine();
+  RecoveryOptions options;
+  options.checkpoint_path = ckpt_path;
+  options.log_path = log_path;
+  RecoveryReport report;
+  const Status status = RecoverEngine(recovered.get(), options, &report);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.ToString().find("diverges from its logged settlement"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(report.checkpoint_seq, 20u);
+  EXPECT_EQ(report.records_skipped, 20);
+  EXPECT_EQ(report.records_replayed, 1);
+  EXPECT_EQ(report.verify_mismatches, 1);
+  std::remove(log_path.c_str());
+  std::remove(ckpt_path.c_str());
+}
+
 TEST(RecoveryTest, SequenceGapIsDataLoss) {
   const std::string log_path = TempPath("recover_gap");
   std::remove(log_path.c_str());
@@ -596,8 +671,10 @@ TEST(RecoveryTest, SequenceGapIsDataLoss) {
   // Hand-craft a log starting at seq 5: a fresh engine (position 0) cannot
   // bridge the gap and must refuse rather than replay a wrong suffix.
   std::string frames;
-  EncodeLogFrame(SettlementRecord::FromOutcome(5, engine.RunAuction()),
-                 &frames);
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  EncodeLogFrame(
+      SettlementRecord::FromOutcome(5, engine.RunAuctionOn(queries.Next())),
+      &frames);
   ASSERT_TRUE(AtomicWriteFile(log_path, frames).ok());
 
   ShardedAuctionEngine fresh(config, w, RoiStrategies(w));

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/query_gen.h"
+#include "auction/query.h"
 #include "auction/workload.h"
 #include "core/formula_parser.h"
 #include "core/winner_determination.h"

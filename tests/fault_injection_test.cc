@@ -153,7 +153,8 @@ std::unique_ptr<ShardedAuctionEngine> MakeEngine(uint64_t workload_seed,
   return std::make_unique<ShardedAuctionEngine>(config, w, RoiStrategies(w));
 }
 
-/// Engine-level kill/recover cycle over the internal query stream:
+/// Engine-level kill/recover cycle over one precomputed query stream, which
+/// every engine reads at its own position (auctions_run()):
 ///   1. oracle runs all N auctions, never crashing;
 ///   2. a victim runs with a logging writer that dies at kill_seq
 ///      (checkpoint taken at kCheckpointAt);
@@ -172,7 +173,15 @@ void RunEngineKillCycle(uint64_t workload_seed, uint64_t engine_seed,
 
   // Oracle: uninterrupted.
   auto oracle = MakeEngine(workload_seed, engine_seed, num_shards);
-  for (int i = 0; i < kTotalAuctions; ++i) oracle->RunAuction();
+  std::vector<Query> queries;
+  QueryGenerator generator(oracle->workload().config.num_keywords,
+                           engine_seed);
+  for (int i = 0; i <= kTotalAuctions; ++i) queries.push_back(generator.Next());
+  auto run_next = [&queries](ShardedAuctionEngine* engine)
+      -> const AuctionOutcome& {
+    return engine->RunAuctionOn(queries[engine->auctions_run()]);
+  };
+  for (int i = 0; i < kTotalAuctions; ++i) run_next(oracle.get());
 
   // Victim: logs every settlement; the writer dies at kill_seq.
   ScriptedFaultInjector injector(schedule.kill_seq, schedule.mode);
@@ -185,7 +194,7 @@ void RunEngineKillCycle(uint64_t workload_seed, uint64_t engine_seed,
                                             /*next_seq=*/1, &injector);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     for (int i = 0; i < kTotalAuctions; ++i) {
-      const AuctionOutcome& outcome = victim->RunAuction();
+      const AuctionOutcome& outcome = run_next(victim.get());
       ASSERT_TRUE((*writer)
                       ->Append(SettlementRecord::FromOutcome(
                           static_cast<uint64_t>(victim->auctions_run()),
@@ -204,7 +213,6 @@ void RunEngineKillCycle(uint64_t workload_seed, uint64_t engine_seed,
   RecoveryOptions options;
   options.checkpoint_path = ckpt_path;
   options.log_path = log_path;
-  options.stream = QueryStream::kInternal;
   RecoveryReport report;
   ASSERT_TRUE(RecoverEngine(recovered.get(), options, &report).ok());
   EXPECT_EQ(report.checkpoint_seq, static_cast<uint64_t>(kCheckpointAt));
@@ -219,13 +227,13 @@ void RunEngineKillCycle(uint64_t workload_seed, uint64_t engine_seed,
 
   // Finish the run: the remaining trajectory must be the oracle's, bitwise.
   for (int64_t i = recovered->auctions_run(); i < kTotalAuctions; ++i) {
-    recovered->RunAuction();
+    run_next(recovered.get());
   }
   ExpectAccountsBitwiseEq(oracle->accounts(), recovered->accounts());
   ASSERT_EQ(oracle->total_revenue(), recovered->total_revenue());
   // And the next auction after the horizon still agrees.
-  const AuctionOutcome& want = oracle->RunAuction();
-  const AuctionOutcome& got = recovered->RunAuction();
+  const AuctionOutcome& want = run_next(oracle.get());
+  const AuctionOutcome& got = run_next(recovered.get());
   ASSERT_EQ(got.query.keyword, want.query.keyword);
   ASSERT_EQ(got.wd.allocation.slot_to_advertiser,
             want.wd.allocation.slot_to_advertiser);

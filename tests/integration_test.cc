@@ -68,8 +68,9 @@ TEST(IntegrationTest, MultiFeatureAuctionMatchesBruteForce) {
   ShardedEngineConfig config;
   config.engine.seed = 42;
   ShardedAuctionEngine engine(config, workload, std::move(strategies));
+  QueryGenerator queries(workload.config.num_keywords, config.engine.seed);
   for (int t = 0; t < 100; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     // Recompute the optimum exhaustively from the same revenue matrix.
     std::vector<BidsTable> bids(n);
     bids[0].AddBid(Formula::Click(), 30);
@@ -112,9 +113,10 @@ TEST(IntegrationTest, MixedStrategyCampaign) {
   ShardedEngineConfig config;
   config.engine.seed = 52;
   ShardedAuctionEngine engine(config, workload, std::move(strategies));
+  QueryGenerator queries(workload.config.num_keywords, config.engine.seed);
   Money last_spent_total = 0;
   for (int t = 0; t < 500; ++t) {
-    engine.RunAuction();
+    engine.RunAuctionOn(queries.Next());
     Money spent_total = 0;
     for (const AdvertiserAccount& a : engine.accounts()) {
       spent_total += a.amount_spent;

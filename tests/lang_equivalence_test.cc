@@ -126,10 +126,12 @@ TEST(LangEquivalenceTest, InterpretedFigure5MatchesNativeRoi) {
     ASSERT_TRUE(program.has_roi_planner());
     ASSERT_FALSE(interp.has_roi_planner());
 
+    QueryGenerator queries(wc.num_keywords, config.engine.seed);
     for (int t = 0; t < 600; ++t) {
-      const AuctionOutcome on = eager.RunAuction();
-      const AuctionOutcome op = program.RunAuction();
-      const AuctionOutcome& oi = interp.RunAuction();
+      const Query query = queries.Next();
+      const AuctionOutcome on = eager.RunAuctionOn(query);
+      const AuctionOutcome op = program.RunAuctionOn(query);
+      const AuctionOutcome& oi = interp.RunAuctionOn(query);
       ASSERT_EQ(on.query.keyword, oi.query.keyword);
       ASSERT_EQ(op.query.keyword, oi.query.keyword);
       ASSERT_EQ(on.wd.allocation.slot_to_advertiser,
@@ -218,9 +220,11 @@ TEST(LangEquivalenceTest, MixedPopulationMatchesInterpretedTwins) {
           ShardedAuctionEngine interp(config, std::move(w_twin),
                                       std::move(twins));
           ASSERT_EQ(engine.has_roi_planner(), num_shards > 1);
+          QueryGenerator queries(wc.num_keywords, config.engine.seed);
           for (int t = 0; t < 150; ++t) {
-            const AuctionOutcome& want = interp.RunAuction();
-            const AuctionOutcome& got = engine.RunAuction();
+            const Query query = queries.Next();
+            const AuctionOutcome& want = interp.RunAuctionOn(query);
+            const AuctionOutcome& got = engine.RunAuctionOn(query);
             ASSERT_EQ(want.wd.allocation.slot_to_advertiser,
                       got.wd.allocation.slot_to_advertiser)
                 << "auction " << t;

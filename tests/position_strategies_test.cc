@@ -38,9 +38,11 @@ TEST(PositionTargetStrategyTest, ConvergesNearTargetSlot) {
   config.engine.seed = 4;
   ShardedAuctionEngine engine(config, std::move(workload),
                               std::move(strategies));
+  QueryGenerator queries(engine.workload().config.num_keywords,
+                         config.engine.seed);
   int hits = 0, wins = 0;
   for (int t = 0; t < 800; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     if (t < 300) continue;  // let the ladder settle
     const SlotIndex slot = out.wd.allocation.advertiser_to_slot[0];
     if (slot != kNoSlot) {
@@ -74,9 +76,11 @@ TEST(AboveCompetitorStrategyTest, StaysAboveRival) {
   config.engine.seed = 10;
   ShardedAuctionEngine engine(config, std::move(workload),
                               std::move(strategies));
+  QueryGenerator queries(engine.workload().config.num_keywords,
+                         config.engine.seed);
   int rival_displayed = 0, above = 0;
   for (int t = 0; t < 800; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
+    const AuctionOutcome& out = engine.RunAuctionOn(queries.Next());
     raw->ObservePage(out);  // third-party page monitoring
     if (t < 300) continue;
     const SlotIndex mine = out.wd.allocation.advertiser_to_slot[0];
@@ -110,7 +114,9 @@ TEST(BudgetedStrategyTest, StopsAtBudget) {
   config.engine.seed = 22;
   ShardedAuctionEngine engine(config, std::move(workload),
                               std::move(strategies));
-  for (int t = 0; t < 1500; ++t) engine.RunAuction();
+  QueryGenerator queries(engine.workload().config.num_keywords,
+                         config.engine.seed);
+  for (int t = 0; t < 1500; ++t) engine.RunAuctionOn(queries.Next());
   const Money spent = engine.accounts()[0].amount_spent;
   // One overshooting click is possible (budget checked pre-auction), but the
   // guard must have kicked in near the budget, far below unconstrained spend.

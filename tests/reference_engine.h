@@ -4,8 +4,9 @@
 // expected-revenue matrix from scratch, then runs winner determination,
 // pricing and settlement. It has no compiled-bids cache, no shards, no
 // top-k merge, no planning lanes, no checkpoints and no timers, so a bug in
-// any of those cannot hide in both sides of a comparison. Query stream and
-// user-RNG seeding match the engine's, so equal seeds give bitwise-equal
+// any of those cannot hide in both sides of a comparison. Like the engine it
+// takes every query from the caller, and its user-RNG seeding matches the
+// engine's, so equal seeds fed equal queries give bitwise-equal
 // trajectories.
 
 #ifndef SSA_TESTS_REFERENCE_ENGINE_H_
@@ -27,13 +28,10 @@ class ReferenceEngine {
       : config_(config),
         workload_(std::move(workload)),
         strategies_(std::move(strategies)),
-        query_gen_(workload_.config.num_keywords, config.seed),
         user_rng_(config.seed ^ 0x5eed0f0e125eedULL),
         bids_(strategies_.size()) {
     SSA_CHECK(strategies_.size() == workload_.accounts.size());
   }
-
-  const AuctionOutcome& RunAuction() { return RunAuctionOn(query_gen_.Next()); }
 
   const AuctionOutcome& RunAuctionOn(const Query& query) {
     const ClickModel& model = *workload_.click_model;
@@ -67,7 +65,6 @@ class ReferenceEngine {
   EngineConfig config_;
   Workload workload_;
   std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
-  QueryGenerator query_gen_;
   Rng user_rng_;
   std::vector<BidsTable> bids_;
   AuctionOutcome outcome_;

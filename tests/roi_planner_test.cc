@@ -261,7 +261,8 @@ struct Lockstep {
            int num_shards, ThreadPool* pool,
            const std::vector<char>& wrapped = {},
            Population population = Population::kRoi,
-           const Replace& replace = nullptr) {
+           const Replace& replace = nullptr)
+      : queries(wc.num_keywords, ec.seed) {
     Workload w_ref = MakeWorkload(wc, shape, population);
     Workload w_engine = MakeWorkload(wc, shape, population);
     ref_bidders = MakeBidders(w_ref, {}, population, replace);
@@ -276,12 +277,20 @@ struct Lockstep {
         config, std::move(w_engine), std::move(bidders.strategies));
   }
 
-  /// Runs `auctions` auctions from both engines' query generators, checking
+  /// Feeds the next query of `queries` to both engines; returns the
+  /// reference's outcome and checks the engine's against it.
+  const AuctionOutcome& Step() {
+    const Query query = queries.Next();
+    const AuctionOutcome& want = ref->RunAuctionOn(query);
+    ExpectSameOutcome(want, engine->RunAuctionOn(query));
+    return want;
+  }
+
+  /// Runs `auctions` auctions on the next queries of `queries`, checking
   /// full state every `state_every` auctions and at the end.
   void Run(int auctions, int state_every) {
     for (int t = 0; t < auctions; ++t) {
-      const AuctionOutcome& want = ref->RunAuction();
-      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, engine->RunAuction()));
+      ASSERT_NO_FATAL_FAILURE(Step());
       if ((t + 1) % state_every == 0) {
         ASSERT_NO_FATAL_FAILURE(
             ExpectSameState(*ref, ref_bidders, *engine, bidders));
@@ -295,6 +304,8 @@ struct Lockstep {
   Bidders bidders;
   std::unique_ptr<ReferenceEngine> ref;
   std::unique_ptr<ShardedAuctionEngine> engine;
+  /// The Section V stream both engines are fed, seeded like the engines.
+  QueryGenerator queries;
 };
 
 struct GateParam {
@@ -456,7 +467,8 @@ RoiPlannerStats PlannerStatsOf(const WorkloadConfig& wc, Shape shape,
   config.pool = pool;
   ShardedAuctionEngine engine(config, std::move(w),
                               std::move(bidders.strategies));
-  for (int t = 0; t < auctions; ++t) engine.RunAuction();
+  QueryGenerator queries(wc.num_keywords, ec.seed);
+  for (int t = 0; t < auctions; ++t) engine.RunAuctionOn(queries.Next());
   *total_revenue = engine.total_revenue();
   return engine.planner_stats();
 }
@@ -584,7 +596,6 @@ TEST(RoiPlannerTest, RecoveryReplaysTheLogLogically) {
   RecoveryOptions options;
   options.checkpoint_path = leader.ckpt_path;
   options.log_path = leader.log_path;
-  options.stream = QueryStream::kExternal;
   RecoveryReport report;
   ASSERT_TRUE(RecoverEngine(&engine, options, &report).ok());
   EXPECT_EQ(report.records_replayed, 240 - 90);
@@ -923,9 +934,9 @@ TEST(RoiPlannerTest, KeywordWithoutOneCommonFormulaFallsBack) {
                  nullptr, {}, Population::kPrograms, c.replace);
     int on_keyword_0 = 0;
     for (int t = 0; t < 300; ++t) {
-      const AuctionOutcome& want = run.ref->RunAuction();
+      const AuctionOutcome& want = run.Step();
+      ASSERT_FALSE(HasFatalFailure());
       on_keyword_0 += want.query.keyword == 0;
-      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, run.engine->RunAuction()));
     }
     ASSERT_NO_FATAL_FAILURE(
         ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders));

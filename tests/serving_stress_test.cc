@@ -45,7 +45,6 @@ std::unique_ptr<AuctionServer> MakeServer(const ServerConfig& config) {
 /// Per-producer tally of every Submit() verdict.
 struct SubmitTally {
   int64_t accepted = 0;
-  int64_t dropped_oldest = 0;
   int64_t rejected = 0;
   int64_t closed = 0;
 
@@ -53,9 +52,6 @@ struct SubmitTally {
     switch (result) {
       case QueuePushResult::kAccepted:
         ++accepted;
-        break;
-      case QueuePushResult::kDroppedOldest:
-        ++dropped_oldest;
         break;
       case QueuePushResult::kRejected:
         ++rejected;
@@ -66,9 +62,7 @@ struct SubmitTally {
     }
   }
 
-  int64_t total() const {
-    return accepted + dropped_oldest + rejected + closed;
-  }
+  int64_t total() const { return accepted + rejected + closed; }
 };
 
 /// Launches `producers` threads each submitting `per_producer` queries as
@@ -92,7 +86,6 @@ SubmitTally HammerSubmit(AuctionServer* server, int producers,
   SubmitTally merged;
   for (const SubmitTally& t : tallies) {
     merged.accepted += t.accepted;
-    merged.dropped_oldest += t.dropped_oldest;
     merged.rejected += t.rejected;
     merged.closed += t.closed;
   }
@@ -119,9 +112,8 @@ TEST(ServingDrainTest, StopDrainsEveryAdmittedRequest) {
   server->Stop();
 
   ASSERT_EQ(tally.total(), kProducers * kPerProducer);
-  // kBlock never rejects or drops while the queue is open.
+  // kBlock never rejects while the queue is open.
   EXPECT_EQ(tally.rejected, 0);
-  EXPECT_EQ(tally.dropped_oldest, 0);
   EXPECT_EQ(tally.closed, 0);
   const int64_t admitted = tally.accepted;
   EXPECT_EQ(server->accepted(), admitted);
@@ -162,47 +154,14 @@ TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
     for (std::thread& t : threads) t.join();
 
     int64_t admitted = 0;
-    for (const SubmitTally& t : tallies) {
-      admitted += t.accepted + t.dropped_oldest;
-    }
+    for (const SubmitTally& t : tallies) admitted += t.accepted;
     // Every admission pre-dates the close, so Stop() drained it:
-    EXPECT_EQ(server->completed(), admitted - server->dropped_oldest());
+    EXPECT_EQ(server->completed(), admitted);
     EXPECT_EQ(server->engine().auctions_run(), server->completed());
   }
 }
 
 // --- Concurrent backpressure accounting --------------------------------------
-
-/// kDropOldest under producer pressure: admissions are conserved —
-/// accepted + rejected == submitted from both the producers' and the
-/// queue's ledgers, and the executor settles exactly the survivors.
-TEST(ServingBackpressureTest, ConcurrentDropOldestConservesRequests) {
-  ServerConfig config;
-  config.engine.num_shards = 2;
-  config.queue_capacity = 4;  // tiny: force evictions
-  config.backpressure = BackpressurePolicy::kDropOldest;
-  config.max_batch_size = 2;
-  auto server = MakeServer(config);
-  ASSERT_TRUE(server->Start().ok());
-
-  const int kProducers = 4;
-  const int kPerProducer = 1500;
-  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-  server->Stop();
-
-  const int64_t submitted = kProducers * kPerProducer;
-  ASSERT_EQ(tally.total(), submitted);
-  EXPECT_EQ(tally.rejected, 0);  // kDropOldest never rejects
-  EXPECT_EQ(tally.closed, 0);
-  // Both admission verdicts count as accepted in the queue's ledger.
-  EXPECT_EQ(server->accepted(), submitted);
-  EXPECT_GT(server->dropped_oldest(), 0);
-  // The producers' eviction observations and the queue's agree.
-  EXPECT_EQ(server->dropped_oldest(), tally.dropped_oldest);
-  // Survivors — and only survivors — get settled.
-  EXPECT_EQ(server->completed(), submitted - server->dropped_oldest());
-  EXPECT_EQ(server->engine().auctions_run(), server->completed());
-}
 
 /// kReject under producer pressure: accepted + rejected == submitted, and
 /// every accepted request is settled.
@@ -222,7 +181,6 @@ TEST(ServingBackpressureTest, ConcurrentRejectConservesRequests) {
 
   const int64_t submitted = kProducers * kPerProducer;
   ASSERT_EQ(tally.total(), submitted);
-  EXPECT_EQ(tally.dropped_oldest, 0);
   EXPECT_EQ(tally.closed, 0);
   EXPECT_EQ(tally.accepted + tally.rejected, submitted);
   EXPECT_EQ(server->accepted(), tally.accepted);

@@ -478,33 +478,6 @@ TEST(ServingBackpressureTest, RejectShedsDeterministicallyBeforeStart) {
   EXPECT_EQ(server.engine().auctions_run(), 8);
 }
 
-TEST(ServingBackpressureTest, DropOldestKeepsFreshest) {
-  Workload w = MakePaperWorkload(SmallConfig(41));
-  const std::vector<Query> queries =
-      MakeQuerySequence(10, w.config.num_keywords, 43);
-  ServerConfig config;
-  config.engine.engine.seed = 43;
-  config.queue_capacity = 4;
-  config.backpressure = BackpressurePolicy::kDropOldest;
-  AuctionServer server(config, std::move(w), [] {
-    Workload tmp = MakePaperWorkload(SmallConfig(41));
-    return RoiStrategies(tmp);
-  }());
-  std::vector<int64_t> served_times;
-  server.set_on_complete([&served_times](const AuctionOutcome& out) {
-    served_times.push_back(out.query.time);
-  });
-  for (const Query& q : queries) {
-    const QueuePushResult r = server.Submit(q);
-    EXPECT_NE(r, QueuePushResult::kRejected);
-  }
-  EXPECT_EQ(server.dropped_oldest(), 6);
-  server.Start();
-  server.Stop();
-  // The six oldest were evicted; queries 7..10 (1-based times) survive.
-  EXPECT_EQ(served_times, (std::vector<int64_t>{7, 8, 9, 10}));
-}
-
 TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {
   // Every query is admitted before Start(), so the executor pops fixed
   // 8-query batches and most queries wait behind earlier batch-mates.

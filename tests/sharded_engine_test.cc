@@ -39,12 +39,15 @@ WorkloadConfig SmallConfig(uint64_t seed = 1) {
   return config;
 }
 
-/// Runs both engines in lockstep and asserts bitwise-equal trajectories.
+/// Feeds both engines the same `auctions` queries from `queries` in lockstep
+/// and asserts bitwise-equal trajectories.
 void ExpectBitwiseEquivalent(ReferenceEngine* reference,
-                             ShardedAuctionEngine* sharded, int auctions) {
+                             ShardedAuctionEngine* sharded,
+                             QueryGenerator* queries, int auctions) {
   for (int t = 0; t < auctions; ++t) {
-    const AuctionOutcome& a = reference->RunAuction();
-    const AuctionOutcome& b = sharded->RunAuction();
+    const Query query = queries->Next();
+    const AuctionOutcome& a = reference->RunAuctionOn(query);
+    const AuctionOutcome& b = sharded->RunAuctionOn(query);
     ASSERT_EQ(a.query.keyword, b.query.keyword);
     ASSERT_EQ(a.wd.allocation.slot_to_advertiser,
               b.wd.allocation.slot_to_advertiser);
@@ -87,7 +90,8 @@ TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwise) {
   ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
   ASSERT_EQ(sharded.num_shards(), num_shards);
-  ExpectBitwiseEquivalent(&reference, &sharded, 150);
+  QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+  ExpectBitwiseEquivalent(&reference, &sharded, &queries, 150);
 }
 
 TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwiseOnPool) {
@@ -103,7 +107,8 @@ TEST_P(ShardedEquivalenceTest, MatchesReferenceBitwiseOnPool) {
   sharded_config.pool = &pool;
   ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-  ExpectBitwiseEquivalent(&reference, &sharded, 100);
+  QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+  ExpectBitwiseEquivalent(&reference, &sharded, &queries, 100);
 }
 
 // 7 over 40 advertisers gives unequal shards (5 and 6 advertisers); 8 and
@@ -128,7 +133,8 @@ TEST(ShardedEngineTest, DenseWdMethodsAlsoMatch) {
     sharded_config.num_shards = 3;
     ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
     ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-    ExpectBitwiseEquivalent(&reference, &sharded, 60);
+    QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+    ExpectBitwiseEquivalent(&reference, &sharded, &queries, 60);
   }
 }
 
@@ -142,7 +148,8 @@ TEST(ShardedEngineTest, VcgPricingMatches) {
   sharded_config.num_shards = 2;
   ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
   ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-  ExpectBitwiseEquivalent(&reference, &sharded, 50);
+  QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+  ExpectBitwiseEquivalent(&reference, &sharded, &queries, 50);
 }
 
 TEST(ShardedEngineTest, PurchaseWorkloadMatchesBitwise) {
@@ -162,12 +169,13 @@ TEST(ShardedEngineTest, PurchaseWorkloadMatchesBitwise) {
     sharded_config.num_shards = num_shards;
     ReferenceEngine reference(engine_config, w1, RoiStrategies(w1));
     ShardedAuctionEngine sharded(sharded_config, w2, RoiStrategies(w2));
-    ExpectBitwiseEquivalent(&reference, &sharded, 120);
+    QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+    ExpectBitwiseEquivalent(&reference, &sharded, &queries, 120);
     // The purchase path must actually fire for the equivalence to mean
     // anything.
     int purchases = 0;
     for (int t = 0; t < 50; ++t) {
-      for (const UserEvent& e : sharded.RunAuction().events) {
+      for (const UserEvent& e : sharded.RunAuctionOn(queries.Next()).events) {
         purchases += e.purchased;
       }
     }
@@ -240,7 +248,8 @@ TEST(ShardedEngineTest, PooledProgramStrategiesMatchSerialBitwise) {
   ReferenceEngine reference(engine_config, w1, std::move(serial_strategies));
   ShardedAuctionEngine sharded(sharded_config, w2,
                                std::move(pooled_strategies));
-  ExpectBitwiseEquivalent(&reference, &sharded, 150);
+  QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
+  ExpectBitwiseEquivalent(&reference, &sharded, &queries, 150);
   EXPECT_GT(reference.total_revenue(), 0.0);
 }
 
@@ -268,8 +277,9 @@ TEST(ShardedEngineTest, PerShardCachesHitOnStableBids) {
   ShardedEngineConfig config;
   config.num_shards = 4;
   ShardedAuctionEngine engine(config, w, Forwarded(RoiStrategies(w)));
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
   const int auctions = 30;
-  for (int t = 0; t < auctions; ++t) engine.RunAuction();
+  for (int t = 0; t < auctions; ++t) engine.RunAuctionOn(queries.Next());
   EXPECT_EQ(engine.cache_hits() + engine.cache_misses(),
             static_cast<int64_t>(40) * auctions);
   EXPECT_GT(engine.cache_hits(), 0);
@@ -303,13 +313,14 @@ TEST(ShardedEngineTest, CompiledBidsCacheHitsOnStableTables) {
   }
   ShardedEngineConfig config;
   ShardedAuctionEngine engine(config, workload, std::move(strategies));
+  QueryGenerator queries(workload.config.num_keywords, config.engine.seed);
 
-  engine.RunAuction();
+  engine.RunAuctionOn(queries.Next());
   EXPECT_EQ(engine.cache_misses(), n);
   EXPECT_EQ(engine.cache_hits(), 0);
 
   const int extra = 20;
-  for (int t = 0; t < extra; ++t) engine.RunAuction();
+  for (int t = 0; t < extra; ++t) engine.RunAuctionOn(queries.Next());
   // Fixed strategies re-emit identical tables: every later auction hits.
   EXPECT_EQ(engine.cache_misses(), n);
   EXPECT_EQ(engine.cache_hits(), static_cast<int64_t>(n) * extra);
@@ -325,7 +336,8 @@ TEST(ShardedEngineTest, CompiledBidsCacheReusesMasksOnBidChanges) {
   ShardedEngineConfig config;
   ShardedAuctionEngine engine(config, workload,
                               Forwarded(RoiStrategies(workload)));
-  for (int t = 0; t < 50; ++t) engine.RunAuction();
+  QueryGenerator queries(workload.config.num_keywords, config.engine.seed);
+  for (int t = 0; t < 50; ++t) engine.RunAuctionOn(queries.Next());
   const int64_t lookups = engine.cache_hits() + engine.cache_misses();
   const int n = workload.config.num_advertisers;
   EXPECT_EQ(lookups, static_cast<int64_t>(n) * 50);
@@ -345,7 +357,8 @@ TEST(ShardedEngineTest, ShardStatsExposeCaptureAndPhaseTime) {
     auto strategies = RoiStrategies(w);
     if (brute) strategies = Forwarded(std::move(strategies));
     ShardedAuctionEngine engine(config, w, std::move(strategies));
-    for (int t = 0; t < 20; ++t) engine.RunAuction();
+    QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+    for (int t = 0; t < 20; ++t) engine.RunAuctionOn(queries.Next());
     // The layout is the uniform split fixed at construction, and the
     // clocks have counted every auction since.
     int64_t capture_ns = 0;
@@ -379,7 +392,8 @@ TEST(ShardedEngineTest, ClampsShardCountToPopulation) {
   config.num_shards = 16;
   ShardedAuctionEngine engine(config, w, RoiStrategies(w));
   EXPECT_EQ(engine.num_shards(), 3);
-  engine.RunAuction();  // must still run cleanly
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  engine.RunAuctionOn(queries.Next());  // must still run cleanly
   EXPECT_EQ(engine.auctions_run(), 1);
 }
 
