@@ -12,7 +12,14 @@
 //                  consistency) from a fixed reader pool against 1, 2, 4
 //                  caught-up followers. Reads on one follower serialize with
 //                  its applies behind one mutex, so scale-out comes from
-//                  follower count — this section measures how much.
+//                  follower count — this section measures how much. Two
+//                  rows per follower count: `logical` reads carry the next
+//                  auction's time (applied_seq + 1, as a read-your-writes
+//                  reader's do), so the follower's RHTALU planner plans
+//                  them from its lists; `brute` reads carry times 1, 2, 3,
+//                  ..., wrapping before the replica's last auction, so each
+//                  takes the brute-force fallback. Each row reports how many
+//                  reads took each path (replication_reads_total).
 //
 // Knobs (env): SSA_REPL_N (advertisers, default 2000), SSA_REPL_AUCTIONS
 // (log length, default 1500), SSA_REPL_SHARDS (default 2), SSA_REPL_READERS
@@ -20,6 +27,7 @@
 // count, default 400), SSA_SEED, SSA_REPL_QUICK=1 (CI smoke: tiny sizes).
 // Flags: --json[=path] appends a machine-readable report.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +40,7 @@
 #include "auction/sharded_engine.h"
 #include "bench_common.h"
 #include "durability/settlement_log.h"
+#include "obs/metrics.h"
 #include "replication/follower.h"
 #include "serving/read_replicas.h"
 #include "util/timer.h"
@@ -68,10 +77,14 @@ std::unique_ptr<ShardedAuctionEngine> MakeLeaderEngine(const Params& p) {
 }
 
 std::unique_ptr<FollowerEngine> MakeFollower(const Params& p,
-                                             const std::string& log_path) {
+                                             const std::string& log_path,
+                                             MetricsRegistry* metrics = nullptr,
+                                             int index = 0) {
   FollowerConfig config;
   config.engine = EngineConfigFor(p);
   config.log_path = log_path;
+  config.metrics = metrics;
+  config.metric_labels = "follower=\"f" + std::to_string(index) + "\"";
   // Caught-up followers only need the poll loop for liveness here; a long
   // interval keeps idle apply threads from stealing cycles from the
   // measured readers.
@@ -154,20 +167,32 @@ ApplyResult RunApplySection(const Params& p, const std::string& log_path) {
   return result;
 }
 
+struct ReadResult {
+  double reads_per_s = 0;
+  /// Reads by path, summed over the followers' replication_reads_total.
+  int64_t logical = 0;
+  int64_t brute = 0;
+};
+
 /// Aggregate read QPS from `p.readers` threads against `num_followers`
-/// caught-up followers for `p.read_ms` milliseconds.
-double RunReadScaling(const Params& p, const std::string& log_path,
-                      int num_followers) {
+/// caught-up followers for `p.read_ms` milliseconds. `forward` reads carry
+/// the next auction's time, the others times 1, 2, 3, ..., wrapping before
+/// the replica's last auction (the brute-force fallback).
+ReadResult RunReadScaling(const Params& p, const std::string& log_path,
+                          int num_followers, bool forward) {
+  ReadResult result;
+  MetricsRegistry metrics;
   ReadReplicaSetConfig config;
   config.num_followers = num_followers;
-  ReadReplicaSet replicas(config,
-                          [&](int) { return MakeFollower(p, log_path); });
-  if (!replicas.Start().ok()) return 0;
+  ReadReplicaSet replicas(config, [&](int f) {
+    return MakeFollower(p, log_path, &metrics, f);
+  });
+  if (!replicas.Start().ok()) return result;
   for (int f = 0; f < num_followers; ++f) {
     if (!replicas.follower(f)->WaitForSeq(static_cast<uint64_t>(p.auctions),
                                           std::chrono::milliseconds(600000))) {
       std::printf("follower %d never caught up\n", f);
-      return 0;
+      return result;
     }
   }
 
@@ -176,15 +201,19 @@ double RunReadScaling(const Params& p, const std::string& log_path,
   std::vector<std::thread> threads;
   threads.reserve(p.readers);
   const int num_keywords = PaperWorkload(1, p.seed).config.num_keywords;
+  // Times before the replica's last auction's (time p.auctions).
+  const int64_t backward_times = std::max(1, p.auctions - 1);
   for (int r = 0; r < p.readers; ++r) {
     threads.emplace_back([&, r] {
       QueryGenerator gen(num_keywords, p.seed + 100 + static_cast<uint64_t>(r));
       std::vector<Money> prices;
       int64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (replicas.EstimatePrices(ReadOptions{}, gen.Next(), &prices).ok()) {
-          ++local;
-        }
+        Query q = gen.Next();
+        q.time = forward
+                     ? static_cast<int64_t>(replicas.max_applied_seq()) + 1
+                     : 1 + (q.time - 1) % backward_times;
+        if (replicas.EstimatePrices(ReadOptions{}, q, &prices).ok()) ++local;
       }
       reads.fetch_add(local, std::memory_order_relaxed);
     });
@@ -195,7 +224,15 @@ double RunReadScaling(const Params& p, const std::string& log_path,
   for (std::thread& t : threads) t.join();
   const double elapsed_s = timer.ElapsedMillis() / 1e3;
   replicas.Stop();
-  return static_cast<double>(reads.load()) / elapsed_s;
+  result.reads_per_s = static_cast<double>(reads.load()) / elapsed_s;
+  for (const MetricSample& sample : metrics.Snapshot().samples) {
+    if (sample.name != "replication_reads_total") continue;
+    const bool logical =
+        sample.labels.find("path=\"logical\"") != std::string::npos;
+    (logical ? result.logical : result.brute) +=
+        static_cast<int64_t>(sample.value);
+  }
+  return result;
 }
 
 int Main(int argc, char** argv) {
@@ -248,14 +285,29 @@ int Main(int argc, char** argv) {
 
   std::printf("\n## Read scaling (%d reader threads, kAny reads)\n",
               p.readers);
-  std::printf("%-10s %12s %10s\n", "followers", "reads/s", "vs f=1");
+  std::printf("%-8s %-10s %12s %10s %10s %10s\n", "path", "followers",
+              "reads/s", "vs f=1", "logical", "brute");
   const std::vector<int> follower_counts = quick ? std::vector<int>{1, 2}
                                                  : std::vector<int>{1, 2, 4};
-  std::vector<double> read_qps;
-  for (int f : follower_counts) {
-    read_qps.push_back(RunReadScaling(p, log_path, f));
-    std::printf("%-10d %12.0f %9.2fx\n", f, read_qps.back(),
-                read_qps[0] > 0 ? read_qps.back() / read_qps[0] : 0);
+  struct Row {
+    const char* path;
+    int followers;
+    ReadResult result;
+  };
+  std::vector<Row> rows;
+  for (const bool forward : {true, false}) {
+    const size_t first = rows.size();
+    for (int f : follower_counts) {
+      rows.push_back(Row{forward ? "logical" : "brute", f,
+                         RunReadScaling(p, log_path, f, forward)});
+      const Row& row = rows.back();
+      const double base = rows[first].result.reads_per_s;
+      std::printf("%-8s %-10d %12.0f %9.2fx %10lld %10lld\n", row.path, f,
+                  row.result.reads_per_s,
+                  base > 0 ? row.result.reads_per_s / base : 0,
+                  static_cast<long long>(row.result.logical),
+                  static_cast<long long>(row.result.brute));
+    }
   }
   std::remove(log_path.c_str());
 
@@ -278,10 +330,15 @@ int Main(int argc, char** argv) {
                  apply.settle_qps > 0 ? apply.apply_qps / apply.settle_qps
                                       : 0);
     std::fprintf(f, "  \"read_scaling\": [\n");
-    for (size_t i = 0; i < follower_counts.size(); ++i) {
-      std::fprintf(f, "    {\"followers\": %d, \"reads_per_s\": %.1f}%s\n",
-                   follower_counts[i], read_qps[i],
-                   i + 1 < follower_counts.size() ? "," : "");
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::fprintf(f,
+                   "    {\"path\": \"%s\", \"followers\": %d, "
+                   "\"reads_per_s\": %.1f, \"logical_reads\": %lld, "
+                   "\"brute_reads\": %lld}%s\n",
+                   rows[i].path, rows[i].followers, rows[i].result.reads_per_s,
+                   static_cast<long long>(rows[i].result.logical),
+                   static_cast<long long>(rows[i].result.brute),
+                   i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     if (!json_path.empty()) std::fclose(f);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "core/bids_table.h"
@@ -227,7 +228,7 @@ bool RoiPlanner::Rebuild(int64_t time,
     }
     lists.cap_head.assign(width, -1);
   }
-  triggers_ = {};
+  triggers_.clear();
   gen_.assign(size_, 0);
 
   for (const AdvertiserId m : members_) {
@@ -294,9 +295,39 @@ void RoiPlanner::Unlink(int kw, int32_t m) {
   if (cap_next_[node] >= 0) cap_prev_[base + cap_next_[node]] = cap_prev_[node];
 }
 
+void RoiPlanner::Relink(const UndoMove& undo) {
+  const size_t node = Node(undo.kw, undo.member);
+  const size_t base = Node(undo.kw, 0);
+  KeywordLists& lists = lists_[undo.kw];
+  tag_[node] = undo.tag;
+  stored_[node] = undo.stored;
+  next_[node] = undo.next;
+  prev_[node] = undo.prev;
+  if (undo.prev >= 0) {
+    next_[base + undo.prev] = undo.member;
+  } else {
+    lists.head[undo.tag][Bucket(undo.stored)] = undo.member;
+  }
+  if (undo.next >= 0) prev_[base + undo.next] = undo.member;
+  if (undo.tag != kInc) return;
+  cap_next_[node] = undo.cap_next;
+  cap_prev_[node] = undo.cap_prev;
+  if (undo.cap_prev >= 0) {
+    cap_next_[base + undo.cap_prev] = undo.member;
+  } else {
+    lists.cap_head[Bucket(int64_t{cap_[node]} - undo.stored)] = undo.member;
+  }
+  if (undo.cap_next >= 0) cap_prev_[base + undo.cap_next] = undo.member;
+}
+
 void RoiPlanner::Move(int kw, int32_t m, Tag to) {
   const size_t node = Node(kw, m);
   const int64_t effective = Eff(kw, m);
+  if (reading_) {
+    journal_.push_back(UndoMove{kw, m, tag_[node], stored_[node], next_[node],
+                                prev_[node], cap_next_[node],
+                                cap_prev_[node]});
+  }
   Unlink(kw, m);
   tag_[node] = to;
   stored_[node] =
@@ -348,16 +379,18 @@ void RoiPlanner::ScheduleTrigger(int32_t m, int64_t time,
     if (boundary >= 4e18) return;  // never within an int64 auction count
     at = std::max(at, static_cast<int64_t>(boundary));
   }
-  triggers_.push(Trigger{at, m, gen_[m]});
+  triggers_.push_back(Trigger{at, m, gen_[m]});
+  std::push_heap(triggers_.begin(), triggers_.end(), std::greater<Trigger>());
 }
 
 void RoiPlanner::Advance(const Query& query, int kw,
                          const std::vector<AdvertiserAccount>& accounts) {
   SSA_CHECK(state_ != State::kStale);
   const int64_t time = query.time;
-  while (!triggers_.empty() && triggers_.top().time <= time) {
-    const Trigger trigger = triggers_.top();
-    triggers_.pop();
+  while (!triggers_.empty() && triggers_.front().time <= time) {
+    std::pop_heap(triggers_.begin(), triggers_.end(), std::greater<Trigger>());
+    const Trigger trigger = triggers_.back();
+    triggers_.pop_back();
     if (gen_[trigger.member] != trigger.gen) continue;  // superseded
     ++stats_.triggers_fired;
     const AdvertiserAccount& account = accounts[trigger.member];
@@ -369,6 +402,50 @@ void RoiPlanner::Advance(const Query& query, int kw,
   last_query_ = query;
   settled_.clear();
   ++stats_.logical_plans;
+}
+
+void RoiPlanner::BeginRead(const Query& query, int kw,
+                           const std::vector<AdvertiserAccount>& accounts) {
+  SSA_CHECK(CanRead(query) && !reading_);
+  reading_ = true;
+  read_stats_ = stats_;
+  read_kw_ = kw;
+  std::copy(lists_[kw].adjustment, lists_[kw].adjustment + 3,
+            read_adjustment_);
+  // The due triggers are a subtree at the heap's root (a parent is never
+  // later than its children). Firing one reclassifies only its own member,
+  // and the selection does not depend on bucket order, so the read fires
+  // them in heap order, not Advance's (time, member) order.
+  due_.clear();
+  if (!triggers_.empty() && triggers_[0].time <= query.time) due_.push_back(0);
+  for (size_t d = 0; d < due_.size(); ++d) {
+    const Trigger& trigger = triggers_[due_[d]];
+    if (gen_[trigger.member] == trigger.gen) {  // else superseded
+      Classify(trigger.member, query.time, accounts[trigger.member]);
+    }
+    for (size_t c = 2 * due_[d] + 1; c <= 2 * due_[d] + 2; ++c) {
+      if (c < triggers_.size() && triggers_[c].time <= query.time) {
+        due_.push_back(c);
+      }
+    }
+  }
+  ApplyLogicalUpdate(kw);
+}
+
+void RoiPlanner::EndRead() {
+  SSA_CHECK(reading_);
+  // Undone in reverse, each move finds the lists exactly as it left them.
+  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
+    Unlink(it->kw, it->member);
+    Relink(*it);
+  }
+  journal_.clear();
+  std::copy(read_adjustment_, read_adjustment_ + 3,
+            lists_[read_kw_].adjustment);
+  const int64_t ctr_extensions = stats_.ctr_extensions;
+  stats_ = read_stats_;
+  stats_.ctr_extensions = ctr_extensions;
+  reading_ = false;
 }
 
 void RoiPlanner::ApplyLogicalUpdate(int kw) {

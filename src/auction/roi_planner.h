@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -95,6 +94,11 @@ struct RoiPlannerStats {
 /// exactly as running its program on the last planned query would have
 /// (RoiBidder::WriteRoiBids); for the winners of that query's auction it
 /// passes the ROI inputs they had before settlement (BeforeSettle).
+///
+/// A what-if read (BeginRead .. EndRead) plans from lists that are not
+/// stale without moving anything: its bid step goes into an undo journal
+/// that EndRead rolls back, so the strategies need no write-back and the
+/// lists no rebuild.
 class RoiPlanner {
  public:
   /// Whether advertisers [begin, end) can be planned logically: every
@@ -135,6 +139,25 @@ class RoiPlanner {
   /// triggers, then applies the logical update on keyword `kw`.
   void Advance(const Query& query, int kw,
                const std::vector<AdvertiserAccount>& accounts);
+
+  /// Whether a read of `query` can plan logically without a Prepare: the
+  /// lists are current and the query does not run time backwards.
+  bool CanRead(const Query& query) const {
+    return state_ != State::kStale && query.time >= last_time_;
+  }
+
+  /// A read's bid step, when CanRead(query): moves the lists exactly as
+  /// Advance would, into an undo journal. The due triggers fire without
+  /// leaving the queue (a fired trigger's reschedule is never due in the
+  /// same auction, so the queue needs no undo), and nothing else moves. The
+  /// caller then runs SelectTop and Payments, and must call EndRead.
+  void BeginRead(const Query& query, int kw,
+                 const std::vector<AdvertiserAccount>& accounts);
+  /// Rolls the read's journal back in reverse, so every bucket list keeps
+  /// its exact order, and restores the work totals: a read counts nothing
+  /// but the weight-order prefixes it grew (ctr_extensions), which later
+  /// plans share.
+  void EndRead();
 
   /// Offers the members' per-slot top entries into `topk` (k heaps of
   /// capacity k + 1, which may already hold other bidders' entries): each
@@ -189,6 +212,16 @@ class RoiPlanner {
       if (time != o.time) return time > o.time;
       return member > o.member;
     }
+  };
+
+  /// One list move of a read, with the node's links before it: undone in
+  /// reverse, each move finds its old neighbours exactly as it left them.
+  struct UndoMove {
+    int32_t kw;
+    int32_t member;
+    Tag tag;
+    uint16_t stored;
+    int32_t next, prev, cap_next, cap_prev;
   };
 
   /// One entry of a weight order: (weight, global id).
@@ -246,6 +279,8 @@ class RoiPlanner {
   /// index when incrementing).
   void Link(int kw, int32_t m);
   void Unlink(int kw, int32_t m);
+  /// Puts member m back between the neighbours `undo` recorded.
+  void Relink(const UndoMove& undo);
   void Move(int kw, int32_t m, Tag to);
   /// Figure 5's predicate for one keyword, given the bidder's spend state.
   Tag Desired(const AdvertiserAccount& account, Spend spend, int kw,
@@ -303,9 +338,20 @@ class RoiPlanner {
   std::vector<uint16_t> stored_;
   std::vector<uint16_t> cap_;
   std::vector<int32_t> next_, prev_, cap_next_, cap_prev_;
-  std::priority_queue<Trigger, std::vector<Trigger>, std::greater<Trigger>>
-      triggers_;
+  /// Pending triggers, a min-heap under std::greater (a plain vector, so a
+  /// read can walk its due entries without popping them).
+  std::vector<Trigger> triggers_;
   std::vector<uint32_t> gen_;
+
+  /// A read in progress (BeginRead .. EndRead): its list moves, its
+  /// keyword's adjustments and the work totals before it. Empty and unused
+  /// outside reads; Move's one test of `reading_` is all a plan pays.
+  bool reading_ = false;
+  std::vector<UndoMove> journal_;
+  int read_kw_ = -1;
+  int64_t read_adjustment_[3] = {0, 0, 0};
+  RoiPlannerStats read_stats_;
+  std::vector<size_t> due_;  // BeginRead scratch: indices into triggers_
 
   /// The bid view of one auction: first member of each non-empty bucket
   /// with its effective bid, descending.

@@ -73,7 +73,7 @@ void ShardedAuctionEngine::ForEachShard(
   }
 }
 
-void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
+void ShardedAuctionEngine::CaptureShard(int s, const Query& query, bool read,
                                         CapturedBids* bids,
                                         uint64_t trace_seq) {
   const ShardRange& range = ranges_[static_cast<size_t>(s)];
@@ -83,12 +83,18 @@ void ShardedAuctionEngine::CaptureShard(int s, const Query& query,
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     BidsTable& table = (*bids)[i];
     table.Clear();
-    strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
+    if (read) {
+      strategies_[i]->PeekBids(query, workload_.accounts[i], &table);
+    } else {
+      strategies_[i]->MakeBids(query, workload_.accounts[i], &table);
+    }
   }
   // One timer per shard per auction; the fan-out writes disjoint
-  // capture_ns_ slots.
-  capture_ns_[static_cast<size_t>(s)] +=
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+  // capture_ns_ slots. Reads are not timed.
+  if (!read) {
+    capture_ns_[static_cast<size_t>(s)] +=
+        static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+  }
   if (traced) {
     tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
                         Tracer::NowNs());
@@ -102,7 +108,9 @@ void ShardedAuctionEngine::CaptureBids(const Query& query,
   // Strategies of different advertisers share no state (Section II-B), so
   // the capture fans out across shards; only captures of *distinct queries*
   // must serialize.
-  ForEachShard([&](int s) { CaptureShard(s, query, bids, /*trace_seq=*/0); });
+  ForEachShard([&](int s) {
+    CaptureShard(s, query, /*read=*/false, bids, /*trace_seq=*/0);
+  });
   if (planner_ != nullptr) planner_->Invalidate();
 }
 
@@ -290,9 +298,18 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
 void ShardedAuctionEngine::PlanAuction(const Query& query,
                                        PlannedAuction* plan,
                                        uint64_t trace_seq) {
+  Plan(query, internal_lane_.get(), /*read=*/false, plan, trace_seq);
+}
+
+void ShardedAuctionEngine::WhatIfAuction(const Query& query, PlanLane* lane,
+                                         PlannedAuction* plan) {
+  Plan(query, lane, /*read=*/true, plan, /*trace_seq=*/0);
+}
+
+void ShardedAuctionEngine::Plan(const Query& query, PlanLane* lane, bool read,
+                                PlannedAuction* plan, uint64_t trace_seq) {
   const int n = static_cast<int>(strategies_.size());
   const int k = workload_.config.num_slots;
-  PlanLane* lane = internal_lane_.get();
   plan->outcome = AuctionOutcome{};
   plan->outcome.query = query;
   lane->merged_topk.Reset(k, k + 1);
@@ -300,11 +317,17 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
   const bool traced = tracer_ != nullptr && trace_seq != 0;
 
   // --- The logical bid step (triggers + logical update) replaces capture on
-  // the planner's shards. Prepare may rebuild the lists first, after a
-  // capture or restore moved the strategies.
+  // the planner's shards. A plan's Prepare may rebuild the lists first,
+  // after a capture or restore moved the strategies; a read never moves
+  // them, so it plans logically only from current lists, into a journal.
   RoiPlanner* logical = nullptr;
   const int kw = planner_ != nullptr ? planner_->PlannableKeyword(query) : -1;
-  if (kw >= 0) {
+  if (kw >= 0 && read) {
+    if (planner_->CanRead(query)) {
+      planner_->BeginRead(query, kw, workload_.accounts);
+      logical = planner_.get();
+    }
+  } else if (kw >= 0) {
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     WallTimer planner_timer;
     if (planner_->Prepare(query, workload_.accounts)) {
@@ -319,7 +342,7 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
   }
 
   // --- Brute shard phase: every shard the planner did not plan captures its
-  // programs and runs the compile + fill phase.
+  // programs (a read peeks them) and runs the compile + fill phase.
   const int num_shards = static_cast<int>(ranges_.size());
   bool any_brute = false;
   for (int s = 0; s < num_shards; ++s) any_brute |= PlansBrute(s, logical);
@@ -328,20 +351,22 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
     revenue = &lane->revenue;
     revenue->Reset(n, k);
     lane->cache.Reserve(strategies_.size());
-    capture_scratch_.resize(strategies_.size());
+    lane->capture.resize(strategies_.size());
     if (logical == nullptr) SyncStrategies();
     ForEachShard([&](int s) {
       if (!PlansBrute(s, logical)) return;
-      CaptureShard(s, query, &capture_scratch_, trace_seq);
+      CaptureShard(s, query, read, &lane->capture, trace_seq);
       const uint64_t t0 = traced ? Tracer::NowNs() : 0;
-      RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s],
-                    capture_scratch_, revenue);
+      RunShardPhase(ranges_[s], &lane->cache, &lane->shards[s], lane->capture,
+                    revenue);
       if (traced) {
         tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, 200 + s, t0,
                             Tracer::NowNs());
       }
     });
-    if (logical == nullptr && planner_ != nullptr) planner_->Invalidate();
+    if (!read && logical == nullptr && planner_ != nullptr) {
+      planner_->Invalidate();
+    }
   }
 
   // --- The Threshold Algorithm, once per slot, into the coordinator's merge.
@@ -349,7 +374,10 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     WallTimer planner_timer;
     logical->SelectTop(kw, &lane->merged_topk);
-    planner_ns_ += static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
+    if (!read) {
+      planner_ns_ +=
+          static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
+    }
     if (traced) {
       tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, kPlannerTrack,
                           t0, Tracer::NowNs());
@@ -357,33 +385,16 @@ void ShardedAuctionEngine::PlanAuction(const Query& query,
   }
   plan->outcome.program_eval_ms = timer.ElapsedMillis();
   FinishPlan(lane, revenue, logical, kw, plan);
+  if (read) {
+    if (logical != nullptr) logical->EndRead();
+    ++(logical != nullptr ? logical_reads_ : brute_reads_);
+  }
 }
 
 void ShardedAuctionEngine::SyncStrategies() const {
   // Logically const: the strategies receive the bids they already stand
-  // for. Callers hold the engine exclusively (see WhatIfAuction).
+  // for. Callers hold the engine exclusively.
   if (planner_ != nullptr) planner_->WriteBack(workload_.accounts);
-}
-
-void ShardedAuctionEngine::CaptureBidsForRead(const Query& query,
-                                              CapturedBids* bids) const {
-  SyncStrategies();
-  const int n = static_cast<int>(strategies_.size());
-  bids->resize(n);
-  for (AdvertiserId i = 0; i < n; ++i) {
-    BidsTable& table = (*bids)[i];
-    table.Clear();
-    strategies_[i]->PeekBids(query, workload_.accounts[i], &table);
-  }
-}
-
-void ShardedAuctionEngine::WhatIfAuction(const Query& query, PlanLane* lane,
-                                         PlannedAuction* plan) const {
-  WallTimer timer;
-  CaptureBidsForRead(query, &lane->peek_capture);
-  const double capture_ms = timer.ElapsedMillis();
-  PlanCaptured(query, lane->peek_capture, lane, plan);
-  plan->outcome.program_eval_ms += capture_ms;
 }
 
 const AuctionOutcome& ShardedAuctionEngine::SettlePlanned(

@@ -96,9 +96,10 @@ struct ShardedEngineConfig {
 ///
 /// The strategies stay the source of truth for checkpoints: the planner
 /// writes its effective bids back into its strategies before any
-/// path reads them (CaptureBids, WhatIfAuction, CaptureCheckpoint,
-/// RestoreCheckpoint) and rebuilds its lists from them, at its next logical
-/// plan, after any path moved them (CaptureBids, RestoreCheckpoint).
+/// path reads them (CaptureBids, a brute-force PlanAuction, a WhatIfAuction
+/// that falls back to brute force, CaptureCheckpoint, RestoreCheckpoint)
+/// and rebuilds its lists from them, at its next logical plan, after any
+/// path moved them (CaptureBids, RestoreCheckpoint).
 ///
 /// Plan / settle split: PlanAuction plans one query against the current
 /// account state and SettlePlanned applies it; the server plans and settles
@@ -107,10 +108,12 @@ struct ShardedEngineConfig {
 /// strategies may mutate private state) and a *pure* half (PlanCaptured —
 /// compile, revenue matrix, candidate merge, winner determination, pricing)
 /// that is const on the engine and reads only the captured bids plus a
-/// PlanLane's scratch. Follower reads and WhatIfAuction run the pure half on
-/// their own lane over a read-only capture; the split halves always take the
-/// brute-force path. Compilation is a pure function of (table, num_slots),
-/// so a plan is bitwise-identical on any lane, whatever its cache history.
+/// PlanLane's scratch; the split halves always take the brute-force path.
+/// Follower reads (WhatIfAuction) run PlanAuction's own body in read mode on
+/// their own lane: the planner's bid step goes into an undo journal that
+/// the read rolls back, and shards it does not cover peek their programs.
+/// Compilation is a pure function of (table, num_slots), so a plan is
+/// bitwise-identical on any lane, whatever its cache history.
 class ShardedAuctionEngine {
  public:
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
@@ -161,9 +164,9 @@ class ShardedAuctionEngine {
     /// Population-wide, global-id-keyed compiled-bids cache (see above).
     CompiledBidsCache cache;
     std::vector<ShardScratch> shards;
-    /// Capture scratch for the const what-if path (WhatIfAuction) — tables
-    /// PeekBids fills, reused across reads on this lane.
-    std::vector<BidsTable> peek_capture;
+    /// The brute-force shards' tables of PlanAuction (MakeBids) or
+    /// WhatIfAuction (PeekBids) on this lane, reused across auctions.
+    std::vector<BidsTable> capture;
     TopKHeapSet merged_topk;     // coordinator scratch, reused
     std::vector<double> candidate_rows;  // coordinator scratch, reused
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
@@ -208,20 +211,25 @@ class ShardedAuctionEngine {
   void PlanAuction(const Query& query, PlannedAuction* plan,
                    uint64_t trace_seq = 0);
 
-  /// One full what-if auction as a pure read: every advertiser's program
-  /// runs via PeekBids against the current account state (no
-  /// strategy-private state advances, the capture clocks stay untouched),
-  /// then PlanCaptured runs on `lane`. The resulting plan is
-  /// bitwise-identical to what PlanAuction would produce for `query` at the
-  /// current state — same bids (PeekBids contract), same pure planning half
-  /// — but nothing in the engine moves, so the real trajectory is
-  /// unperturbed. Const on the engine, but NOT safe concurrently with
-  /// CaptureBids / SettlePlanned on the same engine (PeekBids' default
-  /// transiently mutates strategy state, and accounts are read mid-update
-  /// otherwise); the follower serializes reads against applies with its
-  /// mutex.
-  void WhatIfAuction(const Query& query, PlanLane* lane,
-                     PlannedAuction* plan) const;
+  /// One full what-if auction as a pure read: the plan PlanAuction would
+  /// produce for `query` at the current state, bit for bit, on `lane`, with
+  /// nothing in the engine moved, so the real trajectory is unperturbed.
+  /// It runs PlanAuction's body in read mode. When the planner can plan
+  /// the query from its current lists (not stale, and the query's time is
+  /// not before the last plan's), its bid step is journaled and rolled
+  /// back after pricing, and only the shards it does not cover run their
+  /// programs, via PeekBids (no strategy-private state advances). Otherwise
+  /// the read falls back to brute force: the planner writes its bids back,
+  /// and every advertiser peeks. Reads count as logical or brute
+  /// (logical_reads, brute_reads) and leave planner_stats() as they found
+  /// it, except for the weight-order prefixes a read grows
+  /// (ctr_extensions), which later plans share.
+  ///
+  /// The caller must hold the engine exclusively: a read moves the
+  /// planner's lists and scratch while it runs (PeekBids' default also
+  /// transiently mutates strategy state). The follower serializes reads
+  /// against applies with its mutex.
+  void WhatIfAuction(const Query& query, PlanLane* lane, PlannedAuction* plan);
 
   /// Step 5/6 for a planned auction: simulates user actions (advancing the
   /// user RNG in plan order), charges winners, updates accounts, delivers
@@ -264,6 +272,11 @@ class ShardedAuctionEngine {
   ShardStats shard_stats(int shard) const;
   /// The planner's work totals (zero without a planner).
   RoiPlannerStats planner_stats() const;
+  /// WhatIfAuction calls the planner planned, and calls that fell back to
+  /// brute force (no planner, a dense method, a query it cannot plan, stale
+  /// lists, or a time before the last plan's).
+  int64_t logical_reads() const { return logical_reads_; }
+  int64_t brute_reads() const { return brute_reads_; }
   /// The planner's wall time since construction: list preparation, the bid
   /// step and the Threshold Algorithm.
   int64_t planner_ns() const { return planner_ns_; }
@@ -300,14 +313,15 @@ class ShardedAuctionEngine {
   /// thread. Shards share nothing, so the schedule never changes a value.
   void ForEachShard(const std::function<void(int)>& body) const;
 
-  /// WhatIfAuction's capture half: every advertiser's PeekBids into
-  /// `*bids` (resized to the population), under WhatIfAuction's contract.
-  void CaptureBidsForRead(const Query& query, CapturedBids* bids) const;
+  /// The one body of PlanAuction (`read` false) and WhatIfAuction (`read`
+  /// true) on `lane`.
+  void Plan(const Query& query, PlanLane* lane, bool read,
+            PlannedAuction* plan, uint64_t trace_seq);
 
-  /// Runs shard s's bidding programs for `query` into its range of `*bids`.
-  /// Callers sync the planner around the capture (SyncStrategies before,
-  /// Invalidate after).
-  void CaptureShard(int s, const Query& query, CapturedBids* bids,
+  /// Runs shard s's bidding programs for `query` into its range of `*bids`:
+  /// MakeBids, timed into capture_ns_, or PeekBids when `read`. Callers sync
+  /// the planner around a capture (SyncStrategies before, Invalidate after).
+  void CaptureShard(int s, const Query& query, bool read, CapturedBids* bids,
                     uint64_t trace_seq);
 
   /// The share-nothing per-shard unit of the pure planning half: compiled-
@@ -355,10 +369,11 @@ class ShardedAuctionEngine {
   /// qualifies or the engine's method is a dense one.
   std::unique_ptr<RoiPlanner> planner_;
   int64_t planner_ns_ = 0;
+  int64_t logical_reads_ = 0;
+  int64_t brute_reads_ = 0;
   /// The engine's own lane (PlanAuction / RunAuctionOn path); its cache is
   /// the one shard_stats reports.
   std::unique_ptr<PlanLane> internal_lane_;
-  CapturedBids capture_scratch_;  // PlanAuction's capture, reused
   PlannedAuction plan_scratch_;   // RunAuctionOn's plan, reused
   AuctionOutcome outcome_;
   int64_t auctions_run_ = 0;

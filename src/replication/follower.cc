@@ -46,6 +46,16 @@ Status FollowerEngine::Start() {
     applied_counter_ = config_.metrics->GetCounter(
         "replication_records_applied_total", config_.metric_labels,
         "Settlement records replayed onto this follower");
+    const std::string labels =
+        config_.metric_labels.empty() ? "" : config_.metric_labels + ",";
+    auto reads = [&](const char* path) {
+      return config_.metrics->GetCounter(
+          "replication_reads_total", labels + "path=\"" + path + "\"",
+          "What-if reads served: planned from the RHTALU planner's lists "
+          "(logical) or by the brute-force fallback (brute)");
+    };
+    logical_reads_counter_ = reads("logical");
+    brute_reads_counter_ = reads("brute");
   }
 
   stop_.store(false, std::memory_order_release);
@@ -163,7 +173,12 @@ Status FollowerEngine::WhatIf(const Query& query,
                               uint64_t* applied_at) {
   std::lock_guard<std::mutex> guard(lock_);
   SSA_RETURN_IF_ERROR(err_);
+  const int64_t logical_before = engine_.logical_reads();
   engine_.WhatIfAuction(query, read_lane_.get(), plan);
+  Counter* path = engine_.logical_reads() > logical_before
+                      ? logical_reads_counter_
+                      : brute_reads_counter_;
+  if (path != nullptr) path->Increment();
   if (applied_at != nullptr) {
     *applied_at = applied_seq_.load(std::memory_order_acquire);
   }

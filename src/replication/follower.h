@@ -169,6 +169,9 @@ class FollowerEngine {
   Gauge* lag_seq_gauge_ = nullptr;
   Gauge* lag_bytes_gauge_ = nullptr;
   Counter* applied_counter_ = nullptr;
+  /// replication_reads_total{path="logical"|"brute"}.
+  Counter* logical_reads_counter_ = nullptr;
+  Counter* brute_reads_counter_ = nullptr;
 };
 
 }  // namespace ssa

@@ -66,7 +66,9 @@ TEST(ReferenceEngineTest, RunsAndMaintainsInvariants) {
       EXPECT_GE(e.slot, 0);
       EXPECT_LT(e.slot, 5);
       EXPECT_GE(e.charged, 0.0);
-      if (!e.clicked) EXPECT_DOUBLE_EQ(e.charged, 0.0);
+      if (!e.clicked) {
+        EXPECT_DOUBLE_EQ(e.charged, 0.0);
+      }
     }
     EXPECT_GE(out.wd.expected_revenue, -1e-9);
     revenue += out.revenue_charged;
@@ -179,8 +181,10 @@ TEST(ReferenceEngineTest, PurchasePathEndToEnd) {
     ASSERT_EQ(out.events.size(), out2.events.size());
     for (size_t e = 0; e < out.events.size(); ++e) {
       const UserEvent& event = out.events[e];
-      if (event.purchased) EXPECT_TRUE(event.clicked)
-          << "purchases require the ad's link (a click)";
+      if (event.purchased) {
+        EXPECT_TRUE(event.clicked)
+            << "purchases require the ad's link (a click)";
+      }
       clicks += event.clicked;
       purchases += event.purchased;
       EXPECT_EQ(event.purchased, out2.events[e].purchased);

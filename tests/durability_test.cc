@@ -419,7 +419,9 @@ TEST(CheckpointTest, RestoreIntoAnAdvancedEngineContinuesBitwise) {
       const AuctionOutcome& got = engine.RunAuctionOn(resumed.Next());
       // Every entry a first rewound auction hits was compiled after the
       // checkpoint: the cache survived the rewind and served it.
-      if (a == 0) EXPECT_GT(engine.cache_hits(), hits_before);
+      if (a == 0) {
+        EXPECT_GT(engine.cache_hits(), hits_before);
+      }
       ASSERT_EQ(got.query.keyword, want.query.keyword);
       ASSERT_EQ(got.query.time, want.query.time);
       ASSERT_EQ(got.wd.allocation.slot_to_advertiser,

@@ -55,6 +55,24 @@ class ReferenceEngine {
     return outcome_;
   }
 
+  /// A what-if auction: RunAuctionOn's plan for `query` at the current
+  /// state, with every program peeked (PeekBids) and nothing settled, so
+  /// nothing moves.
+  AuctionOutcome WhatIf(const Query& query) {
+    const ClickModel& model = *workload_.click_model;
+    AuctionOutcome outcome;
+    outcome.query = query;
+    for (size_t i = 0; i < strategies_.size(); ++i) {
+      bids_[i].Clear();
+      strategies_[i]->PeekBids(query, workload_.accounts[i], &bids_[i]);
+    }
+    const RevenueMatrix revenue = BuildRevenueMatrix(bids_, model);
+    outcome.wd = DetermineWinners(revenue, config_.wd_method);
+    outcome.prices =
+        ComputePrices(config_.pricing, revenue, model, outcome.wd.allocation);
+    return outcome;
+  }
+
   const std::vector<AdvertiserAccount>& accounts() const {
     return workload_.accounts;
   }

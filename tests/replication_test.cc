@@ -528,6 +528,10 @@ TEST(WhatIfAuctionTest, ShardedEngineWhatIfIsPure) {
   }
   ExpectAccountsBitwiseEq(probed.accounts(), control.accounts());
   EXPECT_EQ(probed.total_revenue(), control.total_revenue());
+  // The first read found the planner's lists not yet built and ran brute
+  // force; every later one was planned from the lists.
+  EXPECT_EQ(probed.brute_reads(), 1);
+  EXPECT_EQ(probed.logical_reads(), 39);
 }
 
 // ---------------------------------------------------------------------------
@@ -643,6 +647,13 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
   }
   std::vector<Money> prices;
   ASSERT_TRUE(follower->EstimatePrices(gen.Next(), &prices).ok());
+  // Those six reads ran back in time (times 1-6, before the replica's 60):
+  // brute force. Reads of the next auction plan from the lists.
+  for (int i = 0; i < 2; ++i) {
+    Query next = gen.Next();
+    next.time = kTotalAuctions + 1;
+    ASSERT_TRUE(follower->EstimatePrices(next, &prices).ok());
+  }
   ASSERT_TRUE(follower->AccountsSnapshot(&accounts, nullptr).ok());
   ExpectAccountsBitwiseEq(accounts, leader.final_accounts);
 
@@ -671,6 +682,18 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
     }
   }
   EXPECT_TRUE(saw_applied && saw_lag_seq && saw_lag_bytes && saw_counter);
+  int read_paths = 0;
+  for (const MetricSample& sample : snapshot.samples) {
+    if (sample.name != "replication_reads_total") continue;
+    ++read_paths;
+    if (sample.labels == "follower=\"f0\",path=\"logical\"") {
+      EXPECT_EQ(sample.value, 2.0);
+    } else {
+      EXPECT_EQ(sample.labels, "follower=\"f0\",path=\"brute\"");
+      EXPECT_EQ(sample.value, 6.0);
+    }
+  }
+  EXPECT_EQ(read_paths, 2);
 
   // And each applied record left a follower_apply span (full sampling).
   const std::vector<TraceEvent> spans = tracer.Drain();
@@ -679,6 +702,44 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
     if (span.stage == TraceStage::kFollowerApply) ++apply_spans;
   }
   EXPECT_EQ(apply_spans, kTotalAuctions - kCheckpointAt);
+}
+
+TEST(FollowerEngineTest, ReadOnTheRestoredReplicaFallsBackToBruteForce) {
+  // Held at its checkpoint, the replica has applied nothing, so its
+  // planner's lists are not built yet: a read runs brute force and still
+  // predicts the leader's next auction bitwise.
+  const LeaderArtifacts leader = RunLeader("follower_stale_read");
+  MetricsRegistry metrics;
+  FollowerConfig config = MakeFollowerConfig(leader, /*num_shards=*/2);
+  config.apply_limit_seq = kCheckpointAt;
+  config.metrics = &metrics;
+  std::unique_ptr<FollowerEngine> follower = MakeFollower(config);
+  ASSERT_TRUE(follower->Start().ok());
+  ShardedAuctionEngine::PlannedAuction plan;
+  uint64_t applied_at = 0;
+  ASSERT_TRUE(
+      follower->WhatIf(leader.queries[kCheckpointAt], &plan, &applied_at)
+          .ok());
+  EXPECT_EQ(applied_at, static_cast<uint64_t>(kCheckpointAt));
+  follower->Stop();
+
+  std::unique_ptr<ShardedAuctionEngine> engine = MakeReplicaEngine(1);
+  for (int i = 0; i < kCheckpointAt; ++i) {
+    engine->RunAuctionOn(leader.queries[i]);
+  }
+  const AuctionOutcome& want =
+      engine->RunAuctionOn(leader.queries[kCheckpointAt]);
+  EXPECT_EQ(plan.outcome.wd.allocation.slot_to_advertiser,
+            want.wd.allocation.slot_to_advertiser);
+  EXPECT_EQ(plan.outcome.wd.expected_revenue, want.wd.expected_revenue);
+  EXPECT_EQ(plan.prices, want.prices);
+
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  for (const MetricSample& sample : snapshot.samples) {
+    if (sample.name != "replication_reads_total") continue;
+    EXPECT_EQ(sample.value, sample.labels == "path=\"brute\"" ? 1.0 : 0.0)
+        << sample.labels;
+  }
 }
 
 TEST(FollowerEngineTest, ReplaysFromSeqOneWithoutCheckpoint) {

@@ -628,7 +628,7 @@ TEST(RoiPlannerTest, FollowerReplaysTheLogLogically) {
   ASSERT_TRUE(follower.AccountsSnapshot(&accounts, nullptr).ok());
   ExpectSameAccounts(leader.ref->accounts(), accounts);
 
-  // A follower read (write-back, then a brute what-if) predicts the next
+  // A follower read, planned from the replayed lists, predicts the next
   // auction exactly.
   const Query next = Queries(201, wc.num_keywords, ec.seed + 1).back();
   ShardedAuctionEngine::PlannedAuction plan;
@@ -640,32 +640,6 @@ TEST(RoiPlannerTest, FollowerReplaysTheLogLogically) {
   EXPECT_EQ(plan.prices, want.prices);
   std::remove(leader.log_path.c_str());
   std::remove(leader.ckpt_path.c_str());
-}
-
-TEST(RoiPlannerTest, WhatIfMatchesTheAuctionItPredicts) {
-  const WorkloadConfig wc = PaperConfig(120, 41);
-  EngineConfig ec;
-  ec.seed = 43;
-  Lockstep run(wc, Shape::kPaper, ec, /*num_shards=*/2, nullptr);
-  auto lane = run.engine->NewPlanLane();
-  const std::vector<Query> queries = Queries(240, wc.num_keywords, 47);
-  for (size_t t = 0; t < queries.size(); ++t) {
-    ShardedAuctionEngine::PlannedAuction plan;
-    const bool probe = t % 3 == 0;
-    if (probe) run.engine->WhatIfAuction(queries[t], lane.get(), &plan);
-    const AuctionOutcome& want = run.ref->RunAuctionOn(queries[t]);
-    const AuctionOutcome& got = run.engine->RunAuctionOn(queries[t]);
-    ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, got));
-    if (probe) {
-      ASSERT_EQ(plan.outcome.wd.allocation.slot_to_advertiser,
-                got.wd.allocation.slot_to_advertiser);
-      ASSERT_EQ(plan.outcome.wd.expected_revenue, got.wd.expected_revenue);
-      ASSERT_EQ(plan.prices, got.prices);
-    }
-  }
-  ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
-  // Reads write back but never invalidate: one rebuild, at start.
-  EXPECT_EQ(run.engine->planner_stats().rebuilds, 1);
 }
 
 TEST(RoiPlannerTest, InterleavesWithBatchedLaneEntryPoints) {
@@ -751,6 +725,254 @@ std::vector<bool> BruteShards(const ShardedAuctionEngine& engine) {
     brute.push_back(engine.shard_stats(s).phase_ns > 0);
   }
   return brute;
+}
+
+/// A what-if read's plan is the auction it predicts, bit for bit.
+void ExpectSamePlan(const AuctionOutcome& want,
+                    const ShardedAuctionEngine::PlannedAuction& plan) {
+  ASSERT_EQ(want.query.time, plan.outcome.query.time);
+  ASSERT_EQ(want.wd.allocation.slot_to_advertiser,
+            plan.outcome.wd.allocation.slot_to_advertiser)
+      << "auction " << want.query.time;
+  ASSERT_EQ(want.wd.matching_weight, plan.outcome.wd.matching_weight);
+  ASSERT_EQ(want.wd.expected_revenue, plan.outcome.wd.expected_revenue);
+  ASSERT_EQ(want.prices, plan.prices) << "auction " << want.query.time;
+  ASSERT_TRUE(plan.outcome.events.empty());
+}
+
+class RoiPlannerReadTest : public ::testing::TestWithParam<GateParam> {};
+
+TEST_P(RoiPlannerReadTest, WhatIfMatchesTheAuctionItPredicts) {
+  // Every auction is read first. The read plans from the planner's lists
+  // through an undo journal, so it must equal the auction that follows
+  // bitwise and leave the trajectory untouched. On the Figure 5 programs
+  // with low spend targets, triggers fire in the reads too.
+  const GateParam p = GetParam();
+  std::unique_ptr<ThreadPool> pool;
+  if (p.pool) pool = std::make_unique<ThreadPool>(3);
+  WorkloadConfig programs = FallbackConfig(47);
+  programs.num_advertisers = 40;
+  struct Case {
+    const char* name;
+    WorkloadConfig wc;
+    Shape shape;
+    Population population;
+    int auctions;
+  };
+  for (const Case& c :
+       {Case{"paper", PaperConfig(120, 41), Shape::kPaper, Population::kRoi,
+             200},
+        Case{"programs", programs, Shape::kLowTargets, Population::kPrograms,
+             200}}) {
+    SCOPED_TRACE(c.name);
+    EngineConfig ec;
+    ec.pricing = p.pricing;
+    ec.seed = 43;
+    Lockstep run(c.wc, c.shape, ec, p.num_shards, pool.get(), {},
+                 c.population);
+    auto lane = run.engine->NewPlanLane();
+    for (int t = 0; t < c.auctions; ++t) {
+      const Query query = run.queries.Next();
+      ShardedAuctionEngine::PlannedAuction plan;
+      run.engine->WhatIfAuction(query, lane.get(), &plan);
+      const AuctionOutcome& want = run.ref->RunAuctionOn(query);
+      const AuctionOutcome& got = run.engine->RunAuctionOn(query);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, got));
+      ASSERT_NO_FATAL_FAILURE(ExpectSamePlan(got, plan));
+      if ((t + 1) % 40 == 0) {
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameState(*run.ref, run.ref_bidders, *run.engine,
+                            run.bidders));
+      }
+    }
+    ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
+    // The first read found the lists not yet built and fell back; every
+    // later one was planned.
+    EXPECT_EQ(run.engine->brute_reads(), 1);
+    EXPECT_EQ(run.engine->logical_reads(), c.auctions - 1);
+    const RoiPlannerStats stats = run.engine->planner_stats();
+    EXPECT_EQ(stats.logical_plans, c.auctions);
+    // Reads never invalidate: one rebuild, at start.
+    EXPECT_EQ(stats.rebuilds, 1);
+    // A trigger an auction fired was due, and fired, in its read as well.
+    if (c.shape == Shape::kLowTargets) {
+      EXPECT_GT(stats.triggers_fired, 0);
+    }
+  }
+}
+
+/// GSP and VCG at K = 1, 2, 4 and 7, with and without a pool.
+std::vector<GateParam> ReadParams() {
+  std::vector<GateParam> params;
+  for (const PricingRule pricing :
+       {PricingRule::kGeneralizedSecondPrice, PricingRule::kVcg}) {
+    for (const int k : {1, 2, 4, 7}) {
+      params.push_back({k, false, pricing});
+      params.push_back({k, true, pricing});
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsPoolsPricing, RoiPlannerReadTest, ::testing::ValuesIn(ReadParams()),
+    [](const ::testing::TestParamInfo<GateParam>& info) {
+      return "K" + std::to_string(info.param.num_shards) +
+             (info.param.pool ? "Pool" : "NoPool") +
+             PricingTag(info.param.pricing);
+    });
+
+/// The engine's full state as bytes: accounts, the user RNG, counters and
+/// every strategy's checkpoint blob.
+std::string CheckpointBytes(const ShardedAuctionEngine& engine) {
+  EngineCheckpoint ckpt;
+  engine.CaptureCheckpoint(&ckpt);
+  std::string bytes;
+  EncodeCheckpoint(ckpt, &bytes);
+  return bytes;
+}
+
+TEST(RoiPlannerTest, ReadsChangeNothing) {
+  // A read-heavy engine and a read-free twin, fed one query stream. Before
+  // each auction the reader reads that auction, the same query 40 auctions
+  // later (more triggers due), another keyword, and now and then a query
+  // back in time (the brute-force fallback). Both must settle every
+  // auction alike and end each stretch with equal checkpoint bytes and
+  // equal planner work: reads count only the weight-order prefixes they
+  // grow, which later plans would otherwise grow. The Figure 5 programs
+  // with low spend targets fire triggers; BidRampExtendsTheCtrOrder's dead
+  // top-ctr ramp grows the prefixes.
+  WorkloadConfig ramp = PaperConfig(1200, 227);
+  ramp.num_keywords = 4;
+  struct Case {
+    const char* name;
+    WorkloadConfig wc;
+    Shape shape;
+    Population population;
+  };
+  for (const Case& c :
+       {Case{"programs", FallbackConfig(83), Shape::kLowTargets,
+             Population::kPrograms},
+        Case{"ramp", ramp, Shape::kDeadTopCtr, Population::kRoi}}) {
+    SCOPED_TRACE(c.name);
+    EngineConfig ec;
+    ec.seed = 89;
+    auto make_engine = [&] {
+      Workload w = MakeWorkload(c.wc, c.shape, c.population);
+      Bidders bidders = MakeBidders(w, {}, c.population);
+      ShardedEngineConfig config;
+      config.engine = ec;
+      config.num_shards = 2;
+      return std::make_unique<ShardedAuctionEngine>(
+          config, std::move(w), std::move(bidders.strategies));
+    };
+    std::unique_ptr<ShardedAuctionEngine> reader = make_engine();
+    std::unique_ptr<ShardedAuctionEngine> twin = make_engine();
+    auto lane = reader->NewPlanLane();
+    QueryGenerator queries(c.wc.num_keywords, ec.seed);
+    QueryGenerator others(c.wc.num_keywords, 97);
+    int backward = 0;
+    for (int t = 0; t < 200; ++t) {
+      const Query query = queries.Next();
+      Query later = query;
+      later.time += 40;
+      Query other = others.Next();
+      other.time = query.time;
+      std::vector<Query> reads = {query, later, other};
+      if (t % 50 == 25) {
+        Query back = others.Next();
+        back.time = query.time / 2;
+        reads.push_back(back);
+        ++backward;
+      }
+      for (const Query& read : reads) {
+        ShardedAuctionEngine::PlannedAuction plan;
+        reader->WhatIfAuction(read, lane.get(), &plan);
+      }
+      const AuctionOutcome& want = twin->RunAuctionOn(query);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameOutcome(want, reader->RunAuctionOn(query)));
+      if ((t + 1) % 50 == 0) {
+        ASSERT_EQ(CheckpointBytes(*twin), CheckpointBytes(*reader))
+            << "after auction " << t + 1;
+      }
+    }
+    // The first auction's three reads found the lists not yet built.
+    EXPECT_EQ(reader->brute_reads(), 3 + backward);
+    EXPECT_EQ(reader->logical_reads(), 3 * 200 - 3);
+    const RoiPlannerStats want = twin->planner_stats();
+    const RoiPlannerStats got = reader->planner_stats();
+    EXPECT_EQ(got.logical_plans, want.logical_plans);
+    EXPECT_EQ(got.probes, want.probes);
+    EXPECT_EQ(got.list_moves, want.list_moves);
+    EXPECT_EQ(got.triggers_fired, want.triggers_fired);
+    EXPECT_EQ(got.rebuilds, want.rebuilds);
+    EXPECT_GE(got.ctr_extensions, want.ctr_extensions);
+    if (c.shape == Shape::kLowTargets) {
+      EXPECT_GT(got.triggers_fired, 0);
+    } else {
+      EXPECT_GT(want.ctr_extensions, 0);
+    }
+  }
+}
+
+TEST(RoiPlannerTest, ReadsThePlannerCannotPlanFallBack) {
+  // A read falls back to brute force when the lists cannot answer it: a
+  // query back in time, the stale lists just after a restore, and a query
+  // with two relevant keywords. Each fallback equals the reference's
+  // what-if bitwise and is counted brute, and the trajectory goes on
+  // unperturbed.
+  const WorkloadConfig wc = FallbackConfig(107);
+  EngineConfig ec;
+  ec.seed = 109;
+  Lockstep run(wc, Shape::kLowTargets, ec, /*num_shards=*/4, nullptr, {},
+               Population::kPrograms);
+  ASSERT_NO_FATAL_FAILURE(run.Run(60, 30));
+  auto lane = run.engine->NewPlanLane();
+  auto expect_read = [&](const Query& query, bool logical) {
+    const int64_t brute = run.engine->brute_reads();
+    const int64_t planned = run.engine->logical_reads();
+    ShardedAuctionEngine::PlannedAuction plan;
+    run.engine->WhatIfAuction(query, lane.get(), &plan);
+    EXPECT_EQ(run.engine->brute_reads(), brute + (logical ? 0 : 1));
+    EXPECT_EQ(run.engine->logical_reads(), planned + (logical ? 1 : 0));
+    ExpectSamePlan(run.ref->WhatIf(query), plan);
+  };
+  QueryGenerator others(wc.num_keywords, 113);
+  Query back = others.Next();
+  back.time = 20;
+  ASSERT_NO_FATAL_FAILURE(expect_read(back, /*logical=*/false));
+  Query two = others.Next();
+  two.time = 61;
+  two.relevance.assign(wc.num_keywords, 0.0);
+  two.relevance[0] = two.relevance[1] = 1.0;
+  ASSERT_NO_FATAL_FAILURE(expect_read(two, /*logical=*/false));
+  Query next = others.Next();
+  next.time = 61;
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/true));
+  ASSERT_NO_FATAL_FAILURE(run.Run(30, 10));
+
+  // Restore into another engine: its lists are stale until it plans.
+  EngineCheckpoint ckpt;
+  run.engine->CaptureCheckpoint(&ckpt);
+  Workload w = MakeWorkload(wc, Shape::kLowTargets, Population::kPrograms);
+  Bidders bidders = MakeBidders(w, {}, Population::kPrograms);
+  ShardedEngineConfig config;
+  config.engine = ec;
+  config.num_shards = 2;
+  run.engine = std::make_unique<ShardedAuctionEngine>(
+      config, std::move(w), std::move(bidders.strategies));
+  run.bidders = std::move(bidders);
+  ASSERT_TRUE(run.engine->RestoreCheckpoint(ckpt).ok());
+  lane = run.engine->NewPlanLane();
+  next = others.Next();
+  next.time = 91;
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/false));
+  ASSERT_NO_FATAL_FAILURE(run.Run(30, 10));
+  EXPECT_EQ(run.engine->planner_stats().rebuilds, 1);
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/false));
+  next.time = 121;
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/true));
 }
 
 TEST(RoiPlannerTest, UnclassifiedProgramKeepsItsShardOnBruteForce) {
