@@ -12,14 +12,17 @@
 //                  consistency) from a fixed reader pool against 1, 2, 4
 //                  caught-up followers. Reads on one follower serialize with
 //                  its applies behind one mutex, so scale-out comes from
-//                  follower count — this section measures how much. Two
+//                  follower count — this section measures how much. Three
 //                  rows per follower count: `logical` reads carry the next
 //                  auction's time (applied_seq + 1, as a read-your-writes
 //                  reader's do), so the follower's RHTALU planner plans
-//                  them from its lists; `brute` reads carry times 1, 2, 3,
-//                  ..., wrapping before the replica's last auction, so each
-//                  takes the brute-force fallback. Each row reports how many
-//                  reads took each path (replication_reads_total).
+//                  them from its lists; `backward` reads carry times 1, 2,
+//                  3, ..., wrapping before the replica's last auction, so
+//                  the planner rebuilds its lists for a read whose time
+//                  precedes theirs and then plans it; `unplannable` reads
+//                  carry the next auction's time but two relevant keywords,
+//                  so each takes the brute-force fallback. Each row reports
+//                  how many reads took each path (replication_reads_total).
 //
 // Knobs (env): SSA_REPL_N (advertisers, default 2000), SSA_REPL_AUCTIONS
 // (log length, default 1500), SSA_REPL_SHARDS (default 2), SSA_REPL_READERS
@@ -174,12 +177,16 @@ struct ReadResult {
   int64_t brute = 0;
 };
 
+/// The read-scaling rows' query shapes (see the header comment), and
+/// their row labels.
+enum class ReadPath { kLogical, kBackward, kUnplannable };
+const char* const kPathNames[] = {"logical", "backward", "unplannable"};
+
 /// Aggregate read QPS from `p.readers` threads against `num_followers`
-/// caught-up followers for `p.read_ms` milliseconds. `forward` reads carry
-/// the next auction's time, the others times 1, 2, 3, ..., wrapping before
-/// the replica's last auction (the brute-force fallback).
+/// caught-up followers for `p.read_ms` milliseconds, on reads of `path`'s
+/// shape.
 ReadResult RunReadScaling(const Params& p, const std::string& log_path,
-                          int num_followers, bool forward) {
+                          int num_followers, ReadPath path) {
   ReadResult result;
   MetricsRegistry metrics;
   ReadReplicaSetConfig config;
@@ -210,9 +217,12 @@ ReadResult RunReadScaling(const Params& p, const std::string& log_path,
       int64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         Query q = gen.Next();
-        q.time = forward
-                     ? static_cast<int64_t>(replicas.max_applied_seq()) + 1
-                     : 1 + (q.time - 1) % backward_times;
+        q.time = path == ReadPath::kBackward
+                     ? 1 + (q.time - 1) % backward_times
+                     : static_cast<int64_t>(replicas.max_applied_seq()) + 1;
+        if (path == ReadPath::kUnplannable) {
+          q.relevance[(q.keyword + 1) % num_keywords] = 1.0;
+        }
         if (replicas.EstimatePrices(ReadOptions{}, q, &prices).ok()) ++local;
       }
       reads.fetch_add(local, std::memory_order_relaxed);
@@ -285,7 +295,7 @@ int Main(int argc, char** argv) {
 
   std::printf("\n## Read scaling (%d reader threads, kAny reads)\n",
               p.readers);
-  std::printf("%-8s %-10s %12s %10s %10s %10s\n", "path", "followers",
+  std::printf("%-12s %-10s %12s %10s %10s %10s\n", "path", "followers",
               "reads/s", "vs f=1", "logical", "brute");
   const std::vector<int> follower_counts = quick ? std::vector<int>{1, 2}
                                                  : std::vector<int>{1, 2, 4};
@@ -295,14 +305,16 @@ int Main(int argc, char** argv) {
     ReadResult result;
   };
   std::vector<Row> rows;
-  for (const bool forward : {true, false}) {
+  for (const ReadPath path :
+       {ReadPath::kLogical, ReadPath::kBackward, ReadPath::kUnplannable}) {
     const size_t first = rows.size();
     for (int f : follower_counts) {
-      rows.push_back(Row{forward ? "logical" : "brute", f,
-                         RunReadScaling(p, log_path, f, forward)});
+      rows.push_back(
+          Row{kPathNames[static_cast<int>(path)], f,
+              RunReadScaling(p, log_path, f, path)});
       const Row& row = rows.back();
       const double base = rows[first].result.reads_per_s;
-      std::printf("%-8s %-10d %12.0f %9.2fx %10lld %10lld\n", row.path, f,
+      std::printf("%-12s %-10d %12.0f %9.2fx %10lld %10lld\n", row.path, f,
                   row.result.reads_per_s,
                   base > 0 ? row.result.reads_per_s / base : 0,
                   static_cast<long long>(row.result.logical),

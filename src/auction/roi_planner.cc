@@ -165,9 +165,7 @@ bool RoiPlanner::Prepare(const Query& query,
     WriteBack(accounts);
     state_ = State::kStale;
   }
-  if (state_ == State::kStale && !Rebuild(query.time, accounts)) return false;
-  last_time_ = std::max(last_time_, query.time);
-  return true;
+  return state_ != State::kStale || Rebuild(query.time, accounts);
 }
 
 bool RoiPlanner::Rebuild(int64_t time,
@@ -383,7 +381,7 @@ void RoiPlanner::ScheduleTrigger(int32_t m, int64_t time,
   std::push_heap(triggers_.begin(), triggers_.end(), std::greater<Trigger>());
 }
 
-void RoiPlanner::Advance(const Query& query, int kw,
+void RoiPlanner::BidStep(const Query& query, int kw,
                          const std::vector<AdvertiserAccount>& accounts) {
   SSA_CHECK(state_ != State::kStale);
   const int64_t time = query.time;
@@ -391,14 +389,21 @@ void RoiPlanner::Advance(const Query& query, int kw,
     std::pop_heap(triggers_.begin(), triggers_.end(), std::greater<Trigger>());
     const Trigger trigger = triggers_.back();
     triggers_.pop_back();
+    if (reading_) due_.push_back(trigger);
     if (gen_[trigger.member] != trigger.gen) continue;  // superseded
     ++stats_.triggers_fired;
     const AdvertiserAccount& account = accounts[trigger.member];
     Classify(trigger.member, time, account);
-    ScheduleTrigger(trigger.member, time, account);
+    if (!reading_) ScheduleTrigger(trigger.member, time, account);
   }
   ApplyLogicalUpdate(kw);
+}
+
+void RoiPlanner::Advance(const Query& query, int kw,
+                         const std::vector<AdvertiserAccount>& accounts) {
+  BidStep(query, kw, accounts);
   state_ = State::kAhead;
+  last_time_ = std::max(last_time_, query.time);
   last_query_ = query;
   settled_.clear();
   ++stats_.logical_plans;
@@ -406,30 +411,14 @@ void RoiPlanner::Advance(const Query& query, int kw,
 
 void RoiPlanner::BeginRead(const Query& query, int kw,
                            const std::vector<AdvertiserAccount>& accounts) {
-  SSA_CHECK(CanRead(query) && !reading_);
+  SSA_CHECK(!reading_);
   reading_ = true;
   read_stats_ = stats_;
   read_kw_ = kw;
   std::copy(lists_[kw].adjustment, lists_[kw].adjustment + 3,
             read_adjustment_);
-  // The due triggers are a subtree at the heap's root (a parent is never
-  // later than its children). Firing one reclassifies only its own member,
-  // and the selection does not depend on bucket order, so the read fires
-  // them in heap order, not Advance's (time, member) order.
   due_.clear();
-  if (!triggers_.empty() && triggers_[0].time <= query.time) due_.push_back(0);
-  for (size_t d = 0; d < due_.size(); ++d) {
-    const Trigger& trigger = triggers_[due_[d]];
-    if (gen_[trigger.member] == trigger.gen) {  // else superseded
-      Classify(trigger.member, query.time, accounts[trigger.member]);
-    }
-    for (size_t c = 2 * due_[d] + 1; c <= 2 * due_[d] + 2; ++c) {
-      if (c < triggers_.size() && triggers_[c].time <= query.time) {
-        due_.push_back(c);
-      }
-    }
-  }
-  ApplyLogicalUpdate(kw);
+  BidStep(query, kw, accounts);
 }
 
 void RoiPlanner::EndRead() {
@@ -440,6 +429,13 @@ void RoiPlanner::EndRead() {
     Relink(*it);
   }
   journal_.clear();
+  // A heap of the same triggers pops them in the same (time, member) order:
+  // only a superseded entry can share its key, and it fires nothing.
+  for (const Trigger& trigger : due_) {
+    triggers_.push_back(trigger);
+    std::push_heap(triggers_.begin(), triggers_.end(),
+                   std::greater<Trigger>());
+  }
   std::copy(read_adjustment_, read_adjustment_ + 3,
             lists_[read_kw_].adjustment);
   const int64_t ctr_extensions = stats_.ctr_extensions;

@@ -95,10 +95,9 @@ struct RoiPlannerStats {
 /// (RoiBidder::WriteRoiBids); for the winners of that query's auction it
 /// passes the ROI inputs they had before settlement (BeforeSettle).
 ///
-/// A what-if read (BeginRead .. EndRead) plans from lists that are not
-/// stale without moving anything: its bid step goes into an undo journal
-/// that EndRead rolls back, so the strategies need no write-back and the
-/// lists no rebuild.
+/// A what-if read is a plan in read mode: Prepare, then BeginRead .. EndRead
+/// in place of Advance. Its bid step goes into an undo journal that EndRead
+/// rolls back, so it moves no value.
 class RoiPlanner {
  public:
   /// Whether advertisers [begin, end) can be planned logically: every
@@ -127,36 +126,33 @@ class RoiPlanner {
   int PlannableKeyword(const Query& query) const;
 
   /// Makes the lists current for an auction at `query.time`: rebuilds them
-  /// from the strategies when stale, or when the time runs backwards
-  /// (underspending is absorbing only forward in time). Returns false when
-  /// the state cannot be bucketed (a non-integral, NaN or out-of-range bid
-  /// or cap, a negative spend rate, or a member whose view or keyword
-  /// formula changed in a restore); the members then plan by brute force.
+  /// from the strategies when stale, or when the time precedes the lists'
+  /// (the last plan's or rebuild's; underspending is absorbing only forward
+  /// in time) after writing back the bids they stand for, so no value
+  /// moves. Returns false when the state cannot be bucketed (a
+  /// non-integral, NaN or out-of-range bid or cap, a negative spend rate,
+  /// or a member whose view or keyword formula changed in a restore); the
+  /// members then plan by brute force.
   bool Prepare(const Query& query,
                const std::vector<AdvertiserAccount>& accounts);
 
   /// The per-auction bid step, after a successful Prepare: fires due
-  /// triggers, then applies the logical update on keyword `kw`.
+  /// triggers, then applies the logical update on keyword `kw`, and moves
+  /// the planner's clock to `query.time`.
   void Advance(const Query& query, int kw,
                const std::vector<AdvertiserAccount>& accounts);
 
-  /// Whether a read of `query` can plan logically without a Prepare: the
-  /// lists are current and the query does not run time backwards.
-  bool CanRead(const Query& query) const {
-    return state_ != State::kStale && query.time >= last_time_;
-  }
-
-  /// A read's bid step, when CanRead(query): moves the lists exactly as
-  /// Advance would, into an undo journal. The due triggers fire without
-  /// leaving the queue (a fired trigger's reschedule is never due in the
-  /// same auction, so the queue needs no undo), and nothing else moves. The
-  /// caller then runs SelectTop and Payments, and must call EndRead.
+  /// A read's bid step, after a successful Prepare: moves the lists exactly
+  /// as Advance would, into an undo journal, and leaves the clock. The due
+  /// triggers are popped without being rescheduled (a fired trigger's
+  /// reschedule is never due in the same auction). The caller then runs
+  /// SelectTop and Payments, and must call EndRead.
   void BeginRead(const Query& query, int kw,
                  const std::vector<AdvertiserAccount>& accounts);
   /// Rolls the read's journal back in reverse, so every bucket list keeps
-  /// its exact order, and restores the work totals: a read counts nothing
-  /// but the weight-order prefixes it grew (ctr_extensions), which later
-  /// plans share.
+  /// its exact order, pushes the popped triggers back and restores the work
+  /// totals: a read counts nothing but Prepare's rebuild and the
+  /// weight-order prefixes it grew (ctr_extensions), which later plans share.
   void EndRead();
 
   /// Offers the members' per-slot top entries into `topk` (k heaps of
@@ -288,6 +284,11 @@ class RoiPlanner {
   void Classify(int32_t m, int64_t time, const AdvertiserAccount& account);
   void ScheduleTrigger(int32_t m, int64_t time,
                        const AdvertiserAccount& account);
+  /// The bid step of Advance and BeginRead: fires the triggers due at
+  /// `query.time` (a read pops them into due_ without rescheduling), then
+  /// applies the logical update on keyword `kw`.
+  void BidStep(const Query& query, int kw,
+               const std::vector<AdvertiserAccount>& accounts);
   void ApplyLogicalUpdate(int kw);
   void SelectTopForSlot(SlotIndex slot, int kw, TopKHeapSet* topk);
   /// Computes the members' weights of `order`, its exactness and source.
@@ -338,20 +339,20 @@ class RoiPlanner {
   std::vector<uint16_t> stored_;
   std::vector<uint16_t> cap_;
   std::vector<int32_t> next_, prev_, cap_next_, cap_prev_;
-  /// Pending triggers, a min-heap under std::greater (a plain vector, so a
-  /// read can walk its due entries without popping them).
+  /// Pending triggers, a min-heap under std::greater.
   std::vector<Trigger> triggers_;
   std::vector<uint32_t> gen_;
 
   /// A read in progress (BeginRead .. EndRead): its list moves, its
-  /// keyword's adjustments and the work totals before it. Empty and unused
-  /// outside reads; Move's one test of `reading_` is all a plan pays.
+  /// keyword's adjustments, the work totals before it and the triggers it
+  /// popped. Empty and unused outside reads; the tests of `reading_` in
+  /// Move and BidStep are all a plan pays.
   bool reading_ = false;
   std::vector<UndoMove> journal_;
   int read_kw_ = -1;
   int64_t read_adjustment_[3] = {0, 0, 0};
   RoiPlannerStats read_stats_;
-  std::vector<size_t> due_;  // BeginRead scratch: indices into triggers_
+  std::vector<Trigger> due_;
 
   /// The bid view of one auction: first member of each non-empty bucket
   /// with its effective bid, descending.

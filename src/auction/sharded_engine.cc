@@ -90,11 +90,9 @@ void ShardedAuctionEngine::CaptureShard(int s, const Query& query, bool read,
     }
   }
   // One timer per shard per auction; the fan-out writes disjoint
-  // capture_ns_ slots. Reads are not timed.
-  if (!read) {
-    capture_ns_[static_cast<size_t>(s)] +=
-        static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
-  }
+  // capture_ns_ slots.
+  capture_ns_[static_cast<size_t>(s)] +=
+      static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
   if (traced) {
     tracer_->RecordSpan(trace_seq, TraceStage::kShardCapture, 100 + s, t0,
                         Tracer::NowNs());
@@ -298,18 +296,19 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
 void ShardedAuctionEngine::PlanAuction(const Query& query,
                                        PlannedAuction* plan,
                                        uint64_t trace_seq) {
-  Plan(query, internal_lane_.get(), /*read=*/false, plan, trace_seq);
+  Plan(query, /*read=*/false, plan, trace_seq);
 }
 
-void ShardedAuctionEngine::WhatIfAuction(const Query& query, PlanLane* lane,
+void ShardedAuctionEngine::WhatIfAuction(const Query& query,
                                          PlannedAuction* plan) {
-  Plan(query, lane, /*read=*/true, plan, /*trace_seq=*/0);
+  Plan(query, /*read=*/true, plan, /*trace_seq=*/0);
 }
 
-void ShardedAuctionEngine::Plan(const Query& query, PlanLane* lane, bool read,
+void ShardedAuctionEngine::Plan(const Query& query, bool read,
                                 PlannedAuction* plan, uint64_t trace_seq) {
   const int n = static_cast<int>(strategies_.size());
   const int k = workload_.config.num_slots;
+  PlanLane* lane = internal_lane_.get();
   plan->outcome = AuctionOutcome{};
   plan->outcome.query = query;
   lane->merged_topk.Reset(k, k + 1);
@@ -317,21 +316,20 @@ void ShardedAuctionEngine::Plan(const Query& query, PlanLane* lane, bool read,
   const bool traced = tracer_ != nullptr && trace_seq != 0;
 
   // --- The logical bid step (triggers + logical update) replaces capture on
-  // the planner's shards. A plan's Prepare may rebuild the lists first,
-  // after a capture or restore moved the strategies; a read never moves
-  // them, so it plans logically only from current lists, into a journal.
+  // the planner's shards. Prepare may rebuild the lists first (stale after a
+  // capture or restore, or a time before theirs); a read's bid step goes
+  // into a journal that EndRead rolls back.
   RoiPlanner* logical = nullptr;
   const int kw = planner_ != nullptr ? planner_->PlannableKeyword(query) : -1;
-  if (kw >= 0 && read) {
-    if (planner_->CanRead(query)) {
-      planner_->BeginRead(query, kw, workload_.accounts);
-      logical = planner_.get();
-    }
-  } else if (kw >= 0) {
+  if (kw >= 0) {
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     WallTimer planner_timer;
     if (planner_->Prepare(query, workload_.accounts)) {
-      planner_->Advance(query, kw, workload_.accounts);
+      if (read) {
+        planner_->BeginRead(query, kw, workload_.accounts);
+      } else {
+        planner_->Advance(query, kw, workload_.accounts);
+      }
       logical = planner_.get();
     }
     planner_ns_ += static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
@@ -374,10 +372,7 @@ void ShardedAuctionEngine::Plan(const Query& query, PlanLane* lane, bool read,
     const uint64_t t0 = traced ? Tracer::NowNs() : 0;
     WallTimer planner_timer;
     logical->SelectTop(kw, &lane->merged_topk);
-    if (!read) {
-      planner_ns_ +=
-          static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
-    }
+    planner_ns_ += static_cast<int64_t>(planner_timer.ElapsedSeconds() * 1e9);
     if (traced) {
       tracer_->RecordSpan(trace_seq, TraceStage::kShardPlan, kPlannerTrack,
                           t0, Tracer::NowNs());

@@ -96,10 +96,11 @@ struct ShardedEngineConfig {
 ///
 /// The strategies stay the source of truth for checkpoints: the planner
 /// writes its effective bids back into its strategies before any
-/// path reads them (CaptureBids, a brute-force PlanAuction, a WhatIfAuction
-/// that falls back to brute force, CaptureCheckpoint, RestoreCheckpoint)
-/// and rebuilds its lists from them, at its next logical plan, after any
-/// path moved them (CaptureBids, RestoreCheckpoint).
+/// path reads them (CaptureBids, a brute-force PlanAuction or
+/// WhatIfAuction, CaptureCheckpoint, RestoreCheckpoint, a rebuild for a
+/// time before the lists') and rebuilds its lists from them, at its next
+/// logical plan or read, after any path moved them (CaptureBids,
+/// RestoreCheckpoint).
 ///
 /// Plan / settle split: PlanAuction plans one query against the current
 /// account state and SettlePlanned applies it; the server plans and settles
@@ -110,7 +111,7 @@ struct ShardedEngineConfig {
 /// that is const on the engine and reads only the captured bids plus a
 /// PlanLane's scratch; the split halves always take the brute-force path.
 /// Follower reads (WhatIfAuction) run PlanAuction's own body in read mode on
-/// their own lane: the planner's bid step goes into an undo journal that
+/// the engine's lane: the planner's bid step goes into an undo journal that
 /// the read rolls back, and shards it does not cover peek their programs.
 /// Compilation is a pure function of (table, num_slots), so a plan is
 /// bitwise-identical on any lane, whatever its cache history.
@@ -145,8 +146,8 @@ class ShardedAuctionEngine {
   /// Per-lane planning scratch: one population-wide compiled-bids cache,
   /// per-shard top-k heaps and phase timers, the coordinator merge heap, and
   /// an arena-reused revenue matrix. Opaque to callers — create with
-  /// NewPlanLane(), hand to PlanCaptured or WhatIfAuction. A lane must not
-  /// be used by two threads at once; distinct lanes are fully independent.
+  /// NewPlanLane(), hand to PlanCaptured. A lane must not be used by two
+  /// threads at once; distinct lanes are fully independent.
   /// Every lane's shard phase fans out on the engine's config.pool.
   ///
   /// The cache is keyed by *global* advertiser id and sized to the
@@ -158,7 +159,7 @@ class ShardedAuctionEngine {
     struct ShardScratch {
       TopKHeapSet topk;  // local per-slot top-(k+1), reused
       /// Accumulated RunShardPhase wall time for this shard on this lane
-      /// (exported as engine_shard_phase_ns).
+      /// (exported as the counter engine_shard_phase_ns_total).
       int64_t phase_ns = 0;
     };
     /// Population-wide, global-id-keyed compiled-bids cache (see above).
@@ -172,8 +173,8 @@ class ShardedAuctionEngine {
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
   };
 
-  /// Creates an independent planning lane. Lanes may outlive nothing: the
-  /// engine must outlive every lane created from it.
+  /// Creates an independent planning lane for PlanCaptured. Lanes may
+  /// outlive nothing: the engine must outlive every lane created from it.
   std::unique_ptr<PlanLane> NewPlanLane() const;
 
   /// The sequential half of planning: runs every advertiser's bidding
@@ -212,24 +213,23 @@ class ShardedAuctionEngine {
                    uint64_t trace_seq = 0);
 
   /// One full what-if auction as a pure read: the plan PlanAuction would
-  /// produce for `query` at the current state, bit for bit, on `lane`, with
-  /// nothing in the engine moved, so the real trajectory is unperturbed.
-  /// It runs PlanAuction's body in read mode. When the planner can plan
-  /// the query from its current lists (not stale, and the query's time is
-  /// not before the last plan's), its bid step is journaled and rolled
-  /// back after pricing, and only the shards it does not cover run their
-  /// programs, via PeekBids (no strategy-private state advances). Otherwise
-  /// the read falls back to brute force: the planner writes its bids back,
-  /// and every advertiser peeks. Reads count as logical or brute
-  /// (logical_reads, brute_reads) and leave planner_stats() as they found
-  /// it, except for the weight-order prefixes a read grows
-  /// (ctr_extensions), which later plans share.
+  /// produce for `query` at the current state, bit for bit, with no value
+  /// in the engine moved, so the real trajectory is unperturbed. It is
+  /// PlanAuction's body in read mode on the engine's lane: the planner's
+  /// Prepare (which may rebuild, as for a plan), then its bid step into an
+  /// undo journal rolled back after pricing; shards it does not cover peek
+  /// their programs (PeekBids: no strategy-private state advances). Without
+  /// a logical plan the read falls back to brute force: the planner writes
+  /// its bids back and every advertiser peeks. Reads count as logical or
+  /// brute (logical_reads, brute_reads) and leave planner_stats() as they
+  /// found it, but for Prepare's rebuild and the weight-order prefixes a
+  /// read grows (ctr_extensions), which later plans share.
   ///
   /// The caller must hold the engine exclusively: a read moves the
-  /// planner's lists and scratch while it runs (PeekBids' default also
-  /// transiently mutates strategy state). The follower serializes reads
-  /// against applies with its mutex.
-  void WhatIfAuction(const Query& query, PlanLane* lane, PlannedAuction* plan);
+  /// planner's lists and the lane's scratch while it runs (PeekBids'
+  /// default also transiently mutates strategy state). The follower
+  /// serializes reads against applies with its mutex.
+  void WhatIfAuction(const Query& query, PlannedAuction* plan);
 
   /// Step 5/6 for a planned auction: simulates user actions (advancing the
   /// user RNG in plan order), charges winners, updates accounts, delivers
@@ -257,12 +257,12 @@ class ShardedAuctionEngine {
 
   /// Per-shard observability: advertiser range, capture time, and
   /// accumulated shard-phase time on the internal lane (lanes from
-  /// NewPlanLane() are scratch and report nothing).
+  /// NewPlanLane() are scratch and report nothing). Reads count like plans.
   struct ShardStats {
     AdvertiserId begin = 0;
     AdvertiserId end = 0;
     /// Bid-capture wall time for the shard's range since construction
-    /// (PlanAuction and CaptureBids; read-only captures are not timed).
+    /// (PlanAuction, CaptureBids and WhatIfAuction's peeks).
     int64_t capture_ns = 0;
     /// RunShardPhase wall time accumulated on the internal lane since
     /// construction. A logical auction runs neither phase on the planner's
@@ -273,16 +273,16 @@ class ShardedAuctionEngine {
   /// The planner's work totals (zero without a planner).
   RoiPlannerStats planner_stats() const;
   /// WhatIfAuction calls the planner planned, and calls that fell back to
-  /// brute force (no planner, a dense method, a query it cannot plan, stale
-  /// lists, or a time before the last plan's).
+  /// brute force (no planner, a dense method, a query it cannot plan, or a
+  /// state Prepare refuses).
   int64_t logical_reads() const { return logical_reads_; }
   int64_t brute_reads() const { return brute_reads_; }
-  /// The planner's wall time since construction: list preparation, the bid
-  /// step and the Threshold Algorithm.
+  /// The planner's wall time since construction, reads included: list
+  /// preparation, the bid step and the Threshold Algorithm.
   int64_t planner_ns() const { return planner_ns_; }
   /// Internal-lane cache hits/misses summed over all shards: one lookup per
-  /// advertiser per brute-force auction (logical shards make none), a hit
-  /// whenever the table's formulas are unchanged (its values may move).
+  /// advertiser per brute-force auction or read (logical shards make none),
+  /// a hit whenever the table's formulas are unchanged (its values may move).
   int64_t cache_hits() const;
   int64_t cache_misses() const;
 
@@ -314,9 +314,9 @@ class ShardedAuctionEngine {
   void ForEachShard(const std::function<void(int)>& body) const;
 
   /// The one body of PlanAuction (`read` false) and WhatIfAuction (`read`
-  /// true) on `lane`.
-  void Plan(const Query& query, PlanLane* lane, bool read,
-            PlannedAuction* plan, uint64_t trace_seq);
+  /// true), on the internal lane.
+  void Plan(const Query& query, bool read, PlannedAuction* plan,
+            uint64_t trace_seq);
 
   /// Runs shard s's bidding programs for `query` into its range of `*bids`:
   /// MakeBids, timed into capture_ns_, or PeekBids when `read`. Callers sync
@@ -371,8 +371,8 @@ class ShardedAuctionEngine {
   int64_t planner_ns_ = 0;
   int64_t logical_reads_ = 0;
   int64_t brute_reads_ = 0;
-  /// The engine's own lane (PlanAuction / RunAuctionOn path); its cache is
-  /// the one shard_stats reports.
+  /// The engine's own lane (PlanAuction, RunAuctionOn and WhatIfAuction);
+  /// its cache is the one cache_hits() reports.
   std::unique_ptr<PlanLane> internal_lane_;
   PlannedAuction plan_scratch_;   // RunAuctionOn's plan, reused
   AuctionOutcome outcome_;

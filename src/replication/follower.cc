@@ -31,7 +31,6 @@ Status FollowerEngine::Start() {
   tail_options.start_after_seq = boot_seq;
   SSA_ASSIGN_OR_RETURN(tailer_, LogTailer::Open(config_.log_path,
                                                 tail_options));
-  read_lane_ = engine_.NewPlanLane();
 
   if (config_.metrics != nullptr) {
     applied_seq_gauge_ = config_.metrics->GetGauge(
@@ -174,7 +173,7 @@ Status FollowerEngine::WhatIf(const Query& query,
   std::lock_guard<std::mutex> guard(lock_);
   SSA_RETURN_IF_ERROR(err_);
   const int64_t logical_before = engine_.logical_reads();
-  engine_.WhatIfAuction(query, read_lane_.get(), plan);
+  engine_.WhatIfAuction(query, plan);
   Counter* path = engine_.logical_reads() > logical_before
                       ? logical_reads_counter_
                       : brute_reads_counter_;

@@ -161,9 +161,6 @@ class FollowerEngine {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
 
-  /// Read-path lane (under lock_, so one is enough).
-  std::unique_ptr<ShardedAuctionEngine::PlanLane> read_lane_;
-
   // Metric handles (null when metrics are off).
   Gauge* applied_seq_gauge_ = nullptr;
   Gauge* lag_seq_gauge_ = nullptr;

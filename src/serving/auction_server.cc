@@ -205,16 +205,16 @@ void AuctionServer::PublishEngineGauges() {
     const ShardedAuctionEngine::ShardStats stats = engine_.shard_stats(s);
     const std::string label = ShardLabel(s);
     if (stats.capture_ns > 0) {
-      registry_
-          .GetGauge("engine_shard_capture_ns", label,
-                    "Bid-capture wall time per shard, ns")
-          ->Set(stats.capture_ns);
+      AdvanceCounter(
+          registry_.GetCounter("engine_shard_capture_ns_total", label,
+                               "Bid-capture wall time per shard, ns"),
+          stats.capture_ns);
     }
     if (stats.phase_ns > 0) {
-      registry_
-          .GetGauge("engine_shard_phase_ns", label,
-                    "Brute-force shard-phase wall time per shard, ns")
-          ->Set(stats.phase_ns);
+      AdvanceCounter(
+          registry_.GetCounter("engine_shard_phase_ns_total", label,
+                               "Brute-force shard-phase wall time, ns"),
+          stats.phase_ns);
     }
     registry_
         .GetGauge("engine_shard_advertisers", label,

@@ -168,7 +168,9 @@ TEST(PricingTest, OnePassGspMatchesColumnScanBitwise) {
       for (SlotIndex j = 0; j < k; ++j) {
         EXPECT_EQ(Bits(got[j]), Bits(want[j]))
             << "trial " << trial << " slot " << j;
-        if (allocation.slot_to_advertiser[j] < 0) EXPECT_EQ(Bits(got[j]), 0u);
+        if (allocation.slot_to_advertiser[j] < 0) {
+          EXPECT_EQ(Bits(got[j]), 0u);
+        }
       }
     }
   }

@@ -508,13 +508,12 @@ TEST(WhatIfAuctionTest, ShardedEngineWhatIfIsPure) {
   Workload w2 = MakePaperWorkload(wc);
   ShardedAuctionEngine probed(config, w1, RoiStrategies(w1));
   ShardedAuctionEngine control(control_config, w2, RoiStrategies(w2));
-  std::unique_ptr<ShardedAuctionEngine::PlanLane> lane = probed.NewPlanLane();
 
   QueryGenerator gen(wc.num_keywords, kEngineSeed);
   for (int i = 0; i < 40; ++i) {
     const Query query = gen.Next();
     ShardedAuctionEngine::PlannedAuction plan;
-    probed.WhatIfAuction(query, lane.get(), &plan);
+    probed.WhatIfAuction(query, &plan);
     EXPECT_TRUE(plan.outcome.events.empty());
 
     const AuctionOutcome& real = control.RunAuctionOn(query);
@@ -528,10 +527,9 @@ TEST(WhatIfAuctionTest, ShardedEngineWhatIfIsPure) {
   }
   ExpectAccountsBitwiseEq(probed.accounts(), control.accounts());
   EXPECT_EQ(probed.total_revenue(), control.total_revenue());
-  // The first read found the planner's lists not yet built and ran brute
-  // force; every later one was planned from the lists.
-  EXPECT_EQ(probed.brute_reads(), 1);
-  EXPECT_EQ(probed.logical_reads(), 39);
+  // The first read built the planner's lists; every read was planned.
+  EXPECT_EQ(probed.brute_reads(), 0);
+  EXPECT_EQ(probed.logical_reads(), 40);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +646,8 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
   std::vector<Money> prices;
   ASSERT_TRUE(follower->EstimatePrices(gen.Next(), &prices).ok());
   // Those six reads ran back in time (times 1-6, before the replica's 60):
-  // brute force. Reads of the next auction plan from the lists.
+  // the first rebuilt the lists at its time, and all six planned from
+  // them, as do the reads of the next auction.
   for (int i = 0; i < 2; ++i) {
     Query next = gen.Next();
     next.time = kTotalAuctions + 1;
@@ -687,10 +686,10 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
     if (sample.name != "replication_reads_total") continue;
     ++read_paths;
     if (sample.labels == "follower=\"f0\",path=\"logical\"") {
-      EXPECT_EQ(sample.value, 2.0);
+      EXPECT_EQ(sample.value, 8.0);
     } else {
       EXPECT_EQ(sample.labels, "follower=\"f0\",path=\"brute\"");
-      EXPECT_EQ(sample.value, 6.0);
+      EXPECT_EQ(sample.value, 0.0);
     }
   }
   EXPECT_EQ(read_paths, 2);
@@ -704,10 +703,11 @@ TEST(FollowerEngineTest, CatchesUpBitwiseFromCheckpoint) {
   EXPECT_EQ(apply_spans, kTotalAuctions - kCheckpointAt);
 }
 
-TEST(FollowerEngineTest, ReadOnTheRestoredReplicaFallsBackToBruteForce) {
+TEST(FollowerEngineTest, ReadOnTheRestoredReplicaBuildsTheListsAndPlans) {
   // Held at its checkpoint, the replica has applied nothing, so its
-  // planner's lists are not built yet: a read runs brute force and still
-  // predicts the leader's next auction bitwise.
+  // planner's lists are not built yet: a read builds them, as the next
+  // apply would, plans logically and predicts the leader's next auction
+  // bitwise.
   const LeaderArtifacts leader = RunLeader("follower_stale_read");
   MetricsRegistry metrics;
   FollowerConfig config = MakeFollowerConfig(leader, /*num_shards=*/2);
@@ -737,7 +737,7 @@ TEST(FollowerEngineTest, ReadOnTheRestoredReplicaFallsBackToBruteForce) {
   const MetricsSnapshot snapshot = metrics.Snapshot();
   for (const MetricSample& sample : snapshot.samples) {
     if (sample.name != "replication_reads_total") continue;
-    EXPECT_EQ(sample.value, sample.labels == "path=\"brute\"" ? 1.0 : 0.0)
+    EXPECT_EQ(sample.value, sample.labels == "path=\"logical\"" ? 1.0 : 0.0)
         << sample.labels;
   }
 }

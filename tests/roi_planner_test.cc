@@ -746,7 +746,8 @@ TEST_P(RoiPlannerReadTest, WhatIfMatchesTheAuctionItPredicts) {
   // Every auction is read first. The read plans from the planner's lists
   // through an undo journal, so it must equal the auction that follows
   // bitwise and leave the trajectory untouched. On the Figure 5 programs
-  // with low spend targets, triggers fire in the reads too.
+  // with low spend targets, triggers fire in the reads too. The first read
+  // builds the lists, exactly as the first auction would have.
   const GateParam p = GetParam();
   std::unique_ptr<ThreadPool> pool;
   if (p.pool) pool = std::make_unique<ThreadPool>(3);
@@ -770,11 +771,10 @@ TEST_P(RoiPlannerReadTest, WhatIfMatchesTheAuctionItPredicts) {
     ec.seed = 43;
     Lockstep run(c.wc, c.shape, ec, p.num_shards, pool.get(), {},
                  c.population);
-    auto lane = run.engine->NewPlanLane();
     for (int t = 0; t < c.auctions; ++t) {
       const Query query = run.queries.Next();
       ShardedAuctionEngine::PlannedAuction plan;
-      run.engine->WhatIfAuction(query, lane.get(), &plan);
+      run.engine->WhatIfAuction(query, &plan);
       const AuctionOutcome& want = run.ref->RunAuctionOn(query);
       const AuctionOutcome& got = run.engine->RunAuctionOn(query);
       ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(want, got));
@@ -786,13 +786,11 @@ TEST_P(RoiPlannerReadTest, WhatIfMatchesTheAuctionItPredicts) {
       }
     }
     ExpectSameState(*run.ref, run.ref_bidders, *run.engine, run.bidders);
-    // The first read found the lists not yet built and fell back; every
-    // later one was planned.
-    EXPECT_EQ(run.engine->brute_reads(), 1);
-    EXPECT_EQ(run.engine->logical_reads(), c.auctions - 1);
+    EXPECT_EQ(run.engine->brute_reads(), 0);
+    EXPECT_EQ(run.engine->logical_reads(), c.auctions);
     const RoiPlannerStats stats = run.engine->planner_stats();
     EXPECT_EQ(stats.logical_plans, c.auctions);
-    // Reads never invalidate: one rebuild, at start.
+    // Reads never invalidate: one rebuild, by the first read.
     EXPECT_EQ(stats.rebuilds, 1);
     // A trigger an auction fired was due, and fired, in its read as well.
     if (c.shape == Shape::kLowTargets) {
@@ -832,62 +830,60 @@ std::string CheckpointBytes(const ShardedAuctionEngine& engine) {
   return bytes;
 }
 
+/// A population for the read-free twin tests below: the Figure 5
+/// programs with low spend targets fire triggers; BidRampExtendsTheCtrOrder's
+/// dead top-ctr ramp grows the weight-order prefixes.
+struct TwinCase {
+  const char* name;
+  WorkloadConfig wc;
+  Shape shape;
+  Population population;
+};
+
+std::vector<TwinCase> TwinCases() {
+  WorkloadConfig ramp = PaperConfig(1200, 227);
+  ramp.num_keywords = 4;
+  return {TwinCase{"programs", FallbackConfig(83), Shape::kLowTargets,
+                   Population::kPrograms},
+          TwinCase{"ramp", ramp, Shape::kDeadTopCtr, Population::kRoi}};
+}
+
+std::unique_ptr<ShardedAuctionEngine> TwinEngine(const TwinCase& c,
+                                                 const EngineConfig& ec) {
+  Workload w = MakeWorkload(c.wc, c.shape, c.population);
+  Bidders bidders = MakeBidders(w, {}, c.population);
+  ShardedEngineConfig config;
+  config.engine = ec;
+  config.num_shards = 2;
+  return std::make_unique<ShardedAuctionEngine>(config, std::move(w),
+                                                std::move(bidders.strategies));
+}
+
 TEST(RoiPlannerTest, ReadsChangeNothing) {
   // A read-heavy engine and a read-free twin, fed one query stream. Before
   // each auction the reader reads that auction, the same query 40 auctions
-  // later (more triggers due), another keyword, and now and then a query
-  // back in time (the brute-force fallback). Both must settle every
+  // later (more triggers due) and another keyword. Both must settle every
   // auction alike and end each stretch with equal checkpoint bytes and
   // equal planner work: reads count only the weight-order prefixes they
-  // grow, which later plans would otherwise grow. The Figure 5 programs
-  // with low spend targets fire triggers; BidRampExtendsTheCtrOrder's dead
-  // top-ctr ramp grows the prefixes.
-  WorkloadConfig ramp = PaperConfig(1200, 227);
-  ramp.num_keywords = 4;
-  struct Case {
-    const char* name;
-    WorkloadConfig wc;
-    Shape shape;
-    Population population;
-  };
-  for (const Case& c :
-       {Case{"programs", FallbackConfig(83), Shape::kLowTargets,
-             Population::kPrograms},
-        Case{"ramp", ramp, Shape::kDeadTopCtr, Population::kRoi}}) {
+  // grow, which later plans would otherwise grow. In particular the reads
+  // ahead in time leave the planner's clock, so no apply rebuilds.
+  for (const TwinCase& c : TwinCases()) {
     SCOPED_TRACE(c.name);
     EngineConfig ec;
     ec.seed = 89;
-    auto make_engine = [&] {
-      Workload w = MakeWorkload(c.wc, c.shape, c.population);
-      Bidders bidders = MakeBidders(w, {}, c.population);
-      ShardedEngineConfig config;
-      config.engine = ec;
-      config.num_shards = 2;
-      return std::make_unique<ShardedAuctionEngine>(
-          config, std::move(w), std::move(bidders.strategies));
-    };
-    std::unique_ptr<ShardedAuctionEngine> reader = make_engine();
-    std::unique_ptr<ShardedAuctionEngine> twin = make_engine();
-    auto lane = reader->NewPlanLane();
+    std::unique_ptr<ShardedAuctionEngine> reader = TwinEngine(c, ec);
+    std::unique_ptr<ShardedAuctionEngine> twin = TwinEngine(c, ec);
     QueryGenerator queries(c.wc.num_keywords, ec.seed);
     QueryGenerator others(c.wc.num_keywords, 97);
-    int backward = 0;
     for (int t = 0; t < 200; ++t) {
       const Query query = queries.Next();
       Query later = query;
       later.time += 40;
       Query other = others.Next();
       other.time = query.time;
-      std::vector<Query> reads = {query, later, other};
-      if (t % 50 == 25) {
-        Query back = others.Next();
-        back.time = query.time / 2;
-        reads.push_back(back);
-        ++backward;
-      }
-      for (const Query& read : reads) {
+      for (const Query& read : {query, later, other}) {
         ShardedAuctionEngine::PlannedAuction plan;
-        reader->WhatIfAuction(read, lane.get(), &plan);
+        reader->WhatIfAuction(read, &plan);
       }
       const AuctionOutcome& want = twin->RunAuctionOn(query);
       ASSERT_NO_FATAL_FAILURE(
@@ -897,9 +893,9 @@ TEST(RoiPlannerTest, ReadsChangeNothing) {
             << "after auction " << t + 1;
       }
     }
-    // The first auction's three reads found the lists not yet built.
-    EXPECT_EQ(reader->brute_reads(), 3 + backward);
-    EXPECT_EQ(reader->logical_reads(), 3 * 200 - 3);
+    // The first read built the lists, as the twin's first auction did.
+    EXPECT_EQ(reader->brute_reads(), 0);
+    EXPECT_EQ(reader->logical_reads(), 3 * 200);
     const RoiPlannerStats want = twin->planner_stats();
     const RoiPlannerStats got = reader->planner_stats();
     EXPECT_EQ(got.logical_plans, want.logical_plans);
@@ -916,11 +912,57 @@ TEST(RoiPlannerTest, ReadsChangeNothing) {
   }
 }
 
-TEST(RoiPlannerTest, ReadsThePlannerCannotPlanFallBack) {
-  // A read falls back to brute force when the lists cannot answer it: a
-  // query back in time, the stale lists just after a restore, and a query
-  // with two relevant keywords. Each fallback equals the reference's
-  // what-if bitwise and is counted brute, and the trajectory goes on
+TEST(RoiPlannerTest, BackwardReadsRebuildAndChangeNoValue) {
+  // A read whose time precedes the lists' writes them back and rebuilds
+  // them at its own time, as a plan would, then plans logically. Every few
+  // auctions the reader reads back in time (far back or just behind the
+  // last auction), then reads the next auction from the rebuilt lists. The
+  // rebuild moves no value: outcomes and checkpoint bytes stay equal to a
+  // read-free twin's, and each backward read costs exactly one rebuild.
+  for (const TwinCase& c : TwinCases()) {
+    SCOPED_TRACE(c.name);
+    EngineConfig ec;
+    ec.seed = 89;
+    std::unique_ptr<ShardedAuctionEngine> reader = TwinEngine(c, ec);
+    std::unique_ptr<ShardedAuctionEngine> twin = TwinEngine(c, ec);
+    QueryGenerator queries(c.wc.num_keywords, ec.seed);
+    QueryGenerator others(c.wc.num_keywords, 97);
+    int backward = 0;
+    for (int t = 0; t < 200; ++t) {
+      const Query query = queries.Next();
+      if (t % 7 == 3) {
+        Query back = others.Next();
+        back.time = backward % 2 == 0 ? query.time / 2 : query.time - 2;
+        ++backward;
+        for (const Query& read : {back, query}) {
+          ShardedAuctionEngine::PlannedAuction plan;
+          reader->WhatIfAuction(read, &plan);
+        }
+      }
+      const AuctionOutcome& want = twin->RunAuctionOn(query);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameOutcome(want, reader->RunAuctionOn(query)));
+      if ((t + 1) % 50 == 0) {
+        ASSERT_EQ(CheckpointBytes(*twin), CheckpointBytes(*reader))
+            << "after auction " << t + 1;
+      }
+    }
+    EXPECT_GT(backward, 0);
+    EXPECT_EQ(reader->brute_reads(), 0);
+    EXPECT_EQ(reader->logical_reads(), 2 * backward);
+    EXPECT_EQ(reader->planner_stats().rebuilds,
+              twin->planner_stats().rebuilds + backward);
+    EXPECT_EQ(reader->planner_stats().logical_plans,
+              twin->planner_stats().logical_plans);
+  }
+}
+
+TEST(RoiPlannerTest, StaleAndBackwardReadsPlanAndTwoKeywordReadsFallBack) {
+  // A read whose lists cannot answer it as they stand rebuilds them first,
+  // as a plan would: a query back in time, and the stale lists just after
+  // a restore. Only a query the planner cannot plan, with two relevant
+  // keywords, falls back to brute force. Each read equals the reference's
+  // what-if bitwise and is counted by its path, and the trajectory goes on
   // unperturbed.
   const WorkloadConfig wc = FallbackConfig(107);
   EngineConfig ec;
@@ -928,12 +970,11 @@ TEST(RoiPlannerTest, ReadsThePlannerCannotPlanFallBack) {
   Lockstep run(wc, Shape::kLowTargets, ec, /*num_shards=*/4, nullptr, {},
                Population::kPrograms);
   ASSERT_NO_FATAL_FAILURE(run.Run(60, 30));
-  auto lane = run.engine->NewPlanLane();
   auto expect_read = [&](const Query& query, bool logical) {
     const int64_t brute = run.engine->brute_reads();
     const int64_t planned = run.engine->logical_reads();
     ShardedAuctionEngine::PlannedAuction plan;
-    run.engine->WhatIfAuction(query, lane.get(), &plan);
+    run.engine->WhatIfAuction(query, &plan);
     EXPECT_EQ(run.engine->brute_reads(), brute + (logical ? 0 : 1));
     EXPECT_EQ(run.engine->logical_reads(), planned + (logical ? 1 : 0));
     ExpectSamePlan(run.ref->WhatIf(query), plan);
@@ -941,7 +982,7 @@ TEST(RoiPlannerTest, ReadsThePlannerCannotPlanFallBack) {
   QueryGenerator others(wc.num_keywords, 113);
   Query back = others.Next();
   back.time = 20;
-  ASSERT_NO_FATAL_FAILURE(expect_read(back, /*logical=*/false));
+  ASSERT_NO_FATAL_FAILURE(expect_read(back, /*logical=*/true));
   Query two = others.Next();
   two.time = 61;
   two.relevance.assign(wc.num_keywords, 0.0);
@@ -964,15 +1005,18 @@ TEST(RoiPlannerTest, ReadsThePlannerCannotPlanFallBack) {
       config, std::move(w), std::move(bidders.strategies));
   run.bidders = std::move(bidders);
   ASSERT_TRUE(run.engine->RestoreCheckpoint(ckpt).ok());
-  lane = run.engine->NewPlanLane();
   next = others.Next();
   next.time = 91;
-  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/false));
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/true));
+  // The read's rebuild served the next auction too.
   ASSERT_NO_FATAL_FAILURE(run.Run(30, 10));
   EXPECT_EQ(run.engine->planner_stats().rebuilds, 1);
-  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/false));
+  ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/true));
+  EXPECT_EQ(run.engine->planner_stats().rebuilds, 2);
+  ASSERT_NO_FATAL_FAILURE(expect_read(two, /*logical=*/false));
   next.time = 121;
   ASSERT_NO_FATAL_FAILURE(expect_read(next, /*logical=*/true));
+  ASSERT_NO_FATAL_FAILURE(run.Run(30, 10));
 }
 
 TEST(RoiPlannerTest, UnclassifiedProgramKeepsItsShardOnBruteForce) {

@@ -296,7 +296,7 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
     // Brute force: each shard captures and plans its own slice, the shard
     // capture and phase times are counted per shard, and every advertiser's
     // table is looked up once per auction.
-    EXPECT_NE(prom.find("engine_shard_capture_ns{shard=\"1\"}"),
+    EXPECT_NE(prom.find("engine_shard_capture_ns_total{shard=\"1\"}"),
               std::string::npos);
     EXPECT_EQ(shard_slices, (std::set<std::pair<TraceStage, int32_t>>{
                                 {TraceStage::kShardCapture, 100},
@@ -307,7 +307,9 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
     EXPECT_NE(chrome.find("shard 1 plan"), std::string::npos);
     for (int s = 0; s < 2; ++s) {
       const std::string shard = "shard=\"" + std::to_string(s) + "\"";
-      EXPECT_GT(registry->GetGauge("engine_shard_phase_ns", shard)->value(), 0)
+      EXPECT_GT(
+          registry->GetCounter("engine_shard_phase_ns_total", shard)->value(),
+          0)
           << shard;
     }
     EXPECT_EQ(registry->GetCounter("engine_cache_hits_total")->value() +
@@ -441,7 +443,7 @@ TEST(ServingObservabilityTest, ExportsNoDeadMetricsAndTotalsAsCounters) {
   // Nothing ran the brute-force path, so its totals, which can only grow
   // from 0, are not exported at all; the shard sizes still are.
   for (const char* name :
-       {"engine_shard_capture_ns", "engine_shard_phase_ns",
+       {"engine_shard_capture_ns_total", "engine_shard_phase_ns_total",
         "engine_cache_hits_total", "engine_cache_misses_total"}) {
     EXPECT_FALSE(logged.count(name)) << name;
   }

@@ -255,7 +255,7 @@ TEST(TopKHeapSetTest, CapacityBeyondPopulationKeepsEverything) {
 TEST(TopKHeapSetTest, TiedWeightsBreakByIdDescending) {
   // The documented stable tie-break: among equal weights the larger id
   // ranks higher, independent of insertion order.
-  for (const std::vector<AdvertiserId> order :
+  for (const auto& order :
        {std::vector<AdvertiserId>{1, 2, 3, 4, 5},
         std::vector<AdvertiserId>{5, 4, 3, 2, 1},
         std::vector<AdvertiserId>{3, 1, 5, 2, 4}}) {
