@@ -5,6 +5,7 @@
 
 #include "core/expected_revenue.h"
 #include "durability/checkpoint.h"
+#include "matching/hungarian.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -129,12 +130,7 @@ void ShardedAuctionEngine::RunShardPhase(const ShardRange& range,
   for (AdvertiserId i = range.begin; i < range.end; ++i) {
     const CompiledBids& compiled = cache->Get(i, bids[i], k);
     FillRevenueRow(compiled, model, revenue, i);
-    const double* row = revenue->Row(i);
-    for (SlotIndex j = 0; j < k; ++j) {
-      const double w = row[j] - base[i];
-      if (w <= 0.0) continue;  // never beats leaving the slot empty
-      scratch->topk.Offer(j, w, i);
-    }
+    scratch->topk.OfferRow(revenue->Row(i), base[i], i);
   }
   scratch->phase_ns +=
       static_cast<int64_t>(phase_timer.ElapsedSeconds() * 1e9);
@@ -169,28 +165,53 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
       }
     }
   }
-  // Gathers the merged heaps' ids, with or without each heap's root (its
-  // minimum once full), deduplicated and ascending, and their marginal
-  // weights. A planner member's row is its one-formula payments, and
-  // r_i(⊥) = +0.0 — exactly the values the compiled kernel computes.
-  std::vector<AdvertiserId> candidates;
-  std::vector<double>& rows = lane->candidate_rows;
-  auto gather = [&](bool roots) {
-    candidates.clear();
-    candidates.reserve(static_cast<size_t>(k) * (k + 1));
+
+  // --- Step 4: winner determination. RH matches on the merged heaps' top-k
+  // edges (each heap without its root once full: exactly the population's
+  // per-slot top k), whose weights are the scores the shards and the
+  // planner offered; a dense method solves the whole matrix.
+  std::vector<double> own_weight(k, 0.0);
+  WdResult& wd = plan->outcome.wd;
+  if (reduced) {
+    wd.allocation = MaxWeightMatchingTopK(merged, n, &own_weight);
+    wd.matching_weight = wd.allocation.total_weight;
+    // sum_i r_i(⊥) in id order. The planner's members keep the reset
+    // matrix's +0.0, which never changes a sum that starts at +0.0.
+    wd.expected_revenue =
+        wd.matching_weight +
+        (revenue != nullptr ? revenue->UnassignedTotal() : 0.0);
+  } else {
+    wd = DetermineWinners(*revenue, config_.engine.wd_method);
+    // A dense method's winner may lie outside the heaps under ties, so its
+    // weight comes from the matrix.
+    for (SlotIndex j = 0; j < k; ++j) {
+      const AdvertiserId i = wd.allocation.slot_to_advertiser[j];
+      if (i >= 0) own_weight[j] = revenue->MarginalWeight(i, j);
+    }
+  }
+  plan->outcome.wd_ms = timer.ElapsedMillis();
+
+  // --- Step 6 prep: prices.
+  timer.Reset();
+  const Allocation& allocation = wd.allocation;
+  if (pricing == PricingRule::kVcg) {
+    // The pool: the merged top-(k+1)'s ids, roots included, deduplicated and
+    // ascending — exactly SelectTopPerSlotCandidates(revenue, k + 1) — and
+    // their marginal weights. A planner member's row is its one-formula
+    // payments, and r_i(⊥) = +0.0: exactly the values the compiled kernel
+    // computes.
+    std::vector<AdvertiserId> pool;
+    pool.reserve(static_cast<size_t>(k) * (k + 1));
     for (SlotIndex j = 0; j < k; ++j) {
       const TopKHeapSet::Entry* entries = merged.entries(j);
-      const int first = !roots && merged.size(j) == k + 1 ? 1 : 0;
-      for (int e = first; e < merged.size(j); ++e) {
-        candidates.push_back(entries[e].id);
-      }
+      for (int e = 0; e < merged.size(j); ++e) pool.push_back(entries[e].id);
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    rows.resize(candidates.size() * static_cast<size_t>(k));
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const AdvertiserId i = candidates[c];
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+    std::vector<double>& rows = lane->pool_rows;
+    rows.resize(pool.size() * static_cast<size_t>(k));
+    for (size_t c = 0; c < pool.size(); ++c) {
+      const AdvertiserId i = pool[c];
       double* out = rows.data() + c * k;
       if (logical != nullptr && logical->Covers(i)) {
         logical->Payments(i, kw, out);
@@ -200,46 +221,7 @@ void ShardedAuctionEngine::FinishPlan(PlanLane* lane,
         for (SlotIndex j = 0; j < k; ++j) out[j] = row[j] - base;
       }
     }
-  };
-
-  // --- Step 4: winner determination.
-  if (reduced) {
-    // Candidates: the union of every slot's top k — the merged top-(k+1)
-    // minus its roots — exactly SelectTopPerSlotCandidates(revenue, k).
-    gather(/*roots=*/false);
-    // sum_i r_i(⊥) in id order. The planner's members keep the reset
-    // matrix's +0.0, which never changes a sum that starts at +0.0.
-    const double unassigned =
-        revenue != nullptr ? revenue->UnassignedTotal() : 0.0;
-    plan->outcome.wd = SolveCandidateRows(rows, candidates, n, k, unassigned);
-  } else {
-    plan->outcome.wd = DetermineWinners(*revenue, config_.engine.wd_method);
-  }
-  plan->outcome.wd_ms = timer.ElapsedMillis();
-
-  // --- Step 6 prep: prices.
-  timer.Reset();
-  const Allocation& allocation = plan->outcome.wd.allocation;
-  // A dense method's winner may lie outside the candidates under ties, so
-  // its weight comes from the matrix.
-  std::vector<double> own_weight(k, 0.0);
-  for (SlotIndex j = 0; j < k; ++j) {
-    const AdvertiserId i = allocation.slot_to_advertiser[j];
-    if (i < 0) continue;
-    if (reduced) {
-      const size_t c = static_cast<size_t>(
-          std::lower_bound(candidates.begin(), candidates.end(), i) -
-          candidates.begin());
-      own_weight[j] = rows[c * k + j];
-    } else {
-      own_weight[j] = revenue->MarginalWeight(i, j);
-    }
-  }
-  if (pricing == PricingRule::kVcg) {
-    // The pool: the merged top-(k+1), roots included — exactly
-    // SelectTopPerSlotCandidates(revenue, k + 1).
-    gather(/*roots=*/true);
-    plan->prices = VcgChargesFrom(rows, candidates, allocation, own_weight);
+    plan->prices = VcgChargesFrom(rows, pool, allocation, own_weight);
   } else {
     // GSP's reference point: the best loser of each slot is in the slot's
     // merged top-(k+1), since at most k advertisers won; positive weights

@@ -77,7 +77,8 @@ struct ShardedEngineConfig {
 /// One coordinator serves both: it merges the brute shards' partial
 /// top-(k+1) sets with the planner's entries (the top of a union equals the
 /// top of the per-part tops under the strict (weight, id) order), runs
-/// winner determination on the candidates' rows, prices the allocation
+/// reduced-Hungarian winner determination on the merged heaps' per-slot
+/// top-k edges (their own scores: no row is re-read), prices the allocation
 /// from the merged top-(k+1) (GSP's reference price, VCG's pool), and
 /// settles the auction (SettleAuction). It is the library's only auction
 /// engine; K = 1 is the unsharded configuration.
@@ -169,7 +170,7 @@ class ShardedAuctionEngine {
     /// WhatIfAuction (PeekBids) on this lane, reused across auctions.
     std::vector<BidsTable> capture;
     TopKHeapSet merged_topk;     // coordinator scratch, reused
-    std::vector<double> candidate_rows;  // coordinator scratch, reused
+    std::vector<double> pool_rows;  // VCG pool's rows, reused
     RevenueMatrix revenue{0, 0};  // arena-reused across auctions
   };
 
@@ -342,9 +343,10 @@ class ShardedAuctionEngine {
   /// The coordinator shared by both paths: merges the brute shards' heaps
   /// into the lane's merged heap set (which the caller Reset, and into which
   /// `logical`, when not null, already offered its members' entries),
-  /// solves winner determination on the candidates' rows (from `revenue`,
-  /// or from `logical` on keyword `kw` for its members), and prices the
-  /// allocation from the merged heaps. `revenue` may be null only when
+  /// solves winner determination (RH on the merged heaps' top-k edges, a
+  /// dense method on `revenue`), and prices the allocation from the merged
+  /// heaps; only VCG's pool reads rows (from `revenue`, or from `logical`
+  /// on keyword `kw` for its members). `revenue` may be null only when
   /// `logical` covers every shard.
   void FinishPlan(PlanLane* lane, const RevenueMatrix* revenue,
                   const RoiPlanner* logical, int kw,

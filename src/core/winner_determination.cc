@@ -37,32 +37,52 @@ std::vector<double> MarginalWeights(const RevenueMatrix& revenue) {
   return w;
 }
 
-std::vector<AdvertiserId> SelectTopPerSlotCandidates(
-    const RevenueMatrix& revenue, int per_slot) {
-  SSA_CHECK(per_slot >= 0);  // per_slot == 0 degenerates to no candidates
-  const int n = revenue.num_advertisers();
-  const int k = revenue.num_slots();
+namespace {
 
-  // One size-bounded min-heap per slot over (weight, advertiser). The root
-  // is the weakest of the current top `per_slot`, so each of the n*k entries
-  // costs O(log per_slot) — the O(nk log k) term of Section III-E. The k
-  // heaps live in one thread-local flat buffer reused across auctions (no
-  // per-call priority_queue allocations); Offer() applies the strict
-  // (weight, id) pair order, deterministic and insertion-order independent,
-  // so the Threshold Algorithm pipeline selects the identical candidate set
-  // (equivalence tests rely on this).
+/// The per-slot top-`per_slot` heaps over advertisers [0, n), or over
+/// `*ids` when not null: one size-bounded min-heap per slot over
+/// (weight, advertiser). The root is the weakest of the current top
+/// `per_slot`, so each of the n*k entries costs O(log per_slot) at most —
+/// the O(nk log k) term of Section III-E — and OfferRow rejects most of
+/// them against the root without touching the heap. The k heaps live in
+/// one thread-local flat buffer reused across auctions; the strict
+/// (weight, id) order makes the retained sets deterministic and
+/// insertion-order independent, so the Threshold Algorithm pipeline
+/// selects the identical sets (equivalence tests rely on this).
+const TopKHeapSet& TopPerSlot(const RevenueMatrix& revenue, int per_slot,
+                              const std::vector<AdvertiserId>* ids) {
+  SSA_CHECK(per_slot >= 0);  // per_slot == 0 degenerates to empty heaps
   thread_local TopKHeapSet heaps;
-  heaps.Reset(k, per_slot);
+  heaps.Reset(revenue.num_slots(), per_slot);
   const double* base = revenue.UnassignedData();
-  for (AdvertiserId i = 0; i < n; ++i) {
-    const double* row = revenue.Row(i);
-    for (SlotIndex j = 0; j < k; ++j) {
-      const double w = row[j] - base[i];
-      if (w <= 0.0) continue;  // never beats leaving the slot empty
-      heaps.Offer(j, w, i);
+  if (ids == nullptr) {
+    for (AdvertiserId i = 0; i < revenue.num_advertisers(); ++i) {
+      heaps.OfferRow(revenue.Row(i), base[i], i);
+    }
+  } else {
+    for (const AdvertiserId i : *ids) {
+      heaps.OfferRow(revenue.Row(i), base[i], i);
     }
   }
+  return heaps;
+}
 
+/// RH's solve on the top-k heaps of `revenue`'s rows.
+WdResult SolveTopK(const TopKHeapSet& heaps, const RevenueMatrix& revenue) {
+  WdResult result;
+  result.allocation =
+      MaxWeightMatchingTopK(heaps, revenue.num_advertisers());
+  result.matching_weight = result.allocation.total_weight;
+  result.expected_revenue = result.matching_weight + revenue.UnassignedTotal();
+  return result;
+}
+
+}  // namespace
+
+std::vector<AdvertiserId> SelectTopPerSlotCandidates(
+    const RevenueMatrix& revenue, int per_slot) {
+  const TopKHeapSet& heaps = TopPerSlot(revenue, per_slot, nullptr);
+  const int k = revenue.num_slots();
   std::vector<AdvertiserId> candidates;
   candidates.reserve(static_cast<size_t>(k) * per_slot);
   for (SlotIndex j = 0; j < k; ++j) {
@@ -79,50 +99,21 @@ std::vector<AdvertiserId> SelectTopPerSlotCandidates(
 
 WdResult SolveOnCandidates(const RevenueMatrix& revenue,
                            const std::vector<AdvertiserId>& candidates) {
-  const int k = revenue.num_slots();
-  const double* base = revenue.UnassignedData();
-  std::vector<double> rows(candidates.size() * static_cast<size_t>(k));
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const AdvertiserId i = candidates[c];
-    const double* row = revenue.Row(i);
-    for (SlotIndex j = 0; j < k; ++j) rows[c * k + j] = row[j] - base[i];
-  }
-  return SolveCandidateRows(rows, candidates, revenue.num_advertisers(), k,
-                            revenue.UnassignedTotal());
-}
-
-WdResult SolveCandidateRows(const std::vector<double>& rows,
-                            const std::vector<AdvertiserId>& candidates,
-                            int num_advertisers, int num_slots,
-                            double unassigned_total) {
-  const int m = static_cast<int>(candidates.size());
-  // The kernel sums the chosen edges in candidate order whichever layout it
-  // reads, so the compact block gives the full-matrix total bit for bit.
-  const Allocation reduced = MaxWeightMatchingDense(rows, m, num_slots);
-  WdResult result;
-  result.allocation = Allocation::Empty(num_advertisers, num_slots);
-  for (SlotIndex j = 0; j < num_slots; ++j) {
-    const int c = reduced.slot_to_advertiser[j];
-    if (c < 0) continue;
-    result.allocation.slot_to_advertiser[j] = candidates[c];
-    result.allocation.advertiser_to_slot[candidates[c]] = j;
-  }
-  result.allocation.total_weight = reduced.total_weight;
-  result.matching_weight = reduced.total_weight;
-  result.expected_revenue = result.matching_weight + unassigned_total;
-  return result;
+  return SolveTopK(TopPerSlot(revenue, revenue.num_slots(), &candidates),
+                   revenue);
 }
 
 namespace {
 
 /// Canonicalizes an optimal allocation: an edge with non-positive marginal
 /// weight is revenue-neutral (or harmful) versus leaving the slot empty, so
-/// it is dropped. RH never produces such edges (its candidate heaps keep
-/// strictly positive weights only); LP and Munkres can tie-break toward
-/// filling a slot with a zero-weight advertiser, which would make the
-/// methods observably different auctions (a seated zero-bidder still
-/// collects clicks and mutates its ROI state). After this pass all methods
-/// yield the same allocation except on exact positive-weight ties.
+/// it is dropped. LP, Munkres and brute force can tie-break toward filling
+/// a slot with a zero-weight advertiser, which would make the methods
+/// observably different auctions (a seated zero-bidder still collects
+/// clicks and mutates its ROI state). RH needs no pass: its edges are the
+/// per-slot top-k heaps' entries, and a non-positive weight never enters a
+/// heap. After this pass all methods yield the same allocation except on
+/// exact positive-weight ties.
 void DropNonPositiveEdges(const RevenueMatrix& revenue, Allocation* a) {
   a->total_weight = 0.0;
   for (SlotIndex j = 0; j < a->num_slots(); ++j) {
@@ -157,8 +148,7 @@ WdResult DetermineWinners(const RevenueMatrix& revenue, WdMethod method) {
       break;
     }
     case WdMethod::kReducedHungarian: {
-      return SolveOnCandidates(revenue,
-                               SelectTopPerSlotCandidates(revenue, k));
+      return SolveTopK(TopPerSlot(revenue, k, nullptr), revenue);
     }
     case WdMethod::kBruteForce: {
       result.allocation = BruteForceMatching(MarginalWeights(revenue), n, k);

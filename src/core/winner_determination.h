@@ -18,8 +18,11 @@ enum class WdMethod {
   /// Straightforward Hungarian (classical cover-based Munkres) on the full
   /// advertiser x slot bipartite graph, O(nk(n+k)).
   kHungarian,
-  /// The paper's algorithm (Section III-E): reduce to the per-slot top-k
-  /// bidders, then Hungarian on the reduced graph; O(nk log k + k^5).
+  /// The paper's algorithm (Section III-E): reduce to each slot's top-k
+  /// bidders, then Hungarian on the reduced graph's <= k^2 edges (each slot
+  /// to its own top k only, MaxWeightMatchingTopK): O(nk log k) for the
+  /// selection plus O(k * edges) = O(k^3) per augmentation, O(k^4) for all
+  /// k, against the paper's O(k^5) for Hungarian on the candidates' rows.
   kReducedHungarian,
   /// Exhaustive search; exponential, test oracle only.
   kBruteForce,
@@ -54,22 +57,14 @@ WdResult DetermineWinners(const RevenueMatrix& revenue, WdMethod method);
 std::vector<AdvertiserId> SelectTopPerSlotCandidates(
     const RevenueMatrix& revenue, int per_slot);
 
-/// Solves the reduced problem on an explicit candidate set (used by RH and
-/// by the parallel tree aggregation).
+/// Solves the reduced problem on an explicit candidate set: builds each
+/// slot's top-k heap over the candidates' positive marginal weights and
+/// matches on those edges (MaxWeightMatchingTopK), the optimum over the
+/// candidates alone. When they include every slot's top k (as
+/// SelectTopPerSlotCandidates(revenue, k) does), the result is
+/// DetermineWinners(revenue, kReducedHungarian) bit for bit.
 WdResult SolveOnCandidates(const RevenueMatrix& revenue,
                            const std::vector<AdvertiserId>& candidates);
-
-/// SolveOnCandidates on rows already gathered: `rows` holds the marginal
-/// weights of `candidates` (ascending ids), m x k advertiser-major in
-/// candidate order, and `unassigned_total` is sum_i r_i(⊥) over the whole
-/// population. The matching runs on the m x k block alone; the allocation
-/// is over all `num_advertisers`. Bitwise-identical to SolveOnCandidates
-/// on a matrix holding those rows (the sharded engine's coordinator, whose
-/// candidate rows may come from the RHTALU planner instead of a matrix).
-WdResult SolveCandidateRows(const std::vector<double>& rows,
-                            const std::vector<AdvertiserId>& candidates,
-                            int num_advertisers, int num_slots,
-                            double unassigned_total);
 
 /// Marginal weights in the advertiser-major layout the matching kernels use.
 std::vector<double> MarginalWeights(const RevenueMatrix& revenue);

@@ -1,7 +1,9 @@
 #include "matching/hungarian.h"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace ssa {
 namespace {
@@ -100,7 +102,134 @@ Allocation Solve(const std::vector<double>& weights, int n, int k,
   return result;
 }
 
+/// The sparse solve's scratch, reused across calls on a thread. Columns are
+/// 1-based as in SolveJv (0 is the virtual source): 1..m the distinct
+/// advertisers ascending, m + 1 + j row j's "leave empty" column.
+struct TopKScratch {
+  std::vector<std::pair<AdvertiserId, int>> by_id;  // (id, edge), sorted
+  std::vector<int> row_end;      // edges of row j: [row_end[j-1], row_end[j])
+  std::vector<double> weight;    // per edge
+  std::vector<int> col;          // per edge, 1-based
+  std::vector<AdvertiserId> col_id;
+  std::vector<double> u, v, minv;
+  std::vector<int> p, way, touched;
+  std::vector<char> used;
+};
+
 }  // namespace
+
+Allocation MaxWeightMatchingTopK(const TopKHeapSet& heaps, int num_advertisers,
+                                 std::vector<double>* seated_weight) {
+  const int k = heaps.num_heaps();
+  SSA_CHECK(heaps.capacity() <= k + 1);
+  Allocation result = Allocation::Empty(num_advertisers, k);
+  if (seated_weight != nullptr) seated_weight->assign(k, 0.0);
+  thread_local TopKScratch s;
+
+  // Edges row by row; a full top-(k+1) heap's root is the (k+1)-th.
+  s.weight.clear();
+  s.by_id.clear();
+  s.row_end.assign(1, 0);
+  for (SlotIndex j = 0; j < k; ++j) {
+    const TopKHeapSet::Entry* entries = heaps.entries(j);
+    for (int e = heaps.size(j) > k ? 1 : 0; e < heaps.size(j); ++e) {
+      if (!(entries[e].weight > 0.0)) continue;
+      SSA_CHECK(entries[e].id >= 0 && entries[e].id < num_advertisers);
+      s.by_id.emplace_back(entries[e].id, static_cast<int>(s.weight.size()));
+      s.weight.push_back(entries[e].weight);
+    }
+    s.row_end.push_back(static_cast<int>(s.weight.size()));
+  }
+  if (s.weight.empty()) return result;
+
+  // Canonical columns: distinct ids ascending.
+  std::sort(s.by_id.begin(), s.by_id.end());
+  s.col.resize(s.weight.size());
+  s.col_id.assign(1, -1);
+  for (const auto& [id, e] : s.by_id) {
+    if (s.col_id.back() != id) s.col_id.push_back(id);
+    s.col[e] = static_cast<int>(s.col_id.size()) - 1;
+  }
+  const int m = static_cast<int>(s.col_id.size()) - 1;
+  const int nc = m + k;
+  s.u.assign(k + 1, 0.0);
+  s.v.assign(nc + 1, 0.0);
+  s.p.assign(nc + 1, 0);
+  s.way.assign(nc + 1, 0);
+  s.minv.assign(nc + 1, kInf);
+  s.used.assign(nc + 1, 0);
+
+  // SolveJv's phases on costs -weight, each scanning only the rows its
+  // search reaches: a column no reached row has an edge to keeps an
+  // infinite minv, which neither the minimum nor the potentials read.
+  for (int i = 1; i <= k; ++i) {
+    s.p[0] = i;
+    int j0 = 0;
+    s.touched.clear();
+    do {
+      s.used[j0] = 1;
+      const int i0 = s.p[j0];
+      auto relax = [&](int j, double cost) {
+        if (s.used[j]) return;
+        const double cur = cost - s.u[i0] - s.v[j];
+        if (s.minv[j] == kInf) s.touched.push_back(j);
+        if (cur < s.minv[j]) {
+          s.minv[j] = cur;
+          s.way[j] = j0;
+        }
+      };
+      for (int e = s.row_end[i0 - 1]; e < s.row_end[i0]; ++e) {
+        relax(s.col[e], -s.weight[e]);
+      }
+      relax(m + i0, 0.0);
+      int j1 = -1;
+      double delta = kInf;
+      for (const int j : s.touched) {
+        if (s.used[j]) continue;
+        if (s.minv[j] < delta || (s.minv[j] == delta && j < j1)) {
+          delta = s.minv[j];
+          j1 = j;
+        }
+      }
+      SSA_CHECK_MSG(j1 != -1, "Hungarian: no augmenting column");
+      s.u[s.p[0]] += delta;
+      s.v[0] -= delta;
+      for (const int j : s.touched) {
+        if (s.used[j]) {
+          s.u[s.p[j]] += delta;
+          s.v[j] -= delta;
+        } else {
+          s.minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (s.p[j0] != 0);
+    do {
+      const int j1 = s.way[j0];
+      s.p[j0] = s.p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+    s.used[0] = 0;
+    for (const int j : s.touched) {
+      s.minv[j] = kInf;
+      s.used[j] = 0;
+    }
+  }
+
+  // Seat each row's edge column, then sum in ascending id (column) order.
+  for (int c = 1; c <= m; ++c) {
+    const int row = s.p[c];
+    if (row == 0) continue;
+    int e = s.row_end[row - 1];
+    while (s.col[e] != c) ++e;
+    const SlotIndex slot = row - 1;
+    result.slot_to_advertiser[slot] = s.col_id[c];
+    result.advertiser_to_slot[s.col_id[c]] = slot;
+    result.total_weight += s.weight[e];
+    if (seated_weight != nullptr) (*seated_weight)[slot] = s.weight[e];
+  }
+  return result;
+}
 
 Allocation MaxWeightMatchingDense(const std::vector<double>& weights, int n,
                                   int k) {

@@ -2,6 +2,7 @@
 #define SSA_UTIL_TOPK_HEAP_H_
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,7 @@ class TopKHeapSet {
     num_heaps_ = num_heaps;
     capacity_ = capacity;
     sizes_.assign(num_heaps, 0);
+    floor_.assign(num_heaps, kMinPositive);
     const size_t needed = static_cast<size_t>(num_heaps) * capacity;
     if (entries_.size() < needed) entries_.resize(needed);
   }
@@ -67,6 +69,7 @@ class TopKHeapSet {
         i = parent;
       }
       e[i] = x;
+      if (n == capacity_) floor_[heap] = std::max(e[0].weight, kMinPositive);
       return true;
     }
     if (!Less(e[0], x)) return false;  // does not beat the current minimum
@@ -80,7 +83,25 @@ class TopKHeapSet {
       i = child;
     }
     e[i] = x;
+    floor_[heap] = std::max(e[0].weight, kMinPositive);
     return true;
+  }
+
+  /// Offers advertiser `id`'s marginal weights row[j] - base into heap j,
+  /// for every heap j: one revenue-matrix row's step of the per-slot top-k
+  /// selection. One compare against the heap's floor rejects a weight that
+  /// cannot enter: before the heap is full, any weight at or below +0.0
+  /// (it never beats leaving the slot empty; NaN is rejected too); once it
+  /// is full, any weight below its root. A weight equal to the root is
+  /// still offered, since the larger id wins the tie. The retained sets are
+  /// exactly those of offering every positive weight.
+  void OfferRow(const double* row, double base, AdvertiserId id) {
+    const double* floor = floor_.data();  // Offer updates it in place
+    const int num_heaps = num_heaps_;
+    for (int j = 0; j < num_heaps; ++j) {
+      const double w = row[j] - base;
+      if (w >= floor[j]) Offer(j, w, id);
+    }
   }
 
   /// Copies `heap`'s entries into *out sorted descending by (weight, id).
@@ -103,6 +124,13 @@ class TopKHeapSet {
   int num_heaps_ = 0;
   int capacity_ = 0;
   std::vector<int> sizes_;
+  /// The smallest positive double: `w >= kMinPositive` is `w > 0.0`.
+  static constexpr double kMinPositive =
+      std::numeric_limits<double>::denorm_min();
+
+  /// Per heap, OfferRow's admission bound: kMinPositive until the heap is
+  /// full, then the larger of its root's weight and kMinPositive.
+  std::vector<double> floor_;
   std::vector<Entry> entries_;
 };
 

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +13,7 @@
 #include "matching/munkres.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/topk_heap.h"
 
 namespace ssa {
 namespace {
@@ -62,10 +67,14 @@ TEST(HungarianTest, FewerAdvertisersThanSlots) {
 }
 
 TEST(HungarianTest, SubsetRestrictsCandidates) {
-  // Figure 9's advertisers 2 and 3 (Reebok, Sketchers) alone, as the rows
-  // SolveCandidateRows reads: (2:7,3:4) = 11 via slots (0,1); (3:7,2:6) = 13.
-  const std::vector<double> rows = {7, 6, 7, 4};
-  const WdResult r = SolveCandidateRows(rows, {2, 3}, 4, 2, 0.0);
+  // Figure 9's advertisers 2 and 3 (Reebok, Sketchers) alone:
+  // (2:7,3:4) = 11 via slots (0,1); (3:7,2:6) = 13.
+  RevenueMatrix m(4, 2);
+  const double values[4][2] = {{9, 5}, {8, 7}, {7, 6}, {7, 4}};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 2; ++j) m.Set(i, j, values[i][j]);
+  }
+  const WdResult r = SolveOnCandidates(m, {2, 3});
   EXPECT_DOUBLE_EQ(r.allocation.total_weight, 13.0);
   EXPECT_EQ(r.allocation.slot_to_advertiser[0], 3);
   EXPECT_EQ(r.allocation.slot_to_advertiser[1], 2);
@@ -140,6 +149,122 @@ TEST(MatchingAgreement, LargeJvVersusMunkres) {
     const Allocation mk = MunkresMatching(w, n, k);
     EXPECT_NEAR(jv.total_weight, mk.total_weight, 1e-6);
   }
+}
+
+/// The per-slot top-k heaps of the advertiser-major weights `w`, offered in
+/// `order`: every weight through Offer (non-positive ones included, which
+/// the kernel must skip) or, with `rows`, through OfferRow's fast reject.
+TopKHeapSet TopKHeaps(const std::vector<double>& w, int k, int capacity,
+                      const std::vector<AdvertiserId>& order, bool rows) {
+  TopKHeapSet heaps;
+  heaps.Reset(k, capacity);
+  for (const AdvertiserId i : order) {
+    const double* row = w.data() + static_cast<size_t>(i) * k;
+    if (rows) {
+      heaps.OfferRow(row, 0.0, i);
+    } else {
+      for (SlotIndex j = 0; j < k; ++j) heaps.Offer(j, row[j], i);
+    }
+  }
+  return heaps;
+}
+
+// The sparse top-k kernel against the dense one as the oracle, on random
+// instances with k in 1..15 and up to k^2 advertisers, zero and negative
+// weights included. Continuous weights have a unique optimum on positive
+// edges (almost surely): the kernel must seat exactly the dense optimum's
+// positive edges (the dense kernel may add zero-weight ones) with a
+// bit-equal total. Tie-heavy weights (multiples of 0.5) only need an equal
+// total. Always: a valid matching of positive heap edges whose reported
+// weights and total are the matrix's, independent of the heaps' capacity
+// (k or k + 1) and of the order the weights were offered in.
+TEST(TopKMatchingTest, MatchesDenseOracle) {
+  Rng rng(35);
+  int unique_instances = 0;
+  int tie_instances = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    const int k = static_cast<int>(rng.UniformInt(1, 15));
+    const int n = static_cast<int>(rng.UniformInt(1, k * k));
+    const bool ties = trial % 2 == 1;
+    std::vector<double> w(static_cast<size_t>(n) * k);
+    for (double& x : w) {
+      if (ties) {
+        x = 0.5 * static_cast<double>(rng.UniformInt(-2, 6));
+      } else {
+        const double u = rng.NextDouble();
+        x = u < 0.15 ? 0.0 : u < 0.25 ? rng.Uniform(-5.0, 0.0)
+                                      : rng.Uniform(0.0, 10.0);
+      }
+    }
+    std::vector<AdvertiserId> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    const TopKHeapSet heaps =
+        TopKHeaps(w, k, k, order, /*rows=*/trial % 3 == 0);
+    std::vector<double> seated;
+    const Allocation sparse = MaxWeightMatchingTopK(heaps, n, &seated);
+    const Allocation dense = MaxWeightMatchingDense(w, n, k);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", k " +
+                 std::to_string(k) + ", n " + std::to_string(n));
+    ASSERT_NO_FATAL_FAILURE(ExpectValidAllocation(sparse, n, k));
+    ASSERT_EQ(seated.size(), static_cast<size_t>(k));
+    double total = 0.0;  // ascending id order
+    for (AdvertiserId i = 0; i < n; ++i) {
+      const SlotIndex j = sparse.advertiser_to_slot[i];
+      if (j == kNoSlot) continue;
+      const double weight = w[static_cast<size_t>(i) * k + j];
+      ASSERT_GT(weight, 0.0) << "seated a non-positive edge";
+      ASSERT_EQ(seated[j], weight);
+      total += weight;
+    }
+    for (SlotIndex j = 0; j < k; ++j) {
+      if (sparse.slot_to_advertiser[j] < 0) {
+        ASSERT_EQ(seated[j], 0.0);
+      }
+    }
+    ASSERT_EQ(sparse.total_weight, total);
+    ASSERT_LE(std::abs(sparse.total_weight - dense.total_weight),
+              1e-12 * std::max(1.0, std::abs(dense.total_weight)));
+    if (!ties) {
+      std::vector<AdvertiserId> positive = dense.slot_to_advertiser;
+      for (SlotIndex j = 0; j < k; ++j) {
+        const AdvertiserId i = positive[j];
+        if (i >= 0 && !(w[static_cast<size_t>(i) * k + j] > 0.0)) {
+          positive[j] = -1;
+        }
+      }
+      ASSERT_EQ(sparse.slot_to_advertiser, positive);
+      ASSERT_EQ(sparse.total_weight, dense.total_weight);
+      ++unique_instances;
+    } else {
+      ++tie_instances;
+    }
+    // Layout independence: a shuffled offer order into top-(k+1) heaps
+    // holds the same top-k edges, so the result is the same bit for bit.
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.UniformInt(0, i)]);
+    }
+    const Allocation shuffled = MaxWeightMatchingTopK(
+        TopKHeaps(w, k, k + 1, order, /*rows=*/trial % 3 != 0), n);
+    ASSERT_EQ(shuffled.slot_to_advertiser, sparse.slot_to_advertiser);
+    ASSERT_EQ(shuffled.total_weight, sparse.total_weight);
+  }
+  EXPECT_EQ(unique_instances, 6000);
+  EXPECT_EQ(tie_instances, 6000);
+}
+
+TEST(TopKMatchingTest, EmptyAndNonPositiveHeapsSeatNobody) {
+  TopKHeapSet heaps;
+  heaps.Reset(3, 3);
+  std::vector<double> seated;
+  EXPECT_EQ(MaxWeightMatchingTopK(heaps, 0, &seated).NumAssigned(), 0);
+  EXPECT_EQ(seated, std::vector<double>(3, 0.0));
+  heaps.Offer(0, 0.0, 1);
+  heaps.Offer(1, -2.0, 0);
+  const Allocation a = MaxWeightMatchingTopK(heaps, 2);
+  EXPECT_EQ(a.NumAssigned(), 0);
+  EXPECT_EQ(a.total_weight, 0.0);
+  heaps.Reset(0, 0);
+  EXPECT_EQ(MaxWeightMatchingTopK(heaps, 4).num_slots(), 0);
 }
 
 TEST(MatchingTest, ZeroSlotsOrAdvertisers) {

@@ -1270,6 +1270,73 @@ TEST(RoiPlannerTest, DenseMethodsStayOnBruteForce) {
   }
 }
 
+TEST(RoiPlannerTest, RhSeatsOnlyPositiveEdgesOnFigure5Programs) {
+  // A Click ∧ Slot(0) bid weighs +0.0 in every slot but the top one. RH
+  // once matched on its candidates' whole rows and seated such zero-weight
+  // edges: phantom winners that drew clicks from the user RNG and moved
+  // their ROI state. RH must seat positive edges only, as H does after
+  // DropNonPositiveEdges. Checked for RH planned logically, RH on brute
+  // force and the reference engine, each against the reference running H:
+  // equal allocations (so every RH edge is positive), prices and events,
+  // and no seat below slot 0 on a Click ∧ Slot(0) keyword.
+  for (const double purchase : {0.0, 0.3}) {
+    SCOPED_TRACE("purchase " + std::to_string(purchase));
+    WorkloadConfig wc = FallbackConfig(5);
+    wc.purchase_given_click = purchase;
+    EngineConfig ec;
+    ec.seed = 107;
+    const std::vector<char> all(static_cast<size_t>(wc.num_advertisers), 1);
+    Lockstep logical(wc, Shape::kPaper, ec, 2, nullptr, {},
+                     Population::kPrograms);
+    Lockstep brute(wc, Shape::kPaper, ec, 2, nullptr, all,
+                   Population::kPrograms);
+    ASSERT_TRUE(logical.engine->has_roi_planner());
+    ASSERT_FALSE(brute.engine->has_roi_planner());
+    EngineConfig hc = ec;
+    hc.wd_method = WdMethod::kHungarian;
+    Workload wh = MakeWorkload(wc, Shape::kPaper, Population::kPrograms);
+    Bidders hb = MakeBidders(wh, {}, Population::kPrograms);
+    ReferenceEngine h(hc, std::move(wh), std::move(hb.strategies));
+    const int auctions = 300;
+    int top_slot_auctions = 0;
+    int top_slot_seats = 0;
+    for (int t = 0; t < auctions; ++t) {
+      const AuctionOutcome* want = nullptr;
+      ASSERT_NO_FATAL_FAILURE(want = &logical.Step());
+      const AuctionOutcome* also = nullptr;
+      ASSERT_NO_FATAL_FAILURE(also = &brute.Step());
+      ASSERT_NO_FATAL_FAILURE(ExpectSameOutcome(*want, *also));
+      const AuctionOutcome& got = h.RunAuctionOn(want->query);
+      ASSERT_EQ(want->wd.allocation.slot_to_advertiser,
+                got.wd.allocation.slot_to_advertiser)
+          << "auction " << want->query.time;
+      ASSERT_EQ(want->prices, got.prices);
+      ASSERT_EQ(want->events.size(), got.events.size());
+      for (size_t e = 0; e < want->events.size(); ++e) {
+        ASSERT_EQ(want->events[e].advertiser, got.events[e].advertiser);
+        ASSERT_EQ(want->events[e].clicked, got.events[e].clicked);
+        ASSERT_EQ(want->events[e].charged, got.events[e].charged);
+      }
+      if (want->query.keyword % 3 != 1) continue;  // not Click ∧ Slot(0)
+      ++top_slot_auctions;
+      const std::vector<AdvertiserId>& seats =
+          want->wd.allocation.slot_to_advertiser;
+      top_slot_seats += seats[0] >= 0;
+      for (SlotIndex j = 1; j < wc.num_slots; ++j) {
+        ASSERT_EQ(seats[j], -1) << "zero-weight seat in slot " << j
+                                << " at auction " << want->query.time;
+      }
+    }
+    EXPECT_EQ(logical.engine->planner_stats().logical_plans, auctions);
+    EXPECT_GT(top_slot_auctions, 50);
+    EXPECT_GT(top_slot_seats, 25);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState(*logical.ref, logical.ref_bidders,
+                                            *logical.engine, logical.bidders));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState(*brute.ref, brute.ref_bidders,
+                                            *brute.engine, brute.bidders));
+  }
+}
+
 TEST(RoiPlannerTest, MergedPoolIsTheFullSelectorsPool) {
   // VCG prices from the union of the merged heaps' per-slot top-(k+1). The
   // planner and the brute shards offer positive weights only, as

@@ -5,6 +5,8 @@
 // re-partitions share-nothing work and the top-k merge preserves the exact
 // candidate set, so nothing may drift.
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -251,6 +253,67 @@ TEST(ShardedEngineTest, PooledProgramStrategiesMatchSerialBitwise) {
   QueryGenerator queries(w1.config.num_keywords, engine_config.seed);
   ExpectBitwiseEquivalent(&reference, &sharded, &queries, 150);
   EXPECT_GT(reference.total_revenue(), 0.0);
+}
+
+/// FNV-1a over raw bytes: a trajectory digest that moves when any bit of an
+/// outcome or account does.
+class Digest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 1099511628211ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+TEST(ShardedEngineTest, NativeRoiTrajectoryDigestIsPinned) {
+  // The Section V population (n = 2,000 native ROI bidders, 15 slots, 10
+  // keywords) under RH + GSP for 2,000 auctions. Every allocation, weight,
+  // price, user event and final account folds into one digest, pinned so
+  // that a change to winner determination or the planner that moves any
+  // bit of this trajectory shows here, not only as a disagreement between
+  // two configurations that could both be wrong.
+  WorkloadConfig wc;
+  wc.num_advertisers = 2000;
+  wc.seed = 1;
+  Workload w = MakePaperWorkload(wc);
+  ShardedEngineConfig config;
+  config.num_shards = 2;
+  ShardedAuctionEngine engine(config, w, RoiStrategies(w));
+  ASSERT_TRUE(engine.has_roi_planner());
+  QueryGenerator queries(w.config.num_keywords, config.engine.seed);
+  Digest digest;
+  for (int t = 0; t < 2000; ++t) {
+    const AuctionOutcome& outcome = engine.RunAuctionOn(queries.Next());
+    for (const AdvertiserId i : outcome.wd.allocation.slot_to_advertiser) {
+      digest.Add(i);
+    }
+    digest.Add(outcome.wd.matching_weight);
+    digest.Add(outcome.wd.expected_revenue);
+    for (const Money price : outcome.prices) digest.Add(price);
+    for (const UserEvent& event : outcome.events) {
+      digest.Add(event.advertiser);
+      digest.Add(event.slot);
+      digest.Add(event.clicked);
+      digest.Add(event.purchased);
+      digest.Add(event.charged);
+    }
+    digest.Add(outcome.revenue_charged);
+  }
+  for (const AdvertiserAccount& account : engine.accounts()) {
+    digest.Add(account.amount_spent);
+    for (const Money spent : account.spent_per_keyword) digest.Add(spent);
+    for (const double value : account.value_gained) digest.Add(value);
+  }
+  EXPECT_EQ(engine.planner_stats().logical_plans, 2000);
+  EXPECT_EQ(digest.value(), 10554048704251868383ULL);
 }
 
 TEST(ShardedEngineTest, ShardPartitionCoversPopulationOnce) {
